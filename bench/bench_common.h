@@ -94,7 +94,7 @@ inline std::int64_t CreateCSession(server::SimServer& server,
   json::Json response = server.Handle(request);
   if (response.GetString("status", "") != "ok") {
     std::fprintf(stderr, "session error: %s\n",
-                 response.GetString("message", "?").c_str());
+                 server::ErrorMessage(response, "?").c_str());
     return -1;
   }
   return response.GetInt("sessionId", -1);

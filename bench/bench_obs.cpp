@@ -54,7 +54,7 @@ json::Json Cmd(const char* command,
 bool Ok(const json::Json& response, const char* what) {
   if (response.GetString("status", "") == "ok") return true;
   std::fprintf(stderr, "%s failed: %s\n", what,
-               response.GetString("message", "?").c_str());
+               server::ErrorMessage(response, "?").c_str());
   return false;
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant linter: structural rules a compiler cannot check.
 
-Four rules, each encoding an invariant this codebase has been burned by
+Five rules, each encoding an invariant this codebase has been burned by
 (or nearly so). The linter is a tripwire, not a proof: it is regex- and
 token-based, deliberately simple, and errs toward false negatives over
 false positives so it can run with zero suppressions on a clean tree.
@@ -20,7 +20,7 @@ false positives so it can run with zero suppressions on a clean tree.
 
   error-envelope      The JSON error envelope {"status":"error",...} is
                       constructed in exactly one place,
-                      server::MakeErrorResponse (plus AddErrorDetail for
+                      server::MakeErrorResponse (plus AddErrorDetails for
                       details). Hand-rolled envelopes drift from the
                       documented shape and break clients keying on
                       error.retryable.
@@ -41,6 +41,14 @@ false positives so it can run with zero suppressions on a clean tree.
                       at least one field with it — an unused capability
                       is either dead code or unprotected data.
 
+  command-table       Command names are declared once, in the command
+                      table (server/commands.cpp). No other src/ file
+                      compares a string with a command name
+                      (`command == "step"`): layers look the command up
+                      in the table and decide by enum or routing class,
+                      so a command added in one place cannot be routed
+                      wrongly in another.
+
 Usage: python3 ci/lint_invariants.py [--root DIR] [--rule NAME]...
 Exits 0 when clean, 1 with one `path:line: [rule] message` per finding.
 """
@@ -55,6 +63,7 @@ CODEC_PATH = "src/snapshot/codec.cpp"
 ERROR_ENVELOPE_ALLOW = {"src/server/api.cpp"}
 METRIC_NAME_ALLOW = {"src/obs/registry.cpp"}
 RAW_MUTEX_ALLOW = {"src/common/sync.h"}
+COMMAND_TABLE_PATH = "src/server/commands.cpp"
 
 # Standalone structs whose fields the codec must cover even though they
 # carry no SaveState themselves (they *are* the saved state).
@@ -62,7 +71,7 @@ EXTRA_STATE_STRUCTS = {"SimSnapshot"}
 
 DERIVED_MARK = "snapshot: derived"
 ALL_RULES = ("snapshot-coverage", "error-envelope", "metric-naming",
-             "mutex-guard")
+             "mutex-guard", "command-table")
 
 
 class Finding:
@@ -292,7 +301,7 @@ def check_error_envelope(files, root, findings):
                 findings.append(Finding(
                     rel, line_of(text, m.start()), "error-envelope",
                     "error envelope constructed by hand; use "
-                    "server::MakeErrorResponse / AddErrorDetail so the "
+                    "server::MakeErrorResponse / AddErrorDetails so the "
                     "shape (error.kind/message/retryable/details) stays "
                     "uniform"))
 
@@ -344,11 +353,42 @@ def check_mutex_guard(files, root, findings):
                     f"protects (see docs/static_analysis.md)"))
 
 
+# A table entry `{kStep, "step", CommandClass::kSession}` and a string
+# literal on either side of == / !=.
+COMMAND_ENTRY_RE = re.compile(r'\{\s*k\w+\s*,\s*"(\w+)"\s*,')
+STRING_COMPARE_RE = re.compile(
+    r'(?:==|!=)\s*"(\w+)"|"(\w+)"\s*(?:==|!=)')
+
+
+def check_command_table(files, root, findings):
+    table = [nostr for rel, _, _, nostr in files
+             if rel == COMMAND_TABLE_PATH]
+    if not table:
+        findings.append(Finding(
+            COMMAND_TABLE_PATH, 1, "command-table",
+            "command table not found; the rule cannot know the command "
+            "names"))
+        return
+    names = set(COMMAND_ENTRY_RE.findall(table[0]))
+    for rel, text, _, nostr in files:
+        if rel == COMMAND_TABLE_PATH:
+            continue
+        for m in STRING_COMPARE_RE.finditer(nostr):
+            name = m.group(1) or m.group(2)
+            if name in names:
+                findings.append(Finding(
+                    rel, line_of(text, m.start()), "command-table",
+                    f"string compared with command name '{name}'; look "
+                    f"the command up once (server::CommandOf) and decide "
+                    f"by server::Command or its CommandClass"))
+
+
 CHECKS = {
     "snapshot-coverage": check_snapshot_coverage,
     "error-envelope": check_error_envelope,
     "metric-naming": check_metric_naming,
     "mutex-guard": check_mutex_guard,
+    "command-table": check_command_table,
 }
 
 

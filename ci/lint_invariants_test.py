@@ -255,6 +255,58 @@ class MutexGuardTest(unittest.TestCase):
         self.assertIn("GUARDED_BY", findings[0].message)
 
 
+class CommandTableTest(unittest.TestCase):
+    RULE = ["command-table"]
+    TABLE = """
+        constexpr CommandInfo kCommands[] = {{
+            {kStep, "step", CommandClass::kSession},
+            {kDeleteSession, "deleteSession", CommandClass::kSession},
+        }};
+        Command LookupCommand(std::string_view name) {
+          for (const CommandInfo& info : kCommands) {
+            if (info.name == name) return info.command;
+          }
+          return kUnknown;
+        }
+        """
+
+    def test_enum_decisions_and_other_strings_pass(self):
+        code, findings = run_lint({
+            "src/server/commands.cpp": self.TABLE,
+            "src/shard/router.cpp": """
+                // Never write command == "step"; use the table.
+                bool Delete(Command c) { return c == Command::kDeleteSession; }
+                bool Delta(const std::string& e) { return e == "delta"; }
+                json::Json Probe() { return MakeRequest(Command::kStep); }
+                """,
+        }, self.RULE)
+        self.assertEqual(code, 0, findings)
+
+    def test_string_compared_with_command_name_fails(self):
+        code, findings = run_lint({
+            "src/server/commands.cpp": self.TABLE,
+            "src/gateway/gw.cpp": """
+                bool A(const std::string& command) { return command == "step"; }
+                bool B(const json::Json& r) {
+                  return "deleteSession" != r.GetString("command", "");
+                }
+                bool C(const json::Json& r) {
+                  return r.GetString("command", "") == "deleteSession";
+                }
+                """,
+        }, self.RULE)
+        self.assertEqual(code, 1)
+        self.assertEqual(rules_of(findings), {"command-table"})
+        self.assertEqual(len(findings), 3, findings)
+
+    def test_missing_table_fails(self):
+        code, findings = run_lint({
+            "src/gateway/gw.cpp": "void Fine() {}\n",
+        }, self.RULE)
+        self.assertEqual(code, 1)
+        self.assertIn("command table not found", findings[0].message)
+
+
 class RealTreeTest(unittest.TestCase):
     """The linter must be clean on the repository it ships in."""
 

@@ -14,6 +14,7 @@
 #include "memory/dump.h"
 #include "memory/memory_initializer.h"
 #include "obs/registry.h"
+#include "server/commands.h"
 #include "server/state_renderer.h"
 #include "shard/router.h"
 #include "shard/transport.h"
@@ -21,6 +22,9 @@
 #include "snapshot/session.h"
 
 namespace rvss::cli {
+
+using server::Command;
+
 namespace {
 
 std::string UsageTextInternal() {
@@ -562,9 +566,8 @@ int RunGateway(const Options& options, std::ostream& out, std::ostream& err) {
     return 2;
   }
   if (options.metricsDump) {
-    json::Json metricsRequest = json::Json::MakeObject();
-    metricsRequest.Set("command", "metrics");
-    err << router.Handle(metricsRequest).DumpPretty() << "\n";
+    err << router.Handle(server::MakeRequest(Command::kMetrics)).DumpPretty()
+        << "\n";
   }
   return 0;
 }
@@ -599,8 +602,7 @@ int RunSharded(const Options& options, const std::string& source,
   }
   shard::ShardRouter router(routerOptions);
 
-  json::Json create = json::Json::MakeObject();
-  create.Set("command", "createSession");
+  json::Json create = server::MakeRequest(Command::kCreateSession);
   create.Set("code", source);
   create.Set("entry", options.entry);
   create.Set("config", config::ToJson(config));
@@ -620,7 +622,7 @@ int RunSharded(const Options& options, const std::string& source,
   for (std::size_t i = 0; i < sessionCount; ++i) {
     json::Json created = router.Handle(create);
     if (created.GetString("status", "") != "ok") {
-      err << "error: " << created.GetString("message", "createSession failed")
+      err << "error: " << server::ErrorMessage(created, "createSession failed")
           << "\n";
       return 2;
     }
@@ -637,8 +639,7 @@ int RunSharded(const Options& options, const std::string& source,
   std::vector<SessionRun> runs(sessionCount);
 
   auto runSlice = [&](std::size_t session, std::uint64_t maxCycles) {
-    json::Json run = json::Json::MakeObject();
-    run.Set("command", "run");
+    json::Json run = server::MakeRequest(Command::kRun);
     run.Set("sessionId", sessionIds[session]);
     run.Set("maxCycles", static_cast<std::int64_t>(maxCycles));
     return router.Handle(run);
@@ -653,7 +654,7 @@ int RunSharded(const Options& options, const std::string& source,
     while (true) {
       json::Json report = runSlice(session, targetTotal - state.ranCycles);
       if (report.GetString("status", "") != "ok") {
-        state.error = report.GetString("message", "run failed");
+        state.error = server::ErrorMessage(report, "run failed");
         state.report = std::move(report);
         return;
       }
@@ -707,31 +708,25 @@ int RunSharded(const Options& options, const std::string& source,
       // it by removing (drain + ring removal + process shutdown) the
       // worker that held the session — the scale-out/scale-in round trip
       // a deploy performs, exercised mid-run.
-      json::Json grown = router.Handle(
-          [] {
-            json::Json request = json::Json::MakeObject();
-            request.Set("command", "addWorker");
-            return request;
-          }());
+      json::Json grown =
+          router.Handle(server::MakeRequest(Command::kAddWorker));
       if (grown.GetString("status", "") != "ok") {
         err << "error: mid-run addWorker failed: "
-            << grown.GetString("message", "") << "\n";
+            << server::ErrorMessage(grown, "") << "\n";
         return 2;
       }
     }
-    json::Json drain = json::Json::MakeObject();
-    drain.Set("command", options.spawnWorkers ? "removeWorker"
-                                              : "drainWorker");
+    json::Json drain = server::MakeRequest(
+        options.spawnWorkers ? Command::kRemoveWorker : Command::kDrainWorker);
     drain.Set("worker", firstWorker);
     json::Json drained = router.Handle(drain);
     if (drained.GetString("status", "") != "ok") {
       err << "error: mid-run migration failed: "
-          << drained.GetString("message", "") << "\n";
+          << server::ErrorMessage(drained, "") << "\n";
       return 2;
     }
-    json::Json sessions = json::Json::MakeObject();
-    sessions.Set("command", "listSessions");
-    json::Json listed = router.Handle(sessions);
+    json::Json listed =
+        router.Handle(server::MakeRequest(Command::kListSessions));
     for (const json::Json& session : listed.Find("sessions")->AsArray()) {
       if (session.GetInt("sessionId", -1) == sessionIds[0]) {
         migratedTo = session.GetInt("worker", -1);
@@ -796,8 +791,7 @@ int RunSharded(const Options& options, const std::string& source,
   }
 
   if (!options.saveSnapshotPath.empty()) {
-    json::Json exportRequest = json::Json::MakeObject();
-    exportRequest.Set("command", "exportSession");
+    json::Json exportRequest = server::MakeRequest(Command::kExportSession);
     exportRequest.Set("sessionId", sessionIds[0]);
     json::Json exported = router.Handle(exportRequest);
     auto blob = Base64Decode(exported.GetString("blob", ""));
@@ -814,9 +808,7 @@ int RunSharded(const Options& options, const std::string& source,
   }
 
   if (options.metricsDump) {
-    json::Json metricsRequest = json::Json::MakeObject();
-    metricsRequest.Set("command", "metrics");
-    json::Json metrics = router.Handle(metricsRequest);
+    json::Json metrics = router.Handle(server::MakeRequest(Command::kMetrics));
     // Stderr keeps `--format json` stdout parseable by pipelines.
     err << metrics.DumpPretty() << "\n";
   }

@@ -22,6 +22,7 @@
 #include "common/sync.h"
 #include "obs/registry.h"
 #include "server/api.h"
+#include "server/commands.h"
 
 namespace rvss::gateway {
 namespace {
@@ -35,23 +36,6 @@ constexpr std::uint64_t kFirstConnectionId = 2;
 json::Json UnavailableError(std::string message) {
   return server::MakeErrorResponse(
       Error{ErrorKind::kUnavailable, std::move(message)});
-}
-
-/// Moves a non-empty top-level "blob" string out of `message` — the
-/// send-side half of the wire split (server/wire.h), re-implemented here
-/// because the gateway serializes into buffers, not onto a socket.
-std::string DetachBlob(json::Json& message) {
-  if (!message.IsObject()) return {};
-  json::Object& object = message.AsObject();
-  for (auto it = object.begin(); it != object.end(); ++it) {
-    if (it->first == "blob" && it->second.IsString() &&
-        !it->second.AsString().empty()) {
-      std::string blob = std::move(it->second.AsString());
-      object.erase(it);
-      return blob;
-    }
-  }
-  return {};
 }
 
 /// All gateway metrics, resolved once. Counters/gauges are always-on
@@ -153,7 +137,7 @@ class Gateway::Impl {
     bool closeAfterFlush = false;
     /// Context of the in-flight request, for completion-side session
     /// bookkeeping and the per-command latency split.
-    std::string pendingCommand;
+    server::Command pendingCommand = server::Command::kUnknown;
     std::int64_t pendingSessionId = -1;
     std::uint64_t pendingStartNs = 0;
     /// Global session ids this connection admitted (and has not yet
@@ -437,30 +421,24 @@ class Gateway::Impl {
     return true;
   }
 
-  /// One parsed request: answered inline (hello, shutdown, admission
-  /// refusals) or handed to the dispatcher pool. Returns false when the
-  /// connection was closed (a failed inline answer).
+  /// One parsed request: answered inline (shutdown, admission refusals)
+  /// or handed to the dispatcher pool. Returns false when the connection
+  /// was closed (a failed inline answer).
   bool HandleRequest(Connection& connection, json::Json request)
       EXCLUDES(dispatchMutex_) {
     Metrics& metrics = Metrics::Get();
-    const std::string command = request.GetString("command", "");
-    if (command == "hello") {
-      return SendResponse(connection, server::MakeHelloResponse());
-    }
-    if (command == "shutdownGateway") {
+    const server::Command command = server::CommandOf(request);
+    if (command == server::Command::kShutdownGateway) {
       // Out-of-band, mirroring the workers' shutdownWorker: acknowledge,
       // then stop the loop. The ack flushes best-effort — for this small
       // frame the socket buffer all but guarantees it.
-      json::Json response = json::Json::MakeObject();
-      response.Set("status", "ok");
+      json::Json response = server::OkResponse();
       response.Set("shutdown", true);
       const bool alive = SendResponse(connection, std::move(response));
       stopping_.store(true, std::memory_order_relaxed);
       return alive;
     }
-    const bool admits =
-        command == "createSession" || command == "importSession";
-    if (admits &&
+    if (server::ClassOf(command) == server::CommandClass::kAdmitting &&
         connection.sessions.size() >= options_.maxSessionsPerConnection) {
       metrics.quotaRejections.Increment();
       return SendResponse(
@@ -522,11 +500,11 @@ class Gateway::Impl {
       // a successful admission charges the quota, a successful delete
       // releases it.
       const bool ok = completion.response.GetString("status", "") == "ok";
-      if (ok && (connection.pendingCommand == "createSession" ||
-                 connection.pendingCommand == "importSession")) {
+      const server::Command command = connection.pendingCommand;
+      if (ok && server::ClassOf(command) == server::CommandClass::kAdmitting) {
         connection.sessions.insert(
             completion.response.GetInt("sessionId", -1));
-      } else if (ok && connection.pendingCommand == "deleteSession") {
+      } else if (ok && command == server::Command::kDeleteSession) {
         connection.sessions.erase(connection.pendingSessionId);
       }
       const std::uint64_t elapsedUs =
@@ -535,8 +513,7 @@ class Gateway::Impl {
       if (obs::Enabled()) {
         metrics.registry
             .GetHistogram("gateway.requestUs." +
-                          std::string(obs::SanitizedCommandName(
-                              connection.pendingCommand)))
+                          std::string(server::CommandName(command)))
             .Record(elapsedUs);
       }
       if (!SendResponse(connection, std::move(completion.response))) {
@@ -554,7 +531,7 @@ class Gateway::Impl {
   /// rest drains on EPOLLOUT. Returns false when the flush hit a hard
   /// error and the connection was closed.
   bool SendResponse(Connection& connection, json::Json response) {
-    const std::string blob = DetachBlob(response);
+    const std::string blob = server::DetachBlob(response);
     const std::string text = response.Dump();
     connection.writeBuf +=
         net::EncodeFrameHeader(text.size(), blob.size());

@@ -45,10 +45,11 @@
 // Frame-level garbage (bad magic, over-cap lengths) closes the
 // connection — the byte stream cannot be trusted past it. JSON-level
 // garbage gets an error response and the connection lives on, exactly
-// like the worker frame loop. {"command":"hello"} is answered inline by
-// the I/O thread; {"command":"shutdownGateway"} acknowledges and stops
-// the gateway (the out-of-band teardown used by the CLI and tests,
-// mirroring the workers' shutdownWorker).
+// like the worker frame loop. {"command":"shutdownGateway"} is answered
+// inline by the I/O thread: it acknowledges and stops the gateway (the
+// out-of-band teardown used by the CLI and tests, mirroring the workers'
+// shutdownWorker). Every other command, hello included, goes through the
+// Handler, so under overload it can be shed like any request.
 #pragma once
 
 #include <cstdint>

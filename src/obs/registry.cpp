@@ -10,47 +10,6 @@ namespace {
 
 std::atomic<bool> g_enabled{true};
 
-/// Every command name the server or router dispatches on. Per-command
-/// metrics use this closed set so a hostile client sending random command
-/// strings cannot allocate unbounded registry entries.
-constexpr std::string_view kKnownCommands[] = {
-    // SimServer API.
-    "compile", "parseAsm", "checkConfig", "createSession", "importSession",
-    "exportSession", "deleteSession", "listSessions", "step", "stepBack",
-    "run", "state", "stats", "fastForward", "saveCheckpoint",
-    "restoreCheckpoint", "metrics", "traceDump",
-    // Router fleet operations and the wire handshake.
-    "hello", "workerStats", "drainWorker", "openWorker", "addWorker",
-    "removeWorker", "rebalance", "shutdownWorker",
-};
-
-/// Canonicalizes a metric name arriving from a (possibly older) worker:
-/// snake_case runs within each dot-separated segment fold into camelCase
-/// humps ("shard.lane.queue_wait_us" -> "shard.lane.queueWaitUs"), so a
-/// fleet merge during a rolling upgrade never splits one logical metric
-/// across two keys. Already-camelCase names pass through unchanged.
-std::string CanonicalMetricName(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  bool upperNext = false;
-  for (const char c : name) {
-    if (c == '_') {
-      upperNext = true;
-      continue;
-    }
-    if (c == '.') {
-      upperNext = false;
-      out.push_back(c);
-      continue;
-    }
-    out.push_back(upperNext && c >= 'a' && c <= 'z'
-                      ? static_cast<char>(c - 'a' + 'A')
-                      : c);
-    upperNext = false;
-  }
-  return out;
-}
-
 }  // namespace
 
 bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
@@ -162,42 +121,33 @@ void MergeMetricsJson(json::Json& into, const json::Json& from) {
     return *found;
   };
 
-  if (const json::Json* counters = from.Find("counters");
-      counters != nullptr && counters->IsObject()) {
-    json::Json& mine = section(into, "counters");
-    for (const auto& [name, value] : counters->AsObject()) {
+  // Counters sum and gauges take the max; an absent entry merges as 0.
+  const json::Json zero(0);
+  auto mergeNumbers = [&](std::string_view name, bool sum) {
+    const json::Json* theirs = from.Find(name);
+    if (theirs == nullptr || !theirs->IsObject()) return;
+    json::Json& mine = section(into, name);
+    for (const auto& [key, value] : theirs->AsObject()) {
       if (!value.IsNumber()) continue;
-      const std::string canonical = CanonicalMetricName(name);
-      const json::Json* existing = mine.Find(canonical);
-      const std::int64_t base =
-          existing != nullptr && existing->IsNumber() ? existing->AsInt() : 0;
-      mine.Set(canonical, base + value.AsInt());
+      const json::Json* found = mine.Find(key);
+      const json::Json& base =
+          found != nullptr && found->IsNumber() ? *found : zero;
+      mine.Set(key, sum ? json::Json(base.AsInt() + value.AsInt())
+                        : json::Json(std::max(base.AsDouble(),
+                                              value.AsDouble())));
     }
-  }
-
-  if (const json::Json* gauges = from.Find("gauges");
-      gauges != nullptr && gauges->IsObject()) {
-    json::Json& mine = section(into, "gauges");
-    for (const auto& [name, value] : gauges->AsObject()) {
-      if (!value.IsNumber()) continue;
-      const std::string canonical = CanonicalMetricName(name);
-      const json::Json* existing = mine.Find(canonical);
-      const double base = existing != nullptr && existing->IsNumber()
-                              ? existing->AsDouble()
-                              : 0.0;
-      mine.Set(canonical, std::max(base, value.AsDouble()));
-    }
-  }
+  };
+  mergeNumbers("counters", true);
+  mergeNumbers("gauges", false);
 
   if (const json::Json* histograms = from.Find("histograms");
       histograms != nullptr && histograms->IsObject()) {
     json::Json& mine = section(into, "histograms");
     for (const auto& [name, node] : histograms->AsObject()) {
       if (!node.IsObject()) continue;
-      const std::string canonical = CanonicalMetricName(name);
-      json::Json* existing = mine.Find(canonical);
+      json::Json* existing = mine.Find(name);
       if (existing == nullptr || !existing->IsObject()) {
-        mine.Set(canonical, node);
+        mine.Set(name, node);
         continue;
       }
       existing->Set("count",
@@ -300,13 +250,6 @@ std::string MetricsToPrometheusText(const json::Json& metrics) {
     }
   }
   return out;
-}
-
-std::string_view SanitizedCommandName(std::string_view command) {
-  for (const std::string_view known : kKnownCommands) {
-    if (command == known) return command;
-  }
-  return "other";
 }
 
 }  // namespace rvss::obs

@@ -184,9 +184,4 @@ void MergeMetricsJson(json::Json& into, const json::Json& from);
 /// _bucket{le=...} series plus _count and _sum).
 std::string MetricsToPrometheusText(const json::Json& metrics);
 
-/// Bounds per-command metric names: returns `command` when it is a known
-/// API or fleet command, "other" otherwise — client-supplied strings must
-/// not grow the registry without bound.
-std::string_view SanitizedCommandName(std::string_view command);
-
 }  // namespace rvss::obs

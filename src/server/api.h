@@ -6,22 +6,9 @@
 // and returns serialized bytes, so the full parse -> simulate -> serialize
 // -> compress path is exercised and measurable (experiments E1-E3).
 //
-// Commands (field "command"):
-//   compile           {code, optLevel}                 -> {assembly}
-//   parseAsm          {code}                           -> {ok} | error
-//   checkConfig       {config}                         -> {ok, problems[]}
-//   createSession     {code, config?, entry?, arrays?} -> {sessionId}
-//   step              {sessionId, count?}              -> {state, stepped}
-//   stepBack          {sessionId}                      -> {state}
-//   run               {sessionId, maxCycles?}          -> {statistics, ranCycles}
-//   state             {sessionId, memory?}             -> {state}
-//   stats             {sessionId}                      -> {statistics, checkpoints}
-//   saveCheckpoint    {sessionId}                      -> {cycle, checkpoints}
-//   restoreCheckpoint {sessionId, cycle}               -> {state, replayedCycles}
-//   exportSession     {sessionId}                      -> {blob, cycle}
-//   importSession     {blob}                           -> {sessionId, cycle}
-//   deleteSession     {sessionId}                      -> {ok}
-//   listSessions      {}                               -> {sessions[], totalApproxBytes}
+// The commands, their parameters and their answers are listed once, in
+// docs/api.md; server/commands.h declares their names and routing
+// classes.
 //
 // exportSession serializes the session (configuration, source, arrays and
 // the complete simulation state) into a base64 blob via the snapshot
@@ -54,6 +41,7 @@
 
 #include "core/simulation.h"
 #include "json/json.h"
+#include "server/commands.h"
 #include "server/state_renderer.h"
 #include "snapshot/session.h"
 
@@ -82,8 +70,9 @@ struct RequestTiming {
 /// negotiation fields. Advertised as "apiVersion" in the hello handshake
 /// and in createSession/metrics responses; bumped on incompatible changes.
 /// v1: uniform error envelope, camelCase field names, delta-blob hello
-/// negotiation.
-inline constexpr std::int64_t kApiVersion = 1;
+/// negotiation. v2: the envelope only (the flat error-field mirror is
+/// gone), and an unknown command is answered "unknown command '<name>'".
+inline constexpr std::int64_t kApiVersion = 2;
 
 /// True exactly for the error kinds a client may retry verbatim (load
 /// shed / backpressure, not a fault in the request itself).
@@ -91,17 +80,22 @@ inline bool ErrorIsRetryable(ErrorKind kind) {
   return kind == ErrorKind::kUnavailable;
 }
 
+/// {"status":"ok"}: the start of every successful response.
+json::Json OkResponse();
+
 /// The standard "status: error" JSON response for an Error: a nested
 /// {"status":"error","error":{"kind","message","retryable","details":{}}}
-/// envelope. For one release the legacy flat fields (top-level "kind",
-/// "message" and any details) are mirrored alongside.
+/// envelope.
 json::Json MakeErrorResponse(const Error& error);
 
-/// Adds a machine-readable detail field to an error response built by
-/// MakeErrorResponse, writing both the envelope's "error"."details" object
-/// and the legacy top-level mirror.
-void AddErrorDetail(json::Json& response, const std::string& key,
-                    json::Json value);
+/// Moves every field of the object `fields` into the "error"."details"
+/// object of an error response built by MakeErrorResponse.
+void AddErrorDetails(json::Json& response, json::Json fields);
+
+/// The "error"."message" of an error response; `fallback` when the
+/// response carries none.
+std::string ErrorMessage(const json::Json& response,
+                         std::string_view fallback);
 
 /// Byte-level request pipeline shared by SimServer and the shard router:
 /// parses `requestBytes`, dispatches through `handler`, serializes and
@@ -156,9 +150,7 @@ class SimServer {
     snapshot::SessionIdentity identity;
   };
 
-  json::Json Dispatch(const json::Json& request);
-  json::Json ErrorResponse(const Error& error) const;
-  Result<Session*> FindSession(const json::Json& request);
+  json::Json Dispatch(Command command, const json::Json& request);
 
   Limits limits_;
   std::map<std::int64_t, Session> sessions_;

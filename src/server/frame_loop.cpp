@@ -39,23 +39,11 @@ bool ServeConnection(SimServer& server, net::Socket& connection,
       // stream can no longer be trusted — drop the connection.
       return false;
     }
-    const std::string command = request.value().GetString("command", "");
-    const bool shutdown = command == "shutdownWorker";
-    json::Json response;
-    if (shutdown) {
-      response = json::Json::MakeObject();
-      response.Set("status", "ok");
-      response.Set("shutdown", true);
-    } else if (command == "hello") {
-      // Connect-time handshake, answered out-of-band like shutdownWorker:
-      // the router compares this fingerprint (frame version, snapshot
-      // format version, config hash) against its own build and drops the
-      // connection on mismatch — version skew surfaces here, not as a
-      // decode error mid-migration.
-      response = MakeHelloResponse();
-    } else {
-      response = server.Handle(request.value());
-    }
+    const bool shutdown =
+        CommandOf(request.value()) == Command::kShutdownWorker;
+    json::Json response =
+        shutdown ? OkResponse() : server.Handle(request.value());
+    if (shutdown) response.Set("shutdown", true);
     if (!WriteMessage(connection, std::move(response), options).ok()) {
       return shutdown;  // peer vanished; nothing left to tell it
     }

@@ -22,10 +22,8 @@
 //   * The out-of-band command {"command": "shutdownWorker"} is handled by
 //     the loop itself, not the SimServer: it acknowledges with
 //     {"status": "ok"} and returns, giving removeWorker and CLI teardown
-//     a graceful exit that still flushes the response.
-//   * {"command": "hello"} is likewise answered by the loop with this
-//     build's fingerprint (server/wire.h) — the connect-time handshake a
-//     router uses to refuse version-skewed workers.
+//     a graceful exit that still flushes the response. Everything else,
+//     the hello handshake included, goes to SimServer::Handle.
 #pragma once
 
 #include "common/socket.h"

@@ -9,11 +9,7 @@
 #include "snapshot/codec.h"
 
 namespace rvss::server {
-namespace {
 
-/// Moves a non-empty top-level "blob" string out of `message`. An empty
-/// or absent blob stays in the JSON (blobBytes == 0 on the wire means
-/// "nothing detached", so empty-but-present must not take this path).
 std::string DetachBlob(json::Json& message) {
   if (!message.IsObject()) return {};
   json::Object& object = message.AsObject();
@@ -27,8 +23,6 @@ std::string DetachBlob(json::Json& message) {
   }
   return {};
 }
-
-}  // namespace
 
 Status WriteFrame(net::Socket& socket, std::string_view jsonText,
                   std::string_view blob, const WireOptions& options) {
@@ -127,15 +121,13 @@ void FillHelloFields(json::Json& message) {
 }  // namespace
 
 json::Json MakeHelloResponse() {
-  json::Json response = json::Json::MakeObject();
-  response.Set("status", "ok");
+  json::Json response = OkResponse();
   FillHelloFields(response);
   return response;
 }
 
 json::Json MakeHelloRequest() {
-  json::Json request = json::Json::MakeObject();
-  request.Set("command", "hello");
+  json::Json request = MakeRequest(Command::kHello);
   FillHelloFields(request);
   return request;
 }
@@ -153,8 +145,7 @@ Status CheckHelloResponse(const json::Json& response,
     // a hostile or confused peer answers with anything else. Both are
     // refusals — skew must be discovered here, not mid-migration.
     return refuse("peer did not answer the handshake (" +
-                  response.GetString("message", "no hello in response") +
-                  ")");
+                  ErrorMessage(response, "no hello in response") + ")");
   }
   const std::int64_t frameVersion = response.GetInt("frameVersion", -1);
   if (frameVersion != static_cast<std::int64_t>(net::kFrameVersion)) {
@@ -180,7 +171,6 @@ Status CheckHelloResponse(const json::Json& response,
   }
   if (info != nullptr) {
     info->deltaBlobs = response.GetBool("deltaBlobs", false);
-    info->apiVersion = apiVersion;
   }
   return Status::Ok();
 }

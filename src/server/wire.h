@@ -35,6 +35,11 @@ struct WireOptions {
   std::size_t maxFrameBytes = net::kDefaultMaxFrameBytes;
 };
 
+/// Moves a non-empty top-level "blob" string out of `message`: the
+/// send-side half of the split above. An empty or absent blob stays in
+/// the JSON (blobBytes == 0 on the wire means "nothing detached").
+std::string DetachBlob(json::Json& message);
+
 /// Writes one frame from pre-split sections. The zero-copy primitive:
 /// both sections are borrowed views, nothing is re-serialized — callers
 /// that resend (the transport's write retry) pay the serialization once.
@@ -72,14 +77,14 @@ Result<json::Json> ReadMessage(net::Socket& socket,
 //                          capability, not a pinned version — a sender
 //                          ships full images to a peer that lacks it.
 //
-// The worker side answers from the frame loop (out-of-band, like
-// shutdownWorker); a pre-handshake worker answers with an unknown-command
-// error, which the router also treats as a refusal.
+// The worker's SimServer answers it like any other command (the router
+// answers it the same way for itself); a pre-handshake worker answers
+// with an unknown-command error, which the router also treats as a
+// refusal.
 
 /// Peer capabilities learned from an accepted hello response.
 struct HelloInfo {
   bool deltaBlobs = false;
-  std::int64_t apiVersion = 0;
 };
 
 /// This build's fingerprint as a hello response:

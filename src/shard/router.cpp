@@ -10,13 +10,10 @@
 #include "server/wire.h"
 
 namespace rvss::shard {
-namespace {
 
-json::Json Ok() {
-  json::Json response = json::Json::MakeObject();
-  response.Set("status", "ok");
-  return response;
-}
+using server::Command;
+
+namespace {
 
 bool IsOk(const json::Json& response) {
   return response.GetString("status", "") == "ok";
@@ -51,16 +48,23 @@ ShardRouter::ShardRouter(const Options& options)
     auto transport = MakeTransport(i, limits);
     if (transport.ok()) {
       workers_.push_back(std::move(transport).value());
-      lanes_.push_back(std::make_unique<WorkerLane>(
-          workers_.back(), options_.maxLaneQueueDepth));
     } else {
       // A slot whose transport could not be built is born removed: the
       // fleet still comes up, the hole is visible in workerStats, and
       // nothing ever routes there.
       workers_.push_back(nullptr);
-      lanes_.push_back(nullptr);
       slotErrors_[i] = transport.error().message;
     }
+  }
+  // Lanes start only after every transport is built: a factory that
+  // forks worker processes must fork from a single-threaded process, or
+  // a child can inherit a lock a lane thread held mid-acquire (the
+  // obs::Registry mutex, taken by a lane as soon as it starts).
+  for (const std::shared_ptr<WorkerTransport>& worker : workers_) {
+    lanes_.push_back(worker == nullptr
+                         ? nullptr
+                         : std::make_unique<WorkerLane>(
+                               worker, options_.maxLaneQueueDepth));
   }
   drained_.assign(count, false);
   gated_.assign(count, false);
@@ -82,15 +86,11 @@ server::SimServer* ShardRouter::workerServer(std::size_t index) {
   return workers_[index]->LocalServer();
 }
 
-json::Json ShardRouter::Handle(const json::Json& request) {
-  return Dispatch(request);
-}
-
 std::string ShardRouter::HandleRaw(std::string_view requestBytes,
                                    bool compress,
                                    server::RequestTiming* timing) {
   return server::HandleRawVia(
-      [this](const json::Json& request) { return Dispatch(request); },
+      [this](const json::Json& request) { return Handle(request); },
       requestBytes, compress, timing);
 }
 
@@ -114,29 +114,28 @@ json::Json ShardRouter::CallViaLane(std::size_t worker,
       pending = lanes_[worker]->Submit(request);
     }
   }
-  if (direct != nullptr) {
-    static obs::Counter& directCalls =
-        obs::Registry::Instance().GetCounter("shard.lane.directCalls");
-    directCalls.Increment();
-    const std::uint64_t startNs = obs::MonotonicNowNs();
-    auto response = direct->Call(request);
-    {
-      // EndDirect under the fleet mutex: RemoveWorker destroys a lane
-      // only with this mutex held, after Quiesce() — which our claim
-      // blocks — so the lane cannot disappear mid-release.
-      MutexLock lock(fleetMutex_);
-      lanes_[worker]->EndDirect(obs::MonotonicNowNs() - startNs);
-    }
-    if (!response.ok()) {
-      return server::MakeErrorResponse(response.error());
-    }
-    return std::move(response).value();
-  }
-  auto response = pending.get();
+  auto response = direct != nullptr ? CallClaimed(worker, *direct, request)
+                                    : pending.get();
   if (!response.ok()) {
     return server::MakeErrorResponse(response.error());
   }
   return std::move(response).value();
+}
+
+Result<json::Json> ShardRouter::CallClaimed(std::size_t worker,
+                                            WorkerTransport& transport,
+                                            const json::Json& request) {
+  static obs::Counter& directCalls =
+      obs::Registry::Instance().GetCounter("shard.lane.directCalls");
+  directCalls.Increment();
+  const std::uint64_t startNs = obs::MonotonicNowNs();
+  auto response = transport.Call(request);
+  // EndDirect under the fleet mutex: RemoveWorker destroys a lane only
+  // with this mutex held, after Quiesce() — which our claim blocks — so
+  // the lane cannot disappear mid-release.
+  MutexLock lock(fleetMutex_);
+  lanes_[worker]->EndDirect(obs::MonotonicNowNs() - startNs);
+  return response;
 }
 
 json::Json ShardRouter::CallWorkerDirect(std::size_t worker,
@@ -181,8 +180,9 @@ void ShardRouter::OpenGate(std::size_t index) {
   gateOpen_.NotifyAll();
 }
 
-json::Json ShardRouter::Dispatch(const json::Json& request) {
-  const std::string command = request.GetString("command", "");
+json::Json ShardRouter::Handle(const json::Json& request) {
+  using server::CommandClass;
+  const Command command = server::CommandOf(request);
   obs::Registry& registry = obs::Registry::Instance();
   static obs::Counter& requests =
       registry.GetCounter("shard.router.requests");
@@ -192,45 +192,60 @@ json::Json ShardRouter::Dispatch(const json::Json& request) {
   if (obs::Enabled()) {
     registry
         .GetCounter("shard.router.cmd." +
-                    std::string(obs::SanitizedCommandName(command)))
+                    std::string(server::CommandName(command)))
         .Increment();
   }
   obs::ScopedLatency timer(handleUs);
 
-  if (command == "hello") {
-    // The router's own fingerprint: lets a client (or an operator's curl)
-    // verify build compatibility without reaching into the fleet.
-    return server::MakeHelloResponse();
+  switch (server::ClassOf(command)) {
+    case CommandClass::kStateless: return StatelessCommand(request);
+    case CommandClass::kAdmitting: return AdmitSession(request);
+    case CommandClass::kSession: return RouteSessionCommand(command, request);
+    case CommandClass::kFleetView: case CommandClass::kFleetOp:
+      return FleetCommand(command, request);
+    // Forwarding process control would let any API client stop a fleet
+    // process; only removeWorker sends shutdownWorker, straight down the
+    // transport.
+    case CommandClass::kProcessControl: case CommandClass::kUnknown:
+      break;
   }
-  if (command == "createSession" || command == "importSession") {
-    return AdmitSession(request);
+  return server::MakeErrorResponse(server::NotServed(command, request));
+}
+
+json::Json ShardRouter::FleetCommand(Command command,
+                                     const json::Json& request) {
+  switch (command) {
+    case Command::kHello:
+      // The router's own fingerprint, which every worker matched at
+      // connect time: a client (or an operator's curl) can verify build
+      // compatibility without reaching into the fleet.
+      return server::MakeHelloResponse();
+    case Command::kListSessions: return ListSessions();
+    case Command::kMetrics: return Metrics(request);
+    case Command::kTraceDump: return TraceDump();
+    case Command::kWorkerStats: return WorkerStats();
+    case Command::kDrainWorker: return DrainWorker(request);
+    case Command::kOpenWorker: return OpenWorker(request);
+    case Command::kAddWorker: return AddWorker(request);
+    case Command::kRemoveWorker: return RemoveWorker(request);
+    case Command::kRebalance: return Rebalance();
+    // Routed by class in Handle; never reach here.
+    case Command::kCompile: case Command::kParseAsm:
+    case Command::kCheckConfig: case Command::kCreateSession:
+    case Command::kImportSession: case Command::kStep: case Command::kStepBack:
+    case Command::kFastForward: case Command::kRun: case Command::kState:
+    case Command::kStats: case Command::kSaveCheckpoint:
+    case Command::kRestoreCheckpoint: case Command::kExportSession:
+    case Command::kDeleteSession: case Command::kShutdownWorker:
+    case Command::kShutdownGateway: case Command::kUnknown:
+      break;
   }
-  if (command == "listSessions") return ListSessions();
-  if (command == "workerStats") return WorkerStats();
-  if (command == "drainWorker") return DrainWorker(request);
-  if (command == "openWorker") return OpenWorker(request);
-  if (command == "addWorker") return AddWorker(request);
-  if (command == "removeWorker") return RemoveWorker(request);
-  if (command == "rebalance") return Rebalance();
-  if (command == "metrics") return Metrics(request);
-  if (command == "traceDump") return TraceDump();
-  if (command == "shutdownWorker") {
-    // Out-of-band worker-level command: forwarding it would let any API
-    // client kill a fleet process. Only the router's own removeWorker
-    // path may send it, directly over the transport.
-    return RouterError(ErrorKind::kInvalidArgument,
-                       "shutdownWorker is not a router command; use "
-                       "removeWorker {worker}");
-  }
-  if (request.Find("sessionId") != nullptr) {
-    return RouteSessionCommand(request);
-  }
-  return StatelessCommand(request);
+  return server::MakeErrorResponse(server::NotServed(command, request));
 }
 
 json::Json ShardRouter::StatelessCommand(const json::Json& request) {
-  // Stateless commands (compile, parseAsm, checkConfig) and unknown
-  // commands need no placement; any live worker gives the right answer —
+  // Stateless commands (compile, parseAsm, checkConfig) need no
+  // placement; any live worker gives the right answer —
   // and they are side-effect-free, so a worker whose process is dead is
   // simply skipped for the next one instead of failing the request. A
   // gated worker (a fleet operation owns it) is skipped the same way
@@ -330,9 +345,10 @@ json::Json ShardRouter::AdmitSession(const json::Json& request) {
   return response;
 }
 
-json::Json ShardRouter::RouteSessionCommand(const json::Json& request) {
+json::Json ShardRouter::RouteSessionCommand(Command command,
+                                            const json::Json& request) {
   const std::int64_t globalId = request.GetInt("sessionId", -1);
-  const bool isDelete = request.GetString("command", "") == "deleteSession";
+  const bool isDelete = command == Command::kDeleteSession;
   std::size_t worker = 0;
   std::future<Result<json::Json>> pending;
   std::shared_ptr<WorkerTransport> direct;
@@ -379,20 +395,11 @@ json::Json ShardRouter::RouteSessionCommand(const json::Json& request) {
       gateOpen_.Wait(fleetMutex_);
     }
   }
+  // A lambda, so the queued branch's move of `forwarded` above never
+  // looks like a use-after-move to tools that ignore `direct`.
   auto result = [&]() -> Result<json::Json> {
     if (direct == nullptr) return pending.get();
-    static obs::Counter& directCalls =
-        obs::Registry::Instance().GetCounter("shard.lane.directCalls");
-    directCalls.Increment();
-    const std::uint64_t startNs = obs::MonotonicNowNs();
-    auto answer = direct->Call(forwarded);
-    {
-      // See CallViaLane: releasing under the fleet mutex keeps the lane
-      // alive until EndDirect has fully returned.
-      MutexLock lock(fleetMutex_);
-      lanes_[worker]->EndDirect(obs::MonotonicNowNs() - startNs);
-    }
-    return answer;
+    return CallClaimed(worker, *direct, forwarded);
   }();
   if (!result.ok()) {
     return server::MakeErrorResponse(result.error());
@@ -444,7 +451,7 @@ json::Json ShardRouter::ListSessions() {
     placements = placements_;
     pending = FanOutListSessions();
   }
-  json::Json response = Ok();
+  json::Json response = server::OkResponse();
   json::Json list = json::Json::MakeArray();
   json::Json unreachable = json::Json::MakeArray();
   std::int64_t totalBytes = 0;
@@ -492,7 +499,7 @@ Result<ShardRouter::WorkerLoad> ShardRouter::ParseLoad(
   if (!response.ok()) return response.error();
   if (!IsOk(response.value())) {
     return Error{ErrorKind::kInternal,
-                 response.value().GetString("message", "listSessions failed")};
+                 server::ErrorMessage(response.value(), "listSessions failed")};
   }
   WorkerLoad load;
   const json::Json* sessions = response.value().Find("sessions");
@@ -506,8 +513,7 @@ Result<ShardRouter::WorkerLoad> ShardRouter::ParseLoad(
 
 std::vector<std::future<Result<json::Json>>> ShardRouter::FanOutListSessions(
     std::size_t skip) {
-  json::Json listRequest = json::Json::MakeObject();
-  listRequest.Set("command", "listSessions");
+  json::Json listRequest = server::MakeRequest(Command::kListSessions);
   std::vector<std::future<Result<json::Json>>> pending(workers_.size());
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     if (i == skip || !IsLive(i)) continue;
@@ -571,7 +577,7 @@ json::Json ShardRouter::WorkerStats() {
     }
     pending = FanOutListSessions();
   }
-  json::Json response = Ok();
+  json::Json response = server::OkResponse();
   json::Json list = json::Json::MakeArray();
   for (std::size_t i = 0; i < slots.size(); ++i) {
     json::Json entry = json::Json::MakeObject();
@@ -609,124 +615,88 @@ json::Json ShardRouter::WorkerStats() {
   return response;
 }
 
+json::Json ShardRouter::FanOutToProcesses(Command command,
+                                          std::string_view field) {
+  const json::Json request = server::MakeRequest(command);
+  std::vector<json::Json> entries;
+  std::vector<std::future<Result<json::Json>>> pending;
+  {
+    MutexLock lock(fleetMutex_);
+    pending.resize(workers_.size());
+    // Fan out to every socket worker before awaiting any response — the
+    // same submit-then-wait shape as FanOutListSessions, so dead workers'
+    // timeouts overlap instead of stacking.
+    for (std::size_t i = 0; i < workers_.size(); ++i) {
+      json::Json entry = json::Json::MakeObject();
+      entry.Set("worker", static_cast<std::int64_t>(i));
+      if (!IsLive(i)) {
+        entry.Set("removed", true);
+      } else {
+        entry.Set("transport", workers_[i]->Describe());
+        if (workers_[i]->LocalServer() != nullptr) {
+          // In-process: its numbers and spans are this process's own.
+          entry.Set("sharedProcess", true);
+        } else {
+          pending[i] = lanes_[i]->Submit(request);
+        }
+      }
+      entries.push_back(std::move(entry));
+    }
+  }
+  json::Json list = json::Json::MakeArray();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (pending[i].valid()) {
+      auto result = pending[i].get();
+      json::Json answer = result.ok()
+                              ? std::move(result).value()
+                              : server::MakeErrorResponse(result.error());
+      json::Json* value = answer.Find(field);
+      if (!IsOk(answer) || value == nullptr) {
+        entries[i].Set("unreachable", true);
+        entries[i].Set("error", server::ErrorMessage(
+                                    answer, "response carried no " +
+                                                std::string(field)));
+      } else {
+        entries[i].Set(field, std::move(*value));
+      }
+    }
+    list.Append(std::move(entries[i]));
+  }
+  return list;
+}
+
 json::Json ShardRouter::Metrics(const json::Json& request) {
   MutexLock opLock(fleetOpMutex_);
   // Start from this process's registry: router counters, lane and
   // transport histograms — and every in-process worker's server metrics,
   // which land in the same registry (the whole point of a process-wide
   // singleton). That is also why in-process workers are *not* fanned out
-  // below: merging their `metrics` response would count this registry
-  // twice.
+  // to: merging their `metrics` response would count this registry twice.
   json::Json fleet = obs::MetricsToJson();
-
-  json::Json metricsRequest = json::Json::MakeObject();
-  metricsRequest.Set("command", "metrics");
-  struct Slot {
-    bool live = false;
-    bool shared = false;  ///< in-process: its numbers are already in fleet
-    std::string transport;
-  };
-  std::vector<Slot> slots;
-  std::vector<std::future<Result<json::Json>>> pending;
-  {
-    MutexLock lock(fleetMutex_);
-    slots.resize(workers_.size());
-    pending.resize(workers_.size());
-    // Fan out to every socket worker before awaiting any response — the
-    // same submit-then-wait shape as FanOutListSessions, so dead workers'
-    // timeouts overlap instead of stacking.
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      slots[i].live = IsLive(i);
-      if (!slots[i].live) continue;
-      slots[i].transport = workers_[i]->Describe();
-      slots[i].shared = workers_[i]->LocalServer() != nullptr;
-      if (!slots[i].shared) pending[i] = lanes_[i]->Submit(metricsRequest);
-    }
-  }
-
-  json::Json workerList = json::Json::MakeArray();
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    json::Json entry = json::Json::MakeObject();
-    entry.Set("worker", static_cast<std::int64_t>(i));
-    if (!slots[i].live) {
-      entry.Set("removed", true);
-      workerList.Append(std::move(entry));
-      continue;
-    }
-    entry.Set("transport", slots[i].transport);
-    if (!pending[i].valid()) {
-      // In-process worker: its numbers are already part of `fleet`.
-      entry.Set("sharedProcess", true);
-      workerList.Append(std::move(entry));
-      continue;
-    }
-    auto result = pending[i].get();
-    json::Json answer = result.ok() ? std::move(result).value()
-                                    : server::MakeErrorResponse(result.error());
-    json::Json* metrics = answer.Find("metrics");
-    if (!IsOk(answer) || metrics == nullptr) {
-      entry.Set("unreachable", true);
-      entry.Set("error",
-                answer.GetString("message", "response carried no metrics"));
-    } else {
+  json::Json workers = FanOutToProcesses(Command::kMetrics, "metrics");
+  for (const json::Json& entry : workers.AsArray()) {
+    if (const json::Json* metrics = entry.Find("metrics")) {
       obs::MergeMetricsJson(fleet, *metrics);
-      entry.Set("metrics", std::move(*metrics));
     }
-    workerList.Append(std::move(entry));
   }
-
-  json::Json response = Ok();
+  json::Json response = server::OkResponse();
   if (request.GetString("format", "json") == "text") {
     response.Set("text", obs::MetricsToPrometheusText(fleet));
   } else {
     response.Set("fleet", std::move(fleet));
   }
-  response.Set("workers", std::move(workerList));
+  response.Set("workers", std::move(workers));
   return response;
 }
 
 json::Json ShardRouter::TraceDump() {
   MutexLock opLock(fleetOpMutex_);
-  json::Json traceRequest = json::Json::MakeObject();
-  traceRequest.Set("command", "traceDump");
-  std::vector<std::string> transports;
-  std::vector<std::future<Result<json::Json>>> pending;
-  {
-    MutexLock lock(fleetMutex_);
-    transports.resize(workers_.size());
-    pending.resize(workers_.size());
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      if (!IsLive(i) || workers_[i]->LocalServer() != nullptr) continue;
-      transports[i] = workers_[i]->Describe();
-      pending[i] = lanes_[i]->Submit(traceRequest);
-    }
-  }
-
-  json::Json workerList = json::Json::MakeArray();
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (!pending[i].valid()) continue;  // removed or shares this ring
-    json::Json entry = json::Json::MakeObject();
-    entry.Set("worker", static_cast<std::int64_t>(i));
-    entry.Set("transport", transports[i]);
-    auto result = pending[i].get();
-    json::Json answer = result.ok() ? std::move(result).value()
-                                    : server::MakeErrorResponse(result.error());
-    json::Json* trace = answer.Find("trace");
-    if (!IsOk(answer) || trace == nullptr) {
-      entry.Set("unreachable", true);
-      entry.Set("error",
-                answer.GetString("message", "response carried no trace"));
-    } else {
-      entry.Set("trace", std::move(*trace));
-    }
-    workerList.Append(std::move(entry));
-  }
-
-  json::Json response = Ok();
+  json::Json workers = FanOutToProcesses(Command::kTraceDump, "trace");
+  json::Json response = server::OkResponse();
   // The router's own ring holds the fleet-operation spans (drain,
   // rebalance, quiesce) plus anything in-process workers recorded.
   response.Set("trace", obs::TraceRing::Instance().ToJson());
-  response.Set("workers", std::move(workerList));
+  response.Set("workers", std::move(workers));
   return response;
 }
 
@@ -763,8 +733,7 @@ Status ShardRouter::MoveSession(std::int64_t globalId, std::size_t destination,
   // and stays idle (every submission path checks the gate) — the
   // transport is ours until the gate reopens.
   auto exportFrom = [&](bool delta) {
-    json::Json exportRequest = json::Json::MakeObject();
-    exportRequest.Set("command", "exportSession");
+    json::Json exportRequest = server::MakeRequest(Command::kExportSession);
     exportRequest.Set("sessionId", source.localId);
     if (delta) exportRequest.Set("encoding", "delta");
     return CallWorkerDirect(source.worker, exportRequest);
@@ -788,7 +757,7 @@ Status ShardRouter::MoveSession(std::int64_t globalId, std::size_t destination,
         ErrorKind::kInternal,
         "export of session " + std::to_string(globalId) + " from worker " +
             std::to_string(source.worker) + " failed: " +
-            exported.GetString("message", "unknown error"));
+            server::ErrorMessage(exported, "unknown error"));
   };
   // Session blobs can be tens of MiB of base64; read by reference and
   // copy exactly once (into the import request). The import rides the
@@ -804,8 +773,7 @@ Status ShardRouter::MoveSession(std::int64_t globalId, std::size_t destination,
     const json::Json* blob = exported.Find("blob");
     const std::string& blobBytes =
         blob != nullptr && blob->IsString() ? blob->AsString() : kNoBlob;
-    json::Json importRequest = json::Json::MakeObject();
-    importRequest.Set("command", "importSession");
+    json::Json importRequest = server::MakeRequest(Command::kImportSession);
     importRequest.Set("blob", blobBytes);
     return CallViaLane(destination, importRequest);
   };
@@ -835,26 +803,24 @@ Status ShardRouter::MoveSession(std::int64_t globalId, std::size_t destination,
         ErrorKind::kInternal,
         "worker " + std::to_string(destination) + " rejected session " +
             std::to_string(globalId) + ": " +
-            imported.GetString("message", "unknown error"));
+            server::ErrorMessage(imported, "unknown error"));
   }
 
   // Only now is it safe to drop the source copy.
-  json::Json deleteRequest = json::Json::MakeObject();
-  deleteRequest.Set("command", "deleteSession");
+  json::Json deleteRequest = server::MakeRequest(Command::kDeleteSession);
   deleteRequest.Set("sessionId", source.localId);
   json::Json deleted = CallWorkerDirect(source.worker, deleteRequest);
   if (!IsOk(deleted)) {
     // Failing to delete would leave two live copies; roll the import back
     // so the mapping stays unambiguous.
-    json::Json rollback = json::Json::MakeObject();
-    rollback.Set("command", "deleteSession");
+    json::Json rollback = server::MakeRequest(Command::kDeleteSession);
     rollback.Set("sessionId", imported.GetInt("sessionId", -1));
     CallViaLane(destination, rollback);
     return Status::Fail(
         ErrorKind::kInternal,
         "could not delete session " + std::to_string(globalId) +
             " from worker " + std::to_string(source.worker) +
-            " after migration: " + deleted.GetString("message", ""));
+            " after migration: " + server::ErrorMessage(deleted, ""));
   }
 
   {
@@ -901,8 +867,7 @@ std::vector<std::int64_t> ShardRouter::DrainSessions(std::size_t index,
   // lanes.
   std::map<std::int64_t, std::uint64_t> sessionBytes;
   {
-    json::Json listRequest = json::Json::MakeObject();
-    listRequest.Set("command", "listSessions");
+    json::Json listRequest = server::MakeRequest(Command::kListSessions);
     const json::Json listed = CallWorkerDirect(index, listRequest);
     if (sourceReachable != nullptr) *sourceReachable = IsOk(listed);
     const auto localIndex = IndexSessions(listed);
@@ -994,18 +959,13 @@ json::Json ShardRouter::DrainWorker(const json::Json& request) {
     response.Set("status", "ok");
     return response;
   }
-  // Error envelope with the drain tallies carried along (AddErrorDetail
-  // also mirrors each field at the top level for legacy readers).
+  // Error envelope with the drain tallies carried in its details.
   json::Json error = server::MakeErrorResponse(Error{
       ErrorKind::kInternal,
       "drain of worker " + std::to_string(worker) + " left " +
           std::to_string(failedIds.size()) +
           " session(s) on the worker (each is still live and retryable)"});
-  server::AddErrorDetail(error, "moved", response.GetInt("moved", 0));
-  server::AddErrorDetail(error, "movedBytes", response.GetInt("movedBytes", 0));
-  if (json::Json* failed = response.Find("failed"); failed != nullptr) {
-    server::AddErrorDetail(error, "failed", std::move(*failed));
-  }
+  server::AddErrorDetails(error, std::move(response));
   return error;
 }
 
@@ -1019,7 +979,7 @@ json::Json ShardRouter::OpenWorker(const json::Json& request) {
                        "unknown worker " + std::to_string(worker));
   }
   drained_[static_cast<std::size_t>(worker)] = false;
-  return Ok();
+  return server::OkResponse();
 }
 
 json::Json ShardRouter::AddWorker(const json::Json& request) {
@@ -1050,8 +1010,7 @@ json::Json ShardRouter::AddWorker(const json::Json& request) {
   // Probe before committing the slot: a bogus address or a worker that
   // died during spawn must not claim an arc of the ring. The transport
   // has no lane yet, so the call is direct.
-  json::Json probe = json::Json::MakeObject();
-  probe.Set("command", "listSessions");
+  json::Json probe = server::MakeRequest(Command::kListSessions);
   auto probed = transport.value()->Call(probe);
   if (!probed.ok()) {
     return RouterError(ErrorKind::kUnavailable,
@@ -1073,7 +1032,7 @@ json::Json ShardRouter::AddWorker(const json::Json& request) {
   span.SetDetail(StrFormat("worker=%zu transport=%s", index,
                            describe.c_str()));
 
-  json::Json response = Ok();
+  json::Json response = server::OkResponse();
   response.Set("worker", static_cast<std::int64_t>(index));
   response.Set("transport", describe);
   return response;
@@ -1126,14 +1085,9 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
             std::to_string(failedIds.size()) +
             " session(s); they remain on the (drained) worker — "
             "retry, or pass force to discard them"});
-    server::AddErrorDetail(error, "moved", response.GetInt("moved", 0));
-    server::AddErrorDetail(error, "movedBytes",
-                           response.GetInt("movedBytes", 0));
-    if (json::Json* failed = response.Find("failed"); failed != nullptr) {
-      server::AddErrorDetail(error, "failed", std::move(*failed));
-    }
-    server::AddErrorDetail(error, "removed", false);
-    server::AddErrorDetail(error, "lost", std::move(lost));
+    response.Set("removed", false);
+    response.Set("lost", std::move(lost));
+    server::AddErrorDetails(error, std::move(response));
     return error;
   }
 
@@ -1145,9 +1099,7 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
   const bool processWorker = transport->LocalServer() == nullptr;
   const std::string address = transport->Describe();
   if (processWorker && sourceReachable) {
-    json::Json shutdown = json::Json::MakeObject();
-    shutdown.Set("command", "shutdownWorker");
-    (void)transport->Call(shutdown);
+    (void)transport->Call(server::MakeRequest(Command::kShutdownWorker));
   }
   {
     MutexLock lock(fleetMutex_);
@@ -1253,8 +1205,7 @@ json::Json ShardRouter::Rebalance() {
 
     // Smallest session on the most loaded worker (ties -> lowest global
     // id): smallest first avoids overshooting the mean.
-    json::Json listRequest = json::Json::MakeObject();
-    listRequest.Set("command", "listSessions");
+    json::Json listRequest = server::MakeRequest(Command::kListSessions);
     const json::Json sessions = CallWorkerDirect(most, listRequest);
     const auto localIndex = IndexSessions(sessions);
     std::int64_t candidate = -1;
@@ -1304,32 +1255,25 @@ json::Json ShardRouter::Rebalance() {
     loads[*least] += bytes;
   }
 
-  json::Json response;
-  if (failed.AsArray().empty()) {
-    response = Ok();
-  } else {
-    response = RouterError(ErrorKind::kInternal,
-                           "rebalance stopped on a failed migration");
-  }
-  // On the error path AddErrorDetail lands each field in the envelope's
-  // details and mirrors it at the top level; on success plain Set.
-  auto setField = [&](const std::string& key, json::Json value) {
-    if (IsOk(response)) {
-      response.Set(key, std::move(value));
-    } else {
-      server::AddErrorDetail(response, key, std::move(value));
-    }
-  };
-  setField("moved", moved);
-  setField("movedBytes", static_cast<std::int64_t>(movedBytes));
-  setField("skewBefore", skewBefore);
   const double skewAfter = skewOf(ProbeLoads().bytes);
-  setField("skewAfter", skewAfter);
-  setField("failed", std::move(failed));
   span.SetDetail(StrFormat("moved=%lld skewBefore=%.3f skewAfter=%.3f",
                            static_cast<long long>(moved), skewBefore,
                            skewAfter));
-  return response;
+  const bool stopped = !failed.AsArray().empty();
+  json::Json response = json::Json::MakeObject();
+  response.Set("moved", moved);
+  response.Set("movedBytes", static_cast<std::int64_t>(movedBytes));
+  response.Set("skewBefore", skewBefore);
+  response.Set("skewAfter", skewAfter);
+  response.Set("failed", std::move(failed));
+  if (!stopped) {
+    response.Set("status", "ok");
+    return response;
+  }
+  json::Json error = RouterError(ErrorKind::kInternal,
+                                 "rebalance stopped on a failed migration");
+  server::AddErrorDetails(error, std::move(response));
+  return error;
 }
 
 }  // namespace rvss::shard

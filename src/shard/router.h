@@ -6,31 +6,9 @@
 // (clients cannot tell the difference): it assigns globally unique session
 // ids, places each new session on a worker via a consistent-hash ring,
 // rewrites sessionId fields on the way in and out, and forwards everything
-// else verbatim. On top of the route-through it adds fleet operations:
-//
-//   workerStats  {}          -> {workers: [{worker, sessions, approxBytes,
-//                                           drained, removed, transport}]}
-//   drainWorker  {worker}    -> {moved, movedBytes, failed[]}
-//   openWorker   {worker}    -> {ok}        (re-admit a drained worker)
-//   rebalance    {}          -> {moved, movedBytes, skewBefore, skewAfter}
-//   addWorker    {address?}  -> {worker}    (grow the fleet; an address
-//                                attaches a running socket worker, no
-//                                address asks Options::transportFactory)
-//   removeWorker {worker, force?} -> {moved, movedBytes, failed[], lost[]}
-//                                (drain, then shrink the ring; see below)
-//   hello        {}          -> the router's build fingerprint (frame +
-//                                snapshot versions, config hash), answered
-//                                locally — the same document a worker
-//                                returns on its connect handshake.
-//   metrics      {format?}   -> {fleet, workers[]}: the merged fleet
-//                                observability view (sum counters, merge
-//                                histogram buckets, max gauges — see
-//                                src/obs/registry.h) with a per-worker
-//                                breakdown; format "text" returns the
-//                                Prometheus exposition instead.
-//   traceDump    {}          -> {trace, workers[]}: the router's span
-//                                ring (drain/rebalance/quiesce timings)
-//                                plus each socket worker's.
+// else verbatim. It routes each command by its class in the command table
+// (server/commands.h): fleet views are answered for the whole fleet, and
+// the fleet operations are served here alone (docs/api.md lists both).
 //
 // Workers are reached through WorkerTransport (shard/transport.h): the
 // in-process default behaves exactly like PR 3; SocketTransport talks to
@@ -216,8 +194,6 @@ class ShardRouter {
     std::vector<bool> reachable;      ///< false for removed/unreachable
   };
 
-  json::Json Dispatch(const json::Json& request);
-
   // None of the private methods below may be called from a lane thread.
   // Unless a comment says otherwise they take their own (brief) fleet
   // mutex sections and must be called *without* fleetMutex_ held.
@@ -225,6 +201,13 @@ class ShardRouter {
   /// One request through worker's lane: submit under a brief fleet mutex
   /// section, wait unlocked. Transport failures become error JSON.
   json::Json CallViaLane(std::size_t worker, const json::Json& request)
+      EXCLUDES(fleetMutex_);
+  /// Runs `request` on the calling thread over the transport of a lane
+  /// this thread claimed with WorkerLane::TryBeginDirect, then releases
+  /// the claim.
+  Result<json::Json> CallClaimed(std::size_t worker,
+                                 WorkerTransport& transport,
+                                 const json::Json& request)
       EXCLUDES(fleetMutex_);
   /// One request straight down the transport, bypassing the lane. Only
   /// for workers whose lane is quiesced behind a closed gate (fleet ops)
@@ -245,10 +228,14 @@ class ShardRouter {
   void OpenGate(std::size_t index)
       REQUIRES(fleetOpMutex_) EXCLUDES(fleetMutex_);
 
-  json::Json RouteSessionCommand(const json::Json& request)
+  json::Json RouteSessionCommand(server::Command command,
+                                 const json::Json& request)
       EXCLUDES(fleetMutex_);
   json::Json StatelessCommand(const json::Json& request)
       EXCLUDES(fleetMutex_);
+  /// The fleet views and fleet operations, one handler per command.
+  json::Json FleetCommand(server::Command command, const json::Json& request)
+      EXCLUDES(fleetOpMutex_, fleetMutex_);
   /// The fleet metrics view: this process's obs registry (router, lanes,
   /// transports and any in-process workers) merged with every socket
   /// worker's `metrics` response — sum counters, merge histogram buckets,
@@ -258,6 +245,14 @@ class ShardRouter {
   /// The router's span ring plus each socket worker's, for post-hoc "why
   /// was that drain slow" forensics.
   json::Json TraceDump() EXCLUDES(fleetOpMutex_, fleetMutex_);
+  /// The per-worker half of a fleet view: sends `command` to every live
+  /// socket worker and returns one entry per slot — {worker, transport}
+  /// plus the answer's `field`, or unreachable and error; in-process
+  /// workers are marked sharedProcess (their numbers are this process's)
+  /// and removed slots removed.
+  json::Json FanOutToProcesses(server::Command command,
+                               std::string_view field)
+      REQUIRES(fleetOpMutex_) EXCLUDES(fleetMutex_);
   /// createSession / importSession: place on the ring and forward.
   json::Json AdmitSession(const json::Json& request) EXCLUDES(fleetMutex_);
   json::Json ListSessions() EXCLUDES(fleetOpMutex_, fleetMutex_);

@@ -243,7 +243,7 @@ TEST(Gateway, BadJsonGetsAnErrorAndTheConnectionLivesOn) {
   auto response = server::ReadMessage(client.socket, ClientWire());
   ASSERT_TRUE(response.ok()) << response.error().ToText();
   testutil::CheckErrorEnvelope(response.value());
-  EXPECT_EQ(response.value().GetString("kind", ""), "parse");
+  EXPECT_EQ(testutil::ErrorField(response.value(), "kind"), "parse");
 
   json::Json parsed =
       client.Call(Cmd("parseAsm", {{"code", json::Json(kSpinLoop)}}));
@@ -308,8 +308,9 @@ TEST(Gateway, SessionQuotaIsRefusedWithRetryableUnavailable) {
   // and the fleet never sees it.
   json::Json refused = create();
   testutil::CheckErrorEnvelope(refused);
-  EXPECT_EQ(refused.GetString("kind", ""), "unavailable") << refused.Dump();
-  EXPECT_NE(refused.GetString("message", "").find("quota"),
+  EXPECT_EQ(testutil::ErrorField(refused, "kind"), "unavailable")
+      << refused.Dump();
+  EXPECT_NE(testutil::ErrorField(refused, "message").find("quota"),
             std::string::npos);
 
   // Another connection has its own quota.
@@ -420,9 +421,9 @@ TEST(Gateway, DispatchQueueOverflowShedsWithUnavailable) {
   auto shed = server::ReadMessage(c.socket, wire);
   ASSERT_TRUE(shed.ok()) << shed.error().ToText();
   testutil::CheckErrorEnvelope(shed.value());
-  EXPECT_EQ(shed.value().GetString("kind", ""), "unavailable")
+  EXPECT_EQ(testutil::ErrorField(shed.value(), "kind"), "unavailable")
       << shed.value().Dump();
-  EXPECT_NE(shed.value().GetString("message", "").find("shed"),
+  EXPECT_NE(testutil::ErrorField(shed.value(), "message").find("shed"),
             std::string::npos);
 
   {
@@ -510,7 +511,7 @@ TEST(Gateway, StalledWorkerLaneShedsThroughTheGateway) {
   auto shed = server::ReadMessage(c.socket, wire);
   ASSERT_TRUE(shed.ok()) << shed.error().ToText();
   testutil::CheckErrorEnvelope(shed.value());
-  EXPECT_EQ(shed.value().GetString("kind", ""), "unavailable")
+  EXPECT_EQ(testutil::ErrorField(shed.value(), "kind"), "unavailable")
       << shed.value().Dump();
 
   blocking->Release();

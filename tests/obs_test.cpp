@@ -208,15 +208,6 @@ TEST(Prometheus, RendersCountersGaugesAndCumulativeBuckets) {
   EXPECT_EQ(occurrences, 1u);
 }
 
-TEST(Sanitize, BoundsCommandNames) {
-  EXPECT_EQ(SanitizedCommandName("step"), "step");
-  EXPECT_EQ(SanitizedCommandName("metrics"), "metrics");
-  EXPECT_EQ(SanitizedCommandName("drainWorker"), "drainWorker");
-  EXPECT_EQ(SanitizedCommandName("DROP TABLE metrics"), "other");
-  EXPECT_EQ(SanitizedCommandName(""), "other");
-  EXPECT_EQ(SanitizedCommandName(std::string(10000, 'x')), "other");
-}
-
 TEST(Trace, RingKeepsNewestAndCountsDropped) {
   TraceRing& ring = TraceRing::Instance();
   ring.Clear();

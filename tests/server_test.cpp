@@ -84,8 +84,6 @@ TEST(Api, CompileErrorsReportPosition) {
   json::Json response = server.Handle(
       Parse(R"({"command": "compile", "code": "int main( { return; }"})"));
   testutil::CheckErrorEnvelope(response);
-  EXPECT_GT(response.GetInt("line", 0), 0);
-  // Position detail lives in the envelope too, not just the legacy mirror.
   EXPECT_GT(response.Find("error")->Find("details")->GetInt("line", 0), 0);
 }
 
@@ -312,9 +310,39 @@ TEST(Api, CheckConfigReportsAllProblems) {
 
 TEST(Api, UnknownCommandAndUnknownSession) {
   SimServer server;
-  testutil::CheckErrorEnvelope(server.Handle(Parse(R"({"command": "nope"})")));
-  testutil::CheckErrorEnvelope(
-      server.Handle(Parse(R"({"command": "step", "sessionId": 99})")));
+  json::Json unknown = server.Handle(Parse(R"({"command": "nope"})"));
+  testutil::CheckErrorEnvelope(unknown);
+  EXPECT_EQ(testutil::ErrorField(unknown, "message"), "unknown command 'nope'");
+  json::Json missing =
+      server.Handle(Parse(R"({"command": "step", "sessionId": 99})"));
+  testutil::CheckErrorEnvelope(missing);
+  EXPECT_EQ(testutil::ErrorField(missing, "message"), "unknown sessionId 99");
+}
+
+// ---- command table -----------------------------------------------------------
+
+TEST(CommandTable, EveryNameRoundTrips) {
+  for (const CommandInfo& info : Commands()) {
+    EXPECT_EQ(LookupCommand(info.name), info.command) << info.name;
+    EXPECT_EQ(CommandName(info.command), info.name);
+    EXPECT_EQ(ClassOf(info.command), info.commandClass) << info.name;
+    EXPECT_NE(info.commandClass, CommandClass::kUnknown) << info.name;
+    EXPECT_EQ(CommandOf(MakeRequest(info.command)), info.command);
+  }
+  EXPECT_EQ(ClassOf(Command::kUnknown), CommandClass::kUnknown);
+}
+
+TEST(CommandTable, MetricSuffixIsBounded) {
+  EXPECT_EQ(CommandName(LookupCommand("step")), "step");
+  EXPECT_EQ(CommandName(LookupCommand("metrics")), "metrics");
+  EXPECT_EQ(CommandName(LookupCommand("drainWorker")), "drainWorker");
+  // Client-supplied strings outside the table all share one suffix.
+  EXPECT_EQ(CommandName(LookupCommand("DROP TABLE metrics")), "other");
+  EXPECT_EQ(CommandName(LookupCommand("")), "other");
+  EXPECT_EQ(CommandName(LookupCommand(std::string(10000, 'x'))), "other");
+  EXPECT_EQ(CommandName(LookupCommand("other")), "other");
+  EXPECT_EQ(CommandOf(Parse(R"({"command": 5})")), Command::kUnknown);
+  EXPECT_EQ(CommandOf(Parse(R"({"sessionId": 1})")), Command::kUnknown);
 }
 
 TEST(Api, RawPathTimesAndCompresses) {

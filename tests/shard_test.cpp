@@ -6,6 +6,7 @@
 // never lost.
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
@@ -17,6 +18,7 @@
 
 #include "obs/registry.h"
 #include "server/api.h"
+#include "server/commands.h"
 #include "shard/placement.h"
 #include "shard/router.h"
 #include "test_util.h"
@@ -162,7 +164,7 @@ TEST(RouteThrough, MatchesBareServerStepByStep) {
   // Errors mirror the single-server shape.
   json::Json missing = Cmd(router, "step", {{"sessionId", json::Json(999)}});
   testutil::CheckErrorEnvelope(missing);
-  EXPECT_NE(missing.GetString("message", "").find("unknown sessionId"),
+  EXPECT_NE(testutil::ErrorField(missing, "message").find("unknown sessionId"),
             std::string::npos);
 
   json::Json deleted = Cmd(router, "deleteSession",
@@ -279,9 +281,11 @@ TEST(Drain, DestinationBudgetRejectionKeepsSessionOnSource) {
 
   json::Json drained = Cmd(router, "drainWorker", {{"worker", json::Json(0)}});
   testutil::CheckErrorEnvelope(drained);
-  EXPECT_EQ(drained.GetInt("moved", -1), 0);
-  ASSERT_FALSE(drained.Find("failed")->AsArray().empty());
-  EXPECT_NE(drained.Find("failed")->AsArray()[0].GetString("message", "")
+  EXPECT_EQ(testutil::ErrorDetail(drained, "moved")->AsInt(), 0);
+  const json::Array& failed =
+      testutil::ErrorDetail(drained, "failed")->AsArray();
+  ASSERT_FALSE(failed.empty());
+  EXPECT_NE(failed[0].GetString("message", "")
                 .find("exceeds this server's budget"),
             std::string::npos)
       << drained.Dump();
@@ -322,11 +326,13 @@ TEST(Drain, SessionVanishingMidDrainFailsThatSessionOnly) {
 
   json::Json drained = Cmd(router, "drainWorker", {{"worker", json::Json(0)}});
   testutil::CheckErrorEnvelope(drained);
-  EXPECT_EQ(drained.GetInt("moved", -1), onWorker0Before - 1)
+  EXPECT_EQ(testutil::ErrorDetail(drained, "moved")->AsInt(),
+            onWorker0Before - 1)
       << "the surviving sessions must still migrate";
-  ASSERT_EQ(drained.Find("failed")->AsArray().size(), 1u);
-  EXPECT_NE(drained.Find("failed")->AsArray()[0].GetString("message", "")
-                .find("export"),
+  const json::Array& failed =
+      testutil::ErrorDetail(drained, "failed")->AsArray();
+  ASSERT_EQ(failed.size(), 1u);
+  EXPECT_NE(failed[0].GetString("message", "").find("export"),
             std::string::npos);
 
   // The survivors are intact on the destination.
@@ -363,7 +369,7 @@ TEST(Drain, DoubleDrainIsIdempotentAndOpenWorkerReadmits) {
   // (no destination), but loses nothing.
   json::Json strand = Cmd(router, "drainWorker", {{"worker", json::Json(1)}});
   testutil::CheckErrorEnvelope(strand);
-  EXPECT_FALSE(strand.Find("failed")->AsArray().empty());
+  EXPECT_FALSE(testutil::ErrorDetail(strand, "failed")->AsArray().empty());
   json::Json refused = Cmd(router, "createSession",
                            {{"code", json::Json(kSpinLoop)},
                             {"entry", json::Json("main")}});
@@ -606,7 +612,7 @@ TEST(Elastic, RemoveWorkerWithNoDestinationFailsClosed) {
   // stranded) and the session must keep working.
   json::Json removed = Cmd(router, "removeWorker", {{"worker", json::Json(0)}});
   testutil::CheckErrorEnvelope(removed);
-  EXPECT_FALSE(removed.Find("removed")->AsBool());
+  EXPECT_FALSE(testutil::ErrorDetail(removed, "removed")->AsBool());
   json::Json stepped = Cmd(router, "step", {{"sessionId", json::Json(id)},
                                             {"count", json::Json(10)}});
   EXPECT_EQ(stepped.GetString("status", ""), "ok");
@@ -972,9 +978,9 @@ TEST(Concurrency, DepthCapShedsWithTheFastPathOnAndAnswersTheEnvelope) {
       continue;
     }
     testutil::CheckErrorEnvelope(response);
-    EXPECT_EQ(response.GetString("kind", ""), "unavailable")
+    EXPECT_EQ(testutil::ErrorField(response, "kind"), "unavailable")
         << response.Dump();
-    EXPECT_NE(response.GetString("message", "").find("shed"),
+    EXPECT_NE(testutil::ErrorField(response, "message").find("shed"),
               std::string::npos)
         << response.Dump();
     ++shed;
@@ -1025,6 +1031,120 @@ TEST(Rebalance, MovesSessionsOffTheLoadedWorkerUntilSkewIsBounded) {
   json::Json again = Cmd(router, "rebalance");
   ASSERT_EQ(again.GetString("status", ""), "ok");
   EXPECT_EQ(again.GetInt("moved", -1), 0);
+}
+
+
+// ---- one command table: bare server and router answer alike ----------------
+
+/// One request to a bare SimServer and a router; equal status, and on
+/// error equal kind and message. `bareId`/`routerId` fill "sessionId"
+/// when >= 0 (the two number their sessions independently).
+void ExpectSameAnswer(server::SimServer& bare, ShardRouter& router,
+                      const server::CommandInfo& info, std::int64_t bareId,
+                      std::int64_t routerId, const std::string& label) {
+  json::Json bareRequest = server::MakeRequest(info.command);
+  json::Json routerRequest = server::MakeRequest(info.command);
+  if (bareId >= 0) {
+    bareRequest.Set("sessionId", bareId);
+    routerRequest.Set("sessionId", routerId);
+  }
+  const json::Json fromBare = bare.Handle(bareRequest);
+  const json::Json fromRouter = router.Handle(routerRequest);
+  const std::string context = std::string(info.name) + " (" + label +
+                              "): bare " + fromBare.Dump() + " router " +
+                              fromRouter.Dump();
+  ASSERT_EQ(fromBare.GetString("status", ""),
+            fromRouter.GetString("status", ""))
+      << context;
+  EXPECT_EQ(testutil::ErrorField(fromBare, "kind"),
+            testutil::ErrorField(fromRouter, "kind"))
+      << context;
+  EXPECT_EQ(testutil::ErrorField(fromBare, "message"),
+            testutil::ErrorField(fromRouter, "message"))
+      << context;
+}
+
+TEST(CommandTable, BareServerAndRouterAnswerEveryCommandAlike) {
+  server::SimServer bare;
+  ShardRouter::Options options;
+  options.workerCount = 2;
+  ShardRouter router(options);
+  // Unknown on both sides, whatever the commands above it created.
+  constexpr std::int64_t kStrayId = 987654;
+
+  for (const server::CommandInfo& info : server::Commands()) {
+    if (info.commandClass == server::CommandClass::kFleetOp) continue;
+    ExpectSameAnswer(bare, router, info, -1, -1, "minimal");
+    ExpectSameAnswer(bare, router, info, kStrayId, kStrayId,
+                     "stray or unknown sessionId");
+    if (info.commandClass == server::CommandClass::kSession) {
+      // A fresh session per command: deleteSession must not starve the
+      // commands after it.
+      ExpectSameAnswer(bare, router, info,
+                       MustCreateSession(bare, kShortProgram),
+                       MustCreateSession(router, kShortProgram), "live id");
+    }
+  }
+}
+
+TEST(CommandTable, UnknownNamesAndProcessControlAreAnsweredNotForwarded) {
+  server::SimServer bare;
+  ShardRouter::Options options;
+  options.workerCount = 2;
+  ShardRouter router(options);
+  for (const char* name : {"definitelyNotACommand", "STEP", ""}) {
+    for (const json::Json& answer :
+         {Cmd(bare, name), Cmd(router, name),
+          Cmd(router, name, {{"sessionId", json::Json(1)}})}) {
+      testutil::CheckErrorEnvelope(answer);
+      EXPECT_EQ(testutil::ErrorField(answer, "message"),
+                "unknown command '" + std::string(name) + "'")
+          << answer.Dump();
+    }
+  }
+  for (const server::CommandInfo& info : server::Commands()) {
+    if (info.commandClass != server::CommandClass::kProcessControl) continue;
+    json::Json refused = Cmd(router, info.name);
+    testutil::CheckErrorEnvelope(refused);
+    EXPECT_NE(testutil::ErrorField(refused, "message")
+                  .find(std::string(info.name) + "' is process control"),
+              std::string::npos)
+        << refused.Dump();
+  }
+}
+
+// ---- start-up ordering: transports before lane threads ---------------------
+
+std::size_t ProcessThreadCount() {
+  std::size_t threads = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++threads;
+  }
+  return threads;
+}
+
+TEST(Startup, EveryTransportIsBuiltBeforeAnyLaneThreadStarts) {
+  // A factory that forks worker processes must run while the process is
+  // still single-threaded: a lane thread started for worker i could hold
+  // a lock (the obs::Registry mutex) at the instant worker i+1 forks.
+  std::vector<std::size_t> threadsAtCall;
+  ShardRouter::Options options;
+  options.workerCount = 4;
+  options.transportFactory =
+      [&threadsAtCall](std::size_t, const server::SimServer::Limits& limits)
+      -> Result<std::shared_ptr<WorkerTransport>> {
+    threadsAtCall.push_back(ProcessThreadCount());
+    return std::shared_ptr<WorkerTransport>(
+        std::make_shared<InProcessTransport>(limits));
+  };
+  const std::size_t before = ProcessThreadCount();
+  ShardRouter router(options);
+  ASSERT_EQ(threadsAtCall.size(), 4u);
+  for (std::size_t i = 0; i < threadsAtCall.size(); ++i) {
+    EXPECT_EQ(threadsAtCall[i], before) << "factory call " << i;
+  }
+  EXPECT_EQ(ProcessThreadCount(), before + 4) << "one lane thread per worker";
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -16,8 +17,9 @@ namespace rvss::testutil {
 
 /// Asserts `response` is a well-formed error envelope (docs/api.md):
 /// status "error", a nested `error` object with kind/message/retryable/
-/// details, retryable true exactly for kind "unavailable", and the
-/// one-release legacy mirror (flat kind/message) in agreement.
+/// details, retryable true exactly for kind "unavailable", and nothing
+/// else at the top level (apiVersion 2 dropped the flat kind/message/
+/// detail mirror).
 inline void CheckErrorEnvelope(const json::Json& response) {
   ASSERT_EQ(response.GetString("status", ""), "error") << response.Dump();
   const json::Json* error = response.Find("error");
@@ -33,10 +35,28 @@ inline void CheckErrorEnvelope(const json::Json& response) {
   const json::Json* details = error->Find("details");
   ASSERT_NE(details, nullptr) << response.Dump();
   EXPECT_TRUE(details->IsObject()) << response.Dump();
-  EXPECT_EQ(response.GetString("kind", ""), kind) << response.Dump();
-  EXPECT_EQ(response.GetString("message", ""),
-            error->GetString("message", ""))
-      << response.Dump();
+  for (const auto& [key, value] : response.AsObject()) {
+    EXPECT_TRUE(key == "status" || key == "error")
+        << "flat field '" << key << "' beside the envelope: "
+        << response.Dump();
+  }
+}
+
+/// Field `key` of the error envelope ("kind", "message"); "" when the
+/// response carries no envelope.
+inline std::string ErrorField(const json::Json& response,
+                              std::string_view key) {
+  const json::Json* error = response.Find("error");
+  return error == nullptr ? "" : error->GetString(key, "");
+}
+
+/// Detail `key` of the error envelope; nullptr when absent.
+inline const json::Json* ErrorDetail(const json::Json& response,
+                                     std::string_view key) {
+  const json::Json* error = response.Find("error");
+  const json::Json* details =
+      error == nullptr ? nullptr : error->Find("details");
+  return details == nullptr ? nullptr : details->Find(key);
 }
 
 /// Runs a program on the golden-model ISS and returns the interpreter for

@@ -161,7 +161,7 @@ TEST(SocketTransport, ParseErrorKeepsTheConnectionUsable) {
   auto response = server::ReadMessage(connection.value(), wire);
   ASSERT_TRUE(response.ok()) << response.error().ToText();
   EXPECT_EQ(response.value().GetString("status", ""), "error");
-  EXPECT_EQ(response.value().GetString("kind", ""), "parse");
+  EXPECT_EQ(testutil::ErrorField(response.value(), "kind"), "parse");
 
   // ...and the next (valid) request on the same connection still works.
   ASSERT_TRUE(server::WriteMessage(connection.value(),
@@ -541,9 +541,9 @@ TEST(SocketRouter, DestinationKilledMidDrainLeavesSourceIntact) {
   ReapWorker(fleet.workers[1]);
   json::Json drained = router.Handle(Cmd("drainWorker",
                                          {{"worker", json::Json(0)}}));
-  EXPECT_EQ(drained.GetString("status", ""), "error") << drained.Dump();
-  EXPECT_EQ(drained.GetInt("moved", -1), 0);
-  EXPECT_FALSE(drained.Find("failed")->AsArray().empty());
+  testutil::CheckErrorEnvelope(drained);
+  EXPECT_EQ(testutil::ErrorDetail(drained, "moved")->AsInt(), 0);
+  EXPECT_FALSE(testutil::ErrorDetail(drained, "failed")->AsArray().empty());
 
   for (const std::int64_t id : onZero) {
     json::Json stepped =
@@ -574,7 +574,7 @@ TEST(SocketRouter, DeadSourceWorkerReportsEverySessionLostWithError) {
         Cmd("step", {{"sessionId", json::Json(id)}, {"count", json::Json(5)}}));
     if (stepped.GetString("status", "") == "ok") {
       ++reachable;
-    } else if (!stepped.GetString("message", "").empty()) {
+    } else if (!testutil::ErrorField(stepped, "message").empty()) {
       ++erroredLoudly;
     }
   }
@@ -583,7 +583,8 @@ TEST(SocketRouter, DeadSourceWorkerReportsEverySessionLostWithError) {
   json::Json drained = router.Handle(Cmd("drainWorker",
                                          {{"worker", json::Json(0)}}));
   EXPECT_EQ(drained.GetString("status", ""), "error");
-  for (const json::Json& failure : drained.Find("failed")->AsArray()) {
+  for (const json::Json& failure :
+       testutil::ErrorDetail(drained, "failed")->AsArray()) {
     EXPECT_NE(failure.GetString("message", "").find("export"),
               std::string::npos);
   }
