@@ -1,13 +1,15 @@
 // Gateway throughput: sustained requests/s with 64 concurrent socket
-// clients multiplexed by the epoll front door onto a 4-worker fleet.
+// clients, each served by its own gateway connection thread, onto a
+// 4-worker fleet.
 //
 // This is the number that says whether the gateway can front a classroom:
 // every client holds its own connection, every request crosses the frame
-// codec twice, the epoll loop, the dispatcher pool and a shard lane. The
-// pinned floor in bench/baselines.json trips when the front door loses
-// its event-driven shape — a per-connection thread, an accidental O(n)
-// scan in the I/O loop, or a lock serializing the dispatchers would all
-// show up here long before a classroom does.
+// codec twice, the gateway's connection thread and a shard lane. The
+// pinned floor in bench/baselines.json trips when the front door stops
+// running its clients in parallel — a lock held across the handler call,
+// a connection list walked per request, or a hand-off that serializes
+// replies through one thread would all show up here long before a
+// classroom does.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>

@@ -78,9 +78,9 @@ Worker mode:
 Gateway mode:
   --gateway ADDR      serve the fleet to many concurrent clients: listen
                       on ADDR (unix:/path or tcp:HOST:PORT; tcp port 0
-                      picks a free port, printed on stdout) with an
-                      epoll front door multiplexing every connection
-                      onto the shard router. Requires --workers N or
+                      picks a free port, printed on stdout), one thread
+                      per client connection, all feeding the shard
+                      router. Requires --workers N or
                       --spawn-workers N for the fleet behind it; takes
                       no program flags. Serves until a shutdownGateway
                       command arrives.
@@ -530,7 +530,7 @@ int RunSimulation(const Options& options,
 }
 
 /// The --gateway path: stand up the fleet and serve it to many concurrent
-/// socket clients through the epoll front door until a shutdownGateway
+/// socket clients through the gateway until a shutdownGateway
 /// command (or a fatal listener error) stops it. The bound address is
 /// printed first — with tcp port 0 that line is how callers learn the
 /// real port.

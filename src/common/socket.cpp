@@ -8,6 +8,7 @@
 #include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -30,6 +31,16 @@ Status SetNonBlocking(int fd) {
     return SysError("fcntl(O_NONBLOCK)");
   }
   return Status::Ok();
+}
+
+/// Turns off Nagle's algorithm on a TCP socket. WriteFrame sends one
+/// frame as 2-3 send(2) calls; with Nagle on, the kernel holds the body
+/// back until the peer's delayed ACK fires, ~40 ms on every message.
+/// Unix sockets have no Nagle and are left alone.
+void SetNoDelay(int fd, int family) {
+  if (family == AF_UNIX) return;
+  const int enable = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
 }
 
 /// Waits for `events` on `fd` within the deadline. Returns false on
@@ -273,13 +284,25 @@ Result<Socket> AcceptOn(Socket& listener, int timeoutMs, int* acceptErrno) {
     if (!ready) {
       return Error{ErrorKind::kInternal, "accept timed out"};
     }
-    const int fd = ::accept(listener.fd(), nullptr, nullptr);
+    sockaddr_storage peer = {};
+    socklen_t peerLength = sizeof(peer);
+    const int fd = ::accept(listener.fd(), reinterpret_cast<sockaddr*>(&peer),
+                            &peerLength);
     if (fd >= 0) {
       Socket accepted(fd);
       RVSS_RETURN_IF_ERROR(SetNonBlocking(accepted.fd()));
+      SetNoDelay(accepted.fd(), peer.ss_family);
       return accepted;
     }
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      // shutdown(2) on a unix listener — how a server stops its accept
+      // thread — leaves accept(2) answering EAGAIN while poll reports
+      // POLLHUP: report the dead listener instead of spinning on it.
+      struct pollfd pfd = {listener.fd(), POLLIN, 0};
+      if (::poll(&pfd, 1, 0) <= 0 || (pfd.revents & POLLHUP) == 0) continue;
+      errno = EINVAL;
+    }
     // Everything else is reported, with errno preserved for the caller:
     // strerror text alone cannot be classified portably, and accept
     // loops must treat EMFILE very differently from EBADF.
@@ -311,6 +334,7 @@ Result<Socket> TryConnect(const ResolvedAddress& endpoint,
   Socket socket(::socket(endpoint.family, SOCK_STREAM, 0));
   if (!socket.valid()) return SysError("socket");
   RVSS_RETURN_IF_ERROR(SetNonBlocking(socket.fd()));
+  SetNoDelay(socket.fd(), endpoint.family);
 
   if (::connect(socket.fd(),
                 reinterpret_cast<const sockaddr*>(&endpoint.storage),

@@ -91,7 +91,9 @@ Result<int> BoundPort(const Socket& listener);
 /// non-null) receives the errno of the failed accept(2) — 0 for a
 /// timeout — so callers can tell transient exhaustion (ECONNABORTED,
 /// EMFILE, ENFILE, ENOBUFS) apart from a dead listener (EBADF, EINVAL)
-/// without parsing the error message.
+/// without parsing the error message. A listener stopped with
+/// shutdown(2) fails with EINVAL. Accepted TCP sockets have TCP_NODELAY
+/// set, like ConnectTo's: the wire codec writes each frame in pieces.
 Result<Socket> AcceptOn(Socket& listener, int timeoutMs,
                         int* acceptErrno = nullptr);
 
@@ -104,7 +106,7 @@ bool IsTransientAcceptError(int acceptErrno);
 
 /// Connects to `address` within `timeoutMs`. Retries refused connections
 /// until the deadline, covering the race where a freshly spawned worker
-/// has not bound its socket yet.
+/// has not bound its socket yet. TCP connections get TCP_NODELAY.
 Result<Socket> ConnectTo(const std::string& address, int timeoutMs);
 
 /// Waits until `socket` has readable data (or EOF) within `timeoutMs`.

@@ -5,19 +5,11 @@
 #include <ctime>
 #include <utility>
 
-#include "obs/registry.h"
-
 namespace rvss::server {
-namespace {
 
-/// Serves one connection. Returns true when the loop should stop
-/// entirely (shutdownWorker), false to go back to accept.
-bool ServeConnection(SimServer& server, net::Socket& connection,
-                     const WireOptions& options) {
-  obs::Registry& registry = obs::Registry::Instance();
-  obs::Counter& framesServed =
-      registry.GetCounter("server.framesServed");
-  obs::Counter& frameErrors = registry.GetCounter("server.frameErrors");
+bool ServeConnection(net::Socket& connection, const WireOptions& options,
+                     const FrameCounters& counters,
+                     const RequestHandler& handler) {
   while (true) {
     // Idle indefinitely between requests; options.ioTimeoutMs bounds the
     // message read only once its first bytes arrive.
@@ -25,7 +17,7 @@ bool ServeConnection(SimServer& server, net::Socket& connection,
     if (!readable.ok() || !readable.value()) return false;
     auto request = ReadMessage(connection, options);
     if (!request.ok()) {
-      frameErrors.Increment();
+      counters.frameErrors.Increment();
       if (request.error().kind == ErrorKind::kParse) {
         // The frame was intact, only its JSON was malformed: the stream
         // is still at a frame boundary, so answer with an error.
@@ -39,51 +31,66 @@ bool ServeConnection(SimServer& server, net::Socket& connection,
       // stream can no longer be trusted — drop the connection.
       return false;
     }
-    const bool shutdown =
-        CommandOf(request.value()) == Command::kShutdownWorker;
-    json::Json response =
-        shutdown ? OkResponse() : server.Handle(request.value());
-    if (shutdown) response.Set("shutdown", true);
+    bool stop = false;
+    json::Json response = handler(request.value(), stop);
     if (!WriteMessage(connection, std::move(response), options).ok()) {
-      return shutdown;  // peer vanished; nothing left to tell it
+      return stop;  // peer vanished; nothing left to tell it
     }
-    framesServed.Increment();
-    if (shutdown) return true;
+    counters.frames.Increment();
+    if (stop) return true;
   }
 }
 
-}  // namespace
-
-Status ServeFrames(SimServer& server, net::Socket& listener,
-                   const WireOptions& options) {
-  obs::Counter& acceptErrors =
-      obs::Registry::Instance().GetCounter("server.acceptErrors");
+Result<net::Socket> AcceptConnection(net::Socket& listener,
+                                     obs::Counter& acceptErrors,
+                                     std::string_view who) {
   while (true) {
     int acceptErrno = 0;
     auto connection = net::AcceptOn(listener, net::kNoTimeout, &acceptErrno);
-    if (!connection.ok()) {
-      // A transient accept failure loses one connection attempt, never
-      // the worker: an aborted handshake (ECONNABORTED) or descriptor
-      // exhaustion (EMFILE under a client flood) used to kill the serve
-      // loop here — and with it every session the worker held. Count it,
-      // say so, and go back to accept; only a broken listener (EBADF,
-      // EINVAL: nothing a retry could fix) still ends the loop.
-      if (net::IsTransientAcceptError(acceptErrno)) {
-        acceptErrors.Increment();
-        std::fprintf(stderr, "rvss worker: transient accept failure: %s\n",
-                     connection.error().message.c_str());
-        if (acceptErrno != ECONNABORTED && acceptErrno != EPROTO) {
-          // Exhaustion (EMFILE/ENFILE/ENOBUFS/ENOMEM) needs descriptors
-          // to free up; an immediate retry would spin at 100% CPU on the
-          // still-readable listener. Back off briefly instead.
-          struct timespec pause = {0, 10'000'000};  // 10ms
-          ::nanosleep(&pause, nullptr);
-        }
-        continue;
-      }
-      return connection.status();
+    if (connection.ok() || !net::IsTransientAcceptError(acceptErrno)) {
+      // A broken listener (EBADF, EINVAL: nothing a retry could fix)
+      // ends the caller's loop.
+      return connection;
     }
-    if (ServeConnection(server, connection.value(), options)) {
+    // A transient accept failure loses one connection attempt, never the
+    // server: an aborted handshake (ECONNABORTED) or descriptor
+    // exhaustion (EMFILE under a client flood) must not end the serve
+    // loop — and with it every session a worker holds. Count it, say so,
+    // and go back to accept.
+    acceptErrors.Increment();
+    std::fprintf(stderr, "rvss %.*s: transient accept failure: %s\n",
+                 static_cast<int>(who.size()), who.data(),
+                 connection.error().message.c_str());
+    if (acceptErrno != ECONNABORTED && acceptErrno != EPROTO) {
+      // Exhaustion (EMFILE/ENFILE/ENOBUFS/ENOMEM) needs descriptors to
+      // free up; an immediate retry would spin at 100% CPU on the
+      // still-readable listener. Back off briefly instead.
+      struct timespec pause = {0, 10'000'000};  // 10ms
+      ::nanosleep(&pause, nullptr);
+    }
+  }
+}
+
+Status ServeFrames(SimServer& server, net::Socket& listener,
+                   const WireOptions& options) {
+  obs::Registry& registry = obs::Registry::Instance();
+  obs::Counter& acceptErrors = registry.GetCounter("server.acceptErrors");
+  const FrameCounters counters{registry.GetCounter("server.framesServed"),
+                               registry.GetCounter("server.frameErrors")};
+  const RequestHandler handle = [&server](const json::Json& request,
+                                          bool& stop) {
+    if (CommandOf(request) != Command::kShutdownWorker) {
+      return server.Handle(request);
+    }
+    stop = true;
+    json::Json response = OkResponse();
+    response.Set("shutdown", true);
+    return response;
+  };
+  while (true) {
+    auto connection = AcceptConnection(listener, acceptErrors, "worker");
+    if (!connection.ok()) return connection.status();
+    if (ServeConnection(connection.value(), options, counters, handle)) {
       return Status::Ok();
     }
   }

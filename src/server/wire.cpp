@@ -1,5 +1,6 @@
 #include "server/wire.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <utility>
@@ -9,7 +10,11 @@
 #include "snapshot/codec.h"
 
 namespace rvss::server {
+namespace {
 
+/// Moves a non-empty top-level "blob" string out of `message`: the
+/// send-side half of the split in wire.h. An empty or absent blob stays
+/// in the JSON (blobBytes == 0 on the wire means "nothing detached").
 std::string DetachBlob(json::Json& message) {
   if (!message.IsObject()) return {};
   json::Object& object = message.AsObject();
@@ -23,6 +28,26 @@ std::string DetachBlob(json::Json& message) {
   }
   return {};
 }
+
+/// Receives a `size`-byte frame section into `out`, growing the buffer
+/// only as bytes arrive: a peer that declares a large section and then
+/// stalls holds at most one chunk beyond what it actually sent, never
+/// the size its header promised. A real multi-MiB payload still ends up
+/// in one buffer.
+Status RecvSection(net::Socket& socket, std::string& out, std::size_t size,
+                   const net::Deadline& deadline) {
+  constexpr std::size_t kChunkBytes = 64 * 1024;
+  while (out.size() < size) {
+    const std::size_t received = out.size();
+    out.resize(received + std::min(kChunkBytes, size - received));
+    RVSS_RETURN_IF_ERROR(net::RecvAll(socket, out.data() + received,
+                                      out.size() - received,
+                                      deadline.RemainingMs()));
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 Status WriteFrame(net::Socket& socket, std::string_view jsonText,
                   std::string_view blob, const WireOptions& options) {
@@ -75,16 +100,10 @@ Result<json::Json> ReadMessage(net::Socket& socket,
   // Consume the whole declared frame before parsing: a JSON error must
   // leave the stream positioned at the next frame boundary, so the
   // connection stays usable for an error response.
-  std::string text(header.jsonBytes, '\0');
-  if (header.jsonBytes > 0) {
-    RVSS_RETURN_IF_ERROR(net::RecvAll(socket, text.data(), text.size(),
-                                      deadline.RemainingMs()));
-  }
-  std::string blob(header.blobBytes, '\0');
-  if (header.blobBytes > 0) {
-    RVSS_RETURN_IF_ERROR(net::RecvAll(socket, blob.data(), blob.size(),
-                                      deadline.RemainingMs()));
-  }
+  std::string text;
+  RVSS_RETURN_IF_ERROR(RecvSection(socket, text, header.jsonBytes, deadline));
+  std::string blob;
+  RVSS_RETURN_IF_ERROR(RecvSection(socket, blob, header.blobBytes, deadline));
   RVSS_ASSIGN_OR_RETURN(json::Json message, json::Parse(text));
   if (!blob.empty()) {
     message.Set("blob", std::move(blob));

@@ -35,11 +35,6 @@ struct WireOptions {
   std::size_t maxFrameBytes = net::kDefaultMaxFrameBytes;
 };
 
-/// Moves a non-empty top-level "blob" string out of `message`: the
-/// send-side half of the split above. An empty or absent blob stays in
-/// the JSON (blobBytes == 0 on the wire means "nothing detached").
-std::string DetachBlob(json::Json& message);
-
 /// Writes one frame from pre-split sections. The zero-copy primitive:
 /// both sections are borrowed views, nothing is re-serialized — callers
 /// that resend (the transport's write retry) pay the serialization once.
@@ -53,6 +48,8 @@ Status WriteMessage(net::Socket& socket, json::Json message,
                     const WireOptions& options);
 
 /// Reads one frame and reassembles the message (reattaching the blob).
+/// Buffers grow with the bytes received, not with the lengths the header
+/// declares, so a peer that stalls mid-frame costs only what it sent.
 Result<json::Json> ReadMessage(net::Socket& socket,
                                const WireOptions& options);
 

@@ -11,17 +11,15 @@ std::uint64_t HashKey(std::uint64_t key) {
   return z ^ (z >> 31);
 }
 
-HashRing::HashRing(std::size_t workerCount, std::size_t virtualNodesPerWorker)
-    : workerCount_(0), virtualNodesPerWorker_(virtualNodesPerWorker) {
-  points_.reserve(workerCount * virtualNodesPerWorker);
+HashRing::HashRing(std::size_t workerCount) : workerCount_(0) {
+  points_.reserve(workerCount * kVirtualNodesPerWorker);
   for (std::size_t worker = 0; worker < workerCount; ++worker) {
     AddWorker();
   }
 }
 
 void HashRing::InsertPointsFor(std::size_t worker) {
-  for (std::size_t replica = 0; replica < virtualNodesPerWorker_;
-       ++replica) {
+  for (std::size_t replica = 0; replica < kVirtualNodesPerWorker; ++replica) {
     // Each virtual node hashes a salted (worker, replica) pair. The salt
     // domain-separates ring points from session keys: without it,
     // HashKey(smallKey) coincides exactly with worker 0's replica

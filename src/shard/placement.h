@@ -22,10 +22,11 @@ std::uint64_t HashKey(std::uint64_t key);
 /// Consistent-hash ring over worker indices [0, workerCount).
 class HashRing {
  public:
-  /// `virtualNodesPerWorker` points per worker smooth the arc lengths;
-  /// 64 keeps the max/min arc ratio within ~2x for small fleets.
-  explicit HashRing(std::size_t workerCount,
-                    std::size_t virtualNodesPerWorker = 64);
+  /// Ring points per worker: they smooth the arc lengths, and 64 keeps
+  /// the max/min arc ratio within ~2x for small fleets.
+  static constexpr std::size_t kVirtualNodesPerWorker = 64;
+
+  explicit HashRing(std::size_t workerCount);
 
   /// Worker owning `key`: the first ring point clockwise from
   /// HashKey(key) whose worker is eligible. Returns nullopt when no
@@ -57,7 +58,6 @@ class HashRing {
 
   std::vector<Point> points_;  ///< sorted by hash
   std::size_t workerCount_;
-  std::size_t virtualNodesPerWorker_;
 };
 
 /// Index of the eligible worker with the smallest load (ties break to the

@@ -36,16 +36,12 @@ Result<std::shared_ptr<WorkerTransport>> ShardRouter::MakeTransport(
 
 ShardRouter::ShardRouter(const Options& options)
     : options_(options),
-      ring_(std::max<std::size_t>(options.workerCount, 1),
-            std::max<std::size_t>(options.virtualNodesPerWorker, 1)) {
+      ring_(std::max<std::size_t>(options.workerCount, 1)) {
   const std::size_t count = std::max<std::size_t>(options.workerCount, 1);
   workers_.reserve(count);
   lanes_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const server::SimServer::Limits& limits =
-        options_.perWorkerLimits.size() == count ? options_.perWorkerLimits[i]
-                                                 : options_.workerLimits;
-    auto transport = MakeTransport(i, limits);
+    auto transport = MakeTransport(i, options_.workerLimits);
     if (transport.ok()) {
       workers_.push_back(std::move(transport).value());
     } else {
@@ -107,8 +103,7 @@ json::Json ShardRouter::CallViaLane(std::size_t worker,
     // Fast path: an idle, ungated lane is claimed in the same critical
     // section as the gate check, so no fleet operation can close the
     // gate between check and claim (see WorkerLane::TryBeginDirect).
-    if (options_.laneFastPath && !gated_[worker] &&
-        lanes_[worker]->TryBeginDirect()) {
+    if (!gated_[worker] && lanes_[worker]->TryBeginDirect()) {
       direct = workers_[worker];
     } else {
       pending = lanes_[worker]->Submit(request);
@@ -381,7 +376,7 @@ json::Json ShardRouter::RouteSessionCommand(Command command,
         // as the gate check (the TryBeginDirect contract), and FIFO is
         // trivially preserved — an idle lane has nothing to reorder
         // against, and the claim makes it busy for everyone else.
-        if (options_.laneFastPath && lanes_[worker]->TryBeginDirect()) {
+        if (lanes_[worker]->TryBeginDirect()) {
           direct = workers_[worker];
         } else {
           pending = lanes_[worker]->Submit(std::move(forwarded));
@@ -1183,7 +1178,7 @@ json::Json ShardRouter::Rebalance() {
   // iteration.
   std::vector<std::uint64_t> loads = fleet.bytes;
   for (std::size_t iteration = 0; iteration < maxMoves; ++iteration) {
-    if (skewOf(loads) <= options_.rebalanceSkewThreshold) break;
+    if (skewOf(loads) <= kRebalanceSkewThreshold) break;
     std::size_t most = 0;
     std::uint64_t mostLoad = 0;
     for (std::size_t i = 0; i < loads.size(); ++i) {

@@ -104,15 +104,14 @@ class ShardRouter {
       std::function<Result<std::shared_ptr<WorkerTransport>>(
           std::size_t worker, const server::SimServer::Limits& limits)>;
 
+  /// rebalance moves sessions while max-load / mean-load > this.
+  static constexpr double kRebalanceSkewThreshold = 1.5;
+
   struct Options {
     std::size_t workerCount = 4;
-    /// Limits applied to every worker.
+    /// Limits applied to every worker (a transport factory may build its
+    /// own per slot instead).
     server::SimServer::Limits workerLimits;
-    /// Per-worker override for heterogeneous fleets (and the failure-path
-    /// tests); when non-empty its size must equal workerCount.
-    std::vector<server::SimServer::Limits> perWorkerLimits;
-    /// rebalance moves sessions while max-load / mean-load > threshold.
-    double rebalanceSkewThreshold = 1.5;
     /// Per-worker lane queue depth cap: submissions beyond it are
     /// answered immediately with a retryable kUnavailable load-shed
     /// error instead of queueing without bound (see shard/lane.h).
@@ -120,7 +119,6 @@ class ShardRouter {
     /// everything riding the lane — including fleet-operation probes, so
     /// a saturated fleet sheds drains too rather than deadlocking them.
     std::size_t maxLaneQueueDepth = 0;
-    std::size_t virtualNodesPerWorker = 64;
     /// Transport constructor; default builds InProcessTransport. A
     /// factory that spawns worker processes turns the router into a real
     /// multi-process fleet (see cli --spawn-workers). A slot whose
@@ -132,14 +130,6 @@ class ShardRouter {
     /// full image — this flag is a wire-size optimization, never a
     /// correctness risk; disabling it restores the PR 8 full-image wire.
     bool deltaBlobs = true;
-    /// Caller-runs fast path: when a session command arrives and its
-    /// worker's lane is completely idle, run the transport call on the
-    /// dispatching thread instead of enqueue/wake/future (see
-    /// WorkerLane::TryBeginDirect). Per-session FIFO order and the
-    /// quiesce barrier are preserved — the claim happens in the same
-    /// fleet-mutex section as the gate check, and a claimed lane counts
-    /// as busy for Quiesce().
-    bool laneFastPath = true;
     /// Socket options for transports the router creates itself
     /// (`addWorker {address}`).
     SocketTransportOptions socketOptions;

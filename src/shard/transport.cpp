@@ -30,7 +30,9 @@ struct SocketMetrics {
 
 SocketTransport::SocketTransport(std::string address,
                                  SocketTransportOptions options)
-    : address_(std::move(address)), options_(options) {}
+    : address_(std::move(address)),
+      options_(options),
+      wire_{options.ioTimeoutMs, options.maxFrameBytes} {}
 
 Status SocketTransport::EnsureConnected() {
   if (connection_.valid()) return Status::Ok();
@@ -53,18 +55,15 @@ Status SocketTransport::EnsureConnected() {
   // handshake failure is final for the call (like a failed connect); the
   // next Call reconnects and retries the handshake, so a worker that is
   // upgraded in place heals the slot.
-  server::WireOptions wire;
-  wire.ioTimeoutMs = options_.ioTimeoutMs;
-  wire.maxFrameBytes = options_.maxFrameBytes;
   Status sent =
-      server::WriteMessage(connection_, server::MakeHelloRequest(), wire);
+      server::WriteMessage(connection_, server::MakeHelloRequest(), wire_);
   if (!sent.ok()) {
     connection_.Close();
     return Status::Fail(ErrorKind::kUnavailable,
                         "worker " + address_ + " failed the hello handshake: " +
                             sent.error().message);
   }
-  auto answer = server::ReadMessage(connection_, wire);
+  auto answer = server::ReadMessage(connection_, wire_);
   if (!answer.ok()) {
     connection_.Close();
     return Status::Fail(ErrorKind::kUnavailable,
@@ -83,88 +82,19 @@ Status SocketTransport::EnsureConnected() {
 }
 
 Result<json::Json> SocketTransport::Call(const json::Json& request) {
-  server::WireOptions wire;
-  wire.ioTimeoutMs = options_.ioTimeoutMs;
-  wire.maxFrameBytes = options_.maxFrameBytes;
-
-  // Split the request for the wire exactly once, before the retry loop:
-  // the non-blob fields (small) are copied into the serialized text, and
-  // the blob — multi-MiB of base64 on every drain import — stays a
-  // borrowed view on the caller's document, never copied or re-dumped.
-  std::string_view blob;
-  std::string text;
-  if (request.IsObject() && request.Find("blob") != nullptr) {
-    json::Json trimmed = json::Json::MakeObject();
-    for (const auto& [key, value] : request.AsObject()) {
-      if (key == "blob" && value.IsString() && !value.AsString().empty()) {
-        blob = value.AsString();
-      } else {
-        trimmed.Set(key, value);
-      }
-    }
-    text = trimmed.Dump();
-  } else {
-    text = request.Dump();
-  }
-
-  // One reconnect-and-resend attempt when the *write* fails: the worker
-  // drops incomplete frames, so a request whose write failed was never
-  // executed and is safe to resend. Once the write succeeded, a failed
-  // read is final — the worker may have executed the request, so
-  // resending could run it twice; fail closed instead. A failed connect
-  // is also final: ConnectTo already retried until its deadline.
-  SocketMetrics& metrics = SocketMetrics::Get();
-  metrics.calls.Increment();
-  metrics.requestBytes.Add(text.size());
-  metrics.blobBytes.Add(blob.size());
-  const std::uint64_t startNs = obs::MonotonicNowNs();
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    Status connected = EnsureConnected();
-    if (!connected.ok()) return connected.error();
-    Status written = server::WriteFrame(connection_, text, blob, wire);
-    if (!written.ok()) {
-      connection_.Close();
-      if (attempt == 0) continue;
-      // The frame never left: retryable by the same argument as a failed
-      // connect, hence kUnavailable.
-      return Error{ErrorKind::kUnavailable,
-                   "send to worker " + address_ +
-                       " failed: " + written.error().message};
-    }
-    auto response = server::ReadMessage(connection_, wire);
-    if (!response.ok()) {
-      connection_.Close();
-      // Deliberately *not* kUnavailable: the request reached the worker
-      // and may have executed — a blind retry could run it twice. Fail
-      // closed and let the caller decide with full knowledge.
-      return Error{ErrorKind::kInternal,
-                   "no response from worker " + address_ + ": " +
-                       response.error().message +
-                       " (request may or may not have executed)"};
-    }
-    // Only completed round trips reach the histogram: a timed-out read
-    // would record the timeout budget, not a latency.
-    metrics.rttUs.Record((obs::MonotonicNowNs() - startNs) / 1000);
-    return std::move(response).value();
-  }
-  return Error{ErrorKind::kInternal, "unreachable"};
+  return std::move(CallBatch({&request}).front());
 }
 
 std::vector<Result<json::Json>> SocketTransport::CallBatch(
     const std::vector<const json::Json*>& requests) {
   std::vector<Result<json::Json>> results;
   if (requests.empty()) return results;
-  if (requests.size() == 1) {
-    // Call() keeps the single-request write-retry semantics.
-    results.push_back(Call(*requests[0]));
-    return results;
-  }
-  server::WireOptions wire;
-  wire.ioTimeoutMs = options_.ioTimeoutMs;
-  wire.maxFrameBytes = options_.maxFrameBytes;
 
-  // Pre-split every request exactly like Call() does, once, outside the
-  // retry loop. Blobs stay borrowed views on the caller's documents.
+  // Split every request for the wire exactly once, before the retry
+  // loop: the non-blob fields (small) are copied into the serialized
+  // text, and the blob — multi-MiB of base64 on every drain import —
+  // stays a borrowed view on the caller's document, never copied or
+  // re-dumped.
   struct Framed {
     std::string text;
     std::string_view blob;
@@ -195,10 +125,13 @@ std::vector<Result<json::Json>> SocketTransport::CallBatch(
 
   // Pipeline: write every frame, then read the responses in order. Retry
   // (reconnect + resend the whole batch, once) is only safe when *zero*
-  // frames were delivered — after the first complete frame the worker may
-  // have executed it, so a mid-batch write failure fails closed instead:
-  // delivered-but-unanswered requests report kInternal (ambiguous),
-  // never-sent ones report retryable kUnavailable.
+  // frames were delivered: the worker drops incomplete frames, so a
+  // request whose write failed never executed. After the first complete
+  // frame the worker may have executed it, so a mid-batch write failure
+  // fails closed instead: delivered-but-unanswered requests report
+  // kInternal (a blind retry could run a command twice), never-sent ones
+  // report retryable kUnavailable. A failed connect is final too:
+  // ConnectTo already retried until its deadline.
   const std::uint64_t startNs = obs::MonotonicNowNs();
   for (int attempt = 0; attempt < 2; ++attempt) {
     Status connected = EnsureConnected();
@@ -212,7 +145,7 @@ std::vector<Result<json::Json>> SocketTransport::CallBatch(
     Status writeStatus = Status::Ok();
     for (; written < frames.size(); ++written) {
       writeStatus = server::WriteFrame(connection_, frames[written].text,
-                                       frames[written].blob, wire);
+                                       frames[written].blob, wire_);
       if (!writeStatus.ok()) break;
     }
     if (!writeStatus.ok() && written == 0) {
@@ -227,7 +160,7 @@ std::vector<Result<json::Json>> SocketTransport::CallBatch(
     }
     bool readFailed = false;
     for (std::size_t i = 0; i < written; ++i) {
-      auto response = server::ReadMessage(connection_, wire);
+      auto response = server::ReadMessage(connection_, wire_);
       if (!response.ok()) {
         connection_.Close();
         readFailed = true;
@@ -252,6 +185,8 @@ std::vector<Result<json::Json>> SocketTransport::CallBatch(
                               "send to worker " + address_ + " failed: " +
                                   writeStatus.error().message});
     }
+    // Only completed round trips reach the histogram: a timed-out read
+    // would record the timeout budget, not a latency.
     if (!readFailed) {
       metrics.rttUs.Record((obs::MonotonicNowNs() - startNs) / 1000);
     }

@@ -117,6 +117,8 @@ class SocketTransport : public WorkerTransport {
   explicit SocketTransport(std::string address,
                            SocketTransportOptions options = {});
 
+  /// A batch of one: CallBatch with a single frame has exactly the
+  /// single-request contract.
   Result<json::Json> Call(const json::Json& request) override;
   std::vector<Result<json::Json>> CallBatch(
       const std::vector<const json::Json*>& requests) override;
@@ -134,6 +136,10 @@ class SocketTransport : public WorkerTransport {
 
   std::string address_;
   SocketTransportOptions options_;
+  server::WireOptions wire_;  ///< options_' deadline and frame cap
+  /// No lock: one thread at a time owns the worker's lane and only it
+  /// calls in — the lane's executor, a caller that claimed the idle
+  /// lane, or a fleet operation that quiesced it (or built no lane yet).
   net::Socket connection_;
   /// Atomic: read by the router's migration planner while the lane's
   /// executor thread owns the connection.

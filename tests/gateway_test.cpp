@@ -1,10 +1,12 @@
-// Gateway tests: the epoll front door end-to-end over real sockets.
+// Gateway tests: the threaded front door end-to-end over real sockets.
 //
 // The gateway's contract is that many concurrent clients are invisible
 // to results (byte-identical statistics vs a single-process server),
 // that misbehaving clients cost only themselves (partial frames, frame
-// garbage, quota overruns), and that overload is answered with retryable
-// kUnavailable load-shed errors instead of unbounded queueing. The
+// garbage, quota overruns, stalls mid-frame), that overload is answered
+// with retryable kUnavailable load-shed errors instead of unbounded
+// queueing, and that every connection thread ends with its connection
+// and with Stop(). The
 // admission-overlap test at the bottom pins the PR's router change: a
 // createSession must not serialize behind an in-progress drain of an
 // unrelated worker. Alongside ride the front-door bugfix regressions:
@@ -16,9 +18,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstring>
 #include <dirent.h>
 #include <future>
@@ -97,6 +101,53 @@ struct Client {
 
   net::Socket socket;
 };
+
+/// Entries of a /proc/self directory, "." and ".." excluded.
+std::size_t CountProcEntries(const char* path) {
+  std::size_t count = 0;
+  DIR* dir = ::opendir(path);
+  if (dir == nullptr) return 0;
+  while (::readdir(dir) != nullptr) ++count;
+  ::closedir(dir);
+  return count >= 2 ? count - 2 : 0;
+}
+
+std::size_t CountOpenDescriptors() {
+  const std::size_t count = CountProcEntries("/proc/self/fd");
+  return count >= 1 ? count - 1 : 0;  // the DIR's own descriptor
+}
+
+std::size_t CountThreads() { return CountProcEntries("/proc/self/task"); }
+
+/// Resident set size of this process, in bytes (/proc/self/statm).
+std::size_t ResidentBytes() {
+  std::FILE* statm = std::fopen("/proc/self/statm", "r");
+  if (statm == nullptr) return 0;
+  unsigned long pages = 0;
+  unsigned long residentPages = 0;
+  const int fields = std::fscanf(statm, "%lu %lu", &pages, &residentPages);
+  std::fclose(statm);
+  if (fields != 2) return 0;
+  return residentPages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+/// True when the peer closes `socket` within `timeoutMs`: the socket
+/// turns readable and the read finds EOF (or a reset), not data.
+bool ClosedByPeerWithin(net::Socket& socket, int timeoutMs) {
+  auto readable = net::WaitReadable(socket, timeoutMs);
+  if (!readable.ok() || !readable.value()) return false;
+  char byte = 0;
+  return ::recv(socket.fd(), &byte, 1, 0) <= 0;
+}
+
+/// The first half of a parseAsm frame: a client stalled mid-frame.
+void SendHalfAFrame(net::Socket& socket) {
+  const std::string text =
+      Cmd("parseAsm", {{"code", json::Json(kSpinLoop)}}).Dump();
+  const std::string frame = net::EncodeFrameHeader(text.size(), 0) + text;
+  ASSERT_TRUE(
+      net::SendAll(socket, frame.substr(0, frame.size() / 2), 5'000).ok());
+}
 
 /// RAII gateway over a fresh unix address; Stop() on scope exit.
 struct ScopedGateway {
@@ -193,8 +244,9 @@ TEST(Gateway, PartialFramesFromASlowClientAreAssembled) {
   const std::string frame = net::EncodeFrameHeader(text.size(), 0) + text;
 
   // Dribble the frame a few bytes at a time with pauses between sends:
-  // the gateway must accumulate across epoll wakeups, never block a
-  // thread on this connection, and answer once the frame completes.
+  // the connection's thread keeps reading the frame piece by piece
+  // (well inside the whole-message deadline) and answers once it
+  // completes.
   for (std::size_t offset = 0; offset < frame.size(); offset += 7) {
     const std::size_t len = std::min<std::size_t>(7, frame.size() - offset);
     ASSERT_TRUE(
@@ -365,79 +417,166 @@ TEST(Gateway, ConnectionCapClosesExcessConnectionsOnArrival) {
   FAIL() << "a freed connection slot was never reusable";
 }
 
-// ---- backpressure: load shed instead of unbounded queues -------------------
+// ---- the connection threads: stalls, shutdown and teardown -----------------
 
-TEST(Gateway, DispatchQueueOverflowShedsWithUnavailable) {
-  // One dispatcher, a one-slot queue, and a handler that parks on a
-  // latch: the first request occupies the dispatcher, the second fills
-  // the queue, the third must be shed immediately — not queued, not
-  // blocked.
-  std::mutex mutex;
-  std::condition_variable released;
-  bool release = false;
-  std::atomic<int> entered{0};
+TEST(Gateway, ClientStalledMidFrameIsDroppedAtTheIoTimeout) {
+  server::SimServer sim;
   gateway::GatewayOptions options;
-  options.dispatchThreads = 1;
-  options.maxDispatchQueue = 1;
+  options.wire.ioTimeoutMs = 200;
   ScopedGateway gw(
-      [&](const json::Json& request) {
-        ++entered;
-        std::unique_lock<std::mutex> lock(mutex);
-        released.wait(lock, [&] { return release; });
-        json::Json response = json::Json::MakeObject();
-        response.Set("status", "ok");
-        response.Set("echo", request.GetString("tag", ""));
-        return response;
-      },
+      [&sim](const json::Json& request) { return sim.Handle(request); },
       options);
   ASSERT_NE(gw.gateway, nullptr);
 
-  Client a(gw.address());
-  Client b(gw.address());
-  Client c(gw.address());
-  const server::WireOptions wire = ClientWire();
-  ASSERT_TRUE(server::WriteMessage(a.socket,
-                                   Cmd("work", {{"tag", json::Json("a")}}),
-                                   wire)
-                  .ok());
-  // Wait until the dispatcher is provably inside the handler before
-  // filling the queue, or the test races its own setup.
-  for (int i = 0; i < 500 && entered.load() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  Client stalled(gw.address());
+  SendHalfAFrame(stalled.socket);
+  // The stall holds only its own connection: another client is served
+  // meanwhile.
+  Client other(gw.address());
+  json::Json parsed =
+      other.Call(Cmd("parseAsm", {{"code", json::Json(kSpinLoop)}}));
+  EXPECT_EQ(parsed.GetString("status", ""), "ok") << parsed.Dump();
+
+  EXPECT_TRUE(ClosedByPeerWithin(stalled.socket, 5'000))
+      << "a client stalled mid-frame was never dropped";
+  EXPECT_TRUE(other.Call(Cmd("hello")).GetBool("hello", false));
+}
+
+TEST(Gateway, StalledClientsHoldOnlyTheBytesTheySent) {
+  // Each client sends a header declaring a section close to the frame
+  // cap, a few bytes of it, and stalls: half inside the JSON section,
+  // half inside the blob after a complete JSON text. Buffering what the
+  // headers promise would cost kClients x kDeclaredBytes (128 MiB); the
+  // gateway must hold only what arrived.
+  constexpr std::size_t kDeclaredBytes = std::size_t{32} << 20;
+  constexpr int kClients = 4;
+  server::SimServer sim;
+  gateway::GatewayOptions options;
+  options.wire.maxFrameBytes = kDeclaredBytes + 1024;
+  options.wire.ioTimeoutMs = 1'000;
+  ScopedGateway gw(
+      [&sim](const json::Json& request) { return sim.Handle(request); },
+      options);
+  ASSERT_NE(gw.gateway, nullptr);
+
+  const std::size_t residentBefore = ResidentBytes();
+  ASSERT_GT(residentBefore, 0u);
+  const std::string text = Cmd("importSession").Dump();
+  std::vector<Client> clients;
+  std::vector<std::chrono::steady_clock::time_point> sentAt;
+  clients.reserve(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back(gw.address());
+    const std::string frame =
+        i % 2 == 0 ? net::EncodeFrameHeader(kDeclaredBytes, 0) + "{\"co"
+                   : net::EncodeFrameHeader(text.size(),
+                                            kDeclaredBytes - text.size()) +
+                         text + "QUJD";
+    ASSERT_TRUE(net::SendAll(clients.back().socket, frame, 5'000).ok());
+    sentAt.push_back(std::chrono::steady_clock::now());
   }
-  ASSERT_EQ(entered.load(), 1);
-  ASSERT_TRUE(server::WriteMessage(b.socket,
-                                   Cmd("work", {{"tag", json::Json("b")}}),
-                                   wire)
-                  .ok());
-  // b must be *queued* (not shed); give the I/O thread a moment to move
-  // it into the dispatch queue before c arrives.
+
+  // Peak RSS while every read is pending (well inside the io timeout).
+  std::size_t peak = residentBefore;
+  for (int sample = 0; sample < 40; ++sample) {
+    peak = std::max(peak, ResidentBytes());
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LT(peak - residentBefore, kClients * kDeclaredBytes / 8)
+      << "stalled clients pinned " << (peak - residentBefore)
+      << " bytes of gateway memory";
+
+  // Each stall is dropped once its message deadline runs out, not before.
+  for (int i = 0; i < kClients; ++i) {
+    EXPECT_TRUE(ClosedByPeerWithin(clients[i].socket, 5'000))
+        << "client " << i << " was never dropped";
+    EXPECT_GE(std::chrono::steady_clock::now() - sentAt[i],
+              std::chrono::milliseconds(options.wire.ioTimeoutMs - 20))
+        << "client " << i << " was dropped before its io timeout";
+  }
+}
+
+TEST(Gateway, ShutdownGatewayAcknowledgesThenClosesEveryConnection) {
+  server::SimServer sim;
+  ScopedGateway gw(
+      [&sim](const json::Json& request) { return sim.Handle(request); });
+  ASSERT_NE(gw.gateway, nullptr);
+
+  Client idle(gw.address());
+  ASSERT_TRUE(idle.Call(Cmd("hello")).GetBool("hello", false));
+  Client sender(gw.address());
+  json::Json ack = sender.Call(Cmd("shutdownGateway"));
+  EXPECT_EQ(ack.GetString("status", ""), "ok") << ack.Dump();
+  EXPECT_TRUE(ack.GetBool("shutdown", false)) << ack.Dump();
+
+  auto waited = std::async(std::launch::async,
+                           [&gw] { return gw.gateway->Wait(); });
+  const bool stopped =
+      waited.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  if (!stopped) gw.gateway->Stop();  // unblocks Wait(): never hang the test
+  ASSERT_TRUE(stopped) << "Wait() did not return after shutdownGateway";
+  EXPECT_TRUE(waited.get().ok());
+  EXPECT_TRUE(ClosedByPeerWithin(idle.socket, 5'000))
+      << "an idle connection outlived shutdownGateway";
+
+  const auto start = std::chrono::steady_clock::now();
+  gw.gateway->Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+}
+
+TEST(Gateway, StopReturnsPromptlyWithIdleAndStalledClients) {
+  server::SimServer sim;
+  // The default 30 s message deadline: the stall outlasts the test, so
+  // only Stop() can end that connection's read.
+  ScopedGateway gw(
+      [&sim](const json::Json& request) { return sim.Handle(request); });
+  ASSERT_NE(gw.gateway, nullptr);
+
+  Client idle(gw.address());
+  ASSERT_TRUE(idle.Call(Cmd("hello")).GetBool("hello", false));
+  Client stalled(gw.address());
+  ASSERT_TRUE(stalled.Call(Cmd("hello")).GetBool("hello", false));
+  SendHalfAFrame(stalled.socket);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  ASSERT_TRUE(server::WriteMessage(c.socket,
-                                   Cmd("work", {{"tag", json::Json("c")}}),
-                                   wire)
-                  .ok());
-  auto shed = server::ReadMessage(c.socket, wire);
-  ASSERT_TRUE(shed.ok()) << shed.error().ToText();
-  testutil::CheckErrorEnvelope(shed.value());
-  EXPECT_EQ(testutil::ErrorField(shed.value(), "kind"), "unavailable")
-      << shed.value().Dump();
-  EXPECT_NE(testutil::ErrorField(shed.value(), "message").find("shed"),
-            std::string::npos);
-
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    release = true;
-  }
-  released.notify_all();
-  auto aDone = server::ReadMessage(a.socket, wire);
-  ASSERT_TRUE(aDone.ok()) << aDone.error().ToText();
-  EXPECT_EQ(aDone.value().GetString("echo", ""), "a");
-  auto bDone = server::ReadMessage(b.socket, wire);
-  ASSERT_TRUE(bDone.ok()) << bDone.error().ToText();
-  EXPECT_EQ(bDone.value().GetString("echo", ""), "b");
+  const auto start = std::chrono::steady_clock::now();
+  gw.gateway->Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+  EXPECT_TRUE(ClosedByPeerWithin(idle.socket, 1'000));
+  EXPECT_TRUE(ClosedByPeerWithin(stalled.socket, 1'000));
 }
+
+TEST(Gateway, ShortConnectionsReleaseTheirThreadsAndDescriptors) {
+  server::SimServer sim;
+  ScopedGateway gw(
+      [&sim](const json::Json& request) { return sim.Handle(request); });
+  ASSERT_NE(gw.gateway, nullptr);
+
+  const std::size_t threadsBefore = CountThreads();
+  const std::size_t descriptorsBefore = CountOpenDescriptors();
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    Client client(gw.address());
+    json::Json hello = client.Call(Cmd("hello"));
+    ASSERT_TRUE(hello.GetBool("hello", false))
+        << "cycle " << cycle << ": " << hello.Dump();
+  }
+  // The last connection's thread sees EOF after its client closed; give
+  // it a moment to finish.
+  std::size_t threads = 0;
+  std::size_t descriptors = 0;
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    threads = CountThreads();
+    descriptors = CountOpenDescriptors();
+    if (threads <= threadsBefore && descriptors <= descriptorsBefore) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_LE(threads, threadsBefore) << "connection threads outlived their "
+                                       "connections";
+  EXPECT_LE(descriptors, descriptorsBefore)
+      << "connection descriptors outlived their connections";
+}
+
+// ---- backpressure: load shed instead of unbounded queues -------------------
 
 /// An in-process transport whose Call blocks (for commands in `blockOn`)
 /// until Release(); used to stall a worker or a drain deterministically.
@@ -593,15 +732,6 @@ TEST(Gateway, CreateSessionDoesNotSerializeBehindAnUnrelatedDrain) {
 }
 
 // ---- satellite: ServeFrames survives transient accept failures -------------
-
-std::size_t CountOpenDescriptors() {
-  std::size_t count = 0;
-  DIR* dir = ::opendir("/proc/self/fd");
-  if (dir == nullptr) return 0;
-  while (::readdir(dir) != nullptr) ++count;
-  ::closedir(dir);
-  return count >= 3 ? count - 3 : 0;  // ".", "..", and the DIR's own fd
-}
 
 TEST(ServeFrames, TransientAcceptFailuresAreCountedAndRetried) {
   const std::string address = shard::MakeWorkerAddress("acceptfail");

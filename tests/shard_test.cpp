@@ -270,8 +270,13 @@ TEST(Drain, DestinationBudgetRejectionKeepsSessionOnSource) {
   // worker 0.
   ShardRouter::Options options;
   options.workerCount = 2;
-  options.perWorkerLimits.resize(2);
-  options.perWorkerLimits[1].maxSessionBlobBytes = 64;
+  options.transportFactory = [](std::size_t worker,
+                                server::SimServer::Limits limits)
+      -> Result<std::shared_ptr<WorkerTransport>> {
+    if (worker == 1) limits.maxSessionBlobBytes = 64;
+    return std::shared_ptr<WorkerTransport>(
+        std::make_shared<InProcessTransport>(limits));
+  };
   ShardRouter router(options);
 
   std::vector<std::int64_t> ids;
@@ -842,7 +847,6 @@ TEST(Concurrency, LaneFastPathKeepsPerSessionOrderUnderEightThreadStress) {
 
   ShardRouter::Options options;
   options.workerCount = 1;
-  ASSERT_TRUE(options.laneFastPath) << "fast path must default on";
   ShardRouter router(options);
   std::vector<std::int64_t> ids(kSessions);
   for (int i = 0; i < kSessions; ++i) {
@@ -999,7 +1003,6 @@ TEST(Concurrency, DepthCapShedsWithTheFastPathOnAndAnswersTheEnvelope) {
 TEST(Rebalance, MovesSessionsOffTheLoadedWorkerUntilSkewIsBounded) {
   ShardRouter::Options options;
   options.workerCount = 3;
-  options.rebalanceSkewThreshold = 1.5;
   ShardRouter router(options);
   for (int i = 0; i < 12; ++i) MustCreateSession(router);
 
@@ -1024,7 +1027,7 @@ TEST(Rebalance, MovesSessionsOffTheLoadedWorkerUntilSkewIsBounded) {
   EXPECT_LE(rebalanced.Find("skewAfter")->AsDouble(),
             rebalanced.Find("skewBefore")->AsDouble());
   EXPECT_LE(rebalanced.Find("skewAfter")->AsDouble(),
-            options.rebalanceSkewThreshold + 1e-9);
+            ShardRouter::kRebalanceSkewThreshold + 1e-9);
   EXPECT_EQ(router.sessionCount(), 12u);
 
   // Already balanced: a second rebalance is a no-op.

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <fstream>
 #include <map>
@@ -412,8 +413,18 @@ void ExpectTcpTransportWorks(const std::string& listenAddress,
   options.connectTimeoutMs = 5'000;
   options.ioTimeoutMs = 5'000;
   SocketTransport transport(address, options);
-  auto response =
-      transport.Call(Cmd("parseAsm", {{"code", json::Json(kSpinLoop)}}));
+  // 50 small round trips: with Nagle on, each frame's body waited for the
+  // peer's delayed ACK (~40-90 ms a call, seconds in total); with
+  // TCP_NODELAY the whole loop takes milliseconds.
+  constexpr int kCalls = 50;
+  const auto start = std::chrono::steady_clock::now();
+  Result<json::Json> response = Error{ErrorKind::kInternal, "no call made"};
+  for (int i = 0; i < kCalls; ++i) {
+    response =
+        transport.Call(Cmd("parseAsm", {{"code", json::Json(kSpinLoop)}}));
+    if (!response.ok()) break;
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
   // Stop the serve loop before any assertion so the service thread joins
   // even on failure (a hung test is worse than a failed one).
   auto shutdown = transport.Call(Cmd("shutdownWorker"));
@@ -421,6 +432,10 @@ void ExpectTcpTransportWorks(const std::string& listenAddress,
   ASSERT_TRUE(response.ok()) << response.error().ToText();
   EXPECT_EQ(response.value().GetString("status", ""), "ok");
   EXPECT_TRUE(shutdown.ok());
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+                .count(),
+            1'000)
+      << kCalls << " tcp round trips; is TCP_NODELAY set?";
 }
 
 TEST(TcpTransport, HostnameResolvesViaGetaddrinfo) {
