@@ -4,6 +4,12 @@
 // Replays representative interactive `step` requests through the raw
 // byte-level server path and reports the time split between JSON work
 // (parse + serialize), the simulation itself, and compression.
+//
+// A second table times the router hop of one serialized step reply,
+// single-threaded: reading it the way server::ReadMessage does (the
+// top-level "state" validated and kept as raw text) against a full
+// json::Parse, and dumping it again with the state copied as raw text
+// against a DOM dump. Report only; no gate reads it.
 #include "bench_common.h"
 #include "common/slz.h"
 #include "server/state_renderer.h"
@@ -89,5 +95,48 @@ int main() {
               "in total)\n", 100.0 * jsonShare);
   std::printf("JSON share excluding compression: %.1f%%   [paper: ~60%%]\n",
               100.0 * jsonShareNoGzip);
+
+  // The router hop: each program's step reply as the worker serializes
+  // it, read and dumped again as the router and gateway would.
+  constexpr int kHopRounds = 200;
+  std::uint64_t fullReadNs = 0, rawReadNs = 0, domDumpNs = 0, rawDumpNs = 0;
+  std::size_t replyBytes = 0, replies = 0;
+  for (auto& sim : sims) {
+    json::Json response = server::OkResponse();
+    response.Set("stepped", 1);
+    response.Set("state", server::RenderJson(*sim));
+    const std::string reply = response.Dump();
+    for (int round = 0; round < kHopRounds; ++round) {
+      std::uint64_t t0 = NowNs();
+      auto full = json::Parse(reply);
+      std::uint64_t t1 = NowNs();
+      auto kept = json::ParseKeepingRaw(reply, "state");
+      std::uint64_t t2 = NowNs();
+      std::string domText = full.value().Dump();
+      std::uint64_t t3 = NowNs();
+      std::string rawText = kept.value().Dump();
+      std::uint64_t t4 = NowNs();
+      if (domText != reply || rawText != reply) return 1;
+      fullReadNs += t1 - t0;
+      rawReadNs += t2 - t1;
+      domDumpNs += t3 - t2;
+      rawDumpNs += t4 - t3;
+      replyBytes += reply.size();
+      ++replies;
+    }
+  }
+  const auto hopUs = [&](std::uint64_t ns) {
+    return static_cast<double>(ns) / 1e3 / static_cast<double>(replies);
+  };
+  std::printf("\nrouter hop, one step reply (%.1f KB, mean of %zu)\n",
+              static_cast<double>(replyBytes) / 1e3 /
+                  static_cast<double>(replies),
+              replies);
+  std::printf("%-30s %10s\n", "component", "us/reply");
+  std::printf("%-30s %10.1f\n", "read: full json::Parse", hopUs(fullReadNs));
+  std::printf("%-30s %10.1f\n", "read: wire (state kept raw)",
+              hopUs(rawReadNs));
+  std::printf("%-30s %10.1f\n", "dump: DOM", hopUs(domDumpNs));
+  std::printf("%-30s %10.1f\n", "dump: raw state copied", hopUs(rawDumpNs));
   return 0;
 }

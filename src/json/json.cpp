@@ -1,6 +1,5 @@
 #include "json/json.h"
 
-#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -18,8 +17,16 @@ const char* ToString(Type type) {
     case Type::kString: return "string";
     case Type::kArray: return "array";
     case Type::kObject: return "object";
+    case Type::kRaw: return "raw";
   }
   return "unknown";
+}
+
+Json Json::Raw(std::string_view text) {
+  Json node;
+  node.type_ = Type::kRaw;
+  node.string_ = text;
+  return node;
 }
 
 const Json* Json::Find(std::string_view key) const {
@@ -75,6 +82,10 @@ std::string Json::GetString(std::string_view key,
 }
 
 bool operator==(const Json& a, const Json& b) {
+  // A raw node's text was accepted by the parser at a nesting depth of at
+  // least one, so parsing it again as a document cannot fail.
+  if (a.type_ == Type::kRaw) return Parse(a.string_).value() == b;
+  if (b.type_ == Type::kRaw) return a == Parse(b.string_).value();
   if (a.IsNumber() && b.IsNumber()) {
     if (a.type_ == Type::kInt && b.type_ == Type::kInt) return a.int_ == b.int_;
     return a.AsDouble() == b.AsDouble();
@@ -88,6 +99,7 @@ bool operator==(const Json& a, const Json& b) {
     case Type::kString: return a.string_ == b.string_;
     case Type::kArray: return a.array_ == b.array_;
     case Type::kObject: return a.object_ == b.object_;
+    case Type::kRaw: return false;  // handled above
   }
   return false;
 }
@@ -161,6 +173,13 @@ void Json::DumpTo(std::string& out, int indent, int depth) const {
     case Type::kBool: out += bool_ ? "true" : "false"; return;
     case Type::kInt: out += std::to_string(int_); return;
     case Type::kDouble: AppendDouble(out, double_); return;
+    case Type::kRaw:
+      if (pretty) {
+        Parse(string_).value().DumpTo(out, indent, depth);
+      } else {
+        out += string_;
+      }
+      return;
     case Type::kString:
       out += '"';
       EscapeStringInto(string_, out);
@@ -223,21 +242,25 @@ std::size_t Json::DumpSize() const {
   return scratch.size();
 }
 
-namespace {
-
 /// Recursive-descent JSON parser tracking line/column for diagnostics.
+/// Every method takes the node (or string) it fills; a null output only
+/// validates, through the same code. So a value kept raw is exactly a
+/// value the DOM parse accepts, and a rejected one fails with the same
+/// error at the same position either way. Not in an anonymous namespace:
+/// it is Json's friend, the one maker of raw nodes.
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  Parser(std::string_view text, std::string_view rawKey)
+      : text_(text), rawKey_(rawKey) {}
 
-  Result<Json> ParseDocument() {
+  Status ParseDocument(Json* out) {
     SkipWhitespace();
-    RVSS_ASSIGN_OR_RETURN(Json value, ParseValue(0));
+    RVSS_RETURN_IF_ERROR(ParseValue(0, out));
     SkipWhitespace();
     if (pos_ != text_.size()) {
       return Fail("trailing content after JSON document");
     }
-    return value;
+    return Status::Ok();
   }
 
  private:
@@ -250,6 +273,7 @@ class Parser {
 
   bool AtEnd() const { return pos_ >= text_.size(); }
   char Peek() const { return text_[pos_]; }
+  static bool IsDigit(char c) { return c >= '0' && c <= '9'; }
 
   char Advance() {
     char c = text_[pos_++];
@@ -277,117 +301,126 @@ class Parser {
     return true;
   }
 
-  Result<Json> ParseValue(int depth) {
+  Status ParseValue(int depth, Json* out) {
     if (depth > kMaxDepth) return Fail("nesting too deep");
     if (AtEnd()) return Fail("unexpected end of input");
-    char c = Peek();
-    switch (c) {
-      case '{': return ParseObject(depth);
-      case '[': return ParseArray(depth);
-      case '"': {
-        RVSS_ASSIGN_OR_RETURN(std::string s, ParseString());
-        return Json(std::move(s));
-      }
-      case 't':
-        if (ConsumeKeyword("true")) return Json(true);
-        return Fail("invalid literal");
-      case 'f':
-        if (ConsumeKeyword("false")) return Json(false);
-        return Fail("invalid literal");
-      case 'n':
-        if (ConsumeKeyword("null")) return Json(nullptr);
-        return Fail("invalid literal");
-      default:
-        return ParseNumber();
+    switch (Peek()) {
+      case '{': return ParseObject(depth, out);
+      case '[': return ParseArray(depth, out);
+      case '"':
+        if (out != nullptr) *out = Json(std::string());
+        return ParseString(out != nullptr ? &out->AsString() : nullptr);
+      case 't': return ParseLiteral("true", true, out);
+      case 'f': return ParseLiteral("false", false, out);
+      case 'n': return ParseLiteral("null", nullptr, out);
+      default: return ParseNumber(out);
     }
   }
 
-  bool ConsumeKeyword(std::string_view keyword) {
-    if (text_.substr(pos_, keyword.size()) != keyword) return false;
+  Status ParseLiteral(std::string_view keyword, Json value, Json* out) {
+    if (text_.substr(pos_, keyword.size()) != keyword) {
+      return Fail("invalid literal");
+    }
     for (std::size_t i = 0; i < keyword.size(); ++i) Advance();
-    return true;
+    if (out != nullptr) *out = std::move(value);
+    return Status::Ok();
   }
 
-  Result<Json> ParseObject(int depth) {
+  Status ParseObject(int depth, Json* out) {
     Advance();  // '{'
-    Json object = Json::MakeObject();
+    if (out != nullptr) *out = Json::MakeObject();
+    Object* object = out != nullptr ? &out->AsObject() : nullptr;
     SkipWhitespace();
-    if (Consume('}')) return object;
+    if (Consume('}')) return Status::Ok();
     while (true) {
       SkipWhitespace();
       if (AtEnd() || Peek() != '"') return Fail("expected object key string");
-      RVSS_ASSIGN_OR_RETURN(std::string key, ParseString());
+      std::string key;
+      RVSS_RETURN_IF_ERROR(ParseString(object != nullptr ? &key : nullptr));
       SkipWhitespace();
       if (!Consume(':')) return Fail("expected ':' after object key");
       SkipWhitespace();
-      RVSS_ASSIGN_OR_RETURN(Json value, ParseValue(depth + 1));
-      object.AsObject().emplace_back(std::move(key), std::move(value));
+      if (object == nullptr) {
+        RVSS_RETURN_IF_ERROR(ParseValue(depth + 1, nullptr));
+      } else if (depth == 0 && !rawKey_.empty() && key == rawKey_) {
+        const std::size_t start = pos_;
+        RVSS_RETURN_IF_ERROR(ParseValue(depth + 1, nullptr));
+        object->emplace_back(std::move(key),
+                             Json::Raw(text_.substr(start, pos_ - start)));
+      } else {
+        Json& value = object->emplace_back(std::move(key), Json()).second;
+        RVSS_RETURN_IF_ERROR(ParseValue(depth + 1, &value));
+      }
       SkipWhitespace();
       if (Consume(',')) continue;
-      if (Consume('}')) return object;
+      if (Consume('}')) return Status::Ok();
       return Fail("expected ',' or '}' in object");
     }
   }
 
-  Result<Json> ParseArray(int depth) {
+  Status ParseArray(int depth, Json* out) {
     Advance();  // '['
-    Json array = Json::MakeArray();
+    if (out != nullptr) *out = Json::MakeArray();
+    Array* array = out != nullptr ? &out->AsArray() : nullptr;
     SkipWhitespace();
-    if (Consume(']')) return array;
+    if (Consume(']')) return Status::Ok();
     while (true) {
       SkipWhitespace();
-      RVSS_ASSIGN_OR_RETURN(Json value, ParseValue(depth + 1));
-      array.AsArray().push_back(std::move(value));
+      RVSS_RETURN_IF_ERROR(ParseValue(
+          depth + 1, array != nullptr ? &array->emplace_back() : nullptr));
       SkipWhitespace();
       if (Consume(',')) continue;
-      if (Consume(']')) return array;
+      if (Consume(']')) return Status::Ok();
       return Fail("expected ',' or ']' in array");
     }
   }
 
-  Result<std::string> ParseString() {
+  Status ParseString(std::string* out) {
     Advance();  // '"'
-    std::string out;
     while (true) {
+      // A run of plain characters at once: no quote, escape or control
+      // character (so no newline) inside it.
+      const std::size_t run = pos_;
+      while (!AtEnd() && Peek() != '"' && Peek() != '\\' &&
+             static_cast<unsigned char>(Peek()) >= 0x20) {
+        ++pos_;
+      }
+      if (out != nullptr) out->append(text_, run, pos_ - run);
       if (AtEnd()) return Fail("unterminated string");
       char c = Advance();
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (AtEnd()) return Fail("unterminated escape");
-        char esc = Advance();
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            RVSS_ASSIGN_OR_RETURN(unsigned cp, ParseHex4());
-            // Surrogate pair handling.
-            if (cp >= 0xd800 && cp <= 0xdbff) {
-              if (!Consume('\\') || !Consume('u')) {
-                return Fail("unpaired surrogate in \\u escape");
-              }
-              RVSS_ASSIGN_OR_RETURN(unsigned lo, ParseHex4());
-              if (lo < 0xdc00 || lo > 0xdfff) {
-                return Fail("invalid low surrogate");
-              }
-              cp = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
+      if (c == '"') return Status::Ok();
+      if (c != '\\') return Fail("raw control character in string");
+      if (AtEnd()) return Fail("unterminated escape");
+      char esc = Advance();
+      unsigned cp = 0;
+      switch (esc) {
+        case '"': cp = '"'; break;
+        case '\\': cp = '\\'; break;
+        case '/': cp = '/'; break;
+        case 'b': cp = '\b'; break;
+        case 'f': cp = '\f'; break;
+        case 'n': cp = '\n'; break;
+        case 'r': cp = '\r'; break;
+        case 't': cp = '\t'; break;
+        case 'u': {
+          RVSS_ASSIGN_OR_RETURN(cp, ParseHex4());
+          // Surrogate pair handling.
+          if (cp >= 0xd800 && cp <= 0xdbff) {
+            if (!Consume('\\') || !Consume('u')) {
+              return Fail("unpaired surrogate in \\u escape");
             }
-            AppendUtf8(out, cp);
-            break;
+            RVSS_ASSIGN_OR_RETURN(unsigned lo, ParseHex4());
+            if (lo < 0xdc00 || lo > 0xdfff) {
+              return Fail("invalid low surrogate");
+            }
+            cp = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
           }
-          default:
-            return Fail("invalid escape character");
+          break;
         }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return Fail("raw control character in string");
-      } else {
-        out += c;
+        default:
+          return Fail("invalid escape character");
       }
+      if (out != nullptr) AppendUtf8(*out, cp);
     }
   }
 
@@ -423,59 +456,70 @@ class Parser {
     }
   }
 
-  Result<Json> ParseNumber() {
+  Status ParseNumber(Json* out) {
     const std::size_t start = pos_;
     bool isDouble = false;
     if (Consume('-')) {
     }
     if (AtEnd()) return Fail("truncated number");
-    if (!std::isdigit(static_cast<unsigned char>(Peek()))) {
+    if (!IsDigit(Peek())) {
       return Fail("invalid number");
     }
-    while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) Advance();
+    while (!AtEnd() && IsDigit(Peek())) Advance();
     if (!AtEnd() && Peek() == '.') {
       isDouble = true;
       Advance();
-      if (AtEnd() || !std::isdigit(static_cast<unsigned char>(Peek()))) {
+      if (AtEnd() || !IsDigit(Peek())) {
         return Fail("digit expected after decimal point");
       }
-      while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) Advance();
+      while (!AtEnd() && IsDigit(Peek())) Advance();
     }
     if (!AtEnd() && (Peek() == 'e' || Peek() == 'E')) {
       isDouble = true;
       Advance();
       if (!AtEnd() && (Peek() == '+' || Peek() == '-')) Advance();
-      if (AtEnd() || !std::isdigit(static_cast<unsigned char>(Peek()))) {
+      if (AtEnd() || !IsDigit(Peek())) {
         return Fail("digit expected in exponent");
       }
-      while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) Advance();
+      while (!AtEnd() && IsDigit(Peek())) Advance();
     }
+    // The grammar is complete here: conversion cannot reject a literal
+    // it accepted (strtod reads every such literal whole in the C locale,
+    // which nothing in rvss changes), so validating stops here.
+    if (out == nullptr) return Status::Ok();
     std::string literal(text_.substr(start, pos_ - start));
     if (!isDouble) {
       errno = 0;
       char* end = nullptr;
       long long value = std::strtoll(literal.c_str(), &end, 10);
       if (errno == 0 && end == literal.c_str() + literal.size()) {
-        return Json(static_cast<std::int64_t>(value));
+        *out = Json(static_cast<std::int64_t>(value));
+        return Status::Ok();
       }
       // Fall through to double for out-of-range integers.
     }
     char* end = nullptr;
     double value = std::strtod(literal.c_str(), &end);
     if (end != literal.c_str() + literal.size()) return Fail("invalid number");
-    return Json(value);
+    *out = Json(value);
+    return Status::Ok();
   }
 
   std::string_view text_;
+  std::string_view rawKey_;  ///< top-level member kept raw; empty: none
   std::size_t pos_ = 0;
   std::uint32_t line_ = 1;
   std::size_t lineStart_ = 0;
 };
 
-}  // namespace
-
 Result<Json> Parse(std::string_view text) {
-  return Parser(text).ParseDocument();
+  return ParseKeepingRaw(text, {});
+}
+
+Result<Json> ParseKeepingRaw(std::string_view text, std::string_view rawKey) {
+  Json document;
+  RVSS_RETURN_IF_ERROR(Parser(text, rawKey).ParseDocument(&document));
+  return document;
 }
 
 }  // namespace rvss::json

@@ -13,6 +13,19 @@
 //    otherwise as double. `AsDouble()` converts transparently.
 //  * The parser is a single-pass recursive-descent parser with a depth
 //    limit; it reports line/column on errors.
+//  * A raw node (Type::kRaw) is a value kept as the serialized text the
+//    parser accepted, so a hop that only forwards it never builds or
+//    dumps its DOM. Only ParseKeepingRaw makes one, and only for the
+//    top-level members it names; json::Parse never does. The grammar is
+//    the parser's own: validating and DOM building are the same code, so
+//    a raw node holds exactly the text Parse would accept at that depth.
+//    Semantics:
+//      - Dump and DumpSize copy the text.
+//      - DumpPretty prints the parsed value, so pretty output does not
+//        change.
+//      - operator== compares by value: it parses the raw side.
+//      - Find, Get* and Is* see an opaque leaf (no members, every Is*
+//        false). To read inside one, call json::Parse(node.Dump()).
 #pragma once
 
 #include <cstdint>
@@ -34,7 +47,10 @@ class Json;
 using Object = std::vector<std::pair<std::string, Json>>;
 using Array = std::vector<Json>;
 
-enum class Type : std::uint8_t { kNull, kBool, kInt, kDouble, kString, kArray, kObject };
+enum class Type : std::uint8_t {
+  kNull, kBool, kInt, kDouble, kString, kArray, kObject,
+  kRaw,  ///< validated, already-serialized JSON text (see the notes above)
+};
 
 const char* ToString(Type type);
 
@@ -114,10 +130,11 @@ class Json {
 
   /// Structural equality. Int and double nodes compare equal when their
   /// numeric values are equal (2 == 2.0), matching round-trip expectations.
+  /// A raw node compares by the value its text parses to.
   friend bool operator==(const Json& a, const Json& b);
   friend bool operator!=(const Json& a, const Json& b) { return !(a == b); }
 
-  /// Compact serialization ({"a":1}).
+  /// Compact serialization ({"a":1}). A raw node's text is copied as is.
   std::string Dump() const;
 
   /// Pretty serialization with two-space indentation.
@@ -128,13 +145,19 @@ class Json {
   std::size_t DumpSize() const;
 
  private:
+  friend class Parser;
+
+  /// A raw node over `text`; only the parser makes one, from text it
+  /// has just accepted.
+  static Json Raw(std::string_view text);
+
   void DumpTo(std::string& out, int indent, int depth) const;
 
   Type type_;
   bool bool_ = false;
   std::int64_t int_ = 0;
   double double_ = 0.0;
-  std::string string_;
+  std::string string_;  ///< a string's value, or a raw node's text
   Array array_;
   Object object_;
 };
@@ -142,6 +165,13 @@ class Json {
 /// Parses a JSON document. Accepts exactly one top-level value; trailing
 /// whitespace is allowed, trailing content is an error.
 Result<Json> Parse(std::string_view text);
+
+/// Parses like Parse, with the same grammar, depth limit and errors, but
+/// when the document is an object its members named `rawKey` are only
+/// validated and kept as raw nodes holding their text. The wire
+/// (server::ReadMessage) is its caller: a hop that forwards a large
+/// member unread pays a validating scan instead of a DOM build and dump.
+Result<Json> ParseKeepingRaw(std::string_view text, std::string_view rawKey);
 
 /// Escapes `text` as the body of a JSON string literal (no quotes added).
 void EscapeStringInto(std::string_view text, std::string& out);

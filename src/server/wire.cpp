@@ -104,7 +104,8 @@ Result<json::Json> ReadMessage(net::Socket& socket,
   RVSS_RETURN_IF_ERROR(RecvSection(socket, text, header.jsonBytes, deadline));
   std::string blob;
   RVSS_RETURN_IF_ERROR(RecvSection(socket, blob, header.blobBytes, deadline));
-  RVSS_ASSIGN_OR_RETURN(json::Json message, json::Parse(text));
+  RVSS_ASSIGN_OR_RETURN(json::Json message,
+                        json::ParseKeepingRaw(text, "state"));
   if (!blob.empty()) {
     message.Set("blob", std::move(blob));
   }

@@ -2,14 +2,27 @@
 //
 // A message is one JSON document (a request or a response of the SimServer
 // command API). On the wire it becomes a common/framing.h frame whose two
-// sections split the document: a top-level string field named "blob" — the
-// base64 session payload of exportSession/importSession, by far the
-// largest thing the protocol carries — is detached and shipped in the
-// frame's binary section, everything else is serialized as JSON text. The
-// receiver reattaches the blob, so both ends observe identical documents
-// and the split is invisible above this layer. Detaching keeps multi-MiB
-// blobs out of the JSON writer and parser (no escape scanning, no string
-// re-copying) and gives a future binary codec a ready channel.
+// sections split the document. Two top-level fields are treated by name:
+//
+//   "blob"   a string: the base64 session payload of exportSession/
+//            importSession, by far the largest thing the protocol
+//            carries. It is detached and shipped in the frame's binary
+//            section; everything else is serialized as JSON text. The
+//            receiver reattaches it. Detaching keeps multi-MiB blobs out
+//            of the JSON writer and parser (no escape scanning, no string
+//            re-copying) and gives a future binary codec a ready channel.
+//   "state"  the rendered machine of step, stepBack, state, fastForward
+//            and restoreCheckpoint replies, >=99% of each. The reader
+//            validates it with the JSON parser's own grammar and depth
+//            limit and keeps it as a raw node (json.h) instead of a DOM,
+//            so the router and the gateway, which never read inside it,
+//            pass the worker's bytes on: WriteMessage copies the text. A
+//            malformed state is a parse error of the whole message.
+//
+// Every other field parses as usual, and both ends observe equal
+// documents: the split and the raw node are invisible above this layer
+// except to a reader that looks inside a state, which must call
+// json::Parse(state.Dump()).
 //
 // Read/write are synchronous with millisecond deadlines; every failure
 // (timeout, truncated frame, over-cap length, version mismatch) is a
@@ -47,7 +60,8 @@ Status WriteFrame(net::Socket& socket, std::string_view jsonText,
 Status WriteMessage(net::Socket& socket, json::Json message,
                     const WireOptions& options);
 
-/// Reads one frame and reassembles the message (reattaching the blob).
+/// Reads one frame and reassembles the message (reattaching the blob;
+/// a top-level "state" comes back as a raw node, see above).
 /// Buffers grow with the bytes received, not with the lengths the header
 /// declares, so a peer that stalls mid-frame costs only what it sent.
 Result<json::Json> ReadMessage(net::Socket& socket,

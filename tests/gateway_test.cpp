@@ -230,6 +230,91 @@ TEST(Gateway, ConcurrentClientsMatchSingleProcessByteIdentically) {
   }
 }
 
+/// The JSON section of the next frame on `socket`, byte for byte (a
+/// frame with a blob section reads as an error marker).
+std::string ReadFrameText(net::Socket& socket) {
+  char header[net::kFrameHeaderBytes];
+  if (!net::RecvAll(socket, header, sizeof header, 10'000).ok()) {
+    return "<no frame>";
+  }
+  auto decoded = net::DecodeFrameHeader(
+      std::string_view(header, sizeof header), net::kDefaultMaxFrameBytes);
+  if (!decoded.ok() || decoded.value().blobBytes != 0) return "<bad frame>";
+  std::string text(decoded.value().jsonBytes, '\0');
+  if (!net::RecvAll(socket, text.data(), text.size(), 10'000).ok()) {
+    return "<truncated frame>";
+  }
+  return text;
+}
+
+TEST(Gateway, RoutedStateRepliesAreByteIdenticalToABareServer) {
+  // Gateway -> router -> two forked socket workers. The router and the
+  // gateway pass each reply's state on as the worker's bytes, so every
+  // reply frame a client reads must equal a bare SimServer's serialized
+  // reply to the same request on a twin session.
+  shard::SpawnedFleet fleet;
+  shard::ShardRouter::Options routerOptions;
+  routerOptions.workerCount = 2;
+  routerOptions.transportFactory =
+      shard::MakeSpawningTransportFactory(&fleet, "gwbytes");
+  routerOptions.onWorkerShutdown = shard::MakeFleetReaper(&fleet);
+  shard::ShardRouter router(routerOptions);
+  ScopedGateway gw(
+      [&router](const json::Json& request) { return router.Handle(request); });
+  ASSERT_NE(gw.gateway, nullptr);
+  Client client(gw.address());
+
+  // One session on each worker, each with a twin on a bare server.
+  const json::Json create = Cmd(
+      "createSession",
+      {{"code", json::Json(kSpinLoop)}, {"entry", json::Json("main")}});
+  server::SimServer bare;
+  std::vector<std::pair<std::int64_t, std::int64_t>> sessions(2, {-1, -1});
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    json::Json created = client.Call(create);
+    ASSERT_EQ(created.GetString("status", ""), "ok") << created.Dump();
+    const std::int64_t worker = created.GetInt("worker", -1);
+    ASSERT_TRUE(worker == 0 || worker == 1) << created.Dump();
+    auto& [routed, twin] = sessions[static_cast<std::size_t>(worker)];
+    if (routed >= 0) continue;
+    routed = created.GetInt("sessionId", -1);
+    twin = bare.Handle(create).GetInt("sessionId", -1);
+    if (sessions[0].first >= 0 && sessions[1].first >= 0) break;
+  }
+  ASSERT_GE(sessions[0].first, 0);
+  ASSERT_GE(sessions[1].first, 0);
+
+  const std::vector<json::Json> requests = {
+      Cmd("fastForward", {{"instructions", json::Json(100)}}),
+      Cmd("step", {{"count", json::Json(5)}}),
+      Cmd("step", {{"count", json::Json(1)}, {"memory", json::Json(true)}}),
+      Cmd("stepBack"),
+      Cmd("state"),
+      Cmd("state", {{"memory", json::Json(true)}}),
+      Cmd("restoreCheckpoint", {{"cycle", json::Json(2)}}),
+      Cmd("step", {{"count", json::Json(1)}})};
+  for (const auto& [routed, twin] : sessions) {
+    for (const json::Json& request : requests) {
+      json::Json viaGateway = request;
+      viaGateway.Set("sessionId", routed);
+      json::Json direct = request;
+      direct.Set("sessionId", twin);
+      const std::string expected = bare.HandleRaw(direct.Dump());
+      ASSERT_NE(expected.find("\"state\":"), std::string::npos) << expected;
+      ASSERT_TRUE(server::WriteMessage(client.socket, viaGateway,
+                                       ClientWire())
+                      .ok());
+      EXPECT_EQ(ReadFrameText(client.socket), expected) << request.Dump();
+    }
+  }
+
+  // A client reading through the wire gets the state as raw text too.
+  json::Json state =
+      client.Call(Cmd("state", {{"sessionId", json::Json(sessions[0].first)}}));
+  ASSERT_NE(state.Find("state"), nullptr) << state.Dump();
+  EXPECT_EQ(state.Find("state")->type(), json::Type::kRaw);
+}
+
 // ---- misbehaving clients cost only themselves ------------------------------
 
 TEST(Gateway, PartialFramesFromASlowClientAreAssembled) {

@@ -1,12 +1,19 @@
 // JSON parser/writer tests and expression-interpreter unit tests.
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "config/cpu_config.h"
+#include "core/simulation.h"
 #include "expr/expression.h"
 #include "expr/value.h"
 #include "json/json.h"
+#include "ref/progen.h"
+#include "server/api.h"
+#include "server/state_renderer.h"
 
 namespace rvss {
 namespace {
@@ -110,6 +117,183 @@ TEST(Json, DeepNestingLimit) {
   std::string deep(500, '[');
   deep += std::string(500, ']');
   EXPECT_FALSE(json::Parse(deep).ok());
+}
+
+// ---- raw nodes: the wire's read of a reply's "state" ------------------------
+
+/// `text` wrapped as the value of a reply's top-level "state".
+std::string AsState(const std::string& text) {
+  return R"({"status":"ok","stepped":1,"state":)" + text + "}";
+}
+
+/// Brackets nested `depth` deep.
+std::string Nested(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+/// True when no node under `node` is raw.
+bool HasNoRawNode(const Json& node) {
+  if (node.type() == json::Type::kRaw) return false;
+  if (node.IsArray()) {
+    for (const Json& item : node.AsArray()) {
+      if (!HasNoRawNode(item)) return false;
+    }
+  }
+  if (node.IsObject()) {
+    for (const auto& [key, value] : node.AsObject()) {
+      if (!HasNoRawNode(value)) return false;
+    }
+  }
+  return true;
+}
+
+/// One grammar: the raw-keeping read and json::Parse accept the same
+/// documents, reject the rest with the same error at the same place, and
+/// agree on the value. On a canonical document (what Dump writes, so what
+/// every worker sends) the raw read dumps the same bytes.
+void ExpectSameVerdict(const std::string& doc) {
+  const auto dom = json::Parse(doc);
+  const auto kept = json::ParseKeepingRaw(doc, "state");
+  ASSERT_EQ(dom.ok(), kept.ok()) << doc;
+  if (!dom.ok()) {
+    EXPECT_EQ(dom.error().kind, kept.error().kind) << doc;
+    EXPECT_EQ(dom.error().message, kept.error().message) << doc;
+    EXPECT_EQ(dom.error().pos, kept.error().pos)
+        << doc << "\n" << dom.error().ToText() << "\n"
+        << kept.error().ToText();
+    return;
+  }
+  EXPECT_TRUE(HasNoRawNode(dom.value())) << doc;
+  EXPECT_EQ(kept.value(), dom.value()) << doc;
+  EXPECT_EQ(json::Parse(kept.value().Dump()).value().Dump(),
+            dom.value().Dump())
+      << doc;
+  if (dom.value().Dump() == doc) {
+    EXPECT_EQ(kept.value().Dump(), doc);
+  }
+}
+
+TEST(JsonRaw, RenderedStatesReadAsParseDoesAndDumpTheSameBytes) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    auto sim = core::Simulation::Create(config::DefaultConfig(),
+                                        ref::GenerateProgram(seed),
+                                        {{}, "main"});
+    ASSERT_TRUE(sim.ok()) << sim.error().ToText();
+    core::Simulation& s = *sim.value();
+    for (const std::uint64_t cycle : {0, 1, 17, 200}) {
+      while (s.cycle() < cycle && s.status() == core::SimStatus::kRunning) {
+        s.Step();
+      }
+      server::RenderOptions options;
+      options.includeMemoryDump = cycle == 17;
+      json::Json reply = server::OkResponse();
+      reply.Set("stepped", 1);
+      reply.Set("state", server::RenderJson(s, options));
+      const std::string doc = reply.Dump();
+      ExpectSameVerdict(doc);
+      const auto kept = json::ParseKeepingRaw(doc, "state");
+      ASSERT_TRUE(kept.ok());
+      EXPECT_EQ(kept.value().Find("state")->type(), json::Type::kRaw);
+      EXPECT_EQ(kept.value().Dump(), doc) << "seed " << seed;
+      EXPECT_EQ(kept.value().DumpSize(), doc.size());
+    }
+  }
+}
+
+TEST(JsonRaw, EveryTruncationAndByteCorruptionGetsTheSameVerdict) {
+  const std::string doc = AsState(
+      R"({"cycle":12,"pc":-4,"ipc":0.75,"big":1e300,)"
+      R"("text":"lw a0, 4(sp)\t\u00e9\ud83d\ude00","flags":[true,false,null],)"
+      R"("rob":[{"seq":1,"x":[]},{}]})");
+  ASSERT_TRUE(json::Parse(doc).ok());
+  for (std::size_t length = 0; length < doc.size(); ++length) {
+    ExpectSameVerdict(doc.substr(0, length));
+  }
+  for (std::size_t at = 0; at < doc.size(); ++at) {
+    for (int byte = 0; byte < 256; ++byte) {
+      std::string corrupted = doc;
+      corrupted[at] = static_cast<char>(byte);
+      ExpectSameVerdict(corrupted);
+    }
+  }
+}
+
+TEST(JsonRaw, MalformedAndEdgeValuesGetTheSameVerdict) {
+  const std::vector<std::string> values = {
+      // The malformed documents of RejectsMalformedDocuments.
+      "", "{", "[1,]", "{\"a\":}", "\"unterminated", "01x", "{} trailing",
+      "nul",
+      // Bad escapes, lone surrogates, raw control characters.
+      R"("\x")", R"("\u12")", R"("\u12g4")", R"("\)", R"("\ud800")",
+      R"("\ud800x")", R"("\ud800A")", R"("\udc00")", "\"a\nb\"",
+      "\"\x01\"", "\"\x1f\"", "\"\t\"",
+      // Numbers.
+      "-", "1.", "1e", "1e+", "-x", ".5", "+1", "1.5e-3", "-0", "1E5",
+      "99999999999999999999", "tru", "falsey",
+      // Structure, including errors past the first line.
+      "{\"a\" 1}", "{,}", "[", "{\"a\":1,}", "{\n  \"a\": [1,\n  2,\n  x]}",
+      "[\n\n  \"\n\"]", " [ 1 , 2 ] ", "{\"state\":{\"state\":[1,}}",
+      // Nesting around the depth limit.
+      Nested(254), Nested(255), Nested(256), Nested(257), Nested(258)};
+  for (const std::string& value : values) {
+    ExpectSameVerdict(value);
+    ExpectSameVerdict(AsState(value));
+    ExpectSameVerdict("{\"other\":" + value + "}");
+  }
+  // The depth limit counts the state's own level: nested 256 deep as a
+  // state it is accepted, 257 deep rejected, by both reads.
+  EXPECT_TRUE(json::ParseKeepingRaw(AsState(Nested(256)), "state").ok());
+  EXPECT_TRUE(json::Parse(AsState(Nested(256))).ok());
+  const auto tooDeep = json::ParseKeepingRaw(AsState(Nested(257)), "state");
+  ASSERT_FALSE(tooDeep.ok());
+  EXPECT_EQ(tooDeep.error().message, "nesting too deep");
+  EXPECT_FALSE(json::Parse(AsState(Nested(257))).ok());
+}
+
+TEST(JsonRaw, ARawNodeIsAnOpaqueLeafThatDumpsItsText) {
+  const std::string doc =
+      R"({"status":"ok","state" : {"cycle":3, "regs":[1,2.5,"x"]} ,)"
+      R"("note":{"state":1}})";
+  const auto kept = json::ParseKeepingRaw(doc, "state");
+  ASSERT_TRUE(kept.ok()) << kept.error().ToText();
+  const Json dom = json::Parse(doc).value();
+  const Json* state = kept.value().Find("state");
+  ASSERT_NE(state, nullptr);
+
+  // The text from the value's first byte to its last, copied as is.
+  EXPECT_EQ(state->type(), json::Type::kRaw);
+  EXPECT_STREQ(json::ToString(state->type()), "raw");
+  EXPECT_EQ(state->Dump(), R"({"cycle":3, "regs":[1,2.5,"x"]})");
+  EXPECT_EQ(kept.value().Dump(),
+            R"({"status":"ok","state":{"cycle":3, "regs":[1,2.5,"x"]},)"
+            R"("note":{"state":1}})");
+  EXPECT_EQ(state->DumpSize(), state->Dump().size());
+
+  // Opaque: no members, no type.
+  EXPECT_EQ(state->Find("cycle"), nullptr);
+  EXPECT_EQ(state->GetInt("cycle", -1), -1);
+  EXPECT_FALSE(state->IsObject() || state->IsArray() || state->IsString() ||
+               state->IsNumber() || state->IsBool() || state->IsNull());
+  EXPECT_EQ(json::Parse(state->Dump()).value().GetInt("cycle", -1), 3);
+
+  // Pretty output and equality go by the parsed value.
+  EXPECT_EQ(kept.value().DumpPretty(), dom.DumpPretty());
+  EXPECT_EQ(state->DumpPretty(), dom.Find("state")->DumpPretty());
+  EXPECT_EQ(*state, *dom.Find("state"));
+  EXPECT_EQ(*dom.Find("state"), *state);
+  EXPECT_EQ(kept.value(), dom);
+  EXPECT_EQ(kept.value(), json::ParseKeepingRaw(doc, "state").value());
+  EXPECT_NE(*state, Json(3));
+  EXPECT_NE(*state,
+            json::Parse(R"({"cycle":4,"regs":[1,2.5,"x"]})").value());
+
+  // Only a top-level member is kept raw, and json::Parse keeps none.
+  EXPECT_EQ(kept.value().Find("note")->GetInt("state", 0), 1);
+  EXPECT_TRUE(HasNoRawNode(dom));
+  EXPECT_TRUE(
+      HasNoRawNode(json::ParseKeepingRaw(R"(["state",{"a":1}])", "state")
+                       .value()));
 }
 
 // ---- expression values ------------------------------------------------------

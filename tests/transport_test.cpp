@@ -212,6 +212,88 @@ TEST(SocketTransport, TruncatedFrameFromPeerIsAStatusError) {
   ::waitpid(pid, &status, 0);
 }
 
+TEST(SocketTransport, MalformedStateFromAWorkerFailsClosed) {
+  // An "evil worker" that passes the hello handshake and admits a
+  // session, then answers a step inside an intact frame with a state the
+  // grammar rejects: a trailing comma, and on its next connection a
+  // state nested 300 deep. Each call must fail closed (kInternal, "may
+  // or may not have executed"): the router answers with an error
+  // envelope and forwards none of the reply. The call after each failure
+  // reconnects; the third connection answers properly.
+  const std::string address = MakeWorkerAddress("evil-state");
+  const std::vector<std::string> stepReplies = {
+      R"({"status":"ok","state":{"cycle":1,}})",
+      R"({"status":"ok","state":)" + std::string(300, '[') +
+          std::string(300, ']') + "}",
+      R"({"status":"ok","stepped":1,"state":{"cycle":1}})"};
+  std::fflush(stdout);
+  std::fflush(stderr);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    auto listener = net::ListenOn(address);
+    if (listener.ok()) {
+      server::WireOptions wire;
+      wire.ioTimeoutMs = 5'000;
+      for (const std::string& stepReply : stepReplies) {
+        auto connection = net::AcceptOn(listener.value(), 10'000);
+        if (!connection.ok()) break;
+        // Answer until the router hangs up.
+        while (true) {
+          auto request = server::ReadMessage(connection.value(), wire);
+          if (!request.ok()) break;
+          const std::string command =
+              request.value().GetString("command", "");
+          std::string answer = stepReply;
+          if (command == "hello") {
+            answer = server::MakeHelloResponse().Dump();
+          } else if (command == "createSession") {
+            answer = R"({"status":"ok","sessionId":1})";
+          }
+          if (!server::WriteFrame(connection.value(), answer, {}, wire).ok()) {
+            break;
+          }
+        }
+      }
+    }
+    ::_exit(0);
+  }
+
+  {
+    ShardRouter::Options options;
+    options.workerCount = 1;
+    SocketTransportOptions socketOptions;
+    socketOptions.ioTimeoutMs = 3'000;
+    options.transportFactory = [&](std::size_t,
+                                   const server::SimServer::Limits&)
+        -> Result<std::shared_ptr<WorkerTransport>> {
+      return std::shared_ptr<WorkerTransport>(
+          std::make_shared<SocketTransport>(address, socketOptions));
+    };
+    ShardRouter router(options);
+    json::Json created = router.Handle(
+        Cmd("createSession", {{"code", json::Json(kSpinLoop)}}));
+    ASSERT_EQ(created.GetString("status", ""), "ok") << created.Dump();
+    const json::Json step =
+        Cmd("step", {{"sessionId", created.GetInt("sessionId", -1)}});
+    for (int bad = 0; bad < 2; ++bad) {
+      json::Json answer = router.Handle(step);
+      testutil::CheckErrorEnvelope(answer);
+      EXPECT_EQ(testutil::ErrorField(answer, "kind"), "internal")
+          << answer.Dump();
+      EXPECT_NE(testutil::ErrorField(answer, "message")
+                    .find("may or may not have executed"),
+                std::string::npos)
+          << answer.Dump();
+      EXPECT_EQ(answer.Find("state"), nullptr) << answer.Dump();
+    }
+    json::Json good = router.Handle(step);
+    EXPECT_EQ(good.Dump(), stepReplies[2]);
+  }
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+}
+
 TEST(SocketTransport, OversizedRequestAndResponseAreRejectedByTheCap) {
   ScopedWorker spawned;
 
