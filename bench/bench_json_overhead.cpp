@@ -3,7 +3,11 @@
 //
 // Replays representative interactive `step` requests through the raw
 // byte-level server path and reports the time split between JSON work
-// (parse + serialize), the simulation itself, and compression.
+// (request parse, the state's streamed render, and the copy of its text
+// into the reply), the simulation itself, and compression. With --json
+// it writes BENCH_json_overhead.json: step_request_us (parse + step +
+// render + serialize, without compression; gated by a ceiling in
+// bench/baselines.json) and render_us.
 //
 // A second table times the router hop of one serialized step reply,
 // single-threaded: reading it the way server::ReadMessage does (the
@@ -27,12 +31,14 @@ std::uint64_t NowNs() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::JsonReport report("json_overhead", argc, argv);
   // Phase-by-phase measurement of one interactive `step` request:
   //   parse request JSON -> advance the simulation one cycle ->
-  //   build the JSON state object -> serialize it -> compress it.
+  //   render the state (streamed straight to text) -> copy that text
+  //   (the raw node's Dump) -> compress it.
   // "Working with the JSON format" (the paper's phrase) covers the
-  // request parse, the response-object construction and serialization.
+  // request parse, the state render and the copy.
   std::vector<std::unique_ptr<core::Simulation>> sims;
   for (const char* program : {bench::kSortC, bench::kFloatC}) {
     auto compiled = cc::Compile(program, cc::CompileOptions{2});
@@ -43,7 +49,7 @@ int main() {
   }
 
   const std::string request = R"({"command": "step", "sessionId": 1})";
-  std::uint64_t parseNs = 0, simNs = 0, buildNs = 0, serializeNs = 0,
+  std::uint64_t parseNs = 0, simNs = 0, renderNs = 0, serializeNs = 0,
                 compressNs = 0;
   std::size_t requests = 0;
   for (int round = 0; round < 400; ++round) {
@@ -64,37 +70,45 @@ int main() {
       if (round < 20) continue;
       parseNs += t1 - t0;
       simNs += t2 - t1;
-      buildNs += t3 - t2;
+      renderNs += t3 - t2;
       serializeNs += t4 - t3;
       compressNs += t5 - t4;
       ++requests;
     }
   }
 
-  const double total = static_cast<double>(parseNs + simNs + buildNs +
+  const double total = static_cast<double>(parseNs + simNs + renderNs +
                                            serializeNs + compressNs);
   std::printf("bench_json_overhead (E2) — request-handling time split\n");
   std::printf("requests measured: %zu\n\n", requests);
   std::printf("%-30s %10s %8s\n", "component", "us/req", "share");
+  const auto perRequestUs = [&](std::uint64_t ns) {
+    return static_cast<double>(ns) / 1e3 / static_cast<double>(requests);
+  };
   auto row = [&](const char* name, std::uint64_t ns) {
-    std::printf("%-30s %10.1f %7.1f%%\n", name,
-                static_cast<double>(ns) / 1e3 / static_cast<double>(requests),
+    std::printf("%-30s %10.1f %7.1f%%\n", name, perRequestUs(ns),
                 100.0 * static_cast<double>(ns) / total);
   };
   row("JSON parse (request)", parseNs);
   row("simulation step", simNs);
-  row("JSON build (state object)", buildNs);
-  row("JSON serialize (response)", serializeNs);
+  row("JSON render (streamed state)", renderNs);
+  row("JSON serialize (raw copy)", serializeNs);
   row("compression (slz)", compressNs);
+  const std::uint64_t stepRequestNs =
+      parseNs + simNs + renderNs + serializeNs;
   const double jsonShare =
-      static_cast<double>(parseNs + buildNs + serializeNs) / total;
+      static_cast<double>(parseNs + renderNs + serializeNs) / total;
   const double jsonShareNoGzip =
-      static_cast<double>(parseNs + buildNs + serializeNs) /
-      static_cast<double>(parseNs + simNs + buildNs + serializeNs);
+      static_cast<double>(parseNs + renderNs + serializeNs) /
+      static_cast<double>(stepRequestNs);
   std::printf("\nJSON share of request handling:  %.1f%% (incl. compression "
               "in total)\n", 100.0 * jsonShare);
   std::printf("JSON share excluding compression: %.1f%%   [paper: ~60%%]\n",
               100.0 * jsonShareNoGzip);
+  std::printf("step request without compression: %.1f us\n",
+              perRequestUs(stepRequestNs));
+  report.Set("step_request_us", perRequestUs(stepRequestNs));
+  report.Set("render_us", perRequestUs(renderNs));
 
   // The router hop: each program's step reply as the worker serializes
   // it, read and dumped again as the router and gateway would.

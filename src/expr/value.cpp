@@ -173,6 +173,18 @@ bool IsSignallingNan(double d) {
   return std::isnan(d) && (bits & 0x0008000000000000ULL) == 0;
 }
 
+// RISC-V writes the canonical NaN (positive, quiet, zero payload) wherever
+// an arithmetic result is NaN. A host FPU passes an operand's payload
+// through instead, and which operand it picks depends on the order the
+// compiler gave them, so FP results go through here.
+Value FpResult(float f) {
+  return Value::Float(std::isnan(f) ? BitsToFloat(0x7fc00000u) : f);
+}
+
+Value FpResult(double d) {
+  return Value::Double(std::isnan(d) ? BitsToDouble(0x7ff8000000000000ULL) : d);
+}
+
 template <typename T>
 std::int32_t ClassifyFp(T v) {
   const bool neg = std::signbit(v);
@@ -190,8 +202,8 @@ std::int32_t ClassifyFp(T v) {
 Value Add(Value a, Value b) {
   auto [kind, x, y] = Promote(a, b);
   switch (kind) {
-    case ValueKind::kFloat: return Value::Float(x.AsFloat() + y.AsFloat());
-    case ValueKind::kDouble: return Value::Double(x.AsDouble() + y.AsDouble());
+    case ValueKind::kFloat: return FpResult(x.AsFloat() + y.AsFloat());
+    case ValueKind::kDouble: return FpResult(x.AsDouble() + y.AsDouble());
     case ValueKind::kLong:
       return Value::Long(static_cast<std::int64_t>(
           x.AsUInt64() + y.AsUInt64()));
@@ -205,8 +217,8 @@ Value Add(Value a, Value b) {
 Value Sub(Value a, Value b) {
   auto [kind, x, y] = Promote(a, b);
   switch (kind) {
-    case ValueKind::kFloat: return Value::Float(x.AsFloat() - y.AsFloat());
-    case ValueKind::kDouble: return Value::Double(x.AsDouble() - y.AsDouble());
+    case ValueKind::kFloat: return FpResult(x.AsFloat() - y.AsFloat());
+    case ValueKind::kDouble: return FpResult(x.AsDouble() - y.AsDouble());
     case ValueKind::kLong:
       return Value::Long(static_cast<std::int64_t>(
           x.AsUInt64() - y.AsUInt64()));
@@ -220,8 +232,8 @@ Value Sub(Value a, Value b) {
 Value Mul(Value a, Value b) {
   auto [kind, x, y] = Promote(a, b);
   switch (kind) {
-    case ValueKind::kFloat: return Value::Float(x.AsFloat() * y.AsFloat());
-    case ValueKind::kDouble: return Value::Double(x.AsDouble() * y.AsDouble());
+    case ValueKind::kFloat: return FpResult(x.AsFloat() * y.AsFloat());
+    case ValueKind::kDouble: return FpResult(x.AsDouble() * y.AsDouble());
     case ValueKind::kLong:
       return Value::Long(static_cast<std::int64_t>(
           x.AsUInt64() * y.AsUInt64()));
@@ -235,8 +247,8 @@ Value Mul(Value a, Value b) {
 Value Div(Value a, Value b, EvalFlags& flags) {
   auto [kind, x, y] = Promote(a, b);
   switch (kind) {
-    case ValueKind::kFloat: return Value::Float(x.AsFloat() / y.AsFloat());
-    case ValueKind::kDouble: return Value::Double(x.AsDouble() / y.AsDouble());
+    case ValueKind::kFloat: return FpResult(x.AsFloat() / y.AsFloat());
+    case ValueKind::kDouble: return FpResult(x.AsDouble() / y.AsDouble());
     case ValueKind::kUInt: {
       if (y.AsUInt32() == 0) {
         flags.divByZero = true;
@@ -281,9 +293,9 @@ Value Rem(Value a, Value b, EvalFlags& flags) {
   auto [kind, x, y] = Promote(a, b);
   switch (kind) {
     case ValueKind::kFloat:
-      return Value::Float(std::fmod(x.AsFloat(), y.AsFloat()));
+      return FpResult(std::fmod(x.AsFloat(), y.AsFloat()));
     case ValueKind::kDouble:
-      return Value::Double(std::fmod(x.AsDouble(), y.AsDouble()));
+      return FpResult(std::fmod(x.AsDouble(), y.AsDouble()));
     case ValueKind::kUInt: {
       if (y.AsUInt32() == 0) {
         flags.divByZero = true;
@@ -460,24 +472,25 @@ Value Negate(Value a) {
 }
 
 Value Sqrt(Value a) {
-  if (a.kind() == ValueKind::kDouble) return Value::Double(std::sqrt(a.AsDouble()));
-  return Value::Float(std::sqrt(a.ConvertTo(ValueKind::kFloat).AsFloat()));
+  if (a.kind() == ValueKind::kDouble) return FpResult(std::sqrt(a.AsDouble()));
+  return FpResult(std::sqrt(a.ConvertTo(ValueKind::kFloat).AsFloat()));
 }
 
 Value Fma(Value a, Value b, Value c) {
   if (a.kind() == ValueKind::kDouble || b.kind() == ValueKind::kDouble ||
       c.kind() == ValueKind::kDouble) {
-    return Value::Double(std::fma(a.ConvertTo(ValueKind::kDouble).AsDouble(),
-                                  b.ConvertTo(ValueKind::kDouble).AsDouble(),
-                                  c.ConvertTo(ValueKind::kDouble).AsDouble()));
+    return FpResult(std::fma(a.ConvertTo(ValueKind::kDouble).AsDouble(),
+                             b.ConvertTo(ValueKind::kDouble).AsDouble(),
+                             c.ConvertTo(ValueKind::kDouble).AsDouble()));
   }
-  return Value::Float(std::fmaf(a.ConvertTo(ValueKind::kFloat).AsFloat(),
-                                b.ConvertTo(ValueKind::kFloat).AsFloat(),
-                                c.ConvertTo(ValueKind::kFloat).AsFloat()));
+  return FpResult(std::fmaf(a.ConvertTo(ValueKind::kFloat).AsFloat(),
+                            b.ConvertTo(ValueKind::kFloat).AsFloat(),
+                            c.ConvertTo(ValueKind::kFloat).AsFloat()));
 }
 
 namespace {
 
+// Two NaN operands return a NaN here, which FpResult makes canonical.
 template <typename T>
 T RiscvMin(T a, T b) {
   if (std::isnan(a)) return b;
@@ -499,9 +512,9 @@ T RiscvMax(T a, T b) {
 Value Min(Value a, Value b) {
   auto [kind, x, y] = Promote(a, b);
   switch (kind) {
-    case ValueKind::kFloat: return Value::Float(RiscvMin(x.AsFloat(), y.AsFloat()));
+    case ValueKind::kFloat: return FpResult(RiscvMin(x.AsFloat(), y.AsFloat()));
     case ValueKind::kDouble:
-      return Value::Double(RiscvMin(x.AsDouble(), y.AsDouble()));
+      return FpResult(RiscvMin(x.AsDouble(), y.AsDouble()));
     case ValueKind::kUInt:
       return Value::UInt(std::min(x.AsUInt32(), y.AsUInt32()));
     default: return Value::Int(std::min(x.AsInt32(), y.AsInt32()));
@@ -511,9 +524,9 @@ Value Min(Value a, Value b) {
 Value Max(Value a, Value b) {
   auto [kind, x, y] = Promote(a, b);
   switch (kind) {
-    case ValueKind::kFloat: return Value::Float(RiscvMax(x.AsFloat(), y.AsFloat()));
+    case ValueKind::kFloat: return FpResult(RiscvMax(x.AsFloat(), y.AsFloat()));
     case ValueKind::kDouble:
-      return Value::Double(RiscvMax(x.AsDouble(), y.AsDouble()));
+      return FpResult(RiscvMax(x.AsDouble(), y.AsDouble()));
     case ValueKind::kUInt:
       return Value::UInt(std::max(x.AsUInt32(), y.AsUInt32()));
     default: return Value::Int(std::max(x.AsInt32(), y.AsInt32()));
@@ -620,10 +633,10 @@ Value D2U(Value a, EvalFlags& flags) {
   return FpToUInt32(a.ConvertTo(ValueKind::kDouble).AsDouble(), flags);
 }
 Value F2D(Value a) {
-  return Value::Double(a.ConvertTo(ValueKind::kFloat).AsFloat());
+  return FpResult(static_cast<double>(a.ConvertTo(ValueKind::kFloat).AsFloat()));
 }
 Value D2F(Value a) {
-  return Value::Float(static_cast<float>(a.ConvertTo(ValueKind::kDouble).AsDouble()));
+  return FpResult(static_cast<float>(a.ConvertTo(ValueKind::kDouble).AsDouble()));
 }
 
 Value FloatBits(Value a) {

@@ -4,8 +4,9 @@
 // on the executing instruction; Value is the in-flight equivalent: 64 bits
 // of payload plus a kind tag. All RISC-V arithmetic corner cases (division
 // by zero, signed overflow division, NaN-propagating min/max, clamping
-// float-to-int conversion) are implemented here, in one place, so both the
-// out-of-order core and the golden-model ISS share them.
+// float-to-int conversion, the canonical NaN as every NaN result) are
+// implemented here, in one place, so both the out-of-order core and the
+// golden-model ISS share them.
 #pragma once
 
 #include <cstdint>
@@ -96,7 +97,9 @@ struct EvalFlags {
 
 /// Binary arithmetic with RISC-V semantics; operands are promoted to a
 /// common kind (Double > Float > ULong > Long > UInt > Int; Bool promotes
-/// to Int).
+/// to Int). An FP result that is NaN is the canonical NaN (0x7fc00000,
+/// 0x7ff8000000000000), here and in Sqrt, Fma, Min, Max, F2D and D2F;
+/// Negate, the sign injections and the fmv pair keep the operand's bits.
 Value Add(Value a, Value b);
 Value Sub(Value a, Value b);
 Value Mul(Value a, Value b);

@@ -1,10 +1,11 @@
 #include "json/json.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace rvss::json {
 
@@ -22,10 +23,10 @@ const char* ToString(Type type) {
   return "unknown";
 }
 
-Json Json::Raw(std::string_view text) {
+Json Json::Raw(std::string text) {
   Json node;
   node.type_ = Type::kRaw;
-  node.string_ = text;
+  node.string_ = std::move(text);
   return node;
 }
 
@@ -83,7 +84,8 @@ std::string Json::GetString(std::string_view key,
 
 bool operator==(const Json& a, const Json& b) {
   // A raw node's text was accepted by the parser at a nesting depth of at
-  // least one, so parsing it again as a document cannot fail.
+  // least one, or written by a Writer, so parsing it again as a document
+  // cannot fail (nothing writes a document past the parser's depth limit).
   if (a.type_ == Type::kRaw) return Parse(a.string_).value() == b;
   if (b.type_ == Type::kRaw) return a == Parse(b.string_).value();
   if (a.IsNumber() && b.IsNumber()) {
@@ -104,8 +106,16 @@ bool operator==(const Json& a, const Json& b) {
   return false;
 }
 
-void EscapeStringInto(std::string_view text, std::string& out) {
-  for (char c : text) {
+namespace {
+
+void AppendEscaped(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // start of the plain characters not yet copied
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -115,19 +125,13 @@ void EscapeStringInto(std::string_view text, std::string& out) {
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xf];
     }
   }
+  out.append(text, run, text.size() - run);
 }
-
-namespace {
 
 void AppendDouble(std::string& out, double value) {
   if (std::isnan(value)) {
@@ -138,108 +142,152 @@ void AppendDouble(std::string& out, double value) {
     out += value > 0 ? "1e999" : "-1e999";
     return;
   }
+  // The shortest %g precision that reads back to the value; 17 digits
+  // always do. to_chars with a precision writes exactly printf's bytes.
   char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  // Trim to shortest representation that round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char candidate[32];
-    std::snprintf(candidate, sizeof candidate, "%.*g", precision, value);
+  char* end = buffer;
+  for (int precision = 1; precision <= 17; ++precision) {
+    end = std::to_chars(buffer, buffer + sizeof buffer, value,
+                        std::chars_format::general, precision)
+              .ptr;
     double parsed = 0;
-    std::sscanf(candidate, "%lf", &parsed);
-    if (parsed == value) {
-      std::memcpy(buffer, candidate, sizeof candidate);
-      break;
-    }
+    std::from_chars(buffer, end, parsed);
+    if (parsed == value) break;
   }
-  out += buffer;
+  out.append(buffer, end);
   // Ensure the text re-parses as a double, not an int.
-  if (out.find_first_of(".eE", out.size() - std::strlen(buffer)) ==
-      std::string::npos) {
+  if (std::none_of(buffer, end,
+                   [](char c) { return c == '.' || c == 'e' || c == 'E'; })) {
     out += ".0";
   }
 }
 
+void NewLine(std::string& out, int indent) {
+  out += '\n';
+  out.append(static_cast<std::size_t>(indent), ' ');
+}
+
 }  // namespace
 
-void Json::DumpTo(std::string& out, int indent, int depth) const {
-  const bool pretty = indent > 0;
-  auto newline = [&](int d) {
-    if (!pretty) return;
-    out += '\n';
-    out.append(static_cast<std::size_t>(indent * d), ' ');
-  };
+void Writer::BeginValue() {
+  if (afterKey_) {
+    afterKey_ = false;
+  } else {
+    if (comma_) out_ += ',';
+    if (indent_ != 0 && depth_ != 0) NewLine(out_, indent_ * depth_);
+  }
+  comma_ = true;
+}
+
+void Writer::Open(char bracket) {
+  BeginValue();
+  out_ += bracket;
+  ++depth_;
+  comma_ = false;
+}
+
+void Writer::Close(char bracket) {
+  assert(depth_ > 0 && !afterKey_);
+  --depth_;
+  // A container that holds a value closes on its own line.
+  if (indent_ != 0 && comma_) NewLine(out_, indent_ * depth_);
+  out_ += bracket;
+  comma_ = true;
+}
+
+void Writer::BeginObject() { Open('{'); }
+void Writer::EndObject() { Close('}'); }
+void Writer::BeginArray() { Open('['); }
+void Writer::EndArray() { Close(']'); }
+
+Writer& Writer::Key(std::string_view key) {
+  BeginValue();
+  out_ += '"';
+  AppendEscaped(out_, key);
+  out_ += indent_ != 0 ? "\": " : "\":";
+  afterKey_ = true;
+  return *this;
+}
+
+void Writer::Null() {
+  BeginValue();
+  out_ += "null";
+}
+
+void Writer::Bool(bool value) {
+  BeginValue();
+  out_ += value ? "true" : "false";
+}
+
+void Writer::Int(std::int64_t value) {
+  BeginValue();
+  char buffer[24];
+  out_.append(buffer,
+              std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
+}
+
+void Writer::Double(double value) {
+  BeginValue();
+  AppendDouble(out_, value);
+}
+
+void Writer::String(std::string_view value) {
+  BeginValue();
+  out_ += '"';
+  AppendEscaped(out_, value);
+  out_ += '"';
+}
+
+void Writer::Raw(std::string_view text) {
+  BeginValue();
+  out_ += text;
+}
+
+Json Writer::Finish() && {
+  assert(depth_ == 0 && !out_.empty() && "one value, every container closed");
+  return Json::Raw(std::move(out_));
+}
+
+void Json::WriteTo(Writer& writer) const {
   switch (type_) {
-    case Type::kNull: out += "null"; return;
-    case Type::kBool: out += bool_ ? "true" : "false"; return;
-    case Type::kInt: out += std::to_string(int_); return;
-    case Type::kDouble: AppendDouble(out, double_); return;
+    case Type::kNull: writer.Null(); return;
+    case Type::kBool: writer.Bool(bool_); return;
+    case Type::kInt: writer.Int(int_); return;
+    case Type::kDouble: writer.Double(double_); return;
+    case Type::kString: writer.String(string_); return;
     case Type::kRaw:
-      if (pretty) {
-        Parse(string_).value().DumpTo(out, indent, depth);
+      if (writer.indent_ != 0) {
+        Parse(string_).value().WriteTo(writer);
       } else {
-        out += string_;
+        writer.Raw(string_);
       }
       return;
-    case Type::kString:
-      out += '"';
-      EscapeStringInto(string_, out);
-      out += '"';
+    case Type::kArray:
+      writer.BeginArray();
+      for (const Json& item : array_) item.WriteTo(writer);
+      writer.EndArray();
       return;
-    case Type::kArray: {
-      if (array_.empty()) {
-        out += "[]";
-        return;
+    case Type::kObject:
+      writer.BeginObject();
+      for (const auto& [key, value] : object_) {
+        writer.Key(key);
+        value.WriteTo(writer);
       }
-      out += '[';
-      for (std::size_t i = 0; i < array_.size(); ++i) {
-        if (i != 0) out += ',';
-        newline(depth + 1);
-        array_[i].DumpTo(out, indent, depth + 1);
-      }
-      newline(depth);
-      out += ']';
+      writer.EndObject();
       return;
-    }
-    case Type::kObject: {
-      if (object_.empty()) {
-        out += "{}";
-        return;
-      }
-      out += '{';
-      for (std::size_t i = 0; i < object_.size(); ++i) {
-        if (i != 0) out += ',';
-        newline(depth + 1);
-        out += '"';
-        EscapeStringInto(object_[i].first, out);
-        out += pretty ? "\": " : "\":";
-        object_[i].second.DumpTo(out, indent, depth + 1);
-      }
-      newline(depth);
-      out += '}';
-      return;
-    }
   }
 }
 
 std::string Json::Dump() const {
-  std::string out;
-  DumpTo(out, 0, 0);
-  return out;
+  Writer writer;
+  WriteTo(writer);
+  return std::move(writer).Finish().string_;
 }
 
 std::string Json::DumpPretty() const {
-  std::string out;
-  DumpTo(out, 2, 0);
-  return out;
-}
-
-std::size_t Json::DumpSize() const {
-  // Exact by construction: serialize into a reusable thread-local scratch
-  // buffer instead of duplicating DumpTo with a counting variant.
-  thread_local std::string scratch;
-  scratch.clear();
-  DumpTo(scratch, 0, 0);
-  return scratch.size();
+  Writer writer(2);
+  WriteTo(writer);
+  return std::move(writer).Finish().string_;
 }
 
 /// Recursive-descent JSON parser tracking line/column for diagnostics.
@@ -247,7 +295,7 @@ std::size_t Json::DumpSize() const {
 /// validates, through the same code. So a value kept raw is exactly a
 /// value the DOM parse accepts, and a rejected one fails with the same
 /// error at the same position either way. Not in an anonymous namespace:
-/// it is Json's friend, the one maker of raw nodes.
+/// it is Json's friend, a maker of raw nodes.
 class Parser {
  public:
   Parser(std::string_view text, std::string_view rawKey)
@@ -345,8 +393,9 @@ class Parser {
       } else if (depth == 0 && !rawKey_.empty() && key == rawKey_) {
         const std::size_t start = pos_;
         RVSS_RETURN_IF_ERROR(ParseValue(depth + 1, nullptr));
-        object->emplace_back(std::move(key),
-                             Json::Raw(text_.substr(start, pos_ - start)));
+        object->emplace_back(
+            std::move(key),
+            Json::Raw(std::string(text_.substr(start, pos_ - start))));
       } else {
         Json& value = object->emplace_back(std::move(key), Json()).second;
         RVSS_RETURN_IF_ERROR(ParseValue(depth + 1, &value));

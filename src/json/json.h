@@ -13,14 +13,23 @@
 //    otherwise as double. `AsDouble()` converts transparently.
 //  * The parser is a single-pass recursive-descent parser with a depth
 //    limit; it reports line/column on errors.
-//  * A raw node (Type::kRaw) is a value kept as the serialized text the
-//    parser accepted, so a hop that only forwards it never builds or
-//    dumps its DOM. Only ParseKeepingRaw makes one, and only for the
-//    top-level members it names; json::Parse never does. The grammar is
-//    the parser's own: validating and DOM building are the same code, so
-//    a raw node holds exactly the text Parse would accept at that depth.
+//  * One serializer: a json::Writer appends a document's text to one
+//    buffer as it is written, without building a DOM. Json::Dump and
+//    DumpPretty are a walk of the DOM into a Writer, so a streamed
+//    document and a DOM dump format each key, string, int and double in
+//    the same place and cannot differ byte for byte.
+//  * A raw node (Type::kRaw) is a value kept as serialized text, so a hop
+//    that only forwards it never builds or dumps its DOM. Two things make
+//    one, and nothing else does:
+//      - the parser, from text it has just accepted: ParseKeepingRaw keeps
+//        the top-level members it names raw (json::Parse never does). The
+//        grammar is the parser's own: validating and DOM building are the
+//        same code, so such a node holds exactly the text Parse would
+//        accept at that depth;
+//      - Writer::Finish, from the text the Writer wrote (the rendered
+//        machine state is one, server/state_renderer.h).
 //    Semantics:
-//      - Dump and DumpSize copy the text.
+//      - Dump copies the text.
 //      - DumpPretty prints the parsed value, so pretty output does not
 //        change.
 //      - operator== compares by value: it parses the raw side.
@@ -41,6 +50,7 @@
 namespace rvss::json {
 
 class Json;
+class Writer;
 
 /// Ordered key-value storage for objects. Lookup is linear; rvss objects are
 /// small (tens of keys), and preserving author order matters more here.
@@ -88,9 +98,12 @@ class Json {
   bool IsArray() const { return type_ == Type::kArray; }
   bool IsObject() const { return type_ == Type::kObject; }
 
-  /// Typed accessors; behaviour is checked (aborts) in debug builds and
-  /// defined (returns zero value) otherwise. Prefer the Get* forms below
-  /// for untrusted input.
+  /// Typed accessors. None checks the type or aborts: on another type
+  /// AsBool returns false, AsInt and AsDouble return 0 (between int and
+  /// double they convert), and AsString, AsArray and AsObject return this
+  /// node's own member, which is empty unless the node has that type (a
+  /// raw node's AsString is its text). Prefer the Get* forms below for
+  /// untrusted input.
   bool AsBool() const { return IsBool() ? bool_ : false; }
   std::int64_t AsInt() const {
     if (IsInt()) return int_;
@@ -140,18 +153,17 @@ class Json {
   /// Pretty serialization with two-space indentation.
   std::string DumpPretty() const;
 
-  /// Serialized size in bytes without building the string (used by the
-  /// load model to cost payloads cheaply).
-  std::size_t DumpSize() const;
-
  private:
   friend class Parser;
+  friend class Writer;
 
-  /// A raw node over `text`; only the parser makes one, from text it
-  /// has just accepted.
-  static Json Raw(std::string_view text);
+  /// A raw node holding `text`; only the parser and Writer::Finish make
+  /// one (see the notes above).
+  static Json Raw(std::string text);
 
-  void DumpTo(std::string& out, int indent, int depth) const;
+  /// Writes this value into `writer`: the one walk behind Dump and
+  /// DumpPretty.
+  void WriteTo(Writer& writer) const;
 
   Type type_;
   bool bool_ = false;
@@ -173,7 +185,57 @@ Result<Json> Parse(std::string_view text);
 /// member unread pays a validating scan instead of a DOM build and dump.
 Result<Json> ParseKeepingRaw(std::string_view text, std::string_view rawKey);
 
-/// Escapes `text` as the body of a JSON string literal (no quotes added).
-void EscapeStringInto(std::string_view text, std::string& out);
+/// Streams one JSON value into a buffer, writing exactly the bytes
+/// Json::Dump writes for the equivalent DOM (same member order, same
+/// number and string formatting). Calls describe one value: inside an
+/// object each value follows its Key, and each Begin* is closed by the
+/// matching End*. A call out of that order is a program bug, not an
+/// input error: debug builds assert that every container was closed
+/// and that no End* closes a key or an unopened container; release
+/// builds check nothing.
+class Writer {
+ public:
+  Writer() = default;
+
+  void BeginObject();
+  void EndObject();
+  void BeginArray();
+  void EndArray();
+  /// Writes an object member's key; the next call writes its value.
+  Writer& Key(std::string_view key);
+  void Null();
+  void Bool(bool value);
+  void Int(std::int64_t value);
+  /// NaN is written as null and an infinity as +-1e999; a finite value
+  /// as the shortest %g text that reads back to it, with ".0" appended
+  /// when that text would read back as an int.
+  void Double(double value);
+  void String(std::string_view value);
+
+  /// The text written, as a raw node; the buffer is moved into the node,
+  /// not copied.
+  Json Finish() &&;
+
+ private:
+  friend class Json;
+
+  /// Pretty output indented `indent` spaces per level: only DumpPretty
+  /// selects it.
+  explicit Writer(int indent) : indent_(indent) {}
+
+  /// Writes what precedes a value or a key: a comma after the previous
+  /// member, and in pretty output a line break and the indentation.
+  void BeginValue();
+  void Open(char bracket);
+  void Close(char bracket);
+  /// Copies a raw node's text as one value.
+  void Raw(std::string_view text);
+
+  std::string out_;
+  int indent_ = 0;
+  int depth_ = 0;          ///< containers open
+  bool comma_ = false;     ///< a value at this level precedes the next
+  bool afterKey_ = false;  ///< the next value belongs to the key just written
+};
 
 }  // namespace rvss::json

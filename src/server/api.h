@@ -128,7 +128,10 @@ class SimServer {
 
   const Limits& limits() const { return limits_; }
 
-  /// Structured entry point (no serialization cost).
+  /// Structured entry point (no request parse or reply dump). A reply's
+  /// rendered "state" is a raw node (server/state_renderer.h), as on the
+  /// wire: Dump gives its bytes, and a reader that looks inside it calls
+  /// json::Parse(state.Dump()).
   json::Json Handle(const json::Json& request);
 
   /// Byte-level entry point: parses, dispatches, serializes, optionally

@@ -1,59 +1,71 @@
 #include "server/state_renderer.h"
 
+#include <charconv>
+#include <iterator>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "common/strings.h"
 
 namespace rvss::server {
 namespace {
 
-json::Json InstructionToJson(const core::InFlightPtr& inst) {
-  json::Json node = json::Json::MakeObject();
-  node.Set("seq", static_cast<std::int64_t>(inst->seq));
-  node.Set("pc", static_cast<std::int64_t>(inst->pc));
-  node.Set("text", inst->inst->text);
-  node.Set("phase", core::ToString(inst->phase));
+void WriteInstruction(json::Writer& w, const core::InFlightPtr& inst) {
+  w.BeginObject();
+  w.Key("seq").Int(static_cast<std::int64_t>(inst->seq));
+  w.Key("pc").Int(inst->pc);
+  w.Key("text").String(inst->inst->text);
+  w.Key("phase").String(core::ToString(inst->phase));
   if (inst->isControl) {
-    node.Set("predictedTaken", inst->predictedTaken);
-    node.Set("btbHit", inst->btbHit);
+    w.Key("predictedTaken").Bool(inst->predictedTaken);
+    w.Key("btbHit").Bool(inst->btbHit);
   }
   if (inst->inst->def->IsMemory()) {
-    node.Set("addressReady", inst->addressReady);
+    w.Key("addressReady").Bool(inst->addressReady);
     if (inst->addressReady) {
-      node.Set("address", static_cast<std::int64_t>(inst->effectiveAddress));
-      node.Set("cacheHit", inst->cacheHit);
+      w.Key("address").Int(inst->effectiveAddress);
+      w.Key("cacheHit").Bool(inst->cacheHit);
     }
   }
-  json::Json operands = json::Json::MakeArray();
+  w.Key("operands").BeginArray();
   for (std::size_t i = 0; i < inst->operandCount; ++i) {
     const core::OperandRuntime& operand = inst->operands[i];
-    json::Json opNode = json::Json::MakeObject();
-    opNode.Set("name", inst->inst->def->args[i].name);
+    w.BeginObject();
+    w.Key("name").String(inst->inst->def->args[i].name);
     if (operand.isSource) {
-      opNode.Set("valid", operand.ready);
-      if (operand.ready) opNode.Set("value", operand.value.ToText());
-      if (operand.waitTag >= 0) opNode.Set("waitTag", operand.waitTag);
+      w.Key("valid").Bool(operand.ready);
+      if (operand.ready) w.Key("value").String(operand.value.ToText());
+      if (operand.waitTag >= 0) w.Key("waitTag").Int(operand.waitTag);
     }
     if (operand.isDest && operand.destTag >= 0) {
-      opNode.Set("renamedTo", operand.destTag);
+      w.Key("renamedTo").Int(operand.destTag);
     }
-    operands.Append(std::move(opNode));
+    w.EndObject();
   }
-  node.Set("operands", std::move(operands));
-  json::Json times = json::Json::MakeObject();
-  times.Set("fetch", static_cast<std::int64_t>(inst->fetchCycle));
-  times.Set("decode", static_cast<std::int64_t>(inst->decodeCycle));
-  times.Set("issue", static_cast<std::int64_t>(inst->issueCycle));
-  times.Set("execute", static_cast<std::int64_t>(inst->executeDoneCycle));
-  times.Set("commit", static_cast<std::int64_t>(inst->commitCycle));
-  node.Set("timestamps", std::move(times));
-  return node;
+  w.EndArray();
+  w.Key("timestamps").BeginObject();
+  w.Key("fetch").Int(static_cast<std::int64_t>(inst->fetchCycle));
+  w.Key("decode").Int(static_cast<std::int64_t>(inst->decodeCycle));
+  w.Key("issue").Int(static_cast<std::int64_t>(inst->issueCycle));
+  w.Key("execute").Int(static_cast<std::int64_t>(inst->executeDoneCycle));
+  w.Key("commit").Int(static_cast<std::int64_t>(inst->commitCycle));
+  w.EndObject();
+  w.EndObject();
 }
 
-json::Json QueueToJson(const std::deque<core::InFlightPtr>& queue) {
-  json::Json out = json::Json::MakeArray();
-  for (const core::InFlightPtr& inst : queue) {
-    out.Append(InstructionToJson(inst));
-  }
-  return out;
+template <typename Queue>
+void WriteQueue(json::Writer& w, const Queue& queue) {
+  w.BeginArray();
+  for (const core::InFlightPtr& inst : queue) WriteInstruction(w, inst);
+  w.EndArray();
+}
+
+/// A register value as "0x%llx" text.
+void WriteHex(json::Writer& w, std::uint64_t value) {
+  char text[18] = {'0', 'x'};
+  const char* end = std::to_chars(text + 2, std::end(text), value, 16).ptr;
+  w.String(std::string_view(text, static_cast<std::size_t>(end - text)));
 }
 
 const char* WindowName(core::WindowKind kind) {
@@ -70,141 +82,134 @@ const char* WindowName(core::WindowKind kind) {
 
 json::Json RenderJson(const core::Simulation& sim,
                       const RenderOptions& options) {
-  json::Json root = json::Json::MakeObject();
-  root.Set("cycle", static_cast<std::int64_t>(sim.cycle()));
-  root.Set("status", core::ToString(sim.status()));
-  root.Set("finishReason", core::ToString(sim.finishReason()));
-  root.Set("fetchPc", static_cast<std::int64_t>(sim.fetchPc()));
+  json::Writer w;
+  w.BeginObject();
+  w.Key("cycle").Int(static_cast<std::int64_t>(sim.cycle()));
+  w.Key("status").String(core::ToString(sim.status()));
+  w.Key("finishReason").String(core::ToString(sim.finishReason()));
+  w.Key("fetchPc").Int(sim.fetchPc());
 
-  root.Set("fetchQueue", QueueToJson(sim.fetchQueue()));
-  root.Set("reorderBuffer", QueueToJson(sim.rob()));
-  root.Set("loadBuffer", QueueToJson(sim.loadBuffer()));
-  root.Set("storeBuffer", QueueToJson(sim.storeBuffer()));
+  WriteQueue(w.Key("fetchQueue"), sim.fetchQueue());
+  WriteQueue(w.Key("reorderBuffer"), sim.rob());
+  WriteQueue(w.Key("loadBuffer"), sim.loadBuffer());
+  WriteQueue(w.Key("storeBuffer"), sim.storeBuffer());
 
-  json::Json windows = json::Json::MakeObject();
-  for (int w = 0; w < 4; ++w) {
-    const auto kind = static_cast<core::WindowKind>(w);
-    json::Json entries = json::Json::MakeArray();
-    for (const core::InFlightPtr& inst : sim.window(kind)) {
-      entries.Append(InstructionToJson(inst));
-    }
-    windows.Set(WindowName(kind), std::move(entries));
+  w.Key("issueWindows").BeginObject();
+  for (int kind = 0; kind < 4; ++kind) {
+    const auto window = static_cast<core::WindowKind>(kind);
+    WriteQueue(w.Key(WindowName(window)), sim.window(window));
   }
-  root.Set("issueWindows", std::move(windows));
+  w.EndObject();
 
-  json::Json units = json::Json::MakeArray();
+  w.Key("functionalUnits").BeginArray();
   for (const core::FunctionalUnit& fu : sim.functionalUnits()) {
-    json::Json unit = json::Json::MakeObject();
-    unit.Set("name", fu.config.name);
-    unit.Set("kind", config::ToString(fu.config.kind));
-    unit.Set("busy", fu.current != nullptr);
+    w.BeginObject();
+    w.Key("name").String(fu.config.name);
+    w.Key("kind").String(config::ToString(fu.config.kind));
+    w.Key("busy").Bool(fu.current != nullptr);
     if (fu.current) {
-      unit.Set("instruction", InstructionToJson(fu.current));
-      unit.Set("busyUntil", static_cast<std::int64_t>(fu.busyUntil));
+      w.Key("instruction");
+      WriteInstruction(w, fu.current);
+      w.Key("busyUntil").Int(static_cast<std::int64_t>(fu.busyUntil));
     }
-    units.Append(std::move(unit));
+    w.EndObject();
   }
-  root.Set("functionalUnits", std::move(units));
+  w.EndArray();
 
   // Registers with rename tags and valid bits (paper main-window panel).
-  json::Json registers = json::Json::MakeObject();
-  auto renderRegFile = [&](isa::RegisterKind kind, const char* key) {
-    json::Json file = json::Json::MakeArray();
+  w.Key("registers").BeginObject();
+  for (const auto& [kind, key] : {std::pair{isa::RegisterKind::kInt, "x"},
+                                  std::pair{isa::RegisterKind::kFp, "f"}}) {
+    w.Key(key).BeginArray();
     for (std::uint8_t i = 0; i < 32; ++i) {
       const isa::RegisterId id{kind, i};
-      json::Json reg = json::Json::MakeObject();
-      reg.Set("name", isa::RegisterAbiName(id));
-      reg.Set("value", StrFormat("0x%llx", static_cast<unsigned long long>(
-                                               sim.archRegs().Read(id))));
-      std::vector<int> renames = sim.rename().RenamesOf(id);
+      w.BeginObject();
+      w.Key("name").String(isa::RegisterAbiName(id));
+      WriteHex(w.Key("value"), sim.archRegs().Read(id));
+      const std::vector<int> renames = sim.rename().RenamesOf(id);
       if (!renames.empty()) {
-        json::Json tags = json::Json::MakeArray();
-        for (int tag : renames) {
-          json::Json tagNode = json::Json::MakeObject();
-          tagNode.Set("tag", tag);
-          tagNode.Set("valid", sim.rename().reg(tag).valid);
-          if (sim.rename().reg(tag).valid) {
-            tagNode.Set("value",
-                        StrFormat("0x%llx", static_cast<unsigned long long>(
-                                                sim.rename().reg(tag).cell)));
-          }
-          tags.Append(std::move(tagNode));
+        w.Key("renames").BeginArray();
+        for (const int tag : renames) {
+          const bool valid = sim.rename().reg(tag).valid;
+          w.BeginObject();
+          w.Key("tag").Int(tag);
+          w.Key("valid").Bool(valid);
+          if (valid) WriteHex(w.Key("value"), sim.rename().reg(tag).cell);
+          w.EndObject();
         }
-        reg.Set("renames", std::move(tags));
+        w.EndArray();
       }
-      file.Append(std::move(reg));
+      w.EndObject();
     }
-    registers.Set(key, std::move(file));
-  };
-  renderRegFile(isa::RegisterKind::kInt, "x");
-  renderRegFile(isa::RegisterKind::kFp, "f");
-  root.Set("registers", std::move(registers));
+    w.EndArray();
+  }
+  w.EndObject();
 
   // Cache lines (paper main-window cache panel).
   if (const memory::Cache* cache = sim.memorySystem().cache()) {
-    json::Json cacheNode = json::Json::MakeObject();
-    cacheNode.Set("sets", static_cast<std::int64_t>(cache->setCount()));
-    cacheNode.Set("ways", static_cast<std::int64_t>(cache->ways()));
-    cacheNode.Set("lineSize", static_cast<std::int64_t>(cache->lineSize()));
-    json::Json lines = json::Json::MakeArray();
+    w.Key("cache").BeginObject();
+    w.Key("sets").Int(cache->setCount());
+    w.Key("ways").Int(cache->ways());
+    w.Key("lineSize").Int(cache->lineSize());
+    w.Key("lines").BeginArray();
     for (std::uint32_t set = 0; set < cache->setCount(); ++set) {
       for (std::uint32_t way = 0; way < cache->ways(); ++way) {
         const memory::CacheLineView view = cache->Inspect(set, way);
-        json::Json line = json::Json::MakeObject();
-        line.Set("set", static_cast<std::int64_t>(set));
-        line.Set("way", static_cast<std::int64_t>(way));
-        line.Set("valid", view.valid);
-        line.Set("dirty", view.dirty);
+        w.BeginObject();
+        w.Key("set").Int(set);
+        w.Key("way").Int(way);
+        w.Key("valid").Bool(view.valid);
+        w.Key("dirty").Bool(view.dirty);
         if (view.valid) {
-          line.Set("base", static_cast<std::int64_t>(view.baseAddress));
-          line.Set("lastUse", static_cast<std::int64_t>(view.lastUseCycle));
+          w.Key("base").Int(view.baseAddress);
+          w.Key("lastUse").Int(static_cast<std::int64_t>(view.lastUseCycle));
         }
-        lines.Append(std::move(line));
+        w.EndObject();
       }
     }
-    cacheNode.Set("lines", std::move(lines));
-    root.Set("cache", std::move(cacheNode));
+    w.EndArray();
+    w.EndObject();
   }
 
   // Statistics sidebar (default + expanded views).
   const stats::SimulationStatistics& st = sim.statistics();
-  json::Json sidebar = json::Json::MakeObject();
-  sidebar.Set("cycles", static_cast<std::int64_t>(st.cycles));
-  sidebar.Set("committed", static_cast<std::int64_t>(st.committedInstructions));
+  w.Key("statistics").BeginObject();
+  w.Key("cycles").Int(static_cast<std::int64_t>(st.cycles));
+  w.Key("committed").Int(static_cast<std::int64_t>(st.committedInstructions));
   // Present whenever the session's timeline began with an ISS skip — the
   // `stats` statistics document reports the same field, and a GUI must be
   // able to tell a fresh session from a fast-forwarded one in either view.
-  sidebar.Set("fastForwardedInstructions",
-              static_cast<std::int64_t>(st.fastForwardedInstructions));
-  sidebar.Set("ipc", st.Ipc());
-  sidebar.Set("branchAccuracy", st.BranchAccuracy());
-  sidebar.Set("flops", static_cast<std::int64_t>(st.flops));
-  sidebar.Set("cacheHitRate", sim.memorySystem().stats().HitRate());
-  root.Set("statistics", std::move(sidebar));
+  w.Key("fastForwardedInstructions")
+      .Int(static_cast<std::int64_t>(st.fastForwardedInstructions));
+  w.Key("ipc").Double(st.Ipc());
+  w.Key("branchAccuracy").Double(st.BranchAccuracy());
+  w.Key("flops").Int(static_cast<std::int64_t>(st.flops));
+  w.Key("cacheHitRate").Double(sim.memorySystem().stats().HitRate());
+  w.EndObject();
 
   // Debug log tail, cycle-stamped (paper right-hand panel).
-  json::Json logNode = json::Json::MakeArray();
+  w.Key("log").BeginArray();
   const auto& entries = sim.log().entries();
   const std::size_t start =
       entries.size() > options.logTail ? entries.size() - options.logTail : 0;
   for (std::size_t i = start; i < entries.size(); ++i) {
-    json::Json entry = json::Json::MakeObject();
-    entry.Set("cycle", static_cast<std::int64_t>(entries[i].cycle));
-    entry.Set("level", ToString(entries[i].level));
-    entry.Set("block", entries[i].block);
-    entry.Set("text", entries[i].text);
-    logNode.Append(std::move(entry));
+    w.BeginObject();
+    w.Key("cycle").Int(static_cast<std::int64_t>(entries[i].cycle));
+    w.Key("level").String(ToString(entries[i].level));
+    w.Key("block").String(entries[i].block);
+    w.Key("text").String(entries[i].text);
+    w.EndObject();
   }
-  root.Set("log", std::move(logNode));
+  w.EndArray();
 
   if (options.includeMemoryDump) {
     // The paper's memory pop-up: pointers plus an expanded dump.
-    json::Json memoryNode = json::Json::MakeObject();
-    json::Json symbols = json::Json::MakeObject();
+    w.Key("memory").BeginObject();
+    w.Key("symbols").BeginObject();
     for (const auto& [name, address] : sim.program().labels) {
-      symbols.Set(name, static_cast<std::int64_t>(address));
+      w.Key(name).Int(address);
     }
-    memoryNode.Set("symbols", std::move(symbols));
+    w.EndObject();
     const auto bytes = sim.memorySystem().memory().bytes();
     std::string hex;
     hex.reserve(bytes.size() * 2);
@@ -213,10 +218,11 @@ json::Json RenderJson(const core::Simulation& sim,
       hex += kDigits[b >> 4];
       hex += kDigits[b & 0xf];
     }
-    memoryNode.Set("dumpHex", std::move(hex));
-    root.Set("memory", std::move(memoryNode));
+    w.Key("dumpHex").String(hex);
+    w.EndObject();
   }
-  return root;
+  w.EndObject();
+  return std::move(w).Finish();
 }
 
 std::string RenderText(const core::Simulation& sim) {

@@ -20,7 +20,9 @@ struct RenderOptions {
   std::uint32_t logTail = 16;      ///< most recent log entries to include
 };
 
-/// Full processor-state snapshot as JSON.
+/// Full processor-state snapshot as JSON, streamed through one
+/// json::Writer (no DOM is built) and returned as a raw node (json.h):
+/// Dump copies its bytes; to read inside it, json::Parse(state.Dump()).
 json::Json RenderJson(const core::Simulation& sim,
                       const RenderOptions& options = {});
 

@@ -16,8 +16,10 @@
 //            validates it with the JSON parser's own grammar and depth
 //            limit and keeps it as a raw node (json.h) instead of a DOM,
 //            so the router and the gateway, which never read inside it,
-//            pass the worker's bytes on: WriteMessage copies the text. A
-//            malformed state is a parse error of the whole message.
+//            pass the worker's bytes on: WriteMessage copies the text.
+//            The worker's reply holds it raw too (RenderJson writes
+//            text), so no hop dumps a DOM of it. A malformed state is a
+//            parse error of the whole message.
 //
 // Every other field parses as usual, and both ends observe equal
 // documents: the split and the raw node are invisible above this layer

@@ -69,6 +69,13 @@ json::Json Parse(const std::string& text) {
   return result.ok() ? result.value() : json::Json();
 }
 
+/// A reply's rendered state, parsed: Handle returns it as a raw node.
+json::Json StateOf(const json::Json& reply) {
+  const json::Json* state = reply.Find("state");
+  EXPECT_NE(state, nullptr) << reply.Dump();
+  return state == nullptr ? json::Json() : Parse(state->Dump());
+}
+
 TEST(Api, CompileCommand) {
   SimServer server;
   json::Json request = Parse(R"({"command": "compile", "optLevel": 1,
@@ -116,14 +123,14 @@ TEST(Api, SessionLifecycleAndStepping) {
   stepRequest.Set("count", 3);
   json::Json stepped = server.Handle(stepRequest);
   ASSERT_EQ(stepped.GetString("status", ""), "ok");
-  EXPECT_EQ(stepped.Find("state")->GetInt("cycle", -1), 3);
+  EXPECT_EQ(StateOf(stepped).GetInt("cycle", -1), 3);
 
   json::Json back = json::Json::MakeObject();
   back.Set("command", "stepBack");
   back.Set("sessionId", id);
   json::Json backResponse = server.Handle(back);
   ASSERT_EQ(backResponse.GetString("status", ""), "ok");
-  EXPECT_EQ(backResponse.Find("state")->GetInt("cycle", -1), 2);
+  EXPECT_EQ(StateOf(backResponse).GetInt("cycle", -1), 2);
 
   json::Json run = json::Json::MakeObject();
   run.Set("command", "run");
@@ -170,7 +177,7 @@ TEST(Api, StepRejectsNegativeAndClampsHugeCounts) {
   json::Json response = server.Handle(huge);
   ASSERT_EQ(response.GetString("status", ""), "ok");
   EXPECT_EQ(response.GetInt("stepped", -1), 10);
-  EXPECT_EQ(response.Find("state")->GetInt("cycle", -1), 10);
+  EXPECT_EQ(StateOf(response).GetInt("cycle", -1), 10);
 }
 
 TEST(Api, StepBackReplaysInBoundedHopsWhenCheckpointsDisabled) {
@@ -201,7 +208,7 @@ TEST(Api, StepBackReplaysInBoundedHopsWhenCheckpointsDisabled) {
   back.Set("sessionId", id);
   json::Json response = server.Handle(back);
   ASSERT_EQ(response.GetString("status", ""), "ok");
-  EXPECT_EQ(response.Find("state")->GetInt("cycle", -1), 29);
+  EXPECT_EQ(StateOf(response).GetInt("cycle", -1), 29);
   EXPECT_EQ(response.GetInt("replayedSteps", -1), 29);
 }
 
@@ -260,7 +267,7 @@ TEST(Api, CheckpointSaveRestoreScrubsSession) {
   restore.Set("cycle", 50);
   json::Json restored = server.Handle(restore);
   ASSERT_EQ(restored.GetString("status", ""), "ok");
-  EXPECT_EQ(restored.Find("state")->GetInt("cycle", -1), 50);
+  EXPECT_EQ(StateOf(restored).GetInt("cycle", -1), 50);
   // cycle 50 is an exact manual checkpoint: zero replay.
   EXPECT_EQ(restored.GetInt("replayedCycles", -1), 0);
 
@@ -268,7 +275,7 @@ TEST(Api, CheckpointSaveRestoreScrubsSession) {
   restore.Set("cycle", 60);
   restored = server.Handle(restore);
   ASSERT_EQ(restored.GetString("status", ""), "ok");
-  EXPECT_EQ(restored.Find("state")->GetInt("cycle", -1), 60);
+  EXPECT_EQ(StateOf(restored).GetInt("cycle", -1), 60);
 
   json::Json bad = json::Json::MakeObject();
   bad.Set("command", "restoreCheckpoint");
@@ -381,7 +388,7 @@ TEST(Renderer, JsonSnapshotHasAllBlocks) {
   auto sim = testutil::RunOnCore("main:\n li a0, 3\n ret\n",
                                  config::DefaultConfig(), "main", 2);
   ASSERT_NE(sim, nullptr);
-  json::Json state = RenderJson(*sim);
+  const json::Json state = Parse(RenderJson(*sim).Dump());
   for (const char* key :
        {"cycle", "fetchQueue", "reorderBuffer", "issueWindows",
         "functionalUnits", "registers", "cache", "statistics", "log"}) {
@@ -396,7 +403,7 @@ TEST(Renderer, MemoryDumpOptionIncludesSymbolsAndHex) {
   ASSERT_NE(sim, nullptr);
   RenderOptions options;
   options.includeMemoryDump = true;
-  json::Json state = RenderJson(*sim, options);
+  const json::Json state = Parse(RenderJson(*sim, options).Dump());
   ASSERT_NE(state.Find("memory"), nullptr);
   EXPECT_NE(state.Find("memory")->Find("symbols")->Find("v"), nullptr);
   EXPECT_EQ(state.Find("memory")->GetString("dumpHex", "").size(),
