@@ -34,11 +34,6 @@ struct Instruction {
   std::uint32_t sourceLine = 0;  ///< 1-based line in the assembly text
   std::int32_t cLine = -1;       ///< linked C source line (compiler metadata)
   std::string text;              ///< canonical display text
-
-  /// Value of the operand bound to argument `argIndex` when immediate.
-  std::int32_t ImmOf(std::size_t argIndex) const {
-    return operands[argIndex].imm;
-  }
 };
 
 /// A fully assembled program.
@@ -50,10 +45,6 @@ struct Program {
   std::vector<std::uint8_t> dataImage;  ///< assembled .data/.bss payload
   std::uint32_t dataBase = 0;           ///< load address of dataImage
   std::uint32_t entryPc = 0;
-
-  std::uint32_t CodeByteSize() const {
-    return static_cast<std::uint32_t>(instructions.size()) * 4;
-  }
 };
 
 }  // namespace rvss::assembler

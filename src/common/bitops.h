@@ -16,13 +16,6 @@ constexpr std::int64_t SignExtend(std::uint64_t value, unsigned bits) {
   return static_cast<std::int64_t>((value ^ sign) - sign);
 }
 
-/// Extracts bits [lo, lo+width) of `value`.
-constexpr std::uint64_t ExtractBits(std::uint64_t value, unsigned lo,
-                                    unsigned width) {
-  if (width >= 64) return value >> lo;
-  return (value >> lo) & ((std::uint64_t{1} << width) - 1);
-}
-
 /// True if `value` is a power of two (0 is not).
 constexpr bool IsPowerOfTwo(std::uint64_t value) {
   return value != 0 && (value & (value - 1)) == 0;

@@ -103,9 +103,6 @@ class Expression {
   void EvaluateInto(std::span<const Value> argValues, std::uint32_t pc,
                     EvalResult& out) const;
 
-  /// Number of tokens (diagnostics / benchmarks).
-  std::size_t TokenCount() const { return tokens_.size(); }
-
  private:
   struct Token {
     Op op;

@@ -86,7 +86,6 @@ class MainMemory {
   std::uint32_t PageCount() const {
     return static_cast<std::uint32_t>(dirtyPages_.size());
   }
-  bool PageDirty(std::uint32_t page) const { return dirtyPages_[page] != 0; }
 
   /// ORs this memory's dirty flags into `accumulator` (one flag per page).
   /// The checkpoint system folds per-interval dirt into a dirty-since-full

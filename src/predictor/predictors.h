@@ -107,7 +107,7 @@ class BranchTargetBuffer {
 ///
 /// Speculative-history discipline: Predict() uses the current (speculative)
 /// history; the fetch unit updates speculative history as it predicts, and
-/// OnResolve() repairs it on mispredictions using the checkpoint the
+/// Resolve() repairs it on mispredictions using the checkpoint the
 /// instruction carried.
 class PredictorUnit {
  public:

@@ -67,10 +67,6 @@ class Interpreter {
   /// Architectural register access (tests, differential comparison).
   std::uint64_t ReadIntReg(unsigned index) const { return x_[index]; }
   std::uint64_t ReadFpReg(unsigned index) const { return f_[index]; }
-  void WriteIntReg(unsigned index, std::uint64_t cell) {
-    if (index != 0) x_[index] = cell;
-  }
-  void WriteFpReg(unsigned index, std::uint64_t cell) { f_[index] = cell; }
 
   /// Complete architectural state (registers + PC) — the fast-forward
   /// hand-off between the ISS and the detailed model. Memory is shared by

@@ -59,11 +59,6 @@ struct RequestTiming {
   std::uint64_t TotalNs() const {
     return parseNs + handleNs + serializeNs + compressNs;
   }
-  double JsonShare() const {
-    const std::uint64_t total = TotalNs();
-    return total == 0 ? 0.0
-                      : static_cast<double>(parseNs + serializeNs) / total;
-  }
 };
 
 /// Version of the JSON API surface: the error envelope, field naming and
@@ -72,6 +67,8 @@ struct RequestTiming {
 /// v1: uniform error envelope, camelCase field names, delta-blob hello
 /// negotiation. v2: the envelope only (the flat error-field mirror is
 /// gone), and an unknown command is answered "unknown command '<name>'".
+/// The hello's deltaBlobs field has since gone without a bump: the
+/// snapshot-format pin implies it, and readers defaulted it to false.
 inline constexpr std::int64_t kApiVersion = 2;
 
 /// True exactly for the error kinds a client may retry verbatim (load

@@ -133,9 +133,6 @@ void FillHelloFields(json::Json& message) {
   message.Set("snapshotFormatVersion",
               static_cast<std::int64_t>(snapshot::kFormatVersion));
   message.Set("configHash", LocalConfigHashHex());
-  // Capability, not a version pin: a peer without it still interoperates,
-  // it just always receives full session images.
-  message.Set("deltaBlobs", true);
 }
 
 }  // namespace
@@ -153,7 +150,7 @@ json::Json MakeHelloRequest() {
 }
 
 Status CheckHelloResponse(const json::Json& response,
-                          const std::string& peer, HelloInfo* info) {
+                          const std::string& peer) {
   const auto refuse = [&peer](const std::string& why) {
     return Status::Fail(ErrorKind::kInvalidArgument,
                         "worker " + peer + " failed the hello handshake: " +
@@ -188,9 +185,6 @@ Status CheckHelloResponse(const json::Json& response,
   if (configHash != LocalConfigHashHex()) {
     return refuse("config hash " + configHash + " != local " +
                   LocalConfigHashHex());
-  }
-  if (info != nullptr) {
-    info->deltaBlobs = response.GetBool("deltaBlobs", false);
   }
   return Status::Ok();
 }

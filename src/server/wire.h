@@ -85,24 +85,19 @@ Result<json::Json> ReadMessage(net::Socket& socket,
 //                          changes it, so a stale worker binary is caught
 //                          at connect time instead of surfacing as a
 //                          per-message decode error mid-migration.
-//   deltaBlobs             true when this build can decode base-referenced
-//                          delta session blobs (snapshot format >= 3); a
-//                          capability, not a pinned version — a sender
-//                          ships full images to a peer that lacks it.
+//
+// Pinning the snapshot format also settles every blob capability: a peer
+// that passed the handshake decodes whatever this build encodes,
+// base-referenced delta blobs included.
 //
 // The worker's SimServer answers it like any other command (the router
 // answers it the same way for itself); a pre-handshake worker answers
 // with an unknown-command error, which the router also treats as a
 // refusal.
 
-/// Peer capabilities learned from an accepted hello response.
-struct HelloInfo {
-  bool deltaBlobs = false;
-};
-
 /// This build's fingerprint as a hello response:
 /// {status:"ok", hello:true, frameVersion, apiVersion,
-///  snapshotFormatVersion, configHash, deltaBlobs}.
+///  snapshotFormatVersion, configHash}.
 json::Json MakeHelloResponse();
 
 /// The hello request a connecting router sends (same fields, command
@@ -110,9 +105,8 @@ json::Json MakeHelloResponse();
 json::Json MakeHelloRequest();
 
 /// Verifies a peer's hello response against the local fingerprint.
-/// `peer` names the endpoint in the error message. On success fills
-/// `info` (when non-null) with the peer's advertised capabilities.
-Status CheckHelloResponse(const json::Json& response, const std::string& peer,
-                          HelloInfo* info = nullptr);
+/// `peer` names the endpoint in the error message.
+Status CheckHelloResponse(const json::Json& response,
+                          const std::string& peer);
 
 }  // namespace rvss::server

@@ -1,8 +1,8 @@
 #include "shard/lane.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
-#include <vector>
 
 namespace rvss::shard {
 namespace {
@@ -25,84 +25,41 @@ Error ShedError(std::size_t depth) {
 
 WorkerLane::WorkerLane(std::shared_ptr<WorkerTransport> transport,
                        std::size_t maxQueueDepth)
-    : transport_(std::move(transport)),
-      maxQueueDepth_(maxQueueDepth),
-      thread_([this] { Run(); }) {}
+    : transport_(std::move(transport)), maxQueueDepth_(maxQueueDepth) {}
 
-WorkerLane::~WorkerLane() { Stop(); }
-
-std::future<Result<json::Json>> WorkerLane::Submit(json::Json request) {
-  Job job;
-  job.request = std::move(request);
-  job.enqueuedNs = obs::MonotonicNowNs();
-  std::future<Result<json::Json>> result = job.promise.get_future();
-  {
-    MutexLock lock(mutex_);
-    if (stopped_) {
-      job.promise.set_value(StoppedError());
-      return result;
-    }
-    if (maxQueueDepth_ != 0 && queue_.size() >= maxQueueDepth_) {
-      obs::Registry::Instance().GetCounter("shard.lane.shed").Increment();
-      job.promise.set_value(ShedError(queue_.size()));
-      return result;
-    }
-    queue_.push_back(std::move(job));
-    queueDepth_.fetch_add(1, std::memory_order_relaxed);
+WorkerLane::Ticket WorkerLane::Join() {
+  Ticket ticket;
+  ticket.joinedNs_ = obs::MonotonicNowNs();
+  MutexLock lock(mutex_);
+  if (stopped_) {
+    ticket.refusal_ = StoppedError();
+    return ticket;
   }
-  wake_.NotifyOne();
-  return result;
+  if (busy_) {
+    if (maxQueueDepth_ != 0 && line_.size() >= maxQueueDepth_) {
+      obs::Registry::Instance().GetCounter("shard.lane.shed").Increment();
+      ticket.refusal_ = ShedError(line_.size());
+      return ticket;
+    }
+    ticket.waiter_ = std::make_unique<Waiter>();
+    line_.push_back(ticket.waiter_.get());
+    queueDepth_.store(line_.size(), std::memory_order_relaxed);
+  } else {
+    busy_ = true;
+  }
+  ticket.lane_ = shared_from_this();
+  return ticket;
 }
 
 void WorkerLane::Quiesce() {
   MutexLock lock(mutex_);
-  while (!queue_.empty() || busy_) idle_.Wait(mutex_);
-}
-
-bool WorkerLane::TryBeginDirect() {
-  MutexLock lock(mutex_);
-  if (stopped_ || busy_ || !queue_.empty()) return false;
-  busy_ = true;
-  inFlight_.store(true, std::memory_order_relaxed);
-  return true;
-}
-
-void WorkerLane::EndDirect(std::uint64_t elapsedNs) {
-  // Same dispatch accounting as the executor path (queueWaitUs excepted —
-  // a direct call never queued), so the fleet's request and latency
-  // totals do not depend on which path a request took.
-  static obs::Histogram& dispatchUs =
-      obs::Registry::Instance().GetHistogram("shard.lane.dispatchUs");
-  static obs::Counter& requests =
-      obs::Registry::Instance().GetCounter("shard.lane.requests");
-  dispatchUs.Record(elapsedNs / 1000);
-  requests.Increment();
-  lastDispatchNs_.store(elapsedNs, std::memory_order_relaxed);
-  dispatched_.fetch_add(1, std::memory_order_relaxed);
-  inFlight_.store(false, std::memory_order_relaxed);
-  {
-    MutexLock lock(mutex_);
-    busy_ = false;
-    if (queue_.empty()) idle_.NotifyAll();
-  }
-  // Jobs submitted while the direct call held the lane woke the executor
-  // into a busy lane; re-wake it now that the lane is free.
-  wake_.NotifyOne();
+  while (busy_) idle_.Wait(mutex_);
 }
 
 void WorkerLane::Stop() {
-  std::deque<Job> orphaned;
-  {
-    MutexLock lock(mutex_);
-    stopped_ = true;
-    orphaned.swap(queue_);
-    queueDepth_.store(0, std::memory_order_relaxed);
-  }
-  wake_.NotifyAll();
-  if (thread_.joinable()) thread_.join();
-  for (Job& job : orphaned) {
-    job.promise.set_value(StoppedError());
-  }
+  MutexLock lock(mutex_);
+  stopped_ = true;
+  for (Waiter* waiter : line_) waiter->turn.NotifyOne();
 }
 
 WorkerLane::Stats WorkerLane::stats() const {
@@ -112,86 +69,79 @@ WorkerLane::Stats WorkerLane::stats() const {
   stats.lastDispatchMs =
       static_cast<double>(lastDispatchNs_.load(std::memory_order_relaxed)) /
       1e6;
-  stats.dispatched = dispatched_.load(std::memory_order_relaxed);
   return stats;
 }
 
-void WorkerLane::Run() {
+void WorkerLane::Leave(Waiter* waiter) {
+  MutexLock lock(mutex_);
+  if (waiter != nullptr && !waiter->served) {
+    line_.erase(std::find(line_.begin(), line_.end(), waiter));
+  } else if (line_.empty()) {
+    busy_ = false;
+    idle_.NotifyAll();
+  } else {
+    // Notify under the mutex: the next holder's Waiter lives only until
+    // it sees `served`, which it cannot read before we unlock.
+    line_.front()->served = true;
+    line_.front()->turn.NotifyOne();
+    line_.pop_front();
+  }
+  queueDepth_.store(line_.size(), std::memory_order_relaxed);
+}
+
+Result<json::Json> WorkerLane::Serve(const Ticket& ticket,
+                                     const json::Json& request) {
   // One registration per metric name for the whole process; every lane
   // shares the objects, so these histograms aggregate across the fleet's
   // lanes (the per-worker split lives in workerStats' lane Stats).
-  obs::Registry& registry = obs::Registry::Instance();
-  obs::Histogram& queueWaitUs =
-      registry.GetHistogram("shard.lane.queueWaitUs");
-  obs::Histogram& dispatchUs = registry.GetHistogram("shard.lane.dispatchUs");
-  obs::Counter& requests = registry.GetCounter("shard.lane.requests");
-  obs::Counter& batches = registry.GetCounter("shard.lane.batches");
-
-  // Coalescing bound: enough to fold a burst of small frames into one
-  // wire write, small enough to keep per-batch latency and the resolved-
-  // but-unread response window flat.
-  constexpr std::size_t kMaxBatch = 16;
-
-  while (true) {
-    std::vector<Job> batch;
-    {
-      MutexLock lock(mutex_);
-      // !busy_: a caller-runs direct call may own the lane; the executor
-      // must not run the transport concurrently with it.
-      while (!stopped_ && (busy_ || queue_.empty())) wake_.Wait(mutex_);
-      if (stopped_) return;  // Stop() answers whatever is still queued
-      const std::size_t take = std::min(queue_.size(), kMaxBatch);
-      batch.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      queueDepth_.fetch_sub(take, std::memory_order_relaxed);
-      busy_ = true;
-      inFlight_.store(true, std::memory_order_relaxed);
+  static obs::Histogram& queueWaitUs =
+      obs::Registry::Instance().GetHistogram("shard.lane.queueWaitUs");
+  static obs::Histogram& dispatchUs =
+      obs::Registry::Instance().GetHistogram("shard.lane.dispatchUs");
+  static obs::Counter& requests =
+      obs::Registry::Instance().GetCounter("shard.lane.requests");
+  Waiter* waiter = ticket.waiter_.get();
+  {
+    MutexLock lock(mutex_);
+    while (waiter != nullptr && !waiter->served && !stopped_) {
+      waiter->turn.Wait(mutex_);
     }
-    const std::uint64_t startNs = obs::MonotonicNowNs();
-    for (const Job& job : batch) {
-      queueWaitUs.Record((startNs - job.enqueuedNs) / 1000);
-    }
-    std::vector<Result<json::Json>> results;
-    if (batch.size() == 1) {
-      results.push_back(transport_->Call(batch[0].request));
-    } else {
-      std::vector<const json::Json*> requestPtrs;
-      requestPtrs.reserve(batch.size());
-      for (const Job& job : batch) requestPtrs.push_back(&job.request);
-      results = transport_->CallBatch(requestPtrs);
-      batches.Increment();
-    }
-    const std::uint64_t elapsedNs = obs::MonotonicNowNs() - startNs;
-    dispatchUs.Record(elapsedNs / 1000);
-    requests.Add(batch.size());
-    lastDispatchNs_.store(elapsedNs, std::memory_order_relaxed);
-    dispatched_.fetch_add(batch.size(), std::memory_order_relaxed);
-    inFlight_.store(false, std::memory_order_relaxed);
-    // Release the lane BEFORE delivering the promises. Every transport
-    // call has returned, so a Quiesce() waiter woken here observes a
-    // truly idle transport — delivery below touches no lane state. And a
-    // client whose future resolves and immediately sends its next
-    // request must find the lane idle, or sequential request streams
-    // could never take the caller-runs fast path.
-    {
-      MutexLock lock(mutex_);
-      busy_ = false;
-      if (queue_.empty()) idle_.NotifyAll();
-    }
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (i < results.size()) {
-        batch[i].promise.set_value(std::move(results[i]));
-      } else {
-        // Defensive: a transport must answer index-aligned.
-        batch[i].promise.set_value(
-            Error{ErrorKind::kInternal,
-                  "batched transport returned too few responses"});
-      }
-    }
+    if (stopped_) return StoppedError();
   }
+  const std::uint64_t startNs = obs::MonotonicNowNs();
+  queueWaitUs.Record((startNs - ticket.joinedNs_) / 1000);
+  inFlight_.store(true, std::memory_order_relaxed);
+  Result<json::Json> response = transport_->Call(request);
+  const std::uint64_t elapsedNs = obs::MonotonicNowNs() - startNs;
+  inFlight_.store(false, std::memory_order_relaxed);
+  dispatchUs.Record(elapsedNs / 1000);
+  requests.Increment();
+  lastDispatchNs_.store(elapsedNs, std::memory_order_relaxed);
+  return response;
+}
+
+WorkerLane::Ticket& WorkerLane::Ticket::operator=(Ticket&& other) noexcept {
+  // Swap: `other` takes this ticket's old place and gives it up when it
+  // is destroyed.
+  std::swap(lane_, other.lane_);
+  std::swap(waiter_, other.waiter_);
+  std::swap(joinedNs_, other.joinedNs_);
+  std::swap(refusal_, other.refusal_);
+  return *this;
+}
+
+WorkerLane::Ticket::~Ticket() {
+  if (lane_ != nullptr) lane_->Leave(waiter_.get());
+}
+
+Result<json::Json> WorkerLane::Ticket::Call(const json::Json& request) {
+  assert(valid());
+  if (lane_ == nullptr) return std::exchange(refusal_, Status::Ok()).error();
+  // Should Serve throw, the destructor gives the place up instead.
+  Result<json::Json> response = lane_->Serve(*this, request);
+  lane_->Leave(waiter_.get());
+  lane_.reset();
+  return response;
 }
 
 }  // namespace rvss::shard

@@ -44,23 +44,16 @@ ShardRouter::ShardRouter(const Options& options)
     auto transport = MakeTransport(i, options_.workerLimits);
     if (transport.ok()) {
       workers_.push_back(std::move(transport).value());
+      lanes_.push_back(std::make_shared<WorkerLane>(
+          workers_.back(), options_.maxLaneQueueDepth));
     } else {
       // A slot whose transport could not be built is born removed: the
       // fleet still comes up, the hole is visible in workerStats, and
       // nothing ever routes there.
       workers_.push_back(nullptr);
+      lanes_.push_back(nullptr);
       slotErrors_[i] = transport.error().message;
     }
-  }
-  // Lanes start only after every transport is built: a factory that
-  // forks worker processes must fork from a single-threaded process, or
-  // a child can inherit a lock a lane thread held mid-acquire (the
-  // obs::Registry mutex, taken by a lane as soon as it starts).
-  for (const std::shared_ptr<WorkerTransport>& worker : workers_) {
-    lanes_.push_back(worker == nullptr
-                         ? nullptr
-                         : std::make_unique<WorkerLane>(
-                               worker, options_.maxLaneQueueDepth));
   }
   drained_.assign(count, false);
   gated_.assign(count, false);
@@ -92,45 +85,34 @@ std::string ShardRouter::HandleRaw(std::string_view requestBytes,
 
 json::Json ShardRouter::CallViaLane(std::size_t worker,
                                     const json::Json& request) {
-  std::future<Result<json::Json>> pending;
-  std::shared_ptr<WorkerTransport> direct;
+  WorkerLane::Ticket ticket;
   {
     MutexLock lock(fleetMutex_);
     if (!IsLive(worker)) {
       return RouterError(ErrorKind::kUnavailable,
                          "worker " + std::to_string(worker) + " was removed");
     }
-    // Fast path: an idle, ungated lane is claimed in the same critical
-    // section as the gate check, so no fleet operation can close the
-    // gate between check and claim (see WorkerLane::TryBeginDirect).
-    if (!gated_[worker] && lanes_[worker]->TryBeginDirect()) {
-      direct = workers_[worker];
-    } else {
-      pending = lanes_[worker]->Submit(request);
-    }
+    ticket = lanes_[worker]->Join();
   }
-  auto response = direct != nullptr ? CallClaimed(worker, *direct, request)
-                                    : pending.get();
+  auto response = ticket.Call(request);
   if (!response.ok()) {
     return server::MakeErrorResponse(response.error());
   }
   return std::move(response).value();
 }
 
-Result<json::Json> ShardRouter::CallClaimed(std::size_t worker,
-                                            WorkerTransport& transport,
-                                            const json::Json& request) {
-  static obs::Counter& directCalls =
-      obs::Registry::Instance().GetCounter("shard.lane.directCalls");
-  directCalls.Increment();
-  const std::uint64_t startNs = obs::MonotonicNowNs();
-  auto response = transport.Call(request);
-  // EndDirect under the fleet mutex: RemoveWorker destroys a lane only
-  // with this mutex held, after Quiesce() — which our claim blocks — so
-  // the lane cannot disappear mid-release.
-  MutexLock lock(fleetMutex_);
-  lanes_[worker]->EndDirect(obs::MonotonicNowNs() - startNs);
-  return response;
+std::vector<std::future<Result<json::Json>>> ShardRouter::CallEach(
+    std::vector<WorkerLane::Ticket> tickets, const json::Json& request) {
+  std::vector<std::future<Result<json::Json>>> pending(tickets.size());
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    if (!tickets[i].valid()) continue;
+    pending[i] = std::async(
+        std::launch::async,
+        [ticket = std::move(tickets[i]), request]() mutable {
+          return ticket.Call(request);
+        });
+  }
+  return pending;
 }
 
 json::Json ShardRouter::CallWorkerDirect(std::size_t worker,
@@ -154,7 +136,7 @@ json::Json ShardRouter::CallWorkerDirect(std::size_t worker,
 WorkerLane* ShardRouter::CloseGate(std::size_t index) {
   MutexLock lock(fleetMutex_);
   gated_[index] = true;
-  // An admission already submitted to this worker's lane finishes its
+  // An admission that already joined this worker's lane finishes its
   // round trip and records its placement from the admitting thread;
   // wait it out so the drain below starts from a placement map that
   // includes every session the (about to be quiesced) lane produced.
@@ -163,7 +145,7 @@ WorkerLane* ShardRouter::CloseGate(std::size_t index) {
   }
   // Handing the lane out of the mutex section is safe: only RemoveWorker
   // destroys a lane, fleet operations serialize on fleetOpMutex_ (held by
-  // our caller), and the closed gate keeps new submissions out.
+  // our caller), and the closed gate keeps new tickets out.
   return lanes_[index].get();
 }
 
@@ -244,23 +226,23 @@ json::Json ShardRouter::StatelessCommand(const json::Json& request) {
   // and they are side-effect-free, so a worker whose process is dead is
   // simply skipped for the next one instead of failing the request. A
   // gated worker (a fleet operation owns it) is skipped the same way
-  // rather than waited for. The request rides each candidate's lane
-  // (the fleet mutex is held only to pick the lane), so a stateless
-  // command never races the worker's session traffic.
+  // rather than waited for. The request takes its turn on each
+  // candidate's lane (the fleet mutex is held only to join the line), so
+  // a stateless command never races the worker's session traffic.
   json::Json lastError = RouterError(ErrorKind::kUnavailable,
                                      "every worker has been removed");
   for (std::size_t i = 0;; ++i) {
-    std::future<Result<json::Json>> pending;
+    WorkerLane::Ticket ticket;
     {
       MutexLock lock(fleetMutex_);
       if (i >= workers_.size()) break;
       if (!IsLive(i) || gated_[i]) continue;
-      // Submit *under* the mutex — the quiesce barrier's contract is
-      // that no submission can race a fleet operation's closed gate;
-      // only the wait happens unlocked.
-      pending = lanes_[i]->Submit(request);
+      // Join *under* the mutex — the quiesce barrier's contract is that
+      // no ticket can race a fleet operation's closed gate; only the
+      // wait for the turn happens unlocked.
+      ticket = lanes_[i]->Join();
     }
-    auto response = pending.get();
+    auto response = ticket.Call(request);
     if (response.ok()) return std::move(response).value();
     lastError = server::MakeErrorResponse(response.error());
   }
@@ -288,7 +270,7 @@ json::Json ShardRouter::AdmitSession(const json::Json& request) {
   // createSession and importSession admit identically: allocate a global
   // id, place it on the ring, forward, and record where it landed. The
   // worker round trip runs *unlocked* — what keeps drains honest is the
-  // placement intent recorded under the mutex before the submit: a drain
+  // placement intent recorded under the mutex with the ticket: a drain
   // of the target worker closes the gate and waits for the worker's
   // intents to clear, so by the time it reads the placement map, this
   // admission has either finalized its entry or failed. Admissions
@@ -297,7 +279,7 @@ json::Json ShardRouter::AdmitSession(const json::Json& request) {
   // an in-progress drain it is not placed on.
   std::int64_t globalId = 0;
   std::size_t worker = 0;
-  std::future<Result<json::Json>> pending;
+  WorkerLane::Ticket ticket;
   {
     MutexLock lock(fleetMutex_);
     globalId = nextGlobalId_++;
@@ -311,10 +293,10 @@ json::Json ShardRouter::AdmitSession(const json::Json& request) {
       gateOpen_.Wait(fleetMutex_);
     }
     ++admissionIntents_[worker];
-    pending = lanes_[worker]->Submit(request);
+    ticket = lanes_[worker]->Join();
   }
 
-  auto result = pending.get();
+  auto result = ticket.Call(request);
   json::Json response = result.ok()
                             ? std::move(result).value()
                             : server::MakeErrorResponse(result.error());
@@ -345,9 +327,8 @@ json::Json ShardRouter::RouteSessionCommand(Command command,
   const std::int64_t globalId = request.GetInt("sessionId", -1);
   const bool isDelete = command == Command::kDeleteSession;
   std::size_t worker = 0;
-  std::future<Result<json::Json>> pending;
-  std::shared_ptr<WorkerTransport> direct;
-  json::Json forwarded;
+  std::int64_t localId = 0;
+  WorkerLane::Ticket ticket;
   {
     MutexLock lock(fleetMutex_);
     while (true) {
@@ -364,23 +345,13 @@ json::Json ShardRouter::RouteSessionCommand(Command command,
       }
       if (!gated_[placement.worker]) {
         // Session commands (step, run, stepBack, exportSession, ...)
-        // release the mutex and wait on the lane: this is where the
-        // fleet's parallelism comes from. Per-session ordering holds
-        // because a session's requests all enter the same FIFO lane, in
-        // the order their dispatching threads held the mutex.
+        // release the mutex and wait for their turn on the lane: this is
+        // where the fleet's parallelism comes from. Per-session ordering
+        // holds because a session's requests all join the same FIFO
+        // lane, in the order their dispatching threads held the mutex.
         worker = placement.worker;
-        forwarded = request;
-        forwarded.Set("sessionId", placement.localId);
-        // Idle lane: skip the enqueue/wake/future hop entirely and run
-        // the call on this thread. Claimed in the same critical section
-        // as the gate check (the TryBeginDirect contract), and FIFO is
-        // trivially preserved — an idle lane has nothing to reorder
-        // against, and the claim makes it busy for everyone else.
-        if (lanes_[worker]->TryBeginDirect()) {
-          direct = workers_[worker];
-        } else {
-          pending = lanes_[worker]->Submit(std::move(forwarded));
-        }
+        localId = placement.localId;
+        ticket = lanes_[worker]->Join();
         break;
       }
       // A fleet operation owns this session's worker (drain, rebalance,
@@ -390,12 +361,9 @@ json::Json ShardRouter::RouteSessionCommand(Command command,
       gateOpen_.Wait(fleetMutex_);
     }
   }
-  // A lambda, so the queued branch's move of `forwarded` above never
-  // looks like a use-after-move to tools that ignore `direct`.
-  auto result = [&]() -> Result<json::Json> {
-    if (direct == nullptr) return pending.get();
-    return CallClaimed(worker, *direct, forwarded);
-  }();
+  json::Json forwarded = request;
+  forwarded.Set("sessionId", localId);
+  auto result = ticket.Call(forwarded);
   if (!result.ok()) {
     return server::MakeErrorResponse(result.error());
   }
@@ -434,18 +402,20 @@ json::Json ShardRouter::ListSessions() {
   // the listing is a consistent fleet-topology snapshot — while routing
   // continues, so a concurrent admission or delete may or may not appear
   // (it would not have been part of any serial order either). Worker
-  // queries fan out to every lane before any response is awaited, so the
-  // fleet enumerates in parallel.
+  // queries fan out to every lane at once, so the fleet enumerates in
+  // parallel.
   MutexLock opLock(fleetOpMutex_);
   std::size_t slots = 0;
   std::map<std::int64_t, Placement> placements;
-  std::vector<std::future<Result<json::Json>>> pending;
+  std::vector<WorkerLane::Ticket> tickets;
   {
     MutexLock lock(fleetMutex_);
     slots = workers_.size();
     placements = placements_;
-    pending = FanOutListSessions();
+    tickets = JoinLiveLanes();
   }
+  std::vector<std::future<Result<json::Json>>> pending = CallEach(
+      std::move(tickets), server::MakeRequest(Command::kListSessions));
   json::Json response = server::OkResponse();
   json::Json list = json::Json::MakeArray();
   json::Json unreachable = json::Json::MakeArray();
@@ -506,26 +476,27 @@ Result<ShardRouter::WorkerLoad> ShardRouter::ParseLoad(
   return load;
 }
 
-std::vector<std::future<Result<json::Json>>> ShardRouter::FanOutListSessions(
+std::vector<WorkerLane::Ticket> ShardRouter::JoinLiveLanes(
     std::size_t skip) {
-  json::Json listRequest = server::MakeRequest(Command::kListSessions);
-  std::vector<std::future<Result<json::Json>>> pending(workers_.size());
+  std::vector<WorkerLane::Ticket> tickets(workers_.size());
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     if (i == skip || !IsLive(i)) continue;
-    pending[i] = lanes_[i]->Submit(listRequest);
+    tickets[i] = lanes_[i]->Join();
   }
-  return pending;
+  return tickets;
 }
 
 ShardRouter::FleetLoads ShardRouter::ProbeLoads(std::size_t skip) {
   FleetLoads loads;
-  std::vector<std::future<Result<json::Json>>> pending;
+  std::vector<WorkerLane::Ticket> tickets;
   {
     MutexLock lock(fleetMutex_);
     loads.bytes.assign(workers_.size(), 0);
     loads.reachable.assign(workers_.size(), false);
-    pending = FanOutListSessions(skip);
+    tickets = JoinLiveLanes(skip);
   }
+  std::vector<std::future<Result<json::Json>>> pending = CallEach(
+      std::move(tickets), server::MakeRequest(Command::kListSessions));
   for (std::size_t i = 0; i < pending.size(); ++i) {
     if (!pending[i].valid()) continue;
     auto load = ParseLoad(pending[i].get());
@@ -549,14 +520,13 @@ json::Json ShardRouter::WorkerStats() {
     WorkerLane::Stats lane;
   };
   std::vector<Slot> slots;
-  std::vector<std::future<Result<json::Json>>> pending;
+  std::vector<WorkerLane::Ticket> tickets;
   {
     MutexLock lock(fleetMutex_);
     slots.resize(workers_.size());
-    // Snapshot lane load *before* fanning out the listSessions probes:
-    // the probes ride the very lanes being measured, so sampling
-    // afterwards would report every queue one deep and the probe itself
-    // in flight.
+    // Snapshot lane load *before* the listSessions probes join: they
+    // take turns on the very lanes being measured, so sampling
+    // afterwards would report every queue one deep.
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       slots[i].live = IsLive(i);
       if (!slots[i].live) {
@@ -570,8 +540,10 @@ json::Json ShardRouter::WorkerStats() {
       slots[i].transport = workers_[i]->Describe();
       slots[i].lane = lanes_[i]->stats();
     }
-    pending = FanOutListSessions();
+    tickets = JoinLiveLanes();
   }
+  std::vector<std::future<Result<json::Json>>> pending = CallEach(
+      std::move(tickets), server::MakeRequest(Command::kListSessions));
   json::Json response = server::OkResponse();
   json::Json list = json::Json::MakeArray();
   for (std::size_t i = 0; i < slots.size(); ++i) {
@@ -612,15 +584,11 @@ json::Json ShardRouter::WorkerStats() {
 
 json::Json ShardRouter::FanOutToProcesses(Command command,
                                           std::string_view field) {
-  const json::Json request = server::MakeRequest(command);
   std::vector<json::Json> entries;
-  std::vector<std::future<Result<json::Json>>> pending;
+  std::vector<WorkerLane::Ticket> tickets;
   {
     MutexLock lock(fleetMutex_);
-    pending.resize(workers_.size());
-    // Fan out to every socket worker before awaiting any response — the
-    // same submit-then-wait shape as FanOutListSessions, so dead workers'
-    // timeouts overlap instead of stacking.
+    tickets.resize(workers_.size());
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       json::Json entry = json::Json::MakeObject();
       entry.Set("worker", static_cast<std::int64_t>(i));
@@ -632,12 +600,14 @@ json::Json ShardRouter::FanOutToProcesses(Command command,
           // In-process: its numbers and spans are this process's own.
           entry.Set("sharedProcess", true);
         } else {
-          pending[i] = lanes_[i]->Submit(request);
+          tickets[i] = lanes_[i]->Join();
         }
       }
       entries.push_back(std::move(entry));
     }
   }
+  std::vector<std::future<Result<json::Json>>> pending =
+      CallEach(std::move(tickets), server::MakeRequest(command));
   json::Json list = json::Json::MakeArray();
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (pending[i].valid()) {
@@ -711,21 +681,14 @@ Status ShardRouter::MoveSession(std::int64_t globalId, std::size_t destination,
     source = it->second;
   }
 
-  // Ship a delta blob only when the destination's hello advertised v3
-  // decode support; a peer whose capability is unknown (disconnected
-  // socket, old build) gets a full image — always decodable, never
-  // lossy. The snapshot under the fleet mutex is advisory: a stale
-  // answer costs at most one fallback round trip below.
-  bool deltaExport = false;
-  {
-    MutexLock lock(fleetMutex_);
-    deltaExport = options_.deltaBlobs && IsLive(destination) &&
-                  workers_[destination]->SupportsDeltaBlobs();
-  }
+  // Every peer decodes delta blobs: the hello handshake pins this
+  // build's snapshot format, and every v3 decoder reads base-referenced
+  // deltas. Options::deltaBlobs alone picks the wire form.
+  const bool deltaExport = options_.deltaBlobs;
 
   // Source-side calls go straight down the transport: the caller closed
   // the source worker's gate and quiesced its lane, so the lane is idle
-  // and stays idle (every submission path checks the gate) — the
+  // and stays idle (every ticket is taken after a gate check) — the
   // transport is ours until the gate reopens.
   auto exportFrom = [&](bool delta) {
     json::Json exportRequest = server::MakeRequest(Command::kExportSession);
@@ -779,7 +742,7 @@ Status ShardRouter::MoveSession(std::int64_t globalId, std::size_t destination,
   json::Json imported = importFrom(exported);
   if (!IsOk(imported) && deltaExport) {
     // Fail closed, not lossy: ANY delta import failure — base-epoch
-    // mismatch, decode error, a peer that lied about its capability —
+    // mismatch, decode error, a blob over the destination's budget —
     // retries exactly once with a full image before the move is declared
     // failed. The source copy is still untouched either way.
     static obs::Counter& fallbacks = obs::Registry::Instance().GetCounter(
@@ -1017,7 +980,7 @@ json::Json ShardRouter::AddWorker(const json::Json& request) {
   {
     MutexLock lock(fleetMutex_);
     workers_.push_back(std::move(transport).value());
-    lanes_.push_back(std::make_unique<WorkerLane>(
+    lanes_.push_back(std::make_shared<WorkerLane>(
         workers_.back(), options_.maxLaneQueueDepth));
     drained_.push_back(false);
     gated_.push_back(false);
@@ -1106,9 +1069,8 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
       lost.Append(json::Json(globalId));
     }
     ring_.RemoveWorker(index);
-    // The lane was quiesced above and no submission can have raced past
-    // the closed gate, so Stop() finds an empty queue — nothing to
-    // orphan, and the (idle) thread joins without blocking this mutex.
+    // The lane was quiesced above and no ticket can have joined past the
+    // closed gate, so Stop() finds an empty line and cannot block.
     lanes_[index]->Stop();
     lanes_[index] = nullptr;
     workers_[index] = nullptr;

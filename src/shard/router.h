@@ -19,12 +19,14 @@
 //
 // Concurrency model (see shard/lane.h and docs/sharding.md):
 //
-//   * Every worker has a dispatch lane — a FIFO queue plus executor
-//     thread over its one transport connection. Handle()/HandleRaw() are
-//     thread-safe: session-bound commands are enqueued on the owning
-//     worker's lane and executed concurrently *across* lanes, strictly
-//     in order *within* one. Per-session ordering follows from
-//     session→worker affinity; N workers simulate in parallel.
+//   * Every worker has a dispatch lane — a first-in-first-out turn on its
+//     one transport connection. Handle()/HandleRaw() are thread-safe and
+//     start no thread: a session-bound command takes a ticket on the
+//     owning worker's lane under the fleet mutex, and the calling thread
+//     waits for its turn and runs the round trip itself. Calls run
+//     concurrently *across* lanes, strictly in join order *within* one.
+//     Per-session ordering follows from session→worker affinity; N
+//     workers simulate in parallel.
 //   * Router state (placements_, ring_, workers_, drained_, gated_) is
 //     protected by one fleet mutex, held only for routing decisions and
 //     bookkeeping — never while a worker round trip is in flight.
@@ -43,20 +45,24 @@
 //     operation that moves a worker's sessions closes that worker's
 //     *placement gate* (gated_) under the fleet mutex, waits for the
 //     worker's admission intents to clear, then *quiesces* its lane:
-//     the barrier waits until the lane is idle, and because every
-//     submission path checks the gate under the fleet mutex, the lane
-//     stays idle until the gate reopens. Commands for the gated worker's
-//     sessions block on the gate and re-resolve their placement when it
-//     opens (their sessions may have moved); everything aimed at other
-//     workers flows freely. An export therefore still always observes a
-//     session between requests, never inside one — the PR 4 safety
-//     argument, re-established with the stall confined to the worker
-//     being reorganized.
-//   * Lock order: fleet-op mutex before fleet mutex; the fleet mutex is
-//     never held while acquiring the fleet-op mutex, a future is awaited,
-//     or a transport is called (the one exception: RemoveWorker stops a
-//     quiesced — hence empty — lane under the fleet mutex, which cannot
-//     block).
+//     the barrier waits until every joined ticket has been served, and
+//     because every ticket is taken under the fleet mutex after a gate
+//     check, the lane stays idle until the gate reopens. Commands for
+//     the gated worker's sessions block on the gate and re-resolve their
+//     placement when it opens (their sessions may have moved);
+//     everything aimed at other workers flows freely. An export
+//     therefore still always observes a session between requests, never
+//     inside one — the synchronous router's safety argument,
+//     re-established with the stall confined to the worker being
+//     reorganized.
+//   * Lock order: fleet-op mutex before fleet mutex before a lane's own
+//     (leaf) mutex; the fleet mutex is never held while acquiring the
+//     fleet-op mutex, waiting for a turn, or calling a transport.
+//   * Fan-outs (listSessions, workerStats, metrics, traceDump and the
+//     drain/rebalance load probes) take every ticket in one fleet-mutex
+//     section, then run each on a short-lived thread, so dead workers'
+//     connect timeouts overlap; the threads end before the operation
+//     returns.
 //
 // drainWorker exports every session on the (quiesced) worker and imports
 // each onto the least-loaded *reachable* non-drained peer, then deletes
@@ -112,12 +118,13 @@ class ShardRouter {
     /// Limits applied to every worker (a transport factory may build its
     /// own per slot instead).
     server::SimServer::Limits workerLimits;
-    /// Per-worker lane queue depth cap: submissions beyond it are
-    /// answered immediately with a retryable kUnavailable load-shed
-    /// error instead of queueing without bound (see shard/lane.h).
+    /// Per-worker lane queue depth cap: tickets beyond it are answered
+    /// immediately with a retryable kUnavailable load-shed error instead
+    /// of waiting without bound (see shard/lane.h).
     /// 0 = unbounded, the pre-gateway behavior. The cap applies to
-    /// everything riding the lane — including fleet-operation probes, so
-    /// a saturated fleet sheds drains too rather than deadlocking them.
+    /// everything taking turns on the lane — including fleet-operation
+    /// probes, so a saturated fleet sheds drains too rather than
+    /// deadlocking them.
     std::size_t maxLaneQueueDepth = 0;
     /// Transport constructor; default builds InProcessTransport. A
     /// factory that spawns worker processes turns the router into a real
@@ -125,8 +132,8 @@ class ShardRouter {
     /// factory fails is born removed and reported in workerStats.
     TransportFactory transportFactory;
     /// Ship base-referenced delta session blobs (snapshot format v3) on
-    /// drain/rebalance when the destination advertised support in its
-    /// hello handshake. Any delta import failure retries once with a
+    /// drain/rebalance. Every peer decodes them: the hello handshake pins
+    /// the snapshot format. Any delta import failure retries once with a
     /// full image — this flag is a wire-size optimization, never a
     /// correctness risk; disabling it restores the PR 8 full-image wire.
     bool deltaBlobs = true;
@@ -184,21 +191,21 @@ class ShardRouter {
     std::vector<bool> reachable;      ///< false for removed/unreachable
   };
 
-  // None of the private methods below may be called from a lane thread.
-  // Unless a comment says otherwise they take their own (brief) fleet
-  // mutex sections and must be called *without* fleetMutex_ held.
+  // Unless a comment says otherwise the private methods below take their
+  // own (brief) fleet mutex sections and must be called *without*
+  // fleetMutex_ held.
 
-  /// One request through worker's lane: submit under a brief fleet mutex
-  /// section, wait unlocked. Transport failures become error JSON.
+  /// One request through worker's lane: join under a brief fleet mutex
+  /// section, wait for the turn unlocked. Transport failures become
+  /// error JSON.
   json::Json CallViaLane(std::size_t worker, const json::Json& request)
       EXCLUDES(fleetMutex_);
-  /// Runs `request` on the calling thread over the transport of a lane
-  /// this thread claimed with WorkerLane::TryBeginDirect, then releases
-  /// the claim.
-  Result<json::Json> CallClaimed(std::size_t worker,
-                                 WorkerTransport& transport,
-                                 const json::Json& request)
-      EXCLUDES(fleetMutex_);
+  /// Runs `request` on every valid ticket, each on its own short-lived
+  /// thread, so the round trips overlap. One future per ticket (invalid
+  /// where the ticket is); a future joins its thread when read or
+  /// destroyed.
+  static std::vector<std::future<Result<json::Json>>> CallEach(
+      std::vector<WorkerLane::Ticket> tickets, const json::Json& request);
   /// One request straight down the transport, bypassing the lane. Only
   /// for workers whose lane is quiesced behind a closed gate (fleet ops)
   /// or not yet built (addWorker's probe).
@@ -289,12 +296,10 @@ class ShardRouter {
   /// the single place that knows the response shape (ProbeLoads and
   /// WorkerStats both feed through it).
   static Result<WorkerLoad> ParseLoad(Result<json::Json> response);
-  /// Submits a listSessions probe to every live lane except `skip`,
-  /// before any response is awaited — sequential probing would stack
-  /// dead workers' transport timeouts end to end. Returns one future per
-  /// slot (invalid where nothing was submitted). Expects fleetMutex_
-  /// held for the submissions; the caller awaits unlocked.
-  std::vector<std::future<Result<json::Json>>> FanOutListSessions(
+  /// A ticket on every live lane except `skip`, one per slot (invalid
+  /// where none was taken), for a fan-out to run with CallEach once the
+  /// caller has released fleetMutex_.
+  std::vector<WorkerLane::Ticket> JoinLiveLanes(
       std::size_t skip = static_cast<std::size_t>(-1)) REQUIRES(fleetMutex_);
   /// `skip` (if valid) is reported unreachable without being probed —
   /// drain uses it for the quiesced source worker, which must not be
@@ -314,10 +319,10 @@ class ShardRouter {
       std::size_t worker, const server::SimServer::Limits& limits);
 
   Options options_;
-  /// Guards every mutable member below. Lane threads never take it, and
-  /// no worker round trip is awaited while it is held. (Declared before
-  /// fleetOpMutex_ only so ACQUIRED_BEFORE can name it; the lock *order*
-  /// is fleetOpMutex_ first.)
+  /// Guards every mutable member below. No worker round trip runs or is
+  /// awaited while it is held. (Declared before fleetOpMutex_ only so
+  /// ACQUIRED_BEFORE can name it; the lock *order* is fleetOpMutex_
+  /// first.)
   mutable Mutex fleetMutex_;
   /// Serializes fleet operations (drain/rebalance/add/remove/open and
   /// the stats/list/metrics/trace snapshots) against each other without
@@ -329,21 +334,19 @@ class ShardRouter {
   std::vector<std::shared_ptr<WorkerTransport>> workers_
       GUARDED_BY(fleetMutex_);
   /// Dispatch lane per slot, parallel to workers_ (nullptr when removed).
-  /// Dispatchers block on a Submit()'s future after releasing the fleet
-  /// mutex without keeping the lane alive — that is safe because a
-  /// promise's shared state outlives the lane, and RemoveWorker resolves
-  /// every job before destroying one (quiesce under the held mutex, then
-  /// Stop answers any straggler): no future is ever abandoned.
-  std::vector<std::unique_ptr<WorkerLane>> lanes_ GUARDED_BY(fleetMutex_);
+  /// Each ticket shares ownership of its lane, so a caller waiting for
+  /// its turn after releasing the fleet mutex keeps the lane alive even
+  /// once RemoveWorker has dropped it.
+  std::vector<std::shared_ptr<WorkerLane>> lanes_ GUARDED_BY(fleetMutex_);
   std::vector<bool> drained_ GUARDED_BY(fleetMutex_);
   /// Per-worker placement gate: true while a fleet operation owns the
-  /// worker (quiesced lane, sessions in motion). Submissions aimed at a
+  /// worker (quiesced lane, sessions in motion). Requests aimed at a
   /// gated worker wait on gateOpen_ and re-resolve their placement.
   std::vector<bool> gated_ GUARDED_BY(fleetMutex_);
   CondVar gateOpen_;
   /// In-flight admission intents per worker: incremented (under
-  /// fleetMutex_) when an admission is submitted to the worker's lane,
-  /// cleared after its placement is finalized. CloseGate waits on
+  /// fleetMutex_) when an admission joins the worker's lane, cleared
+  /// after its placement is finalized. CloseGate waits on
   /// intentsClear_ so a drain never misses an admitted-but-unrecorded
   /// session.
   std::map<std::size_t, std::size_t> admissionIntents_

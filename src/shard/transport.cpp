@@ -70,129 +70,64 @@ Status SocketTransport::EnsureConnected() {
                         "worker " + address_ + " failed the hello handshake: " +
                             answer.error().message);
   }
-  server::HelloInfo peer;
-  Status compatible =
-      server::CheckHelloResponse(answer.value(), address_, &peer);
-  if (!compatible.ok()) {
-    connection_.Close();
-    return compatible;
-  }
-  peerDeltaBlobs_.store(peer.deltaBlobs, std::memory_order_relaxed);
-  return Status::Ok();
+  Status compatible = server::CheckHelloResponse(answer.value(), address_);
+  if (!compatible.ok()) connection_.Close();
+  return compatible;
 }
 
 Result<json::Json> SocketTransport::Call(const json::Json& request) {
-  return std::move(CallBatch({&request}).front());
-}
-
-std::vector<Result<json::Json>> SocketTransport::CallBatch(
-    const std::vector<const json::Json*>& requests) {
-  std::vector<Result<json::Json>> results;
-  if (requests.empty()) return results;
-
-  // Split every request for the wire exactly once, before the retry
-  // loop: the non-blob fields (small) are copied into the serialized
-  // text, and the blob — multi-MiB of base64 on every drain import —
-  // stays a borrowed view on the caller's document, never copied or
-  // re-dumped.
-  struct Framed {
-    std::string text;
-    std::string_view blob;
-  };
+  // Split the request for the wire once, before the retry: the non-blob
+  // fields (small) are copied into the serialized text, and the blob —
+  // multi-MiB of base64 on every drain import — stays a borrowed view on
+  // the caller's document, never copied or re-dumped.
+  std::string text;
+  std::string_view blob;
+  if (request.IsObject() && request.Find("blob") != nullptr) {
+    json::Json trimmed = json::Json::MakeObject();
+    for (const auto& [key, value] : request.AsObject()) {
+      if (key == "blob" && value.IsString() && !value.AsString().empty()) {
+        blob = value.AsString();
+      } else {
+        trimmed.Set(key, value);
+      }
+    }
+    text = trimmed.Dump();
+  } else {
+    text = request.Dump();
+  }
   SocketMetrics& metrics = SocketMetrics::Get();
-  std::vector<Framed> frames;
-  frames.reserve(requests.size());
-  for (const json::Json* request : requests) {
-    Framed framed;
-    if (request->IsObject() && request->Find("blob") != nullptr) {
-      json::Json trimmed = json::Json::MakeObject();
-      for (const auto& [key, value] : request->AsObject()) {
-        if (key == "blob" && value.IsString() && !value.AsString().empty()) {
-          framed.blob = value.AsString();
-        } else {
-          trimmed.Set(key, value);
-        }
-      }
-      framed.text = trimmed.Dump();
-    } else {
-      framed.text = request->Dump();
-    }
-    metrics.calls.Increment();
-    metrics.requestBytes.Add(framed.text.size());
-    metrics.blobBytes.Add(framed.blob.size());
-    frames.push_back(std::move(framed));
-  }
+  metrics.calls.Increment();
+  metrics.requestBytes.Add(text.size());
+  metrics.blobBytes.Add(blob.size());
 
-  // Pipeline: write every frame, then read the responses in order. Retry
-  // (reconnect + resend the whole batch, once) is only safe when *zero*
-  // frames were delivered: the worker drops incomplete frames, so a
-  // request whose write failed never executed. After the first complete
-  // frame the worker may have executed it, so a mid-batch write failure
-  // fails closed instead: delivered-but-unanswered requests report
-  // kInternal (a blind retry could run a command twice), never-sent ones
-  // report retryable kUnavailable. A failed connect is final too:
-  // ConnectTo already retried until its deadline.
+  // Resending is safe only while the write failed: the worker drops an
+  // incomplete frame, so that request never executed. A failed connect
+  // is final — ConnectTo already retried until its deadline.
   const std::uint64_t startNs = obs::MonotonicNowNs();
+  Status written = Status::Ok();
   for (int attempt = 0; attempt < 2; ++attempt) {
-    Status connected = EnsureConnected();
-    if (!connected.ok()) {
-      for (std::size_t i = 0; i < frames.size(); ++i) {
-        results.push_back(connected.error());
-      }
-      return results;
-    }
-    std::size_t written = 0;
-    Status writeStatus = Status::Ok();
-    for (; written < frames.size(); ++written) {
-      writeStatus = server::WriteFrame(connection_, frames[written].text,
-                                       frames[written].blob, wire_);
-      if (!writeStatus.ok()) break;
-    }
-    if (!writeStatus.ok() && written == 0) {
-      connection_.Close();
-      if (attempt == 0) continue;
-      for (std::size_t i = 0; i < frames.size(); ++i) {
-        results.push_back(Error{ErrorKind::kUnavailable,
-                                "send to worker " + address_ + " failed: " +
-                                    writeStatus.error().message});
-      }
-      return results;
-    }
-    bool readFailed = false;
-    for (std::size_t i = 0; i < written; ++i) {
-      auto response = server::ReadMessage(connection_, wire_);
-      if (!response.ok()) {
-        connection_.Close();
-        readFailed = true;
-        for (std::size_t j = i; j < written; ++j) {
-          results.push_back(
-              Error{ErrorKind::kInternal,
-                    "no response from worker " + address_ + ": " +
-                        response.error().message +
-                        " (request may or may not have executed)"});
-        }
-        break;
-      }
-      results.push_back(std::move(response).value());
-    }
-    if (!readFailed && !writeStatus.ok()) {
-      // The stream is desynced mid-frame even though the responses for
-      // the delivered prefix arrived; the connection cannot be reused.
-      connection_.Close();
-    }
-    for (std::size_t i = written; i < frames.size(); ++i) {
-      results.push_back(Error{ErrorKind::kUnavailable,
-                              "send to worker " + address_ + " failed: " +
-                                  writeStatus.error().message});
-    }
-    // Only completed round trips reach the histogram: a timed-out read
-    // would record the timeout budget, not a latency.
-    if (!readFailed) {
-      metrics.rttUs.Record((obs::MonotonicNowNs() - startNs) / 1000);
-    }
-    return results;
+    RVSS_RETURN_IF_ERROR(EnsureConnected());
+    written = server::WriteFrame(connection_, text, blob, wire_);
+    if (written.ok()) break;
+    connection_.Close();
   }
-  return results;
+  if (!written.ok()) {
+    return Error{ErrorKind::kUnavailable, "send to worker " + address_ +
+                                              " failed: " +
+                                              written.error().message};
+  }
+  auto response = server::ReadMessage(connection_, wire_);
+  if (!response.ok()) {
+    connection_.Close();
+    return Error{ErrorKind::kInternal,
+                 "no response from worker " + address_ + ": " +
+                     response.error().message +
+                     " (request may or may not have executed)"};
+  }
+  // Only completed round trips reach the histogram: a timed-out read
+  // would record the timeout budget, not a latency.
+  metrics.rttUs.Record((obs::MonotonicNowNs() - startNs) / 1000);
+  return response;
 }
 
 }  // namespace rvss::shard

@@ -22,10 +22,10 @@
 //                       heals the slot), and fails closed: a request
 //                       whose response never arrived is reported as an
 //                       error, never retried blindly (it may have
-//                       executed).
+//                       executed). One Call is one frame; the worker's
+//                       lane (shard/lane.h) lets one caller in at a time.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -50,9 +50,8 @@ class WorkerTransport {
   virtual Result<json::Json> Call(const json::Json& request) = 0;
 
   /// Dispatches `requests` in order and returns one result per request,
-  /// index-aligned. The default loops Call(); transports with a real wire
-  /// override it to pipeline the whole batch into fewer writes (the lane's
-  /// coalesced fast path). Same failure contract as Call(), per entry.
+  /// index-aligned, by looping Call(). Nothing in src/ calls it; it stays
+  /// because the end-to-end benchmark's transport decorator overrides it.
   virtual std::vector<Result<json::Json>> CallBatch(
       const std::vector<const json::Json*>& requests) {
     std::vector<Result<json::Json>> results;
@@ -63,10 +62,10 @@ class WorkerTransport {
     return results;
   }
 
-  /// True when the peer can decode base-referenced delta session blobs
-  /// (snapshot format v3). Learned from the hello handshake for sockets;
-  /// false until known — callers then ship full images, which is always
-  /// safe, never lossy.
+  /// Nothing in src/ calls it: every peer that passes the hello
+  /// handshake decodes delta session blobs (see ShardRouter::Options::
+  /// deltaBlobs). It stays because the end-to-end benchmark's transport
+  /// decorator overrides it.
   virtual bool SupportsDeltaBlobs() const { return false; }
 
   /// Human-readable endpoint for logs and workerStats ("in-process",
@@ -94,7 +93,6 @@ class InProcessTransport : public WorkerTransport {
     obs::ScopedLatency timer(callUs);
     return server_->Handle(request);
   }
-  bool SupportsDeltaBlobs() const override { return true; }
   std::string Describe() const override { return "in-process"; }
   server::SimServer* LocalServer() override { return server_.get(); }
 
@@ -117,16 +115,11 @@ class SocketTransport : public WorkerTransport {
   explicit SocketTransport(std::string address,
                            SocketTransportOptions options = {});
 
-  /// A batch of one: CallBatch with a single frame has exactly the
-  /// single-request contract.
+  /// One frame per call: writes the request — reconnecting and writing
+  /// it once more only if the write failed, since the worker drops an
+  /// incomplete frame unexecuted — then reads the response. A failed
+  /// read fails closed as kInternal: the request may have executed.
   Result<json::Json> Call(const json::Json& request) override;
-  std::vector<Result<json::Json>> CallBatch(
-      const std::vector<const json::Json*>& requests) override;
-  bool SupportsDeltaBlobs() const override {
-    // Set after each hello handshake; false while disconnected, which is
-    // the conservative answer (a full image is always decodable).
-    return peerDeltaBlobs_.load(std::memory_order_relaxed);
-  }
   std::string Describe() const override { return address_; }
 
   const std::string& address() const { return address_; }
@@ -137,13 +130,11 @@ class SocketTransport : public WorkerTransport {
   std::string address_;
   SocketTransportOptions options_;
   server::WireOptions wire_;  ///< options_' deadline and frame cap
-  /// No lock: one thread at a time owns the worker's lane and only it
-  /// calls in — the lane's executor, a caller that claimed the idle
-  /// lane, or a fleet operation that quiesced it (or built no lane yet).
+  /// No lock: only one thread at a time calls in — the holder of the
+  /// turn on the worker's lane, or a fleet operation that quiesced the
+  /// lane behind a closed gate (or built no lane yet). The lane's mutex
+  /// orders each holder's calls after the previous holder's.
   net::Socket connection_;
-  /// Atomic: read by the router's migration planner while the lane's
-  /// executor thread owns the connection.
-  std::atomic<bool> peerDeltaBlobs_{false};
 };
 
 }  // namespace rvss::shard

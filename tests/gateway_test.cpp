@@ -893,20 +893,31 @@ TEST(ServeFrames, TransientAcceptFailuresAreCountedAndRetried) {
 
 TEST(WorkerLane, DepthCapShedsWithImmediateRetryableUnavailable) {
   auto blocking = std::make_shared<BlockingTransport>("work");
-  shard::WorkerLane lane(blocking, /*maxQueueDepth=*/1);
+  auto lane = std::make_shared<shard::WorkerLane>(blocking,
+                                                  /*maxQueueDepth=*/1);
+  const auto callOnThread = [](shard::WorkerLane::Ticket ticket) {
+    return std::async(std::launch::async,
+                      [ticket = std::move(ticket)]() mutable {
+                        return ticket.Call(Cmd("work"));
+                      });
+  };
 
-  auto inFlight = lane.Submit(Cmd("work"));
+  auto inFlight = callOnThread(lane->Join());
   for (int i = 0; i < 500 && blocking->entered() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   ASSERT_EQ(blocking->entered(), 1);
-  auto queued = lane.Submit(Cmd("work"));
+  auto queued = callOnThread(lane->Join());
 
-  auto shed = lane.Submit(Cmd("work"));
-  // A load shed resolves immediately — backpressure that queues the
-  // refusal would be no backpressure at all.
-  ASSERT_EQ(shed.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
+  auto shed = callOnThread(lane->Join());
+  // A load shed answers at once — while the first call is still parked in
+  // the transport; backpressure that queued the refusal would be no
+  // backpressure at all.
+  const bool answered = shed.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  if (!answered) blocking->Release();
+  ASSERT_TRUE(answered) << "the shed ticket waited for its turn";
+  EXPECT_EQ(blocking->entered(), 1);
   auto shedResult = shed.get();
   ASSERT_FALSE(shedResult.ok());
   EXPECT_EQ(shedResult.error().kind, ErrorKind::kUnavailable);
@@ -920,12 +931,10 @@ TEST(WorkerLane, DepthCapShedsWithImmediateRetryableUnavailable) {
 TEST(WorkerLane, StoppedLaneAnswersRetryableUnavailable) {
   auto transport =
       std::make_shared<shard::InProcessTransport>(server::SimServer::Limits{});
-  shard::WorkerLane lane(transport);
-  lane.Stop();
-  auto refused = lane.Submit(Cmd("parseAsm", {{"code", json::Json("x")}}));
-  ASSERT_EQ(refused.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  auto result = refused.get();
+  auto lane = std::make_shared<shard::WorkerLane>(transport);
+  lane->Stop();
+  shard::WorkerLane::Ticket refused = lane->Join();
+  auto result = refused.Call(Cmd("parseAsm", {{"code", json::Json("x")}}));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().kind, ErrorKind::kUnavailable);
 }

@@ -6,9 +6,12 @@
 // never lost.
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -455,9 +458,9 @@ TEST(Drain, DeltaDrainMatchesFullDrainAndShipsFewerBytes) {
 
 namespace {
 
-/// Claims delta support but fails the first importSession it sees — the
-/// in-process stand-in for a peer that advertised v3 decode in its hello
-/// and then couldn't honor it. Everything else passes through.
+/// Fails the first importSession it sees — the in-process stand-in for a
+/// destination that cannot decode the delta blob it was sent. Everything
+/// else passes through.
 class FirstImportFailsTransport : public WorkerTransport {
  public:
   explicit FirstImportFailsTransport(const server::SimServer::Limits& limits)
@@ -471,7 +474,6 @@ class FirstImportFailsTransport : public WorkerTransport {
     }
     return inner_.Call(request);
   }
-  bool SupportsDeltaBlobs() const override { return true; }
   std::string Describe() const override { return inner_.Describe(); }
   server::SimServer* LocalServer() override { return inner_.LocalServer(); }
 
@@ -826,11 +828,10 @@ TEST(Concurrency, DrainDuringInflightRunQuiescesThenMigrates) {
 }
 
 TEST(Concurrency, LaneFastPathKeepsPerSessionOrderUnderEightThreadStress) {
-  // 8 driver threads share ONE worker's lane, so the caller-runs fast
-  // path (idle lane) and the queued/batched path (contended lane)
-  // interleave constantly. Per-session command order must survive the
-  // constant path switching: every session's final statistics must equal
-  // the same script run sequentially on a bare SimServer.
+  // 8 client threads share ONE worker's lane, so they constantly wait in
+  // line for each other's turns. Per-session command order must survive
+  // the hand-offs: every session's final statistics must equal the same
+  // script run sequentially on a bare SimServer.
   constexpr int kSessions = 8;
 
   std::vector<std::string> expected(kSessions);
@@ -853,8 +854,8 @@ TEST(Concurrency, LaneFastPathKeepsPerSessionOrderUnderEightThreadStress) {
     ids[i] = MustCreateSession(router, SaltedProgram(i).c_str());
   }
 
-  const std::uint64_t directBefore =
-      obs::Registry::Instance().GetCounter("shard.lane.directCalls").value();
+  const std::uint64_t waitedBefore =
+      obs::Registry::Instance().GetHistogram("shard.lane.queueWaitUs").sum();
   std::vector<std::string> actual(kSessions);
   std::vector<std::string> errors(kSessions);
   std::vector<std::thread> drivers;
@@ -874,14 +875,13 @@ TEST(Concurrency, LaneFastPathKeepsPerSessionOrderUnderEightThreadStress) {
   for (int i = 0; i < kSessions; ++i) {
     ASSERT_TRUE(errors[i].empty()) << "session " << i << ": " << errors[i];
     EXPECT_EQ(actual[i], expected[i])
-        << "session " << i << " diverged under the lane fast path";
+        << "session " << i << " diverged while sharing one lane";
   }
-  // The sequential session creations alone guarantee idle-lane windows,
-  // so the fast path must actually have fired.
+  // Eight threads on one lane must have waited for their turns.
   EXPECT_GT(
-      obs::Registry::Instance().GetCounter("shard.lane.directCalls").value(),
-      directBefore)
-      << "the caller-runs fast path never engaged";
+      obs::Registry::Instance().GetHistogram("shard.lane.queueWaitUs").sum(),
+      waitedBefore)
+      << "no request ever waited for its turn";
 }
 
 namespace {
@@ -901,7 +901,6 @@ class GatedRunTransport : public WorkerTransport {
     }
     return inner_.Call(request);
   }
-  bool SupportsDeltaBlobs() const override { return true; }
   std::string Describe() const override { return inner_.Describe(); }
   server::SimServer* LocalServer() override { return inner_.LocalServer(); }
 
@@ -924,10 +923,10 @@ class GatedRunTransport : public WorkerTransport {
 
 }  // namespace
 
-TEST(Concurrency, DepthCapShedsWithTheFastPathOnAndAnswersTheEnvelope) {
-  // PR 8's load-shed semantics must survive the fast path: a direct call
-  // holds the lane busy exactly like a queued job, so with a depth cap
-  // of 1, one follow-up queues and every further one is shed immediately
+TEST(Concurrency, DepthCapShedsThroughTheRouterAndAnswersTheEnvelope) {
+  // The load-shed semantics through the router: the ticket holding the
+  // turn does not count against the cap, so with a depth cap of 1, one
+  // follow-up waits in line and every further one is shed immediately
   // with the retryable-unavailable envelope.
   auto gated = std::make_shared<GatedRunTransport>(server::SimServer::Limits{});
   ShardRouter::Options options;
@@ -941,8 +940,8 @@ TEST(Concurrency, DepthCapShedsWithTheFastPathOnAndAnswersTheEnvelope) {
   ShardRouter router(options);
   const std::int64_t id = MustCreateSession(router);
 
-  // The run claims the idle lane via the fast path and parks inside the
-  // gated transport — the lane is now provably busy.
+  // The run takes the idle lane's turn and parks inside the gated
+  // transport — the lane is now provably busy.
   std::thread runner([&router, id] {
     json::Json ran = Cmd(router, "run", {{"sessionId", json::Json(id)},
                                          {"maxCycles", json::Json(100)}});
@@ -996,6 +995,138 @@ TEST(Concurrency, DepthCapShedsWithTheFastPathOnAndAnswersTheEnvelope) {
   json::Json after = Cmd(router, "step", {{"sessionId", json::Json(id)},
                                           {"count", json::Json(5)}});
   EXPECT_EQ(after.GetString("status", ""), "ok") << after.Dump();
+}
+
+// ---- the lane's line --------------------------------------------------------
+
+namespace {
+
+/// Records the command of every call it completes, in order, and parks
+/// calls for `blockOn` until Release().
+class LineTransport : public WorkerTransport {
+ public:
+  explicit LineTransport(std::string blockOn = "")
+      : blockOn_(std::move(blockOn)) {}
+
+  Result<json::Json> Call(const json::Json& request) override {
+    const std::string command = request.GetString("command", "");
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (command == blockOn_) {
+      entered_ = true;
+      changed_.notify_all();
+      changed_.wait(lock, [this] { return released_; });
+    }
+    completed_.push_back(command);
+    return server::OkResponse();
+  }
+  std::string Describe() const override { return "line"; }
+
+  void AwaitEntered() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    changed_.wait(lock, [this] { return entered_; });
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      released_ = true;
+    }
+    changed_.notify_all();
+  }
+  std::vector<std::string> completed() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return completed_;
+  }
+
+ private:
+  const std::string blockOn_;
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  bool entered_ = false;
+  bool released_ = false;
+  std::vector<std::string> completed_;
+};
+
+json::Json LineRequest(const std::string& command) {
+  json::Json request = json::Json::MakeObject();
+  request.Set("command", command);
+  return request;
+}
+
+/// Calls `command` with `ticket` on a thread of its own.
+std::future<Result<json::Json>> CallOnThread(WorkerLane::Ticket ticket,
+                                             const std::string& command) {
+  return std::async(std::launch::async,
+                    [ticket = std::move(ticket), command]() mutable {
+                      return ticket.Call(LineRequest(command));
+                    });
+}
+
+}  // namespace
+
+TEST(WorkerLane, TicketsAreServedInJoinOrderEvenWhenALaterHolderCallsFirst) {
+  auto transport = std::make_shared<LineTransport>();
+  auto lane = std::make_shared<WorkerLane>(transport);
+  WorkerLane::Ticket first = lane->Join();
+  WorkerLane::Ticket second = lane->Join();
+  WorkerLane::Ticket third = lane->Join();
+  EXPECT_EQ(lane->stats().queueDepth, 2u)
+      << "the first ticket holds the turn, the other two wait";
+
+  // The later holders call first, the latest one first of all.
+  auto thirdCall = CallOnThread(std::move(third), "third");
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  auto secondCall = CallOnThread(std::move(second), "second");
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(transport->completed().empty())
+      << "a call ran before the first ticket's turn";
+
+  EXPECT_TRUE(first.Call(LineRequest("first")).ok());
+  EXPECT_TRUE(secondCall.get().ok());
+  EXPECT_TRUE(thirdCall.get().ok());
+  EXPECT_EQ(transport->completed(),
+            (std::vector<std::string>{"first", "second", "third"}));
+}
+
+TEST(WorkerLane, QuiesceWaitsForTheCallInServiceAndTheTicketBehindIt) {
+  auto transport = std::make_shared<LineTransport>("block");
+  auto lane = std::make_shared<WorkerLane>(transport);
+  auto blocked = CallOnThread(lane->Join(), "block");
+  transport->AwaitEntered();
+  // Joined before Quiesce starts, so the barrier must wait for it too.
+  auto behind = CallOnThread(lane->Join(), "behind");
+
+  std::atomic<bool> quiesced{false};
+  std::vector<std::string> completedAtQuiesce;
+  std::thread quiescer([&] {
+    lane->Quiesce();
+    completedAtQuiesce = transport->completed();
+    quiesced = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(quiesced.load())
+      << "Quiesce returned while a call was blocked in the transport";
+
+  transport->Release();
+  quiescer.join();
+  EXPECT_EQ(completedAtQuiesce,
+            (std::vector<std::string>{"block", "behind"}));
+  EXPECT_TRUE(blocked.get().ok());
+  EXPECT_TRUE(behind.get().ok());
+}
+
+TEST(WorkerLane, ADroppedTicketGivesItsPlaceUp) {
+  auto transport = std::make_shared<LineTransport>();
+  auto lane = std::make_shared<WorkerLane>(transport);
+  {
+    WorkerLane::Ticket holder = lane->Join();
+    WorkerLane::Ticket waiting = lane->Join();
+  }  // neither called: `waiting` leaves the line, `holder` passes the turn
+  EXPECT_EQ(lane->stats().queueDepth, 0u);
+  auto after = CallOnThread(lane->Join(), "after");
+  ASSERT_EQ(after.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready)
+      << "a dropped ticket kept the turn";
+  EXPECT_TRUE(after.get().ok());
 }
 
 // ---- rebalance --------------------------------------------------------------
@@ -1116,7 +1247,7 @@ TEST(CommandTable, UnknownNamesAndProcessControlAreAnsweredNotForwarded) {
   }
 }
 
-// ---- start-up ordering: transports before lane threads ---------------------
+// ---- start-up: the router starts no thread ----------------------------------
 
 std::size_t ProcessThreadCount() {
   std::size_t threads = 0;
@@ -1129,8 +1260,8 @@ std::size_t ProcessThreadCount() {
 
 TEST(Startup, EveryTransportIsBuiltBeforeAnyLaneThreadStarts) {
   // A factory that forks worker processes must run while the process is
-  // still single-threaded: a lane thread started for worker i could hold
-  // a lock (the obs::Registry mutex) at the instant worker i+1 forks.
+  // still single-threaded: a thread could hold a lock (the obs::Registry
+  // mutex) at the instant a worker forks. The router starts no thread.
   std::vector<std::size_t> threadsAtCall;
   ShardRouter::Options options;
   options.workerCount = 4;
@@ -1147,7 +1278,7 @@ TEST(Startup, EveryTransportIsBuiltBeforeAnyLaneThreadStarts) {
   for (std::size_t i = 0; i < threadsAtCall.size(); ++i) {
     EXPECT_EQ(threadsAtCall[i], before) << "factory call " << i;
   }
-  EXPECT_EQ(ProcessThreadCount(), before + 4) << "one lane thread per worker";
+  EXPECT_EQ(ProcessThreadCount(), before) << "the router starts no thread";
 }
 
 }  // namespace
