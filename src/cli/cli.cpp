@@ -27,7 +27,7 @@ using server::Command;
 
 namespace {
 
-std::string UsageTextInternal() {
+std::string UsageText() {
   return R"(rvss-cli — batch superscalar RISC-V simulation
 
 Usage: rvss-cli --asm FILE | --c FILE [options]
@@ -151,8 +151,6 @@ int RunGateway(const Options& options, std::ostream& out, std::ostream& err);
 
 }  // namespace
 
-std::string UsageText() { return UsageTextInternal(); }
-
 int RunCli(const std::vector<std::string>& args, std::ostream& out,
            std::ostream& err) {
   Options options;
@@ -163,7 +161,7 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
       return args[++i];
     };
     if (arg == "--help" || arg == "-h") {
-      out << UsageTextInternal();
+      out << UsageText();
       return 0;
     } else if (arg == "--asm") {
       auto v = value();
@@ -259,7 +257,7 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
     } else if (arg == "--metrics-dump") {
       options.metricsDump = true;
     } else {
-      err << "unknown argument '" << arg << "'\n" << UsageTextInternal();
+      err << "unknown argument '" << arg << "'\n" << UsageText();
       return 1;
     }
   }

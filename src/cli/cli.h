@@ -19,7 +19,4 @@ namespace rvss::cli {
 int RunCli(const std::vector<std::string>& args, std::ostream& out,
            std::ostream& err);
 
-/// Usage text.
-std::string UsageText();
-
 }  // namespace rvss::cli

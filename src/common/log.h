@@ -45,12 +45,10 @@ class SimLog {
 
   /// Minimum level stored; lower-level messages are dropped at the source.
   void SetMinLevel(LogLevel level) { minLevel_ = level; }
-  LogLevel minLevel() const { return minLevel_; }
 
   /// Byte budget for the stored entries (0 = unlimited). A setting, not
   /// simulation state: snapshots do not carry it.
   void SetByteBudget(std::size_t maxBytes);
-  std::size_t byteBudget() const { return maxBytes_; }
 
   /// Approximate heap footprint of the stored entries — the quantity the
   /// byte budget bounds and checkpoint accounting charges.

@@ -131,22 +131,6 @@ std::string FormatBytes(std::uint64_t bytes) {
   return buffer;
 }
 
-std::string EscapeForDisplay(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -37,9 +37,6 @@ std::optional<double> ParseDouble(std::string_view text);
 /// Formats a byte count as "12.3 KiB" style text (used by stats output).
 std::string FormatBytes(std::uint64_t bytes);
 
-/// Escapes a string for embedding in JSON or log output ("\n" etc.).
-std::string EscapeForDisplay(std::string_view text);
-
 /// Standard base64 (RFC 4648, with '=' padding). Binary-safe transport for
 /// snapshot blobs inside JSON responses.
 std::string Base64Encode(std::string_view bytes);

@@ -57,14 +57,6 @@ std::uint32_t FunctionalUnitConfig::LatencyFor(isa::OpClass opClass) const {
   return 0;
 }
 
-std::size_t CpuConfig::CountUnits(FunctionalUnitConfig::Kind kind) const {
-  std::size_t count = 0;
-  for (const FunctionalUnitConfig& fu : functionalUnits) {
-    if (fu.kind == kind) ++count;
-  }
-  return count;
-}
-
 namespace {
 
 template <typename Enum, std::size_t N>

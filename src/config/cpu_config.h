@@ -147,9 +147,6 @@ struct CpuConfig {
   /// Seed for the Random cache-replacement policy (determinism is required
   /// for backward simulation).
   std::uint64_t randomSeed = 1;
-
-  /// Counts functional units of a kind.
-  std::size_t CountUnits(FunctionalUnitConfig::Kind kind) const;
 };
 
 /// JSON round trip (architecture import/export).

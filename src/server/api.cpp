@@ -379,8 +379,8 @@ json::Json SimServer::Dispatch(Command command, const json::Json& request) {
     case Command::kExportSession: {
       obs::ScopedSpan span("session", "exportSession");
       // encoding:"delta" ships only the pages dirtied since the session's
-      // base image — the router asks for it after the destination's hello
-      // advertised delta support. Default stays full (self-contained for
+      // base image — the router asks for it whenever its
+      // Options::deltaBlobs is set. Default stays full (self-contained for
       // unknown readers, e.g. a file saved for a future process).
       const std::string encoding = request.GetString("encoding", "full");
       if (encoding != "full" && encoding != "delta") {

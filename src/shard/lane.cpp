@@ -51,11 +51,6 @@ WorkerLane::Ticket WorkerLane::Join() {
   return ticket;
 }
 
-void WorkerLane::Quiesce() {
-  MutexLock lock(mutex_);
-  while (busy_) idle_.Wait(mutex_);
-}
-
 void WorkerLane::Stop() {
   MutexLock lock(mutex_);
   stopped_ = true;
@@ -78,10 +73,9 @@ void WorkerLane::Leave(Waiter* waiter) {
     line_.erase(std::find(line_.begin(), line_.end(), waiter));
   } else if (line_.empty()) {
     busy_ = false;
-    idle_.NotifyAll();
   } else {
-    // Notify under the mutex: the next holder's Waiter lives only until
-    // it sees `served`, which it cannot read before we unlock.
+    // Notify under the mutex: the next holder may destroy its Waiter as
+    // soon as it sees `served`, which it cannot read before we unlock.
     line_.front()->served = true;
     line_.front()->turn.NotifyOne();
     line_.pop_front();
@@ -89,44 +83,22 @@ void WorkerLane::Leave(Waiter* waiter) {
   queueDepth_.store(line_.size(), std::memory_order_relaxed);
 }
 
-Result<json::Json> WorkerLane::Serve(const Ticket& ticket,
-                                     const json::Json& request) {
-  // One registration per metric name for the whole process; every lane
-  // shares the objects, so these histograms aggregate across the fleet's
-  // lanes (the per-worker split lives in workerStats' lane Stats).
-  static obs::Histogram& queueWaitUs =
-      obs::Registry::Instance().GetHistogram("shard.lane.queueWaitUs");
-  static obs::Histogram& dispatchUs =
-      obs::Registry::Instance().GetHistogram("shard.lane.dispatchUs");
-  static obs::Counter& requests =
-      obs::Registry::Instance().GetCounter("shard.lane.requests");
-  Waiter* waiter = ticket.waiter_.get();
-  {
-    MutexLock lock(mutex_);
-    while (waiter != nullptr && !waiter->served && !stopped_) {
-      waiter->turn.Wait(mutex_);
-    }
-    if (stopped_) return StoppedError();
+Status WorkerLane::AwaitTurn(Waiter* waiter) {
+  MutexLock lock(mutex_);
+  while (waiter != nullptr && !waiter->served && !stopped_) {
+    waiter->turn.Wait(mutex_);
   }
-  const std::uint64_t startNs = obs::MonotonicNowNs();
-  queueWaitUs.Record((startNs - ticket.joinedNs_) / 1000);
-  inFlight_.store(true, std::memory_order_relaxed);
-  Result<json::Json> response = transport_->Call(request);
-  const std::uint64_t elapsedNs = obs::MonotonicNowNs() - startNs;
-  inFlight_.store(false, std::memory_order_relaxed);
-  dispatchUs.Record(elapsedNs / 1000);
-  requests.Increment();
-  lastDispatchNs_.store(elapsedNs, std::memory_order_relaxed);
-  return response;
+  if (stopped_) return StoppedError();
+  return Status::Ok();
 }
 
 WorkerLane::Ticket& WorkerLane::Ticket::operator=(Ticket&& other) noexcept {
-  // Swap: `other` takes this ticket's old place and gives it up when it
-  // is destroyed.
-  std::swap(lane_, other.lane_);
-  std::swap(waiter_, other.waiter_);
-  std::swap(joinedNs_, other.joinedNs_);
-  std::swap(refusal_, other.refusal_);
+  if (this == &other) return *this;
+  if (lane_ != nullptr) lane_->Leave(waiter_.get());
+  lane_ = std::move(other.lane_);
+  waiter_ = std::move(other.waiter_);
+  joinedNs_ = std::exchange(other.joinedNs_, 0);
+  refusal_ = std::exchange(other.refusal_, Status::Ok());
   return *this;
 }
 
@@ -134,13 +106,36 @@ WorkerLane::Ticket::~Ticket() {
   if (lane_ != nullptr) lane_->Leave(waiter_.get());
 }
 
-Result<json::Json> WorkerLane::Ticket::Call(const json::Json& request) {
+Status WorkerLane::Ticket::Wait() {
   assert(valid());
-  if (lane_ == nullptr) return std::exchange(refusal_, Status::Ok()).error();
-  // Should Serve throw, the destructor gives the place up instead.
-  Result<json::Json> response = lane_->Serve(*this, request);
-  lane_->Leave(waiter_.get());
-  lane_.reset();
+  if (lane_ == nullptr) return refusal_;
+  RVSS_RETURN_IF_ERROR(lane_->AwaitTurn(waiter_.get()));
+  if (joinedNs_ != 0) {
+    // One registration per metric name for the whole process; every lane
+    // shares it, so the histogram aggregates across the fleet's lanes.
+    static obs::Histogram& queueWaitUs =
+        obs::Registry::Instance().GetHistogram("shard.lane.queueWaitUs");
+    queueWaitUs.Record((obs::MonotonicNowNs() - joinedNs_) / 1000);
+    joinedNs_ = 0;
+  }
+  return Status::Ok();
+}
+
+Result<json::Json> WorkerLane::Ticket::Call(const json::Json& request) {
+  static obs::Histogram& dispatchUs =
+      obs::Registry::Instance().GetHistogram("shard.lane.dispatchUs");
+  static obs::Counter& requests =
+      obs::Registry::Instance().GetCounter("shard.lane.requests");
+  RVSS_RETURN_IF_ERROR(Wait());
+  WorkerLane& lane = *lane_;
+  const std::uint64_t startNs = obs::MonotonicNowNs();
+  lane.inFlight_.store(true, std::memory_order_relaxed);
+  Result<json::Json> response = lane.transport_->Call(request);
+  const std::uint64_t elapsedNs = obs::MonotonicNowNs() - startNs;
+  lane.inFlight_.store(false, std::memory_order_relaxed);
+  dispatchUs.Record(elapsedNs / 1000);
+  requests.Increment();
+  lane.lastDispatchNs_.store(elapsedNs, std::memory_order_relaxed);
   return response;
 }
 

@@ -5,28 +5,35 @@
 // WorkerLane gives every worker a line that callers join: the router
 // hands out a Ticket under its fleet mutex, in the same critical section
 // that checks the worker's placement gate, and the thread holding the
-// ticket waits for its turn, runs WorkerTransport::Call itself and then
-// passes the turn to the next ticket in line — waking that holder alone.
-// There is no lane thread: every caller of the router is already a
-// thread that blocks for its reply. Concurrency therefore lives
+// ticket waits for its turn and runs WorkerTransport::Call itself. The
+// ticket keeps the turn until it is destroyed (or move-assigned over),
+// which passes the turn to the next ticket in line — waking that holder
+// alone. There is no lane thread: every caller of the router is already
+// a thread that blocks for its reply. Concurrency therefore lives
 // *between* lanes while ordering holds *within* one: tickets are served
 // in join order, so a session's requests run in the order their
 // dispatching threads passed the fleet mutex.
 //
-// The quiesce barrier: fleet operations that move sessions (drain,
-// rebalance, removeWorker) must never observe a request in flight on the
-// worker they are reorganizing. Quiesce() blocks until no ticket waits
-// and none holds the turn. The caller closes the router's placement gate
-// for this worker *before* quiescing and keeps it closed across the
-// session moves that follow: every Join happens under the router's fleet
-// mutex after a gate check, so once the gate is closed no new ticket can
-// join, and the lane stays idle until the gate reopens — the fleet
-// operation may use the worker's transport directly meanwhile. Quiesce
-// is a wait, not a mode switch; there is nothing to resume.
+// Owning a worker: a client request drops its ticket as soon as it has
+// read its reply and recorded any placement change. A fleet operation
+// that moves sessions (drain, rebalance, removeWorker) takes the worker
+// over the same way: it closes the router's placement gate and joins the
+// lane in one fleet-mutex section, waits for its turn, and makes every
+// call to the worker through that one ticket. Everything that joined
+// ahead of it has then finished, and nothing joins behind the closed
+// gate, until the operation drops the ticket and reopens the gate.
+//
+// Deadlock freedom rests on four rules (router.h states them too):
+//   * a thread that holds a turn may take the router's fleet mutex;
+//   * the fleet mutex is never held while waiting for a turn;
+//   * only a fleet operation, serialized on the router's fleet-op mutex,
+//     waits for a second turn while it holds one (the destination import
+//     and the peer probes);
+//   * a fleet operation never joins the lane it owns.
 //
 // Stop() ends the lane for good (removeWorker): tickets still waiting,
-// and every later Join, are answered with an error, never dropped.
-// Callers that need pending work to complete quiesce first.
+// every later Join and every later call of the holder are answered with
+// an error, never dropped.
 //
 // Lifetime: a ticket holds a shared_ptr to its lane, so a lane outlives
 // the final release of every ticket even after the router drops it.
@@ -52,8 +59,7 @@ class WorkerLane : public std::enable_shared_from_this<WorkerLane> {
   class Ticket;
 
   /// The lane shares ownership of the transport; nothing else may use it
-  /// while the lane is live except a fleet operation holding the quiesce
-  /// barrier (see above). maxQueueDepth bounds the number of *waiting*
+  /// while the lane is live. maxQueueDepth bounds the number of *waiting*
   /// tickets (the one holding the turn excluded): beyond it, Join
   /// load-sheds. 0 = unbounded. Lanes must be owned by a shared_ptr.
   explicit WorkerLane(std::shared_ptr<WorkerTransport> transport,
@@ -64,17 +70,13 @@ class WorkerLane : public std::enable_shared_from_this<WorkerLane> {
 
   /// Takes a place at the end of the line; never waits for the turn. On
   /// a stopped lane — or when the line is at its depth cap — the ticket
-  /// is refused: its Call answers at once with a retryable kUnavailable
-  /// Error (the latter is a load shed: try again later).
+  /// is refused: its Wait and Call answer at once with a retryable
+  /// kUnavailable Error (the latter is a load shed: try again later).
   Ticket Join() EXCLUDES(mutex_);
 
-  /// Blocks until no ticket waits and none holds the turn. Only
-  /// meaningful while the caller prevents new joins (by closing the
-  /// router's placement gate for this worker); see the file comment.
-  void Quiesce() EXCLUDES(mutex_);
-
-  /// Refuses every waiting and every later ticket. The holder of the
-  /// turn, if any, finishes its call. Idempotent.
+  /// Refuses every waiting and every later ticket, and every later call
+  /// of the holder of the turn; a call already in the transport
+  /// finishes. Idempotent.
   void Stop() EXCLUDES(mutex_);
 
   /// Live lane load, surfaced per worker by the router's workerStats.
@@ -95,10 +97,8 @@ class WorkerLane : public std::enable_shared_from_this<WorkerLane> {
     bool served = false;  ///< the turn has been passed to this ticket
   };
 
-  /// Waits for `ticket`'s turn and runs `request`; the ticket then
-  /// gives its place up.
-  Result<json::Json> Serve(const Ticket& ticket, const json::Json& request)
-      EXCLUDES(mutex_);
+  /// Blocks until `waiter` holds the turn (nullptr: it did from Join).
+  Status AwaitTurn(Waiter* waiter) EXCLUDES(mutex_);
   /// Gives up `waiter`'s place: leaves the line if its turn has not come,
   /// else passes the turn on. nullptr means the turn was free at Join.
   void Leave(Waiter* waiter) EXCLUDES(mutex_);
@@ -106,7 +106,6 @@ class WorkerLane : public std::enable_shared_from_this<WorkerLane> {
   const std::shared_ptr<WorkerTransport> transport_;
   const std::size_t maxQueueDepth_;
   Mutex mutex_;
-  CondVar idle_;  ///< signals Quiesce() waiters
   std::deque<Waiter*> line_ GUARDED_BY(mutex_);
   /// A ticket holds the turn. Tickets wait only behind a holder, so
   /// !busy_ implies an empty line.
@@ -119,8 +118,9 @@ class WorkerLane : public std::enable_shared_from_this<WorkerLane> {
   std::atomic<std::uint64_t> lastDispatchNs_{0};
 };
 
-/// One place in a lane's line, from Join until its Call (or destruction,
-/// which gives the place up unused). Move-only.
+/// One place in a lane's line, from Join until destruction (or until it
+/// is move-assigned over), which gives the place up: a waiting ticket
+/// leaves the line, the holder passes the turn on. Move-only.
 class WorkerLane::Ticket {
  public:
   Ticket() = default;
@@ -128,22 +128,28 @@ class WorkerLane::Ticket {
   Ticket& operator=(Ticket&& other) noexcept;
   ~Ticket();
 
-  /// True from Join until Call: the ticket holds a place or a refusal.
+  /// True for a ticket from Join: it holds a place or a refusal.
   bool valid() const { return lane_ != nullptr || !refusal_.ok(); }
 
-  /// Waits for this ticket's turn, runs `request` over the lane's
-  /// transport on the calling thread, then passes the turn on. Returns
-  /// exactly what the transport's Call returned: a response document, or
-  /// an Error for a transport-level failure (a worker's own
-  /// {status: "error"} answer is a successful call) — or the refusal.
-  /// Requires valid(); consumes the ticket.
+  /// Blocks until this ticket holds the turn; at once if it already
+  /// does. Returns the refusal, or a stopped lane's error. Requires
+  /// valid().
+  Status Wait();
+
+  /// Waits for the turn, then runs `request` over the lane's transport
+  /// on the calling thread, keeping the turn. Returns exactly what the
+  /// transport's Call returned: a response document, or an Error for a
+  /// transport-level failure (a worker's own {status: "error"} answer is
+  /// a successful call) — or Wait's error. Requires valid().
   Result<json::Json> Call(const json::Json& request);
 
  private:
   friend class WorkerLane;
 
-  std::shared_ptr<WorkerLane> lane_;  ///< null when refused or used
+  std::shared_ptr<WorkerLane> lane_;  ///< null when refused
   std::unique_ptr<Waiter> waiter_;    ///< null when the turn was free
+  /// Join time, until the first Wait that found the turn records the
+  /// queue wait; 0 after.
   std::uint64_t joinedNs_ = 0;
   Status refusal_;
 };

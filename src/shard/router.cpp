@@ -23,6 +23,13 @@ json::Json RouterError(ErrorKind kind, std::string message) {
   return server::MakeErrorResponse(Error{kind, std::move(message)});
 }
 
+/// A lane call's answer as a response document: a transport failure
+/// becomes an error response.
+json::Json ResponseOf(Result<json::Json> result) {
+  if (!result.ok()) return server::MakeErrorResponse(result.error());
+  return std::move(result).value();
+}
+
 }  // namespace
 
 Result<std::shared_ptr<WorkerTransport>> ShardRouter::MakeTransport(
@@ -94,11 +101,7 @@ json::Json ShardRouter::CallViaLane(std::size_t worker,
     }
     ticket = lanes_[worker]->Join();
   }
-  auto response = ticket.Call(request);
-  if (!response.ok()) {
-    return server::MakeErrorResponse(response.error());
-  }
-  return std::move(response).value();
+  return ResponseOf(ticket.Call(request));
 }
 
 std::vector<std::future<Result<json::Json>>> ShardRouter::CallEach(
@@ -109,44 +112,39 @@ std::vector<std::future<Result<json::Json>>> ShardRouter::CallEach(
     pending[i] = std::async(
         std::launch::async,
         [ticket = std::move(tickets[i]), request]() mutable {
-          return ticket.Call(request);
+          // The callable lives as long as its future; the ticket must go,
+          // passing the turn on, as soon as the call returns.
+          WorkerLane::Ticket held = std::move(ticket);
+          return held.Call(request);
         });
   }
   return pending;
 }
 
-json::Json ShardRouter::CallWorkerDirect(std::size_t worker,
-                                         const json::Json& request) {
-  std::shared_ptr<WorkerTransport> transport;
+Result<WorkerLane::Ticket> ShardRouter::TakeOver(std::size_t index) {
+  WorkerLane::Ticket owner;
   {
+    // One section: no ticket joins between the closing gate and ours, so
+    // once ours holds the turn every request that joined ahead of it has
+    // finished and recorded its placement change, and none waits behind.
     MutexLock lock(fleetMutex_);
-    if (!IsLive(worker)) {
-      return RouterError(ErrorKind::kUnavailable,
-                         "worker " + std::to_string(worker) + " was removed");
-    }
-    transport = workers_[worker];
+    gated_[index] = true;
+    owner = lanes_[index]->Join();
   }
-  auto response = transport->Call(request);
-  if (!response.ok()) {
-    return server::MakeErrorResponse(response.error());
+  Status turn;
+  {
+    // An in-flight `run` completes first; its client gets a normal
+    // response. Requests for the worker's sessions wait at the gate.
+    obs::ScopedSpan quiesceSpan("fleet", "quiesce");
+    quiesceSpan.SetDetail(StrFormat("worker=%zu", index));
+    turn = owner.Wait();
   }
-  return std::move(response).value();
-}
-
-WorkerLane* ShardRouter::CloseGate(std::size_t index) {
-  MutexLock lock(fleetMutex_);
-  gated_[index] = true;
-  // An admission that already joined this worker's lane finishes its
-  // round trip and records its placement from the admitting thread;
-  // wait it out so the drain below starts from a placement map that
-  // includes every session the (about to be quiesced) lane produced.
-  while (admissionIntents_.find(index) != admissionIntents_.end()) {
-    intentsClear_.Wait(fleetMutex_);
+  if (!turn.ok()) {
+    // Refused at the depth cap like any other ticket: nothing has moved.
+    OpenGate(index);
+    return turn.error();
   }
-  // Handing the lane out of the mutex section is safe: only RemoveWorker
-  // destroys a lane, fleet operations serialize on fleetOpMutex_ (held by
-  // our caller), and the closed gate keeps new tickets out.
-  return lanes_[index].get();
+  return owner;
 }
 
 void ShardRouter::OpenGate(std::size_t index) {
@@ -237,9 +235,9 @@ json::Json ShardRouter::StatelessCommand(const json::Json& request) {
       MutexLock lock(fleetMutex_);
       if (i >= workers_.size()) break;
       if (!IsLive(i) || gated_[i]) continue;
-      // Join *under* the mutex — the quiesce barrier's contract is that
-      // no ticket can race a fleet operation's closed gate; only the
-      // wait for the turn happens unlocked.
+      // Join *under* the mutex, after the gate check: no ticket may
+      // join behind a fleet operation's closed gate. Only the wait for
+      // the turn happens unlocked.
       ticket = lanes_[i]->Join();
     }
     auto response = ticket.Call(request);
@@ -269,14 +267,12 @@ Result<std::size_t> ShardRouter::PlaceNew(std::int64_t globalId) {
 json::Json ShardRouter::AdmitSession(const json::Json& request) {
   // createSession and importSession admit identically: allocate a global
   // id, place it on the ring, forward, and record where it landed. The
-  // worker round trip runs *unlocked* — what keeps drains honest is the
-  // placement intent recorded under the mutex with the ticket: a drain
-  // of the target worker closes the gate and waits for the worker's
-  // intents to clear, so by the time it reads the placement map, this
-  // admission has either finalized its entry or failed. Admissions
+  // worker round trip runs *unlocked*, and the placement is recorded
+  // before the ticket goes: a fleet operation taking the worker over
+  // joins behind this ticket, so by the time it reads the placement map
+  // this admission has either recorded its entry or failed. Admissions
   // therefore overlap with traffic, with each other, and with drains of
-  // *other* workers — a createSession burst no longer serializes behind
-  // an in-progress drain it is not placed on.
+  // *other* workers.
   std::int64_t globalId = 0;
   std::size_t worker = 0;
   WorkerLane::Ticket ticket;
@@ -292,28 +288,15 @@ json::Json ShardRouter::AdmitSession(const json::Json& request) {
       // for the gate and re-place (eligibility may have changed).
       gateOpen_.Wait(fleetMutex_);
     }
-    ++admissionIntents_[worker];
     ticket = lanes_[worker]->Join();
   }
-
-  auto result = ticket.Call(request);
-  json::Json response = result.ok()
-                            ? std::move(result).value()
-                            : server::MakeErrorResponse(result.error());
-  const bool admitted = IsOk(response);
+  json::Json response = ResponseOf(ticket.Call(request));
+  if (!IsOk(response)) return response;
   {
     MutexLock lock(fleetMutex_);
-    auto intent = admissionIntents_.find(worker);
-    if (intent != admissionIntents_.end() && --intent->second == 0) {
-      admissionIntents_.erase(intent);
-    }
-    if (admitted) {
-      placements_[globalId] =
-          Placement{worker, response.GetInt("sessionId", -1)};
-    }
+    placements_[globalId] =
+        Placement{worker, response.GetInt("sessionId", -1)};
   }
-  intentsClear_.NotifyAll();
-  if (!admitted) return response;
   static obs::Counter& admissions =
       obs::Registry::Instance().GetCounter("shard.router.admissions");
   admissions.Increment();
@@ -325,8 +308,6 @@ json::Json ShardRouter::AdmitSession(const json::Json& request) {
 json::Json ShardRouter::RouteSessionCommand(Command command,
                                             const json::Json& request) {
   const std::int64_t globalId = request.GetInt("sessionId", -1);
-  const bool isDelete = command == Command::kDeleteSession;
-  std::size_t worker = 0;
   std::int64_t localId = 0;
   WorkerLane::Ticket ticket;
   {
@@ -349,9 +330,8 @@ json::Json ShardRouter::RouteSessionCommand(Command command,
         // where the fleet's parallelism comes from. Per-session ordering
         // holds because a session's requests all join the same FIFO
         // lane, in the order their dispatching threads held the mutex.
-        worker = placement.worker;
         localId = placement.localId;
-        ticket = lanes_[worker]->Join();
+        ticket = lanes_[placement.worker]->Join();
         break;
       }
       // A fleet operation owns this session's worker (drain, rebalance,
@@ -363,22 +343,12 @@ json::Json ShardRouter::RouteSessionCommand(Command command,
   }
   json::Json forwarded = request;
   forwarded.Set("sessionId", localId);
-  auto result = ticket.Call(forwarded);
-  if (!result.ok()) {
-    return server::MakeErrorResponse(result.error());
-  }
-  json::Json response = std::move(result).value();
-  if (isDelete && IsOk(response)) {
-    // Deletes finalize like admissions: the map mutation happens after
-    // the unlocked round trip. A fleet operation that snapshots the map
-    // between our worker-side delete and this erase sees a placement for
-    // a session that no longer exists — its export fails and MoveSession
-    // re-checks the map, reporting the session skipped, not lost.
+  json::Json response = ResponseOf(ticket.Call(forwarded));
+  if (command == Command::kDeleteSession && IsOk(response)) {
+    // Erased before the ticket goes, like an admission's placement: a
+    // fleet operation that owns the worker next never sees the session.
     MutexLock lock(fleetMutex_);
-    auto it = placements_.find(globalId);
-    if (it != placements_.end() && it->second.worker == worker) {
-      placements_.erase(it);
-    }
+    placements_.erase(globalId);
   }
   return response;
 }
@@ -427,10 +397,7 @@ json::Json ShardRouter::ListSessions() {
       perWorker.push_back(json::Json::MakeObject());
       continue;
     }
-    auto result = pending[i].get();
-    perWorker.push_back(result.ok()
-                            ? std::move(result).value()
-                            : server::MakeErrorResponse(result.error()));
+    perWorker.push_back(ResponseOf(pending[i].get()));
     // A live slot whose process is dead cannot enumerate its sessions;
     // flag it so the omissions below read as "unreachable", not
     // "deleted" — the sessions still exist and still route (to errors).
@@ -611,10 +578,7 @@ json::Json ShardRouter::FanOutToProcesses(Command command,
   json::Json list = json::Json::MakeArray();
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (pending[i].valid()) {
-      auto result = pending[i].get();
-      json::Json answer = result.ok()
-                              ? std::move(result).value()
-                              : server::MakeErrorResponse(result.error());
+      json::Json answer = ResponseOf(pending[i].get());
       json::Json* value = answer.Find(field);
       if (!IsOk(answer) || value == nullptr) {
         entries[i].Set("unreachable", true);
@@ -665,49 +629,24 @@ json::Json ShardRouter::TraceDump() {
   return response;
 }
 
-Status ShardRouter::MoveSession(std::int64_t globalId, std::size_t destination,
-                                std::uint64_t* movedBytes, bool* skipped) {
-  Placement source;
-  {
-    MutexLock lock(fleetMutex_);
-    auto it = placements_.find(globalId);
-    if (it == placements_.end()) {
-      // Deleted by a client whose request was already queued when the
-      // gate closed: executed during the quiesce, finalized since.
-      // Nothing to move, nothing lost.
-      if (skipped != nullptr) *skipped = true;
-      return Status::Ok();
-    }
-    source = it->second;
-  }
-
+Status ShardRouter::MoveSession(WorkerLane::Ticket& owner,
+                                std::int64_t globalId, const Placement& source,
+                                std::size_t destination,
+                                std::uint64_t* movedBytes) {
   // Every peer decodes delta blobs: the hello handshake pins this
   // build's snapshot format, and every v3 decoder reads base-referenced
   // deltas. Options::deltaBlobs alone picks the wire form.
   const bool deltaExport = options_.deltaBlobs;
 
-  // Source-side calls go straight down the transport: the caller closed
-  // the source worker's gate and quiesced its lane, so the lane is idle
-  // and stays idle (every ticket is taken after a gate check) — the
-  // transport is ours until the gate reopens.
+  // Source-side calls go through the owner's ticket, which holds the
+  // source lane's turn behind its closed gate.
   auto exportFrom = [&](bool delta) {
     json::Json exportRequest = server::MakeRequest(Command::kExportSession);
     exportRequest.Set("sessionId", source.localId);
     if (delta) exportRequest.Set("encoding", "delta");
-    return CallWorkerDirect(source.worker, exportRequest);
+    return ResponseOf(owner.Call(exportRequest));
   };
   auto exportFailed = [&](const json::Json& exported) {
-    {
-      // A delete that executed during the quiesce may finalize (erase
-      // its placement) at any point after our snapshot above; if the
-      // placement is gone now, the failed export was that delete, not a
-      // lost session.
-      MutexLock lock(fleetMutex_);
-      if (placements_.find(globalId) == placements_.end()) {
-        if (skipped != nullptr) *skipped = true;
-        return Status::Ok();
-      }
-    }
     // The session vanished from its worker (deleted behind the router's
     // back, export failed, or the worker process is dead). Nothing
     // moved; surface the worker's error.
@@ -767,7 +706,7 @@ Status ShardRouter::MoveSession(std::int64_t globalId, std::size_t destination,
   // Only now is it safe to drop the source copy.
   json::Json deleteRequest = server::MakeRequest(Command::kDeleteSession);
   deleteRequest.Set("sessionId", source.localId);
-  json::Json deleted = CallWorkerDirect(source.worker, deleteRequest);
+  json::Json deleted = ResponseOf(owner.Call(deleteRequest));
   if (!IsOk(deleted)) {
     // Failing to delete would leave two live copies; roll the import back
     // so the mapping stays unambiguous.
@@ -798,21 +737,17 @@ Status ShardRouter::MoveSession(std::int64_t globalId, std::size_t destination,
   return Status::Ok();
 }
 
-std::vector<std::int64_t> ShardRouter::DrainSessions(std::size_t index,
-                                                     json::Json& response,
-                                                     bool* sourceReachable) {
-  struct Victim {
-    std::int64_t globalId = 0;
-    std::int64_t localId = 0;
-  };
-  std::vector<Victim> toMove;
+std::vector<std::int64_t> ShardRouter::DrainSessions(
+    WorkerLane::Ticket& owner, std::size_t index, json::Json& response,
+    bool* sourceReachable) {
+  // Read while owning the worker, so the map is exact: every request
+  // that joined the lane ahead of the owner has recorded its change.
+  std::vector<std::pair<std::int64_t, Placement>> toMove;
   std::vector<bool> eligible;
   {
     MutexLock lock(fleetMutex_);
     for (const auto& [globalId, placement] : placements_) {
-      if (placement.worker == index) {
-        toMove.push_back(Victim{globalId, placement.localId});
-      }
+      if (placement.worker == index) toMove.emplace_back(globalId, placement);
     }
     eligible = Eligible();
   }
@@ -820,19 +755,18 @@ std::vector<std::int64_t> ShardRouter::DrainSessions(std::size_t index,
   // Per-session byte estimates for the drained worker, and one fleet-wide
   // load snapshot, both taken once: the loop below keeps the destination
   // loads current incrementally instead of re-walking every worker's
-  // session table per move. The source is listed directly (its lane is
-  // quiesced behind the closed gate); the peers are probed through their
-  // lanes.
+  // session table per move. The source is listed through the owner's
+  // ticket; the peers are probed through their own lanes.
   std::map<std::int64_t, std::uint64_t> sessionBytes;
   {
-    json::Json listRequest = server::MakeRequest(Command::kListSessions);
-    const json::Json listed = CallWorkerDirect(index, listRequest);
+    const json::Json listed = ResponseOf(
+        owner.Call(server::MakeRequest(Command::kListSessions)));
     if (sourceReachable != nullptr) *sourceReachable = IsOk(listed);
     const auto localIndex = IndexSessions(listed);
-    for (const Victim& victim : toMove) {
-      auto found = localIndex.find(victim.localId);
+    for (const auto& [globalId, placement] : toMove) {
+      auto found = localIndex.find(placement.localId);
       if (found != localIndex.end()) {
-        sessionBytes[victim.globalId] = static_cast<std::uint64_t>(
+        sessionBytes[globalId] = static_cast<std::uint64_t>(
             found->second->GetInt("approxBytes", 0));
       }
     }
@@ -849,23 +783,22 @@ std::vector<std::int64_t> ShardRouter::DrainSessions(std::size_t index,
   std::uint64_t movedBytes = 0;
   std::vector<std::int64_t> failedIds;
   json::Json failed = json::Json::MakeArray();
-  for (const Victim& victim : toMove) {
+  for (const auto& [globalId, placement] : toMove) {
     auto destination = LeastLoaded(fleet.bytes, eligible);
-    bool skipped = false;
     Status status =
         destination.has_value()
-            ? MoveSession(victim.globalId, *destination, &movedBytes, &skipped)
+            ? MoveSession(owner, globalId, placement, *destination,
+                          &movedBytes)
             : Status::Fail(ErrorKind::kUnavailable,
                            "no eligible destination worker for session " +
-                               std::to_string(victim.globalId));
-    if (skipped) continue;  // concurrently deleted: neither moved nor failed
+                               std::to_string(globalId));
     if (status.ok()) {
       ++moved;
-      fleet.bytes[*destination] += sessionBytes[victim.globalId];
+      fleet.bytes[*destination] += sessionBytes[globalId];
     } else {
-      failedIds.push_back(victim.globalId);
+      failedIds.push_back(globalId);
       json::Json failure = json::Json::MakeObject();
-      failure.Set("sessionId", victim.globalId);
+      failure.Set("sessionId", globalId);
       failure.Set("message", status.error().message);
       failed.Append(std::move(failure));
     }
@@ -895,20 +828,16 @@ json::Json ShardRouter::DrainWorker(const json::Json& request) {
     drained_[index] = true;
   }
   obs::ScopedSpan span("fleet", "drainWorker");
-  WorkerLane* lane = CloseGate(index);
-  {
-    // The quiesce barrier: wait out any request already in the worker's
-    // lane (an in-flight `run` completes; its client gets a normal
-    // response). New requests for the worker's sessions block on the
-    // gate and execute after the drain, against the sessions' new homes
-    // — traffic for every other worker flows the whole time.
-    obs::ScopedSpan quiesceSpan("fleet", "quiesce");
-    quiesceSpan.SetDetail(StrFormat("worker=%zu", index));
-    lane->Quiesce();
-  }
-
   json::Json response = json::Json::MakeObject();
-  const std::vector<std::int64_t> failedIds = DrainSessions(index, response);
+  std::vector<std::int64_t> failedIds;
+  {
+    // New requests for the worker's sessions wait at the gate and
+    // execute after the drain, against the sessions' new homes — traffic
+    // for every other worker flows the whole time.
+    auto owner = TakeOver(index);
+    if (!owner.ok()) return server::MakeErrorResponse(owner.error());
+    failedIds = DrainSessions(owner.value(), index, response);
+  }
   OpenGate(index);
   span.SetDetail(StrFormat("worker=%zu moved=%lld failed=%zu", index,
                            static_cast<long long>(response.GetInt("moved", 0)),
@@ -956,8 +885,7 @@ json::Json ShardRouter::AddWorker(const json::Json& request) {
     const std::string address = request.GetString("address", "");
     if (!address.empty()) {
       return std::shared_ptr<WorkerTransport>(
-          std::make_shared<SocketTransport>(address,
-                                            options_.socketOptions));
+          std::make_shared<SocketTransport>(address));
     }
     return MakeTransport(index, options_.workerLimits);
   }();
@@ -1001,10 +929,8 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
   const std::int64_t worker = request.GetInt("worker", -1);
   const bool force = request.GetBool("force", false);
   std::size_t index = 0;
-  // Snapshotted under the fleet mutex; the shared_ptr keeps the transport
-  // alive for the unlocked shutdown round trip below even after the slot
-  // is nulled out.
-  std::shared_ptr<WorkerTransport> transport;
+  bool processWorker = false;
+  std::string address;
   {
     MutexLock lock(fleetMutex_);
     if (worker < 0 || worker >= static_cast<std::int64_t>(workers_.size()) ||
@@ -1014,20 +940,25 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
     }
     index = static_cast<std::size_t>(worker);
     drained_[index] = true;
-    transport = workers_[index];
+    processWorker = workers_[index]->LocalServer() == nullptr;
+    address = workers_[index]->Describe();
   }
   obs::ScopedSpan span("fleet", "removeWorker");
-  WorkerLane* lane = CloseGate(index);
-  {
-    obs::ScopedSpan quiesceSpan("fleet", "quiesce");
-    quiesceSpan.SetDetail(StrFormat("worker=%zu", index));
-    lane->Quiesce();
-  }
-
   json::Json response = json::Json::MakeObject();
-  bool sourceReachable = true;
-  const std::vector<std::int64_t> failedIds =
-      DrainSessions(index, response, &sourceReachable);
+  std::vector<std::int64_t> failedIds;
+  {
+    auto owner = TakeOver(index);
+    if (!owner.ok()) return server::MakeErrorResponse(owner.error());
+    bool sourceReachable = true;
+    failedIds = DrainSessions(owner.value(), index, response, &sourceReachable);
+    // Graceful stop for process workers, once nothing will be stranded;
+    // in-process workers just go away with their transport. A worker the
+    // drain already proved dead gets no shutdown round trip — it could
+    // only burn the connect timeout.
+    if ((failedIds.empty() || force) && processWorker && sourceReachable) {
+      (void)owner.value().Call(server::MakeRequest(Command::kShutdownWorker));
+    }
+  }
   span.SetDetail(StrFormat("worker=%zu moved=%lld lost=%zu", index,
                            static_cast<long long>(response.GetInt("moved", 0)),
                            failedIds.size()));
@@ -1049,16 +980,6 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
     return error;
   }
 
-  // Graceful stop for process workers; in-process workers just go away
-  // with their transport. A worker the drain already proved dead gets no
-  // shutdown round trip — it could only burn the connect timeout. The
-  // lane is quiesced behind the closed gate, so the shutdown goes
-  // straight down the (snapshotted) transport, unlocked.
-  const bool processWorker = transport->LocalServer() == nullptr;
-  const std::string address = transport->Describe();
-  if (processWorker && sourceReachable) {
-    (void)transport->Call(server::MakeRequest(Command::kShutdownWorker));
-  }
   {
     MutexLock lock(fleetMutex_);
     for (const std::int64_t globalId : failedIds) {
@@ -1069,12 +990,11 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
       lost.Append(json::Json(globalId));
     }
     ring_.RemoveWorker(index);
-    // The lane was quiesced above and no ticket can have joined past the
-    // closed gate, so Stop() finds an empty line and cannot block.
+    // No ticket can have joined past the closed gate, so Stop() finds an
+    // idle lane; it refuses whatever might still reach the dropped lane.
     lanes_[index]->Stop();
     lanes_[index] = nullptr;
     workers_[index] = nullptr;
-    gated_[index] = false;
     if (processWorker && options_.onWorkerShutdown) {
       // Let the process owner reap the worker now — whether it exited
       // gracefully just above or was already dead — instead of leaving a
@@ -1084,7 +1004,7 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
   }
   // Waiters blocked on this worker's gate re-resolve: moved sessions
   // route to their new homes, stragglers get "worker was removed".
-  gateOpen_.NotifyAll();
+  OpenGate(index);
 
   response.Set("status", "ok");
   response.Set("removed", true);
@@ -1131,6 +1051,7 @@ json::Json ShardRouter::Rebalance() {
   std::int64_t moved = 0;
   std::uint64_t movedBytes = 0;
   json::Json failed = json::Json::MakeArray();
+  Status stop;  // why the loop stopped early, if it did
 
   // Move the smallest session off the most loaded worker onto the least
   // loaded one until the skew is within threshold. Bounded by the session
@@ -1154,56 +1075,65 @@ json::Json ShardRouter::Rebalance() {
     auto least = LeastLoaded(loads, destinationEligible);
     if (!least.has_value()) break;  // single eligible worker: nothing to do
 
-    // The source of this move must be quiet before its sessions are
-    // exported — the same gate-and-quiesce barrier drain takes, per
-    // iteration because `most` changes as loads even out. Only traffic
-    // for `most` waits; idle lanes make the quiesce itself free.
-    CloseGate(most)->Quiesce();
-
-    // Smallest session on the most loaded worker (ties -> lowest global
-    // id): smallest first avoids overshooting the mean.
-    json::Json listRequest = server::MakeRequest(Command::kListSessions);
-    const json::Json sessions = CallWorkerDirect(most, listRequest);
-    const auto localIndex = IndexSessions(sessions);
     std::int64_t candidate = -1;
     std::int64_t candidateBytes = std::numeric_limits<std::int64_t>::max();
+    Status status;
     {
-      MutexLock lock(fleetMutex_);
-      for (const auto& [globalId, placement] : placements_) {
-        if (placement.worker != most) continue;
-        auto found = localIndex.find(placement.localId);
-        if (found == localIndex.end()) continue;
-        const std::int64_t bytes = found->second->GetInt("approxBytes", 0);
-        if (bytes < candidateBytes) {
-          candidate = globalId;
-          candidateBytes = bytes;
+      // The source of this move is taken over before its sessions are
+      // exported — the same takeover a drain makes, per iteration because
+      // `most` changes as loads even out. Only traffic for `most` waits.
+      auto owner = TakeOver(most);
+      if (!owner.ok()) {
+        json::Json failure = json::Json::MakeObject();
+        failure.Set("worker", static_cast<std::int64_t>(most));
+        failure.Set("message", owner.error().message);
+        failed.Append(std::move(failure));
+        stop = owner.error();
+        break;
+      }
+      // Smallest session on the most loaded worker (ties -> lowest global
+      // id): smallest first avoids overshooting the mean.
+      const json::Json sessions = ResponseOf(
+          owner.value().Call(server::MakeRequest(Command::kListSessions)));
+      const auto localIndex = IndexSessions(sessions);
+      Placement source;
+      {
+        MutexLock lock(fleetMutex_);
+        for (const auto& [globalId, placement] : placements_) {
+          if (placement.worker != most) continue;
+          auto found = localIndex.find(placement.localId);
+          if (found == localIndex.end()) continue;
+          const std::int64_t bytes = found->second->GetInt("approxBytes", 0);
+          if (bytes < candidateBytes) {
+            candidate = globalId;
+            candidateBytes = bytes;
+            source = placement;
+          }
         }
       }
-    }
-    if (candidate < 0) {
-      OpenGate(most);
-      break;
-    }
-
-    // Converge, don't churn: the move must strictly lower the peak. When
-    // the skew is carried by one session bigger than the gap between the
-    // heaviest and lightest worker, relocating it only moves the peak —
-    // stop and report the honest skewAfter instead of shuffling blobs.
-    if (loads[*least] + static_cast<std::uint64_t>(candidateBytes) >=
-        mostLoad) {
-      OpenGate(most);
-      break;
-    }
-
-    bool skipped = false;
-    Status status = MoveSession(candidate, *least, &movedBytes, &skipped);
+      // Converge, don't churn: the move must strictly lower the peak. When
+      // the skew is carried by one session bigger than the gap between the
+      // heaviest and lightest worker, relocating it only moves the peak —
+      // stop and report the honest skewAfter instead of shuffling blobs.
+      if (candidate >= 0 &&
+          loads[*least] + static_cast<std::uint64_t>(candidateBytes) >=
+              mostLoad) {
+        candidate = -1;
+      }
+      if (candidate >= 0) {
+        status = MoveSession(owner.value(), candidate, source, *least,
+                             &movedBytes);
+      }
+    }  // the owner's ticket goes: the turn passes on
     OpenGate(most);
-    if (skipped) continue;  // deleted mid-rebalance: pick again
+    if (candidate < 0) break;
     if (!status.ok()) {
       json::Json failure = json::Json::MakeObject();
       failure.Set("sessionId", candidate);
       failure.Set("message", status.error().message);
       failed.Append(std::move(failure));
+      stop = Status::Fail(ErrorKind::kInternal,
+                          "rebalance stopped on a failed migration");
       break;  // a stuck session would repeat forever; report and stop
     }
     ++moved;
@@ -1216,19 +1146,17 @@ json::Json ShardRouter::Rebalance() {
   span.SetDetail(StrFormat("moved=%lld skewBefore=%.3f skewAfter=%.3f",
                            static_cast<long long>(moved), skewBefore,
                            skewAfter));
-  const bool stopped = !failed.AsArray().empty();
   json::Json response = json::Json::MakeObject();
   response.Set("moved", moved);
   response.Set("movedBytes", static_cast<std::int64_t>(movedBytes));
   response.Set("skewBefore", skewBefore);
   response.Set("skewAfter", skewAfter);
   response.Set("failed", std::move(failed));
-  if (!stopped) {
+  if (stop.ok()) {
     response.Set("status", "ok");
     return response;
   }
-  json::Json error = RouterError(ErrorKind::kInternal,
-                                 "rebalance stopped on a failed migration");
+  json::Json error = server::MakeErrorResponse(stop.error());
   server::AddErrorDetails(error, std::move(response));
   return error;
 }

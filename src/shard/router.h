@@ -30,41 +30,47 @@
 //   * Router state (placements_, ring_, workers_, drained_, gated_) is
 //     protected by one fleet mutex, held only for routing decisions and
 //     bookkeeping — never while a worker round trip is in flight.
-//   * createSession / importSession record a placement *intent* (a
-//     per-worker in-flight admission count) under the fleet mutex, run
-//     the worker round trip unlocked, then finalize the placement and
-//     clear the intent. Admissions therefore overlap with traffic and
-//     with each other; a drain of the target worker waits for its
-//     intents to clear first, so the placement map it reads never lags
-//     an admission already in that worker's lane. deleteSession likewise
-//     releases the mutex for the round trip and erases the placement
-//     afterwards.
+//   * A ticket keeps its lane's turn until it is destroyed. createSession
+//     / importSession record their placement, and deleteSession erases
+//     its own, under the fleet mutex *before* their ticket goes; every
+//     request drops its ticket as soon as that bookkeeping is done.
+//     Admissions therefore overlap with traffic and with each other, and
+//     the placement map never lags a request that already left a lane.
 //   * Fleet operations (drain/rebalance/add/remove/stats/list/metrics)
 //     serialize on a separate fleet-op mutex — never held by any routing
 //     path, so a slow drain stalls only other fleet operations. An
-//     operation that moves a worker's sessions closes that worker's
-//     *placement gate* (gated_) under the fleet mutex, waits for the
-//     worker's admission intents to clear, then *quiesces* its lane:
-//     the barrier waits until every joined ticket has been served, and
-//     because every ticket is taken under the fleet mutex after a gate
-//     check, the lane stays idle until the gate reopens. Commands for
-//     the gated worker's sessions block on the gate and re-resolve their
-//     placement when it opens (their sessions may have moved);
-//     everything aimed at other workers flows freely. An export
-//     therefore still always observes a session between requests, never
-//     inside one — the synchronous router's safety argument,
-//     re-established with the stall confined to the worker being
-//     reorganized.
+//     operation that moves a worker's sessions *takes the worker over*
+//     the way a request does: in one fleet-mutex section it closes the
+//     worker's placement gate (gated_) and joins its lane, then waits
+//     for its turn. Everything that joined ahead of it has then finished
+//     and recorded its change, so the placement map it reads is exact,
+//     and because every ticket is taken under the fleet mutex after a
+//     gate check, nothing joins behind it. It makes every call to the
+//     worker through that ticket, then drops it and reopens the gate.
+//     Commands for the gated worker's sessions block on the gate and
+//     re-resolve their placement when it opens (their sessions may have
+//     moved); everything aimed at other workers flows freely. An export
+//     therefore always observes a session between requests, never
+//     inside one, with the stall confined to the worker being
+//     reorganized. At the lane's depth cap the takeover is refused like
+//     any other ticket: the operation answers the retryable error and
+//     moves nothing.
 //   * Lock order: fleet-op mutex before fleet mutex before a lane's own
-//     (leaf) mutex; the fleet mutex is never held while acquiring the
-//     fleet-op mutex, waiting for a turn, or calling a transport.
+//     (leaf) mutex. Deadlock freedom between lane turns and the locks:
+//       - a thread that holds a turn may take the fleet mutex;
+//       - the fleet mutex is never held while waiting for a turn (nor
+//         while acquiring the fleet-op mutex or calling a transport);
+//       - only a fleet operation, serialized on fleetOpMutex_, waits for
+//         a second turn while it holds one (the destination import and
+//         the peer probes);
+//       - a fleet operation never joins the lane it owns: ProbeLoads(skip).
 //   * Fan-outs (listSessions, workerStats, metrics, traceDump and the
 //     drain/rebalance load probes) take every ticket in one fleet-mutex
 //     section, then run each on a short-lived thread, so dead workers'
 //     connect timeouts overlap; the threads end before the operation
 //     returns.
 //
-// drainWorker exports every session on the (quiesced) worker and imports
+// drainWorker exports every session on the (owned) worker and imports
 // each onto the least-loaded *reachable* non-drained peer, then deletes
 // the source copy — the delete happens only after the destination import
 // succeeded, so a failure at any point leaves the session live on its
@@ -72,7 +78,7 @@
 // source intact, and a dead source worker makes every one of its
 // sessions a reported failure (lost-with-error), never a silent drop.
 //
-// removeWorker completes elastic scale-in: mark drained, quiesce, run
+// removeWorker completes elastic scale-in: mark drained, take over, run
 // the drain loop, and only if every session moved off (or `force`
 // accepts the loss, each lost session listed in `lost[]`) remove the
 // worker's arc from the ring, shut the transport down and stop the lane
@@ -123,8 +129,8 @@ class ShardRouter {
     /// of waiting without bound (see shard/lane.h).
     /// 0 = unbounded, the pre-gateway behavior. The cap applies to
     /// everything taking turns on the lane — including fleet-operation
-    /// probes, so a saturated fleet sheds drains too rather than
-    /// deadlocking them.
+    /// takeovers and probes, so a saturated fleet sheds drains too
+    /// rather than deadlocking them.
     std::size_t maxLaneQueueDepth = 0;
     /// Transport constructor; default builds InProcessTransport. A
     /// factory that spawns worker processes turns the router into a real
@@ -137,9 +143,6 @@ class ShardRouter {
     /// full image — this flag is a wire-size optimization, never a
     /// correctness risk; disabling it restores the PR 8 full-image wire.
     bool deltaBlobs = true;
-    /// Socket options for transports the router creates itself
-    /// (`addWorker {address}`).
-    SocketTransportOptions socketOptions;
     /// Called (with the transport's address) after removeWorker shut a
     /// socket worker down, so the process owner can reap it promptly —
     /// see shard::MakeFleetReaper. Invoked under the fleet mutex.
@@ -206,21 +209,14 @@ class ShardRouter {
   /// destroyed.
   static std::vector<std::future<Result<json::Json>>> CallEach(
       std::vector<WorkerLane::Ticket> tickets, const json::Json& request);
-  /// One request straight down the transport, bypassing the lane. Only
-  /// for workers whose lane is quiesced behind a closed gate (fleet ops)
-  /// or not yet built (addWorker's probe).
-  json::Json CallWorkerDirect(std::size_t worker, const json::Json& request)
-      EXCLUDES(fleetMutex_);
-
-  /// Closes worker `index`'s placement gate and waits for its in-flight
-  /// admission intents to clear; gates are only ever closed by fleet
-  /// operations, hence REQUIRES(fleetOpMutex_). Returns the worker's lane
-  /// — fetched under the fleet mutex — so the caller can quiesce it
-  /// without re-locking; the pointer stays valid until OpenGate because
-  /// only RemoveWorker destroys lanes and fleet operations serialize on
-  /// fleetOpMutex_. After CloseGate the caller quiesces the lane and owns
-  /// the worker until OpenGate.
-  WorkerLane* CloseGate(std::size_t index)
+  /// Takes worker `index` over for a fleet operation: closes its
+  /// placement gate and joins its lane in one fleet-mutex section, then
+  /// waits for the turn (the `quiesce` span). The caller makes every
+  /// call to the worker through the returned ticket, then drops it and
+  /// calls OpenGate. A refused ticket (depth cap) reopens the gate and
+  /// returns the lane's error. Gates are only ever closed by fleet
+  /// operations, hence REQUIRES(fleetOpMutex_).
+  Result<WorkerLane::Ticket> TakeOver(std::size_t index)
       REQUIRES(fleetOpMutex_) EXCLUDES(fleetMutex_);
   void OpenGate(std::size_t index)
       REQUIRES(fleetOpMutex_) EXCLUDES(fleetMutex_);
@@ -265,27 +261,25 @@ class ShardRouter {
   json::Json Rebalance() EXCLUDES(fleetOpMutex_, fleetMutex_);
 
   /// The drain loop shared by drainWorker and removeWorker: moves every
-  /// session off `index` — whose gate the caller has closed and whose
-  /// lane it has quiesced — filling the response fields. Returns the ids
-  /// of sessions that could not be moved. `sourceReachable` (optional)
-  /// reports whether the drained worker itself answered — false means a
-  /// dead process, so callers skip graceful-shutdown round trips that
-  /// could only time out.
-  std::vector<std::int64_t> DrainSessions(std::size_t index,
+  /// session off `index`, which `owner` has taken over, filling the
+  /// response fields. Returns the ids of sessions that could not be
+  /// moved. `sourceReachable` (optional) reports whether the drained
+  /// worker itself answered — false means a dead process, so callers
+  /// skip graceful-shutdown round trips that could only time out.
+  std::vector<std::int64_t> DrainSessions(WorkerLane::Ticket& owner,
+                                          std::size_t index,
                                           json::Json& response,
                                           bool* sourceReachable = nullptr)
       EXCLUDES(fleetMutex_);
 
-  /// Moves one session to `destination` (export -> import -> delete
-  /// source). The source worker's gate must be closed and its lane
-  /// quiesced by the caller; the import rides the destination's lane. On
-  /// failure the session remains on its source worker. A session whose
-  /// placement vanished before the export (deleted by a client whose
-  /// request was already queued when the gate closed) sets `*skipped`
-  /// and reports success without moving anything.
-  Status MoveSession(std::int64_t globalId, std::size_t destination,
-                     std::uint64_t* movedBytes, bool* skipped = nullptr)
-      EXCLUDES(fleetMutex_);
+  /// Moves one session from `source`, read from the placement map while
+  /// `owner` holds the source worker's turn, to `destination` (export ->
+  /// import -> delete source). The source-side calls go through `owner`;
+  /// the import rides the destination's lane. On failure the session
+  /// remains on its source worker.
+  Status MoveSession(WorkerLane::Ticket& owner, std::int64_t globalId,
+                     const Placement& source, std::size_t destination,
+                     std::uint64_t* movedBytes) EXCLUDES(fleetMutex_);
 
   /// localId -> session node of a worker's listSessions response; the
   /// pointers borrow from the response, which must outlive the index.
@@ -302,8 +296,8 @@ class ShardRouter {
   std::vector<WorkerLane::Ticket> JoinLiveLanes(
       std::size_t skip = static_cast<std::size_t>(-1)) REQUIRES(fleetMutex_);
   /// `skip` (if valid) is reported unreachable without being probed —
-  /// drain uses it for the quiesced source worker, which must not be
-  /// handed new lane work while the barrier holds. Locks itself.
+  /// drain uses it for the source worker it owns: joining the lane whose
+  /// turn it holds would wait for itself. Locks itself.
   FleetLoads ProbeLoads(std::size_t skip = static_cast<std::size_t>(-1))
       EXCLUDES(fleetMutex_);
   /// Workers admitting new sessions (live and not drained).
@@ -320,15 +314,18 @@ class ShardRouter {
 
   Options options_;
   /// Guards every mutable member below. No worker round trip runs or is
-  /// awaited while it is held. (Declared before fleetOpMutex_ only so
-  /// ACQUIRED_BEFORE can name it; the lock *order* is fleetOpMutex_
-  /// first.)
+  /// awaited, and no lane turn is waited for, while it is held; a thread
+  /// holding a turn may take it (see "Deadlock freedom" above).
+  /// (Declared before fleetOpMutex_ only so ACQUIRED_BEFORE can name it;
+  /// the lock *order* is fleetOpMutex_ first.)
   mutable Mutex fleetMutex_;
   /// Serializes fleet operations (drain/rebalance/add/remove/open and
   /// the stats/list/metrics/trace snapshots) against each other without
   /// blocking routing. Lock order: always before fleetMutex_ (the
   /// ACQUIRED_BEFORE below), and every mutation of the fleet topology
   /// (workers_/lanes_/ring_ growth or removal) happens with *both* held.
+  /// Its holder is the only thread that may wait for a second lane turn
+  /// while it holds one.
   Mutex fleetOpMutex_ ACQUIRED_BEFORE(fleetMutex_);
   HashRing ring_ GUARDED_BY(fleetMutex_);
   std::vector<std::shared_ptr<WorkerTransport>> workers_
@@ -340,18 +337,10 @@ class ShardRouter {
   std::vector<std::shared_ptr<WorkerLane>> lanes_ GUARDED_BY(fleetMutex_);
   std::vector<bool> drained_ GUARDED_BY(fleetMutex_);
   /// Per-worker placement gate: true while a fleet operation owns the
-  /// worker (quiesced lane, sessions in motion). Requests aimed at a
-  /// gated worker wait on gateOpen_ and re-resolve their placement.
+  /// worker (its ticket in the lane, sessions in motion). Requests aimed
+  /// at a gated worker wait on gateOpen_ and re-resolve their placement.
   std::vector<bool> gated_ GUARDED_BY(fleetMutex_);
   CondVar gateOpen_;
-  /// In-flight admission intents per worker: incremented (under
-  /// fleetMutex_) when an admission joins the worker's lane, cleared
-  /// after its placement is finalized. CloseGate waits on
-  /// intentsClear_ so a drain never misses an admitted-but-unrecorded
-  /// session.
-  std::map<std::size_t, std::size_t> admissionIntents_
-      GUARDED_BY(fleetMutex_);
-  CondVar intentsClear_;
   /// Construction errors of slots whose factory failed, by worker index.
   std::map<std::size_t, std::string> slotErrors_ GUARDED_BY(fleetMutex_);
   std::map<std::int64_t, Placement> placements_ GUARDED_BY(fleetMutex_);

@@ -131,9 +131,9 @@ class SocketTransport : public WorkerTransport {
   SocketTransportOptions options_;
   server::WireOptions wire_;  ///< options_' deadline and frame cap
   /// No lock: only one thread at a time calls in — the holder of the
-  /// turn on the worker's lane, or a fleet operation that quiesced the
-  /// lane behind a closed gate (or built no lane yet). The lane's mutex
-  /// orders each holder's calls after the previous holder's.
+  /// turn on the worker's lane, or addWorker's probe before the lane
+  /// exists. The lane's mutex orders each holder's calls after the
+  /// previous holder's.
   net::Socket connection_;
 };
 

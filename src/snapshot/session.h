@@ -45,7 +45,7 @@ struct SessionBlobOptions {
   /// of the full image. The importer re-Creates that base from the
   /// identity carried in the blob, so a delta blob is just as restorable —
   /// it only requires the reader to understand snapshot format v3, which
-  /// the hello handshake negotiates. Ignored when formatVersion < 3.
+  /// the hello handshake pins. Ignored when formatVersion < 3.
   bool delta = false;
   /// Snapshot format version to emit; older versions let current sessions
   /// be saved for legacy readers.

@@ -24,7 +24,6 @@ class Writer {
   void U32(std::uint32_t v) { Raw(v, 4); }
   void U64(std::uint64_t v) { Raw(v, 8); }
   void I32(std::int32_t v) { U32(static_cast<std::uint32_t>(v)); }
-  void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
   void Bool(bool v) { U8(v ? 1 : 0); }
 
   void Bytes(const void* data, std::size_t size) {
@@ -59,7 +58,6 @@ class Reader {
   std::uint32_t U32() { return static_cast<std::uint32_t>(Raw(4)); }
   std::uint64_t U64() { return Raw(8); }
   std::int32_t I32() { return static_cast<std::int32_t>(U32()); }
-  std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
   bool Bool() { return U8() != 0; }
 
   /// Length-prefixed string; fails when the prefix exceeds the remaining

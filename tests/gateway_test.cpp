@@ -747,13 +747,13 @@ TEST(Gateway, StalledWorkerLaneShedsThroughTheGateway) {
   EXPECT_EQ(bDone.value().GetString("status", ""), "ok");
 }
 
-// ---- the intent table: admissions overlap drains ---------------------------
+// ---- admissions overlap drains ---------------------------------------------
 
 TEST(Gateway, CreateSessionDoesNotSerializeBehindAnUnrelatedDrain) {
   // Worker 0's transport parks inside exportSession, so a drainWorker(0)
-  // stalls mid-move with its placement gate closed. Before the intent
-  // table, every admission then waited on the fleet mutex for the whole
-  // drain; now a createSession must land on worker 1 while the drain is
+  // stalls mid-move with its placement gate closed. An admission that
+  // held the fleet mutex across its round trip would wait for the whole
+  // drain; a createSession must land on worker 1 while the drain is
   // still stuck.
   auto blocking = std::make_shared<BlockingTransport>("exportSession");
   shard::ShardRouter::Options routerOptions;
@@ -895,10 +895,13 @@ TEST(WorkerLane, DepthCapShedsWithImmediateRetryableUnavailable) {
   auto blocking = std::make_shared<BlockingTransport>("work");
   auto lane = std::make_shared<shard::WorkerLane>(blocking,
                                                   /*maxQueueDepth=*/1);
+  // The ticket goes, passing the turn on, when the call returns: the
+  // callable itself lives as long as the future.
   const auto callOnThread = [](shard::WorkerLane::Ticket ticket) {
     return std::async(std::launch::async,
                       [ticket = std::move(ticket)]() mutable {
-                        return ticket.Call(Cmd("work"));
+                        shard::WorkerLane::Ticket held = std::move(ticket);
+                        return held.Call(Cmd("work"));
                       });
   };
 

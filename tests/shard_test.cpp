@@ -886,15 +886,16 @@ TEST(Concurrency, LaneFastPathKeepsPerSessionOrderUnderEightThreadStress) {
 
 namespace {
 
-/// Blocks `run` calls until released: holds a lane provably busy so the
-/// depth-cap test below can stage a full queue without timing guesses.
-class GatedRunTransport : public WorkerTransport {
+/// Blocks calls of `command` until released: holds a lane provably busy
+/// so the tests below can stage a full queue, or a request already in a
+/// worker's line, without timing guesses.
+class GatedTransport : public WorkerTransport {
  public:
-  explicit GatedRunTransport(const server::SimServer::Limits& limits)
-      : inner_(limits) {}
+  GatedTransport(const server::SimServer::Limits& limits, std::string command)
+      : inner_(limits), command_(std::move(command)) {}
 
   Result<json::Json> Call(const json::Json& request) override {
-    if (request.GetString("command", "") == "run") {
+    if (request.GetString("command", "") == command_) {
       entered_.store(true);
       std::unique_lock<std::mutex> lock(mutex_);
       released_.wait(lock, [this] { return released; });
@@ -915,11 +916,50 @@ class GatedRunTransport : public WorkerTransport {
 
  private:
   InProcessTransport inner_;
+  const std::string command_;
   std::atomic<bool> entered_{false};
   std::mutex mutex_;
   std::condition_variable released_;
   bool released = false;
 };
+
+/// A two-worker fleet whose worker 0 reaches its server through `gated`.
+ShardRouter::Options GatedFleet(std::shared_ptr<GatedTransport> gated,
+                                std::size_t maxLaneQueueDepth = 0) {
+  ShardRouter::Options options;
+  options.workerCount = 2;
+  options.maxLaneQueueDepth = maxLaneQueueDepth;
+  options.transportFactory =
+      [gated](std::size_t worker, const server::SimServer::Limits& limits)
+      -> Result<std::shared_ptr<WorkerTransport>> {
+    if (worker == 0) return std::static_pointer_cast<WorkerTransport>(gated);
+    return std::shared_ptr<WorkerTransport>(
+        std::make_shared<InProcessTransport>(limits));
+  };
+  return options;
+}
+
+/// Creates sessions until one lands on worker 0 and returns its id (-1
+/// if none did); the ones placed elsewhere are deleted again.
+std::int64_t CreateOnWorkerZero(ShardRouter& router) {
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    json::Json created = Cmd(router, "createSession",
+                             {{"code", json::Json(kSpinLoop)},
+                              {"entry", json::Json("main")}});
+    EXPECT_EQ(created.GetString("status", ""), "ok") << created.Dump();
+    const std::int64_t id = created.GetInt("sessionId", -1);
+    if (created.GetInt("worker", -1) == 0) return id;
+    Cmd(router, "deleteSession", {{"sessionId", json::Json(id)}});
+  }
+  return -1;
+}
+
+void AwaitEntered(const GatedTransport& gated) {
+  for (int i = 0; i < 5'000 && !gated.entered(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(gated.entered()) << "no call reached the gated transport";
+}
 
 }  // namespace
 
@@ -928,7 +968,8 @@ TEST(Concurrency, DepthCapShedsThroughTheRouterAndAnswersTheEnvelope) {
   // turn does not count against the cap, so with a depth cap of 1, one
   // follow-up waits in line and every further one is shed immediately
   // with the retryable-unavailable envelope.
-  auto gated = std::make_shared<GatedRunTransport>(server::SimServer::Limits{});
+  auto gated = std::make_shared<GatedTransport>(server::SimServer::Limits{},
+                                                "run");
   ShardRouter::Options options;
   options.workerCount = 1;
   options.maxLaneQueueDepth = 1;
@@ -997,6 +1038,143 @@ TEST(Concurrency, DepthCapShedsThroughTheRouterAndAnswersTheEnvelope) {
   EXPECT_EQ(after.GetString("status", ""), "ok") << after.Dump();
 }
 
+TEST(Concurrency, DrainMovesAnAdmissionAlreadyInTheWorkersLine) {
+  // A createSession already in worker 0's line when drainWorker(0)
+  // arrives finishes first and records its placement before the drain
+  // reads the placement map: the drain moves the new session instead of
+  // leaving it behind on the drained worker.
+  auto gated = std::make_shared<GatedTransport>(server::SimServer::Limits{},
+                                                "createSession");
+  ShardRouter router(GatedFleet(gated));
+
+  json::Json admitted;
+  std::thread admitter([&router, &admitted] {
+    // Admit until one lands on worker 0, where its call parks.
+    for (int attempt = 0; attempt < 64; ++attempt) {
+      admitted = Cmd(router, "createSession",
+                     {{"code", json::Json(kSpinLoop)},
+                      {"entry", json::Json("main")}});
+      if (admitted.GetInt("worker", -1) == 0) return;
+    }
+  });
+  AwaitEntered(*gated);
+  json::Json drained;
+  std::thread drainer([&router, &drained] {
+    drained = Cmd(router, "drainWorker", {{"worker", json::Json(0)}});
+  });
+  // Give the drain a head start so it takes worker 0 over while the
+  // admission is still parked in the worker's line (if scheduling denies
+  // us, the test still verifies the outcome).
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gated->Release();
+  admitter.join();
+  drainer.join();
+
+  ASSERT_EQ(admitted.GetString("status", ""), "ok") << admitted.Dump();
+  EXPECT_EQ(admitted.GetInt("worker", -1), 0);
+  ASSERT_EQ(drained.GetString("status", ""), "ok") << drained.Dump();
+  EXPECT_EQ(drained.GetInt("moved", -1), 1) << "the drain missed the admission";
+  EXPECT_EQ(SessionsPerWorker(router)[0], 0);
+  const std::int64_t id = admitted.GetInt("sessionId", -1);
+  json::Json state = Cmd(router, "state", {{"sessionId", json::Json(id)}});
+  EXPECT_EQ(state.GetString("status", ""), "ok") << state.Dump();
+}
+
+TEST(Concurrency, DeleteAlreadyInTheWorkersLineIsNeitherMovedNorFailed) {
+  // A deleteSession already in worker 0's line when drainWorker(0)
+  // arrives erases its placement before the drain reads the map: the
+  // drain neither moves the deleted session nor reports it failed.
+  auto gated = std::make_shared<GatedTransport>(server::SimServer::Limits{},
+                                                "deleteSession");
+  ShardRouter router(GatedFleet(gated));
+  const std::int64_t id = CreateOnWorkerZero(router);
+  ASSERT_GE(id, 0) << "no session landed on worker 0";
+
+  json::Json deleted;
+  std::thread deleter([&router, &deleted, id] {
+    deleted = Cmd(router, "deleteSession", {{"sessionId", json::Json(id)}});
+  });
+  AwaitEntered(*gated);
+  json::Json drained;
+  std::thread drainer([&router, &drained] {
+    drained = Cmd(router, "drainWorker", {{"worker", json::Json(0)}});
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gated->Release();
+  deleter.join();
+  drainer.join();
+
+  ASSERT_EQ(deleted.GetString("status", ""), "ok") << deleted.Dump();
+  ASSERT_EQ(drained.GetString("status", ""), "ok") << drained.Dump();
+  EXPECT_EQ(drained.GetInt("moved", -1), 0);
+  EXPECT_TRUE(drained.Find("failed")->AsArray().empty()) << drained.Dump();
+  EXPECT_EQ(router.sessionCount(), 0u);
+}
+
+TEST(Concurrency, TakeoverAtTheDepthCapIsRefusedAndMovesNothing) {
+  // A fleet operation's ticket counts against the lane's depth cap like
+  // any other: with a parked run holding worker 0's turn and a step
+  // waiting behind it (cap 1), drainWorker(0) answers at once with the
+  // retryable unavailable error, reopens the gate and moves nothing.
+  auto gated = std::make_shared<GatedTransport>(server::SimServer::Limits{},
+                                                "run");
+  ShardRouter router(GatedFleet(gated, /*maxLaneQueueDepth=*/1));
+  const std::int64_t id = CreateOnWorkerZero(router);
+  ASSERT_GE(id, 0) << "no session landed on worker 0";
+
+  std::thread runner([&router, id] {
+    json::Json ran = Cmd(router, "run", {{"sessionId", json::Json(id)},
+                                         {"maxCycles", json::Json(100)}});
+    EXPECT_EQ(ran.GetString("status", ""), "ok") << ran.Dump();
+  });
+  AwaitEntered(*gated);
+  obs::Registry& registry = obs::Registry::Instance();
+  obs::Counter& routed = registry.GetCounter("shard.router.requests");
+  const std::uint64_t routedBefore = routed.value();
+  json::Json stepped;
+  std::thread stepper([&router, &stepped, id] {
+    stepped = Cmd(router, "step", {{"sessionId", json::Json(id)},
+                                   {"count", json::Json(1)}});
+  });
+  // The step has entered the router; its join is a mutex section away.
+  while (routed.value() == routedBefore) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  obs::Counter& migrations = registry.GetCounter("shard.router.migrations");
+  const std::uint64_t migrationsBefore = migrations.value();
+  auto drain = std::async(std::launch::async, [&router] {
+    return Cmd(router, "drainWorker", {{"worker", json::Json(0)}});
+  });
+  const bool answered =
+      drain.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  EXPECT_TRUE(answered) << "the takeover waited at the depth cap";
+  EXPECT_EQ(migrations.value(), migrationsBefore) << "a refused drain moved";
+  gated->Release();
+  const json::Json refused = drain.get();
+  runner.join();
+  stepper.join();
+
+  testutil::CheckErrorEnvelope(refused);
+  EXPECT_EQ(testutil::ErrorField(refused, "kind"), "unavailable")
+      << refused.Dump();
+  EXPECT_EQ(stepped.GetString("status", ""), "ok") << stepped.Dump();
+  json::Json stats = Cmd(router, "workerStats");
+  EXPECT_TRUE(stats.Find("workers")->AsArray()[0].GetBool("drained", false))
+      << "a refused drain leaves the worker marked drained";
+
+  // The gate is open again: the session serves, and a second drain
+  // moves it.
+  json::Json after = Cmd(router, "step", {{"sessionId", json::Json(id)},
+                                          {"count", json::Json(1)}});
+  EXPECT_EQ(after.GetString("status", ""), "ok") << after.Dump();
+  json::Json drained = Cmd(router, "drainWorker", {{"worker", json::Json(0)}});
+  ASSERT_EQ(drained.GetString("status", ""), "ok") << drained.Dump();
+  EXPECT_EQ(drained.GetInt("moved", -1), 1);
+  EXPECT_EQ(SessionsPerWorker(router)[0], 0);
+}
+
 // ---- the lane's line --------------------------------------------------------
 
 namespace {
@@ -1052,12 +1230,15 @@ json::Json LineRequest(const std::string& command) {
   return request;
 }
 
-/// Calls `command` with `ticket` on a thread of its own.
+/// Calls `command` with `ticket` on a thread of its own. The ticket goes,
+/// passing the turn on, when the call returns: the callable itself lives
+/// as long as the future.
 std::future<Result<json::Json>> CallOnThread(WorkerLane::Ticket ticket,
                                              const std::string& command) {
   return std::async(std::launch::async,
                     [ticket = std::move(ticket), command]() mutable {
-                      return ticket.Call(LineRequest(command));
+                      WorkerLane::Ticket held = std::move(ticket);
+                      return held.Call(LineRequest(command));
                     });
 }
 
@@ -1081,37 +1262,61 @@ TEST(WorkerLane, TicketsAreServedInJoinOrderEvenWhenALaterHolderCallsFirst) {
       << "a call ran before the first ticket's turn";
 
   EXPECT_TRUE(first.Call(LineRequest("first")).ok());
+  first = WorkerLane::Ticket();  // passes the turn on
   EXPECT_TRUE(secondCall.get().ok());
   EXPECT_TRUE(thirdCall.get().ok());
   EXPECT_EQ(transport->completed(),
             (std::vector<std::string>{"first", "second", "third"}));
 }
 
-TEST(WorkerLane, QuiesceWaitsForTheCallInServiceAndTheTicketBehindIt) {
+TEST(WorkerLane, WaitReturnsAfterTheCallInServiceAndTheTicketBehindIt) {
   auto transport = std::make_shared<LineTransport>("block");
   auto lane = std::make_shared<WorkerLane>(transport);
   auto blocked = CallOnThread(lane->Join(), "block");
   transport->AwaitEntered();
-  // Joined before Quiesce starts, so the barrier must wait for it too.
+  // Joined ahead of `last`, so its Wait must outlast this call too.
   auto behind = CallOnThread(lane->Join(), "behind");
+  WorkerLane::Ticket last = lane->Join();
 
-  std::atomic<bool> quiesced{false};
-  std::vector<std::string> completedAtQuiesce;
-  std::thread quiescer([&] {
-    lane->Quiesce();
-    completedAtQuiesce = transport->completed();
-    quiesced = true;
+  std::atomic<bool> turned{false};
+  std::vector<std::string> completedAtTurn;
+  std::thread waiter([&] {
+    EXPECT_TRUE(last.Wait().ok());
+    completedAtTurn = transport->completed();
+    turned = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(quiesced.load())
-      << "Quiesce returned while a call was blocked in the transport";
+  EXPECT_FALSE(turned.load())
+      << "Wait returned while a call was blocked in the transport";
 
   transport->Release();
-  quiescer.join();
-  EXPECT_EQ(completedAtQuiesce,
-            (std::vector<std::string>{"block", "behind"}));
+  waiter.join();
+  EXPECT_EQ(completedAtTurn, (std::vector<std::string>{"block", "behind"}));
   EXPECT_TRUE(blocked.get().ok());
   EXPECT_TRUE(behind.get().ok());
+}
+
+TEST(WorkerLane, AHolderKeepsTheTurnAcrossCallsUntilItIsDestroyed) {
+  auto transport = std::make_shared<LineTransport>();
+  auto lane = std::make_shared<WorkerLane>(transport);
+  std::future<Result<json::Json>> waiting;
+  {
+    WorkerLane::Ticket holder = lane->Join();
+    waiting = CallOnThread(lane->Join(), "waiting");
+    EXPECT_TRUE(holder.Call(LineRequest("one")).ok());
+    EXPECT_EQ(waiting.wait_for(std::chrono::milliseconds(20)),
+              std::future_status::timeout)
+        << "the turn passed on when the holder's call returned";
+    EXPECT_TRUE(holder.Call(LineRequest("two")).ok());
+    EXPECT_EQ(waiting.wait_for(std::chrono::milliseconds(20)),
+              std::future_status::timeout);
+  }  // the holder goes: the turn passes on
+  ASSERT_EQ(waiting.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready)
+      << "the waiting ticket never got the turn";
+  EXPECT_TRUE(waiting.get().ok());
+  EXPECT_EQ(transport->completed(),
+            (std::vector<std::string>{"one", "two", "waiting"}));
 }
 
 TEST(WorkerLane, ADroppedTicketGivesItsPlaceUp) {
