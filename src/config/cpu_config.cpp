@@ -1,110 +1,34 @@
 #include "config/cpu_config.h"
 
-#include <array>
-#include <optional>
+#include "common/enum_names.h"
 
 namespace rvss::config {
 
-const char* ToString(ReplacementPolicy policy) {
-  switch (policy) {
-    case ReplacementPolicy::kLru: return "LRU";
-    case ReplacementPolicy::kFifo: return "FIFO";
-    case ReplacementPolicy::kRandom: return "Random";
-  }
-  return "LRU";
-}
-
-const char* ToString(StorePolicy policy) {
-  switch (policy) {
-    case StorePolicy::kWriteBack: return "write-back";
-    case StorePolicy::kWriteThrough: return "write-through";
-  }
-  return "write-back";
-}
-
-const char* ToString(PredictorType type) {
-  switch (type) {
-    case PredictorType::kZeroBit: return "zero-bit";
-    case PredictorType::kOneBit: return "one-bit";
-    case PredictorType::kTwoBit: return "two-bit";
-  }
-  return "two-bit";
-}
-
-const char* ToString(HistoryKind kind) {
-  switch (kind) {
-    case HistoryKind::kLocal: return "local";
-    case HistoryKind::kGlobal: return "global";
-  }
-  return "local";
-}
-
-const char* ToString(FunctionalUnitConfig::Kind kind) {
-  switch (kind) {
-    case FunctionalUnitConfig::Kind::kFx: return "FX";
-    case FunctionalUnitConfig::Kind::kFp: return "FP";
-    case FunctionalUnitConfig::Kind::kLs: return "LS";
-    case FunctionalUnitConfig::Kind::kBranch: return "Branch";
-    case FunctionalUnitConfig::Kind::kMemory: return "Memory";
-  }
-  return "FX";
-}
-
-std::uint32_t FunctionalUnitConfig::LatencyFor(isa::OpClass opClass) const {
-  for (const Operation& op : operations) {
-    if (op.opClass == opClass) return op.latency;
-  }
-  return 0;
-}
-
 namespace {
 
-template <typename Enum, std::size_t N>
-std::optional<Enum> ParseEnum(
-    std::string_view text,
-    const std::array<std::pair<std::string_view, Enum>, N>& table) {
-  for (const auto& [name, value] : table) {
-    if (name == text) return value;
-  }
-  return std::nullopt;
-}
+constexpr EnumName<ReplacementPolicy> kReplacementPolicies[] = {
+    {"LRU", ReplacementPolicy::kLru},
+    {"FIFO", ReplacementPolicy::kFifo},
+    {"Random", ReplacementPolicy::kRandom}};
 
-constexpr std::array<std::pair<std::string_view, ReplacementPolicy>, 3>
-    kReplacementPolicies{{{"LRU", ReplacementPolicy::kLru},
-                          {"FIFO", ReplacementPolicy::kFifo},
-                          {"Random", ReplacementPolicy::kRandom}}};
+constexpr EnumName<StorePolicy> kStorePolicies[] = {
+    {"write-back", StorePolicy::kWriteBack},
+    {"write-through", StorePolicy::kWriteThrough}};
 
-constexpr std::array<std::pair<std::string_view, StorePolicy>, 2>
-    kStorePolicies{{{"write-back", StorePolicy::kWriteBack},
-                    {"write-through", StorePolicy::kWriteThrough}}};
+constexpr EnumName<PredictorType> kPredictorTypes[] = {
+    {"zero-bit", PredictorType::kZeroBit},
+    {"one-bit", PredictorType::kOneBit},
+    {"two-bit", PredictorType::kTwoBit}};
 
-constexpr std::array<std::pair<std::string_view, PredictorType>, 3>
-    kPredictorTypes{{{"zero-bit", PredictorType::kZeroBit},
-                     {"one-bit", PredictorType::kOneBit},
-                     {"two-bit", PredictorType::kTwoBit}}};
+constexpr EnumName<HistoryKind> kHistoryKinds[] = {
+    {"local", HistoryKind::kLocal}, {"global", HistoryKind::kGlobal}};
 
-constexpr std::array<std::pair<std::string_view, HistoryKind>, 2>
-    kHistoryKinds{{{"local", HistoryKind::kLocal},
-                   {"global", HistoryKind::kGlobal}}};
-
-constexpr std::array<std::pair<std::string_view, FunctionalUnitConfig::Kind>, 5>
-    kUnitKinds{{{"FX", FunctionalUnitConfig::Kind::kFx},
-                {"FP", FunctionalUnitConfig::Kind::kFp},
-                {"LS", FunctionalUnitConfig::Kind::kLs},
-                {"Branch", FunctionalUnitConfig::Kind::kBranch},
-                {"Memory", FunctionalUnitConfig::Kind::kMemory}}};
-
-constexpr std::array<std::pair<std::string_view, isa::OpClass>, 10> kOpClasses{
-    {{"kIntAlu", isa::OpClass::kIntAlu},
-     {"kIntMul", isa::OpClass::kIntMul},
-     {"kIntDiv", isa::OpClass::kIntDiv},
-     {"kFpAdd", isa::OpClass::kFpAdd},
-     {"kFpMul", isa::OpClass::kFpMul},
-     {"kFpDiv", isa::OpClass::kFpDiv},
-     {"kFpFma", isa::OpClass::kFpFma},
-     {"kFpOther", isa::OpClass::kFpOther},
-     {"kBranch", isa::OpClass::kBranch},
-     {"kMemAddr", isa::OpClass::kMemAddr}}};
+constexpr EnumName<FunctionalUnitConfig::Kind> kUnitKinds[] = {
+    {"FX", FunctionalUnitConfig::Kind::kFx},
+    {"FP", FunctionalUnitConfig::Kind::kFp},
+    {"LS", FunctionalUnitConfig::Kind::kLs},
+    {"Branch", FunctionalUnitConfig::Kind::kBranch},
+    {"Memory", FunctionalUnitConfig::Kind::kMemory}};
 
 json::Json ToJson(const FunctionalUnitConfig& fu) {
   json::Json node = json::Json::MakeObject();
@@ -128,7 +52,7 @@ json::Json ToJson(const FunctionalUnitConfig& fu) {
 
 Result<FunctionalUnitConfig> UnitFromJson(const json::Json& node) {
   FunctionalUnitConfig fu;
-  auto kind = ParseEnum(node.GetString("kind", "FX"), kUnitKinds);
+  auto kind = ValueOf(kUnitKinds, node.GetString("kind", "FX"));
   if (!kind) {
     return Error{ErrorKind::kConfig,
                  "unknown functional-unit kind '" +
@@ -142,7 +66,7 @@ Result<FunctionalUnitConfig> UnitFromJson(const json::Json& node) {
       return Error{ErrorKind::kConfig, "'operations' must be an array"};
     }
     for (const json::Json& opNode : ops->AsArray()) {
-      auto opClass = ParseEnum(opNode.GetString("opClass", ""), kOpClasses);
+      auto opClass = isa::OpClassFromString(opNode.GetString("opClass", ""));
       if (!opClass) {
         return Error{ErrorKind::kConfig,
                      "unknown opClass '" + opNode.GetString("opClass", "") +
@@ -156,6 +80,31 @@ Result<FunctionalUnitConfig> UnitFromJson(const json::Json& node) {
 }
 
 }  // namespace
+
+const char* ToString(ReplacementPolicy policy) {
+  return NameOf(kReplacementPolicies, policy);
+}
+
+const char* ToString(StorePolicy policy) {
+  return NameOf(kStorePolicies, policy);
+}
+
+const char* ToString(PredictorType type) {
+  return NameOf(kPredictorTypes, type);
+}
+
+const char* ToString(HistoryKind kind) { return NameOf(kHistoryKinds, kind); }
+
+const char* ToString(FunctionalUnitConfig::Kind kind) {
+  return NameOf(kUnitKinds, kind);
+}
+
+std::uint32_t FunctionalUnitConfig::LatencyFor(isa::OpClass opClass) const {
+  for (const Operation& op : operations) {
+    if (op.opClass == opClass) return op.latency;
+  }
+  return 0;
+}
 
 json::Json ToJson(const CpuConfig& config) {
   json::Json root = json::Json::MakeObject();
@@ -287,13 +236,13 @@ Result<CpuConfig> CpuConfigFromJson(const json::Json& node) {
     c.associativity = static_cast<std::uint32_t>(
         cache->GetInt("associativity", c.associativity));
     auto replacement =
-        ParseEnum(cache->GetString("replacement", "LRU"), kReplacementPolicies);
+        ValueOf(kReplacementPolicies, cache->GetString("replacement", "LRU"));
     if (!replacement) {
       return Error{ErrorKind::kConfig, "unknown cache replacement policy"};
     }
     c.replacement = *replacement;
     auto store =
-        ParseEnum(cache->GetString("storePolicy", "write-back"), kStorePolicies);
+        ValueOf(kStorePolicies, cache->GetString("storePolicy", "write-back"));
     if (!store) {
       return Error{ErrorKind::kConfig, "unknown cache store policy"};
     }
@@ -328,14 +277,14 @@ Result<CpuConfig> CpuConfigFromJson(const json::Json& node) {
         static_cast<std::uint32_t>(predictor->GetInt("btbSize", p.btbSize));
     p.phtSize =
         static_cast<std::uint32_t>(predictor->GetInt("phtSize", p.phtSize));
-    auto type = ParseEnum(predictor->GetString("type", "two-bit"), kPredictorTypes);
+    auto type = ValueOf(kPredictorTypes, predictor->GetString("type", "two-bit"));
     if (!type) {
       return Error{ErrorKind::kConfig, "unknown predictor type"};
     }
     p.type = *type;
     p.defaultState = static_cast<std::uint32_t>(
         predictor->GetInt("defaultState", p.defaultState));
-    auto history = ParseEnum(predictor->GetString("history", "local"), kHistoryKinds);
+    auto history = ValueOf(kHistoryKinds, predictor->GetString("history", "local"));
     if (!history) {
       return Error{ErrorKind::kConfig, "unknown predictor history kind"};
     }

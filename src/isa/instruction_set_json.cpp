@@ -1,106 +1,52 @@
 #include "isa/instruction_set_json.h"
 
-#include <array>
+#include "common/enum_names.h"
 
 namespace rvss::isa {
 
-const char* ToString(InstructionType type) {
-  switch (type) {
-    case InstructionType::kArithmetic: return "kArithmetic";
-    case InstructionType::kMulDiv: return "kMulDiv";
-    case InstructionType::kFloat: return "kFloat";
-    case InstructionType::kLoad: return "kLoad";
-    case InstructionType::kStore: return "kStore";
-    case InstructionType::kBranch: return "kBranch";
-    case InstructionType::kJump: return "kJump";
-  }
-  return "kArithmetic";
-}
-
-const char* ToString(OpClass opClass) {
-  switch (opClass) {
-    case OpClass::kIntAlu: return "kIntAlu";
-    case OpClass::kIntMul: return "kIntMul";
-    case OpClass::kIntDiv: return "kIntDiv";
-    case OpClass::kFpAdd: return "kFpAdd";
-    case OpClass::kFpMul: return "kFpMul";
-    case OpClass::kFpDiv: return "kFpDiv";
-    case OpClass::kFpFma: return "kFpFma";
-    case OpClass::kFpOther: return "kFpOther";
-    case OpClass::kBranch: return "kBranch";
-    case OpClass::kMemAddr: return "kMemAddr";
-  }
-  return "kIntAlu";
-}
-
-const char* ToString(ArgType type) {
-  switch (type) {
-    case ArgType::kInt: return "kInt";
-    case ArgType::kUInt: return "kUInt";
-    case ArgType::kFloat: return "kFloat";
-    case ArgType::kDouble: return "kDouble";
-    case ArgType::kBool: return "kBool";
-  }
-  return "kInt";
-}
-
 namespace {
 
-const char* ToString(BranchKind kind) {
-  switch (kind) {
-    case BranchKind::kNone: return "kNone";
-    case BranchKind::kConditional: return "kConditional";
-    case BranchKind::kUnconditionalDirect: return "kUnconditionalDirect";
-    case BranchKind::kUnconditionalIndirect: return "kUnconditionalIndirect";
-  }
-  return "kNone";
-}
+constexpr EnumName<InstructionType> kInstructionTypes[] = {
+    {"kArithmetic", InstructionType::kArithmetic},
+    {"kMulDiv", InstructionType::kMulDiv},
+    {"kFloat", InstructionType::kFloat},
+    {"kLoad", InstructionType::kLoad},
+    {"kStore", InstructionType::kStore},
+    {"kBranch", InstructionType::kBranch},
+    {"kJump", InstructionType::kJump}};
 
-template <typename Enum, std::size_t N>
-std::optional<Enum> ParseEnum(
-    std::string_view text,
-    const std::array<std::pair<std::string_view, Enum>, N>& table) {
-  for (const auto& [name, value] : table) {
-    if (name == text) return value;
-  }
-  return std::nullopt;
-}
+constexpr EnumName<OpClass> kOpClasses[] = {
+    {"kIntAlu", OpClass::kIntAlu},   {"kIntMul", OpClass::kIntMul},
+    {"kIntDiv", OpClass::kIntDiv},   {"kFpAdd", OpClass::kFpAdd},
+    {"kFpMul", OpClass::kFpMul},     {"kFpDiv", OpClass::kFpDiv},
+    {"kFpFma", OpClass::kFpFma},     {"kFpOther", OpClass::kFpOther},
+    {"kBranch", OpClass::kBranch},   {"kMemAddr", OpClass::kMemAddr}};
 
-constexpr std::array<std::pair<std::string_view, InstructionType>, 7>
-    kInstructionTypes{{{"kArithmetic", InstructionType::kArithmetic},
-                       {"kMulDiv", InstructionType::kMulDiv},
-                       {"kFloat", InstructionType::kFloat},
-                       {"kLoad", InstructionType::kLoad},
-                       {"kStore", InstructionType::kStore},
-                       {"kBranch", InstructionType::kBranch},
-                       {"kJump", InstructionType::kJump}}};
+constexpr EnumName<ArgType> kArgTypes[] = {{"kInt", ArgType::kInt},
+                                           {"kUInt", ArgType::kUInt},
+                                           {"kFloat", ArgType::kFloat},
+                                           {"kDouble", ArgType::kDouble},
+                                           {"kBool", ArgType::kBool}};
 
-constexpr std::array<std::pair<std::string_view, OpClass>, 10> kOpClasses{
-    {{"kIntAlu", OpClass::kIntAlu},
-     {"kIntMul", OpClass::kIntMul},
-     {"kIntDiv", OpClass::kIntDiv},
-     {"kFpAdd", OpClass::kFpAdd},
-     {"kFpMul", OpClass::kFpMul},
-     {"kFpDiv", OpClass::kFpDiv},
-     {"kFpFma", OpClass::kFpFma},
-     {"kFpOther", OpClass::kFpOther},
-     {"kBranch", OpClass::kBranch},
-     {"kMemAddr", OpClass::kMemAddr}}};
-
-constexpr std::array<std::pair<std::string_view, ArgType>, 5> kArgTypes{
-    {{"kInt", ArgType::kInt},
-     {"kUInt", ArgType::kUInt},
-     {"kFloat", ArgType::kFloat},
-     {"kDouble", ArgType::kDouble},
-     {"kBool", ArgType::kBool}}};
-
-constexpr std::array<std::pair<std::string_view, BranchKind>, 4> kBranchKinds{
-    {{"kNone", BranchKind::kNone},
-     {"kConditional", BranchKind::kConditional},
-     {"kUnconditionalDirect", BranchKind::kUnconditionalDirect},
-     {"kUnconditionalIndirect", BranchKind::kUnconditionalIndirect}}};
+constexpr EnumName<BranchKind> kBranchKinds[] = {
+    {"kNone", BranchKind::kNone},
+    {"kConditional", BranchKind::kConditional},
+    {"kUnconditionalDirect", BranchKind::kUnconditionalDirect},
+    {"kUnconditionalIndirect", BranchKind::kUnconditionalIndirect}};
 
 }  // namespace
+
+const char* ToString(InstructionType type) {
+  return NameOf(kInstructionTypes, type);
+}
+
+const char* ToString(OpClass opClass) { return NameOf(kOpClasses, opClass); }
+
+std::optional<OpClass> OpClassFromString(std::string_view name) {
+  return ValueOf(kOpClasses, name);
+}
+
+const char* ToString(ArgType type) { return NameOf(kArgTypes, type); }
 
 json::Json ToJson(const InstructionDescription& def) {
   json::Json node = json::Json::MakeObject();
@@ -118,7 +64,7 @@ json::Json ToJson(const InstructionDescription& def) {
   }
   node.Set("arguments", std::move(args));
   node.Set("interpretableAs", def.interpretableAs);
-  if (def.branch != BranchKind::kNone) node.Set("branch", ToString(def.branch));
+  if (def.branch != BranchKind::kNone) node.Set("branch", NameOf(kBranchKinds, def.branch));
   if (def.mem.isLoad || def.mem.isStore) {
     json::Json mem = json::Json::MakeObject();
     mem.Set("isLoad", def.mem.isLoad);
@@ -151,14 +97,14 @@ Result<InstructionDescription> InstructionFromJson(const json::Json& node) {
   if (def.name.empty()) {
     return Error{ErrorKind::kParse, "instruction definition missing 'name'"};
   }
-  auto type = ParseEnum(node.GetString("instructionType", "kArithmetic"),
-                        kInstructionTypes);
+  auto type = ValueOf(kInstructionTypes,
+                      node.GetString("instructionType", "kArithmetic"));
   if (!type) {
     return Error{ErrorKind::kParse,
                  "unknown instructionType in definition of '" + def.name + "'"};
   }
   def.type = *type;
-  auto opClass = ParseEnum(node.GetString("opClass", "kIntAlu"), kOpClasses);
+  auto opClass = OpClassFromString(node.GetString("opClass", "kIntAlu"));
   if (!opClass) {
     return Error{ErrorKind::kParse,
                  "unknown opClass in definition of '" + def.name + "'"};
@@ -175,7 +121,7 @@ Result<InstructionDescription> InstructionFromJson(const json::Json& node) {
         return Error{ErrorKind::kParse,
                      "argument of '" + def.name + "' missing 'name'"};
       }
-      auto argType = ParseEnum(argNode.GetString("type", "kInt"), kArgTypes);
+      auto argType = ValueOf(kArgTypes, argNode.GetString("type", "kInt"));
       if (!argType) {
         return Error{ErrorKind::kParse,
                      "unknown argument type in '" + def.name + "'"};
@@ -188,7 +134,7 @@ Result<InstructionDescription> InstructionFromJson(const json::Json& node) {
     }
   }
   def.interpretableAs = node.GetString("interpretableAs", "");
-  auto branch = ParseEnum(node.GetString("branch", "kNone"), kBranchKinds);
+  auto branch = ValueOf(kBranchKinds, node.GetString("branch", "kNone"));
   if (!branch) {
     return Error{ErrorKind::kParse,
                  "unknown branch kind in '" + def.name + "'"};

@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace rvss::isa {
 
@@ -44,6 +46,7 @@ enum class OpClass : std::uint8_t {
 };
 
 const char* ToString(OpClass opClass);
+std::optional<OpClass> OpClassFromString(std::string_view name);
 
 /// Argument value type, from the paper's JSON argument schema.
 enum class ArgType : std::uint8_t {

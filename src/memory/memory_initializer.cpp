@@ -1,20 +1,23 @@
 #include "memory/memory_initializer.h"
 
 #include "common/bitops.h"
+#include "common/enum_names.h"
 #include "common/rng.h"
 
 namespace rvss::memory {
 
-const char* ToString(DataTypeKind kind) {
-  switch (kind) {
-    case DataTypeKind::kByte: return "byte";
-    case DataTypeKind::kHalf: return "half";
-    case DataTypeKind::kWord: return "word";
-    case DataTypeKind::kFloat: return "float";
-    case DataTypeKind::kDouble: return "double";
-  }
-  return "word";
-}
+namespace {
+
+constexpr EnumName<DataTypeKind> kDataTypeKinds[] = {
+    {"byte", DataTypeKind::kByte},
+    {"half", DataTypeKind::kHalf},
+    {"word", DataTypeKind::kWord},
+    {"float", DataTypeKind::kFloat},
+    {"double", DataTypeKind::kDouble}};
+
+}  // namespace
+
+const char* ToString(DataTypeKind kind) { return NameOf(kDataTypeKinds, kind); }
 
 std::uint32_t SizeOf(DataTypeKind kind) {
   switch (kind) {
@@ -28,15 +31,6 @@ std::uint32_t SizeOf(DataTypeKind kind) {
 }
 
 namespace {
-
-std::optional<DataTypeKind> ParseDataTypeKind(std::string_view text) {
-  if (text == "byte") return DataTypeKind::kByte;
-  if (text == "half") return DataTypeKind::kHalf;
-  if (text == "word") return DataTypeKind::kWord;
-  if (text == "float") return DataTypeKind::kFloat;
-  if (text == "double") return DataTypeKind::kDouble;
-  return std::nullopt;
-}
 
 void WriteElement(MainMemory& memory, std::uint32_t address, DataTypeKind kind,
                   double value) {
@@ -177,7 +171,7 @@ Result<ArrayDefinition> ArrayDefinitionFromJson(const json::Json& node) {
   if (def.name.empty()) {
     return Error{ErrorKind::kParse, "array definition missing 'name'"};
   }
-  auto type = ParseDataTypeKind(node.GetString("type", "word"));
+  auto type = ValueOf(kDataTypeKinds, node.GetString("type", "word"));
   if (!type) {
     return Error{ErrorKind::kParse,
                  "unknown data type in array '" + def.name + "'"};

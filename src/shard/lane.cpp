@@ -27,7 +27,7 @@ WorkerLane::WorkerLane(std::shared_ptr<WorkerTransport> transport,
                        std::size_t maxQueueDepth)
     : transport_(std::move(transport)), maxQueueDepth_(maxQueueDepth) {}
 
-WorkerLane::Ticket WorkerLane::Join() {
+WorkerLane::Ticket WorkerLane::Join(bool pastCap) {
   Ticket ticket;
   ticket.joinedNs_ = obs::MonotonicNowNs();
   MutexLock lock(mutex_);
@@ -36,7 +36,7 @@ WorkerLane::Ticket WorkerLane::Join() {
     return ticket;
   }
   if (busy_) {
-    if (maxQueueDepth_ != 0 && line_.size() >= maxQueueDepth_) {
+    if (!pastCap && maxQueueDepth_ != 0 && line_.size() >= maxQueueDepth_) {
       obs::Registry::Instance().GetCounter("shard.lane.shed").Increment();
       ticket.refusal_ = ShedError(line_.size());
       return ticket;

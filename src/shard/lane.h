@@ -72,7 +72,10 @@ class WorkerLane : public std::enable_shared_from_this<WorkerLane> {
   /// a stopped lane — or when the line is at its depth cap — the ticket
   /// is refused: its Wait and Call answer at once with a retryable
   /// kUnavailable Error (the latter is a load shed: try again later).
-  Ticket Join() EXCLUDES(mutex_);
+  /// `pastCap` joins a full line anyway: a fleet operation's probes do,
+  /// so a busy worker is not taken for a dead one. They are serialized
+  /// on the router's fleet-op mutex, so at most one waits past the cap.
+  Ticket Join(bool pastCap = false) EXCLUDES(mutex_);
 
   /// Refuses every waiting and every later ticket, and every later call
   /// of the holder of the turn; a call already in the transport

@@ -448,7 +448,7 @@ std::vector<WorkerLane::Ticket> ShardRouter::JoinLiveLanes(
   std::vector<WorkerLane::Ticket> tickets(workers_.size());
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     if (i == skip || !IsLive(i)) continue;
-    tickets[i] = lanes_[i]->Join();
+    tickets[i] = lanes_[i]->Join(/*pastCap=*/true);
   }
   return tickets;
 }
@@ -567,7 +567,7 @@ json::Json ShardRouter::FanOutToProcesses(Command command,
           // In-process: its numbers and spans are this process's own.
           entry.Set("sharedProcess", true);
         } else {
-          tickets[i] = lanes_[i]->Join();
+          tickets[i] = lanes_[i]->Join(/*pastCap=*/true);
         }
       }
       entries.push_back(std::move(entry));

@@ -68,7 +68,8 @@
 //     drain/rebalance load probes) take every ticket in one fleet-mutex
 //     section, then run each on a short-lived thread, so dead workers'
 //     connect timeouts overlap; the threads end before the operation
-//     returns.
+//     returns. Their tickets join past the lane's depth cap and wait for
+//     the turn: a busy worker is reported, never taken for a dead one.
 //
 // drainWorker exports every session on the (owned) worker and imports
 // each onto the least-loaded *reachable* non-drained peer, then deletes
@@ -270,7 +271,7 @@ class ShardRouter {
                                           std::size_t index,
                                           json::Json& response,
                                           bool* sourceReachable = nullptr)
-      EXCLUDES(fleetMutex_);
+      REQUIRES(fleetOpMutex_) EXCLUDES(fleetMutex_);
 
   /// Moves one session from `source`, read from the placement map while
   /// `owner` holds the source worker's turn, to `destination` (export ->
@@ -292,14 +293,17 @@ class ShardRouter {
   static Result<WorkerLoad> ParseLoad(Result<json::Json> response);
   /// A ticket on every live lane except `skip`, one per slot (invalid
   /// where none was taken), for a fan-out to run with CallEach once the
-  /// caller has released fleetMutex_.
+  /// caller has released fleetMutex_. The tickets join past the depth
+  /// cap (a busy worker is not a dead one); fleetOpMutex_ keeps it to
+  /// one probe per lane.
   std::vector<WorkerLane::Ticket> JoinLiveLanes(
-      std::size_t skip = static_cast<std::size_t>(-1)) REQUIRES(fleetMutex_);
+      std::size_t skip = static_cast<std::size_t>(-1))
+      REQUIRES(fleetOpMutex_, fleetMutex_);
   /// `skip` (if valid) is reported unreachable without being probed —
   /// drain uses it for the source worker it owns: joining the lane whose
   /// turn it holds would wait for itself. Locks itself.
   FleetLoads ProbeLoads(std::size_t skip = static_cast<std::size_t>(-1))
-      EXCLUDES(fleetMutex_);
+      REQUIRES(fleetOpMutex_) EXCLUDES(fleetMutex_);
   /// Workers admitting new sessions (live and not drained).
   std::vector<bool> Eligible() const REQUIRES(fleetMutex_);
   bool IsLive(std::size_t worker) const REQUIRES(fleetMutex_) {

@@ -1,6 +1,8 @@
 #include "snapshot/codec.h"
 
 #include <algorithm>
+#include <array>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -38,248 +40,542 @@ Error CodecError(std::string message) {
                "snapshot decode: " + std::move(message)};
 }
 
-// --- shared field helpers ---------------------------------------------------
+// --- records ----------------------------------------------------------------
+//
+// Each record lists its fields once, in wire order, as a template over the
+// direction: a Writer (with a const snapshot) encodes them, a Reader decodes
+// and checks them. A failed check latches its message into the Reader and
+// ends the record before the bad value is used; a record returns whether
+// the transfer may go on.
 
-void EncodeError(Writer& w, const Error& error) {
-  w.U8(static_cast<std::uint8_t>(error.kind));
-  w.Str(error.message);
-  w.U32(error.pos.line);
-  w.U32(error.pos.column);
+template <typename IO>
+constexpr bool kDecoding = std::is_same_v<IO, Reader>;
+
+template <typename IO, typename... Fields>
+void U64s(IO& io, Fields&... fields) {
+  (io.U64(fields), ...);
 }
 
-bool DecodeError(Reader& r, Error& error) {
-  const std::uint8_t kind = r.U8();
-  if (kind > static_cast<std::uint8_t>(ErrorKind::kInternal)) return false;
-  error.kind = static_cast<ErrorKind>(kind);
-  error.message = r.Str();
-  error.pos.line = r.U32();
-  error.pos.column = r.U32();
-  return r.ok();
+/// A rename tag that indexes the speculative register file, or one of the
+/// sentinels from `minimum` up.
+bool TagInRange(std::int32_t tag, std::int32_t minimum, std::uint32_t renames) {
+  return tag >= minimum && tag < static_cast<std::int32_t>(renames);
 }
 
-void EncodeOptionalError(Writer& w, const std::optional<Error>& error) {
-  w.Bool(error.has_value());
-  if (error.has_value()) EncodeError(w, *error);
-}
-
-bool DecodeOptionalError(Reader& r, std::optional<Error>& error) {
-  if (!r.Bool()) {
-    error.reset();
-    return r.ok();
+/// A truncation anywhere in the record so far is reported as `malformed`,
+/// as is an error kind out of range.
+template <typename IO, typename OptionalError>
+bool OptionalErrorRecord(IO& io, OptionalError& error, const char* malformed) {
+  if (io.Present(error)) {
+    io.Enum(error->kind, ErrorKind::kInternal, malformed);
+    io.Str(error->message);
+    io.U32(error->pos.line);
+    io.U32(error->pos.column);
   }
-  Error decoded;
-  if (!DecodeError(r, decoded)) return false;
-  error = std::move(decoded);
+  io.FailAs(malformed);
+  return io.ok();
+}
+
+template <typename IO, typename Snapshot>
+bool Scalars(IO& io, Snapshot& s) {
+  U64s(io, s.cycle, s.nextSeq);
+  io.U32(s.pc);
+  io.U64(s.fetchResumeCycle);
+  io.Bool(s.fetchStalledIndirect);
+  return io.Enum(s.status, core::SimStatus::kFault,
+                 "simulation status out of range") &&
+         io.Enum(s.finishReason, core::FinishReason::kException,
+                 "finish reason out of range") &&
+         OptionalErrorRecord(io, s.fault, "malformed fault record");
+}
+
+/// The ISS architectural state the detailed window was seeded from, when
+/// the session used FastForwardTo (v2).
+template <typename IO, typename Snapshot>
+bool Seed(IO& io, Snapshot& s) {
+  if (io.Present(s.ffSeed)) {
+    for (auto& cell : s.ffSeed->x) io.U64(cell);
+    for (auto& cell : s.ffSeed->f) io.U64(cell);
+    io.U32(s.ffSeed->pc);
+    io.U64(s.ffSeed->instructions);
+  }
+  return io.ok();
+}
+
+/// One in-flight instruction. Its rename tags must index the speculative
+/// register file, so a hostile blob cannot plant tags out of range.
+template <typename IO, typename InFlight>
+bool InFlightRecord(IO& io, InFlight& inst, const CodecContext& context) {
+  const auto& instructions = context.program->instructions;
+  io.U64(inst.seq);
+  if constexpr (kDecoding<IO>) {
+    const std::uint32_t index = io.U32();
+    if (!io.Check(index < instructions.size(),
+                  "in-flight instruction index out of range")) {
+      return false;
+    }
+    inst.inst = io.ok() ? &instructions[index] : nullptr;
+  } else {
+    io.U32(static_cast<std::uint32_t>(inst.inst - instructions.data()));
+  }
+  io.U32(inst.pc);
+  if (!io.Enum(inst.phase, core::Phase::kSquashed,
+               "in-flight phase out of range")) {
+    return false;
+  }
+  io.Bits(inst.isControl, inst.predictedTaken, inst.btbHit, inst.branchTaken,
+          inst.mispredicted, inst.isExit, inst.addressReady,
+          inst.memoryStarted, inst.memoryDone, inst.cacheHit, inst.forwarded,
+          inst.drainPending, inst.drainStarted, inst.stalledFetch,
+          inst.resultsReady);
+  io.U32(inst.predictedNextPc);
+  io.U32(inst.historyCheckpoint);
+  io.U32(inst.branchTarget);
+  io.U32(inst.effectiveAddress);
+  io.U64(inst.forwardedRaw);
+  if (!OptionalErrorRecord(io, inst.exception,
+                           "malformed in-flight exception")) {
+    return false;
+  }
+  U64s(io, inst.fetchCycle, inst.decodeCycle, inst.issueCycle,
+       inst.executeDoneCycle, inst.commitCycle);
+
+  io.U8(inst.operandCount);
+  if (!io.Check(inst.operandCount <= inst.operands.size(),
+                "in-flight operand count out of range")) {
+    return false;
+  }
+  const std::uint32_t renames = context.config->memory.renameRegisterCount;
+  for (std::size_t i = 0; i < inst.operandCount; ++i) {
+    auto& operand = inst.operands[i];
+    io.Bits(operand.isSource, operand.isDest, operand.ready);
+    expr::ValueKind kind = operand.value.kind();
+    std::uint64_t bits = operand.value.bits();
+    if (!io.Enum(kind, expr::ValueKind::kBool,
+                 "operand value kind out of range")) {
+      return false;
+    }
+    io.U64(bits);
+    if constexpr (kDecoding<IO>) {
+      operand.value = expr::Value::FromRaw(kind, bits);
+    }
+    io.I32(operand.waitTag);
+    io.I32(operand.destTag);
+    io.I32(operand.prevTag);
+    if (!io.Check(TagInRange(operand.waitTag, -1, renames) &&
+                      TagInRange(operand.destTag, -1, renames) &&
+                      TagInRange(operand.prevTag, core::kPrevWasArchitectural,
+                                 renames),
+                  "operand rename tag out of range")) {
+      return false;
+    }
+  }
+  return io.ok();
+}
+
+/// Calls `visit(container, capacity, allowNull)` for each pipeline
+/// container, in wire order. `capacity` is the live container's configured
+/// bound; only functional-unit slots may hold the null sentinel.
+template <typename Snapshot, typename Visit>
+void ForEachContainer(Snapshot& s, const config::CpuConfig& config,
+                      Visit&& visit) {
+  // StageFetch tops the queue up by one fetch group past the width check,
+  // so the live fetch queue can briefly hold up to 2*fetchWidth - 1.
+  visit(s.fetchQueue, std::size_t{2} * config.buffers.fetchWidth, false);
+  visit(s.rob, config.buffers.robSize, false);
+  for (auto& window : s.windows) {
+    visit(window, config.buffers.issueWindowSize, false);
+  }
+  visit(s.loadBuffer, config.memory.loadBufferSize, false);
+  visit(s.storeBuffer, config.memory.storeBufferSize, false);
+  visit(s.fuCurrent, config.functionalUnits.size(), true);
+}
+
+/// Every InFlight reachable from the containers, deduplicated in
+/// first-seen order; the containers then travel as index lists into this
+/// table, which preserves aliasing across decode.
+bool InFlightTable(Writer& w, const core::SimSnapshot& s,
+                   const CodecContext& context) {
+  std::vector<const core::InFlight*> entries;
+  std::unordered_map<const core::InFlight*, std::uint32_t> indexOf;
+  ForEachContainer(s, *context.config, [&](const auto& container, auto, auto) {
+    for (const core::InFlightPtr& inst : container) {
+      const auto next = static_cast<std::uint32_t>(entries.size());
+      if (inst != nullptr && indexOf.emplace(inst.get(), next).second) {
+        entries.push_back(inst.get());
+      }
+    }
+  });
+  w.U32(static_cast<std::uint32_t>(entries.size()));
+  for (const core::InFlight* inst : entries) {
+    InFlightRecord(w, *inst, context);
+  }
+  ForEachContainer(s, *context.config, [&](const auto& container, auto, auto) {
+    w.U32(static_cast<std::uint32_t>(container.size()));
+    for (const core::InFlightPtr& inst : container) {
+      w.U32(inst == nullptr ? kNullIndex : indexOf.at(inst.get()));
+    }
+  });
   return true;
 }
 
-// --- in-flight instruction table --------------------------------------------
-
-/// Deduplicated first-seen-order table of every InFlight reachable from the
-/// snapshot's containers; containers then serialize as index lists, which
-/// preserves aliasing across decode.
-class InFlightTable {
- public:
-  explicit InFlightTable(const core::SimSnapshot& snapshot) {
-    auto visit = [this](const core::InFlightPtr& inst) {
-      if (inst == nullptr) return;
-      if (indexOf_.emplace(inst.get(), entries_.size()).second) {
-        entries_.push_back(inst.get());
-      }
-    };
-    for (const auto& inst : snapshot.fetchQueue) visit(inst);
-    for (const auto& inst : snapshot.rob) visit(inst);
-    for (const auto& window : snapshot.windows) {
-      for (const auto& inst : window) visit(inst);
+/// A list may not exceed its container's capacity, and may not name one
+/// instruction twice (aliasing is only legitimate *across* containers), so
+/// a checksum-correct but hostile blob cannot oversize a buffer or
+/// double-commit an instruction.
+bool InFlightTable(Reader& r, core::SimSnapshot& s,
+                   const CodecContext& context) {
+  const std::uint32_t count = r.Count(40);
+  std::vector<core::InFlightPtr> table;
+  table.reserve(count);
+  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
+    table.push_back(std::make_shared<core::InFlight>());
+    InFlightRecord(r, *table.back(), context);
+  }
+  ForEachContainer(s, *context.config, [&](auto& container,
+                                          std::size_t capacity,
+                                          bool allowNull) {
+    if (!r.ok()) return;
+    const std::uint32_t size = r.Count(4);
+    if (!r.Check(size <= capacity,
+                 "container larger than its configured capacity")) {
+      return;
     }
-    for (const auto& inst : snapshot.loadBuffer) visit(inst);
-    for (const auto& inst : snapshot.storeBuffer) visit(inst);
-    for (const auto& inst : snapshot.fuCurrent) visit(inst);
+    std::vector<bool> seen(table.size(), false);
+    for (std::uint32_t i = 0; i < size; ++i) {
+      const std::uint32_t index = r.U32();
+      if (!r.ok()) return;
+      if (index == kNullIndex) {
+        if (!r.Check(allowNull, "unexpected null in-flight reference")) return;
+        container.push_back(nullptr);
+        continue;
+      }
+      if (!r.Check(index < table.size(), "in-flight table index out of range") ||
+          !r.Check(!seen[index],
+                   "duplicate in-flight reference within one container")) {
+        return;
+      }
+      seen[index] = true;
+      container.push_back(table[index]);
+    }
+  });
+  return r.ok();
+}
+
+template <typename IO, typename Snapshot>
+bool FunctionalUnits(IO& io, Snapshot& s, const config::CpuConfig& config) {
+  const std::size_t units = config.functionalUnits.size();
+  if (!io.Check(io.Size(s.fuBusyUntil, 8) == units &&
+                    s.fuCurrent.size() == units,
+                "functional-unit count does not match configuration")) {
+    return false;
   }
+  for (auto& busy : s.fuBusyUntil) io.U64(busy);
+  return io.ok();
+}
 
-  std::uint32_t IndexOf(const core::InFlightPtr& inst) const {
-    if (inst == nullptr) return kNullIndex;
-    return static_cast<std::uint32_t>(indexOf_.at(inst.get()));
+template <typename IO, typename Snapshot>
+bool ArchRegisters(IO& io, Snapshot& s) {
+  for (auto& cell : s.arch.x) io.U64(cell);
+  for (auto& cell : s.arch.f) io.U64(cell);
+  return io.ok();
+}
+
+/// Sizes must match the configuration: RestoreState swaps these vectors in
+/// wholesale, and the pipeline indexes them by tag.
+template <typename IO, typename Snapshot>
+bool Rename(IO& io, Snapshot& s, const config::CpuConfig& config) {
+  auto& rename = s.rename;
+  const std::uint32_t renames = config.memory.renameRegisterCount;
+  if (!io.Check(io.Size(rename.regs, 16) == renames,
+                "rename register count does not match configuration")) {
+    return false;
   }
+  for (auto& reg : rename.regs) {
+    io.Bool(reg.inUse);
+    io.Bool(reg.valid);
+    io.U64(reg.cell);
+    if (!io.Enum(reg.arch.kind, isa::RegisterKind::kFp,
+                 "speculative register kind out of range")) {
+      return false;
+    }
+    io.U8(reg.arch.index);
+    if (!io.Check(reg.arch.index < 32,
+                  "speculative register target out of range")) {
+      return false;
+    }
+    io.U32(reg.references);
+  }
+  if (!io.Check(io.Size(rename.freeList, 4) <= renames,
+                "rename free list longer than the register file")) {
+    return false;
+  }
+  std::vector<bool> freeSeen(renames, false);
+  for (auto& tag : rename.freeList) {
+    io.I32(tag);
+    if (!io.Check(TagInRange(tag, 0, renames),
+                  "rename free-list tag out of range")) {
+      return false;
+    }
+    // A tag listed twice (or free while marked in use) would hand one
+    // speculative register to two instructions after a few allocations.
+    if constexpr (kDecoding<IO>) {
+      if (!io.ok()) break;
+      const auto index = static_cast<std::size_t>(tag);
+      if (!io.Check(!freeSeen[index], "duplicate rename free-list tag") ||
+          !io.Check(!rename.regs[index].inUse,
+                    "rename free-list tag marked in use")) {
+        return false;
+      }
+      freeSeen[index] = true;
+    }
+  }
+  io.U32(rename.freeCount);
+  if (!io.Check(rename.freeCount <= renames,
+                "rename free count out of range")) {
+    return false;
+  }
+  for (auto& tag : rename.map) {
+    io.I32(tag);
+    if (!io.Check(TagInRange(tag, -1, renames),
+                  "rename map tag out of range")) {
+      return false;
+    }
+  }
+  return io.ok();
+}
 
-  const std::vector<const core::InFlight*>& entries() const { return entries_; }
+/// Sizes are fixed by the configuration; the predictor's index masks
+/// assume them.
+template <typename IO, typename Snapshot>
+bool Predictor(IO& io, Snapshot& s, const config::CpuConfig& config) {
+  auto& p = s.predictor;
+  const config::PredictorConfig& geometry = config.predictor;
+  if (!io.Check(io.Size(p.pht.entries, 4,
+                        predictor::BitPredictor(geometry.type, 0)) ==
+                    geometry.phtSize,
+                "PHT size does not match configuration")) {
+    return false;
+  }
+  for (auto& entry : p.pht.entries) {
+    std::uint32_t state = entry.state();
+    io.U32(state);
+    if constexpr (kDecoding<IO>) {
+      // The BitPredictor constructor clamps out-of-range counters.
+      entry = predictor::BitPredictor(geometry.type, state);
+    }
+  }
+  if (!io.Check(io.Size(p.btb.entries, 9) == geometry.btbSize,
+                "BTB size does not match configuration")) {
+    return false;
+  }
+  for (auto& entry : p.btb.entries) {
+    io.Bool(entry.valid);
+    io.U32(entry.pc);
+    io.U32(entry.target);
+  }
+  io.U32(p.globalHistory);
+  const std::uint32_t localHistories =
+      geometry.history == config::HistoryKind::kLocal && geometry.historyBits > 0
+          ? geometry.phtSize
+          : 0;
+  if (!io.Check(io.Size(p.localHistories, 4) == localHistories,
+                "local history size does not match configuration")) {
+    return false;
+  }
+  for (auto& history : p.localHistories) io.U32(history);
+  return io.ok();
+}
 
- private:
-  std::vector<const core::InFlight*> entries_;
-  std::unordered_map<const core::InFlight*, std::size_t> indexOf_;
+/// What the memory image needs besides the snapshot: the encoder's delta
+/// request, and on decode the blob's version and what the image held.
+struct MemorySide {
+  const EncodeOptions* options = nullptr;
+  std::uint32_t version = kFormatVersion;
+  DecodeInfo* info = nullptr;
 };
 
-void EncodeInFlight(Writer& w, const core::InFlight& inst,
-                    const assembler::Program& program) {
-  w.U64(inst.seq);
-  w.U32(static_cast<std::uint32_t>(inst.inst - program.instructions.data()));
-  w.U32(inst.pc);
-  w.U8(static_cast<std::uint8_t>(inst.phase));
-
-  std::uint16_t flags = 0;
-  const bool bits[] = {inst.isControl,     inst.predictedTaken,
-                       inst.btbHit,        inst.branchTaken,
-                       inst.mispredicted,  inst.isExit,
-                       inst.addressReady,  inst.memoryStarted,
-                       inst.memoryDone,    inst.cacheHit,
-                       inst.forwarded,     inst.drainPending,
-                       inst.drainStarted,  inst.stalledFetch,
-                       inst.resultsReady};
-  for (std::size_t i = 0; i < std::size(bits); ++i) {
-    if (bits[i]) flags |= static_cast<std::uint16_t>(1u << i);
+/// The raw memory image: v3 leads with a mode byte, then either the full
+/// image (mode 0) or, against the negotiated base, the 4 KiB pages that
+/// may differ from it (mode 1).
+bool MemoryImage(Writer& w, const core::SimSnapshot& s,
+                 const CodecContext& /*context*/, const MemorySide& side) {
+  const std::vector<std::uint8_t>& bytes = s.memory.memory.bytes;
+  const auto totalSize = static_cast<std::uint32_t>(bytes.size());
+  const std::vector<std::uint8_t>* dirty = side.options->deltaPages;
+  w.U8(dirty != nullptr ? 1 : 0);
+  if (dirty == nullptr) {
+    w.U32(totalSize);
+    w.Bytes(bytes.data(), bytes.size());
+    return true;
   }
-  w.U16(flags);
-
-  w.U32(inst.predictedNextPc);
-  w.U32(inst.historyCheckpoint);
-  w.U32(inst.branchTarget);
-  w.U32(inst.effectiveAddress);
-  w.U64(inst.forwardedRaw);
-  EncodeOptionalError(w, inst.exception);
-  w.U64(inst.fetchCycle);
-  w.U64(inst.decodeCycle);
-  w.U64(inst.issueCycle);
-  w.U64(inst.executeDoneCycle);
-  w.U64(inst.commitCycle);
-
-  w.U8(inst.operandCount);
-  for (std::size_t i = 0; i < inst.operandCount; ++i) {
-    const core::OperandRuntime& operand = inst.operands[i];
-    std::uint8_t opFlags = 0;
-    if (operand.isSource) opFlags |= 1;
-    if (operand.isDest) opFlags |= 2;
-    if (operand.ready) opFlags |= 4;
-    w.U8(opFlags);
-    w.U8(static_cast<std::uint8_t>(operand.value.kind()));
-    w.U64(operand.value.bits());
-    w.I32(operand.waitTag);
-    w.I32(operand.destTag);
-    w.I32(operand.prevTag);
-  }
-}
-
-/// Decodes one InFlight; `renameCount` bounds the rename tags so a hostile
-/// blob cannot plant tags that index out of the speculative register file.
-Result<core::InFlightPtr> DecodeInFlight(Reader& r,
-                                         const assembler::Program& program,
-                                         std::uint32_t renameCount) {
-  auto inst = std::make_shared<core::InFlight>();
-  inst->seq = r.U64();
-  const std::uint32_t instIndex = r.U32();
-  if (r.ok() && instIndex >= program.instructions.size()) {
-    return CodecError("in-flight instruction index out of range");
-  }
-  inst->inst = r.ok() ? &program.instructions[instIndex] : nullptr;
-  inst->pc = r.U32();
-  const std::uint8_t phase = r.U8();
-  if (phase > static_cast<std::uint8_t>(core::Phase::kSquashed)) {
-    return CodecError("in-flight phase out of range");
-  }
-  inst->phase = static_cast<core::Phase>(phase);
-
-  const std::uint16_t flags = r.U16();
-  bool* bits[] = {&inst->isControl,     &inst->predictedTaken,
-                  &inst->btbHit,        &inst->branchTaken,
-                  &inst->mispredicted,  &inst->isExit,
-                  &inst->addressReady,  &inst->memoryStarted,
-                  &inst->memoryDone,    &inst->cacheHit,
-                  &inst->forwarded,     &inst->drainPending,
-                  &inst->drainStarted,  &inst->stalledFetch,
-                  &inst->resultsReady};
-  for (std::size_t i = 0; i < std::size(bits); ++i) {
-    *bits[i] = (flags & (1u << i)) != 0;
-  }
-
-  inst->predictedNextPc = r.U32();
-  inst->historyCheckpoint = r.U32();
-  inst->branchTarget = r.U32();
-  inst->effectiveAddress = r.U32();
-  inst->forwardedRaw = r.U64();
-  if (!DecodeOptionalError(r, inst->exception)) {
-    return CodecError("malformed in-flight exception");
-  }
-  inst->fetchCycle = r.U64();
-  inst->decodeCycle = r.U64();
-  inst->issueCycle = r.U64();
-  inst->executeDoneCycle = r.U64();
-  inst->commitCycle = r.U64();
-
-  inst->operandCount = r.U8();
-  if (inst->operandCount > inst->operands.size()) {
-    return CodecError("in-flight operand count out of range");
-  }
-  const auto validTag = [renameCount](std::int32_t tag, std::int32_t minimum) {
-    return tag >= minimum && tag < static_cast<std::int32_t>(renameCount);
+  constexpr std::uint32_t kPage = memory::MainMemory::kPageSizeBytes;
+  const std::uint32_t pageTotal = (totalSize + kPage - 1) / kPage;
+  // An undersized flag vector is treated as all-dirty past its end
+  // (conservative: shipping an extra page is correct, skipping one is not).
+  const auto pageDirty = [dirty](std::uint32_t page) {
+    return page >= dirty->size() || (*dirty)[page] != 0;
   };
-  for (std::size_t i = 0; i < inst->operandCount; ++i) {
-    core::OperandRuntime& operand = inst->operands[i];
-    const std::uint8_t opFlags = r.U8();
-    operand.isSource = (opFlags & 1) != 0;
-    operand.isDest = (opFlags & 2) != 0;
-    operand.ready = (opFlags & 4) != 0;
-    const std::uint8_t kind = r.U8();
-    if (kind > static_cast<std::uint8_t>(expr::ValueKind::kBool)) {
-      return CodecError("operand value kind out of range");
-    }
-    operand.value =
-        expr::Value::FromRaw(static_cast<expr::ValueKind>(kind), r.U64());
-    operand.waitTag = r.I32();
-    operand.destTag = r.I32();
-    operand.prevTag = r.I32();
-    if (r.ok() && (!validTag(operand.waitTag, -1) ||
-                   !validTag(operand.destTag, -1) ||
-                   !validTag(operand.prevTag, core::kPrevWasArchitectural))) {
-      return CodecError("operand rename tag out of range");
-    }
+  std::uint32_t dirtyCount = 0;
+  for (std::uint32_t page = 0; page < pageTotal; ++page) {
+    if (pageDirty(page)) ++dirtyCount;
   }
-  if (!r.ok()) return CodecError(r.failReason());
-  return inst;
+  w.U64(side.options->baseEpoch);
+  w.U32(totalSize);
+  w.U32(dirtyCount);
+  for (std::uint32_t page = 0; page < pageTotal; ++page) {
+    if (!pageDirty(page)) continue;
+    const std::uint32_t offset = page * kPage;
+    w.U32(page);
+    w.Bytes(bytes.data() + offset, std::min(kPage, totalSize - offset));
+  }
+  return true;
 }
 
-// --- container index lists --------------------------------------------------
-
-template <typename Container>
-void EncodeIndexList(Writer& w, const Container& container,
-                     const InFlightTable& table) {
-  w.U32(static_cast<std::uint32_t>(container.size()));
-  for (const core::InFlightPtr& inst : container) w.U32(table.IndexOf(inst));
-}
-
-/// Decodes an index list into `out` (deque or vector of InFlightPtr).
-/// `allowNull` admits the null sentinel (functional-unit slots only).
-/// `maxSize` caps the list at the live container's configured capacity,
-/// and duplicates within one list are rejected (a pipeline container
-/// never holds the same instruction twice — aliasing is only legitimate
-/// *across* containers), so a checksum-correct but hostile blob cannot
-/// oversize a buffer or double-commit an instruction.
-template <typename Container>
-Status DecodeIndexList(Reader& r,
-                       const std::vector<core::InFlightPtr>& table,
-                       bool allowNull, std::size_t maxSize, Container& out) {
-  const std::uint32_t count = r.Count(4);
-  if (r.ok() && count > maxSize) {
-    return CodecError("container larger than its configured capacity");
+bool MemoryImage(Reader& r, core::SimSnapshot& s, const CodecContext& context,
+                 const MemorySide& side) {
+  const std::uint32_t configured = context.config->memory.sizeBytes;
+  std::vector<std::uint8_t>& bytes = s.memory.memory.bytes;
+  std::uint8_t mode = 0;  // v2 is always a full image
+  if (side.version >= 3) {
+    r.U8(mode);
+    if (!r.Check(mode <= 1, "memory mode out of range")) return false;
   }
-  std::vector<bool> seen(table.size(), false);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t index = r.U32();
+  if (mode == 0) {
+    const std::uint32_t size = r.Count(1);
+    if (!r.Check(size == configured,
+                 "memory size does not match configuration")) {
+      return false;
+    }
+    bytes.resize(size);
+    r.BytesInto(bytes.data(), size);
+    return r.ok();
+  }
+  constexpr std::uint32_t kPage = memory::MainMemory::kPageSizeBytes;
+  const std::uint64_t baseEpoch = r.U64();
+  const std::uint32_t totalSize = r.U32();
+  // Fail closed: a delta is only restorable over the exact base it was
+  // computed against. No base (or a different one) means this side must
+  // ask for a full image instead — never patch over the wrong bytes.
+  if (!r.Check(totalSize == configured,
+               "memory size does not match configuration") ||
+      !r.Check(context.baseMemory.size() == totalSize &&
+                   context.baseEpoch == baseEpoch,
+               "delta blob references a base image this side does not have "
+               "(base-epoch mismatch)")) {
+    return false;
+  }
+  const std::uint32_t pageTotal = (totalSize + kPage - 1) / kPage;
+  const std::uint32_t pageCount = r.Count(4);
+  if (!r.Check(pageCount <= pageTotal,
+               "delta page count exceeds the memory's page count")) {
+    return false;
+  }
+  bytes.assign(context.baseMemory.begin(), context.baseMemory.end());
+  side.info->deltaMemory = true;
+  side.info->overlaidPages.assign(pageTotal, 0);
+  std::int64_t lastPage = -1;
+  for (std::uint32_t i = 0; i < pageCount; ++i) {
+    const std::uint32_t page = r.U32();
     if (!r.ok()) break;
-    if (index == kNullIndex) {
-      if (!allowNull) return CodecError("unexpected null in-flight reference");
-      out.push_back(nullptr);
-      continue;
+    if (!r.Check(page < pageTotal && static_cast<std::int64_t>(page) > lastPage,
+                 "delta page index out of order or out of range")) {
+      return false;
     }
-    if (index >= table.size()) {
-      return CodecError("in-flight table index out of range");
-    }
-    if (seen[index]) {
-      return CodecError("duplicate in-flight reference within one container");
-    }
-    seen[index] = true;
-    out.push_back(table[index]);
+    lastPage = page;
+    const std::uint32_t offset = page * kPage;
+    r.BytesInto(bytes.data() + offset, std::min(kPage, totalSize - offset));
+    side.info->overlaidPages[page] = 1;
   }
-  if (!r.ok()) return CodecError(r.failReason());
-  return Status::Ok();
+  return r.ok();
+}
+
+template <typename IO, typename Snapshot>
+bool Cache(IO& io, Snapshot& s, const config::CpuConfig& config) {
+  const bool present = io.Present(s.memory.cache);
+  if (!io.Check(present == config.cache.enabled,
+                "cache presence does not match configuration")) {
+    return false;
+  }
+  if (!present) return io.ok();
+  auto& cache = *s.memory.cache;
+  const config::CacheConfig& geometry = config.cache;
+  const std::uint32_t lines =
+      geometry.associativity == 0
+          ? 0
+          : (geometry.lineCount / geometry.associativity) *
+                geometry.associativity;
+  if (!io.Check(io.Size(cache.lines, 22) == lines,
+                "cache line count does not match configuration")) {
+    return false;
+  }
+  for (auto& line : cache.lines) {
+    io.Bool(line.valid);
+    io.Bool(line.dirty);
+    io.U32(line.tag);
+    U64s(io, line.lastUse, line.insertTime);
+  }
+  std::array<std::uint64_t, 4> rng = cache.rng.SaveState();
+  for (std::uint64_t& word : rng) io.U64(word);
+  if constexpr (kDecoding<IO>) cache.rng.RestoreState(rng);
+  io.U64(cache.insertCounter);
+  return io.ok();
+}
+
+/// Memory and simulation statistics.
+template <typename IO, typename Snapshot>
+bool Counters(IO& io, Snapshot& s, const config::CpuConfig& config) {
+  auto& m = s.memory.stats;
+  U64s(io, m.accesses, m.loads, m.stores, m.cacheHits, m.cacheMisses,
+       m.evictions, m.dirtyEvictions, m.bytesReadFromMemory,
+       m.bytesWrittenToMemory, s.memory.nextTransactionId);
+  auto& st = s.stats;
+  U64s(io, st.cycles, st.fetchedInstructions, st.decodedInstructions,
+       st.issuedInstructions, st.executedInstructions,
+       st.committedInstructions, st.squashedInstructions,
+       st.fastForwardedInstructions, st.robFlushes, st.branchesResolved,
+       st.branchesMispredicted, st.branchesTaken, st.btbHits, st.btbLookups,
+       st.flops);
+  for (auto& count : st.staticMix) io.U64(count);
+  for (auto& count : st.dynamicMix) io.U64(count);
+  if (!io.Check(io.Size(st.unitUsage, 20) == config.functionalUnits.size(),
+                "unit usage count does not match configuration")) {
+    return false;
+  }
+  for (auto& usage : st.unitUsage) {
+    io.Str(usage.name);
+    U64s(io, usage.busyCycles, usage.instructions);
+  }
+  U64s(io, st.stallCyclesRobFull, st.stallCyclesRenameFull,
+       st.stallCyclesWindowFull, st.stallCyclesLsBufferFull);
+  return io.ok();
+}
+
+template <typename IO, typename Snapshot>
+bool Log(IO& io, Snapshot& s) {
+  io.Size(s.log.entries, 17);
+  for (auto& entry : s.log.entries) {
+    io.U64(entry.cycle);
+    if (!io.Enum(entry.level, LogLevel::kError, "log level out of range")) {
+      return false;
+    }
+    io.Str(entry.block);
+    io.Str(entry.text);
+  }
+  return io.ok();
+}
+
+/// The whole payload, record by record in wire order; stops at the first
+/// record that fails.
+template <typename IO, typename Snapshot>
+bool Payload(IO& io, Snapshot& s, const CodecContext& context,
+             const MemorySide& side) {
+  const config::CpuConfig& config = *context.config;
+  return Scalars(io, s) && Seed(io, s) && InFlightTable(io, s, context) &&
+         FunctionalUnits(io, s, config) && ArchRegisters(io, s) &&
+         Rename(io, s, config) && Predictor(io, s, config) &&
+         MemoryImage(io, s, context, side) && Cache(io, s, config) &&
+         Counters(io, s, config) && Log(io, s);
 }
 
 }  // namespace
@@ -324,193 +620,14 @@ std::string EncodeSnapshot(const core::SimSnapshot& snapshot,
 std::string EncodeSnapshot(const core::SimSnapshot& snapshot,
                            const CodecContext& context,
                            const EncodeOptions& options) {
-  const assembler::Program& program = *context.program;
-  const std::uint32_t formatVersion =
-      std::clamp(options.formatVersion, kMinFormatVersion, kFormatVersion);
   Writer w;
-
-  // Scalars.
-  w.U64(snapshot.cycle);
-  w.U64(snapshot.nextSeq);
-  w.U32(snapshot.pc);
-  w.U64(snapshot.fetchResumeCycle);
-  w.Bool(snapshot.fetchStalledIndirect);
-  w.U8(static_cast<std::uint8_t>(snapshot.status));
-  w.U8(static_cast<std::uint8_t>(snapshot.finishReason));
-  EncodeOptionalError(w, snapshot.fault);
-
-  // Fast-forward seed (v2): the ISS architectural state the detailed
-  // window was seeded from, when this session used FastForwardTo.
-  w.Bool(snapshot.ffSeed.has_value());
-  if (snapshot.ffSeed.has_value()) {
-    for (const std::uint64_t cell : snapshot.ffSeed->x) w.U64(cell);
-    for (const std::uint64_t cell : snapshot.ffSeed->f) w.U64(cell);
-    w.U32(snapshot.ffSeed->pc);
-    w.U64(snapshot.ffSeed->instructions);
-  }
-
-  // In-flight table + containers as index lists.
-  InFlightTable table(snapshot);
-  w.U32(static_cast<std::uint32_t>(table.entries().size()));
-  for (const core::InFlight* inst : table.entries()) {
-    EncodeInFlight(w, *inst, program);
-  }
-  EncodeIndexList(w, snapshot.fetchQueue, table);
-  EncodeIndexList(w, snapshot.rob, table);
-  for (const auto& window : snapshot.windows) {
-    EncodeIndexList(w, window, table);
-  }
-  EncodeIndexList(w, snapshot.loadBuffer, table);
-  EncodeIndexList(w, snapshot.storeBuffer, table);
-  EncodeIndexList(w, snapshot.fuCurrent, table);
-  w.U32(static_cast<std::uint32_t>(snapshot.fuBusyUntil.size()));
-  for (const std::uint64_t busy : snapshot.fuBusyUntil) w.U64(busy);
-
-  // Architectural registers.
-  for (const std::uint64_t cell : snapshot.arch.x) w.U64(cell);
-  for (const std::uint64_t cell : snapshot.arch.f) w.U64(cell);
-
-  // Rename state.
-  w.U32(static_cast<std::uint32_t>(snapshot.rename.regs.size()));
-  for (const core::SpecRegister& reg : snapshot.rename.regs) {
-    w.Bool(reg.inUse);
-    w.Bool(reg.valid);
-    w.U64(reg.cell);
-    w.U8(static_cast<std::uint8_t>(reg.arch.kind));
-    w.U8(reg.arch.index);
-    w.U32(reg.references);
-  }
-  w.U32(static_cast<std::uint32_t>(snapshot.rename.freeList.size()));
-  for (const int tag : snapshot.rename.freeList) w.I32(tag);
-  w.U32(snapshot.rename.freeCount);
-  for (const int tag : snapshot.rename.map) w.I32(tag);
-
-  // Predictor.
-  w.U32(static_cast<std::uint32_t>(snapshot.predictor.pht.entries.size()));
-  for (const auto& entry : snapshot.predictor.pht.entries) {
-    w.U32(entry.state());
-  }
-  w.U32(static_cast<std::uint32_t>(snapshot.predictor.btb.entries.size()));
-  for (const auto& entry : snapshot.predictor.btb.entries) {
-    w.Bool(entry.valid);
-    w.U32(entry.pc);
-    w.U32(entry.target);
-  }
-  w.U32(snapshot.predictor.globalHistory);
-  w.U32(static_cast<std::uint32_t>(snapshot.predictor.localHistories.size()));
-  for (const std::uint32_t history : snapshot.predictor.localHistories) {
-    w.U32(history);
-  }
-
-  // Memory system: raw image (full, or in v3 delta mode a sparse page
-  // overlay against the negotiated base), cache residency, statistics.
-  const auto& memoryBytes = snapshot.memory.memory.bytes;
-  const bool deltaMemory =
-      formatVersion >= 3 && options.deltaPages != nullptr;
-  if (formatVersion >= 3) {
-    w.U8(deltaMemory ? 1 : 0);
-  }
-  if (deltaMemory) {
-    constexpr std::uint32_t kPage = memory::MainMemory::kPageSizeBytes;
-    const std::vector<std::uint8_t>& dirty = *options.deltaPages;
-    const auto totalSize = static_cast<std::uint32_t>(memoryBytes.size());
-    const std::uint32_t pageTotal = (totalSize + kPage - 1) / kPage;
-    // An undersized flag vector is treated as all-dirty past its end
-    // (conservative: shipping an extra page is correct, skipping one is
-    // not).
-    const auto pageDirty = [&dirty](std::uint32_t page) {
-      return page >= dirty.size() || dirty[page] != 0;
-    };
-    std::uint32_t dirtyCount = 0;
-    for (std::uint32_t page = 0; page < pageTotal; ++page) {
-      if (pageDirty(page)) ++dirtyCount;
-    }
-    w.U64(options.baseEpoch);
-    w.U32(totalSize);
-    w.U32(dirtyCount);
-    for (std::uint32_t page = 0; page < pageTotal; ++page) {
-      if (!pageDirty(page)) continue;
-      const std::uint32_t offset = page * kPage;
-      w.U32(page);
-      w.Bytes(memoryBytes.data() + offset,
-              std::min(kPage, totalSize - offset));
-    }
-  } else {
-    w.U32(static_cast<std::uint32_t>(memoryBytes.size()));
-    w.Bytes(memoryBytes.data(), memoryBytes.size());
-  }
-  w.Bool(snapshot.memory.cache.has_value());
-  if (snapshot.memory.cache.has_value()) {
-    const auto& cache = *snapshot.memory.cache;
-    w.U32(static_cast<std::uint32_t>(cache.lines.size()));
-    for (const auto& line : cache.lines) {
-      w.Bool(line.valid);
-      w.Bool(line.dirty);
-      w.U32(line.tag);
-      w.U64(line.lastUse);
-      w.U64(line.insertTime);
-    }
-    for (const std::uint64_t word : cache.rng.SaveState()) w.U64(word);
-    w.U64(cache.insertCounter);
-  }
-  const memory::MemoryStats& memStats = snapshot.memory.stats;
-  w.U64(memStats.accesses);
-  w.U64(memStats.loads);
-  w.U64(memStats.stores);
-  w.U64(memStats.cacheHits);
-  w.U64(memStats.cacheMisses);
-  w.U64(memStats.evictions);
-  w.U64(memStats.dirtyEvictions);
-  w.U64(memStats.bytesReadFromMemory);
-  w.U64(memStats.bytesWrittenToMemory);
-  w.U64(snapshot.memory.nextTransactionId);
-
-  // Simulation statistics.
-  const stats::SimulationStatistics& s = snapshot.stats;
-  w.U64(s.cycles);
-  w.U64(s.fetchedInstructions);
-  w.U64(s.decodedInstructions);
-  w.U64(s.issuedInstructions);
-  w.U64(s.executedInstructions);
-  w.U64(s.committedInstructions);
-  w.U64(s.squashedInstructions);
-  w.U64(s.fastForwardedInstructions);
-  w.U64(s.robFlushes);
-  w.U64(s.branchesResolved);
-  w.U64(s.branchesMispredicted);
-  w.U64(s.branchesTaken);
-  w.U64(s.btbHits);
-  w.U64(s.btbLookups);
-  w.U64(s.flops);
-  for (const std::uint64_t count : s.staticMix) w.U64(count);
-  for (const std::uint64_t count : s.dynamicMix) w.U64(count);
-  w.U32(static_cast<std::uint32_t>(s.unitUsage.size()));
-  for (const stats::UnitUsage& usage : s.unitUsage) {
-    w.Str(usage.name);
-    w.U64(usage.busyCycles);
-    w.U64(usage.instructions);
-  }
-  w.U64(s.stallCyclesRobFull);
-  w.U64(s.stallCyclesRenameFull);
-  w.U64(s.stallCyclesWindowFull);
-  w.U64(s.stallCyclesLsBufferFull);
-
-  // Log.
-  w.U32(static_cast<std::uint32_t>(snapshot.log.entries.size()));
-  for (const LogEntry& entry : snapshot.log.entries) {
-    w.U64(entry.cycle);
-    w.U8(static_cast<std::uint8_t>(entry.level));
-    w.Str(entry.block);
-    w.Str(entry.text);
-  }
-
-  // Header + payload.
+  Payload(w, snapshot, context, MemorySide{&options});
   const std::string payload = w.Take();
   Writer header;
   header.Bytes(kMagic, sizeof(kMagic));
-  header.U32(formatVersion);
+  header.U32(kFormatVersion);
   header.U64(ConfigHash(*context.config));
-  header.U64(ProgramHash(program));
+  header.U64(ProgramHash(*context.program));
   header.U64(Fnv1a(payload));
   header.U64(payload.size());
   std::string out = header.Take();
@@ -523,9 +640,6 @@ std::string EncodeSnapshot(const core::SimSnapshot& snapshot,
 Result<core::SimSnapshot> DecodeSnapshot(std::string_view blob,
                                          const CodecContext& context,
                                          DecodeInfo* info) {
-  const config::CpuConfig& config = *context.config;
-  const assembler::Program& program = *context.program;
-
   if (blob.size() < kHeaderBytes) {
     return CodecError("blob shorter than the snapshot header");
   }
@@ -541,12 +655,12 @@ Result<core::SimSnapshot> DecodeSnapshot(std::string_view blob,
         StrFormat("unsupported format version %u (this build reads %u..%u)",
                   version, kMinFormatVersion, kFormatVersion));
   }
-  if (r.U64() != ConfigHash(config)) {
+  if (r.U64() != ConfigHash(*context.config)) {
     return CodecError(
         "configuration hash mismatch (snapshot taken with a different "
         "architecture configuration)");
   }
-  if (r.U64() != ProgramHash(program)) {
+  if (r.U64() != ProgramHash(*context.program)) {
     return CodecError(
         "program hash mismatch (snapshot taken with a different program)");
   }
@@ -560,317 +674,11 @@ Result<core::SimSnapshot> DecodeSnapshot(std::string_view blob,
   }
 
   core::SimSnapshot snapshot;
-  snapshot.cycle = r.U64();
-  snapshot.nextSeq = r.U64();
-  snapshot.pc = r.U32();
-  snapshot.fetchResumeCycle = r.U64();
-  snapshot.fetchStalledIndirect = r.Bool();
-  const std::uint8_t status = r.U8();
-  if (status > static_cast<std::uint8_t>(core::SimStatus::kFault)) {
-    return CodecError("simulation status out of range");
-  }
-  snapshot.status = static_cast<core::SimStatus>(status);
-  const std::uint8_t finishReason = r.U8();
-  if (finishReason > static_cast<std::uint8_t>(core::FinishReason::kException)) {
-    return CodecError("finish reason out of range");
-  }
-  snapshot.finishReason = static_cast<core::FinishReason>(finishReason);
-  if (!DecodeOptionalError(r, snapshot.fault)) {
-    return CodecError("malformed fault record");
-  }
-
-  // Fast-forward seed (v2).
-  if (r.Bool()) {
-    core::FastForwardSeed seed;
-    for (std::uint64_t& cell : seed.x) cell = r.U64();
-    for (std::uint64_t& cell : seed.f) cell = r.U64();
-    seed.pc = r.U32();
-    seed.instructions = r.U64();
-    snapshot.ffSeed = seed;
-  }
-
-  // In-flight table.
-  const std::uint32_t renameCount = config.memory.renameRegisterCount;
-  const std::uint32_t tableCount = r.Count(40);
-  std::vector<core::InFlightPtr> table;
-  table.reserve(tableCount);
-  for (std::uint32_t i = 0; i < tableCount; ++i) {
-    RVSS_ASSIGN_OR_RETURN(core::InFlightPtr inst,
-                          DecodeInFlight(r, program, renameCount));
-    table.push_back(std::move(inst));
-  }
-  // StageFetch tops the queue up by one fetch group past the width check,
-  // so the live fetch queue can briefly hold up to 2*fetchWidth - 1.
-  RVSS_RETURN_IF_ERROR(DecodeIndexList(
-      r, table, false, std::size_t{2} * config.buffers.fetchWidth,
-      snapshot.fetchQueue));
-  RVSS_RETURN_IF_ERROR(DecodeIndexList(r, table, false,
-                                       config.buffers.robSize, snapshot.rob));
-  for (auto& window : snapshot.windows) {
-    RVSS_RETURN_IF_ERROR(DecodeIndexList(
-        r, table, false, config.buffers.issueWindowSize, window));
-  }
-  RVSS_RETURN_IF_ERROR(DecodeIndexList(
-      r, table, false, config.memory.loadBufferSize, snapshot.loadBuffer));
-  RVSS_RETURN_IF_ERROR(DecodeIndexList(
-      r, table, false, config.memory.storeBufferSize, snapshot.storeBuffer));
-  RVSS_RETURN_IF_ERROR(DecodeIndexList(r, table, true,
-                                       config.functionalUnits.size(),
-                                       snapshot.fuCurrent));
-  const std::uint32_t fuCount = r.Count(8);
-  if (r.ok() && (snapshot.fuCurrent.size() != config.functionalUnits.size() ||
-                 fuCount != config.functionalUnits.size())) {
-    return CodecError("functional-unit count does not match configuration");
-  }
-  snapshot.fuBusyUntil.reserve(fuCount);
-  for (std::uint32_t i = 0; i < fuCount; ++i) {
-    snapshot.fuBusyUntil.push_back(r.U64());
-  }
-
-  // Architectural registers.
-  for (std::uint64_t& cell : snapshot.arch.x) cell = r.U64();
-  for (std::uint64_t& cell : snapshot.arch.f) cell = r.U64();
-
-  // Rename state. Sizes must match the configuration: RestoreState swaps
-  // these vectors in wholesale, and the pipeline indexes them by tag.
-  const std::uint32_t regCount = r.Count(16);
-  if (r.ok() && regCount != renameCount) {
-    return CodecError("rename register count does not match configuration");
-  }
-  snapshot.rename.regs.resize(regCount);
-  for (core::SpecRegister& reg : snapshot.rename.regs) {
-    reg.inUse = r.Bool();
-    reg.valid = r.Bool();
-    reg.cell = r.U64();
-    const std::uint8_t kind = r.U8();
-    if (kind > static_cast<std::uint8_t>(isa::RegisterKind::kFp)) {
-      return CodecError("speculative register kind out of range");
-    }
-    reg.arch.kind = static_cast<isa::RegisterKind>(kind);
-    reg.arch.index = r.U8();
-    if (r.ok() && reg.arch.index >= 32) {
-      return CodecError("speculative register target out of range");
-    }
-    reg.references = r.U32();
-  }
-  const std::uint32_t freeCount = r.Count(4);
-  if (r.ok() && freeCount > renameCount) {
-    return CodecError("rename free list longer than the register file");
-  }
-  snapshot.rename.freeList.reserve(freeCount);
-  std::vector<bool> freeSeen(renameCount, false);
-  for (std::uint32_t i = 0; i < freeCount; ++i) {
-    const std::int32_t tag = r.I32();
-    if (r.ok() && (tag < 0 || tag >= static_cast<std::int32_t>(renameCount))) {
-      return CodecError("rename free-list tag out of range");
-    }
-    if (r.ok()) {
-      // A tag listed twice (or free while marked in use) would hand one
-      // speculative register to two instructions after a few allocations.
-      const auto index = static_cast<std::size_t>(tag);
-      if (freeSeen[index]) {
-        return CodecError("duplicate rename free-list tag");
-      }
-      if (snapshot.rename.regs[index].inUse) {
-        return CodecError("rename free-list tag marked in use");
-      }
-      freeSeen[index] = true;
-    }
-    snapshot.rename.freeList.push_back(tag);
-  }
-  snapshot.rename.freeCount = r.U32();
-  if (r.ok() && snapshot.rename.freeCount > renameCount) {
-    return CodecError("rename free count out of range");
-  }
-  for (int& tag : snapshot.rename.map) {
-    tag = r.I32();
-    if (r.ok() && (tag < -1 || tag >= static_cast<std::int32_t>(renameCount))) {
-      return CodecError("rename map tag out of range");
-    }
-  }
-
-  // Predictor. Sizes are fixed by the configuration; the index masks in
-  // the predictor assume them.
-  const std::uint32_t phtCount = r.Count(4);
-  if (r.ok() && phtCount != config.predictor.phtSize) {
-    return CodecError("PHT size does not match configuration");
-  }
-  snapshot.predictor.pht.entries.reserve(phtCount);
-  for (std::uint32_t i = 0; i < phtCount; ++i) {
-    // The BitPredictor constructor clamps out-of-range counters.
-    snapshot.predictor.pht.entries.emplace_back(config.predictor.type,
-                                                r.U32());
-  }
-  const std::uint32_t btbCount = r.Count(9);
-  if (r.ok() && btbCount != config.predictor.btbSize) {
-    return CodecError("BTB size does not match configuration");
-  }
-  snapshot.predictor.btb.entries.resize(btbCount);
-  for (auto& entry : snapshot.predictor.btb.entries) {
-    entry.valid = r.Bool();
-    entry.pc = r.U32();
-    entry.target = r.U32();
-  }
-  snapshot.predictor.globalHistory = r.U32();
-  const std::uint32_t localCount = r.Count(4);
-  const std::uint32_t expectedLocal =
-      (config.predictor.history == config::HistoryKind::kLocal &&
-       config.predictor.historyBits > 0)
-          ? config.predictor.phtSize
-          : 0;
-  if (r.ok() && localCount != expectedLocal) {
-    return CodecError("local history size does not match configuration");
-  }
-  snapshot.predictor.localHistories.reserve(localCount);
-  for (std::uint32_t i = 0; i < localCount; ++i) {
-    snapshot.predictor.localHistories.push_back(r.U32());
-  }
-
-  // Memory system. v3 leads with a mode byte; v2 is always a full image.
-  std::uint8_t memoryMode = 0;
-  if (version >= 3) {
-    memoryMode = r.U8();
-    if (r.ok() && memoryMode > 1) {
-      return CodecError("memory mode out of range");
-    }
-  }
   DecodeInfo decodeInfo;
-  if (memoryMode == 1) {
-    constexpr std::uint32_t kPage = memory::MainMemory::kPageSizeBytes;
-    const std::uint64_t baseEpoch = r.U64();
-    const std::uint32_t totalSize = r.U32();
-    if (r.ok() && totalSize != config.memory.sizeBytes) {
-      return CodecError("memory size does not match configuration");
-    }
-    // Fail closed: a delta is only restorable over the exact base it was
-    // computed against. No base (or a different one) means this side must
-    // ask for a full image instead — never patch over the wrong bytes.
-    if (r.ok() && (context.baseMemory.size() != totalSize ||
-                   context.baseEpoch != baseEpoch)) {
-      return CodecError(
-          "delta blob references a base image this side does not have "
-          "(base-epoch mismatch)");
-    }
-    const std::uint32_t pageTotal = (totalSize + kPage - 1) / kPage;
-    const std::uint32_t pageCount = r.Count(4);
-    if (r.ok() && pageCount > pageTotal) {
-      return CodecError("delta page count exceeds the memory's page count");
-    }
-    snapshot.memory.memory.bytes.assign(context.baseMemory.begin(),
-                                        context.baseMemory.end());
-    decodeInfo.deltaMemory = true;
-    decodeInfo.overlaidPages.assign(pageTotal, 0);
-    std::int64_t lastPage = -1;
-    for (std::uint32_t i = 0; i < pageCount; ++i) {
-      const std::uint32_t page = r.U32();
-      if (!r.ok()) break;
-      if (page >= pageTotal || static_cast<std::int64_t>(page) <= lastPage) {
-        return CodecError("delta page index out of order or out of range");
-      }
-      lastPage = page;
-      const std::uint32_t offset = page * kPage;
-      r.BytesInto(snapshot.memory.memory.bytes.data() + offset,
-                  std::min(kPage, totalSize - offset));
-      decodeInfo.overlaidPages[page] = 1;
-    }
-  } else {
-    const std::uint32_t memorySize = r.Count(1);
-    if (r.ok() && memorySize != config.memory.sizeBytes) {
-      return CodecError("memory size does not match configuration");
-    }
-    snapshot.memory.memory.bytes.resize(memorySize);
-    r.BytesInto(snapshot.memory.memory.bytes.data(), memorySize);
+  if (!Payload(r, snapshot, context,
+               MemorySide{nullptr, version, &decodeInfo})) {
+    return CodecError(r.failReason());
   }
-  const bool hasCache = r.Bool();
-  if (r.ok() && hasCache != config.cache.enabled) {
-    return CodecError("cache presence does not match configuration");
-  }
-  if (hasCache) {
-    memory::Cache::State cache;
-    const std::uint32_t lineCount = r.Count(22);
-    const std::uint32_t expectedLines =
-        config.cache.associativity == 0
-            ? 0
-            : (config.cache.lineCount / config.cache.associativity) *
-                  config.cache.associativity;
-    if (r.ok() && lineCount != expectedLines) {
-      return CodecError("cache line count does not match configuration");
-    }
-    cache.lines.resize(lineCount);
-    for (auto& line : cache.lines) {
-      line.valid = r.Bool();
-      line.dirty = r.Bool();
-      line.tag = r.U32();
-      line.lastUse = r.U64();
-      line.insertTime = r.U64();
-    }
-    std::array<std::uint64_t, 4> rngState;
-    for (std::uint64_t& word : rngState) word = r.U64();
-    cache.rng.RestoreState(rngState);
-    cache.insertCounter = r.U64();
-    snapshot.memory.cache = std::move(cache);
-  }
-  memory::MemoryStats& memStats = snapshot.memory.stats;
-  memStats.accesses = r.U64();
-  memStats.loads = r.U64();
-  memStats.stores = r.U64();
-  memStats.cacheHits = r.U64();
-  memStats.cacheMisses = r.U64();
-  memStats.evictions = r.U64();
-  memStats.dirtyEvictions = r.U64();
-  memStats.bytesReadFromMemory = r.U64();
-  memStats.bytesWrittenToMemory = r.U64();
-  snapshot.memory.nextTransactionId = r.U64();
-
-  // Simulation statistics.
-  stats::SimulationStatistics& s = snapshot.stats;
-  s.cycles = r.U64();
-  s.fetchedInstructions = r.U64();
-  s.decodedInstructions = r.U64();
-  s.issuedInstructions = r.U64();
-  s.executedInstructions = r.U64();
-  s.committedInstructions = r.U64();
-  s.squashedInstructions = r.U64();
-  s.fastForwardedInstructions = r.U64();
-  s.robFlushes = r.U64();
-  s.branchesResolved = r.U64();
-  s.branchesMispredicted = r.U64();
-  s.branchesTaken = r.U64();
-  s.btbHits = r.U64();
-  s.btbLookups = r.U64();
-  s.flops = r.U64();
-  for (std::uint64_t& count : s.staticMix) count = r.U64();
-  for (std::uint64_t& count : s.dynamicMix) count = r.U64();
-  const std::uint32_t usageCount = r.Count(20);
-  if (r.ok() && usageCount != config.functionalUnits.size()) {
-    return CodecError("unit usage count does not match configuration");
-  }
-  s.unitUsage.resize(usageCount);
-  for (stats::UnitUsage& usage : s.unitUsage) {
-    usage.name = r.Str();
-    usage.busyCycles = r.U64();
-    usage.instructions = r.U64();
-  }
-  s.stallCyclesRobFull = r.U64();
-  s.stallCyclesRenameFull = r.U64();
-  s.stallCyclesWindowFull = r.U64();
-  s.stallCyclesLsBufferFull = r.U64();
-
-  // Log.
-  const std::uint32_t logCount = r.Count(17);
-  snapshot.log.entries.resize(logCount);
-  for (LogEntry& entry : snapshot.log.entries) {
-    entry.cycle = r.U64();
-    const std::uint8_t level = r.U8();
-    if (level > static_cast<std::uint8_t>(LogLevel::kError)) {
-      return CodecError("log level out of range");
-    }
-    entry.level = static_cast<LogLevel>(level);
-    entry.block = r.Str();
-    entry.text = r.Str();
-  }
-
-  if (!r.ok()) return CodecError(r.failReason());
   if (r.remaining() != 0) {
     return CodecError("trailing bytes after the snapshot payload");
   }

@@ -18,6 +18,11 @@
 //     configuration, so even a blob crafted to pass the checksum cannot
 //     produce out-of-bounds state.
 //
+// Encode and decode share one field list per record: codec.cpp writes
+// each record once, as a template the wire Writer runs to encode and the
+// checking Reader runs to decode (snapshot/wire.h), so a field cannot be
+// written without being read.
+//
 // In-flight instructions are encoded as a deduplicated table plus index
 // lists per pipeline container, preserving the aliasing RestoreState
 // relies on (one instruction sitting in the ROB and a load buffer decodes
@@ -41,9 +46,10 @@
 
 namespace rvss::snapshot {
 
-/// Bumped on any incompatible layout change. Decode is *versioned*: this
-/// build reads every version in [kMinFormatVersion, kFormatVersion], so
-/// persisted blobs from older releases keep importing.
+/// Bumped on any incompatible layout change. Encode writes kFormatVersion
+/// only; decode is *versioned*: this build reads every version in
+/// [kMinFormatVersion, kFormatVersion], so persisted blobs from older
+/// releases keep importing.
 /// v2: fast-forward seed (core::FastForwardSeed) and the
 /// fastForwardedInstructions statistic.
 /// v3: memory-mode byte ahead of the memory image — mode 0 is the full
@@ -63,17 +69,12 @@ struct CodecContext {
   std::uint64_t baseEpoch = 0;
 };
 
-/// Encode-side knobs. Defaults produce a v3 full-image blob identical in
-/// meaning to what EncodeSnapshot always produced.
+/// Encode-side knobs. Encoding always writes kFormatVersion; the defaults
+/// produce a full memory image.
 struct EncodeOptions {
-  /// Must lie in [kMinFormatVersion, kFormatVersion]. v2 output is
-  /// byte-identical to what older builds wrote (no memory-mode byte, so
-  /// no delta form).
-  std::uint32_t formatVersion = kFormatVersion;
-  /// Non-null selects delta memory mode (v3 only): one flag per 4 KiB
-  /// page, set when the page may differ from the base image. Pages with
-  /// the flag clear are *not* shipped and are taken from the decoder's
-  /// base.
+  /// Non-null selects delta memory mode: one flag per 4 KiB page, set
+  /// when the page may differ from the base image. Pages with the flag
+  /// clear are *not* shipped and are taken from the decoder's base.
   const std::vector<std::uint8_t>* deltaPages = nullptr;
   /// Identifies the base image a delta was computed against; decode
   /// refuses a delta whose epoch differs from the context's.

@@ -46,11 +46,8 @@ std::string EncodeSessionBlob(const core::Simulation& sim,
                               const SessionBlobOptions& options) {
   CodecContext context{&sim.config(), &sim.program()};
   EncodeOptions encode;
-  if (options.formatVersion != 0) {
-    encode.formatVersion = options.formatVersion;
-  }
   std::vector<std::uint8_t> dirtyPages;
-  if (options.delta && encode.formatVersion >= 3) {
+  if (options.delta) {
     dirtyPages = sim.memorySystem().memory().DirtySinceBase();
     encode.deltaPages = &dirtyPages;
     encode.baseEpoch = sim.memoryBaseEpoch();

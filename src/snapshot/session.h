@@ -38,18 +38,17 @@ SessionIdentity MakeIdentity(const core::Simulation& sim,
                              std::string entryLabel,
                              std::string arraysJson);
 
-/// Encode-side knobs for EncodeSessionBlob.
+/// Encode-side knobs for EncodeSessionBlob. The blob's snapshot is always
+/// written in the current format (snapshot::kFormatVersion); import reads
+/// every version the codec reads.
 struct SessionBlobOptions {
   /// Ship only the 4 KiB memory pages dirtied since the session's base
   /// image (the post-Create memory of its config/program/arrays) instead
   /// of the full image. The importer re-Creates that base from the
   /// identity carried in the blob, so a delta blob is just as restorable —
   /// it only requires the reader to understand snapshot format v3, which
-  /// the hello handshake pins. Ignored when formatVersion < 3.
+  /// the hello handshake pins.
   bool delta = false;
-  /// Snapshot format version to emit; older versions let current sessions
-  /// be saved for legacy readers.
-  std::uint32_t formatVersion = 0;  ///< 0 = current (snapshot::kFormatVersion)
 };
 
 /// Serializes identity + current state into a compressed binary blob.

@@ -1175,6 +1175,71 @@ TEST(Concurrency, TakeoverAtTheDepthCapIsRefusedAndMovesNothing) {
   EXPECT_EQ(SessionsPerWorker(router)[0], 0);
 }
 
+TEST(Concurrency, ProbesOfABusyWorkerWaitPastTheDepthCapInsteadOfCallingItDead) {
+  // A busy worker is not a dead one: with a parked run holding the only
+  // worker's turn and a step waiting behind it (cap 1), workerStats and
+  // listSessions wait for their turn past the cap and report the worker
+  // and its session once the run is released.
+  auto gated = std::make_shared<GatedTransport>(server::SimServer::Limits{},
+                                                "run");
+  ShardRouter::Options options;
+  options.workerCount = 1;
+  options.maxLaneQueueDepth = 1;
+  options.transportFactory =
+      [&gated](std::size_t, const server::SimServer::Limits&)
+      -> Result<std::shared_ptr<WorkerTransport>> {
+    return std::static_pointer_cast<WorkerTransport>(gated);
+  };
+  ShardRouter router(options);
+  const std::int64_t id = MustCreateSession(router);
+
+  std::thread runner([&router, id] {
+    json::Json ran = Cmd(router, "run", {{"sessionId", json::Json(id)},
+                                         {"maxCycles", json::Json(100)}});
+    EXPECT_EQ(ran.GetString("status", ""), "ok") << ran.Dump();
+  });
+  AwaitEntered(*gated);
+  obs::Counter& routed =
+      obs::Registry::Instance().GetCounter("shard.router.requests");
+  const std::uint64_t routedBefore = routed.value();
+  json::Json stepped;
+  std::thread stepper([&router, &stepped, id] {
+    stepped = Cmd(router, "step", {{"sessionId", json::Json(id)},
+                                   {"count", json::Json(1)}});
+  });
+  // The step has entered the router; its join is a mutex section away.
+  while (routed.value() == routedBefore) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  auto stats = std::async(std::launch::async,
+                          [&router] { return Cmd(router, "workerStats"); });
+  auto listed = std::async(std::launch::async,
+                           [&router] { return Cmd(router, "listSessions"); });
+  EXPECT_EQ(listed.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout)
+      << "the probe did not wait for the busy worker";
+  gated->Release();
+  const json::Json workers = stats.get();
+  const json::Json sessions = listed.get();
+  runner.join();
+  stepper.join();
+  EXPECT_EQ(stepped.GetString("status", ""), "ok") << stepped.Dump();
+
+  ASSERT_EQ(workers.GetString("status", ""), "ok") << workers.Dump();
+  const json::Json& worker = workers.Find("workers")->AsArray()[0];
+  EXPECT_FALSE(worker.GetBool("unreachable", false)) << workers.Dump();
+  EXPECT_EQ(worker.GetInt("sessions", -1), 1) << workers.Dump();
+  ASSERT_EQ(sessions.GetString("status", ""), "ok") << sessions.Dump();
+  EXPECT_TRUE(sessions.Find("unreachableWorkers")->AsArray().empty())
+      << sessions.Dump();
+  ASSERT_EQ(sessions.Find("sessions")->AsArray().size(), 1u)
+      << sessions.Dump();
+  EXPECT_EQ(sessions.Find("sessions")->AsArray()[0].GetInt("sessionId", -1),
+            id);
+}
+
 // ---- the lane's line --------------------------------------------------------
 
 namespace {

@@ -6,16 +6,22 @@
 // SimServer::Limits checkpoint-budget override, and the CLI
 // --save-snapshot/--load-snapshot flags.
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "../bench/bench_common.h"
+#include "cc/compiler.h"
 #include "cli/cli.h"
 #include "common/slz.h"
 #include "common/strings.h"
 #include "core/simulation.h"
+#include "ref/progen.h"
 #include "server/api.h"
 #include "server/state_renderer.h"
 #include "snapshot/codec.h"
@@ -317,6 +323,588 @@ TEST(SnapshotCodec, RejectsDuplicateFreeListTags) {
   auto decoded = DecodeSnapshot(EncodeSnapshot(doctored, context), context);
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.error().message.find("free-list"), std::string::npos);
+}
+
+// ---- golden codec table: the encoded bytes, pinned --------------------------
+
+std::uint64_t Fnv1a64(std::string_view bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+/// Decode context whose base image is `base`'s post-Create memory.
+CodecContext BaseContext(const core::Simulation& base) {
+  const auto bytes = base.memorySystem().memory().bytes();
+  CodecContext context{&base.config(), &base.program()};
+  context.baseMemory = std::string_view(
+      reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  context.baseEpoch = base.memoryBaseEpoch();
+  return context;
+}
+
+struct Blob {
+  std::string label;
+  std::string bytes;
+};
+
+/// Appends the v3 full, v3 delta and session blobs of `sim`'s state, each
+/// checked to decode and re-encode to the same bytes. `base` is a fresh
+/// simulation of the same (config, source): the delta's base image.
+void AddBlobs(std::vector<Blob>& blobs, const std::string& label,
+              const core::Simulation& sim, const core::Simulation& base,
+              const std::string& source) {
+  const CodecContext context{&sim.config(), &sim.program()};
+  const core::SimSnapshot snapshot = sim.SaveState();
+
+  std::string full = EncodeSnapshot(snapshot, context);
+  auto decoded = DecodeSnapshot(full, context);
+  EXPECT_TRUE(decoded.ok()) << label << ": " << decoded.error().ToText();
+  if (decoded.ok()) {
+    EXPECT_TRUE(EncodeSnapshot(decoded.value(), context) == full)
+        << label << "/full does not re-encode to its bytes";
+  }
+
+  const std::vector<std::uint8_t> dirty =
+      sim.memorySystem().memory().DirtySinceBase();
+  EncodeOptions deltaOptions;
+  deltaOptions.deltaPages = &dirty;
+  deltaOptions.baseEpoch = sim.memoryBaseEpoch();
+  std::string delta = EncodeSnapshot(snapshot, context, deltaOptions);
+  const CodecContext baseContext = BaseContext(base);
+  DecodeInfo info;
+  auto decodedDelta = DecodeSnapshot(delta, baseContext, &info);
+  EXPECT_TRUE(decodedDelta.ok())
+      << label << ": " << decodedDelta.error().ToText();
+  if (decodedDelta.ok()) {
+    EncodeOptions again;
+    again.deltaPages = &info.overlaidPages;
+    again.baseEpoch = base.memoryBaseEpoch();
+    // Decoded instructions point into the base's program.
+    EXPECT_TRUE(EncodeSnapshot(decodedDelta.value(), baseContext, again) ==
+                delta)
+        << label << "/delta does not re-encode to its bytes";
+  }
+
+  std::string session =
+      EncodeSessionBlob(sim, MakeIdentity(sim, source, "main", ""));
+  auto imported = ImportSessionBlob(session);
+  EXPECT_TRUE(imported.ok()) << label << ": " << imported.error().ToText();
+  if (imported.ok()) {
+    EXPECT_TRUE(EncodeSessionBlob(*imported.value().sim,
+                                  imported.value().identity) == session)
+        << label << "/session does not re-encode to its bytes";
+  }
+
+  blobs.push_back({label + "/full", std::move(full)});
+  blobs.push_back({label + "/delta", std::move(delta)});
+  blobs.push_back({label + "/session", std::move(session)});
+}
+
+/// Every blob the golden table pins, in table order: progen seeds 1-4 on
+/// five machine shapes (the Random replacement policy and local histories
+/// put the cache RNG and the history table on the wire), and the
+/// interactive benches' C programs mid-run, finished and fast-forwarded
+/// (the seed record).
+std::vector<Blob> GoldenBlobs() {
+  const auto stepTo = [](core::Simulation& sim, std::uint64_t cycle) {
+    while (sim.cycle() < cycle && sim.status() == core::SimStatus::kRunning) {
+      sim.Step();
+    }
+  };
+  config::CpuConfig localRandom = config::DefaultConfig();
+  localRandom.predictor.history = config::HistoryKind::kLocal;
+  localRandom.predictor.historyBits = 4;
+  localRandom.cache.replacement = config::ReplacementPolicy::kRandom;
+  const std::pair<const char*, config::CpuConfig> configs[] = {
+      {"default", config::DefaultConfig()},
+      {"scalar", config::ScalarConfig()},
+      {"wide", config::WideConfig()},
+      {"nocache", config::NoCacheConfig()},
+      {"localrandom", localRandom}};
+
+  std::vector<Blob> blobs;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const std::string source = ref::GenerateProgram(seed);
+    for (const auto& [name, config] : configs) {
+      auto sim = MustCreate(source, config);
+      auto base = MustCreate(source, config);
+      if (sim == nullptr || base == nullptr) continue;
+      for (const std::uint64_t cycle : {0, 17, 1000}) {
+        stepTo(*sim, cycle);
+        AddBlobs(blobs,
+                 "seed" + std::to_string(seed) + "/" + name + "/cycle" +
+                     std::to_string(cycle),
+                 *sim, *base, source);
+      }
+    }
+  }
+  for (const auto& [name, program] :
+       {std::pair{"sort", bench::kSortC}, std::pair{"float", bench::kFloatC}}) {
+    auto compiled = cc::Compile(program, cc::CompileOptions{2});
+    EXPECT_TRUE(compiled.ok()) << compiled.error().ToText();
+    if (!compiled.ok()) continue;
+    const std::string& source = compiled.value().assembly;
+    for (const bool fastForward : {false, true}) {
+      auto sim = MustCreate(source, config::DefaultConfig());
+      auto base = MustCreate(source, config::DefaultConfig());
+      if (sim == nullptr || base == nullptr) continue;
+      if (fastForward) {
+        EXPECT_TRUE(sim->FastForwardTo(1000).ok());
+        sim->Run(25);
+        AddBlobs(blobs, std::string(name) + "/ff/cycle25", *sim, *base,
+                 source);
+        continue;
+      }
+      stepTo(*sim, 300);
+      AddBlobs(blobs, std::string(name) + "/cycle300", *sim, *base, source);
+      sim->Run();
+      AddBlobs(blobs, std::string(name) + "/end", *sim, *base, source);
+    }
+  }
+  return blobs;
+}
+
+struct GoldenPin {
+  const char* label;
+  std::size_t bytes;
+  std::uint64_t fnv1a64;
+};
+
+// Regenerate only for an intended change to the wire format: the test
+// prints the table it computed when any entry differs.
+constexpr GoldenPin kGoldenBlobs[] = {
+    {"seed1/default/cycle0/full", 70617, 0xb0e76bd3d8a621b5ull},
+    {"seed1/default/cycle0/delta", 5093, 0x0c51a5e0c94c07ecull},
+    {"seed1/default/cycle0/session", 16641, 0x881f1716a81e6b0eull},
+    {"seed1/default/cycle17/full", 75049, 0x9f1ca431e225572cull},
+    {"seed1/default/cycle17/delta", 9525, 0xc872fc433783cd1bull},
+    {"seed1/default/cycle17/session", 18121, 0x40115f970e902dc4ull},
+    {"seed1/default/cycle1000/full", 70826, 0xc3dfef776b4454f0ull},
+    {"seed1/default/cycle1000/delta", 9402, 0xc737233ce3ac351cull},
+    {"seed1/default/cycle1000/session", 17012, 0xf47dae9b1ac985d3ull},
+    {"seed1/scalar/cycle0/full", 68963, 0xb05836248de289a0ull},
+    {"seed1/scalar/cycle0/delta", 3439, 0x708e81053d1cf6b0ull},
+    {"seed1/scalar/cycle0/session", 16132, 0x82024e95fd4a1de5ull},
+    {"seed1/scalar/cycle17/full", 69487, 0xe3c6b8dca616065dull},
+    {"seed1/scalar/cycle17/delta", 3963, 0xa66ea5b72f2f57a6ull},
+    {"seed1/scalar/cycle17/session", 16355, 0xd4847b74abf0fccbull},
+    {"seed1/scalar/cycle1000/full", 70298, 0x181930bc7c68538cull},
+    {"seed1/scalar/cycle1000/delta", 8874, 0x2e54b6b67f05f32eull},
+    {"seed1/scalar/cycle1000/session", 16811, 0xf59cf19124ccd096ull},
+    {"seed1/wide/cycle0/full", 85448, 0xa3bba9d34b7e1df1ull},
+    {"seed1/wide/cycle0/delta", 19924, 0x62d4142e116c70fcull},
+    {"seed1/wide/cycle0/session", 20128, 0xeb703f0ba34cf507ull},
+    {"seed1/wide/cycle17/full", 89476, 0xf86b9d87461c99a7ull},
+    {"seed1/wide/cycle17/delta", 23952, 0xe8e25719cef62934ull},
+    {"seed1/wide/cycle17/session", 21375, 0xe0b8b52e302377d6ull},
+    {"seed1/wide/cycle1000/full", 85657, 0xc768355c8b5bd9fcull},
+    {"seed1/wide/cycle1000/delta", 24233, 0x9f8d44cb3de597e0ull},
+    {"seed1/wide/cycle1000/session", 20637, 0x0971c083e0c64d6bull},
+    {"seed1/nocache/cycle0/full", 69165, 0xe294287962443deeull},
+    {"seed1/nocache/cycle0/delta", 3641, 0x9589ae23e246c80cull},
+    {"seed1/nocache/cycle0/session", 16326, 0x5672cbcd13f85a6bull},
+    {"seed1/nocache/cycle17/full", 73597, 0xd76eb279e69e7d0aull},
+    {"seed1/nocache/cycle17/delta", 8073, 0x5631946aff7a6860ull},
+    {"seed1/nocache/cycle17/session", 17807, 0x2f623fe20ebc80d5ull},
+    {"seed1/nocache/cycle1000/full", 79506, 0xbd4af012ec228595ull},
+    {"seed1/nocache/cycle1000/delta", 18082, 0x80c7562313fa81b8ull},
+    {"seed1/nocache/cycle1000/session", 19342, 0x1e8022b85726212cull},
+    {"seed1/localrandom/cycle0/full", 70873, 0xa13dd5f763ccf49dull},
+    {"seed1/localrandom/cycle0/delta", 5349, 0xeee5856686b40ad6ull},
+    {"seed1/localrandom/cycle0/session", 16690, 0x2cdb29a75631c16full},
+    {"seed1/localrandom/cycle17/full", 75305, 0xe828d2a306e3bb64ull},
+    {"seed1/localrandom/cycle17/delta", 9781, 0xd7ecc8ce795dc60aull},
+    {"seed1/localrandom/cycle17/session", 18172, 0x49c4168cfa457b72ull},
+    {"seed1/localrandom/cycle1000/full", 70927, 0x08e482e9589edd2dull},
+    {"seed1/localrandom/cycle1000/delta", 9503, 0xb62df87f2b7a9f4aull},
+    {"seed1/localrandom/cycle1000/session", 17019, 0xc8c6c855310c5380ull},
+    {"seed2/default/cycle0/full", 70617, 0x8d1256e99b708903ull},
+    {"seed2/default/cycle0/delta", 5093, 0xe71086b133aa3529ull},
+    {"seed2/default/cycle0/session", 16623, 0x88d53e95b8c54e22ull},
+    {"seed2/default/cycle17/full", 77710, 0x7cda1a3fc377d93full},
+    {"seed2/default/cycle17/delta", 12186, 0x3efd3140eb896513ull},
+    {"seed2/default/cycle17/session", 18949, 0x2ecda80d5ae89c3eull},
+    {"seed2/default/cycle1000/full", 70671, 0xcc7fef918f49da8dull},
+    {"seed2/default/cycle1000/delta", 9247, 0x802f1eccb8f7a080ull},
+    {"seed2/default/cycle1000/session", 16881, 0x9f063d74484df304ull},
+    {"seed2/scalar/cycle0/full", 68963, 0x27ea37c4c6ad2936ull},
+    {"seed2/scalar/cycle0/delta", 3439, 0x81706190bf4b6dc7ull},
+    {"seed2/scalar/cycle0/session", 16121, 0xcf0bd6207fc8069dull},
+    {"seed2/scalar/cycle17/full", 69487, 0xbccfd1d5b5fac646ull},
+    {"seed2/scalar/cycle17/delta", 3963, 0x0b5fd3c9e196e4efull},
+    {"seed2/scalar/cycle17/session", 16319, 0xe4eedf09c1eea6aaull},
+    {"seed2/scalar/cycle1000/full", 69017, 0xfea2138831ff20c2ull},
+    {"seed2/scalar/cycle1000/delta", 7593, 0xbccf45c6ab5c6362ull},
+    {"seed2/scalar/cycle1000/session", 16340, 0x93cf7b5f84dacc4dull},
+    {"seed2/wide/cycle0/full", 85448, 0x7a686914074a8fe9ull},
+    {"seed2/wide/cycle0/delta", 19924, 0x892e3ca1fe4729dbull},
+    {"seed2/wide/cycle0/session", 20114, 0x07ce6136bfa6fd5aull},
+    {"seed2/wide/cycle17/full", 92580, 0x82e980de60f2f50bull},
+    {"seed2/wide/cycle17/delta", 27056, 0x8d2a59431b3ae7e7ull},
+    {"seed2/wide/cycle17/session", 22363, 0x7cbcdcc8e54359f6ull},
+    {"seed2/wide/cycle1000/full", 85502, 0xbbb60e779b4a2ec9ull},
+    {"seed2/wide/cycle1000/delta", 24078, 0x5e5dc993d4927bcaull},
+    {"seed2/wide/cycle1000/session", 20464, 0xe10ead292fa56f66ull},
+    {"seed2/nocache/cycle0/full", 69165, 0x5f6a7d4c31e91f14ull},
+    {"seed2/nocache/cycle0/delta", 3641, 0x9ba9ca3fbfe33893ull},
+    {"seed2/nocache/cycle0/session", 16308, 0x725f5b694215c166ull},
+    {"seed2/nocache/cycle17/full", 76258, 0xe12c704d6667e0bfull},
+    {"seed2/nocache/cycle17/delta", 10734, 0x1c5c3d1d4301c651ull},
+    {"seed2/nocache/cycle17/session", 18627, 0x2bbf7d98a3006438ull},
+    {"seed2/nocache/cycle1000/full", 76197, 0x0f51943748976d3full},
+    {"seed2/nocache/cycle1000/delta", 14773, 0x95c0aa6adc22166dull},
+    {"seed2/nocache/cycle1000/session", 18658, 0xbcc371e5585ff7deull},
+    {"seed2/localrandom/cycle0/full", 70873, 0xff986a9649bd6f79ull},
+    {"seed2/localrandom/cycle0/delta", 5349, 0xeb0754602f0224feull},
+    {"seed2/localrandom/cycle0/session", 16672, 0xfbfbadc4061c6c20ull},
+    {"seed2/localrandom/cycle17/full", 77966, 0x5f7ba0e7edfa86beull},
+    {"seed2/localrandom/cycle17/delta", 12442, 0xe54de97ffc68113dull},
+    {"seed2/localrandom/cycle17/session", 18998, 0x159e9563293fa50aull},
+    {"seed2/localrandom/cycle1000/full", 70927, 0x8989542fdd44746cull},
+    {"seed2/localrandom/cycle1000/delta", 9503, 0xb2aa27ab75addb89ull},
+    {"seed2/localrandom/cycle1000/session", 16948, 0x54f9bac03fa6342bull},
+    {"seed3/default/cycle0/full", 70617, 0x97b9c87630e1ac49ull},
+    {"seed3/default/cycle0/delta", 5093, 0x06473b359d147ef6ull},
+    {"seed3/default/cycle0/session", 16606, 0xf80be6e16ca952bbull},
+    {"seed3/default/cycle17/full", 74735, 0xdf597743f55bae52ull},
+    {"seed3/default/cycle17/delta", 9211, 0x8a0ec5e3c075781aull},
+    {"seed3/default/cycle17/session", 18009, 0x619abd131318dce4ull},
+    {"seed3/default/cycle1000/full", 70826, 0x74f839fa5da5fe83ull},
+    {"seed3/default/cycle1000/delta", 9402, 0x2b7151976cf5692full},
+    {"seed3/default/cycle1000/session", 16904, 0x186405682340d926ull},
+    {"seed3/scalar/cycle0/full", 68963, 0xe4e2a4ddc60fedd2ull},
+    {"seed3/scalar/cycle0/delta", 3439, 0x360223d2cd319bf1ull},
+    {"seed3/scalar/cycle0/session", 16096, 0x7278dee273b9d1d8ull},
+    {"seed3/scalar/cycle17/full", 69487, 0x8c13d31c348c1cc6ull},
+    {"seed3/scalar/cycle17/delta", 3963, 0x58f859e191cd3e5full},
+    {"seed3/scalar/cycle17/session", 16314, 0x22ee21ac03372b36ull},
+    {"seed3/scalar/cycle1000/full", 69017, 0x31acb678ea7e4d9cull},
+    {"seed3/scalar/cycle1000/delta", 7593, 0x55902fc172b50166ull},
+    {"seed3/scalar/cycle1000/session", 16304, 0x6e1cbe3707d35f00ull},
+    {"seed3/wide/cycle0/full", 85448, 0xccf5d16e5ab908a0ull},
+    {"seed3/wide/cycle0/delta", 19924, 0xfdc7421990d6f425ull},
+    {"seed3/wide/cycle0/session", 20095, 0xf804064082000d42ull},
+    {"seed3/wide/cycle17/full", 90211, 0x1f9df54be65b3a47ull},
+    {"seed3/wide/cycle17/delta", 24687, 0x64e6b84be315bcc1ull},
+    {"seed3/wide/cycle17/session", 21601, 0x19cfcc3a4bd020a9ull},
+    {"seed3/wide/cycle1000/full", 85657, 0x1e3f297bbbe3bddeull},
+    {"seed3/wide/cycle1000/delta", 24233, 0x3793a01a9e272e3eull},
+    {"seed3/wide/cycle1000/session", 20465, 0xd8de6f2b25e74784ull},
+    {"seed3/nocache/cycle0/full", 69165, 0x3a2d74a65825e2b5ull},
+    {"seed3/nocache/cycle0/delta", 3641, 0x721c9d495664c92full},
+    {"seed3/nocache/cycle0/session", 16292, 0xa49fb0ab1dd03af0ull},
+    {"seed3/nocache/cycle17/full", 73283, 0xf377081b1cfaf697ull},
+    {"seed3/nocache/cycle17/delta", 7759, 0xb458fce8f5d02063ull},
+    {"seed3/nocache/cycle17/session", 17687, 0xacab4c7bd4ee8528ull},
+    {"seed3/nocache/cycle1000/full", 69374, 0x6674e68398f45addull},
+    {"seed3/nocache/cycle1000/delta", 7950, 0xa1b19e80c0ae5424ull},
+    {"seed3/nocache/cycle1000/session", 16554, 0x9c2ca13c72f938dcull},
+    {"seed3/localrandom/cycle0/full", 70873, 0x3cc3886514c4b636ull},
+    {"seed3/localrandom/cycle0/delta", 5349, 0x45d434a35b9cbfd1ull},
+    {"seed3/localrandom/cycle0/session", 16654, 0xd862b9169117e069ull},
+    {"seed3/localrandom/cycle17/full", 74991, 0x8067451921d71addull},
+    {"seed3/localrandom/cycle17/delta", 9467, 0x82e993fa7e160be6ull},
+    {"seed3/localrandom/cycle17/session", 18065, 0xc08f36472c34756cull},
+    {"seed3/localrandom/cycle1000/full", 71082, 0x4e18cffdec777ebaull},
+    {"seed3/localrandom/cycle1000/delta", 9658, 0x2e939840ededf571ull},
+    {"seed3/localrandom/cycle1000/session", 16946, 0x25586c8709b60728ull},
+    {"seed4/default/cycle0/full", 70617, 0xfc235c900cd567acull},
+    {"seed4/default/cycle0/delta", 5093, 0x70f1217aa75612e8ull},
+    {"seed4/default/cycle0/session", 16636, 0x2fa192942f8aedcfull},
+    {"seed4/default/cycle17/full", 77674, 0x391cd03ef63a45afull},
+    {"seed4/default/cycle17/delta", 12150, 0xd18c5e16612e3378ull},
+    {"seed4/default/cycle17/session", 18965, 0xa4521418e147d523ull},
+    {"seed4/default/cycle1000/full", 70671, 0x64d71c6b3261c230ull},
+    {"seed4/default/cycle1000/delta", 9247, 0x3429f0f5ade0f4f6ull},
+    {"seed4/default/cycle1000/session", 16887, 0xf443b53008f6ec1full},
+    {"seed4/scalar/cycle0/full", 68963, 0xb0f66d350377e896ull},
+    {"seed4/scalar/cycle0/delta", 3439, 0x6255f743a2c73ac6ull},
+    {"seed4/scalar/cycle0/session", 16124, 0x0dede7583483a80aull},
+    {"seed4/scalar/cycle17/full", 69487, 0x92f7248b799377f0ull},
+    {"seed4/scalar/cycle17/delta", 3963, 0x8504108548b5e7d6ull},
+    {"seed4/scalar/cycle17/session", 16335, 0x4afd62b194db2d8dull},
+    {"seed4/scalar/cycle1000/full", 70121, 0x4c3c7a066268cb4aull},
+    {"seed4/scalar/cycle1000/delta", 8697, 0x2ba90721bd386a6bull},
+    {"seed4/scalar/cycle1000/session", 16700, 0x64a4ea39a87f9770ull},
+    {"seed4/wide/cycle0/full", 85448, 0x8ee862625847cb04ull},
+    {"seed4/wide/cycle0/delta", 19924, 0x7ba5c21594edee98ull},
+    {"seed4/wide/cycle0/session", 20123, 0x7e41dc439498789eull},
+    {"seed4/wide/cycle17/full", 93921, 0x4588eb670ca40e1dull},
+    {"seed4/wide/cycle17/delta", 28397, 0x1db22a16fb129facull},
+    {"seed4/wide/cycle17/session", 22641, 0xba274e896cea522eull},
+    {"seed4/wide/cycle1000/full", 85502, 0x7acb1bd943b9c146ull},
+    {"seed4/wide/cycle1000/delta", 24078, 0xaef3317228458d19ull},
+    {"seed4/wide/cycle1000/session", 20418, 0x1872e9ea8f52e017ull},
+    {"seed4/nocache/cycle0/full", 69165, 0x160cb05fc37f6475ull},
+    {"seed4/nocache/cycle0/delta", 3641, 0x42f06f36b9468dd1ull},
+    {"seed4/nocache/cycle0/session", 16322, 0xbe6cdc83dd01deb7ull},
+    {"seed4/nocache/cycle17/full", 76222, 0xbb3066da0a0f3027ull},
+    {"seed4/nocache/cycle17/delta", 10698, 0xa845e5ea06f278fcull},
+    {"seed4/nocache/cycle17/session", 18642, 0x47fd25deb9ea6b09ull},
+    {"seed4/nocache/cycle1000/full", 77839, 0x5bc52ca7ba81e85aull},
+    {"seed4/nocache/cycle1000/delta", 16415, 0x7c6ce48b1b7b924full},
+    {"seed4/nocache/cycle1000/session", 19230, 0xab62aa9e24263829ull},
+    {"seed4/localrandom/cycle0/full", 70873, 0x44e6772b09a4e0fdull},
+    {"seed4/localrandom/cycle0/delta", 5349, 0x4d61dfb1d1dac2d6ull},
+    {"seed4/localrandom/cycle0/session", 16685, 0x75aad732d8138a35ull},
+    {"seed4/localrandom/cycle17/full", 77930, 0xf037fc384a2fd844ull},
+    {"seed4/localrandom/cycle17/delta", 12406, 0x6e9a53c653124e48ull},
+    {"seed4/localrandom/cycle17/session", 19014, 0xc058df762034f012ull},
+    {"seed4/localrandom/cycle1000/full", 70927, 0xc5884004d3b15a8full},
+    {"seed4/localrandom/cycle1000/delta", 9503, 0x9693ac2c4b267b53ull},
+    {"seed4/localrandom/cycle1000/session", 16935, 0xd010e28ad00ea25dull},
+    {"sort/cycle300/full", 81647, 0x6109083fc95f1c85ull},
+    {"sort/cycle300/delta", 24323, 0x222ab88994bef4f8ull},
+    {"sort/cycle300/session", 19808, 0xb8f0fd3f50c417a0ull},
+    {"sort/end/full", 70671, 0x977070534d80191aull},
+    {"sort/end/delta", 13347, 0xa0718110a7c82a26ull},
+    {"sort/end/session", 16799, 0xd7797eb7a5ab0925ull},
+    {"sort/ff/cycle25/full", 81541, 0x6d43edf0c5990ad4ull},
+    {"sort/ff/cycle25/delta", 24217, 0x7f4671ab59cded3cull},
+    {"sort/ff/cycle25/session", 19696, 0x283ac2b67a1c55d4ull},
+    {"float/cycle300/full", 80891, 0x20bcd9b37cdf9d63ull},
+    {"float/cycle300/delta", 23567, 0x4cfafb508e8b2281ull},
+    {"float/cycle300/session", 19341, 0xebc635cc0779d1a7ull},
+    {"float/end/full", 70671, 0x4068558b75b37a44ull},
+    {"float/end/delta", 13347, 0x9b904d7b53e6601cull},
+    {"float/end/session", 16567, 0x6a56f3dc5e5530f3ull},
+    {"float/ff/cycle25/full", 81538, 0x305c0e9be0aff84full},
+    {"float/ff/cycle25/delta", 24214, 0x0130ccdcaf76b60aull},
+    {"float/ff/cycle25/session", 19500, 0x179f30a375583135ull},
+};
+
+TEST(GoldenCodec, EncodedBytesMatchThePinnedTable) {
+  const std::vector<Blob> blobs = GoldenBlobs();
+  EXPECT_EQ(blobs.size(), std::size(kGoldenBlobs));
+  bool differs = blobs.size() != std::size(kGoldenBlobs);
+  std::string table;
+  for (std::size_t i = 0; i < blobs.size(); ++i) {
+    const Blob& blob = blobs[i];
+    const std::uint64_t hash = Fnv1a64(blob.bytes);
+    char line[160];
+    std::snprintf(line, sizeof line, "    {\"%s\", %zu, 0x%016llxull},\n",
+                  blob.label.c_str(), blob.bytes.size(),
+                  static_cast<unsigned long long>(hash));
+    table += line;
+    if (i < std::size(kGoldenBlobs)) {
+      const GoldenPin& pin = kGoldenBlobs[i];
+      const bool same = blob.label == pin.label &&
+                        blob.bytes.size() == pin.bytes &&
+                        hash == pin.fnv1a64;
+      EXPECT_TRUE(same) << "blob " << i << " differs: " << line;
+      differs = differs || !same;
+    }
+  }
+  if (differs) ADD_FAILURE() << "the table this build encodes:\n" << table;
+}
+
+// ---- doctored snapshots: one per decode check -------------------------------
+
+/// Rewrites the header's payload checksum and size around `payload`, so a
+/// hand-edited payload reaches the structural checks.
+std::string Reseal(std::string_view blob, std::string_view payload) {
+  constexpr std::size_t kHeaderBytes = 40;  // see codec.cpp
+  std::string out(blob.substr(0, kHeaderBytes));
+  const auto put = [&out](std::size_t at, std::uint64_t value) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      out[at + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+    }
+  };
+  put(24, Fnv1a64(payload));
+  put(32, payload.size());
+  out += payload;
+  return out;
+}
+
+/// How a doctored case encodes the memory image.
+enum class Image { kFull, kDelta, kDeltaOnAnotherBase };
+
+struct DoctoredCase {
+  const char* message;  ///< DecodeSnapshot's error, after "snapshot decode: "
+  std::function<void(core::SimSnapshot&)> doctor;
+  Image image = Image::kFull;
+};
+
+TEST(SnapshotCodec, EveryReachableDecodeCheckReportsItsOwnMessage) {
+  // Encoding a doctored snapshot produces a checksum-correct blob that
+  // describes impossible state; each case trips exactly one check.
+  auto sim = MustCreate(kBranchyMemory, TestConfig());
+  auto base = MustCreate(kBranchyMemory, TestConfig());
+  ASSERT_NE(sim, nullptr);
+  ASSERT_NE(base, nullptr);
+  StepN(*sim, 137);
+  ASSERT_GE(sim->rob().size(), 2u);
+  const int renames =
+      static_cast<int>(sim->config().memory.renameRegisterCount);
+  const assembler::Program& program = sim->program();
+  const auto robHead = [](core::SimSnapshot& s) -> core::InFlight& {
+    return *s.rob.front();
+  };
+  const auto withOperand = [](core::SimSnapshot& s) -> core::InFlight& {
+    for (const core::InFlightPtr& inst : s.rob) {
+      if (inst->operandCount > 0) return *inst;
+    }
+    return *s.rob.front();
+  };
+  const auto badError = [] {
+    return Error{static_cast<ErrorKind>(200), "doctored"};
+  };
+
+  const DoctoredCase cases[] = {
+      {"simulation status out of range",
+       [](core::SimSnapshot& s) { s.status = static_cast<core::SimStatus>(200); }},
+      {"finish reason out of range",
+       [](core::SimSnapshot& s) {
+         s.finishReason = static_cast<core::FinishReason>(200);
+       }},
+      {"malformed fault record",
+       [&](core::SimSnapshot& s) { s.fault = badError(); }},
+      {"in-flight instruction index out of range",
+       [&](core::SimSnapshot& s) {
+         robHead(s).inst =
+             program.instructions.data() + program.instructions.size();
+       }},
+      {"in-flight phase out of range",
+       [&](core::SimSnapshot& s) {
+         robHead(s).phase = static_cast<core::Phase>(200);
+       }},
+      {"malformed in-flight exception",
+       [&](core::SimSnapshot& s) { robHead(s).exception = badError(); }},
+      {"operand value kind out of range",
+       [&](core::SimSnapshot& s) {
+         withOperand(s).operands[0].value =
+             expr::Value::FromRaw(static_cast<expr::ValueKind>(200), 0);
+       }},
+      {"operand rename tag out of range",
+       [&](core::SimSnapshot& s) { withOperand(s).operands[0].waitTag = renames; }},
+      {"operand rename tag out of range",
+       [&](core::SimSnapshot& s) { withOperand(s).operands[0].destTag = -2; }},
+      {"operand rename tag out of range",
+       [&](core::SimSnapshot& s) { withOperand(s).operands[0].prevTag = -3; }},
+      {"container larger than its configured capacity",
+       [&](core::SimSnapshot& s) {
+         while (s.rob.size() <= sim->config().buffers.robSize) {
+           s.rob.push_back(std::make_shared<core::InFlight>(*s.rob.front()));
+         }
+       }},
+      {"unexpected null in-flight reference",
+       [](core::SimSnapshot& s) { s.rob.push_back(nullptr); }},
+      {"duplicate in-flight reference within one container",
+       [](core::SimSnapshot& s) { s.rob.push_back(s.rob.front()); }},
+      {"functional-unit count does not match configuration",
+       [](core::SimSnapshot& s) { s.fuCurrent.pop_back(); }},
+      {"functional-unit count does not match configuration",
+       [](core::SimSnapshot& s) { s.fuBusyUntil.push_back(0); }},
+      {"rename register count does not match configuration",
+       [](core::SimSnapshot& s) { s.rename.regs.pop_back(); }},
+      {"speculative register kind out of range",
+       [](core::SimSnapshot& s) {
+         s.rename.regs[0].arch.kind = static_cast<isa::RegisterKind>(200);
+       }},
+      {"speculative register target out of range",
+       [](core::SimSnapshot& s) { s.rename.regs[0].arch.index = 32; }},
+      {"rename free list longer than the register file",
+       [&](core::SimSnapshot& s) {
+         s.rename.freeList.resize(static_cast<std::size_t>(renames) + 1, 0);
+       }},
+      {"rename free-list tag out of range",
+       [&](core::SimSnapshot& s) { s.rename.freeList.front() = renames; }},
+      {"rename free-list tag out of range",
+       [](core::SimSnapshot& s) { s.rename.freeList.front() = -1; }},
+      {"duplicate rename free-list tag",
+       [](core::SimSnapshot& s) {
+         s.rename.freeList[1] = s.rename.freeList[0];
+       }},
+      {"rename free-list tag marked in use",
+       [](core::SimSnapshot& s) {
+         s.rename.regs[static_cast<std::size_t>(s.rename.freeList.front())]
+             .inUse = true;
+       }},
+      {"rename free count out of range",
+       [&](core::SimSnapshot& s) {
+         s.rename.freeCount = static_cast<std::uint32_t>(renames) + 1;
+       }},
+      {"rename map tag out of range",
+       [&](core::SimSnapshot& s) { s.rename.map[5] = renames; }},
+      {"rename map tag out of range",
+       [](core::SimSnapshot& s) { s.rename.map[5] = -2; }},
+      {"PHT size does not match configuration",
+       [](core::SimSnapshot& s) { s.predictor.pht.entries.pop_back(); }},
+      {"BTB size does not match configuration",
+       [](core::SimSnapshot& s) { s.predictor.btb.entries.pop_back(); }},
+      {"local history size does not match configuration",
+       [](core::SimSnapshot& s) { s.predictor.localHistories.push_back(0); }},
+      {"memory size does not match configuration",
+       [](core::SimSnapshot& s) { s.memory.memory.bytes.pop_back(); }},
+      {"memory size does not match configuration",
+       [](core::SimSnapshot& s) { s.memory.memory.bytes.pop_back(); },
+       Image::kDelta},
+      {"delta blob references a base image this side does not have "
+       "(base-epoch mismatch)",
+       [](core::SimSnapshot&) {}, Image::kDeltaOnAnotherBase},
+      {"cache presence does not match configuration",
+       [](core::SimSnapshot& s) { s.memory.cache.reset(); }},
+      {"cache line count does not match configuration",
+       [](core::SimSnapshot& s) { s.memory.cache->lines.pop_back(); }},
+      {"unit usage count does not match configuration",
+       [](core::SimSnapshot& s) { s.stats.unitUsage.pop_back(); }},
+      {"log level out of range",
+       [](core::SimSnapshot& s) {
+         s.log.entries.push_back(
+             {s.cycle, static_cast<LogLevel>(200), "Doctor", "doctored"});
+       }},
+  };
+  const CodecContext context{&sim->config(), &sim->program()};
+  const std::vector<std::uint8_t> dirty =
+      sim->memorySystem().memory().DirtySinceBase();
+  for (const DoctoredCase& c : cases) {
+    core::SimSnapshot doctored = sim->SaveState();
+    c.doctor(doctored);
+    EncodeOptions options;
+    CodecContext decodeContext = context;
+    if (c.image != Image::kFull) {
+      options.deltaPages = &dirty;
+      options.baseEpoch = base->memoryBaseEpoch() +
+                          (c.image == Image::kDeltaOnAnotherBase ? 1 : 0);
+      decodeContext = BaseContext(*base);
+    }
+    auto decoded =
+        DecodeSnapshot(EncodeSnapshot(doctored, context, options),
+                       decodeContext);
+    ASSERT_FALSE(decoded.ok()) << c.message;
+    EXPECT_EQ(decoded.error().message,
+              std::string("snapshot decode: ") + c.message);
+  }
+
+  // Payload edits an encoder cannot produce, resealed so the checksum
+  // passes: a truncation inside the optional fault record, and a byte past
+  // the last record.
+  constexpr std::size_t kHeaderBytes = 40;
+  core::SimSnapshot faulted = sim->SaveState();
+  faulted.fault = Error{ErrorKind::kRuntime, "doctored fault"};
+  const std::string blob = EncodeSnapshot(faulted, context);
+  const std::string_view payload =
+      std::string_view(blob).substr(kHeaderBytes);
+  // cycle, nextSeq, pc, fetchResumeCycle, fetchStalledIndirect, status,
+  // finishReason, then the fault's presence flag and kind: cut inside the
+  // message's length prefix.
+  constexpr std::size_t kFaultMessage = 8 + 8 + 4 + 8 + 1 + 1 + 1 + 1 + 1;
+  auto truncated =
+      DecodeSnapshot(Reseal(blob, payload.substr(0, kFaultMessage + 2)),
+                     context);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.error().message,
+            "snapshot decode: malformed fault record");
+  auto trailing =
+      DecodeSnapshot(Reseal(blob, std::string(payload) + '\0'), context);
+  ASSERT_FALSE(trailing.ok());
+  EXPECT_EQ(trailing.error().message,
+            "snapshot decode: trailing bytes after the snapshot payload");
+  EXPECT_TRUE(DecodeSnapshot(Reseal(blob, payload), context).ok());
 }
 
 // ---- session blobs ----------------------------------------------------------
@@ -847,22 +1435,131 @@ TEST(DeltaBlob, TruncatedAndCorruptedDeltaBlobsAlwaysError) {
   }
 }
 
-TEST(DeltaBlob, V2FormatSessionBlobStillImports) {
-  // The versioned reader: a blob persisted by the previous release
-  // (format v2, no memory-mode byte) must keep importing after the v3
-  // bump — long-lived saved sessions survive the upgrade.
-  auto original = MustCreate(kBranchyMemory, TestConfig());
-  ASSERT_NE(original, nullptr);
-  StepN(*original, 433);
-  const SessionIdentity identity =
-      MakeIdentity(*original, kBranchyMemory, "main", "");
-  SessionBlobOptions v2;
-  v2.formatVersion = 2;
-  const std::string blob = EncodeSessionBlob(*original, identity, v2);
+/// A format-v2 session blob, written by the v2 writer that format 3 later
+/// retired: kBranchyMemory on TestConfig() with 8 KiB of memory,
+/// fast-forwarded 1000 instructions on the ISS (v2 added the seed record),
+/// then stepped 40 cycles on the detailed core.
+constexpr const char* kV2SessionBlob =
+    "UlZTRQFcSgAAAAEAAABzBQAAAHsibmFtZSI6ACJydnNzLWRlAGZhdWx0IiwiAGNvcmVDbG9j"
+    "gGtIeiI6MTAAYGAsIm1lbRbgFqBiAHVmZmVycyI6AHsicm9iU2l6AGUiOjY0LCJmAGV0Y2hX"
+    "aWR0EGgiOjRVAG1taQJ0D8BmbHVzaFAAZW5hbHR5IjoCMi9gQnJhbmNoAEZvbGxvd0xpAG1p"
+    "dCI6MSwiAGlzc3VlV2luCGRvd19AMTZ9LAAiZnVuY3RpbwBuYWxVbml0cwAiOlt7ImtpbgBk"
+    "IjoiRlgiLAHdgEZYMSIsIm8wcGVyYS0AJ0BvcABDbGFzcyI6IgBrSW50QWx1IgAsImxhdGVu"
+    "Y8B5IjoxfSwh4CEgyE11bCHgOjMh4CFgCERpdiHgOjEyfe5dJACQ4JDAMpDgkOCQ4EeQ4JAg"
+    "S+AiRlBL4FAH3OBL4EuARnBBZGTfSuC54CCA2uAgADQg4CBAG9ngjCA2IeAhQEZtYRkh4Do1"
+    "IOAgQE90aBRlciLgOh3hIjoi5ExT0cBMU9EA+uAm4Pkm4ExTRAEm4CbAQ0IqwAxCUlHgKuAi"
+    "OiJNIGVtb3J5KsBNRQZNK+B4ISwiY2FjBGhl3gJlbmFibABlZCI6dHJ1ZQAsImxpbmVDbzh1"
+    "bnTvQg4AnQJCeQB0ZXMiOjMyLAAiYXNzb2NpYRB0aXZp5GJyZXBAbGFjZW1lNQAiAExSVSIs"
+    "InN0gG9yZVBvbGlxAAAid3JpdGUtYgBhY2siLCJhYwBjZXNzRGVsYZuMAGNAUkLAGIAwfZ0j"
+    "IcoAOnsic4TAODEAOTIsImxvYWR+QqUjPYN0YBTgFCAoAEwd+6AwJWAR4AwBbGxTEHRhY2th"
+    "YDQwOQY21gBAAVJlZ2lzCHRlchShfSwicAByZWRpY3RvcomZAGJ0H+RwaHQMwAh0eXB/AXR3"
+    "by0MYmmEBI5kU3RhdABlIjowLCJoacOMACEBbG9jYbICEWAGQvsjAgFjaGVjawhwb2l8AHsi"
+    "aW4AdGVydmFsQ3kEY2yQgW1heFRvCHRhbLxgNjcxMAQ4OH8AZGVsdGEYUGFnFQDdQWZ1bABs"
+    "U25hcHNobzB0RXZleQAiAWFkgGFwdGl2ZUldYAAiOmZhbHNlfQAsInRyYXBPboBEaXZaZXJv"
+    "FmAALCJyYW5kb20EU2U2AjF9wwEAAAAKbWFpbjoKACAgICBsaSBzEDAsIDAMoDEsIAAyNApv"
+    "dXRlcoEhoHQwLCAxNg0gAGFkZGkgdDEsACBzcCwgLTI1QDYKZmlsbClAbUB1bCB0MiwuIHMS"
+    "MRIgc3cRIDAodKQxKT/gMSwDIDQS4AowN0AtN0BibmV6Pw8gXQCG4IbghuCGAHNjLmHSgHPg"
+    "LEBuLAAzLCMWIF9gZXF6EiBldpxlblGACSEDAHQyEiCAaiBuZXh0CiIA0VlAc3ViI+AKHQAY"
+    "QJ/V4NXg1eDV4B0hY2F1oD9zQQMAJeAPIIQhEiBtdgwgYXcgDSByZXQKEAQAAADFAQAAAAAA"
+    "CkMAAFJWUwBQAgAAAHtkhACdgHQw9tstdACsmWqi972isoDbFWhIp+JCKQBIAAAoBkAAWQdg"
+    "IPAAAAAeC2AAAJkHACDQ8P///wggEB3gAOApKIA8DwdAFA9gpNv+/wAgD4AA4ADgAOAA4ADg"
+    "/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDg"
+    "AOAA4ADgAOAA4ADgAOADAOAA4AAAADAAAAgA6AMLQBcAAAD+VRdgcAIKYtrhAOBc4gDgqwDg"
+    "AOBWB2AFTcAYHuBfAOBU4ADgAOAAwFcHYAb9TcAcHuAA4FTgAOAA4ADA+lgHYAdNwDIDAOAA"
+    "wFTgtwDgAOAAgEYHYFOBAlPhqwDgACAiB2AjB2AmG+A5AOAAA/YAAEB+AwgAAAAA/v///wUA"
+    "xgwV4ACABQATFeAAgEZHE2CVgQNAQJXhAF4Q6WMAIJbgACAkB2Al6wdgAIADUKQAkgCAwE2A"
+    "3X/g/w8BFeAAYEgTYNeB+AMAQNfhAOCW4JbgACDDluAAIAMGABSA4HgAdy1BluAAoASoIRXg"
+    "ACBJ4xNgGYIDAEAZ4gDgluAPloCOgMzhACADBgALvwpgYgCIAcThgOAAAAQN4B0AwEopYG0B"
+    "jwADD0C/wYXJ5QBAJeEAII6AJwdg+QCAAwWW4ADAngAV4ABgbgQ6JgDgACBLKWDyggH/8uIA"
+    "4AAgtOEA4ADgAGDy4n9iAGkC9QCs4ADg8uIA4Ez/E2Dy4vLiI6IAIJbgACAt4f8A4PLiJEeA"
+    "wHHiAKDy4gDg/k0TYPLi8uIA4JbgluAAIMOW4AAgAwYAGIDgLAjffACW4ADg8uIA4E4TYPLi"
+    "f/LiAOCW4JaAjoAk5QAgA/gGAAoKYGIAeQaMAcThNwDg8uIA4E8pYPKCAgf/6uIA4AAAJeEA"
+    "II7gAODyIr+W4ACg8uIA4PLiAOBQKWD/8uLy4gDgjuC04QDgAMDy4n9iAIgBYwKs4ADg8uIA"
+    "4FH7E2DyggJ75wDgACCW4AAg/y3hAODy4htCgMBx4gCg8uLtAOBSE2DyggK95wDgACD/luAA"
+    "IJbgAOAt4WpADQD2Am+W4ADg8uIA4FMTYPKCAf//5wDgACCW4ADgAOAAYJbgP2IAEiDE4YDg"
+    "8uIA4P//7P9UKWDyggHy4gDgACD/JeEA4ADgAGDE4QAAaoDy4j8A4PLiAOAwCgAAW4IEQHJY"
+    "W+IAAE7lC6C3gBILB2CzghYHYAMFADB/mWBp4JYAxOEAgFviAOAqyxNglsBIluAABJbg8yqr"
+    "AAAggBkHYBoHYB0HYLADBQAdluAAgAVNoOcU4JbgFOD/PRNgluCW4GwACJbgo60fB2CEgiHf"
+    "B2BuhbcEluAAgAVNoBTgO5bgFOD/KW6W4JbgAAB+DJbghuAAQOjoACB7ggP4BQD3CmBp4NgI"
+    "luAAgP+W4ADgFYDdAMUDMgM8AMRGlzhEpQMSAwkVDwAAQybBOgkNAAAADi9gbwL+EW9iQwAr"
+    "ABsAEwAAgGMA74+CUwCTAgoBFZdibwBfAP9PAB8A4oWnABMABwBzADcAfR8AKUtgB4AAgA/g"
+    "D+AA/AArE+AAAIzvAOAAwB6K+72Ka4GQjG9TgwDgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDg"
+    "AOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADgDwDgAOAA"
+    "4ADgAAAAQK9o8XYCCwAP4AcPIAHNhjECIwABAUaGpiIAAf4BxaofYFmJH2ANgB+AD8D/X0AP"
+    "4AvgAAAaxgBASgMA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADg"
+    "AOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA"
+    "4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADg"
+    "AOAA4A8A4ADgAOAA4AAANwAAAAA/AAAAPgAEAAAxCDwAAAA7AAAAADoAAAA5EAAAADgjYDYA"
+    "AAAANQAAADQAAAAAMwAAADIAAAQAMdBzLwAAAC4AAAAALQAAACz/X2YUCW8GFgqmB70KHQ1J"
+    "CP++B8oH1gfiB3UIgQj8CAUL/hsQaRwJGwg0CRcHHwcnB/9vBj8HUweyBoAEYwcTB6sG/4EE"
+    "pQQwBLsA5ucAoPsA04f/FuAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA"
+    "4ADgAADnBQDgAOD/AMCTdQDgm+UA4ADgH+AA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADg"
+    "AOAAgAPhAODfAOAA4ADgAOAAwAG0AivpNwDgAOAAYAExA33gAAD6AWMDRBDgAOAA4ADgAAD+"
+    "AZQNfQoA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADg"
+    "AOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4KPvAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA"
+    "4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADg"
+    "AOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA"
+    "4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg"
+    "/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDg"
+    "AOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA"
+    "4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADg"
+    "AOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA"
+    "4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADg"
+    "AOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/"
+    "AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA"
+    "4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADg"
+    "AOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA"
+    "4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADg"
+    "AOAA4P8A4ADgAOAAQDQdoRwOHA8aAPAAAADcAAAAAMgAAAC0AAAAAKAAAACMAAAAAHgAAABk"
+    "AAAA/lBbdA8UwxMA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/"
+    "AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA"
+    "4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADg"
+    "AOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA"
+    "4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADg"
+    "AOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA"
+    "4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A"
+    "4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADg"
+    "AOAA4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA"
+    "4ADgAOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADg"
+    "AOAA4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA"
+    "4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg"
+    "/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDg"
+    "AOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA"
+    "4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA4ADg"
+    "AOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4PMA4ACgAUAM4ADgAOAA4P8A4ADgAOAA4ADgAOAA"
+    "4ADg/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg"
+    "/wDgAOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDg"
+    "AOAA4ADgAOAA4ADgAOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADg/wDgAOAA"
+    "4ADgAOAA4ADgAOAfAOAA4ADgAOAkBAEDAPgAABYNgBngAOAA4ADg/wDgAOAA4ADgAOAA4ADg"
+    "AOD/AOAA4ADgAOAA4ADgAOAA4P8A4ADgAOAA4ADgAOAA4ADgBwDgAOAAYMFcAonsAC0KkWfs"
+    "jmWhAI3rvl5VMvvuAKKT+AvJQu6Q+IbBcXGBeeEP4A/gC+DZAOAAIAvgAAACB2DEFlUAAFgH"
+    "YE4HYDEHYC1VB2AeB2ApB2DoDgIAaAAABA9gCgdgD4AH7xfgAAA5ggCADwdgr+AP4P8HwE+A"
+    "r4A3gBeAAOAAIH/ghwDgD0CyAEZYMRUSYHYLB2AWQDLKlweAFiBQxweBAKAWAExTMV+AB4CN"
+    "FkAyKOAWoEJSMWqAgweApQBNRU0xEw9gXwXhAOAA4ABgJ+AAkCNTAGltNQAAAGZhAHN0LWZv"
+    "cndhAHJkZWQgMTAwADAgaW5zdHJ1AGN0aW9ucyBvAG4gdGhlIElTAFMgKHJ1bm5pAG5nKQ==";
 
-  auto imported = ImportSessionBlob(blob);
+TEST(DeltaBlob, V2FormatSessionBlobStillImports) {
+  // The versioned reader: a blob persisted in format v2 (no memory-mode
+  // byte) must keep importing after the v3 bump, so long-lived saved
+  // sessions survive the upgrade.
+  const auto blob = Base64Decode(kV2SessionBlob);
+  ASSERT_TRUE(blob.has_value());
+  auto imported = ImportSessionBlob(*blob);
   ASSERT_TRUE(imported.ok()) << imported.error().ToText();
+
+  config::CpuConfig config = TestConfig();
+  config.memory.sizeBytes = 8 * 1024;
+  auto original = MustCreate(kBranchyMemory, config);
+  ASSERT_NE(original, nullptr);
+  ASSERT_TRUE(original->FastForwardTo(1000).ok());
+  StepN(*original, 40);
   ExpectIdenticalState(*original, *imported.value().sim, "v2 import");
+
+  // The v3 re-export, pinned while the v2 writer still existed.
+  const std::string reexported = EncodeSessionBlob(
+      *imported.value().sim, imported.value().identity);
+  EXPECT_EQ(reexported.size(), 5237u);
+  EXPECT_EQ(Fnv1a64(reexported), 0x333d927120ac0612ull);
 }
 
 TEST(CliSnapshot, SaveLoadRoundTripMatchesUninterruptedRun) {
