@@ -6,8 +6,11 @@
 // (request parse, the state's streamed render, and the copy of its text
 // into the reply), the simulation itself, and compression. With --json
 // it writes BENCH_json_overhead.json: step_request_us (parse + step +
-// render + serialize, without compression; gated by a ceiling in
-// bench/baselines.json) and render_us.
+// render + serialize, without compression), render_us and state_bytes
+// (the mean rendered state per measured request). step_request_us and
+// state_bytes are gated by ceilings in bench/baselines.json; state_bytes
+// is deterministic, since every run steps the same programs through the
+// same cycles.
 //
 // A second table times the router hop of one serialized step reply,
 // single-threaded: reading it the way server::ReadMessage does (the
@@ -51,7 +54,7 @@ int main(int argc, char** argv) {
   const std::string request = R"({"command": "step", "sessionId": 1})";
   std::uint64_t parseNs = 0, simNs = 0, renderNs = 0, serializeNs = 0,
                 compressNs = 0;
-  std::size_t requests = 0;
+  std::size_t requests = 0, stateBytes = 0;
   for (int round = 0; round < 400; ++round) {
     for (auto& sim : sims) {
       if (sim->status() != core::SimStatus::kRunning) sim->Reset();
@@ -73,6 +76,7 @@ int main(int argc, char** argv) {
       renderNs += t3 - t2;
       serializeNs += t4 - t3;
       compressNs += t5 - t4;
+      stateBytes += serialized.size();
       ++requests;
     }
   }
@@ -107,8 +111,12 @@ int main(int argc, char** argv) {
               100.0 * jsonShareNoGzip);
   std::printf("step request without compression: %.1f us\n",
               perRequestUs(stepRequestNs));
+  const double meanStateBytes =
+      static_cast<double>(stateBytes) / static_cast<double>(requests);
+  std::printf("rendered state: %.0f bytes per request\n", meanStateBytes);
   report.Set("step_request_us", perRequestUs(stepRequestNs));
   report.Set("render_us", perRequestUs(renderNs));
+  report.Set("state_bytes", meanStateBytes);
 
   // The router hop: each program's step reply as the worker serializes
   // it, read and dumped again as the router and gateway would.

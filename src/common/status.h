@@ -37,6 +37,10 @@ enum class ErrorKind : std::uint8_t {
                      ///< the same request may succeed later or elsewhere
 };
 
+/// The last ErrorKind: a reader of encoded kinds (the snapshot codec)
+/// accepts every kind up to it. Keep it the enum's last value.
+inline constexpr ErrorKind kLastErrorKind = ErrorKind::kUnavailable;
+
 /// Returns a stable lower-case identifier for the kind ("parse", ...).
 const char* ToString(ErrorKind kind);
 

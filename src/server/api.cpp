@@ -435,7 +435,6 @@ json::Json SimServer::Dispatch(Command command, const json::Json& request) {
                                static_cast<long long>(cycle),
                                static_cast<unsigned long long>(replayed)));
       json::Json response = OkResponse();
-      response.Set("replayedCycles", static_cast<std::int64_t>(replayed));
       response.Set("replayedSteps", static_cast<std::int64_t>(replayed));
       response.Set("state", RenderJson(*sim));
       return response;

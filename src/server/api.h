@@ -24,8 +24,7 @@
 // restoreCheckpoint scrubs to an arbitrary cycle, backward or forward. A
 // scrub deeper than maxStepsPerRequest (checkpoints disabled or evicted)
 // is replayed server-side in bounded hops rather than rejected; both
-// commands report the cycles actually re-simulated as "replayedSteps"
-// (restoreCheckpoint keeps the older "replayedCycles" alias too).
+// commands report the cycles actually re-simulated as "replayedSteps".
 // Per-session checkpoint memory is capped by the session's
 // config.checkpoint.maxTotalBytes and reported in the "checkpoints" object
 // ({count, bytes, maxBytes, intervalCycles}).
@@ -69,7 +68,10 @@ struct RequestTiming {
 /// gone), and an unknown command is answered "unknown command '<name>'".
 /// The hello's deltaBlobs field has since gone without a bump: the
 /// snapshot-format pin implies it, and readers defaulted it to false.
-inline constexpr std::int64_t kApiVersion = 2;
+/// v3: the rendered state is normalized (each in-flight instruction once,
+/// in `instructions`; containers hold `seq`s, see state_renderer.h), and
+/// restoreCheckpoint answers `replayedSteps` only.
+inline constexpr std::int64_t kApiVersion = 3;
 
 /// True exactly for the error kinds a client may retry verbatim (load
 /// shed / backpressure, not a fault in the request itself).

@@ -1,5 +1,6 @@
 #include "server/state_renderer.h"
 
+#include <algorithm>
 #include <charconv>
 #include <iterator>
 #include <string_view>
@@ -11,7 +12,7 @@
 namespace rvss::server {
 namespace {
 
-void WriteInstruction(json::Writer& w, const core::InFlightPtr& inst) {
+void WriteInstruction(json::Writer& w, const core::InFlight* inst) {
   w.BeginObject();
   w.Key("seq").Int(static_cast<std::int64_t>(inst->seq));
   w.Key("pc").Int(inst->pc);
@@ -54,11 +55,43 @@ void WriteInstruction(json::Writer& w, const core::InFlightPtr& inst) {
   w.EndObject();
 }
 
+/// A container as the `seq`s of its instructions, in container order.
 template <typename Queue>
-void WriteQueue(json::Writer& w, const Queue& queue) {
+void WriteSeqs(json::Writer& w, const Queue& queue) {
   w.BeginArray();
-  for (const core::InFlightPtr& inst : queue) WriteInstruction(w, inst);
+  for (const core::InFlightPtr& inst : queue) {
+    w.Int(static_cast<std::int64_t>(inst->seq));
+  }
   w.EndArray();
+}
+
+/// Every in-flight instruction the containers and busy units hold, each
+/// object once, in ascending `seq`. One instruction sits in several
+/// containers at once (the ROB, a window, a buffer, a unit), and the
+/// fetch queue and a committed store are in no ROB, so the table is the
+/// union of all of them. It deduplicates by object, not by `seq`: two
+/// objects that share a `seq` both stay, and a reader sees the fault.
+std::vector<const core::InFlight*> InFlightTable(const core::Simulation& sim) {
+  std::vector<const core::InFlight*> table;
+  const auto collect = [&](const auto& queue) {
+    for (const core::InFlightPtr& inst : queue) table.push_back(inst.get());
+  };
+  collect(sim.fetchQueue());
+  collect(sim.rob());
+  collect(sim.loadBuffer());
+  collect(sim.storeBuffer());
+  for (int kind = 0; kind < 4; ++kind) {
+    collect(sim.window(static_cast<core::WindowKind>(kind)));
+  }
+  for (const core::FunctionalUnit& fu : sim.functionalUnits()) {
+    if (fu.current) table.push_back(fu.current.get());
+  }
+  std::stable_sort(table.begin(), table.end(),
+                   [](const core::InFlight* a, const core::InFlight* b) {
+                     return a->seq < b->seq;
+                   });
+  table.erase(std::unique(table.begin(), table.end()), table.end());
+  return table;
 }
 
 /// A register value as "0x%llx" text.
@@ -89,15 +122,20 @@ json::Json RenderJson(const core::Simulation& sim,
   w.Key("finishReason").String(core::ToString(sim.finishReason()));
   w.Key("fetchPc").Int(sim.fetchPc());
 
-  WriteQueue(w.Key("fetchQueue"), sim.fetchQueue());
-  WriteQueue(w.Key("reorderBuffer"), sim.rob());
-  WriteQueue(w.Key("loadBuffer"), sim.loadBuffer());
-  WriteQueue(w.Key("storeBuffer"), sim.storeBuffer());
+  w.Key("instructions").BeginArray();
+  for (const core::InFlight* inst : InFlightTable(sim)) {
+    WriteInstruction(w, inst);
+  }
+  w.EndArray();
+  WriteSeqs(w.Key("fetchQueue"), sim.fetchQueue());
+  WriteSeqs(w.Key("reorderBuffer"), sim.rob());
+  WriteSeqs(w.Key("loadBuffer"), sim.loadBuffer());
+  WriteSeqs(w.Key("storeBuffer"), sim.storeBuffer());
 
   w.Key("issueWindows").BeginObject();
   for (int kind = 0; kind < 4; ++kind) {
     const auto window = static_cast<core::WindowKind>(kind);
-    WriteQueue(w.Key(WindowName(window)), sim.window(window));
+    WriteSeqs(w.Key(WindowName(window)), sim.window(window));
   }
   w.EndObject();
 
@@ -108,8 +146,7 @@ json::Json RenderJson(const core::Simulation& sim,
     w.Key("kind").String(config::ToString(fu.config.kind));
     w.Key("busy").Bool(fu.current != nullptr);
     if (fu.current) {
-      w.Key("instruction");
-      WriteInstruction(w, fu.current);
+      w.Key("instruction").Int(static_cast<std::int64_t>(fu.current->seq));
       w.Key("busyUntil").Int(static_cast<std::int64_t>(fu.busyUntil));
     }
     w.EndObject();

@@ -67,7 +67,7 @@ bool TagInRange(std::int32_t tag, std::int32_t minimum, std::uint32_t renames) {
 template <typename IO, typename OptionalError>
 bool OptionalErrorRecord(IO& io, OptionalError& error, const char* malformed) {
   if (io.Present(error)) {
-    io.Enum(error->kind, ErrorKind::kInternal, malformed);
+    io.Enum(error->kind, kLastErrorKind, malformed);
     io.Str(error->message);
     io.U32(error->pos.line);
     io.U32(error->pos.column);

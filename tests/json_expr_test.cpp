@@ -1,8 +1,10 @@
 // JSON parser/writer tests and expression-interpreter unit tests.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -487,6 +489,51 @@ std::vector<Render> GoldenRenders() {
   return renders;
 }
 
+/// The apiVersion 2 shape of a v3 render, the shape the pins were taken
+/// in: each `seq` in a container or in a busy unit's `instruction`
+/// becomes its object from `instructions`, and that table is dropped. A
+/// `seq` the table lists twice, or does not list, is an error.
+Result<std::string> ExpandToV2(std::string_view v3) {
+  RVSS_ASSIGN_OR_RETURN(Json state, json::Parse(v3));
+  json::Object& fields = state.AsObject();
+  const auto table = std::find_if(
+      fields.begin(), fields.end(),
+      [](const auto& field) { return field.first == "instructions"; });
+  if (table == fields.end()) {
+    return Error{ErrorKind::kInvalidArgument, "no instructions table"};
+  }
+  std::map<std::int64_t, Json> bySeq;
+  for (Json& inst : table->second.AsArray()) {
+    const std::int64_t seq = inst.GetInt("seq", -1);
+    if (!bySeq.emplace(seq, std::move(inst)).second) {
+      return Error{ErrorKind::kInvalidArgument,
+                   "seq " + std::to_string(seq) + " listed twice"};
+    }
+  }
+  fields.erase(table);
+
+  std::vector<Json*> refs;
+  for (const char* key :
+       {"fetchQueue", "reorderBuffer", "loadBuffer", "storeBuffer"}) {
+    for (Json& ref : state.Find(key)->AsArray()) refs.push_back(&ref);
+  }
+  for (auto& [name, window] : state.Find("issueWindows")->AsObject()) {
+    for (Json& ref : window.AsArray()) refs.push_back(&ref);
+  }
+  for (Json& unit : state.Find("functionalUnits")->AsArray()) {
+    if (Json* ref = unit.Find("instruction")) refs.push_back(ref);
+  }
+  for (Json* ref : refs) {
+    const auto inst = ref->IsInt() ? bySeq.find(ref->AsInt()) : bySeq.end();
+    if (inst == bySeq.end()) {
+      return Error{ErrorKind::kInvalidArgument,
+                   "unresolved reference " + ref->Dump()};
+    }
+    *ref = inst->second;
+  }
+  return state.Dump();
+}
+
 struct GoldenPin {
   const char* label;
   std::size_t bytes;
@@ -494,7 +541,9 @@ struct GoldenPin {
 };
 
 // Regenerate only for an intended change to the rendered state: the test
-// prints the table it computed when any entry differs.
+// prints the table it computed when any entry differs. A state render is
+// pinned in its apiVersion 2 shape (ExpandToV2), so the pins still hold
+// every instruction object in every container it sits in.
 //
 // No pin may depend on the build. NaN results are RISC-V's canonical NaN
 // (FpResult in expr/value.cpp) because the NaN a host FPU returns can
@@ -698,17 +747,22 @@ TEST(GoldenRender, RenderedBytesMatchThePinnedTable) {
   std::string table;
   for (std::size_t i = 0; i < renders.size(); ++i) {
     const Render& render = renders[i];
-    const std::uint64_t hash = Fnv1a64(render.text);
+    const bool pretty = render.label.ends_with("/pretty");
+    const Result<std::string> expanded =
+        pretty ? Result<std::string>(render.text) : ExpandToV2(render.text);
+    ASSERT_TRUE(expanded.ok()) << render.label << ": "
+                               << expanded.error().ToText();
+    const std::string& pinned = expanded.value();
+    const std::uint64_t hash = Fnv1a64(pinned);
     char line[160];
     std::snprintf(line, sizeof line, "    {\"%s\", %zu, 0x%016llxull},\n",
-                  render.label.c_str(), render.text.size(),
+                  render.label.c_str(), pinned.size(),
                   static_cast<unsigned long long>(hash));
     table += line;
     if (i < std::size(kGoldenRenders)) {
       const GoldenPin& pin = kGoldenRenders[i];
       const bool same = render.label == pin.label &&
-                        render.text.size() == pin.bytes &&
-                        hash == pin.fnv1a64;
+                        pinned.size() == pin.bytes && hash == pin.fnv1a64;
       EXPECT_TRUE(same) << "render " << i << " differs: " << line;
       differs = differs || !same;
     }
@@ -716,7 +770,6 @@ TEST(GoldenRender, RenderedBytesMatchThePinnedTable) {
     const auto parsed = json::Parse(render.text);
     ASSERT_TRUE(parsed.ok()) << render.label << ": "
                              << parsed.error().ToText();
-    const bool pretty = render.label.ends_with("/pretty");
     EXPECT_TRUE((pretty ? parsed.value().DumpPretty()
                         : parsed.value().Dump()) == render.text)
         << render.label;

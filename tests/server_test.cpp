@@ -1,12 +1,17 @@
 // Server-layer tests: slz compression, the JSON API, state rendering and
 // the virtual-time load model.
+#include <map>
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "ref/progen.h"
 #include "server/api.h"
 #include "server/load_model.h"
 #include "common/slz.h"
 #include "server/state_renderer.h"
+#include "snapshot/session.h"
 #include "test_util.h"
 
 namespace rvss::server {
@@ -269,7 +274,7 @@ TEST(Api, CheckpointSaveRestoreScrubsSession) {
   ASSERT_EQ(restored.GetString("status", ""), "ok");
   EXPECT_EQ(StateOf(restored).GetInt("cycle", -1), 50);
   // cycle 50 is an exact manual checkpoint: zero replay.
-  EXPECT_EQ(restored.GetInt("replayedCycles", -1), 0);
+  EXPECT_EQ(restored.GetInt("replayedSteps", -1), 0);
 
   // Scrub forward again, then to an arbitrary cycle between checkpoints.
   restore.Set("cycle", 60);
@@ -390,11 +395,136 @@ TEST(Renderer, JsonSnapshotHasAllBlocks) {
   ASSERT_NE(sim, nullptr);
   const json::Json state = Parse(RenderJson(*sim).Dump());
   for (const char* key :
-       {"cycle", "fetchQueue", "reorderBuffer", "issueWindows",
-        "functionalUnits", "registers", "cache", "statistics", "log"}) {
+       {"cycle", "instructions", "fetchQueue", "reorderBuffer",
+        "issueWindows", "functionalUnits", "registers", "cache",
+        "statistics", "log"}) {
     EXPECT_NE(state.Find(key), nullptr) << key;
   }
   EXPECT_EQ(state.Find("registers")->Find("x")->AsArray().size(), 32u);
+}
+
+/// Every distinct in-flight object the containers and busy units hold.
+std::set<const core::InFlight*> InFlightObjects(const core::Simulation& sim) {
+  std::set<const core::InFlight*> objects;
+  const auto collect = [&](const auto& queue) {
+    for (const core::InFlightPtr& inst : queue) objects.insert(inst.get());
+  };
+  collect(sim.fetchQueue());
+  collect(sim.rob());
+  collect(sim.loadBuffer());
+  collect(sim.storeBuffer());
+  for (int kind = 0; kind < 4; ++kind) {
+    collect(sim.window(static_cast<core::WindowKind>(kind)));
+  }
+  for (const core::FunctionalUnit& fu : sim.functionalUnits()) {
+    if (fu.current) objects.insert(fu.current.get());
+  }
+  return objects;
+}
+
+/// The apiVersion 3 shape of `sim`'s render: `instructions` holds each
+/// in-flight object once, in ascending `seq`; every container and busy
+/// unit refers to an entry by its `seq`, in the simulation's order; and
+/// every entry is referred to.
+void ExpectNormalizedState(const core::Simulation& sim,
+                           const std::string& label) {
+  const json::Json state = Parse(RenderJson(sim).Dump());
+  const json::Json* table = state.Find("instructions");
+  ASSERT_NE(table, nullptr) << label;
+  std::map<std::int64_t, int> references;  // seq -> times referred to
+  std::int64_t previous = -1;
+  for (const json::Json& inst : table->AsArray()) {
+    const std::int64_t seq = inst.GetInt("seq", -1);
+    EXPECT_GT(seq, previous) << label << ": instructions out of seq order";
+    previous = seq;
+    references.emplace(seq, 0);
+  }
+  EXPECT_EQ(table->AsArray().size(), InFlightObjects(sim).size()) << label;
+
+  const auto refer = [&](const json::Json& ref, const core::InFlight& inst,
+                         const std::string& where) {
+    EXPECT_EQ(ref.AsInt(), static_cast<std::int64_t>(inst.seq)) << where;
+    const auto entry = references.find(ref.AsInt());
+    if (entry == references.end()) {
+      ADD_FAILURE() << where << ": seq " << ref.Dump() << " not in the table";
+    } else {
+      ++entry->second;
+    }
+  };
+  const auto container = [&](const json::Json* refs, const auto& queue,
+                             const std::string& name) {
+    ASSERT_NE(refs, nullptr) << label << " " << name;
+    ASSERT_EQ(refs->AsArray().size(), queue.size()) << label << " " << name;
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+      refer(refs->AsArray()[i], *queue[i], label + " " + name);
+    }
+  };
+  container(state.Find("fetchQueue"), sim.fetchQueue(), "fetchQueue");
+  container(state.Find("reorderBuffer"), sim.rob(), "reorderBuffer");
+  container(state.Find("loadBuffer"), sim.loadBuffer(), "loadBuffer");
+  container(state.Find("storeBuffer"), sim.storeBuffer(), "storeBuffer");
+  const json::Json* windows = state.Find("issueWindows");
+  ASSERT_NE(windows, nullptr) << label;
+  const std::pair<const char*, core::WindowKind> windowKinds[] = {
+      {"FX", core::WindowKind::kFx},
+      {"FP", core::WindowKind::kFp},
+      {"LS", core::WindowKind::kLs},
+      {"Branch", core::WindowKind::kBranch}};
+  for (const auto& [name, kind] : windowKinds) {
+    container(windows->Find(name), sim.window(kind), name);
+  }
+  const json::Json* units = state.Find("functionalUnits");
+  ASSERT_NE(units, nullptr) << label;
+  ASSERT_EQ(units->AsArray().size(), sim.functionalUnits().size()) << label;
+  for (std::size_t i = 0; i < units->AsArray().size(); ++i) {
+    const json::Json* ref = units->AsArray()[i].Find("instruction");
+    const core::InFlightPtr& current = sim.functionalUnits()[i].current;
+    ASSERT_EQ(ref != nullptr, current != nullptr) << label << " unit " << i;
+    if (current) refer(*ref, *current, label + " unit " + std::to_string(i));
+  }
+
+  for (const auto& [seq, count] : references) {
+    EXPECT_GT(count, 0) << label << ": seq " << seq << " referred to by none";
+  }
+}
+
+TEST(Renderer, JsonStateListsEachInFlightInstructionOnce) {
+  const std::pair<const char*, config::CpuConfig> configs[] = {
+      {"default", config::DefaultConfig()},
+      {"scalar", config::ScalarConfig()},
+      {"wide", config::WideConfig()}};
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const std::string source = ref::GenerateProgram(seed);
+    for (const auto& [name, config] : configs) {
+      auto sim = core::Simulation::Create(config, source, {{}, "main"});
+      ASSERT_TRUE(sim.ok()) << sim.error().ToText();
+      core::Simulation& s = *sim.value();
+      for (const std::uint64_t cycle : {1, 17, 200, 1000}) {
+        while (s.cycle() < cycle && s.status() == core::SimStatus::kRunning) {
+          s.Step();
+        }
+        ExpectNormalizedState(s, "seed" + std::to_string(seed) + "/" + name +
+                                     "/cycle" + std::to_string(cycle));
+      }
+    }
+  }
+
+  // A state restored from a checkpoint, and one rebuilt from a session
+  // blob: a restore that split one instruction into two objects would
+  // show as two entries with one seq.
+  const std::string source = ref::GenerateProgram(1);
+  auto sim = core::Simulation::Create(config::DefaultConfig(), source,
+                                      {{}, "main"});
+  ASSERT_TRUE(sim.ok()) << sim.error().ToText();
+  core::Simulation& s = *sim.value();
+  while (s.cycle() < 200) s.Step();
+  ASSERT_TRUE(s.StepBack().ok());
+  ExpectNormalizedState(s, "seed1/default/stepBack");
+  auto imported = snapshot::ImportSessionBlob(snapshot::EncodeSessionBlob(
+      s, snapshot::MakeIdentity(s, source, "main", "")));
+  ASSERT_TRUE(imported.ok()) << imported.error().ToText();
+  ExpectNormalizedState(*imported.value().sim, "seed1/default/import");
+  EXPECT_EQ(RenderJson(*imported.value().sim).Dump(), RenderJson(s).Dump());
 }
 
 TEST(Renderer, MemoryDumpOptionIncludesSymbolsAndHex) {

@@ -907,6 +907,49 @@ TEST(SnapshotCodec, EveryReachableDecodeCheckReportsItsOwnMessage) {
   EXPECT_TRUE(DecodeSnapshot(Reseal(blob, payload), context).ok());
 }
 
+TEST(SnapshotCodec, EveryErrorKindRoundTripsAsFaultAndInFlightException) {
+  // Whatever kind the encoder writes decodes back, in the fault record and
+  // in an in-flight exception; one past the last kind is still refused.
+  auto sim = MustCreate(kBranchyMemory, TestConfig());
+  ASSERT_NE(sim, nullptr);
+  StepN(*sim, 137);
+  ASSERT_FALSE(sim->rob().empty());
+  const CodecContext context{&sim->config(), &sim->program()};
+  for (int raw = 0; raw <= static_cast<int>(kLastErrorKind) + 1; ++raw) {
+    const auto kind = static_cast<ErrorKind>(raw);
+    const bool known = raw <= static_cast<int>(kLastErrorKind);
+    const Error error{kind, "doctored", {3, 7}};
+    for (const bool inFlight : {false, true}) {
+      core::SimSnapshot snapshot = sim->SaveState();
+      std::optional<Error>& slot =
+          inFlight ? snapshot.rob.front()->exception : snapshot.fault;
+      slot = error;
+      const std::string where = std::string(ToString(kind)) +
+                                (inFlight ? " in-flight exception" : " fault");
+      auto decoded =
+          DecodeSnapshot(EncodeSnapshot(snapshot, context), context);
+      if (!known) {
+        ASSERT_FALSE(decoded.ok()) << where;
+        EXPECT_EQ(decoded.error().message,
+                  std::string("snapshot decode: malformed ") +
+                      (inFlight ? "in-flight exception" : "fault record"));
+        continue;
+      }
+      if (!decoded.ok()) {
+        ADD_FAILURE() << where << ": " << decoded.error().ToText();
+        continue;
+      }
+      const std::optional<Error>& back =
+          inFlight ? decoded.value().rob.front()->exception
+                   : decoded.value().fault;
+      ASSERT_TRUE(back.has_value()) << where;
+      EXPECT_EQ(back->kind, kind) << where;
+      EXPECT_EQ(back->message, error.message) << where;
+      EXPECT_EQ(back->pos, error.pos) << where;
+    }
+  }
+}
+
 // ---- session blobs ----------------------------------------------------------
 
 TEST(SessionBlob, ExportImportContinuesByteIdentically) {

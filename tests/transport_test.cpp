@@ -440,6 +440,14 @@ TEST(Hello, RouterAnswersItsOwnFingerprint) {
   EXPECT_EQ(hello.GetString("status", ""), "ok") << hello.Dump();
   Status compatible = server::CheckHelloResponse(hello, "router");
   EXPECT_TRUE(compatible.ok()) << compatible.error().ToText();
+
+  // A v2 peer renders the state in the old shape: refused.
+  hello.Set("apiVersion", 2);
+  Status older = server::CheckHelloResponse(hello, "router");
+  ASSERT_FALSE(older.ok());
+  EXPECT_NE(older.error().message.find("api version 2 != local 3"),
+            std::string::npos)
+      << older.error().message;
 }
 
 // ---- TCP: hostnames and IPv6 ------------------------------------------------
