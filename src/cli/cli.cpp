@@ -541,8 +541,22 @@ int RunGateway(const Options& options, std::ostream& out, std::ostream& err) {
   // instead of queueing without limit.
   routerOptions.maxLaneQueueDepth = 128;
   if (options.spawnWorkers) {
+    // The router forks the initial workers before any thread starts. A
+    // later addWorker without an address would fork beside the gateway's
+    // connection threads, so it is refused.
     routerOptions.transportFactory =
-        shard::MakeSpawningTransportFactory(&fleet, "gw");
+        [spawn = shard::MakeSpawningTransportFactory(&fleet, "gw"),
+         initial = routerOptions.workerCount](
+            std::size_t worker, const server::SimServer::Limits& limits)
+        -> Result<std::shared_ptr<shard::WorkerTransport>> {
+      if (worker >= initial) {
+        return Error{ErrorKind::kInvalidArgument,
+                     "the gateway forks no worker once it serves clients: "
+                     "start one with `rvss --worker ADDR` and attach it "
+                     "with addWorker {address}"};
+      }
+      return spawn(worker, limits);
+    };
     routerOptions.onWorkerShutdown = shard::MakeFleetReaper(&fleet);
   }
   shard::ShardRouter router(routerOptions);

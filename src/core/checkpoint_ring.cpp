@@ -98,8 +98,6 @@ std::shared_ptr<const SimSnapshot> CheckpointRing::Materialize(
     const Entry& entry) const {
   if (entry.snapshot != nullptr) return entry.snapshot;
   const DeltaCheckpoint& delta = *entry.delta;
-  // Copying the rest-snapshot shares its InFlight objects; that is safe
-  // because Simulation::RestoreState clones them again on the way in.
   auto out = std::make_shared<SimSnapshot>(*delta.rest);
   out->memory.memory.bytes = delta.base->memory.memory.bytes;
   std::vector<std::uint8_t>& bytes = out->memory.memory.bytes;

@@ -5,9 +5,9 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "assembler/program.h"
 #include "common/status.h"
@@ -92,6 +92,14 @@ struct InFlight {
   bool IsStore() const { return inst->def->mem.isStore; }
 };
 
-using InFlightPtr = std::shared_ptr<InFlight>;
+/// Every in-flight instruction of one simulation. An empty entry is a free
+/// slot; the pipeline containers and the functional units hold slots.
+using InFlightTable = std::vector<std::optional<InFlight>>;
+
+/// Index of an instruction in its simulation's InFlightTable.
+using Slot = std::uint32_t;
+
+/// The slot an idle functional unit holds.
+inline constexpr Slot kNoSlot = 0xffffffffu;
 
 }  // namespace rvss::core

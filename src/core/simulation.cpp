@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/strings.h"
@@ -13,37 +11,6 @@
 #include "ref/interpreter.h"
 
 namespace rvss::core {
-namespace {
-
-/// Deep-copies InFlight graphs with aliasing preserved: each distinct
-/// source object is cloned exactly once, so containers that share an entry
-/// (ROB + issue window + load buffer + functional unit) keep sharing the
-/// clone, while the clones share nothing with the source.
-class InFlightCloner {
- public:
-  InFlightPtr operator()(const InFlightPtr& source) {
-    if (source == nullptr) return nullptr;
-    InFlightPtr& clone = clones_[source.get()];
-    if (clone == nullptr) clone = std::make_shared<InFlight>(*source);
-    return clone;
-  }
-  std::deque<InFlightPtr> operator()(const std::deque<InFlightPtr>& source) {
-    std::deque<InFlightPtr> out;
-    for (const InFlightPtr& inst : source) out.push_back((*this)(inst));
-    return out;
-  }
-  std::vector<InFlightPtr> operator()(const std::vector<InFlightPtr>& source) {
-    std::vector<InFlightPtr> out;
-    out.reserve(source.size());
-    for (const InFlightPtr& inst : source) out.push_back((*this)(inst));
-    return out;
-  }
-
- private:
-  std::unordered_map<const InFlight*, InFlightPtr> clones_;
-};
-
-}  // namespace
 
 const char* ToString(Phase phase) {
   switch (phase) {
@@ -193,13 +160,15 @@ void Simulation::ResetHard() {
   finishReason_ = FinishReason::kNone;
   fault_.reset();
 
+  inFlight_.clear();
+  freeSlots_.clear();
   fetchQueue_.clear();
   rob_.clear();
   for (auto& window : windows_) window.clear();
   loadBuffer_.clear();
   storeBuffer_.clear();
   for (FunctionalUnit& fu : fus_) {
-    fu.current.reset();
+    fu.current = kNoSlot;
     fu.busyUntil = 0;
   }
 
@@ -351,25 +320,11 @@ std::size_t SimSnapshot::SizeBytes() const {
   for (const LogEntry& entry : log.entries) {
     bytes += sizeof(entry) + entry.block.capacity() + entry.text.capacity();
   }
-  // Each distinct in-flight instruction counts once, however many
-  // containers alias it; add the per-container pointer footprint too.
-  std::unordered_set<const InFlight*> distinct;
-  std::size_t references = 0;
-  auto count = [&](const InFlightPtr& inst) {
-    if (inst == nullptr) return;
-    ++references;
-    distinct.insert(inst.get());
-  };
-  for (const InFlightPtr& inst : fetchQueue) count(inst);
-  for (const InFlightPtr& inst : rob) count(inst);
-  for (const auto& window : windows) {
-    for (const InFlightPtr& inst : window) count(inst);
-  }
-  for (const InFlightPtr& inst : loadBuffer) count(inst);
-  for (const InFlightPtr& inst : storeBuffer) count(inst);
-  for (const InFlightPtr& inst : fuCurrent) count(inst);
-  bytes += distinct.size() * sizeof(InFlight);
-  bytes += references * sizeof(InFlightPtr);
+  std::size_t slots = fetchQueue.size() + rob.size() + loadBuffer.size() +
+                      storeBuffer.size() + fuCurrent.size();
+  for (const auto& window : windows) slots += window.size();
+  bytes += inFlight.capacity() * sizeof(inFlight[0]);
+  bytes += slots * sizeof(Slot);
   bytes += fuBusyUntil.capacity() * sizeof(std::uint64_t);
   return bytes;
 }
@@ -385,18 +340,16 @@ SimSnapshot Simulation::SaveStateImpl(bool includeMemoryImage) const {
   snapshot.finishReason = finishReason_;
   snapshot.fault = fault_;
 
-  InFlightCloner clone;
-  snapshot.fetchQueue = clone(fetchQueue_);
-  snapshot.rob = clone(rob_);
-  for (std::size_t i = 0; i < windows_.size(); ++i) {
-    snapshot.windows[i] = clone(windows_[i]);
-  }
-  snapshot.loadBuffer = clone(loadBuffer_);
-  snapshot.storeBuffer = clone(storeBuffer_);
+  snapshot.inFlight = inFlight_;
+  snapshot.fetchQueue = fetchQueue_;
+  snapshot.rob = rob_;
+  snapshot.windows = windows_;
+  snapshot.loadBuffer = loadBuffer_;
+  snapshot.storeBuffer = storeBuffer_;
   snapshot.fuCurrent.reserve(fus_.size());
   snapshot.fuBusyUntil.reserve(fus_.size());
   for (const FunctionalUnit& fu : fus_) {
-    snapshot.fuCurrent.push_back(clone(fu.current));
+    snapshot.fuCurrent.push_back(fu.current);
     snapshot.fuBusyUntil.push_back(fu.busyUntil);
   }
 
@@ -431,18 +384,18 @@ void Simulation::RestoreState(const SimSnapshot& snapshot) {
   finishReason_ = snapshot.finishReason;
   fault_ = snapshot.fault;
 
-  // Clone again on the way in, so the live run never aliases the snapshot
-  // and one snapshot can seed any number of restores.
-  InFlightCloner clone;
-  fetchQueue_ = clone(snapshot.fetchQueue);
-  rob_ = clone(snapshot.rob);
-  for (std::size_t i = 0; i < windows_.size(); ++i) {
-    windows_[i] = clone(snapshot.windows[i]);
+  inFlight_ = snapshot.inFlight;
+  freeSlots_.clear();
+  for (Slot slot = 0; slot < inFlight_.size(); ++slot) {
+    if (!inFlight_[slot].has_value()) freeSlots_.push_back(slot);
   }
-  loadBuffer_ = clone(snapshot.loadBuffer);
-  storeBuffer_ = clone(snapshot.storeBuffer);
+  fetchQueue_ = snapshot.fetchQueue;
+  rob_ = snapshot.rob;
+  windows_ = snapshot.windows;
+  loadBuffer_ = snapshot.loadBuffer;
+  storeBuffer_ = snapshot.storeBuffer;
   for (std::size_t i = 0; i < fus_.size(); ++i) {
-    fus_[i].current = clone(snapshot.fuCurrent[i]);
+    fus_[i].current = snapshot.fuCurrent[i];
     fus_[i].busyUntil = snapshot.fuBusyUntil[i];
   }
 
@@ -590,6 +543,22 @@ config::FunctionalUnitConfig::Kind Simulation::FuKindFor(
   return config::FunctionalUnitConfig::Kind::kFx;
 }
 
+Slot Simulation::AddInFlight() {
+  if (freeSlots_.empty()) {
+    inFlight_.emplace_back(std::in_place);
+    return static_cast<Slot>(inFlight_.size() - 1);
+  }
+  const Slot slot = freeSlots_.back();
+  freeSlots_.pop_back();
+  inFlight_[slot].emplace();
+  return slot;
+}
+
+void Simulation::ReleaseInFlight(Slot slot) {
+  inFlight_[slot].reset();
+  freeSlots_.push_back(slot);
+}
+
 bool Simulation::StoreDataReady(const InFlight& inst) const {
   // Store definitions put the data register (rs2) first.
   return inst.operands[0].ready;
@@ -703,12 +672,13 @@ void Simulation::WakeUp(int tag, std::uint64_t cell) {
   // none, and the scan can stop as soon as the last waiter is satisfied.
   SpecRegister& reg = rename_.reg(tag);
   if (reg.references == 0) return;
-  auto wake = [&](const InFlightPtr& inst) {
-    for (std::size_t i = 0; i < inst->operandCount; ++i) {
-      OperandRuntime& operand = inst->operands[i];
+  auto wake = [&](Slot slot) {
+    InFlight& inst = *inFlight_[slot];
+    for (std::size_t i = 0; i < inst.operandCount; ++i) {
+      OperandRuntime& operand = inst.operands[i];
       if (operand.isSource && !operand.ready && operand.waitTag == tag) {
         operand.value =
-            expr::CellToValue(cell, inst->inst->def->args[i].type);
+            expr::CellToValue(cell, inst.inst->def->args[i].type);
         operand.ready = true;
         operand.waitTag = -1;
         if (reg.references > 0) --reg.references;
@@ -716,32 +686,32 @@ void Simulation::WakeUp(int tag, std::uint64_t cell) {
     }
   };
   for (const auto& window : windows_) {
-    for (const InFlightPtr& inst : window) {
-      wake(inst);
+    for (const Slot slot : window) {
+      wake(slot);
       if (reg.references == 0) return;
     }
   }
   // Stores waiting for data have already left the LS window.
-  for (const InFlightPtr& inst : storeBuffer_) {
-    wake(inst);
+  for (const Slot slot : storeBuffer_) {
+    wake(slot);
     if (reg.references == 0) return;
   }
 }
 
-void Simulation::WriteDestinations(const InFlightPtr& inst,
+void Simulation::WriteDestinations(InFlight& inst,
                                    const expr::EvalResult& result) {
   for (const expr::WriteEffect& write : result.writes) {
     WriteDest(inst, write.argIndex, write.value);
   }
 }
 
-void Simulation::WriteDest(const InFlightPtr& inst, int argIndex,
+void Simulation::WriteDest(InFlight& inst, int argIndex,
                            const expr::Value& value) {
-  OperandRuntime& operand = inst->operands[static_cast<std::size_t>(argIndex)];
+  OperandRuntime& operand = inst.operands[static_cast<std::size_t>(argIndex)];
   operand.value = value;
   if (operand.destTag < 0) return;  // x0: discard
   const isa::ArgumentDescription& arg =
-      inst->inst->def->args[static_cast<std::size_t>(argIndex)];
+      inst.inst->def->args[static_cast<std::size_t>(argIndex)];
   SpecRegister& reg = rename_.reg(operand.destTag);
   reg.cell = expr::ValueToCell(value, arg.type);
   reg.valid = true;
@@ -752,12 +722,12 @@ void Simulation::WriteDest(const InFlightPtr& inst, int argIndex,
 // Execution finalizers (complete stage)
 // ---------------------------------------------------------------------------
 
-void Simulation::FinalizeAlu(const InFlightPtr& inst) {
-  const PredecodedOp& pre = Predecoded(*inst);
+void Simulation::FinalizeAlu(InFlight& inst) {
+  const PredecodedOp& pre = Predecoded(inst);
   if (pre.expr == nullptr) {
-    inst->exception = pre.exprError;
-    inst->resultsReady = true;
-    inst->phase = Phase::kDone;
+    inst.exception = pre.exprError;
+    inst.resultsReady = true;
+    inst.phase = Phase::kDone;
     return;
   }
   using FastKind = expr::Expression::FastForm::Kind;
@@ -767,75 +737,75 @@ void Simulation::FinalizeAlu(const InFlightPtr& inst) {
     expr::EvalFlags flags;
     const expr::Value value =
         expr::Expression::ApplyBinary(pre.fast.op,
-                                      FastOperand(pre.fast.a, *inst),
-                                      FastOperand(pre.fast.b, *inst), flags)
+                                      FastOperand(pre.fast.a, inst),
+                                      FastOperand(pre.fast.b, inst), flags)
             .ConvertTo(pre.fast.dstKind);
     if (config_.trapOnDivZero && flags.divByZero) {
-      inst->exception = Error{
+      inst.exception = Error{
           ErrorKind::kRuntime,
-          StrFormat("division by zero at pc 0x%08x", inst->pc)};
+          StrFormat("division by zero at pc 0x%08x", inst.pc)};
     }
     WriteDest(inst, pre.fast.dstArg, value);
   } else {
     std::array<expr::Value, 4> argScratch;
-    pre.expr->EvaluateInto(GatherArgs(*inst, argScratch), inst->pc,
+    pre.expr->EvaluateInto(GatherArgs(inst, argScratch), inst.pc,
                            evalScratch_);
     const expr::EvalResult& result = evalScratch_;
     if (config_.trapOnDivZero && result.flags.divByZero) {
-      inst->exception = Error{
+      inst.exception = Error{
           ErrorKind::kRuntime,
-          StrFormat("division by zero at pc 0x%08x", inst->pc)};
+          StrFormat("division by zero at pc 0x%08x", inst.pc)};
     }
     WriteDestinations(inst, result);
   }
-  inst->resultsReady = true;
-  inst->executeDoneCycle = cycle_;
-  inst->phase = Phase::kDone;
+  inst.resultsReady = true;
+  inst.executeDoneCycle = cycle_;
+  inst.phase = Phase::kDone;
   ++stats_.executedInstructions;
 }
 
-void Simulation::FinalizeAddressGen(const InFlightPtr& inst) {
-  const PredecodedOp& pre = Predecoded(*inst);
+void Simulation::FinalizeAddressGen(InFlight& inst) {
+  const PredecodedOp& pre = Predecoded(inst);
   if (pre.expr == nullptr) {
-    inst->exception = pre.exprError;
-    inst->resultsReady = true;
-    inst->phase = Phase::kDone;
+    inst.exception = pre.exprError;
+    inst.resultsReady = true;
+    inst.phase = Phase::kDone;
     return;
   }
   using FastKind = expr::Expression::FastForm::Kind;
   if (pre.fast.kind == FastKind::kBinaryValue) {
     // `\rs1 \imm +` — every RV32 load/store address: add directly.
     expr::EvalFlags flags;
-    inst->effectiveAddress =
+    inst.effectiveAddress =
         expr::Expression::ApplyBinary(pre.fast.op,
-                                      FastOperand(pre.fast.a, *inst),
-                                      FastOperand(pre.fast.b, *inst), flags)
+                                      FastOperand(pre.fast.a, inst),
+                                      FastOperand(pre.fast.b, inst), flags)
             .ConvertTo(expr::ValueKind::kUInt)
             .AsUInt32();
   } else {
     std::array<expr::Value, 4> argScratch;
-    pre.expr->EvaluateInto(GatherArgs(*inst, argScratch), inst->pc,
+    pre.expr->EvaluateInto(GatherArgs(inst, argScratch), inst.pc,
                            evalScratch_);
-    inst->effectiveAddress =
+    inst.effectiveAddress =
         evalScratch_.stackTop->ConvertTo(expr::ValueKind::kUInt).AsUInt32();
   }
-  inst->addressReady = true;
-  inst->executeDoneCycle = cycle_;
+  inst.addressReady = true;
+  inst.executeDoneCycle = cycle_;
   ++stats_.executedInstructions;
 
-  const std::uint32_t size = inst->inst->def->mem.sizeBytes;
-  if (!memory_->memory().InBounds(inst->effectiveAddress, size)) {
-    inst->exception = Error{
+  const std::uint32_t size = inst.inst->def->mem.sizeBytes;
+  if (!memory_->memory().InBounds(inst.effectiveAddress, size)) {
+    inst.exception = Error{
         ErrorKind::kRuntime,
         StrFormat("memory access out of bounds: 0x%08x (size %u) at pc 0x%08x",
-                  inst->effectiveAddress, size, inst->pc)};
-    inst->resultsReady = true;
-    inst->memoryDone = true;
-    inst->phase = Phase::kDone;
+                  inst.effectiveAddress, size, inst.pc)};
+    inst.resultsReady = true;
+    inst.memoryDone = true;
+    inst.phase = Phase::kDone;
     // Unblock speculative consumers; the exception stops commit anyway.
-    if (inst->IsLoad()) {
-      for (std::size_t i = 0; i < inst->operandCount; ++i) {
-        OperandRuntime& operand = inst->operands[i];
+    if (inst.IsLoad()) {
+      for (std::size_t i = 0; i < inst.operandCount; ++i) {
+        OperandRuntime& operand = inst.operands[i];
         if (operand.isDest && operand.destTag >= 0) {
           SpecRegister& reg = rename_.reg(operand.destTag);
           reg.cell = 0;
@@ -847,116 +817,114 @@ void Simulation::FinalizeAddressGen(const InFlightPtr& inst) {
     return;
   }
 
-  if (inst->IsStore()) {
+  if (inst.IsStore()) {
     // A store's "execution" is its address generation; data may still be
     // pending, which commit waits for.
-    inst->resultsReady = true;
-    inst->phase = Phase::kDone;
+    inst.resultsReady = true;
+    inst.phase = Phase::kDone;
   }
 }
 
-void Simulation::ResolveBranch(const InFlightPtr& inst,
-                               std::vector<InFlightPtr>& mispredicts) {
-  const PredecodedOp& pre = Predecoded(*inst);
+bool Simulation::ResolveBranch(InFlight& inst) {
+  const PredecodedOp& pre = Predecoded(inst);
   if (pre.expr == nullptr) {
-    inst->exception = pre.exprError;
-    inst->resultsReady = true;
-    inst->phase = Phase::kDone;
-    return;
+    inst.exception = pre.exprError;
+    inst.resultsReady = true;
+    inst.phase = Phase::kDone;
+    return false;
   }
   const isa::InstructionDescription& def = *pre.def;
   using FastKind = expr::Expression::FastForm::Kind;
-  std::uint32_t actualNext = inst->pc + 4;
+  std::uint32_t actualNext = inst.pc + 4;
   if (def.branch == isa::BranchKind::kConditional &&
       pre.fast.kind == FastKind::kBinaryValue) {
     // `\rs1 \rs2 CMP` — every conditional branch: compare directly. The
     // 3-token form has no `=`, so there are no write effects to apply.
     expr::EvalFlags flags;
-    inst->branchTaken =
+    inst.branchTaken =
         expr::Expression::ApplyBinary(pre.fast.op,
-                                      FastOperand(pre.fast.a, *inst),
-                                      FastOperand(pre.fast.b, *inst), flags)
+                                      FastOperand(pre.fast.a, inst),
+                                      FastOperand(pre.fast.b, inst), flags)
             .AsBool();
-    inst->branchTarget = inst->pc + static_cast<std::uint32_t>(pre.branchImm);
-    if (inst->branchTaken) actualNext = inst->branchTarget;
+    inst.branchTarget = inst.pc + static_cast<std::uint32_t>(pre.branchImm);
+    if (inst.branchTaken) actualNext = inst.branchTarget;
     ++stats_.branchesResolved;
-    if (inst->branchTaken) ++stats_.branchesTaken;
+    if (inst.branchTaken) ++stats_.branchesTaken;
   } else {
     std::array<expr::Value, 4> argScratch;
-    pre.expr->EvaluateInto(GatherArgs(*inst, argScratch), inst->pc,
+    pre.expr->EvaluateInto(GatherArgs(inst, argScratch), inst.pc,
                            evalScratch_);
     const expr::EvalResult& result = evalScratch_;
     if (def.branch == isa::BranchKind::kConditional) {
-      inst->branchTaken = result.stackTop->AsBool();
-      inst->branchTarget =
-          inst->pc + static_cast<std::uint32_t>(pre.branchImm);
-      if (inst->branchTaken) actualNext = inst->branchTarget;
+      inst.branchTaken = result.stackTop->AsBool();
+      inst.branchTarget =
+          inst.pc + static_cast<std::uint32_t>(pre.branchImm);
+      if (inst.branchTaken) actualNext = inst.branchTarget;
       ++stats_.branchesResolved;
-      if (inst->branchTaken) ++stats_.branchesTaken;
+      if (inst.branchTaken) ++stats_.branchesTaken;
     } else {
       // jal / jalr: the expression leaves the absolute target on the stack
       // and link-register writes ride along as write effects.
-      inst->branchTaken = true;
-      inst->branchTarget =
+      inst.branchTaken = true;
+      inst.branchTarget =
           result.stackTop->ConvertTo(expr::ValueKind::kUInt).AsUInt32();
-      actualNext = inst->branchTarget;
-      if (inst->branchTarget == isa::kExitAddress) {
-        inst->isExit = true;
-      } else if (inst->branchTarget % 4 != 0 ||
-                 inst->branchTarget / 4 >
+      actualNext = inst.branchTarget;
+      if (inst.branchTarget == isa::kExitAddress) {
+        inst.isExit = true;
+      } else if (inst.branchTarget % 4 != 0 ||
+                 inst.branchTarget / 4 >
                      loaded_.program.instructions.size()) {
-        inst->exception =
+        inst.exception =
             Error{ErrorKind::kRuntime,
                   StrFormat("jump to invalid address 0x%08x at pc 0x%08x",
-                            inst->branchTarget, inst->pc)};
+                            inst.branchTarget, inst.pc)};
       }
     }
     WriteDestinations(inst, result);
   }
-  inst->resultsReady = true;
-  inst->executeDoneCycle = cycle_;
-  inst->phase = Phase::kDone;
+  inst.resultsReady = true;
+  inst.executeDoneCycle = cycle_;
+  inst.phase = Phase::kDone;
   ++stats_.executedInstructions;
 
   // Train the predictor.
   if (def.branch == isa::BranchKind::kConditional) {
-    const bool mispredicted = inst->predictedNextPc != actualNext;
-    inst->mispredicted = mispredicted;
-    predictor_.Resolve(inst->pc, inst->branchTaken, inst->branchTarget,
-                       mispredicted, inst->historyCheckpoint);
-    if (mispredicted) {
-      ++stats_.branchesMispredicted;
-      mispredicts.push_back(inst);
-    }
-  } else {
-    if (!inst->isExit && !inst->exception.has_value()) {
-      predictor_.TrainIndirect(inst->pc, inst->branchTarget);
-    }
-    if (inst->stalledFetch) {
-      // Fetch was parked on this BTB-missing jalr: redirect without a
-      // flush (nothing younger was fetched).
-      mispredicts.push_back(inst);
-    } else if (inst->predictedNextPc != actualNext) {
-      inst->mispredicted = true;
-      ++stats_.branchesMispredicted;
-      mispredicts.push_back(inst);
-    }
-    ++stats_.branchesResolved;
+    const bool mispredicted = inst.predictedNextPc != actualNext;
+    inst.mispredicted = mispredicted;
+    predictor_.Resolve(inst.pc, inst.branchTaken, inst.branchTarget,
+                       mispredicted, inst.historyCheckpoint);
+    if (mispredicted) ++stats_.branchesMispredicted;
+    return mispredicted;
   }
+  if (!inst.isExit && !inst.exception.has_value()) {
+    predictor_.TrainIndirect(inst.pc, inst.branchTarget);
+  }
+  ++stats_.branchesResolved;
+  if (inst.stalledFetch) {
+    // Fetch was parked on this BTB-missing jalr: redirect without a
+    // flush (nothing younger was fetched).
+    return true;
+  }
+  if (inst.predictedNextPc != actualNext) {
+    inst.mispredicted = true;
+    ++stats_.branchesMispredicted;
+    return true;
+  }
+  return false;
 }
 
-void Simulation::CompleteLoad(const InFlightPtr& inst) {
-  const isa::MemAccess& mem = inst->inst->def->mem;
+void Simulation::CompleteLoad(InFlight& inst) {
+  const isa::MemAccess& mem = inst.inst->def->mem;
   std::uint64_t raw;
-  if (inst->forwarded) {
+  if (inst.forwarded) {
     // Forwarded store data is a full register cell; narrow it to the
     // access width exactly as the memory write would have.
-    raw = inst->forwardedRaw;
+    raw = inst.forwardedRaw;
     if (mem.sizeBytes < 8) {
       raw &= (std::uint64_t{1} << (8 * mem.sizeBytes)) - 1;
     }
   } else {
-    raw = memory_->memory().ReadBytes(inst->effectiveAddress, mem.sizeBytes);
+    raw = memory_->memory().ReadBytes(inst.effectiveAddress, mem.sizeBytes);
   }
 
   std::uint64_t cell;
@@ -969,16 +937,16 @@ void Simulation::CompleteLoad(const InFlightPtr& inst) {
     cell = raw;
   }
 
-  OperandRuntime& dest = inst->operands[0];
+  OperandRuntime& dest = inst.operands[0];
   if (dest.destTag >= 0) {
     SpecRegister& reg = rename_.reg(dest.destTag);
     reg.cell = cell;
     reg.valid = true;
     WakeUp(dest.destTag, cell);
   }
-  inst->memoryDone = true;
-  inst->resultsReady = true;
-  inst->phase = Phase::kDone;
+  inst.memoryDone = true;
+  inst.resultsReady = true;
+  inst.phase = Phase::kDone;
 }
 
 // ---------------------------------------------------------------------------
@@ -987,66 +955,49 @@ void Simulation::CompleteLoad(const InFlightPtr& inst) {
 
 void Simulation::FlushYoungerThan(std::uint64_t seq, std::uint32_t newPc) {
   ++stats_.robFlushes;
+  const auto younger = [&](Slot slot) { return inFlight_[slot]->seq > seq; };
 
-  // Fetch queue: everything younger goes.
-  std::size_t squashedCount = 0;
-  auto squashFromDeque = [&](std::deque<InFlightPtr>& queue) {
-    for (auto it = queue.begin(); it != queue.end();) {
-      if ((*it)->seq > seq) {
-        (*it)->phase = Phase::kSquashed;
-        ++squashedCount;
-        it = queue.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-  squashFromDeque(fetchQueue_);
-  squashFromDeque(loadBuffer_);
-  squashFromDeque(storeBuffer_);
+  // LS buffers: everything younger goes.
+  std::size_t squashedCount = std::erase_if(loadBuffer_, younger) +
+                              std::erase_if(storeBuffer_, younger);
 
   // Issue windows. Waiting-consumer reference counts are NOT released
   // here: every window entry also sits in the ROB, and the youngest-first
   // ROB walk below is the single place that undoes them — decrementing in
   // both passes would strand a live waiter once WakeUp trusts the count.
-  for (auto& window : windows_) {
-    for (auto it = window.begin(); it != window.end();) {
-      if ((*it)->seq > seq) {
-        (*it)->phase = Phase::kSquashed;
-        it = window.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  for (auto& window : windows_) std::erase_if(window, younger);
 
   // Functional units: abort younger in-flight work.
   for (FunctionalUnit& fu : fus_) {
-    if (fu.current && fu.current->seq > seq) {
-      fu.current->phase = Phase::kSquashed;
-      fu.current.reset();
+    if (fu.current != kNoSlot && younger(fu.current)) {
+      fu.current = kNoSlot;
       fu.busyUntil = 0;
     }
   }
 
-  // ROB: walk youngest-first, undoing renames.
-  while (!rob_.empty() && rob_.back()->seq > seq) {
-    const InFlightPtr inst = rob_.back();
-    rob_.pop_back();
-    for (std::size_t i = inst->operandCount; i-- > 0;) {
-      OperandRuntime& operand = inst->operands[i];
-      if (operand.isDest && operand.destTag >= 0) {
-        rename_.SquashAndFree(operand.destTag, operand.prevTag);
+  // Fetch queue, then ROB, youngest first, undoing renames (a fetched
+  // instruction has no operands yet). Every squashed instruction sits in
+  // exactly one of the two, so this is where it is released.
+  for (std::deque<Slot>* queue : {&fetchQueue_, &rob_}) {
+    while (!queue->empty() && younger(queue->back())) {
+      const Slot slot = queue->back();
+      queue->pop_back();
+      const InFlight& inst = *inFlight_[slot];
+      for (std::size_t i = inst.operandCount; i-- > 0;) {
+        const OperandRuntime& operand = inst.operands[i];
+        if (operand.isDest && operand.destTag >= 0) {
+          rename_.SquashAndFree(operand.destTag, operand.prevTag);
+        }
+        if (operand.isSource && !operand.ready && operand.waitTag >= 0) {
+          // Source still waiting: the producer may itself be squashed; the
+          // reference bookkeeping is cleared either way.
+          SpecRegister& reg = rename_.reg(operand.waitTag);
+          if (reg.references > 0) --reg.references;
+        }
       }
-      if (operand.isSource && !operand.ready && operand.waitTag >= 0) {
-        // Source still waiting: the producer may itself be squashed; the
-        // reference bookkeeping is cleared either way.
-        SpecRegister& reg = rename_.reg(operand.waitTag);
-        if (reg.references > 0) --reg.references;
-      }
+      ReleaseInFlight(slot);
+      ++squashedCount;
     }
-    inst->phase = Phase::kSquashed;
-    ++squashedCount;
   }
 
   stats_.squashedInstructions += squashedCount;
@@ -1063,33 +1014,34 @@ void Simulation::FlushYoungerThan(std::uint64_t seq, std::uint32_t newPc) {
 // ---------------------------------------------------------------------------
 
 void Simulation::StageCommit() {
-  for (std::uint32_t slot = 0; slot < config_.buffers.commitWidth; ++slot) {
+  for (std::uint32_t i = 0; i < config_.buffers.commitWidth; ++i) {
     if (rob_.empty()) return;
-    // Borrow the ROB head; it is only moved out once commit is certain
-    // (every early return below must leave the ROB untouched).
-    const InFlightPtr& inst = rob_.front();
-    if (!inst->resultsReady) return;
+    // The ROB head is only popped once commit is certain (every early
+    // return below must leave the ROB untouched).
+    const Slot slot = rob_.front();
+    InFlight& inst = *inFlight_[slot];
+    if (!inst.resultsReady) return;
 
-    if (inst->exception.has_value()) {
-      fault_ = inst->exception;
+    if (inst.exception.has_value()) {
+      fault_ = inst.exception;
       log_.Add(cycle_, LogLevel::kError, "Commit",
-               "exception: " + inst->exception->message);
+               "exception: " + inst.exception->message);
       Finish(FinishReason::kException);
       return;
     }
 
-    if (inst->IsStore()) {
-      if (!StoreDataReady(*inst)) return;
+    if (inst.IsStore()) {
+      if (!StoreDataReady(inst)) return;
       // Functional write happens at commit, in program order; the cache /
       // memory timing drains through the memory unit afterwards.
-      memory_->memory().WriteBytes(inst->effectiveAddress,
-                                   inst->inst->def->mem.sizeBytes,
-                                   StoreRawData(*inst));
-      inst->drainPending = true;
+      memory_->memory().WriteBytes(inst.effectiveAddress,
+                                   inst.inst->def->mem.sizeBytes,
+                                   StoreRawData(inst));
+      inst.drainPending = true;
     }
 
-    for (std::size_t i = 0; i < inst->operandCount; ++i) {
-      OperandRuntime& operand = inst->operands[i];
+    for (std::size_t i = 0; i < inst.operandCount; ++i) {
+      OperandRuntime& operand = inst.operands[i];
       if (operand.isDest && operand.destTag >= 0) {
         const int tag = operand.destTag;
         rename_.CommitAndFree(tag, arch_);
@@ -1101,9 +1053,10 @@ void Simulation::StageCommit() {
         // register, and only that register's next writer recorded it), so
         // the scan stops at the first hit instead of walking the whole ROB.
         [&] {
-          for (const InFlightPtr& younger : rob_) {
-            for (std::size_t j = 0; j < younger->operandCount; ++j) {
-              OperandRuntime& other = younger->operands[j];
+          for (const Slot younger : rob_) {
+            InFlight& next = *inFlight_[younger];
+            for (std::size_t j = 0; j < next.operandCount; ++j) {
+              OperandRuntime& other = next.operands[j];
               if (other.isDest && other.prevTag == tag) {
                 other.prevTag = kPrevWasArchitectural;
                 return;
@@ -1114,26 +1067,29 @@ void Simulation::StageCommit() {
       }
     }
 
-    inst->phase = Phase::kCommitted;
-    inst->commitCycle = cycle_;
-    if (commitTraceSink_ != nullptr) commitTraceSink_->push_back(inst->pc);
+    inst.phase = Phase::kCommitted;
+    inst.commitCycle = cycle_;
+    if (commitTraceSink_ != nullptr) commitTraceSink_->push_back(inst.pc);
     ++stats_.committedInstructions;
-    ++stats_.dynamicMix[static_cast<std::size_t>(inst->inst->def->type)];
-    stats_.flops += inst->inst->def->flops;
+    ++stats_.dynamicMix[static_cast<std::size_t>(inst.inst->def->type)];
+    stats_.flops += inst.inst->def->flops;
 
-    const InFlightPtr committed = std::move(rob_.front());
     rob_.pop_front();
-    if (committed->IsLoad()) {
+    if (inst.IsLoad()) {
       // Loads leave their buffer at commit.
-      auto it = std::find(loadBuffer_.begin(), loadBuffer_.end(), committed);
+      auto it = std::find(loadBuffer_.begin(), loadBuffer_.end(), slot);
       if (it != loadBuffer_.end()) loadBuffer_.erase(it);
     }
+    const bool exits = inst.isExit;
+    const bool halts = inst.inst->def->isHalt;
+    // A store stays in its buffer until its drain completes.
+    if (!inst.IsStore()) ReleaseInFlight(slot);
 
-    if (committed->isExit) {
+    if (exits) {
       Finish(FinishReason::kMainReturned);
       return;
     }
-    if (committed->inst->def->isHalt) {
+    if (halts) {
       Finish(FinishReason::kHalted);
       return;
     }
@@ -1144,11 +1100,11 @@ void Simulation::StageComplete() {
   // Sub-step 1 of the paper's functional-unit cycle: everything whose
   // latency elapsed publishes its result; the unit is free for re-issue
   // later this same cycle.
-  std::vector<InFlightPtr> mispredicts;
+  Slot redirect = kNoSlot;  // the oldest branch that redirects fetch
   for (FunctionalUnit& fu : fus_) {
-    if (!fu.current || cycle_ < fu.busyUntil) continue;
-    const InFlightPtr inst = std::move(fu.current);
-    fu.current.reset();
+    if (fu.current == kNoSlot || cycle_ < fu.busyUntil) continue;
+    const Slot slot = std::exchange(fu.current, kNoSlot);
+    InFlight& inst = *inFlight_[slot];
 
     switch (fu.config.kind) {
       case config::FunctionalUnitConfig::Kind::kFx:
@@ -1159,34 +1115,35 @@ void Simulation::StageComplete() {
         FinalizeAddressGen(inst);
         break;
       case config::FunctionalUnitConfig::Kind::kBranch:
-        ResolveBranch(inst, mispredicts);
+        if (ResolveBranch(inst) &&
+            (redirect == kNoSlot || inst.seq < inFlight_[redirect]->seq)) {
+          redirect = slot;
+        }
         break;
       case config::FunctionalUnitConfig::Kind::kMemory:
-        if (inst->IsLoad()) {
+        if (inst.IsLoad()) {
           CompleteLoad(inst);
         } else {
-          // Store drain finished: release the buffer slot.
-          inst->memoryDone = true;
-          auto it = std::find(storeBuffer_.begin(), storeBuffer_.end(), inst);
+          // Store drain finished: release the buffer slot and the store.
+          auto it = std::find(storeBuffer_.begin(), storeBuffer_.end(), slot);
           if (it != storeBuffer_.end()) storeBuffer_.erase(it);
+          ReleaseInFlight(slot);
         }
         break;
     }
   }
 
   // Apply at most one redirect: the oldest one wins (it squashes the rest).
-  if (!mispredicts.empty()) {
-    const InFlightPtr oldest = *std::min_element(
-        mispredicts.begin(), mispredicts.end(),
-        [](const InFlightPtr& a, const InFlightPtr& b) { return a->seq < b->seq; });
-    const std::uint32_t redirect =
-        oldest->branchTaken ? oldest->branchTarget : oldest->pc + 4;
-    if (oldest->stalledFetch && !oldest->mispredicted) {
+  if (redirect != kNoSlot) {
+    const InFlight& oldest = *inFlight_[redirect];
+    const std::uint32_t target =
+        oldest.branchTaken ? oldest.branchTarget : oldest.pc + 4;
+    if (oldest.stalledFetch && !oldest.mispredicted) {
       // BTB-miss jalr: fetch was parked, nothing to squash.
-      pc_ = redirect;
+      pc_ = target;
       fetchStalledIndirect_ = false;
     } else {
-      FlushYoungerThan(oldest->seq, redirect);
+      FlushYoungerThan(oldest.seq, target);
     }
   }
 }
@@ -1194,44 +1151,46 @@ void Simulation::StageComplete() {
 void Simulation::StageMemory() {
   for (FunctionalUnit& fu : fus_) {
     if (fu.config.kind != config::FunctionalUnitConfig::Kind::kMemory ||
-        fu.current) {
+        fu.current != kNoSlot) {
       continue;
     }
 
     // Gather the oldest eligible job: a committed store waiting to drain
     // or a load whose dependences allow it to run.
-    InFlightPtr job;
+    Slot job = kNoSlot;
 
-    for (const InFlightPtr& store : storeBuffer_) {
-      if (store->drainPending && !store->drainStarted) {
+    for (const Slot store : storeBuffer_) {
+      if (inFlight_[store]->drainPending && !inFlight_[store]->drainStarted) {
         job = store;
         break;
       }
     }
 
-    for (const InFlightPtr& load : loadBuffer_) {
-      if (!load->addressReady || load->memoryStarted ||
-          load->exception.has_value()) {
+    for (const Slot loadSlot : loadBuffer_) {
+      InFlight& load = *inFlight_[loadSlot];
+      if (!load.addressReady || load.memoryStarted ||
+          load.exception.has_value()) {
         continue;
       }
       // Dependence check against older, not-yet-committed stores.
       bool blocked = false;
-      const InFlightPtr* forwardFrom = nullptr;
-      for (const InFlightPtr& store : storeBuffer_) {
-        if (store->seq > load->seq) break;
-        if (store->phase == Phase::kCommitted) continue;  // memory is current
-        if (!store->addressReady) {
+      const InFlight* forwardFrom = nullptr;
+      for (const Slot storeSlot : storeBuffer_) {
+        const InFlight& store = *inFlight_[storeSlot];
+        if (store.seq > load.seq) break;
+        if (store.phase == Phase::kCommitted) continue;  // memory is current
+        if (!store.addressReady) {
           blocked = true;  // unknown address: conservative stall
           break;
         }
-        const std::uint32_t loadSize = load->inst->def->mem.sizeBytes;
-        const std::uint32_t storeSize = store->inst->def->mem.sizeBytes;
+        const std::uint32_t loadSize = load.inst->def->mem.sizeBytes;
+        const std::uint32_t storeSize = store.inst->def->mem.sizeBytes;
         const bool overlap =
-            store->effectiveAddress < load->effectiveAddress + loadSize &&
-            load->effectiveAddress < store->effectiveAddress + storeSize;
+            store.effectiveAddress < load.effectiveAddress + loadSize &&
+            load.effectiveAddress < store.effectiveAddress + storeSize;
         if (!overlap) continue;
-        if (store->effectiveAddress == load->effectiveAddress &&
-            storeSize == loadSize && StoreDataReady(*store)) {
+        if (store.effectiveAddress == load.effectiveAddress &&
+            storeSize == loadSize && StoreDataReady(store)) {
           forwardFrom = &store;  // youngest exact match wins (keep scanning)
         } else {
           blocked = true;
@@ -1241,36 +1200,37 @@ void Simulation::StageMemory() {
       if (blocked) continue;
 
       if (forwardFrom != nullptr) {
-        load->forwarded = true;
-        load->forwardedRaw = StoreRawData(**forwardFrom);
+        load.forwarded = true;
+        load.forwardedRaw = StoreRawData(*forwardFrom);
       }
-      if (job == nullptr || load->seq < job->seq) job = load;
+      if (job == kNoSlot || load.seq < inFlight_[job]->seq) job = loadSlot;
       break;  // loads scanned oldest-first; the first eligible is oldest
     }
 
-    if (job == nullptr) return;
+    if (job == kNoSlot) return;
+    InFlight& inst = *inFlight_[job];
 
-    if (job->IsLoad()) {
-      job->memoryStarted = true;
-      if (job->forwarded) {
+    if (inst.IsLoad()) {
+      inst.memoryStarted = true;
+      if (inst.forwarded) {
         // Store-to-load forwarding bypasses the cache entirely.
         fu.busyUntil = cycle_ + fu.config.latency;
-        job->cacheHit = true;
+        inst.cacheHit = true;
       } else {
         memory::MemoryTransaction txn = memory_->Register(
-            job->effectiveAddress, job->inst->def->mem.sizeBytes,
+            inst.effectiveAddress, inst.inst->def->mem.sizeBytes,
             /*isStore=*/false, cycle_);
-        job->cacheHit = txn.cacheHit;
+        inst.cacheHit = txn.cacheHit;
         fu.busyUntil = std::max(txn.completesAtCycle,
                                 cycle_ + static_cast<std::uint64_t>(
                                              fu.config.latency));
       }
     } else {
-      job->drainStarted = true;
+      inst.drainStarted = true;
       memory::MemoryTransaction txn = memory_->Register(
-          job->effectiveAddress, job->inst->def->mem.sizeBytes,
+          inst.effectiveAddress, inst.inst->def->mem.sizeBytes,
           /*isStore=*/true, cycle_);
-      job->cacheHit = txn.cacheHit;
+      inst.cacheHit = txn.cacheHit;
       fu.busyUntil = std::max(
           txn.completesAtCycle,
           cycle_ + static_cast<std::uint64_t>(fu.config.latency));
@@ -1293,20 +1253,21 @@ void Simulation::StageIssue() {
     // readiness scan stops instead of walking every waiting entry.
     int freeUnits = 0;
     for (const std::uint32_t fuIndex : kindFus) {
-      if (!fus_[fuIndex].current) ++freeUnits;
+      if (fus_[fuIndex].current == kNoSlot) ++freeUnits;
     }
     if (freeUnits == 0) continue;
 
     std::size_t issued = 0;
-    for (const InFlightPtr& inst : window) {
+    for (const Slot slot : window) {
       if (freeUnits == 0) break;
+      InFlight& inst = *inFlight_[slot];
       // Readiness: all source operands captured. Stores only need their
       // address inputs here; the data operand (index 0) may arrive later.
       bool ready = true;
-      const bool isStore = inst->IsStore();
-      for (std::size_t i = 0; i < inst->operandCount; ++i) {
+      const bool isStore = inst.IsStore();
+      for (std::size_t i = 0; i < inst.operandCount; ++i) {
         if (isStore && i == 0) continue;
-        if (inst->operands[i].isSource && !inst->operands[i].ready) {
+        if (inst.operands[i].isSource && !inst.operands[i].ready) {
           ready = false;
           break;
         }
@@ -1318,12 +1279,12 @@ void Simulation::StageIssue() {
       std::uint32_t latency = 0;
       for (const std::uint32_t fuIndex : kindFus) {
         FunctionalUnit& fu = fus_[fuIndex];
-        if (fu.current) continue;
+        if (fu.current != kNoSlot) continue;
         if (fuKind == config::FunctionalUnitConfig::Kind::kFx ||
             fuKind == config::FunctionalUnitConfig::Kind::kFp) {
           const std::uint32_t opLatency =
               fu.latencyByClass[static_cast<std::size_t>(
-                  inst->inst->def->opClass)];
+                  inst.inst->def->opClass)];
           if (opLatency == 0) continue;  // unit does not support the op
           chosen = &fu;
           latency = opLatency;
@@ -1335,10 +1296,10 @@ void Simulation::StageIssue() {
       }
       if (chosen == nullptr) continue;
 
-      chosen->current = inst;
+      chosen->current = slot;
       chosen->busyUntil = cycle_ + latency;
-      inst->phase = Phase::kExecuting;
-      inst->issueCycle = cycle_;
+      inst.phase = Phase::kExecuting;
+      inst.issueCycle = cycle_;
       ++stats_.issuedInstructions;
       ++stats_.unitUsage[chosen->statsIndex].instructions;
       --freeUnits;
@@ -1346,22 +1307,21 @@ void Simulation::StageIssue() {
     }
     if (issued > 0) {
       // One compaction pass instead of an O(n) vector erase per issue.
-      window.erase(std::remove_if(window.begin(), window.end(),
-                                  [](const InFlightPtr& inst) {
-                                    return inst->phase == Phase::kExecuting;
-                                  }),
-                   window.end());
+      std::erase_if(window, [&](Slot slot) {
+        return inFlight_[slot]->phase == Phase::kExecuting;
+      });
     }
   }
 }
 
 void Simulation::StageDecode() {
-  for (std::uint32_t slot = 0; slot < config_.buffers.fetchWidth; ++slot) {
+  for (std::uint32_t i = 0; i < config_.buffers.fetchWidth; ++i) {
     if (fetchQueue_.empty()) return;
-    // Borrow the queue head; it is moved into the ROB at dispatch (every
-    // early return below must leave the queue untouched).
-    const InFlightPtr& inst = fetchQueue_.front();
-    const PredecodedOp& pre = Predecoded(*inst);
+    // The queue head moves into the ROB at dispatch (every early return
+    // below must leave the queue untouched).
+    const Slot slot = fetchQueue_.front();
+    InFlight& inst = *inFlight_[slot];
+    const PredecodedOp& pre = Predecoded(inst);
     const isa::InstructionDescription& def = *pre.def;
 
     // ---- resource checks (all-or-nothing, then mutate) ----
@@ -1389,12 +1349,12 @@ void Simulation::StageDecode() {
     }
 
     // ---- rename ----
-    inst->operandCount = pre.operandCount;
+    inst.operandCount = pre.operandCount;
     // Sources first: an instruction reading and writing the same register
     // must see the *previous* mapping for its source.
     for (std::size_t i = 0; i < pre.operandCount; ++i) {
       const PredecodedOperand& arg = pre.operands[i];
-      OperandRuntime& runtime = inst->operands[i];
+      OperandRuntime& runtime = inst.operands[i];
       runtime = OperandRuntime{};
       switch (arg.kind) {
         case PredecodedOperand::Kind::kDest:
@@ -1431,19 +1391,18 @@ void Simulation::StageDecode() {
       if (pre.operands[i].kind != PredecodedOperand::Kind::kDest) continue;
       auto allocation = rename_.AllocateAndMap(pre.operands[i].reg);
       // FreeCount was checked above; allocation cannot fail here.
-      inst->operands[i].destTag = allocation->first;
-      inst->operands[i].prevTag = allocation->second;
+      inst.operands[i].destTag = allocation->first;
+      inst.operands[i].prevTag = allocation->second;
     }
 
     // ---- dispatch ----
-    inst->phase = Phase::kDecoded;
-    inst->decodeCycle = cycle_;
-    window.push_back(inst);
-    if (def.mem.isLoad) loadBuffer_.push_back(inst);
-    if (def.mem.isStore) storeBuffer_.push_back(inst);
+    inst.phase = Phase::kDecoded;
+    inst.decodeCycle = cycle_;
+    window.push_back(slot);
+    if (def.mem.isLoad) loadBuffer_.push_back(slot);
+    if (def.mem.isStore) storeBuffer_.push_back(slot);
     ++stats_.decodedInstructions;
-    // Last use of `inst` (it aliases the queue head): move it into the ROB.
-    rob_.push_back(std::move(fetchQueue_.front()));
+    rob_.push_back(slot);
     fetchQueue_.pop_front();
   }
 }
@@ -1454,20 +1413,21 @@ void Simulation::StageFetch() {
   if (fetchQueue_.size() >= config_.buffers.fetchWidth) return;
 
   std::uint32_t jumpsFollowed = 0;
-  for (std::uint32_t slot = 0; slot < config_.buffers.fetchWidth; ++slot) {
+  for (std::uint32_t i = 0; i < config_.buffers.fetchWidth; ++i) {
     if (pc_ % 4 != 0) return;  // wild redirect target: fetch nothing
     const std::uint32_t index = pc_ / 4;
     if (index >= loaded_.program.instructions.size()) return;
 
     const assembler::Instruction& decoded = loaded_.program.instructions[index];
     const PredecodedOp& pre = predecoded_[index];
-    auto inst = std::make_shared<InFlight>();
-    inst->seq = nextSeq_++;
-    inst->inst = &decoded;
-    inst->pc = pc_;
-    inst->phase = Phase::kFetched;
-    inst->fetchCycle = cycle_;
-    inst->isControl = pre.isControl;
+    const Slot slot = AddInFlight();
+    InFlight& inst = *inFlight_[slot];
+    inst.seq = nextSeq_++;
+    inst.inst = &decoded;
+    inst.pc = pc_;
+    inst.phase = Phase::kFetched;
+    inst.fetchCycle = cycle_;
+    inst.isControl = pre.isControl;
 
     std::uint32_t nextPc = pc_ + 4;
     bool stopAfter = false;
@@ -1480,9 +1440,9 @@ void Simulation::StageFetch() {
             predictor_.Predict(pc_);
         ++stats_.btbLookups;
         if (prediction.target.has_value()) ++stats_.btbHits;
-        inst->predictedTaken = prediction.predictTaken;
-        inst->historyCheckpoint = prediction.historyCheckpoint;
-        inst->btbHit = prediction.target.has_value();
+        inst.predictedTaken = prediction.predictTaken;
+        inst.historyCheckpoint = prediction.historyCheckpoint;
+        inst.btbHit = prediction.target.has_value();
         predictor_.SpeculateOutcome(pc_, prediction.predictTaken);
         if (prediction.predictTaken) {
           nextPc = pc_ + static_cast<std::uint32_t>(pre.branchImm);
@@ -1494,7 +1454,7 @@ void Simulation::StageFetch() {
       }
       case isa::BranchKind::kUnconditionalDirect: {
         // jal: the fetch unit decodes the target directly.
-        inst->predictedTaken = true;
+        inst.predictedTaken = true;
         nextPc = pc_ + static_cast<std::uint32_t>(pre.branchImm);
         if (++jumpsFollowed >= config_.buffers.fetchBranchFollowLimit) {
           stopAfter = true;
@@ -1507,15 +1467,15 @@ void Simulation::StageFetch() {
         ++stats_.btbLookups;
         if (prediction.target.has_value()) {
           ++stats_.btbHits;
-          inst->predictedTaken = true;
-          inst->btbHit = true;
+          inst.predictedTaken = true;
+          inst.btbHit = true;
           nextPc = *prediction.target;
           if (++jumpsFollowed >= config_.buffers.fetchBranchFollowLimit) {
             stopAfter = true;
           }
         } else {
           // Unknown target: park fetch until the jalr resolves.
-          inst->stalledFetch = true;
+          inst.stalledFetch = true;
           fetchStalledIndirect_ = true;
           stopAfter = true;
           nextPc = pc_;  // placeholder; resolution redirects
@@ -1524,8 +1484,8 @@ void Simulation::StageFetch() {
       }
     }
 
-    inst->predictedNextPc = nextPc;
-    fetchQueue_.push_back(std::move(inst));
+    inst.predictedNextPc = nextPc;
+    fetchQueue_.push_back(slot);
     ++stats_.fetchedInstructions;
     pc_ = nextPc;
     if (stopAfter) return;
@@ -1554,7 +1514,7 @@ void Simulation::Step() {
 
   // Busy-cycle accounting: a unit occupied at end-of-cycle was busy.
   for (const FunctionalUnit& fu : fus_) {
-    if (fu.current) ++stats_.unitUsage[fu.statsIndex].busyCycles;
+    if (fu.current != kNoSlot) ++stats_.unitUsage[fu.statsIndex].busyCycles;
   }
 
   // Termination: the pipeline drained with nothing left to fetch.

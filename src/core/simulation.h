@@ -115,7 +115,7 @@ struct FunctionalUnit {
   config::FunctionalUnitConfig config;
   std::array<std::uint32_t, kOpClassCount> latencyByClass{};
   std::size_t statsIndex = 0;     ///< index into statistics().unitUsage
-  InFlightPtr current;            ///< instruction in execution, if any
+  Slot current = kNoSlot;         ///< instruction in execution, if any
   std::uint64_t busyUntil = 0;    ///< cycle the current instruction finishes
 };
 
@@ -136,11 +136,10 @@ struct FastForwardSeed {
 
 /// Complete copyable snapshot of a Simulation's mutable state.
 ///
-/// Every pipeline container holds deep copies of its InFlight entries —
-/// cloned with aliasing preserved, so an instruction sitting in both the
-/// ROB and a load buffer is one shared object inside the snapshot, but the
-/// snapshot shares nothing with the live run. Restoring clones again, so
-/// one snapshot can seed many restores (checkpoint ring, session forks).
+/// Every field is a value: the in-flight table and the slot containers
+/// that index it are copied as they are, so the snapshot shares nothing
+/// with the live run and one snapshot can seed many restores (checkpoint
+/// ring, session forks).
 struct SimSnapshot {
   std::uint64_t cycle = 0;
   std::uint64_t nextSeq = 1;
@@ -151,12 +150,13 @@ struct SimSnapshot {
   FinishReason finishReason = FinishReason::kNone;
   std::optional<Error> fault;
 
-  std::deque<InFlightPtr> fetchQueue;
-  std::deque<InFlightPtr> rob;
-  std::array<std::vector<InFlightPtr>, 4> windows;
-  std::deque<InFlightPtr> loadBuffer;
-  std::deque<InFlightPtr> storeBuffer;
-  std::vector<InFlightPtr> fuCurrent;      ///< per functional unit
+  InFlightTable inFlight;
+  std::deque<Slot> fetchQueue;
+  std::deque<Slot> rob;
+  std::array<std::vector<Slot>, 4> windows;
+  std::deque<Slot> loadBuffer;
+  std::deque<Slot> storeBuffer;
+  std::vector<Slot> fuCurrent;             ///< per functional unit
   std::vector<std::uint64_t> fuBusyUntil;  ///< per functional unit
 
   ArchRegisterFile::State arch;
@@ -254,8 +254,8 @@ class Simulation {
 
   // --- explicit state -------------------------------------------------------
 
-  /// Captures the complete mutable state. The snapshot shares nothing with
-  /// the live run (InFlight entries are deep-copied, aliasing preserved).
+  /// Captures the complete mutable state, as values: the snapshot shares
+  /// nothing with the live run.
   SimSnapshot SaveState() const { return SaveStateImpl(true); }
 
   /// Restores a snapshot previously captured from an identical
@@ -301,13 +301,17 @@ class Simulation {
   SimLog& log() { return log_; }
   const SimLog& log() const { return log_; }
 
-  const std::deque<InFlightPtr>& fetchQueue() const { return fetchQueue_; }
-  const std::deque<InFlightPtr>& rob() const { return rob_; }
-  const std::vector<InFlightPtr>& window(WindowKind kind) const {
+  /// The in-flight instructions; the containers below and the busy units
+  /// hold slots into it, and every live entry is held by one of them.
+  const InFlightTable& inFlight() const { return inFlight_; }
+  const InFlight& inFlight(Slot slot) const { return *inFlight_[slot]; }
+  const std::deque<Slot>& fetchQueue() const { return fetchQueue_; }
+  const std::deque<Slot>& rob() const { return rob_; }
+  const std::vector<Slot>& window(WindowKind kind) const {
     return windows_[static_cast<std::size_t>(kind)];
   }
-  const std::deque<InFlightPtr>& loadBuffer() const { return loadBuffer_; }
-  const std::deque<InFlightPtr>& storeBuffer() const { return storeBuffer_; }
+  const std::deque<Slot>& loadBuffer() const { return loadBuffer_; }
+  const std::deque<Slot>& storeBuffer() const { return storeBuffer_; }
   const std::vector<FunctionalUnit>& functionalUnits() const { return fus_; }
 
   /// Optional commit-order trace: every committed PC is appended to
@@ -349,17 +353,20 @@ class Simulation {
   void StageDecode();
   void StageFetch();
 
+  /// Gives a fetched instruction a slot, reusing a free one when it can.
+  /// The table may grow, so no InFlight& may be held across this call.
+  Slot AddInFlight();
+  void ReleaseInFlight(Slot slot);
+
   // Helpers.
-  void FinalizeAlu(const InFlightPtr& inst);
-  void FinalizeAddressGen(const InFlightPtr& inst);
-  void ResolveBranch(const InFlightPtr& inst,
-                     std::vector<InFlightPtr>& mispredicts);
-  void CompleteLoad(const InFlightPtr& inst);
-  void WriteDestinations(const InFlightPtr& inst,
-                         const expr::EvalResult& result);
+  void FinalizeAlu(InFlight& inst);
+  void FinalizeAddressGen(InFlight& inst);
+  /// Returns whether fetch must be redirected after `inst`.
+  bool ResolveBranch(InFlight& inst);
+  void CompleteLoad(InFlight& inst);
+  void WriteDestinations(InFlight& inst, const expr::EvalResult& result);
   /// Single-destination write-back used by the FastForm ALU path.
-  void WriteDest(const InFlightPtr& inst, int argIndex,
-                 const expr::Value& value);
+  void WriteDest(InFlight& inst, int argIndex, const expr::Value& value);
   void WakeUp(int tag, std::uint64_t cell);
   void FlushYoungerThan(std::uint64_t seq, std::uint32_t newPc);
   void Finish(FinishReason reason);
@@ -413,11 +420,20 @@ class Simulation {
   FinishReason finishReason_ = FinishReason::kNone;
   std::optional<Error> fault_;
 
-  std::deque<InFlightPtr> fetchQueue_;
-  std::deque<InFlightPtr> rob_;
-  std::array<std::vector<InFlightPtr>, 4> windows_;
-  std::deque<InFlightPtr> loadBuffer_;
-  std::deque<InFlightPtr> storeBuffer_;
+  /// Who releases a slot: commit releases every instruction but a store;
+  /// a store is released when its drain completes (StageComplete's memory
+  /// unit); a flush releases each squashed fetch-queue entry and each ROB
+  /// entry it pops. Window, buffer and unit entries are ROB entries, so
+  /// nothing else releases. Live entries never exceed robSize +
+  /// 2 * fetchWidth + storeBufferSize.
+  InFlightTable inFlight_;
+  /// The empty entries of inFlight_.
+  std::vector<Slot> freeSlots_;  // snapshot: derived
+  std::deque<Slot> fetchQueue_;
+  std::deque<Slot> rob_;
+  std::array<std::vector<Slot>, 4> windows_;
+  std::deque<Slot> loadBuffer_;
+  std::deque<Slot> storeBuffer_;
   std::vector<FunctionalUnit> fus_;
   /// Indices into fus_ of the units each issue window can dispatch to,
   /// grouped once at construction (issue never scans foreign-kind units).

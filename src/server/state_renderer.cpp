@@ -57,40 +57,26 @@ void WriteInstruction(json::Writer& w, const core::InFlight* inst) {
 
 /// A container as the `seq`s of its instructions, in container order.
 template <typename Queue>
-void WriteSeqs(json::Writer& w, const Queue& queue) {
+void WriteSeqs(json::Writer& w, const core::Simulation& sim,
+               const Queue& queue) {
   w.BeginArray();
-  for (const core::InFlightPtr& inst : queue) {
-    w.Int(static_cast<std::int64_t>(inst->seq));
+  for (const core::Slot slot : queue) {
+    w.Int(static_cast<std::int64_t>(sim.inFlight(slot).seq));
   }
   w.EndArray();
 }
 
-/// Every in-flight instruction the containers and busy units hold, each
-/// object once, in ascending `seq`. One instruction sits in several
-/// containers at once (the ROB, a window, a buffer, a unit), and the
-/// fetch queue and a committed store are in no ROB, so the table is the
-/// union of all of them. It deduplicates by object, not by `seq`: two
-/// objects that share a `seq` both stay, and a reader sees the fault.
-std::vector<const core::InFlight*> InFlightTable(const core::Simulation& sim) {
+/// The simulation's live in-flight instructions, in ascending `seq`. Two
+/// entries that share a `seq` both stay, and a reader sees the fault.
+std::vector<const core::InFlight*> InFlightBySeq(const core::Simulation& sim) {
   std::vector<const core::InFlight*> table;
-  const auto collect = [&](const auto& queue) {
-    for (const core::InFlightPtr& inst : queue) table.push_back(inst.get());
-  };
-  collect(sim.fetchQueue());
-  collect(sim.rob());
-  collect(sim.loadBuffer());
-  collect(sim.storeBuffer());
-  for (int kind = 0; kind < 4; ++kind) {
-    collect(sim.window(static_cast<core::WindowKind>(kind)));
-  }
-  for (const core::FunctionalUnit& fu : sim.functionalUnits()) {
-    if (fu.current) table.push_back(fu.current.get());
+  for (const std::optional<core::InFlight>& entry : sim.inFlight()) {
+    if (entry.has_value()) table.push_back(&*entry);
   }
   std::stable_sort(table.begin(), table.end(),
                    [](const core::InFlight* a, const core::InFlight* b) {
                      return a->seq < b->seq;
                    });
-  table.erase(std::unique(table.begin(), table.end()), table.end());
   return table;
 }
 
@@ -123,19 +109,19 @@ json::Json RenderJson(const core::Simulation& sim,
   w.Key("fetchPc").Int(sim.fetchPc());
 
   w.Key("instructions").BeginArray();
-  for (const core::InFlight* inst : InFlightTable(sim)) {
+  for (const core::InFlight* inst : InFlightBySeq(sim)) {
     WriteInstruction(w, inst);
   }
   w.EndArray();
-  WriteSeqs(w.Key("fetchQueue"), sim.fetchQueue());
-  WriteSeqs(w.Key("reorderBuffer"), sim.rob());
-  WriteSeqs(w.Key("loadBuffer"), sim.loadBuffer());
-  WriteSeqs(w.Key("storeBuffer"), sim.storeBuffer());
+  WriteSeqs(w.Key("fetchQueue"), sim, sim.fetchQueue());
+  WriteSeqs(w.Key("reorderBuffer"), sim, sim.rob());
+  WriteSeqs(w.Key("loadBuffer"), sim, sim.loadBuffer());
+  WriteSeqs(w.Key("storeBuffer"), sim, sim.storeBuffer());
 
   w.Key("issueWindows").BeginObject();
   for (int kind = 0; kind < 4; ++kind) {
     const auto window = static_cast<core::WindowKind>(kind);
-    WriteSeqs(w.Key(WindowName(window)), sim.window(window));
+    WriteSeqs(w.Key(WindowName(window)), sim, sim.window(window));
   }
   w.EndObject();
 
@@ -144,9 +130,10 @@ json::Json RenderJson(const core::Simulation& sim,
     w.BeginObject();
     w.Key("name").String(fu.config.name);
     w.Key("kind").String(config::ToString(fu.config.kind));
-    w.Key("busy").Bool(fu.current != nullptr);
-    if (fu.current) {
-      w.Key("instruction").Int(static_cast<std::int64_t>(fu.current->seq));
+    w.Key("busy").Bool(fu.current != core::kNoSlot);
+    if (fu.current != core::kNoSlot) {
+      w.Key("instruction")
+          .Int(static_cast<std::int64_t>(sim.inFlight(fu.current).seq));
       w.Key("busyUntil").Int(static_cast<std::int64_t>(fu.busyUntil));
     }
     w.EndObject();
@@ -273,10 +260,11 @@ std::string RenderText(const core::Simulation& sim) {
 
   auto renderQueue = [&](const char* name, const auto& queue) {
     out += StrFormat("[%s]", name);
-    for (const core::InFlightPtr& inst : queue) {
+    for (const core::Slot slot : queue) {
+      const core::InFlight& inst = sim.inFlight(slot);
       out += StrFormat(" {%llu:0x%x %s}",
-                       static_cast<unsigned long long>(inst->seq), inst->pc,
-                       inst->inst->text.c_str());
+                       static_cast<unsigned long long>(inst.seq), inst.pc,
+                       inst.inst->text.c_str());
     }
     out += '\n';
   };
@@ -287,9 +275,9 @@ std::string RenderText(const core::Simulation& sim) {
   }
   out += "[Units ]";
   for (const core::FunctionalUnit& fu : sim.functionalUnits()) {
-    if (fu.current) {
+    if (fu.current != core::kNoSlot) {
       out += StrFormat(" %s<%s until %llu>", fu.config.name.c_str(),
-                       fu.current->inst->text.c_str(),
+                       sim.inFlight(fu.current).inst->text.c_str(),
                        static_cast<unsigned long long>(fu.busyUntil));
     } else {
       out += StrFormat(" %s<idle>", fu.config.name.c_str());

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/strings.h"
@@ -191,29 +190,29 @@ void ForEachContainer(Snapshot& s, const config::CpuConfig& config,
   visit(s.fuCurrent, config.functionalUnits.size(), true);
 }
 
-/// Every InFlight reachable from the containers, deduplicated in
-/// first-seen order; the containers then travel as index lists into this
-/// table, which preserves aliasing across decode.
+/// Every in-flight instruction the containers hold, in first-seen order;
+/// the containers then travel as index lists into this table, so an
+/// instruction held by several containers is one entry.
 bool InFlightTable(Writer& w, const core::SimSnapshot& s,
                    const CodecContext& context) {
-  std::vector<const core::InFlight*> entries;
-  std::unordered_map<const core::InFlight*, std::uint32_t> indexOf;
+  std::vector<core::Slot> entries;
+  std::vector<std::uint32_t> indexOf(s.inFlight.size(), kNullIndex);
   ForEachContainer(s, *context.config, [&](const auto& container, auto, auto) {
-    for (const core::InFlightPtr& inst : container) {
-      const auto next = static_cast<std::uint32_t>(entries.size());
-      if (inst != nullptr && indexOf.emplace(inst.get(), next).second) {
-        entries.push_back(inst.get());
+    for (const core::Slot slot : container) {
+      if (slot != core::kNoSlot && indexOf[slot] == kNullIndex) {
+        indexOf[slot] = static_cast<std::uint32_t>(entries.size());
+        entries.push_back(slot);
       }
     }
   });
   w.U32(static_cast<std::uint32_t>(entries.size()));
-  for (const core::InFlight* inst : entries) {
-    InFlightRecord(w, *inst, context);
+  for (const core::Slot slot : entries) {
+    InFlightRecord(w, *s.inFlight[slot], context);
   }
   ForEachContainer(s, *context.config, [&](const auto& container, auto, auto) {
     w.U32(static_cast<std::uint32_t>(container.size()));
-    for (const core::InFlightPtr& inst : container) {
-      w.U32(inst == nullptr ? kNullIndex : indexOf.at(inst.get()));
+    for (const core::Slot slot : container) {
+      w.U32(slot == core::kNoSlot ? kNullIndex : indexOf[slot]);
     }
   });
   return true;
@@ -222,16 +221,16 @@ bool InFlightTable(Writer& w, const core::SimSnapshot& s,
 /// A list may not exceed its container's capacity, and may not name one
 /// instruction twice (aliasing is only legitimate *across* containers), so
 /// a checksum-correct but hostile blob cannot oversize a buffer or
-/// double-commit an instruction.
+/// double-commit an instruction. An entry takes a slot at its first
+/// reference; one that no container names is dropped.
 bool InFlightTable(Reader& r, core::SimSnapshot& s,
                    const CodecContext& context) {
   const std::uint32_t count = r.Count(40);
-  std::vector<core::InFlightPtr> table;
-  table.reserve(count);
+  std::vector<core::InFlight> table;
   for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    table.push_back(std::make_shared<core::InFlight>());
-    InFlightRecord(r, *table.back(), context);
+    InFlightRecord(r, table.emplace_back(), context);
   }
+  std::vector<core::Slot> slotOf(table.size(), core::kNoSlot);
   ForEachContainer(s, *context.config, [&](auto& container,
                                           std::size_t capacity,
                                           bool allowNull) {
@@ -247,7 +246,7 @@ bool InFlightTable(Reader& r, core::SimSnapshot& s,
       if (!r.ok()) return;
       if (index == kNullIndex) {
         if (!r.Check(allowNull, "unexpected null in-flight reference")) return;
-        container.push_back(nullptr);
+        container.push_back(core::kNoSlot);
         continue;
       }
       if (!r.Check(index < table.size(), "in-flight table index out of range") ||
@@ -256,7 +255,11 @@ bool InFlightTable(Reader& r, core::SimSnapshot& s,
         return;
       }
       seen[index] = true;
-      container.push_back(table[index]);
+      if (slotOf[index] == core::kNoSlot) {
+        slotOf[index] = static_cast<core::Slot>(s.inFlight.size());
+        s.inFlight.emplace_back(std::move(table[index]));
+      }
+      container.push_back(slotOf[index]);
     }
   });
   return r.ok();

@@ -23,10 +23,9 @@
 // checking Reader runs to decode (snapshot/wire.h), so a field cannot be
 // written without being read.
 //
-// In-flight instructions are encoded as a deduplicated table plus index
-// lists per pipeline container, preserving the aliasing RestoreState
-// relies on (one instruction sitting in the ROB and a load buffer decodes
-// back into one shared object).
+// In-flight instructions are encoded as a table plus index lists per
+// pipeline container, as the simulation holds them (one instruction
+// sitting in the ROB and a load buffer decodes back into one table entry).
 //
 // The config hash covers the state-shaping configuration only: checkpoint
 // settings and the display name are normalized away, so a server may

@@ -5,12 +5,14 @@
 // forward commit trace — versus full re-execution from reset, including
 // across checkpoint boundaries and right after flush/mispredict cycles.
 #include <cstring>
+#include <set>
 
 #include <gtest/gtest.h>
 
 #include "core/checkpoint_ring.h"
 #include "ref/progen.h"
 #include "server/state_renderer.h"
+#include "snapshot/session.h"
 #include "test_util.h"
 
 namespace rvss::core {
@@ -180,9 +182,9 @@ TEST(SimState, SnapshotSharesNothingWithLiveRun) {
   const SimSnapshot snapshot = sim->SaveState();
   const std::string reference = RenderDump(*sim);
 
-  // Mutating the live run (which holds InFlight objects the snapshot
-  // cloned) and restoring repeatedly must keep reproducing the reference:
-  // the snapshot is a deep copy, and each restore re-clones it.
+  // Mutating the live run and restoring repeatedly must keep reproducing
+  // the reference: the snapshot holds values, and each restore copies
+  // them.
   for (int round = 0; round < 3; ++round) {
     StepN(*sim, 50 + 13 * static_cast<std::uint64_t>(round));
     sim->RestoreState(snapshot);
@@ -415,6 +417,85 @@ TEST(CheckpointBudget, DisabledIntervalFallsBackToFullReplay) {
   ASSERT_NE(reference, nullptr);
   StepN(*reference, 99);
   ExpectIdenticalState(*sim, *reference, "disabled checkpoints");
+}
+
+// ---- the in-flight table ---------------------------------------------------
+
+/// The table's liveness invariant: its live entries are exactly the slots
+/// the fetch queue, the ROB, the issue windows, the LS buffers and the busy
+/// units hold, and it never grows past robSize + 2 * fetchWidth +
+/// storeBufferSize entries.
+void ExpectTableMatchesContainers(const Simulation& sim,
+                                  const std::string& label) {
+  std::set<Slot> live;
+  for (Slot slot = 0; slot < sim.inFlight().size(); ++slot) {
+    if (sim.inFlight()[slot].has_value()) live.insert(slot);
+  }
+  ASSERT_EQ(live, testutil::HeldSlots(sim))
+      << label << " at cycle " << sim.cycle();
+  const config::CpuConfig& config = sim.config();
+  ASSERT_LE(sim.inFlight().size(),
+            config.buffers.robSize + 2 * config.buffers.fetchWidth +
+                config.memory.storeBufferSize)
+      << label << " at cycle " << sim.cycle();
+}
+
+/// Steps `source` under `config` to the end (or 4,000 cycles), checking
+/// the table after every step, after a step back every 97 steps, after
+/// one restore of a ring checkpoint and after one export/import (under
+/// the default configuration the generated programs run 230-690
+/// cycles).
+void CheckTableLiveness(const std::string& source, config::CpuConfig config,
+                        const std::string& label) {
+  config.checkpoint.intervalCycles = 64;
+  std::unique_ptr<Simulation> sim = MustCreate(source, config);
+  ASSERT_NE(sim, nullptr) << label;
+  bool restored = false;
+  bool imported = false;
+  for (std::uint64_t steps = 1;
+       sim->status() == SimStatus::kRunning && sim->cycle() < 4'000; ++steps) {
+    sim->Step();
+    ASSERT_NO_FATAL_FAILURE(ExpectTableMatchesContainers(*sim, label));
+    if (steps % 97 == 0) {
+      ASSERT_TRUE(sim->StepBack().ok()) << label;
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectTableMatchesContainers(*sim, label + " stepBack"));
+    }
+    if (!restored && sim->cycle() >= 150) {
+      restored = true;
+      const CheckpointRing::Entry* entry =
+          sim->checkpoints().FindAtOrBefore(sim->cycle() - 1);
+      ASSERT_NE(entry, nullptr) << label;
+      sim->RestoreState(*sim->checkpoints().Materialize(*entry));
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectTableMatchesContainers(*sim, label + " restore"));
+    }
+    if (!imported && sim->cycle() >= 200) {
+      imported = true;
+      auto blob = snapshot::ImportSessionBlob(snapshot::EncodeSessionBlob(
+          *sim, snapshot::MakeIdentity(*sim, source, "main", "")));
+      ASSERT_TRUE(blob.ok()) << label << ": " << blob.error().ToText();
+      sim = std::move(blob.value().sim);
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectTableMatchesContainers(*sim, label + " import"));
+    }
+  }
+}
+
+TEST(InFlightTable, LiveEntriesAreExactlyTheHeldSlots) {
+  const std::pair<const char*, config::CpuConfig> configs[] = {
+      {"default", config::DefaultConfig()},
+      {"scalar", config::ScalarConfig()},
+      {"wide", config::WideConfig()}};
+  for (const auto& [name, config] : configs) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      ASSERT_NO_FATAL_FAILURE(CheckTableLiveness(
+          ref::GenerateProgram(seed), config,
+          "seed" + std::to_string(seed) + "/" + name));
+    }
+    ASSERT_NO_FATAL_FAILURE(CheckTableLiveness(
+        kBranchyMemory, config, std::string("branchyMemory/") + name));
+  }
 }
 
 }  // namespace

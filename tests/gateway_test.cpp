@@ -27,12 +27,14 @@
 #include <dirent.h>
 #include <future>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cli/cli.h"
 #include "common/socket.h"
 #include "gateway/gateway.h"
 #include "json/json.h"
@@ -607,6 +609,37 @@ TEST(Gateway, ShutdownGatewayAcknowledgesThenClosesEveryConnection) {
   const auto start = std::chrono::steady_clock::now();
   gw.gateway->Stop();
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+}
+
+TEST(Gateway, SpawningGatewayRefusesToForkBesideItsThreads) {
+  // `rvss --gateway --spawn-workers` forks its workers before any thread
+  // starts. An addWorker without an address would fork from a connection
+  // thread while others run, so it is refused; one with an address is not.
+  const std::string address = shard::MakeWorkerAddress("gwcli");
+  std::ostringstream out;
+  std::ostringstream err;
+  int exitCode = -1;
+  std::thread gateway([&] {
+    exitCode = cli::RunCli(
+        {"rvss", "--gateway", address, "--spawn-workers", "1"}, out, err);
+  });
+  Client client(address);  // connecting retries until the gateway listens
+  ASSERT_TRUE(client.socket.valid());
+
+  const json::Json refused = client.Call(Cmd("addWorker"));
+  testutil::CheckErrorEnvelope(refused);
+  EXPECT_EQ(testutil::ErrorField(refused, "kind"), "invalid_argument")
+      << refused.Dump();
+  EXPECT_NE(testutil::ErrorField(refused, "message").find("rvss --worker"),
+            std::string::npos)
+      << refused.Dump();
+  const json::Json stats = client.Call(Cmd("workerStats"));
+  EXPECT_EQ(stats.Find("workers")->AsArray().size(), 1u) << stats.Dump();
+
+  EXPECT_EQ(client.Call(Cmd("shutdownGateway")).GetString("status", ""), "ok");
+  gateway.join();
+  EXPECT_EQ(exitCode, 0) << err.str();
+  ::unlink(address.substr(5).c_str());  // strip "unix:"
 }
 
 TEST(Gateway, StopReturnsPromptlyWithIdleAndStalledClients) {

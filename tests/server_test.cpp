@@ -1,7 +1,6 @@
 // Server-layer tests: slz compression, the JSON API, state rendering and
 // the virtual-time load model.
 #include <map>
-#include <set>
 
 #include <gtest/gtest.h>
 
@@ -403,25 +402,6 @@ TEST(Renderer, JsonSnapshotHasAllBlocks) {
   EXPECT_EQ(state.Find("registers")->Find("x")->AsArray().size(), 32u);
 }
 
-/// Every distinct in-flight object the containers and busy units hold.
-std::set<const core::InFlight*> InFlightObjects(const core::Simulation& sim) {
-  std::set<const core::InFlight*> objects;
-  const auto collect = [&](const auto& queue) {
-    for (const core::InFlightPtr& inst : queue) objects.insert(inst.get());
-  };
-  collect(sim.fetchQueue());
-  collect(sim.rob());
-  collect(sim.loadBuffer());
-  collect(sim.storeBuffer());
-  for (int kind = 0; kind < 4; ++kind) {
-    collect(sim.window(static_cast<core::WindowKind>(kind)));
-  }
-  for (const core::FunctionalUnit& fu : sim.functionalUnits()) {
-    if (fu.current) objects.insert(fu.current.get());
-  }
-  return objects;
-}
-
 /// The apiVersion 3 shape of `sim`'s render: `instructions` holds each
 /// in-flight object once, in ascending `seq`; every container and busy
 /// unit refers to an entry by its `seq`, in the simulation's order; and
@@ -439,7 +419,8 @@ void ExpectNormalizedState(const core::Simulation& sim,
     previous = seq;
     references.emplace(seq, 0);
   }
-  EXPECT_EQ(table->AsArray().size(), InFlightObjects(sim).size()) << label;
+  EXPECT_EQ(table->AsArray().size(), testutil::HeldSlots(sim).size())
+      << label;
 
   const auto refer = [&](const json::Json& ref, const core::InFlight& inst,
                          const std::string& where) {
@@ -456,7 +437,7 @@ void ExpectNormalizedState(const core::Simulation& sim,
     ASSERT_NE(refs, nullptr) << label << " " << name;
     ASSERT_EQ(refs->AsArray().size(), queue.size()) << label << " " << name;
     for (std::size_t i = 0; i < queue.size(); ++i) {
-      refer(refs->AsArray()[i], *queue[i], label + " " + name);
+      refer(refs->AsArray()[i], sim.inFlight(queue[i]), label + " " + name);
     }
   };
   container(state.Find("fetchQueue"), sim.fetchQueue(), "fetchQueue");
@@ -478,9 +459,12 @@ void ExpectNormalizedState(const core::Simulation& sim,
   ASSERT_EQ(units->AsArray().size(), sim.functionalUnits().size()) << label;
   for (std::size_t i = 0; i < units->AsArray().size(); ++i) {
     const json::Json* ref = units->AsArray()[i].Find("instruction");
-    const core::InFlightPtr& current = sim.functionalUnits()[i].current;
-    ASSERT_EQ(ref != nullptr, current != nullptr) << label << " unit " << i;
-    if (current) refer(*ref, *current, label + " unit " + std::to_string(i));
+    const core::Slot current = sim.functionalUnits()[i].current;
+    ASSERT_EQ(ref != nullptr, current != core::kNoSlot)
+        << label << " unit " << i;
+    if (current != core::kNoSlot) {
+      refer(*ref, sim.inFlight(current), label + " unit " + std::to_string(i));
+    }
   }
 
   for (const auto& [seq, count] : references) {
@@ -510,8 +494,8 @@ TEST(Renderer, JsonStateListsEachInFlightInstructionOnce) {
   }
 
   // A state restored from a checkpoint, and one rebuilt from a session
-  // blob: a restore that split one instruction into two objects would
-  // show as two entries with one seq.
+  // blob: a restore that split one instruction into two table entries
+  // would show as two entries with one seq.
   const std::string source = ref::GenerateProgram(1);
   auto sim = core::Simulation::Create(config::DefaultConfig(), source,
                                       {{}, "main"});

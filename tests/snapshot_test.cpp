@@ -5,6 +5,7 @@
 // server's exportSession/importSession commands including the
 // SimServer::Limits checkpoint-budget override, and the CLI
 // --save-snapshot/--load-snapshot flags.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -174,9 +175,8 @@ TEST(SnapshotCodec, EncodeIsDeterministic) {
 
 TEST(SnapshotCodec, PreservesInFlightAliasing) {
   // A load sits in the ROB and the load buffer simultaneously; after a
-  // decode round trip both containers must reference one object, so a
-  // mutation through one is visible through the other (RestoreState's
-  // cloning depends on this to keep the pipeline consistent).
+  // decode round trip both containers must hold one table slot, so a
+  // mutation through one is visible through the other.
   auto sim = MustCreate(kBranchyMemory, TestConfig());
   ASSERT_NE(sim, nullptr);
   for (int step = 0; step < 2000 && sim->loadBuffer().empty(); ++step) {
@@ -190,16 +190,23 @@ TEST(SnapshotCodec, PreservesInFlightAliasing) {
   ASSERT_TRUE(decoded.ok()) << decoded.error().ToText();
   const core::SimSnapshot& snapshot = decoded.value();
   ASSERT_FALSE(snapshot.loadBuffer.empty());
-  const core::InFlightPtr& load = snapshot.loadBuffer.front();
+  const core::Slot load = snapshot.loadBuffer.front();
   bool aliased = false;
-  for (const core::InFlightPtr& inst : snapshot.rob) {
-    if (inst.get() == load.get()) aliased = true;
+  for (const core::Slot inst : snapshot.rob) {
+    if (inst == load) aliased = true;
   }
   EXPECT_TRUE(aliased)
-      << "load-buffer entry is not the same object as its ROB entry";
+      << "load-buffer entry is not the same table entry as its ROB entry";
 }
 
 // ---- hostile input ----------------------------------------------------------
+
+/// Adds a copy of the ROB head's instruction to `s`'s table and returns
+/// the copy's slot.
+core::Slot CopyOfRobHead(core::SimSnapshot& s) {
+  s.inFlight.push_back(s.inFlight[s.rob.front()]);
+  return static_cast<core::Slot>(s.inFlight.size() - 1);
+}
 
 TEST(SnapshotCodec, RejectsVersionBumpAndForeignConfigs) {
   auto sim = MustCreate(kBranchyMemory, TestConfig());
@@ -303,8 +310,7 @@ TEST(SnapshotCodec, RejectsDuplicateAndOversizedContainers) {
   // A ROB beyond its configured capacity.
   core::SimSnapshot oversized = sim->SaveState();
   while (oversized.rob.size() <= sim->config().buffers.robSize) {
-    oversized.rob.push_back(
-        std::make_shared<core::InFlight>(*oversized.rob.front()));
+    oversized.rob.push_back(CopyOfRobHead(oversized));
   }
   auto bigDecoded = DecodeSnapshot(EncodeSnapshot(oversized, context),
                                    context);
@@ -742,13 +748,13 @@ TEST(SnapshotCodec, EveryReachableDecodeCheckReportsItsOwnMessage) {
       static_cast<int>(sim->config().memory.renameRegisterCount);
   const assembler::Program& program = sim->program();
   const auto robHead = [](core::SimSnapshot& s) -> core::InFlight& {
-    return *s.rob.front();
+    return *s.inFlight[s.rob.front()];
   };
-  const auto withOperand = [](core::SimSnapshot& s) -> core::InFlight& {
-    for (const core::InFlightPtr& inst : s.rob) {
-      if (inst->operandCount > 0) return *inst;
+  const auto withOperand = [&](core::SimSnapshot& s) -> core::InFlight& {
+    for (const core::Slot slot : s.rob) {
+      if (s.inFlight[slot]->operandCount > 0) return *s.inFlight[slot];
     }
-    return *s.rob.front();
+    return robHead(s);
   };
   const auto badError = [] {
     return Error{static_cast<ErrorKind>(200), "doctored"};
@@ -788,11 +794,11 @@ TEST(SnapshotCodec, EveryReachableDecodeCheckReportsItsOwnMessage) {
       {"container larger than its configured capacity",
        [&](core::SimSnapshot& s) {
          while (s.rob.size() <= sim->config().buffers.robSize) {
-           s.rob.push_back(std::make_shared<core::InFlight>(*s.rob.front()));
+           s.rob.push_back(CopyOfRobHead(s));
          }
        }},
       {"unexpected null in-flight reference",
-       [](core::SimSnapshot& s) { s.rob.push_back(nullptr); }},
+       [](core::SimSnapshot& s) { s.rob.push_back(core::kNoSlot); }},
       {"duplicate in-flight reference within one container",
        [](core::SimSnapshot& s) { s.rob.push_back(s.rob.front()); }},
       {"functional-unit count does not match configuration",
@@ -907,6 +913,54 @@ TEST(SnapshotCodec, EveryReachableDecodeCheckReportsItsOwnMessage) {
   EXPECT_TRUE(DecodeSnapshot(Reseal(blob, payload), context).ok());
 }
 
+TEST(SnapshotCodec, DropsATableEntryNoContainerNames) {
+  // Only a spliced blob lists an instruction that no container names. It
+  // decodes, and the entry gets no slot: a restored session holds no
+  // instruction beyond its containers'.
+  auto sim = MustCreate(kBranchyMemory, TestConfig());
+  ASSERT_NE(sim, nullptr);
+  StepN(*sim, 137);
+  const CodecContext context{&sim->config(), &sim->program()};
+  const core::SimSnapshot snapshot = sim->SaveState();
+  const auto idle = std::find(snapshot.fuCurrent.begin(),
+                              snapshot.fuCurrent.end(), core::kNoSlot);
+  ASSERT_NE(idle, snapshot.fuCurrent.end()) << "no idle functional unit";
+
+  // An idle unit given a copy of the ROB head encodes the copy as the
+  // table's last entry; the unit's index is then the only word, counted
+  // from the end, that differs from the plain blob. Splicing the null
+  // index back leaves the entry in the table and in no container.
+  const auto unit =
+      static_cast<std::size_t>(idle - snapshot.fuCurrent.begin());
+  core::SimSnapshot named = snapshot;
+  named.fuCurrent[unit] = CopyOfRobHead(named);
+  const std::string plain = EncodeSnapshot(snapshot, context);
+  std::string spliced = EncodeSnapshot(named, context);
+  ASSERT_GT(spliced.size(), plain.size());
+  std::size_t fromEnd = 1;
+  while (plain[plain.size() - fromEnd] == spliced[spliced.size() - fromEnd]) {
+    ++fromEnd;
+  }
+  // Little-endian: the index's high byte is the last one that differs.
+  spliced.replace(spliced.size() - fromEnd - 3, 4, 4, '\xff');
+  constexpr std::size_t kHeaderBytes = 40;
+  auto decoded = DecodeSnapshot(
+      Reseal(spliced, std::string_view(spliced).substr(kHeaderBytes)),
+      context);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().ToText();
+  EXPECT_EQ(EncodeSnapshot(decoded.value(), context), plain);
+  EXPECT_EQ(decoded.value().inFlight.size(),
+            DecodeSnapshot(plain, context).value().inFlight.size());
+  for (const std::optional<core::InFlight>& entry : decoded.value().inFlight) {
+    EXPECT_TRUE(entry.has_value());
+  }
+  auto restored = MustCreate(kBranchyMemory, TestConfig());
+  ASSERT_NE(restored, nullptr);
+  restored->RestoreState(decoded.value());
+  EXPECT_EQ(server::RenderJson(*restored).Dump(),
+            server::RenderJson(*sim).Dump());
+}
+
 TEST(SnapshotCodec, EveryErrorKindRoundTripsAsFaultAndInFlightException) {
   // Whatever kind the encoder writes decodes back, in the fault record and
   // in an in-flight exception; one past the last kind is still refused.
@@ -922,7 +976,8 @@ TEST(SnapshotCodec, EveryErrorKindRoundTripsAsFaultAndInFlightException) {
     for (const bool inFlight : {false, true}) {
       core::SimSnapshot snapshot = sim->SaveState();
       std::optional<Error>& slot =
-          inFlight ? snapshot.rob.front()->exception : snapshot.fault;
+          inFlight ? snapshot.inFlight[snapshot.rob.front()]->exception
+                   : snapshot.fault;
       slot = error;
       const std::string where = std::string(ToString(kind)) +
                                 (inFlight ? " in-flight exception" : " fault");
@@ -939,9 +994,9 @@ TEST(SnapshotCodec, EveryErrorKindRoundTripsAsFaultAndInFlightException) {
         ADD_FAILURE() << where << ": " << decoded.error().ToText();
         continue;
       }
+      const core::SimSnapshot& got = decoded.value();
       const std::optional<Error>& back =
-          inFlight ? decoded.value().rob.front()->exception
-                   : decoded.value().fault;
+          inFlight ? got.inFlight[got.rob.front()]->exception : got.fault;
       ASSERT_TRUE(back.has_value()) << where;
       EXPECT_EQ(back->kind, kind) << where;
       EXPECT_EQ(back->message, error.message) << where;

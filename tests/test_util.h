@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <string_view>
 
@@ -14,6 +15,24 @@
 #include "ref/interpreter.h"
 
 namespace rvss::testutil {
+
+/// Every distinct in-flight slot the fetch queue, the ROB, the issue
+/// windows, the LS buffers and the busy units of `sim` hold.
+inline std::set<core::Slot> HeldSlots(const core::Simulation& sim) {
+  std::set<core::Slot> held(sim.fetchQueue().begin(), sim.fetchQueue().end());
+  held.insert(sim.rob().begin(), sim.rob().end());
+  for (int kind = 0; kind < 4; ++kind) {
+    const std::vector<core::Slot>& window =
+        sim.window(static_cast<core::WindowKind>(kind));
+    held.insert(window.begin(), window.end());
+  }
+  held.insert(sim.loadBuffer().begin(), sim.loadBuffer().end());
+  held.insert(sim.storeBuffer().begin(), sim.storeBuffer().end());
+  for (const core::FunctionalUnit& fu : sim.functionalUnits()) {
+    if (fu.current != core::kNoSlot) held.insert(fu.current);
+  }
+  return held;
+}
 
 /// Asserts `response` is a well-formed error envelope (docs/api.md):
 /// status "error", a nested `error` object with kind/message/retryable/
