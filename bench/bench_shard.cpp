@@ -313,8 +313,11 @@ int main(int argc, char** argv) {
   // Mostly-idle sessions with a 1 MiB memory whose base image is largely
   // incompressible pseudo-random array data — the honest case for delta
   // encoding: a full image must ship the whole megabyte, a delta ships
-  // only the handful of pages the session actually dirtied. The A/B runs
-  // the identical drain against two identical fleets, delta on vs off.
+  // only the handful of pages the session actually wrote. Each session
+  // also takes one stepBack after its warm-up, as one click in ten does in
+  // the interactive workload: a restored session must still ship only the
+  // pages that are not the base's. The A/B runs the identical drain
+  // against two identical fleets, delta on vs off.
   {
     json::Json memoryConfig = json::Json::MakeObject();
     json::Json memorySection = json::Json::MakeObject();
@@ -343,13 +346,15 @@ int main(int argc, char** argv) {
                                   {"arrays", arrays}}));
         if (!Ok(created, "delta A/B createSession")) return false;
         // A short warm-up: the session is live but mostly idle, so only
-        // a few stack pages are dirty against the base image.
-        json::Json stepped = ab.Handle(
-            Cmd("step", {{"sessionId", created.Find("sessionId") != nullptr
-                                           ? *created.Find("sessionId")
-                                           : json::Json(-1)},
-                         {"count", json::Json(40 + 10 * i)}}));
+        // a few stack pages differ from the base image. Then one stepBack.
+        const json::Json id = created.Find("sessionId") != nullptr
+                                  ? *created.Find("sessionId")
+                                  : json::Json(-1);
+        json::Json stepped = ab.Handle(Cmd(
+            "step", {{"sessionId", id}, {"count", json::Json(40 + 10 * i)}}));
         if (!Ok(stepped, "delta A/B step")) return false;
+        json::Json back = ab.Handle(Cmd("stepBack", {{"sessionId", id}}));
+        if (!Ok(back, "delta A/B stepBack")) return false;
       }
       std::int64_t victim = 0;
       std::int64_t victimSessions = 0;
@@ -379,7 +384,8 @@ int main(int argc, char** argv) {
     if (!drainWirePerSession(true, &deltaPerSession)) return 1;
     const double reduction =
         deltaPerSession > 0 ? fullPerSession / deltaPerSession : 0.0;
-    std::printf("\n# migration wire bytes, mostly-idle 1 MiB sessions\n");
+    std::printf("\n# migration wire bytes, mostly-idle 1 MiB sessions "
+                "after one stepBack\n");
     std::printf("%-22s %10.1f KiB/session\n", "full image",
                 fullPerSession / 1024.0);
     std::printf("%-22s %10.1f KiB/session\n", "delta blob",

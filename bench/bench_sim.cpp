@@ -12,10 +12,11 @@
 // and each timed metric reports the median of the pairs, with its _min and
 // _max beside it.
 //
-// Two counts ride along, exact where the timings are not: heap
+// Three counts ride along, exact where the timings are not: heap
 // allocations per simulated cycle of the detailed leg, and the
-// allocations of one SaveState plus one RestoreState at a mid-run state.
-// This binary replaces the global operator new to count them.
+// allocations and the bytes allocated by one SaveState plus one
+// RestoreState at a mid-run state. This binary replaces the global
+// operator new to count them.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -31,13 +32,16 @@
 
 namespace {
 
-/// Heap allocations made so far by this (single-threaded) process.
+/// Heap allocations made so far by this (single-threaded) process, and
+/// the bytes they asked for.
 std::uint64_t gAllocations = 0;
+std::uint64_t gAllocatedBytes = 0;
 
 }  // namespace
 
 void* operator new(std::size_t size) {
   ++gAllocations;
+  gAllocatedBytes += size;
   if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
   throw std::bad_alloc();
 }
@@ -119,10 +123,13 @@ RunResult RunFastForward(std::uint64_t instructionBudget) {
   return result;
 }
 
-/// Allocations of one SaveState and of one RestoreState at kMidRunCycle.
+/// Allocations, and bytes allocated, by one SaveState and by one
+/// RestoreState at kMidRunCycle.
 struct StateAllocations {
   std::uint64_t save = 0;
   std::uint64_t restore = 0;
+  std::uint64_t saveBytes = 0;
+  std::uint64_t restoreBytes = 0;
   std::size_t robEntries = 0;
 };
 
@@ -133,11 +140,15 @@ StateAllocations CountStateAllocations() {
   sim->Run(kMidRunCycle);
   counts.robEntries = sim->rob().size();
   std::uint64_t before = gAllocations;
+  std::uint64_t bytesBefore = gAllocatedBytes;
   const core::SimSnapshot snapshot = sim->SaveState();
   counts.save = gAllocations - before;
+  counts.saveBytes = gAllocatedBytes - bytesBefore;
   before = gAllocations;
+  bytesBefore = gAllocatedBytes;
   sim->RestoreState(snapshot);
   counts.restore = gAllocations - before;
+  counts.restoreBytes = gAllocatedBytes - bytesBefore;
   return counts;
 }
 
@@ -223,6 +234,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(state.save),
               static_cast<unsigned long long>(state.restore), state.robEntries,
               static_cast<unsigned long long>(kMidRunCycle));
+  std::printf("%-22s %12llu + %llu bytes\n", "save + restore alloc",
+              static_cast<unsigned long long>(state.saveBytes),
+              static_cast<unsigned long long>(state.restoreBytes));
 
   Report(report, "detailed_cycles_per_s", cycles);
   Report(report, "detailed_mips", detailed);
@@ -231,6 +245,8 @@ int main(int argc, char** argv) {
   report.Set("allocs_per_cycle", allocsPerCycle);
   report.Set("save_restore_allocs",
              static_cast<double>(state.save + state.restore));
+  report.Set("save_restore_bytes",
+             static_cast<double>(state.saveBytes + state.restoreBytes));
   report.Set("hardware_cores",
              static_cast<double>(std::thread::hardware_concurrency()));
   return 0;

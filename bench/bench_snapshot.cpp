@@ -1,10 +1,12 @@
 // Snapshot subsystem benchmarks: codec encode/decode throughput, session
-// blob size/compression, and full-vs-delta checkpoint ring bytes.
+// blob size/compression, and the checkpoint ring's bytes with shared
+// memory pages against one memory image per entry.
 //
 // The codec throughput bounds how fast sessions can migrate between
-// server processes; the ring-bytes comparison quantifies the page-delta
-// claim (memory images dominate snapshot size, so storing only dirtied
-// pages shrinks the ring by roughly the clean-page fraction).
+// server processes; the ring-bytes comparison quantifies what sharing
+// pages saves (memory images dominate snapshot size, and checkpoints
+// share every page the run did not write between them).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -18,8 +20,8 @@ namespace rvss {
 namespace {
 
 /// Branchy loop with a small working set inside a large memory: the
-/// delta-friendly (and realistic) shape — programs rarely touch most of
-/// their address space between checkpoints.
+/// page-sharing-friendly (and realistic) shape — programs rarely touch
+/// most of their address space between checkpoints.
 const char* kWorkload = R"(
 main:
     li s0, 0
@@ -50,13 +52,12 @@ even:
     ret
 )";
 
-config::CpuConfig BenchConfig(bool deltaPages) {
+config::CpuConfig BenchConfig() {
   config::CpuConfig config = config::DefaultConfig();
   config.memory.sizeBytes = 4 << 20;  // 4 MiB: memory dominates snapshots
   config.checkpoint.intervalCycles = 256;
-  config.checkpoint.deltaPages = deltaPages;
-  // The ring comparison measures what each mode *deposits*; a tight budget
-  // would evict both modes down to the same ceiling and hide the ratio.
+  // The ring comparison measures what the run *deposits*; a tight budget
+  // would evict down to the ceiling and hide the ratio.
   config.checkpoint.maxTotalBytes = 1ull << 30;
   return config;
 }
@@ -69,7 +70,7 @@ int main(int argc, char** argv) {
   bench::JsonReport report("snapshot", argc, argv);
 
   // --- encode / decode throughput -------------------------------------------
-  auto sim = core::Simulation::Create(BenchConfig(true), kWorkload, {{}, "main"});
+  auto sim = core::Simulation::Create(BenchConfig(), kWorkload, {{}, "main"});
   if (!sim.ok()) {
     std::fprintf(stderr, "create failed: %s\n", sim.error().ToText().c_str());
     return 1;
@@ -121,29 +122,33 @@ int main(int argc, char** argv) {
                   static_cast<double>(session.size()),
               sessionSeconds * 1e3);
 
-  // --- full vs delta checkpoint ring ----------------------------------------
-  std::printf("\n# checkpoint ring bytes after 20k cycles (interval 256, 1 GiB budget)\n");
-  std::printf("%-12s %12s %8s %8s %14s\n", "mode", "ring_bytes", "full",
-              "delta", "bytes/ckpt");
-  std::size_t fullBytes = 0;
-  std::size_t deltaBytes = 0;
-  for (const bool deltaPages : {false, true}) {
-    auto run = core::Simulation::Create(BenchConfig(deltaPages), kWorkload,
-                                        {{}, "main"});
-    if (!run.ok()) return 1;
-    run.value()->Run(20'000);
-    const core::CheckpointRing& ring = run.value()->checkpoints();
-    (deltaPages ? deltaBytes : fullBytes) = ring.totalBytes();
-    std::printf("%-12s %12zu %8zu %8zu %14zu\n",
-                deltaPages ? "delta-pages" : "full-only", ring.totalBytes(),
-                ring.fullCheckpointCount(), ring.deltaCheckpointCount(),
-                ring.totalBytes() / (ring.checkpointCount() == 0
-                                         ? 1
-                                         : ring.checkpointCount()));
+  // --- shared pages vs one memory image per checkpoint ----------------------
+  const config::CpuConfig ringConfig = BenchConfig();
+  auto run = core::Simulation::Create(ringConfig, kWorkload, {{}, "main"});
+  if (!run.ok()) return 1;
+  run.value()->Run(20'000);
+  const core::CheckpointRing& ring = run.value()->checkpoints();
+  // What the same entries would cost if each held its own memory image.
+  std::size_t imagePerEntry = 0;
+  for (const core::CheckpointRing::Entry* entry =
+           ring.FindAtOrBefore(UINT64_MAX);
+       entry != nullptr;
+       entry = entry->cycle == 0 ? nullptr
+                                 : ring.FindAtOrBefore(entry->cycle - 1)) {
+    imagePerEntry += entry->ownBytes + ringConfig.memory.sizeBytes;
   }
-  if (deltaBytes > 0) {
-    const double reduction = static_cast<double>(fullBytes) /
-                             static_cast<double>(deltaBytes);
+  const std::size_t count = std::max<std::size_t>(ring.checkpointCount(), 1);
+  std::printf("\n# checkpoint ring bytes after 20k cycles (interval 256, "
+              "1 GiB budget, %zu checkpoints)\n",
+              ring.checkpointCount());
+  std::printf("%-18s %12s %14s\n", "ring", "ring_bytes", "bytes/ckpt");
+  std::printf("%-18s %12zu %14zu\n", "shared pages", ring.totalBytes(),
+              ring.totalBytes() / count);
+  std::printf("%-18s %12zu %14zu\n", "image per entry", imagePerEntry,
+              imagePerEntry / count);
+  if (ring.totalBytes() > 0) {
+    const double reduction = static_cast<double>(imagePerEntry) /
+                             static_cast<double>(ring.totalBytes());
     std::printf("\nring-bytes reduction: %.1fx\n", reduction);
     report.Set("ring_reduction_x", reduction);
   }

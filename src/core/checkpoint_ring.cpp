@@ -13,56 +13,48 @@ bool CheckpointRing::WantsCheckpoint(std::uint64_t cycle) const {
   return existing == nullptr || existing->cycle != cycle;
 }
 
-void CheckpointRing::Add(std::uint64_t cycle, std::size_t bytes,
+void CheckpointRing::Add(std::uint64_t cycle, std::size_t ownBytes,
                          std::shared_ptr<const SimSnapshot> snapshot) {
-  Entry entry;
-  entry.cycle = cycle;
-  entry.bytes = bytes;
-  entry.snapshot = std::move(snapshot);
-  Insert(std::move(entry));
-}
-
-void CheckpointRing::AddDelta(std::uint64_t cycle, std::size_t bytes,
-                              std::shared_ptr<const DeltaCheckpoint> delta) {
-  Entry entry;
-  entry.cycle = cycle;
-  entry.bytes = bytes;
-  entry.delta = std::move(delta);
-  Insert(std::move(entry));
-}
-
-void CheckpointRing::Insert(Entry entry) {
   auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), entry.cycle,
+      entries_.begin(), entries_.end(), cycle,
       [](const Entry& e, std::uint64_t c) { return e.cycle < c; });
-  if (it != entries_.end() && it->cycle == entry.cycle) return;
-  totalBytes_ += entry.bytes;
-  entries_.insert(it, std::move(entry));
+  if (it != entries_.end() && it->cycle == cycle) return;
+  const auto index = static_cast<std::size_t>(it - entries_.begin());
+  entries_.insert(it, Entry{cycle, ownBytes, 0, std::move(snapshot)});
+  Charge(index);
+  if (index + 1 < entries_.size()) Charge(index + 1);
   EvictOverBudget();
 }
 
-bool CheckpointRing::HasDependentDelta(const SimSnapshot* base) const {
-  for (const Entry& entry : entries_) {
-    if (entry.delta != nullptr && entry.delta->base.get() == base) return true;
+void CheckpointRing::Charge(std::size_t index) {
+  Entry& entry = entries_[index];
+  const auto& pages = entry.snapshot->memory.memory.pages;
+  const auto* previous =
+      index == 0 ? nullptr : &entries_[index - 1].snapshot->memory.memory.pages;
+  std::size_t charged = 0;
+  for (std::size_t page = 0; page < pages.size(); ++page) {
+    if (previous == nullptr || page >= previous->size() ||
+        (*previous)[page] != pages[page]) {
+      ++charged;
+    }
   }
-  return false;
+  totalBytes_ -= entry.bytes;
+  entry.bytes =
+      entry.ownBytes + charged * memory::MainMemory::kPageSizeBytes;
+  totalBytes_ += entry.bytes;
 }
 
 void CheckpointRing::EvictOverBudget() {
-  // Evict oldest first, but pin the cycle-0 base (Reset's restore point),
-  // the newest entry, and full snapshots still patched by a live delta, so
-  // a too-small budget degrades to longer replays rather than losing the
-  // ability to seek (or dangling a delta's base).
+  // Evict oldest first, but pin the cycle-0 base (Reset's restore point)
+  // and the newest entry, so a too-small budget degrades to longer
+  // replays rather than losing the ability to seek.
   bool evicted = false;
   while (totalBytes_ > maxTotalBytes_) {
-    std::size_t victim = entries_.front().cycle == 0 ? 1 : 0;
-    while (victim + 1 < entries_.size() && entries_[victim].IsFull() &&
-           HasDependentDelta(entries_[victim].snapshot.get())) {
-      ++victim;
-    }
+    const std::size_t victim = entries_.front().cycle == 0 ? 1 : 0;
     if (victim + 1 >= entries_.size()) break;
     totalBytes_ -= entries_[victim].bytes;
     entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(victim));
+    Charge(victim);  // it now follows the victim's predecessor
     evicted = true;
   }
   // Budget pressure observed: stretch the automatic interval instead of
@@ -82,42 +74,9 @@ const CheckpointRing::Entry* CheckpointRing::FindAtOrBefore(
   return &*(it - 1);
 }
 
-bool CheckpointRing::ContainsFull(const SimSnapshot* snapshot) const {
-  for (const Entry& entry : entries_) {
-    if (entry.snapshot.get() == snapshot) return true;
-  }
-  return false;
-}
-
 const CheckpointRing::Entry* CheckpointRing::base() const {
   if (entries_.empty() || entries_.front().cycle != 0) return nullptr;
   return &entries_.front();
-}
-
-std::shared_ptr<const SimSnapshot> CheckpointRing::Materialize(
-    const Entry& entry) const {
-  if (entry.snapshot != nullptr) return entry.snapshot;
-  const DeltaCheckpoint& delta = *entry.delta;
-  auto out = std::make_shared<SimSnapshot>(*delta.rest);
-  out->memory.memory.bytes = delta.base->memory.memory.bytes;
-  std::vector<std::uint8_t>& bytes = out->memory.memory.bytes;
-  for (const DeltaPage& page : delta.pages) {
-    const std::size_t offset =
-        static_cast<std::size_t>(page.pageIndex) *
-        memory::MainMemory::kPageSizeBytes;
-    std::copy(page.bytes.begin(), page.bytes.end(), bytes.begin() + static_cast<std::ptrdiff_t>(offset));
-  }
-  return out;
-}
-
-std::size_t CheckpointRing::fullCheckpointCount() const {
-  return static_cast<std::size_t>(
-      std::count_if(entries_.begin(), entries_.end(),
-                    [](const Entry& e) { return e.IsFull(); }));
-}
-
-std::size_t CheckpointRing::deltaCheckpointCount() const {
-  return entries_.size() - fullCheckpointCount();
 }
 
 void CheckpointRing::Clear() {

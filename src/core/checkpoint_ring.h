@@ -1,5 +1,5 @@
-// Checkpoint ring: bounded store of full and page-delta simulation
-// snapshots.
+// Checkpoint ring: bounded store of simulation snapshots that share their
+// unchanged memory pages.
 //
 // The paper implements backward simulation (§III-B) as deterministic
 // re-execution from reset — O(n) per backward step. The ring turns that
@@ -10,21 +10,22 @@
 // (program, config, seed) triple, snapshots taken on a previous pass stay
 // valid after seeking backward, so forward scrubbing can reuse them too.
 //
-// Entries come in two flavours. *Full* entries own a complete SimSnapshot.
-// *Delta* entries store everything except the memory image plus only the
-// 4 KiB pages dirtied since the most recent full snapshot (which they
-// patch on materialization). Memory images dominate snapshot size, so
-// deltas shrink ring bytes by roughly the clean-page fraction — 5-100x on
-// typical workloads. Deltas patch the full base directly (no chaining), so
-// any delta can be evicted independently.
+// Every entry is a plain SimSnapshot. Its memory image is a list of
+// copy-on-write page pointers (memory/main_memory.h), so neighbouring
+// entries share every page the run did not write between them, and an
+// entry costs its own bytes plus the pages it does not share.
 //
-// Memory is bounded: entries carry their approximate byte size and the
-// oldest entries are evicted once `maxTotalBytes` is exceeded. Pinned and
-// never evicted: the cycle-0 base snapshot (Reset's restore point), the
-// newest entry, and any full snapshot still patched by a live delta entry.
-// With adaptive mode on, evictions double the effective interval (up to
-// 1024x the configured one) so a too-small budget stretches checkpoint
-// spacing instead of thrashing.
+// Memory is bounded. An entry is charged its `ownBytes` (the snapshot
+// without its pages) plus 4 KiB for each page whose pointer differs from
+// the entry before it (every page, for the first entry); each insert and
+// each eviction recharges the entry after the change. The charge never
+// falls below the distinct pages the ring keeps alive, and counts a page
+// twice only when two entries hold it and an entry between them does not.
+// The oldest entries are evicted once `maxTotalBytes` is exceeded, except
+// two that are pinned: the cycle-0 base snapshot (Reset's restore point)
+// and the newest entry. With adaptive mode on, evictions double the
+// effective interval (up to 1024x the configured one) so a too-small
+// budget stretches checkpoint spacing instead of thrashing.
 #pragma once
 
 #include <cstdint>
@@ -35,32 +36,13 @@ namespace rvss::core {
 
 struct SimSnapshot;  // core/simulation.h
 
-/// One dirtied page captured by a delta checkpoint.
-struct DeltaPage {
-  std::uint32_t pageIndex = 0;
-  std::vector<std::uint8_t> bytes;  ///< page contents (last page may be short)
-};
-
-/// A checkpoint stored as a patch against a full snapshot: the complete
-/// non-memory state plus the memory pages that differ from `base`.
-struct DeltaCheckpoint {
-  /// The full snapshot whose memory image this delta patches. The
-  /// shared_ptr keeps the base alive even if its own ring entry is gone.
-  std::shared_ptr<const SimSnapshot> base;
-  /// Complete snapshot with the memory byte image emptied out.
-  std::shared_ptr<const SimSnapshot> rest;
-  std::vector<DeltaPage> pages;
-};
-
 class CheckpointRing {
  public:
   struct Entry {
     std::uint64_t cycle = 0;
-    std::size_t bytes = 0;
-    std::shared_ptr<const SimSnapshot> snapshot;   ///< set for full entries
-    std::shared_ptr<const DeltaCheckpoint> delta;  ///< set for delta entries
-
-    bool IsFull() const { return snapshot != nullptr; }
+    std::size_t ownBytes = 0;  ///< the snapshot without its memory pages
+    std::size_t bytes = 0;     ///< ownBytes plus the pages charged to it
+    std::shared_ptr<const SimSnapshot> snapshot;
   };
 
   /// `intervalCycles == 0` disables automatic checkpointing (the simulator
@@ -88,14 +70,10 @@ class CheckpointRing {
   /// entry for it exists yet (replayed cycles do not re-snapshot).
   bool WantsCheckpoint(std::uint64_t cycle) const;
 
-  /// Inserts a full snapshot, keeping entries sorted by cycle; a duplicate
+  /// Inserts a snapshot, keeping entries sorted by cycle; a duplicate
   /// cycle is a no-op. Evicts oldest evictable entries beyond the budget.
-  void Add(std::uint64_t cycle, std::size_t bytes,
+  void Add(std::uint64_t cycle, std::size_t ownBytes,
            std::shared_ptr<const SimSnapshot> snapshot);
-
-  /// Inserts a delta checkpoint; same ordering/eviction rules as Add.
-  void AddDelta(std::uint64_t cycle, std::size_t bytes,
-                std::shared_ptr<const DeltaCheckpoint> delta);
 
   /// Newest entry with entry.cycle <= cycle, or nullptr when none exists.
   const Entry* FindAtOrBefore(std::uint64_t cycle) const;
@@ -103,29 +81,16 @@ class CheckpointRing {
   /// The cycle-0 base entry, or nullptr before the first Add.
   const Entry* base() const;
 
-  /// True while a full entry for `snapshot` is still stored. The
-  /// simulation stops minting deltas against an evicted base — otherwise
-  /// the base's memory image would stay alive (via the deltas' shared_ptr)
-  /// without being counted against the byte budget.
-  bool ContainsFull(const SimSnapshot* snapshot) const;
-
-  /// A restorable snapshot for `entry`: full entries return their snapshot
-  /// directly; delta entries copy the base memory image and apply the
-  /// dirty pages.
-  std::shared_ptr<const SimSnapshot> Materialize(const Entry& entry) const;
-
   std::size_t checkpointCount() const { return entries_.size(); }
-  std::size_t fullCheckpointCount() const;
-  std::size_t deltaCheckpointCount() const;
   std::size_t totalBytes() const { return totalBytes_; }
   std::size_t maxTotalBytes() const { return maxTotalBytes_; }
 
   void Clear();
 
  private:
-  void Insert(Entry entry);
+  /// Recomputes entries_[index].bytes against the entry before it.
+  void Charge(std::size_t index);
   void EvictOverBudget();
-  bool HasDependentDelta(const SimSnapshot* base) const;
 
   std::uint64_t intervalCycles_;
   std::uint64_t effectiveIntervalCycles_;

@@ -70,30 +70,23 @@ Result<std::unique_ptr<Simulation>> Simulation::Create(
       new Simulation(config, std::move(loaded)));
   sim->memory_ = std::move(memorySystem);
   sim->BuildPredecode();
-  // Snapshot the loaded memory for the checkpoints-disabled ResetHard path.
-  sim->initialMemoryImage_.assign(sim->memory_->memory().bytes().begin(),
-                                  sim->memory_->memory().bytes().end());
+  // The loaded memory is the base of delta session blobs and the memory
+  // ResetHard rebuilds; both share its pages with the live run.
+  const memory::MainMemory& loadedMemory = sim->memory_->memory();
+  sim->baseMemory_ = loadedMemory.SaveState();
+  sim->cycleZeroMemory_ = sim->baseMemory_;
   // Base-epoch id for delta session blobs: any process Creating the same
   // (config, program, arrays) reproduces this exact image, so the hash
   // alone proves base availability across the wire.
-  {
-    std::uint64_t hash = 14695981039346656037ull;
-    for (std::uint8_t byte : sim->initialMemoryImage_) {
-      hash = (hash ^ byte) * 1099511628211ull;
-    }
-    sim->memoryBaseEpoch_ = hash;
+  std::uint64_t hash = 14695981039346656037ull;
+  for (std::uint32_t address = 0; address < loadedMemory.size(); ++address) {
+    hash = (hash ^ loadedMemory.Read8(address)) * 1099511628211ull;
   }
+  sim->memoryBaseEpoch_ = hash;
   sim->ResetHard();
-  if (sim->checkpoints_.enabled()) {
-    // The cycle-0 base checkpoint: Reset()'s restore point. It is pinned
-    // (never evicted), so it supersedes the raw memory image — keeping
-    // both would double the fixed per-session footprint.
-    sim->CaptureCheckpointNow();
-    sim->initialMemoryImage_.clear();
-    sim->initialMemoryImage_.shrink_to_fit();
-  }
-  // Memory provably equals the base image here; start delta tracking clean.
-  sim->memory_->memory().RebaseDirtyTracking();
+  // The cycle-0 base checkpoint: Reset()'s restore point, pinned in the
+  // ring.
+  if (sim->checkpoints_.enabled()) sim->CaptureCheckpointNow();
   return sim;
 }
 
@@ -143,14 +136,13 @@ void Simulation::Reset() {
     return;
   }
   if (const CheckpointRing::Entry* base = checkpoints_.base()) {
-    RestoreState(*checkpoints_.Materialize(*base));
+    RestoreState(*base->snapshot);
     return;
   }
   ResetHard();
 }
 
 void Simulation::ResetHard() {
-  forceFullCheckpoint_ = true;
   cycle_ = 0;
   nextSeq_ = 1;
   pc_ = loaded_.program.entryPc;
@@ -183,8 +175,7 @@ void Simulation::ResetHard() {
 
   if (memory_) {
     memory_->Reset();
-    std::copy(initialMemoryImage_.begin(), initialMemoryImage_.end(),
-              memory_->memory().bytes().begin());
+    memory_->memory().RestoreState(cycleZeroMemory_);
   }
 
   stats_ = stats::SimulationStatistics{};
@@ -285,14 +276,10 @@ Status Simulation::FastForwardTo(std::uint64_t instructionCount) {
   // Rebase the cycle-0 restore points onto the post-fast-forward state:
   // the skipped prefix is not part of this timeline, so Reset/SeekTo must
   // never rebuild the pre-skip state.
+  cycleZeroMemory_ = memory_->memory().SaveState();
   if (checkpoints_.enabled()) {
     checkpoints_.Clear();
-    forceFullCheckpoint_ = true;
     CaptureCheckpointNow();
-  } else {
-    const std::span<const std::uint8_t> bytes =
-        std::as_const(memory_->memory()).bytes();
-    initialMemoryImage_.assign(bytes.begin(), bytes.end());
   }
   return Status::Ok();
 }
@@ -303,7 +290,7 @@ Status Simulation::FastForwardTo(std::uint64_t instructionCount) {
 
 std::size_t SimSnapshot::SizeBytes() const {
   std::size_t bytes = sizeof(SimSnapshot);
-  bytes += memory.memory.bytes.capacity();
+  bytes += memory.memory.pages.capacity() * sizeof(memory.memory.pages[0]);
   if (memory.cache.has_value()) {
     bytes += memory.cache->lines.capacity() * sizeof(memory.cache->lines[0]);
   }
@@ -329,7 +316,7 @@ std::size_t SimSnapshot::SizeBytes() const {
   return bytes;
 }
 
-SimSnapshot Simulation::SaveStateImpl(bool includeMemoryImage) const {
+SimSnapshot Simulation::SaveState() const {
   SimSnapshot snapshot;
   snapshot.cycle = cycle_;
   snapshot.nextSeq = nextSeq_;
@@ -356,7 +343,7 @@ SimSnapshot Simulation::SaveStateImpl(bool includeMemoryImage) const {
   snapshot.arch = arch_.SaveState();
   snapshot.rename = rename_.SaveState();
   snapshot.predictor = predictor_.SaveState();
-  snapshot.memory = memory_->SaveState(includeMemoryImage);
+  snapshot.memory = memory_->SaveState();
   snapshot.stats = stats_.SaveState();
   snapshot.log = log_.SaveState();
   snapshot.ffSeed = ffSeed_;
@@ -405,100 +392,22 @@ void Simulation::RestoreState(const SimSnapshot& snapshot) {
   memory_->RestoreState(snapshot.memory);
   stats_.RestoreState(snapshot.stats);
   log_.RestoreState(snapshot.log);
-
-  // The dirty-page accounting no longer describes this timeline; the next
-  // checkpoint must re-anchor with a full snapshot.
-  forceFullCheckpoint_ = true;
 }
 
 void Simulation::CaptureCheckpointNow() {
-  // Skip the deep copy when this cycle is already in the ring (Add would
+  // Skip the copy when this cycle is already in the ring (Add would
   // discard the duplicate anyway).
   const CheckpointRing::Entry* existing = checkpoints_.FindAtOrBefore(cycle_);
   if (existing != nullptr && existing->cycle == cycle_) return;
-
-  // Fold the pages written since the previous capture into the
-  // dirty-since-last-full set, then decide full vs delta.
-  memory::MainMemory& mem = memory_->memory();
-  if (dirtySinceFull_.size() != mem.PageCount()) {
-    dirtySinceFull_.assign(mem.PageCount(), 1);
-  }
-  mem.FoldDirtyInto(dirtySinceFull_);
-
-  // A base evicted from the ring is no longer counted against the byte
-  // budget; minting further deltas against it would keep its memory image
-  // alive off the books.
-  if (lastFullCheckpoint_ != nullptr &&
-      !checkpoints_.ContainsFull(lastFullCheckpoint_.get())) {
-    lastFullCheckpoint_.reset();
-  }
-
-  bool full = !config_.checkpoint.deltaPages || forceFullCheckpoint_ ||
-              lastFullCheckpoint_ == nullptr ||
-              deltasSinceFull_ + 1 >= config_.checkpoint.fullSnapshotEvery;
-  std::size_t dirtyBytes = 0;
-  if (!full) {
-    for (std::uint32_t page = 0; page < mem.PageCount(); ++page) {
-      if (dirtySinceFull_[page] != 0) {
-        dirtyBytes += std::min<std::size_t>(memory::MainMemory::kPageSizeBytes,
-                                            mem.size() - page * memory::MainMemory::kPageSizeBytes);
-      }
-    }
-    // A delta patching most of memory is all cost and no savings.
-    if (dirtyBytes * 2 >= mem.size()) full = true;
-  }
-
-  if (full) {
-    auto snapshot = std::make_shared<const SimSnapshot>(SaveState());
-    const std::size_t bytes = snapshot->SizeBytes();
-    lastFullCheckpoint_ = snapshot;
-    deltasSinceFull_ = 0;
-    forceFullCheckpoint_ = false;
-    std::fill(dirtySinceFull_.begin(), dirtySinceFull_.end(), 0);
-    mem.ClearDirtyFlags();
-    checkpoints_.Add(cycle_, bytes, std::move(snapshot));
-    if (obs::Enabled()) {
-      static obs::Counter& fulls =
-          obs::Registry::Instance().GetCounter("sim.checkpointsFull");
-      static obs::Gauge& ringBytes =
-          obs::Registry::Instance().GetGauge("sim.checkpointRingBytes");
-      fulls.Increment();
-      ringBytes.Set(static_cast<double>(checkpoints_.totalBytes()));
-    }
-    return;
-  }
-
-  auto delta = std::make_shared<DeltaCheckpoint>();
-  delta->base = lastFullCheckpoint_;
-  SimSnapshot rest = SaveStateImpl(/*includeMemoryImage=*/false);
-  std::size_t bytes = rest.SizeBytes();
-  delta->rest = std::make_shared<const SimSnapshot>(std::move(rest));
-  const std::span<const std::uint8_t> memBytes =
-      std::as_const(mem).bytes();  // the mutable span marks all pages dirty
-  for (std::uint32_t page = 0; page < mem.PageCount(); ++page) {
-    if (dirtySinceFull_[page] == 0) continue;
-    const std::uint32_t begin = page * memory::MainMemory::kPageSizeBytes;
-    // 64-bit sum: begin + pageSize wraps uint32 when memory ends within a
-    // page of 4 GiB.
-    const std::uint32_t end = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(mem.size(),
-                                std::uint64_t{begin} +
-                                    memory::MainMemory::kPageSizeBytes));
-    DeltaPage deltaPage;
-    deltaPage.pageIndex = page;
-    deltaPage.bytes.assign(memBytes.begin() + begin, memBytes.begin() + end);
-    bytes += deltaPage.bytes.size() + sizeof(DeltaPage);
-    delta->pages.push_back(std::move(deltaPage));
-  }
-  ++deltasSinceFull_;
-  mem.ClearDirtyFlags();
-  checkpoints_.AddDelta(cycle_, bytes, std::move(delta));
+  auto snapshot = std::make_shared<const SimSnapshot>(SaveState());
+  const std::size_t ownBytes = snapshot->SizeBytes();
+  checkpoints_.Add(cycle_, ownBytes, std::move(snapshot));
   if (obs::Enabled()) {
-    static obs::Counter& deltas =
-        obs::Registry::Instance().GetCounter("sim.checkpointsDelta");
+    static obs::Counter& captured =
+        obs::Registry::Instance().GetCounter("sim.checkpoints");
     static obs::Gauge& ringBytes =
         obs::Registry::Instance().GetGauge("sim.checkpointRingBytes");
-    deltas.Increment();
+    captured.Increment();
     ringBytes.Set(static_cast<double>(checkpoints_.totalBytes()));
   }
 }
@@ -1615,7 +1524,7 @@ Status Simulation::SeekTo(std::uint64_t targetCycle,
 
   if (restore) {
     if (from != nullptr) {
-      RestoreState(*checkpoints_.Materialize(*from));
+      RestoreState(*from->snapshot);
     } else if (earliestReachableCycle_ > 0) {
       // ResetHard would rebuild the pre-import timeline; without the
       // import anchor (evicted from the ring) the target is unreachable.

@@ -136,10 +136,12 @@ struct FastForwardSeed {
 
 /// Complete copyable snapshot of a Simulation's mutable state.
 ///
-/// Every field is a value: the in-flight table and the slot containers
-/// that index it are copied as they are, so the snapshot shares nothing
-/// with the live run and one snapshot can seed many restores (checkpoint
-/// ring, session forks).
+/// Every field but the memory image is a value: the in-flight table and
+/// the slot containers that index it are copied as they are. The memory
+/// image holds copy-on-write page pointers, shared with the live run until
+/// it next writes those pages (memory/main_memory.h). Either way nothing
+/// the live run does changes the snapshot, and one snapshot can seed many
+/// restores (checkpoint ring, session forks).
 struct SimSnapshot {
   std::uint64_t cycle = 0;
   std::uint64_t nextSeq = 1;
@@ -170,7 +172,8 @@ struct SimSnapshot {
   /// fast-forward (see Simulation::FastForwardTo).
   std::optional<FastForwardSeed> ffSeed;
 
-  /// Approximate heap footprint (checkpoint-ring memory accounting).
+  /// Approximate heap footprint without the memory pages, which the
+  /// checkpoint ring charges by what its entries share.
   std::size_t SizeBytes() const;
 };
 
@@ -254,9 +257,10 @@ class Simulation {
 
   // --- explicit state -------------------------------------------------------
 
-  /// Captures the complete mutable state, as values: the snapshot shares
-  /// nothing with the live run.
-  SimSnapshot SaveState() const { return SaveStateImpl(true); }
+  /// Captures the complete mutable state. The memory pages are shared
+  /// with the live run, which copies a page before its next write to it,
+  /// so the snapshot never changes.
+  SimSnapshot SaveState() const;
 
   /// Restores a snapshot previously captured from an identical
   /// (program, config) pair. The snapshot itself is not consumed.
@@ -264,9 +268,7 @@ class Simulation {
 
   /// Deposits a checkpoint of the current state into the ring (the server's
   /// `saveCheckpoint` command); automatic checkpoints are taken by Step()
-  /// every config().checkpoint.intervalCycles cycles. With
-  /// config().checkpoint.deltaPages, checkpoints between full snapshots
-  /// store only the memory pages dirtied since the last full one.
+  /// every config().checkpoint.intervalCycles cycles.
   void CaptureCheckpointNow();
 
   const CheckpointRing& checkpoints() const { return checkpoints_; }
@@ -290,9 +292,13 @@ class Simulation {
   const memory::MemorySystem& memorySystem() const { return *memory_; }
   memory::MemorySystem& memorySystem() { return *memory_; }
 
-  /// FNV-1a hash of the memory image a fresh Create of this (config,
-  /// program) pair produces. Together with the config and program hashes
-  /// it identifies the base that delta session blobs are encoded against.
+  /// The memory a fresh Create of this (config, program) pair holds: the
+  /// base delta session blobs are encoded against. A delta ships the pages
+  /// whose pointer differs from this base's.
+  const memory::MainMemory::State& baseMemory() const { return baseMemory_; }
+
+  /// FNV-1a hash of baseMemory()'s bytes. Together with the config and
+  /// program hashes it identifies the base across processes.
   std::uint64_t memoryBaseEpoch() const { return memoryBaseEpoch_; }
 
   const ArchRegisterFile& archRegs() const { return arch_; }
@@ -336,11 +342,6 @@ class Simulation {
   /// Rebuilds the cycle-0 state from scratch (memory re-imaged). The
   /// checkpoints-disabled Reset path and the Create-time initializer.
   void ResetHard();
-
-  /// SaveState body; `includeMemoryImage = false` leaves the memory byte
-  /// image empty (delta checkpoints carry dirty pages instead — copying a
-  /// multi-MiB image just to discard it would defeat their cost model).
-  SimSnapshot SaveStateImpl(bool includeMemoryImage) const;
 
   /// Deposits an automatic checkpoint when the ring wants one.
   void MaybeCheckpoint();
@@ -393,8 +394,11 @@ class Simulation {
 
   config::CpuConfig config_;                       // snapshot: derived
   assembler::LoadedProgram loaded_;                // snapshot: derived
-  std::vector<std::uint8_t> initialMemoryImage_;   // snapshot: derived
+  memory::MainMemory::State baseMemory_;           // snapshot: derived
   std::uint64_t memoryBaseEpoch_ = 0;              // snapshot: derived
+  /// Cycle 0's memory, which ResetHard restores: baseMemory_, or the
+  /// post-skip memory after a fast-forward.
+  memory::MainMemory::State cycleZeroMemory_;      // snapshot: derived
   /// Predecode cache, parallel to loaded_.program.instructions (pc = 4*i).
   /// Derived state: never snapshotted, never invalidated (program is
   /// immutable for the simulation's lifetime).
@@ -449,17 +453,6 @@ class Simulation {
   std::optional<FastForwardSeed> ffSeed_;
   /// See earliestReachableCycle().
   std::uint64_t earliestReachableCycle_ = 0;  // snapshot: derived
-
-  // --- delta-checkpoint bookkeeping ----------------------------------------
-  /// The full snapshot deltas patch against.
-  std::shared_ptr<const SimSnapshot> lastFullCheckpoint_;  // snapshot: derived
-  /// Pages dirtied since lastFullCheckpoint_ (per-interval dirt folded in
-  /// at each capture).
-  std::vector<std::uint8_t> dirtySinceFull_;  // snapshot: derived
-  std::uint64_t deltasSinceFull_ = 0;         // snapshot: derived
-  /// Restores invalidate the dirty accounting, so the next capture must be
-  /// a full snapshot.
-  bool forceFullCheckpoint_ = true;  // snapshot: derived
 };
 
 }  // namespace rvss::core

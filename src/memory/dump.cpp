@@ -18,7 +18,8 @@ std::uint32_t ClampLength(const MainMemory& memory, std::uint32_t start,
 std::string ExportBinary(const MainMemory& memory, std::uint32_t start,
                          std::uint32_t length) {
   length = ClampLength(memory, start, length);
-  return std::string(reinterpret_cast<const char*>(memory.bytes().data()) + start,
+  const std::vector<std::uint8_t> bytes = memory.Bytes();
+  return std::string(reinterpret_cast<const char*>(bytes.data()) + start,
                      length);
 }
 

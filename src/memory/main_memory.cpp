@@ -4,46 +4,13 @@
 
 namespace rvss::memory {
 
-std::uint16_t MainMemory::Read16(std::uint32_t address) const {
-  return static_cast<std::uint16_t>(bytes_[address]) |
-         static_cast<std::uint16_t>(bytes_[address + 1]) << 8;
-}
-
-std::uint32_t MainMemory::Read32(std::uint32_t address) const {
-  return static_cast<std::uint32_t>(bytes_[address]) |
-         static_cast<std::uint32_t>(bytes_[address + 1]) << 8 |
-         static_cast<std::uint32_t>(bytes_[address + 2]) << 16 |
-         static_cast<std::uint32_t>(bytes_[address + 3]) << 24;
-}
-
-std::uint64_t MainMemory::Read64(std::uint32_t address) const {
-  return static_cast<std::uint64_t>(Read32(address)) |
-         static_cast<std::uint64_t>(Read32(address + 4)) << 32;
-}
-
-void MainMemory::Write16(std::uint32_t address, std::uint16_t value) {
-  bytes_[address] = static_cast<std::uint8_t>(value);
-  bytes_[address + 1] = static_cast<std::uint8_t>(value >> 8);
-  MarkDirtyRange(address, 2);
-}
-
-void MainMemory::Write32(std::uint32_t address, std::uint32_t value) {
-  Write16(address, static_cast<std::uint16_t>(value));
-  Write16(address + 2, static_cast<std::uint16_t>(value >> 16));
-}
-
-void MainMemory::Write64(std::uint32_t address, std::uint64_t value) {
-  Write32(address, static_cast<std::uint32_t>(value));
-  Write32(address + 4, static_cast<std::uint32_t>(value >> 32));
-}
-
 std::uint64_t MainMemory::ReadBytes(std::uint32_t address,
                                     std::uint32_t accessSize) const {
   switch (accessSize) {
     case 1: return Read8(address);
-    case 2: return Read16(address);
-    case 4: return Read32(address);
-    default: return Read64(address);
+    case 2: return ReadLe<2>(address);
+    case 4: return ReadLe<4>(address);
+    default: return ReadLe<8>(address);
   }
 }
 
@@ -51,54 +18,26 @@ void MainMemory::WriteBytes(std::uint32_t address, std::uint32_t accessSize,
                             std::uint64_t value) {
   switch (accessSize) {
     case 1: Write8(address, static_cast<std::uint8_t>(value)); break;
-    case 2: Write16(address, static_cast<std::uint16_t>(value)); break;
-    case 4: Write32(address, static_cast<std::uint32_t>(value)); break;
-    default: Write64(address, value); break;
+    case 2: WriteLe<2>(address, value); break;
+    case 4: WriteLe<4>(address, value); break;
+    default: WriteLe<8>(address, value); break;
   }
+}
+
+std::vector<std::uint8_t> MainMemory::Bytes() const {
+  std::vector<std::uint8_t> bytes(state_.sizeBytes);
+  for (std::size_t offset = 0; offset < bytes.size();
+       offset += kPageSizeBytes) {
+    const std::size_t length =
+        std::min<std::size_t>(kPageSizeBytes, bytes.size() - offset);
+    std::copy_n(state_.pages[offset / kPageSizeBytes]->begin(), length,
+                bytes.data() + offset);
+  }
+  return bytes;
 }
 
 void MainMemory::Clear() {
-  std::fill(bytes_.begin(), bytes_.end(), 0);
-  MarkAllDirty();
-}
-
-void MainMemory::FoldDirtyInto(std::vector<std::uint8_t>& accumulator) const {
-  accumulator.resize(dirtyPages_.size(), 1);
-  for (std::size_t page = 0; page < dirtyPages_.size(); ++page) {
-    accumulator[page] |= dirtyPages_[page];
-  }
-}
-
-void MainMemory::ClearDirtyFlags() {
-  for (std::size_t page = 0; page < dirtyPages_.size(); ++page) {
-    dirtySinceBase_[page] |= dirtyPages_[page];
-  }
-  std::fill(dirtyPages_.begin(), dirtyPages_.end(), 0);
-}
-
-void MainMemory::MarkAllDirty() {
-  std::fill(dirtyPages_.begin(), dirtyPages_.end(), 1);
-  std::fill(dirtySinceBase_.begin(), dirtySinceBase_.end(), 1);
-}
-
-std::vector<std::uint8_t> MainMemory::DirtySinceBase() const {
-  std::vector<std::uint8_t> pages(dirtyPages_.size(), 0);
-  for (std::size_t page = 0; page < pages.size(); ++page) {
-    pages[page] = PageDirtySinceBase(static_cast<std::uint32_t>(page)) ? 1 : 0;
-  }
-  return pages;
-}
-
-void MainMemory::RebaseDirtyTracking() {
-  std::fill(dirtyPages_.begin(), dirtyPages_.end(), 0);
-  std::fill(dirtySinceBase_.begin(), dirtySinceBase_.end(), 0);
-}
-
-void MainMemory::SetDirtySinceBase(const std::vector<std::uint8_t>& pages) {
-  std::fill(dirtyPages_.begin(), dirtyPages_.end(), 0);
-  for (std::size_t page = 0; page < dirtySinceBase_.size(); ++page) {
-    dirtySinceBase_[page] = page < pages.size() ? pages[page] : 1;
-  }
+  state_.pages.assign(PageCountFor(state_.sizeBytes), std::make_shared<Page>());
 }
 
 }  // namespace rvss::memory

@@ -1,4 +1,5 @@
-// Main memory: a 1-D byte array with little-endian typed accessors.
+// Main memory: a byte array of fixed capacity, held as 4 KiB
+// copy-on-write pages, with little-endian typed accessors.
 //
 // Matching the paper (§III-A), the simulator's memory is a flat byte array
 // of predefined capacity. Functional correctness and timing are split:
@@ -7,143 +8,151 @@
 // objects. Stores are only performed at commit, in program order, so the
 // immediate-write model is architecturally exact.
 //
-// The array also tracks which 4 KiB pages have been written since the last
-// ClearDirtyFlags() call. The checkpoint system uses this to store *delta*
-// checkpoints (only the pages touched since the last full snapshot) instead
-// of whole memory images. Tracking is conservative: anything that mutates
-// bytes outside the typed Write* accessors (the mutable bytes() span, Clear,
-// RestoreState) marks every page dirty.
+// The bytes live in pages held by shared_ptr. SaveState and RestoreState
+// copy the page pointers, so a saved State shares every page with the
+// memory it came from, and the first write to a page that a State still
+// holds copies that page first. Checkpoints therefore share their
+// unchanged pages with each other, and a page changed between two States
+// exactly when the two hold different pointers for it: the checkpoint
+// ring charges pages by that rule, and a delta session blob ships the
+// pages whose pointer differs from the Create-time base's.
 //
-// A second, longer-lived accumulator tracks pages dirtied since the memory
-// was last *rebased* — i.e. since it last provably equaled the session's
-// base image (the post-load state a fresh Create reproduces). The snapshot
-// codec's delta blob form ships only these pages. The accumulator is fed
-// for free: ClearDirtyFlags() folds the per-interval dirt into it before
-// clearing, so the write hot path pays nothing extra.
+// Only the thread serving a session touches that session's pages, so a
+// page's use_count is exact there; no page is shared between sessions
+// (imports rebuild pages from blob bytes).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <span>
+#include <memory>
 #include <vector>
-
-#include "common/status.h"
 
 namespace rvss::memory {
 
 class MainMemory {
  public:
-  /// Dirty-tracking granularity. 4 KiB balances bitmap cost against delta
-  /// precision for the 64 KiB..64 MiB memories the simulator configures.
   static constexpr std::uint32_t kPageSizeBytes = 4096;
+  using Page = std::array<std::uint8_t, kPageSizeBytes>;
 
-  explicit MainMemory(std::uint32_t sizeBytes)
-      : bytes_(sizeBytes, 0),
-        dirtyPages_(PageCountFor(sizeBytes), 1),
-        dirtySinceBase_(PageCountFor(sizeBytes), 1) {}
+  /// The contents as shared pages. The last page may reach past
+  /// sizeBytes; that tail stays zero.
+  struct State {
+    std::vector<std::shared_ptr<const Page>> pages;
+    std::uint32_t sizeBytes = 0;
+  };
 
-  std::uint32_t size() const { return static_cast<std::uint32_t>(bytes_.size()); }
+  /// A zeroed memory: every page is one shared zero page, so a page that
+  /// is never written costs nothing.
+  explicit MainMemory(std::uint32_t sizeBytes) {
+    state_.sizeBytes = sizeBytes;
+    Clear();
+  }
+
+  std::uint32_t size() const { return state_.sizeBytes; }
+
+  static std::uint32_t PageCountFor(std::uint32_t sizeBytes) {
+    return static_cast<std::uint32_t>(
+        (std::uint64_t{sizeBytes} + kPageSizeBytes - 1) / kPageSizeBytes);
+  }
 
   /// True when [address, address+size) lies inside memory.
   bool InBounds(std::uint32_t address, std::uint32_t accessSize) const {
-    return accessSize <= bytes_.size() &&
-           address <= bytes_.size() - accessSize;
+    return accessSize <= size() && address <= size() - accessSize;
   }
 
   /// Unchecked little-endian loads; callers bounds-check first (the LSU
   /// turns violations into runtime exceptions at commit).
-  std::uint8_t Read8(std::uint32_t address) const { return bytes_[address]; }
-  std::uint16_t Read16(std::uint32_t address) const;
-  std::uint32_t Read32(std::uint32_t address) const;
-  std::uint64_t Read64(std::uint32_t address) const;
+  std::uint8_t Read8(std::uint32_t address) const {
+    return (*state_.pages[address / kPageSizeBytes])[address % kPageSizeBytes];
+  }
+  std::uint16_t Read16(std::uint32_t address) const {
+    return static_cast<std::uint16_t>(ReadLe<2>(address));
+  }
+  std::uint32_t Read32(std::uint32_t address) const {
+    return static_cast<std::uint32_t>(ReadLe<4>(address));
+  }
+  std::uint64_t Read64(std::uint32_t address) const {
+    return ReadLe<8>(address);
+  }
 
   void Write8(std::uint32_t address, std::uint8_t value) {
-    bytes_[address] = value;
-    dirtyPages_[address / kPageSizeBytes] = 1;
+    WritablePage(address / kPageSizeBytes)[address % kPageSizeBytes] = value;
   }
-  void Write16(std::uint32_t address, std::uint16_t value);
-  void Write32(std::uint32_t address, std::uint32_t value);
-  void Write64(std::uint32_t address, std::uint64_t value);
+  void Write16(std::uint32_t address, std::uint16_t value) {
+    WriteLe<2>(address, value);
+  }
+  void Write32(std::uint32_t address, std::uint32_t value) {
+    WriteLe<4>(address, value);
+  }
+  void Write64(std::uint32_t address, std::uint64_t value) {
+    WriteLe<8>(address, value);
+  }
 
   /// Generic accessors used by the load/store unit (size in {1,2,4,8}).
   std::uint64_t ReadBytes(std::uint32_t address, std::uint32_t accessSize) const;
   void WriteBytes(std::uint32_t address, std::uint32_t accessSize,
                   std::uint64_t value);
 
-  /// Whole-memory views for dump import/export and the GUI memory pop-up.
-  /// The mutable view can bypass dirty tracking, so handing it out marks
-  /// everything dirty (conservative, correct).
-  std::span<const std::uint8_t> bytes() const { return bytes_; }
-  std::span<std::uint8_t> bytes() {
-    MarkAllDirty();
-    return bytes_;
-  }
+  /// A copy of the whole contents, for dump export and the GUI memory
+  /// pop-up.
+  std::vector<std::uint8_t> Bytes() const;
 
   /// Zeroes all contents (simulation reset).
   void Clear();
 
-  // --- page-level dirty tracking -------------------------------------------
-
-  std::uint32_t PageCount() const {
-    return static_cast<std::uint32_t>(dirtyPages_.size());
-  }
-
-  /// ORs this memory's dirty flags into `accumulator` (one flag per page).
-  /// The checkpoint system folds per-interval dirt into a dirty-since-full
-  /// set this way.
-  void FoldDirtyInto(std::vector<std::uint8_t>& accumulator) const;
-
-  void ClearDirtyFlags();
-  void MarkAllDirty();
-
-  // --- dirty-since-base tracking (delta session blobs) ---------------------
-
-  /// True when `page` may differ from the base image. Conservative: the
-  /// union of the since-base accumulator and the current dirty window.
-  bool PageDirtySinceBase(std::uint32_t page) const {
-    return dirtySinceBase_[page] != 0 || dirtyPages_[page] != 0;
-  }
-
-  /// One flag per page, `PageDirtySinceBase` materialized.
-  std::vector<std::uint8_t> DirtySinceBase() const;
-
-  /// Declares the current contents to *be* the base image: both trackers
-  /// clear. Call only at a point where the contents provably equal what a
-  /// fresh Create would produce (end of Simulation::Create).
-  void RebaseDirtyTracking();
-
-  /// Declares the current contents to differ from the base image exactly at
-  /// the pages flagged in `pages` (sized like the page count; excess pages
-  /// are treated as dirty). Used after a delta import, where the overlaid
-  /// page set is known precisely.
-  void SetDirtySinceBase(const std::vector<std::uint8_t>& pages);
-
-  /// Copyable snapshot of the full memory contents. Restoring a snapshot
-  /// taken from a memory of a different capacity also restores that
-  /// capacity (snapshots always come from the same configuration).
-  struct State {
-    std::vector<std::uint8_t> bytes;
-  };
-  State SaveState() const { return State{bytes_}; }
-  void RestoreState(const State& state) {
-    bytes_ = state.bytes;
-    dirtyPages_.assign(PageCountFor(static_cast<std::uint32_t>(bytes_.size())),
-                       1);
-    dirtySinceBase_.assign(
-        PageCountFor(static_cast<std::uint32_t>(bytes_.size())), 1);
-  }
+  /// Restoring a State taken from a memory of a different capacity also
+  /// restores that capacity (states always come from the same
+  /// configuration).
+  State SaveState() const { return state_; }
+  void RestoreState(const State& state) { state_ = state; }
 
  private:
-  static std::uint32_t PageCountFor(std::uint32_t sizeBytes) {
-    return (sizeBytes + kPageSizeBytes - 1) / kPageSizeBytes;
-  }
-  void MarkDirtyRange(std::uint32_t address, std::uint32_t accessSize) {
-    dirtyPages_[address / kPageSizeBytes] = 1;
-    dirtyPages_[(address + accessSize - 1) / kPageSizeBytes] = 1;
+  /// The page at `index`, copied first unless this memory is its only
+  /// holder.
+  Page& WritablePage(std::uint32_t index) {
+    std::shared_ptr<const Page>& page = state_.pages[index];
+    if (page.use_count() != 1) page = std::make_shared<Page>(*page);
+    // Every page is created non-const (make_shared<Page>), and no one
+    // else holds this one.
+    return const_cast<Page&>(*page);
   }
 
-  std::vector<std::uint8_t> bytes_;
-  std::vector<std::uint8_t> dirtyPages_;      ///< one flag per page
-  std::vector<std::uint8_t> dirtySinceBase_;  ///< folded on ClearDirtyFlags
+  /// An access inside one page reads or writes it in place; one that
+  /// crosses a page boundary goes byte by byte.
+  template <std::uint32_t N>
+  std::uint64_t ReadLe(std::uint32_t address) const {
+    std::uint64_t value = 0;
+    const std::uint32_t offset = address % kPageSizeBytes;
+    if (offset <= kPageSizeBytes - N) {
+      const std::uint8_t* bytes =
+          state_.pages[address / kPageSizeBytes]->data() + offset;
+      for (std::uint32_t i = 0; i < N; ++i) {
+        value |= std::uint64_t{bytes[i]} << (8 * i);
+      }
+      return value;
+    }
+    for (std::uint32_t i = 0; i < N; ++i) {
+      value |= std::uint64_t{Read8(address + i)} << (8 * i);
+    }
+    return value;
+  }
+  template <std::uint32_t N>
+  void WriteLe(std::uint32_t address, std::uint64_t value) {
+    const std::uint32_t offset = address % kPageSizeBytes;
+    if (offset <= kPageSizeBytes - N) {
+      std::uint8_t* bytes =
+          WritablePage(address / kPageSizeBytes).data() + offset;
+      for (std::uint32_t i = 0; i < N; ++i) {
+        bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
+      }
+      return;
+    }
+    for (std::uint32_t i = 0; i < N; ++i) {
+      Write8(address + i, static_cast<std::uint8_t>(value >> (8 * i)));
+    }
+  }
+
+  State state_;
 };
 
 }  // namespace rvss::memory

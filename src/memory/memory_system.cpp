@@ -56,9 +56,9 @@ MemoryTransaction MemorySystem::Register(std::uint32_t address,
   return txn;
 }
 
-MemorySystem::State MemorySystem::SaveState(bool includeMemoryBytes) const {
+MemorySystem::State MemorySystem::SaveState() const {
   State state;
-  if (includeMemoryBytes) state.memory = memory_.SaveState();
+  state.memory = memory_.SaveState();
   if (cache_) state.cache = cache_->SaveState();
   state.stats = stats_;
   state.nextTransactionId = nextTransactionId_;

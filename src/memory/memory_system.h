@@ -59,15 +59,15 @@ class MemorySystem {
 
   /// Copyable snapshot of everything mutable behind the front door: memory
   /// contents, cache residency, statistics and the transaction counter.
+  /// Everything but the memory is a value; the memory's pages are shared
+  /// with the live memory until it next writes them (main_memory.h).
   struct State {
     MainMemory::State memory;
     std::optional<Cache::State> cache;  ///< engaged iff the cache is enabled
     MemoryStats stats;
     std::uint64_t nextTransactionId = 1;
   };
-  /// `includeMemoryBytes = false` skips the (potentially multi-MiB) byte
-  /// image — for delta checkpoints, which store dirty pages separately.
-  State SaveState(bool includeMemoryBytes = true) const;
+  State SaveState() const;
   void RestoreState(const State& state);
 
  private:

@@ -234,7 +234,7 @@ json::Json RenderJson(const core::Simulation& sim,
       w.Key(name).Int(address);
     }
     w.EndObject();
-    const auto bytes = sim.memorySystem().memory().bytes();
+    const std::vector<std::uint8_t> bytes = sim.memorySystem().memory().Bytes();
     std::string hex;
     hex.reserve(bytes.size() * 2);
     static const char* kDigits = "0123456789abcdef";

@@ -391,46 +391,52 @@ bool Predictor(IO& io, Snapshot& s, const config::CpuConfig& config) {
 }
 
 /// What the memory image needs besides the snapshot: the encoder's delta
-/// request, and on decode the blob's version and what the image held.
+/// request, and on decode the blob's version.
 struct MemorySide {
   const EncodeOptions* options = nullptr;
   std::uint32_t version = kFormatVersion;
-  DecodeInfo* info = nullptr;
 };
+
+using memory::MainMemory;
+constexpr std::uint32_t kPage = MainMemory::kPageSizeBytes;
+
+/// Bytes of `page` inside a memory of `sizeBytes`: the last page may be
+/// short.
+std::uint32_t PageBytes(std::uint32_t sizeBytes, std::uint32_t page) {
+  return std::min(kPage, sizeBytes - page * kPage);
+}
 
 /// The raw memory image: v3 leads with a mode byte, then either the full
 /// image (mode 0) or, against the negotiated base, the 4 KiB pages that
-/// may differ from it (mode 1).
+/// are not the base's (mode 1).
 bool MemoryImage(Writer& w, const core::SimSnapshot& s,
                  const CodecContext& /*context*/, const MemorySide& side) {
-  const std::vector<std::uint8_t>& bytes = s.memory.memory.bytes;
-  const auto totalSize = static_cast<std::uint32_t>(bytes.size());
-  const std::vector<std::uint8_t>* dirty = side.options->deltaPages;
-  w.U8(dirty != nullptr ? 1 : 0);
-  if (dirty == nullptr) {
-    w.U32(totalSize);
-    w.Bytes(bytes.data(), bytes.size());
+  const MainMemory::State& memory = s.memory.memory;
+  const std::uint32_t pageTotal = MainMemory::PageCountFor(memory.sizeBytes);
+  const MainMemory::State* base = side.options->deltaBase;
+  w.U8(base != nullptr ? 1 : 0);
+  if (base == nullptr) {
+    w.U32(memory.sizeBytes);
+    for (std::uint32_t page = 0; page < pageTotal; ++page) {
+      w.Bytes(memory.pages[page]->data(), PageBytes(memory.sizeBytes, page));
+    }
     return true;
   }
-  constexpr std::uint32_t kPage = memory::MainMemory::kPageSizeBytes;
-  const std::uint32_t pageTotal = (totalSize + kPage - 1) / kPage;
-  // An undersized flag vector is treated as all-dirty past its end
-  // (conservative: shipping an extra page is correct, skipping one is not).
-  const auto pageDirty = [dirty](std::uint32_t page) {
-    return page >= dirty->size() || (*dirty)[page] != 0;
+  const auto shipped = [&](std::uint32_t page) {
+    return page >= base->pages.size() ||
+           base->pages[page] != memory.pages[page];
   };
-  std::uint32_t dirtyCount = 0;
+  std::uint32_t shippedCount = 0;
   for (std::uint32_t page = 0; page < pageTotal; ++page) {
-    if (pageDirty(page)) ++dirtyCount;
+    if (shipped(page)) ++shippedCount;
   }
   w.U64(side.options->baseEpoch);
-  w.U32(totalSize);
-  w.U32(dirtyCount);
+  w.U32(memory.sizeBytes);
+  w.U32(shippedCount);
   for (std::uint32_t page = 0; page < pageTotal; ++page) {
-    if (!pageDirty(page)) continue;
-    const std::uint32_t offset = page * kPage;
+    if (!shipped(page)) continue;
     w.U32(page);
-    w.Bytes(bytes.data() + offset, std::min(kPage, totalSize - offset));
+    w.Bytes(memory.pages[page]->data(), PageBytes(memory.sizeBytes, page));
   }
   return true;
 }
@@ -438,7 +444,8 @@ bool MemoryImage(Writer& w, const core::SimSnapshot& s,
 bool MemoryImage(Reader& r, core::SimSnapshot& s, const CodecContext& context,
                  const MemorySide& side) {
   const std::uint32_t configured = context.config->memory.sizeBytes;
-  std::vector<std::uint8_t>& bytes = s.memory.memory.bytes;
+  const MainMemory::State* base = context.baseMemory;
+  MainMemory::State& memory = s.memory.memory;
   std::uint8_t mode = 0;  // v2 is always a full image
   if (side.version >= 3) {
     r.U8(mode);
@@ -450,11 +457,18 @@ bool MemoryImage(Reader& r, core::SimSnapshot& s, const CodecContext& context,
                  "memory size does not match configuration")) {
       return false;
     }
-    bytes.resize(size);
-    r.BytesInto(bytes.data(), size);
+    memory.sizeBytes = size;
+    memory.pages.resize(MainMemory::PageCountFor(size));
+    for (std::uint32_t page = 0; page < memory.pages.size(); ++page) {
+      auto bytes = std::make_shared<MainMemory::Page>();
+      r.BytesInto(bytes->data(), PageBytes(size, page));
+      // Share the base's page wherever the bytes are equal.
+      const bool baseEqual = base != nullptr && page < base->pages.size() &&
+                             *base->pages[page] == *bytes;
+      memory.pages[page] = baseEqual ? base->pages[page] : std::move(bytes);
+    }
     return r.ok();
   }
-  constexpr std::uint32_t kPage = memory::MainMemory::kPageSizeBytes;
   const std::uint64_t baseEpoch = r.U64();
   const std::uint32_t totalSize = r.U32();
   // Fail closed: a delta is only restorable over the exact base it was
@@ -462,21 +476,20 @@ bool MemoryImage(Reader& r, core::SimSnapshot& s, const CodecContext& context,
   // ask for a full image instead — never patch over the wrong bytes.
   if (!r.Check(totalSize == configured,
                "memory size does not match configuration") ||
-      !r.Check(context.baseMemory.size() == totalSize &&
+      !r.Check(base != nullptr && base->sizeBytes == totalSize &&
                    context.baseEpoch == baseEpoch,
                "delta blob references a base image this side does not have "
                "(base-epoch mismatch)")) {
     return false;
   }
-  const std::uint32_t pageTotal = (totalSize + kPage - 1) / kPage;
+  const std::uint32_t pageTotal = MainMemory::PageCountFor(totalSize);
   const std::uint32_t pageCount = r.Count(4);
   if (!r.Check(pageCount <= pageTotal,
                "delta page count exceeds the memory's page count")) {
     return false;
   }
-  bytes.assign(context.baseMemory.begin(), context.baseMemory.end());
-  side.info->deltaMemory = true;
-  side.info->overlaidPages.assign(pageTotal, 0);
+  // Every page the delta does not ship is the base's.
+  memory = *base;
   std::int64_t lastPage = -1;
   for (std::uint32_t i = 0; i < pageCount; ++i) {
     const std::uint32_t page = r.U32();
@@ -486,9 +499,9 @@ bool MemoryImage(Reader& r, core::SimSnapshot& s, const CodecContext& context,
       return false;
     }
     lastPage = page;
-    const std::uint32_t offset = page * kPage;
-    r.BytesInto(bytes.data() + offset, std::min(kPage, totalSize - offset));
-    side.info->overlaidPages[page] = 1;
+    auto shipped = std::make_shared<MainMemory::Page>();
+    r.BytesInto(shipped->data(), PageBytes(totalSize, page));
+    memory.pages[page] = std::move(shipped);
   }
   return r.ok();
 }
@@ -641,8 +654,7 @@ std::string EncodeSnapshot(const core::SimSnapshot& snapshot,
 // --- decode -----------------------------------------------------------------
 
 Result<core::SimSnapshot> DecodeSnapshot(std::string_view blob,
-                                         const CodecContext& context,
-                                         DecodeInfo* info) {
+                                         const CodecContext& context) {
   if (blob.size() < kHeaderBytes) {
     return CodecError("blob shorter than the snapshot header");
   }
@@ -677,15 +689,12 @@ Result<core::SimSnapshot> DecodeSnapshot(std::string_view blob,
   }
 
   core::SimSnapshot snapshot;
-  DecodeInfo decodeInfo;
-  if (!Payload(r, snapshot, context,
-               MemorySide{nullptr, version, &decodeInfo})) {
+  if (!Payload(r, snapshot, context, MemorySide{nullptr, version})) {
     return CodecError(r.failReason());
   }
   if (r.remaining() != 0) {
     return CodecError("trailing bytes after the snapshot payload");
   }
-  if (info != nullptr) *info = std::move(decodeInfo);
   return snapshot;
 }
 

@@ -36,12 +36,12 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "assembler/program.h"
 #include "common/status.h"
 #include "config/cpu_config.h"
 #include "core/simulation.h"
+#include "memory/main_memory.h"
 
 namespace rvss::snapshot {
 
@@ -53,39 +53,33 @@ namespace rvss::snapshot {
 /// fastForwardedInstructions statistic.
 /// v3: memory-mode byte ahead of the memory image — mode 0 is the full
 /// image (v2 layout after the byte), mode 1 is a base-referenced delta
-/// (base-epoch id + sparse 4 KiB pages dirtied since the base).
+/// (base-epoch id + the sparse 4 KiB pages that are not the base's).
 inline constexpr std::uint32_t kFormatVersion = 3;
 inline constexpr std::uint32_t kMinFormatVersion = 2;
 
 /// What a blob must match to be restorable. `baseMemory`/`baseEpoch`
-/// describe the base image available on the decoding side (the post-Create
-/// memory of the same (config, program) pair); they are only consulted for
-/// delta-mode blobs, which fail closed without a matching base.
+/// describe the base available on the decoding side (the memory a fresh
+/// Create of the same (config, program) pair holds, see
+/// Simulation::baseMemory). A delta-mode blob takes every page it does not
+/// ship from that base, and fails closed without a matching one. A full
+/// image shares the base's page wherever the bytes are equal.
 struct CodecContext {
   const config::CpuConfig* config = nullptr;
   const assembler::Program* program = nullptr;
-  std::string_view baseMemory{};
+  const memory::MainMemory::State* baseMemory = nullptr;
   std::uint64_t baseEpoch = 0;
 };
 
 /// Encode-side knobs. Encoding always writes kFormatVersion; the defaults
 /// produce a full memory image.
 struct EncodeOptions {
-  /// Non-null selects delta memory mode: one flag per 4 KiB page, set
-  /// when the page may differ from the base image. Pages with the flag
-  /// clear are *not* shipped and are taken from the decoder's base.
-  const std::vector<std::uint8_t>* deltaPages = nullptr;
+  /// Non-null selects delta memory mode: only the pages whose pointer
+  /// differs from this base's are shipped; the decoder takes the rest
+  /// from its own base.
+  const memory::MainMemory::State* deltaBase = nullptr;
   /// Identifies the base image a delta was computed against; decode
   /// refuses a delta whose epoch differs from the context's.
   std::uint64_t baseEpoch = 0;
-};
-
-/// What DecodeSnapshot learned about the blob's memory section.
-struct DecodeInfo {
-  bool deltaMemory = false;
-  /// Delta mode only: one flag per page, set for pages the blob overlaid
-  /// on the base (i.e. the decoded memory's precise dirty-since-base set).
-  std::vector<std::uint8_t> overlaidPages;
 };
 
 /// FNV-1a over the canonical JSON dump of `config` with checkpoint
@@ -108,9 +102,9 @@ struct DecodeInfo {
 /// for Simulation::RestoreState, or an error for any version, hash, size
 /// or structural mismatch — including a delta blob whose base the context
 /// cannot supply (fail closed, never lossy). Never crashes on malformed
-/// input. `info`, when non-null, reports the memory mode encountered.
+/// input. A page a delta ships is never merged into the base's page, even
+/// when the bytes are equal, so a decoded delta re-encodes to its bytes.
 Result<core::SimSnapshot> DecodeSnapshot(std::string_view blob,
-                                         const CodecContext& context,
-                                         DecodeInfo* info = nullptr);
+                                         const CodecContext& context);
 
 }  // namespace rvss::snapshot

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <utility>
-#include <vector>
 
 #include "common/slz.h"
 #include "json/json.h"
-#include "memory/main_memory.h"
 #include "memory/memory_initializer.h"
 #include "snapshot/codec.h"
 #include "snapshot/wire.h"
@@ -46,10 +44,8 @@ std::string EncodeSessionBlob(const core::Simulation& sim,
                               const SessionBlobOptions& options) {
   CodecContext context{&sim.config(), &sim.program()};
   EncodeOptions encode;
-  std::vector<std::uint8_t> dirtyPages;
   if (options.delta) {
-    dirtyPages = sim.memorySystem().memory().DirtySinceBase();
-    encode.deltaPages = &dirtyPages;
+    encode.deltaBase = &sim.baseMemory();
     encode.baseEpoch = sim.memoryBaseEpoch();
   }
   Writer container;
@@ -147,43 +143,17 @@ Result<ImportedSession> ImportSessionBlob(
   // snapshot was encoded against (same config/source/arrays reproduce the
   // same post-load memory), so hand it to the decoder; the base-epoch
   // check inside DecodeSnapshot fails closed if this build would produce
-  // a different image.
-  const auto baseSpan = std::as_const(*sim).memorySystem().memory().bytes();
-  std::vector<std::uint8_t> baseImage(baseSpan.begin(), baseSpan.end());
-  CodecContext context{&sim->config(), &sim->program()};
-  context.baseMemory = std::string_view(
-      reinterpret_cast<const char*>(baseImage.data()), baseImage.size());
-  context.baseEpoch = sim->memoryBaseEpoch();
-  DecodeInfo decodeInfo;
+  // a different image. The decoded memory shares the base's pages, so a
+  // later delta export of this session ships only the others.
+  const CodecContext context{&sim->config(), &sim->program(),
+                             &sim->baseMemory(), sim->memoryBaseEpoch()};
   RVSS_ASSIGN_OR_RETURN(core::SimSnapshot snapshot,
-                        DecodeSnapshot(snapshotBlob, context, &decodeInfo));
+                        DecodeSnapshot(snapshotBlob, context));
   sim->RestoreState(snapshot);
   // Anchor backward stepping at the imported position; without this the
   // only checkpoint is the cycle-0 base and the first StepBack replays the
   // whole prefix.
   sim->CaptureCheckpointNow();
-  // Seed precise dirty-since-base tracking so a later delta export of this
-  // session stays small. Delta imports know the overlaid page set exactly;
-  // full imports recover it by diffing the restored memory against the
-  // base image (RestoreState itself conservatively marked everything).
-  if (decodeInfo.deltaMemory) {
-    sim->memorySystem().memory().SetDirtySinceBase(decodeInfo.overlaidPages);
-  } else {
-    const auto restored = std::as_const(*sim).memorySystem().memory().bytes();
-    constexpr std::uint32_t kPage = memory::MainMemory::kPageSizeBytes;
-    const std::size_t pageTotal = (restored.size() + kPage - 1) / kPage;
-    std::vector<std::uint8_t> dirty(pageTotal, 0);
-    for (std::size_t page = 0; page < pageTotal; ++page) {
-      const std::size_t offset = page * kPage;
-      const std::size_t size =
-          std::min<std::size_t>(kPage, restored.size() - offset);
-      if (std::memcmp(restored.data() + offset, baseImage.data() + offset,
-                      size) != 0) {
-        dirty[page] = 1;
-      }
-    }
-    sim->memorySystem().memory().SetDirtySinceBase(dirty);
-  }
 
   ImportedSession imported;
   imported.sim = std::move(sim);

@@ -42,8 +42,8 @@ SessionIdentity MakeIdentity(const core::Simulation& sim,
 /// written in the current format (snapshot::kFormatVersion); import reads
 /// every version the codec reads.
 struct SessionBlobOptions {
-  /// Ship only the 4 KiB memory pages dirtied since the session's base
-  /// image (the post-Create memory of its config/program/arrays) instead
+  /// Ship only the 4 KiB memory pages that are not the session's base
+  /// image's (the post-Create memory of its config/program/arrays) instead
   /// of the full image. The importer re-Creates that base from the
   /// identity carried in the blob, so a delta blob is just as restorable —
   /// it only requires the reader to understand snapshot format v3, which

@@ -92,8 +92,8 @@ void ExpectIdenticalState(const Simulation& a, const Simulation& b,
     EXPECT_EQ(a.ReadIntReg(reg), b.ReadIntReg(reg)) << label << " x" << reg;
     EXPECT_EQ(a.ReadFpReg(reg), b.ReadFpReg(reg)) << label << " f" << reg;
   }
-  const auto aBytes = a.memorySystem().memory().bytes();
-  const auto bBytes = b.memorySystem().memory().bytes();
+  const auto aBytes = a.memorySystem().memory().Bytes();
+  const auto bBytes = b.memorySystem().memory().Bytes();
   ASSERT_EQ(aBytes.size(), bBytes.size()) << label;
   EXPECT_EQ(std::memcmp(aBytes.data(), bBytes.data(), aBytes.size()), 0)
       << label << ": memory images differ";
@@ -159,6 +159,87 @@ TEST(CheckpointRing, EvictsOldestButPinsBaseAndNewest) {
   EXPECT_EQ(tiny.base()->cycle, 0u);
 }
 
+using Pages = std::vector<std::shared_ptr<const memory::MainMemory::Page>>;
+constexpr std::size_t kPageBytes = memory::MainMemory::kPageSizeBytes;
+
+std::shared_ptr<const SimSnapshot> SnapshotHolding(const Pages& pages) {
+  auto snapshot = std::make_shared<SimSnapshot>();
+  snapshot->memory.memory.pages = pages;
+  snapshot->memory.memory.sizeBytes =
+      static_cast<std::uint32_t>(pages.size() * kPageBytes);
+  return snapshot;
+}
+
+/// The ring's entries, oldest first.
+std::vector<const CheckpointRing::Entry*> EntriesOf(
+    const CheckpointRing& ring) {
+  std::vector<const CheckpointRing::Entry*> entries;
+  for (const CheckpointRing::Entry* entry = ring.FindAtOrBefore(UINT64_MAX);
+       entry != nullptr;
+       entry = entry->cycle == 0 ? nullptr
+                                 : ring.FindAtOrBefore(entry->cycle - 1)) {
+    entries.insert(entries.begin(), entry);
+  }
+  return entries;
+}
+
+/// The ring never charges less than it keeps alive: its entries' own
+/// bytes plus 4 KiB per distinct page they hold.
+void ExpectChargeCoversDistinctPages(const CheckpointRing& ring,
+                                     const std::string& label) {
+  std::size_t floor = 0;
+  std::set<const memory::MainMemory::Page*> pages;
+  for (const CheckpointRing::Entry* entry : EntriesOf(ring)) {
+    floor += entry->ownBytes;
+    for (const auto& page : entry->snapshot->memory.memory.pages) {
+      pages.insert(page.get());
+    }
+  }
+  floor += pages.size() * kPageBytes;
+  EXPECT_GE(ring.totalBytes(), floor) << label;
+}
+
+TEST(CheckpointRing, ChargesThePagesAnEntryDoesNotShareWithTheOneBefore) {
+  constexpr std::size_t kOwn = 100;
+  const auto page = [] { return std::make_shared<memory::MainMemory::Page>(); };
+  // Four pages, then two entries that each replace one page of the entry
+  // before.
+  const Pages first = {page(), page(), page(), page()};
+  Pages second = first;
+  second[0] = page();
+  Pages third = second;
+  third[1] = page();
+  using Entries = std::vector<std::pair<std::uint64_t, Pages>>;
+  const auto addAll = [](CheckpointRing& ring, const Entries& entries) {
+    for (const auto& [cycle, pages] : entries) {
+      ring.Add(cycle, kOwn, SnapshotHolding(pages));
+      ExpectChargeCoversDistinctPages(
+          ring, "after adding cycle " + std::to_string(cycle));
+    }
+  };
+
+  CheckpointRing ring(32, 1u << 20);
+  addAll(ring, {{0, first}, {32, second}, {64, third}});
+  EXPECT_EQ(ring.FindAtOrBefore(0)->bytes, kOwn + 4 * kPageBytes);
+  EXPECT_EQ(ring.FindAtOrBefore(32)->bytes, kOwn + 1 * kPageBytes);
+  EXPECT_EQ(ring.FindAtOrBefore(64)->bytes, kOwn + 1 * kPageBytes);
+  EXPECT_EQ(ring.totalBytes(), 3 * kOwn + 6 * kPageBytes);
+
+  // An insert recharges the entry after it.
+  CheckpointRing outOfOrder(32, 1u << 20);
+  addAll(outOfOrder, {{0, first}, {64, third}, {32, second}});
+  EXPECT_EQ(outOfOrder.FindAtOrBefore(64)->bytes, kOwn + 1 * kPageBytes);
+  EXPECT_EQ(outOfOrder.totalBytes(), ring.totalBytes());
+
+  // Evicting the middle entry recharges the last one against the first.
+  CheckpointRing tight(32, 3 * kOwn + 6 * kPageBytes - 1);
+  addAll(tight, {{0, first}, {32, second}, {64, third}});
+  ASSERT_EQ(tight.checkpointCount(), 2u);
+  EXPECT_EQ(tight.FindAtOrBefore(63)->cycle, 0u);
+  EXPECT_EQ(tight.FindAtOrBefore(64)->bytes, kOwn + 2 * kPageBytes);
+  EXPECT_EQ(tight.totalBytes(), 2 * kOwn + 6 * kPageBytes);
+}
+
 // ---- explicit state objects ------------------------------------------------
 
 TEST(SimState, SaveRestoreRoundTrip) {
@@ -181,15 +262,26 @@ TEST(SimState, SnapshotSharesNothingWithLiveRun) {
   StepN(*sim, 70);
   const SimSnapshot snapshot = sim->SaveState();
   const std::string reference = RenderDump(*sim);
+  // The render leaves memory out; the snapshot shares its pages with the
+  // live run, which must copy a page before writing it.
+  const std::vector<std::uint8_t> referenceMemory =
+      sim->memorySystem().memory().Bytes();
 
   // Mutating the live run and restoring repeatedly must keep reproducing
-  // the reference: the snapshot holds values, and each restore copies
-  // them.
+  // the reference: the snapshot holds values and shared pages nobody
+  // writes, and each restore copies them.
+  int roundsThatChangedMemory = 0;
   for (int round = 0; round < 3; ++round) {
     StepN(*sim, 50 + 13 * static_cast<std::uint64_t>(round));
+    if (sim->memorySystem().memory().Bytes() != referenceMemory) {
+      ++roundsThatChangedMemory;
+    }
     sim->RestoreState(snapshot);
     EXPECT_EQ(RenderDump(*sim), reference) << "round " << round;
+    EXPECT_TRUE(sim->memorySystem().memory().Bytes() == referenceMemory)
+        << "round " << round << ": memory image differs";
   }
+  EXPECT_GT(roundsThatChangedMemory, 0) << "no round wrote memory";
 }
 
 TEST(SimState, ResetRestoresBaseCheckpoint) {
@@ -466,7 +558,7 @@ void CheckTableLiveness(const std::string& source, config::CpuConfig config,
       const CheckpointRing::Entry* entry =
           sim->checkpoints().FindAtOrBefore(sim->cycle() - 1);
       ASSERT_NE(entry, nullptr) << label;
-      sim->RestoreState(*sim->checkpoints().Materialize(*entry));
+      sim->RestoreState(*entry->snapshot);
       ASSERT_NO_FATAL_FAILURE(
           ExpectTableMatchesContainers(*sim, label + " restore"));
     }

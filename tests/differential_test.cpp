@@ -98,8 +98,8 @@ TEST_P(DifferentialFuzz, CoreMatchesIss) {
     EXPECT_EQ(s.ReadIntReg(i), iss.ReadIntReg(i)) << "x" << i;
     EXPECT_EQ(s.ReadFpReg(i), iss.ReadFpReg(i)) << "f" << i;
   }
-  EXPECT_EQ(0, std::memcmp(issMemory.bytes().data(),
-                           s.memorySystem().memory().bytes().data(),
+  EXPECT_EQ(0, std::memcmp(issMemory.Bytes().data(),
+                           s.memorySystem().memory().Bytes().data(),
                            issMemory.size()));
 }
 
@@ -152,8 +152,8 @@ void ExpectMatchesIss(const core::Simulation& sim, const ref::Interpreter& iss,
     EXPECT_EQ(sim.ReadIntReg(i), iss.ReadIntReg(i)) << label << " x" << i;
     EXPECT_EQ(sim.ReadFpReg(i), iss.ReadFpReg(i)) << label << " f" << i;
   }
-  EXPECT_EQ(0, std::memcmp(issMemory.bytes().data(),
-                           sim.memorySystem().memory().bytes().data(),
+  EXPECT_EQ(0, std::memcmp(issMemory.Bytes().data(),
+                           sim.memorySystem().memory().Bytes().data(),
                            issMemory.size()))
       << label << ": memory images differ";
 }

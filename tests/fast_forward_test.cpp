@@ -49,8 +49,8 @@ void ExpectSameArchState(const core::Simulation& a, const core::Simulation& b,
     EXPECT_EQ(a.ReadIntReg(i), b.ReadIntReg(i)) << label << " x" << i;
     EXPECT_EQ(a.ReadFpReg(i), b.ReadFpReg(i)) << label << " f" << i;
   }
-  EXPECT_EQ(0, std::memcmp(a.memorySystem().memory().bytes().data(),
-                           b.memorySystem().memory().bytes().data(),
+  EXPECT_EQ(0, std::memcmp(a.memorySystem().memory().Bytes().data(),
+                           b.memorySystem().memory().Bytes().data(),
                            a.memorySystem().memory().size()))
       << label << ": memory images differ";
 }
@@ -106,8 +106,8 @@ TEST_P(FastForwardDifferential, FinalStateMatchesDetailedRunAndIss) {
     EXPECT_EQ(ffSim.ReadIntReg(i), iss.ReadIntReg(i)) << "x" << i;
     EXPECT_EQ(ffSim.ReadFpReg(i), iss.ReadFpReg(i)) << "f" << i;
   }
-  EXPECT_EQ(0, std::memcmp(issMemory.bytes().data(),
-                           ffSim.memorySystem().memory().bytes().data(),
+  EXPECT_EQ(0, std::memcmp(issMemory.Bytes().data(),
+                           ffSim.memorySystem().memory().Bytes().data(),
                            issMemory.size()));
 }
 

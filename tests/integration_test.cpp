@@ -94,8 +94,8 @@ TEST_P(FullStack, CompiledProgramMatchesOnCoreAndIss) {
   EXPECT_EQ(static_cast<std::int32_t>(sim->ReadIntReg(10)), param.expected);
   EXPECT_EQ(sim->statistics().committedInstructions,
             iss.stats().executedInstructions);
-  EXPECT_EQ(0, std::memcmp(issMemory.bytes().data(),
-                           sim->memorySystem().memory().bytes().data(),
+  EXPECT_EQ(0, std::memcmp(issMemory.Bytes().data(),
+                           sim->memorySystem().memory().Bytes().data(),
                            issMemory.size()));
 }
 

@@ -243,8 +243,7 @@ TEST(MemoryInitializer, RandomFillIsSeedDeterministic) {
   def.randomSeed = 99;
   ASSERT_TRUE(InitializeArrays(a, {def}, 0).ok());
   ASSERT_TRUE(InitializeArrays(b, {def}, 0).ok());
-  EXPECT_EQ(std::vector<std::uint8_t>(a.bytes().begin(), a.bytes().end()),
-            std::vector<std::uint8_t>(b.bytes().begin(), b.bytes().end()));
+  EXPECT_EQ(a.Bytes(), b.Bytes());
 }
 
 TEST(MemoryInitializer, RejectsDuplicatesAndOverflow) {

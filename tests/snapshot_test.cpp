@@ -1,7 +1,7 @@
 // Snapshot subsystem tests: the versioned binary codec (round trips,
 // aliasing preservation, hostile-input rejection), portable session blobs
-// (export -> import -> continue-execution differential), page-delta
-// checkpoints (ring byte reduction with byte-identical StepBack), the
+// (export -> import -> continue-execution differential), checkpoints
+// sharing memory pages (ring bytes, byte-identical seeks), the
 // server's exportSession/importSession commands including the
 // SimServer::Limits checkpoint-budget override, and the CLI
 // --save-snapshot/--load-snapshot flags.
@@ -100,8 +100,8 @@ void ExpectIdenticalState(const core::Simulation& a,
     EXPECT_EQ(a.ReadIntReg(reg), b.ReadIntReg(reg)) << label << " x" << reg;
     EXPECT_EQ(a.ReadFpReg(reg), b.ReadFpReg(reg)) << label << " f" << reg;
   }
-  const auto aBytes = a.memorySystem().memory().bytes();
-  const auto bBytes = b.memorySystem().memory().bytes();
+  const auto aBytes = a.memorySystem().memory().Bytes();
+  const auto bBytes = b.memorySystem().memory().Bytes();
   ASSERT_EQ(aBytes.size(), bBytes.size()) << label;
   EXPECT_EQ(std::memcmp(aBytes.data(), bBytes.data(), aBytes.size()), 0)
       << label << ": memory images differ";
@@ -344,12 +344,8 @@ std::uint64_t Fnv1a64(std::string_view bytes) {
 
 /// Decode context whose base image is `base`'s post-Create memory.
 CodecContext BaseContext(const core::Simulation& base) {
-  const auto bytes = base.memorySystem().memory().bytes();
-  CodecContext context{&base.config(), &base.program()};
-  context.baseMemory = std::string_view(
-      reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  context.baseEpoch = base.memoryBaseEpoch();
-  return context;
+  return CodecContext{&base.config(), &base.program(), &base.baseMemory(),
+                      base.memoryBaseEpoch()};
 }
 
 struct Blob {
@@ -374,20 +370,17 @@ void AddBlobs(std::vector<Blob>& blobs, const std::string& label,
         << label << "/full does not re-encode to its bytes";
   }
 
-  const std::vector<std::uint8_t> dirty =
-      sim.memorySystem().memory().DirtySinceBase();
   EncodeOptions deltaOptions;
-  deltaOptions.deltaPages = &dirty;
+  deltaOptions.deltaBase = &sim.baseMemory();
   deltaOptions.baseEpoch = sim.memoryBaseEpoch();
   std::string delta = EncodeSnapshot(snapshot, context, deltaOptions);
   const CodecContext baseContext = BaseContext(base);
-  DecodeInfo info;
-  auto decodedDelta = DecodeSnapshot(delta, baseContext, &info);
+  auto decodedDelta = DecodeSnapshot(delta, baseContext);
   EXPECT_TRUE(decodedDelta.ok())
       << label << ": " << decodedDelta.error().ToText();
   if (decodedDelta.ok()) {
     EncodeOptions again;
-    again.deltaPages = &info.overlaidPages;
+    again.deltaBase = &base.baseMemory();
     again.baseEpoch = base.memoryBaseEpoch();
     // Decoded instructions point into the base's program.
     EXPECT_TRUE(EncodeSnapshot(decodedDelta.value(), baseContext, again) ==
@@ -845,9 +838,9 @@ TEST(SnapshotCodec, EveryReachableDecodeCheckReportsItsOwnMessage) {
       {"local history size does not match configuration",
        [](core::SimSnapshot& s) { s.predictor.localHistories.push_back(0); }},
       {"memory size does not match configuration",
-       [](core::SimSnapshot& s) { s.memory.memory.bytes.pop_back(); }},
+       [](core::SimSnapshot& s) { --s.memory.memory.sizeBytes; }},
       {"memory size does not match configuration",
-       [](core::SimSnapshot& s) { s.memory.memory.bytes.pop_back(); },
+       [](core::SimSnapshot& s) { --s.memory.memory.sizeBytes; },
        Image::kDelta},
       {"delta blob references a base image this side does not have "
        "(base-epoch mismatch)",
@@ -865,15 +858,13 @@ TEST(SnapshotCodec, EveryReachableDecodeCheckReportsItsOwnMessage) {
        }},
   };
   const CodecContext context{&sim->config(), &sim->program()};
-  const std::vector<std::uint8_t> dirty =
-      sim->memorySystem().memory().DirtySinceBase();
   for (const DoctoredCase& c : cases) {
     core::SimSnapshot doctored = sim->SaveState();
     c.doctor(doctored);
     EncodeOptions options;
     CodecContext decodeContext = context;
     if (c.image != Image::kFull) {
-      options.deltaPages = &dirty;
+      options.deltaBase = &sim->baseMemory();
       options.baseEpoch = base->memoryBaseEpoch() +
                           (c.image == Image::kDeltaOnAnotherBase ? 1 : 0);
       decodeContext = BaseContext(*base);
@@ -1195,70 +1186,64 @@ TEST(LogBudget, ShrinkMidRunNeverCorruptsEncodedBlob) {
   EXPECT_EQ(reencoded, blob);
 }
 
-// ---- delta checkpoints ------------------------------------------------------
+// ---- shared-page checkpoints ------------------------------------------------
 
 /// 1 MiB memory with a working set of a few pages: the configuration where
-/// page deltas pay off.
-config::CpuConfig DeltaConfig(bool deltaPages) {
+/// checkpoints sharing their unchanged pages pay off.
+config::CpuConfig SharedPagesConfig() {
   config::CpuConfig config = TestConfig(64);
   config.memory.sizeBytes = 1 << 20;
-  config.checkpoint.deltaPages = deltaPages;
-  config.checkpoint.fullSnapshotEvery = 16;
   return config;
 }
 
 TEST(DeltaCheckpoints, ShrinkRingBytesAtLeast5x) {
-  auto fullMode = MustCreate(kBranchyMemory, DeltaConfig(false));
-  auto deltaMode = MustCreate(kBranchyMemory, DeltaConfig(true));
-  ASSERT_NE(fullMode, nullptr);
-  ASSERT_NE(deltaMode, nullptr);
-  StepN(*fullMode, 2000);
-  StepN(*deltaMode, 2000);
+  const config::CpuConfig config = SharedPagesConfig();
+  auto sim = MustCreate(kBranchyMemory, config);
+  ASSERT_NE(sim, nullptr);
+  StepN(*sim, 2000);
 
-  ASSERT_EQ(fullMode->checkpoints().checkpointCount(),
-            deltaMode->checkpoints().checkpointCount());
-  EXPECT_GT(deltaMode->checkpoints().deltaCheckpointCount(), 20u);
-  const std::size_t fullBytes = fullMode->checkpoints().totalBytes();
-  const std::size_t deltaBytes = deltaMode->checkpoints().totalBytes();
-  EXPECT_GE(fullBytes, deltaBytes * 5)
-      << "delta ring " << deltaBytes << " bytes vs full ring " << fullBytes;
+  const core::CheckpointRing& ring = sim->checkpoints();
+  EXPECT_GT(ring.checkpointCount(), 20u);
+  // At most a fifth of one memory image per entry.
+  const std::size_t imagePerEntry =
+      ring.checkpointCount() * config.memory.sizeBytes;
+  EXPECT_GE(imagePerEntry, ring.totalBytes() * 5)
+      << "shared ring " << ring.totalBytes() << " bytes vs "
+      << imagePerEntry << " for one memory image per entry";
 }
 
-TEST(DeltaCheckpoints, StepBackMatchesFullSnapshotMode) {
-  // Every seek target must land in a state byte-identical to full-snapshot
-  // mode — materialized deltas are real restore points, not approximations.
-  auto fullMode = MustCreate(kBranchyMemory, DeltaConfig(false));
-  auto deltaMode = MustCreate(kBranchyMemory, DeltaConfig(true));
-  ASSERT_NE(fullMode, nullptr);
-  ASSERT_NE(deltaMode, nullptr);
-  StepN(*fullMode, 1500);
-  StepN(*deltaMode, 1500);
+TEST(DeltaCheckpoints, SeeksMatchAFreshRun) {
+  // Every seek target must land in a state byte-identical to a fresh run
+  // to that cycle: checkpoints sharing pages are real restore points.
+  auto sim = MustCreate(kBranchyMemory, SharedPagesConfig());
+  ASSERT_NE(sim, nullptr);
+  StepN(*sim, 1500);
 
   for (std::uint64_t target : {1499ull, 1217ull, 640ull, 641ull, 639ull,
                                64ull, 65ull, 1ull, 1300ull}) {
-    ASSERT_TRUE(deltaMode->SeekTo(target).ok()) << "target " << target;
-    ASSERT_TRUE(fullMode->SeekTo(target).ok()) << "target " << target;
-    ExpectIdenticalState(*deltaMode, *fullMode,
-                         "seek " + std::to_string(target));
+    ASSERT_TRUE(sim->SeekTo(target).ok()) << "target " << target;
+    auto fresh = MustCreate(kBranchyMemory, SharedPagesConfig());
+    ASSERT_NE(fresh, nullptr);
+    StepN(*fresh, target);
+    ExpectIdenticalState(*sim, *fresh, "seek " + std::to_string(target));
   }
 }
 
 TEST(DeltaCheckpoints, RoundTripThroughCodec) {
-  // Delta-mode checkpoints must not interfere with export/import.
-  auto sim = MustCreate(kBranchyMemory, DeltaConfig(true));
+  // Checkpoints sharing pages must not interfere with export/import.
+  auto sim = MustCreate(kBranchyMemory, SharedPagesConfig());
   ASSERT_NE(sim, nullptr);
   StepN(*sim, 700);
   const std::string blob = EncodeSessionBlob(
       *sim, MakeIdentity(*sim, kBranchyMemory, "main", ""));
   auto imported = ImportSessionBlob(blob);
   ASSERT_TRUE(imported.ok()) << imported.error().ToText();
-  ExpectIdenticalState(*sim, *imported.value().sim, "delta-mode import");
+  ExpectIdenticalState(*sim, *imported.value().sim, "shared-pages import");
 }
 
 TEST(AdaptiveInterval, GrowsUnderBudgetPressure) {
   config::CpuConfig config = TestConfig(16);
   config.memory.sizeBytes = 64 * 1024;
-  config.checkpoint.deltaPages = false;
   config.checkpoint.adaptiveInterval = true;
   config.checkpoint.maxTotalBytes = 4 * config.memory.sizeBytes;
   auto sim = MustCreate(kBranchyMemory, config);
@@ -1388,6 +1373,60 @@ TEST(ServerSession, LimitsOverrideCheckpointBudget) {
             1 << 20);
 }
 
+/// The blob of `exportSession` for session `id` in `encoding`.
+std::string ExportBlob(server::SimServer& srv, std::int64_t id,
+                       const char* encoding) {
+  json::Json exported =
+      Cmd(srv, "exportSession",
+          {{"sessionId", json::Json(id)}, {"encoding", json::Json(encoding)}});
+  EXPECT_EQ(exported.GetString("status", ""), "ok") << exported.Dump();
+  return exported.GetString("blob", "");
+}
+
+TEST(ServerSession, RestoredSessionExportsTheForwardRunsDelta) {
+  // A restore shares the checkpoint's memory pages, so a session brought
+  // back to cycle 2000 (by a stepBack, a restoreCheckpoint or an import of
+  // its full blob) ships the same delta as a twin that only stepped
+  // forward to it: the pages written since Create, not every page.
+  server::SimServer srv;
+  const auto step = [&](std::int64_t id, std::int64_t count) {
+    json::Json stepped = Cmd(srv, "step", {{"sessionId", json::Json(id)},
+                                           {"count", json::Json(count)}});
+    ASSERT_EQ(stepped.GetString("status", ""), "ok") << stepped.Dump();
+  };
+  const std::int64_t forward =
+      bench::CreateCSession(srv, bench::kSortC, config::DefaultConfig());
+  const std::int64_t restored =
+      bench::CreateCSession(srv, bench::kSortC, config::DefaultConfig());
+  ASSERT_GE(forward, 0);
+  ASSERT_GE(restored, 0);
+  step(forward, 2000);
+  const std::string expected = ExportBlob(srv, forward, "delta");
+  ASSERT_FALSE(expected.empty());
+
+  step(restored, 2001);
+  json::Json back = Cmd(srv, "stepBack", {{"sessionId", json::Json(restored)}});
+  ASSERT_EQ(back.GetString("status", ""), "ok") << back.Dump();
+  EXPECT_TRUE(ExportBlob(srv, restored, "delta") == expected)
+      << "after stepBack";
+
+  step(restored, 300);
+  json::Json seek = Cmd(srv, "restoreCheckpoint",
+                        {{"sessionId", json::Json(restored)},
+                         {"cycle", json::Json(2000)}});
+  ASSERT_EQ(seek.GetString("status", ""), "ok") << seek.Dump();
+  EXPECT_TRUE(ExportBlob(srv, restored, "delta") == expected)
+      << "after restoreCheckpoint";
+
+  json::Json imported =
+      Cmd(srv, "importSession",
+          {{"blob", json::Json(ExportBlob(srv, restored, "full"))}});
+  ASSERT_EQ(imported.GetString("status", ""), "ok") << imported.Dump();
+  EXPECT_TRUE(ExportBlob(srv, imported.GetInt("sessionId", -1), "delta") ==
+              expected)
+      << "after importSession";
+}
+
 // ---- CLI flags --------------------------------------------------------------
 
 
@@ -1427,10 +1466,10 @@ TEST(DeltaBlob, DeltaImportMatchesFullImportByteIdentically) {
 }
 
 TEST(DeltaBlob, ReExportAfterEitherImportStaysDeltaRestorable) {
-  // Import re-seeds dirty-since-base tracking (precisely for delta, by
-  // page compare for full), so a session that migrated once must still
-  // delta-export from its new home — that is what keeps every later hop
-  // of a multi-migration cheap.
+  // Import shares the base's pages (every unshipped page for delta, the
+  // pages with equal bytes for full), so a session that migrated once must
+  // still delta-export from its new home — that is what keeps every later
+  // hop of a multi-migration cheap.
   auto original = MustCreate(kBranchyMemory, TestConfig());
   ASSERT_NE(original, nullptr);
   StepN(*original, 433);
@@ -1465,22 +1504,25 @@ TEST(DeltaBlob, CodecFailsClosedOnBaseMismatch) {
 
   const CodecContext encodeContext{&sim->config(), &sim->program()};
   EncodeOptions options;
-  const std::vector<std::uint8_t> dirty =
-      sim->memorySystem().memory().DirtySinceBase();
-  options.deltaPages = &dirty;
+  options.deltaBase = &sim->baseMemory();
   options.baseEpoch = sim->memoryBaseEpoch();
   const std::string blob =
       EncodeSnapshot(sim->SaveState(), encodeContext, options);
 
-  // With the matching base the delta decodes, and reports itself as one.
-  const auto baseBytes = std::as_const(*base).memorySystem().memory().bytes();
-  CodecContext withBase{&base->config(), &base->program()};
-  withBase.baseMemory = std::string_view(
-      reinterpret_cast<const char*>(baseBytes.data()), baseBytes.size());
-  withBase.baseEpoch = base->memoryBaseEpoch();
-  DecodeInfo info;
-  ASSERT_TRUE(DecodeSnapshot(blob, withBase, &info).ok());
-  EXPECT_TRUE(info.deltaMemory);
+  // With the matching base the delta decodes, and takes the pages it does
+  // not ship from that base.
+  const CodecContext withBase = BaseContext(*base);
+  auto decoded = DecodeSnapshot(blob, withBase);
+  ASSERT_TRUE(decoded.ok());
+  const auto& decodedPages = decoded.value().memory.memory.pages;
+  const auto& basePages = base->baseMemory().pages;
+  ASSERT_EQ(decodedPages.size(), basePages.size());
+  std::size_t sharedPages = 0;
+  for (std::size_t page = 0; page < basePages.size(); ++page) {
+    if (decodedPages[page] == basePages[page]) ++sharedPages;
+  }
+  EXPECT_GT(sharedPages, 0u);
+  EXPECT_LT(sharedPages, basePages.size());
 
   // A different base epoch fails closed with a clear message.
   CodecContext wrongEpoch = withBase;
@@ -1503,18 +1545,12 @@ TEST(DeltaBlob, TruncatedAndCorruptedDeltaBlobsAlwaysError) {
 
   const CodecContext encodeContext{&sim->config(), &sim->program()};
   EncodeOptions options;
-  const std::vector<std::uint8_t> dirty =
-      sim->memorySystem().memory().DirtySinceBase();
-  options.deltaPages = &dirty;
+  options.deltaBase = &sim->baseMemory();
   options.baseEpoch = sim->memoryBaseEpoch();
   const std::string blob =
       EncodeSnapshot(sim->SaveState(), encodeContext, options);
 
-  const auto baseBytes = std::as_const(*base).memorySystem().memory().bytes();
-  CodecContext context{&base->config(), &base->program()};
-  context.baseMemory = std::string_view(
-      reinterpret_cast<const char*>(baseBytes.data()), baseBytes.size());
-  context.baseEpoch = base->memoryBaseEpoch();
+  const CodecContext context = BaseContext(*base);
   ASSERT_TRUE(DecodeSnapshot(blob, context).ok());
 
   for (std::size_t length = 0; length < blob.size();
