@@ -1,14 +1,23 @@
 // StepBack latency vs cycle depth: the checkpoint ring's O(interval)
 // backward step against the paper's O(n) re-execution-from-reset.
 //
-// With checkpointing disabled (intervalCycles = 0) each StepBack replays
-// the whole prefix, so latency grows linearly with the current cycle. With
-// the ring enabled, StepBack restores the nearest checkpoint and replays
-// at most one interval, so latency is flat in depth — the property the
+// With automatic checkpoints off (intervalCycles = 0) the ring holds only
+// the origin, so each StepBack restores cycle 0 and replays the whole
+// prefix, and latency grows linearly with the current cycle. With the ring
+// capturing, StepBack restores the nearest checkpoint and replays at most
+// one interval, so latency is flat in depth — the property the
 // interactive scrub-backward use case needs.
+//
+// --json also reports ckpt_replayed_cycles_max, the longest ring-mode
+// replay over all depths. It is a count, so it does not depend on the
+// host: CI gates it at interval - 1, and a ring that stops capturing
+// trips the gate. A StepBack that fails exits non-zero rather than
+// reporting an empty sample.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdint>
+#include <optional>
 
 #include "bench_common.h"
 #include "core/simulation.h"
@@ -35,13 +44,15 @@ struct Sample {
 
 /// Mean StepBack latency at `depth`: each repetition steps back one cycle
 /// and forward again, so every measurement starts from the same depth.
-Sample MeasureAtDepth(core::Simulation& sim, std::uint64_t depth, int reps) {
+/// Nothing when a seek or a StepBack fails.
+std::optional<Sample> MeasureAtDepth(core::Simulation& sim,
+                                     std::uint64_t depth, int reps) {
   Sample sample;
-  if (!sim.SeekTo(depth).ok()) return sample;
+  if (!sim.SeekTo(depth).ok()) return std::nullopt;
   double totalSeconds = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
     const auto start = std::chrono::steady_clock::now();
-    if (!sim.StepBack().ok()) return sample;
+    if (!sim.StepBack().ok()) return std::nullopt;
     totalSeconds += bench::SecondsSince(start);
     sample.replayedCycles = sim.lastSeekReplayedCycles();
     sim.Step();  // back to `depth` for the next repetition
@@ -74,8 +85,17 @@ int main(int argc, char** argv) {
     }
     const char* mode = interval == 0 ? "replay-O(n)" : "ckpt-O(K)";
     const char* metricMode = interval == 0 ? "replay" : "ckpt";
+    std::uint64_t replayedMax = 0;
     for (const std::uint64_t depth : kDepths) {
-      const Sample sample = MeasureAtDepth(*sim.value(), depth, kReps);
+      const std::optional<Sample> measured =
+          MeasureAtDepth(*sim.value(), depth, kReps);
+      if (!measured.has_value()) {
+        std::fprintf(stderr, "%s: stepping back at depth %llu failed\n",
+                     mode, static_cast<unsigned long long>(depth));
+        return 1;
+      }
+      const Sample& sample = *measured;
+      replayedMax = std::max(replayedMax, sample.replayedCycles);
       std::printf("%-10llu %-12s %16.1f %16llu\n",
                   static_cast<unsigned long long>(depth), mode, sample.meanUs,
                   static_cast<unsigned long long>(sample.replayedCycles));
@@ -83,6 +103,10 @@ int main(int argc, char** argv) {
                   std::to_string(depth))
                      .c_str(),
                  sample.meanUs);
+    }
+    if (interval != 0) {
+      report.Set("ckpt_replayed_cycles_max",
+                 static_cast<double>(replayedMax));
     }
   }
 

@@ -60,10 +60,6 @@ class SimLog {
   }
 
   const std::deque<LogEntry>& entries() const { return entries_; }
-  void Clear() {
-    entries_.clear();
-    bytes_ = 0;
-  }
 
   /// Copyable snapshot of the stored entries. The capacity, byte budget
   /// and minimum level are settings, not simulation state, and are left

@@ -98,11 +98,11 @@ struct MemoryConfig {
 /// Backward-simulation checkpointing (not a paper tab; powers the O(K)
 /// StepBack/scrubbing path instead of the paper's re-execution from reset).
 struct CheckpointConfig {
-  /// Cycles between automatic snapshots; 0 disables checkpointing and falls
-  /// back to the paper's full re-execution.
+  /// Cycles between automatic snapshots; 0 stops them, so a rewind
+  /// replays from the timeline's origin (the paper's full re-execution).
   std::uint64_t intervalCycles = 1024;
   /// Memory budget for the per-simulation checkpoint ring; the oldest
-  /// non-base checkpoints are evicted beyond this.
+  /// checkpoints but the origin are evicted beyond this.
   std::uint64_t maxTotalBytes = 64ull * 1024 * 1024;
   /// deltaPages and fullSnapshotEvery configured the page-delta
   /// checkpoints that copy-on-write memory pages replaced; they have no

@@ -119,8 +119,8 @@ std::vector<Error> Validate(const CpuConfig& config) {
   // Checkpoint settings are client-supplied on shared servers, so both ends
   // are bounded: a dense interval turns every step into a snapshot copy,
   // and an unbounded budget defeats the per-session memory cap. A budget
-  // too small for two snapshots is fine — the ring pins the cycle-0 base
-  // and the newest entry and degrades to longer replays. The upper bounds
+  // too small for two snapshots is fine — the ring pins the timeline's
+  // origin and the newest entry and degrades to longer replays. The upper bounds
   // also catch negative JSON values wrapping to huge unsigned ones.
   const CheckpointConfig& k = config.checkpoint;
   if (k.intervalCycles > 0) {

@@ -45,16 +45,14 @@ void CheckpointRing::Charge(std::size_t index) {
 }
 
 void CheckpointRing::EvictOverBudget() {
-  // Evict oldest first, but pin the cycle-0 base (Reset's restore point)
-  // and the newest entry, so a too-small budget degrades to longer
-  // replays rather than losing the ability to seek.
+  // Evict the oldest entry after the origin. The origin and the newest
+  // entry stay, so a too-small budget degrades to longer replays rather
+  // than losing the ability to seek.
   bool evicted = false;
-  while (totalBytes_ > maxTotalBytes_) {
-    const std::size_t victim = entries_.front().cycle == 0 ? 1 : 0;
-    if (victim + 1 >= entries_.size()) break;
-    totalBytes_ -= entries_[victim].bytes;
-    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(victim));
-    Charge(victim);  // it now follows the victim's predecessor
+  while (totalBytes_ > maxTotalBytes_ && entries_.size() > 2) {
+    totalBytes_ -= entries_[1].bytes;
+    entries_.erase(entries_.begin() + 1);
+    Charge(1);  // it now follows the origin
     evicted = true;
   }
   // Budget pressure observed: stretch the automatic interval instead of
@@ -72,11 +70,6 @@ const CheckpointRing::Entry* CheckpointRing::FindAtOrBefore(
       [](std::uint64_t c, const Entry& entry) { return c < entry.cycle; });
   if (it == entries_.begin()) return nullptr;
   return &*(it - 1);
-}
-
-const CheckpointRing::Entry* CheckpointRing::base() const {
-  if (entries_.empty() || entries_.front().cycle != 0) return nullptr;
-  return &entries_.front();
 }
 
 void CheckpointRing::Clear() {

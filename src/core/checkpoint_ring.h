@@ -22,10 +22,15 @@
 // falls below the distinct pages the ring keeps alive, and counts a page
 // twice only when two entries hold it and an entry between them does not.
 // The oldest entries are evicted once `maxTotalBytes` is exceeded, except
-// two that are pinned: the cycle-0 base snapshot (Reset's restore point)
-// and the newest entry. With adaptive mode on, evictions double the
-// effective interval (up to 1024x the configured one) so a too-small
-// budget stretches checkpoint spacing instead of thrashing.
+// two that are pinned: the origin and the newest entry. With adaptive mode
+// on, evictions double the effective interval (up to 1024x the configured
+// one) so a too-small budget stretches checkpoint spacing instead of
+// thrashing.
+//
+// The front entry is the timeline's origin, the oldest state it can
+// reach: Create's cycle 0, the post-skip cycle 0 after a fast-forward, or
+// a snapshot adopted from another timeline (Simulation::RestoreState).
+// Every rewind restores an entry, so the origin is never evicted.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +50,9 @@ class CheckpointRing {
     std::shared_ptr<const SimSnapshot> snapshot;
   };
 
-  /// `intervalCycles == 0` disables automatic checkpointing (the simulator
-  /// falls back to the paper's re-execution-from-reset path).
+  /// `intervalCycles == 0` disables automatic checkpointing: the ring then
+  /// holds the origin and manual captures only, and a rewind replays from
+  /// the newest of those (the paper's re-execution from reset).
   CheckpointRing(std::uint64_t intervalCycles, std::size_t maxTotalBytes)
       : intervalCycles_(intervalCycles),
         effectiveIntervalCycles_(intervalCycles),
@@ -78,8 +84,8 @@ class CheckpointRing {
   /// Newest entry with entry.cycle <= cycle, or nullptr when none exists.
   const Entry* FindAtOrBefore(std::uint64_t cycle) const;
 
-  /// The cycle-0 base entry, or nullptr before the first Add.
-  const Entry* base() const;
+  /// The front entry: the timeline's origin. The ring must not be empty.
+  const Entry& origin() const { return entries_.front(); }
 
   std::size_t checkpointCount() const { return entries_.size(); }
   std::size_t totalBytes() const { return totalBytes_; }

@@ -4,20 +4,13 @@
 
 namespace rvss::core {
 
-RenameState::RenameState(std::uint32_t renameRegisterCount) {
-  regs_.resize(renameRegisterCount);
+RenameState::RenameState(std::uint32_t renameRegisterCount)
+    : regs_(renameRegisterCount), freeCount_(renameRegisterCount) {
   freeList_.reserve(renameRegisterCount);
-  Reset();
-}
-
-void RenameState::Reset() {
-  for (SpecRegister& reg : regs_) reg = SpecRegister{};
-  freeList_.clear();
   // Allocate low tags first (pop from the back).
-  for (int tag = static_cast<int>(regs_.size()) - 1; tag >= 0; --tag) {
+  for (int tag = static_cast<int>(renameRegisterCount) - 1; tag >= 0; --tag) {
     freeList_.push_back(tag);
   }
-  freeCount_ = static_cast<std::uint32_t>(regs_.size());
   map_.fill(-1);
 }
 

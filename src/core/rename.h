@@ -33,11 +33,6 @@ class ArchRegisterFile {
       f_[reg.index] = cell;
     }
   }
-  void Reset() {
-    x_.fill(0);
-    f_.fill(0);
-  }
-
   /// Copyable snapshot of both register banks.
   struct State {
     std::array<std::uint64_t, 32> x{};
@@ -100,8 +95,6 @@ class RenameState {
   /// All live renames of `arch`, oldest mapping last (paper: the list of
   /// renamed copies an architectural register keeps). For GUI display.
   std::vector<int> RenamesOf(isa::RegisterId arch) const;
-
-  void Reset();
 
   /// Copyable snapshot of the speculative file, free list and rename map.
   struct State {

@@ -70,11 +70,10 @@ Result<std::unique_ptr<Simulation>> Simulation::Create(
       new Simulation(config, std::move(loaded)));
   sim->memory_ = std::move(memorySystem);
   sim->BuildPredecode();
-  // The loaded memory is the base of delta session blobs and the memory
-  // ResetHard rebuilds; both share its pages with the live run.
+  // The loaded memory is the base of delta session blobs; it shares its
+  // pages with the live run.
   const memory::MainMemory& loadedMemory = sim->memory_->memory();
   sim->baseMemory_ = loadedMemory.SaveState();
-  sim->cycleZeroMemory_ = sim->baseMemory_;
   // Base-epoch id for delta session blobs: any process Creating the same
   // (config, program, arrays) reproduces this exact image, so the hash
   // alone proves base availability across the wire.
@@ -83,10 +82,8 @@ Result<std::unique_ptr<Simulation>> Simulation::Create(
     hash = (hash ^ loadedMemory.Read8(address)) * 1099511628211ull;
   }
   sim->memoryBaseEpoch_ = hash;
-  sim->ResetHard();
-  // The cycle-0 base checkpoint: Reset()'s restore point, pinned in the
-  // ring.
-  if (sim->checkpoints_.enabled()) sim->CaptureCheckpointNow();
+  // Cycle 0 is the timeline's origin, whatever the interval.
+  sim->CaptureCheckpointNow();
   return sim;
 }
 
@@ -95,9 +92,17 @@ Simulation::Simulation(config::CpuConfig config, assembler::LoadedProgram loaded
       loaded_(std::move(loaded)),
       predictor_(config_.predictor),
       rename_(config_.memory.renameRegisterCount),
+      pc_(loaded_.program.entryPc),
       checkpoints_(config_.checkpoint.intervalCycles,
                    config_.checkpoint.maxTotalBytes) {
   checkpoints_.SetAdaptive(config_.checkpoint.adaptiveInterval);
+  arch_.Write(isa::RegisterId{isa::RegisterKind::kInt, isa::kSpReg},
+              loaded_.initialSp);
+  arch_.Write(isa::RegisterId{isa::RegisterKind::kInt, isa::kRaReg},
+              loaded_.initialRa);
+  for (const assembler::Instruction& inst : loaded_.program.instructions) {
+    ++stats_.staticMix[static_cast<std::size_t>(inst.def->type)];
+  }
   // Instantiate functional units and their statistics slots.
   std::size_t statsIndex = 0;
   for (const config::FunctionalUnitConfig& fuConfig : config_.functionalUnits) {
@@ -112,6 +117,7 @@ Simulation::Simulation(config::CpuConfig config, assembler::LoadedProgram loaded
       fu.latencyByClass[c] =
           fu.config.LatencyFor(static_cast<isa::OpClass>(c));
     }
+    stats_.unitUsage.push_back(stats::UnitUsage{fu.config.name, 0, 0});
     fus_.push_back(std::move(fu));
   }
   // Group unit indices by the window that feeds them, so issue scans only
@@ -126,84 +132,7 @@ Simulation::Simulation(config::CpuConfig config, assembler::LoadedProgram loaded
   }
 }
 
-void Simulation::Reset() {
-  lastSeekReplayedCycles_ = 0;
-  if (earliestReachableCycle_ > 0) {
-    // Imported fast-forwarded session: cycle 0 of this timeline cannot be
-    // rebuilt here (the pre-import prefix lives in another process), so
-    // "reset" means the oldest state we can reconstruct.
-    (void)SeekTo(earliestReachableCycle_);
-    return;
-  }
-  if (const CheckpointRing::Entry* base = checkpoints_.base()) {
-    RestoreState(*base->snapshot);
-    return;
-  }
-  ResetHard();
-}
-
-void Simulation::ResetHard() {
-  cycle_ = 0;
-  nextSeq_ = 1;
-  pc_ = loaded_.program.entryPc;
-  fetchResumeCycle_ = 0;
-  fetchStalledIndirect_ = false;
-  status_ = SimStatus::kRunning;
-  finishReason_ = FinishReason::kNone;
-  fault_.reset();
-
-  inFlight_.clear();
-  freeSlots_.clear();
-  fetchQueue_.clear();
-  rob_.clear();
-  for (auto& window : windows_) window.clear();
-  loadBuffer_.clear();
-  storeBuffer_.clear();
-  for (FunctionalUnit& fu : fus_) {
-    fu.current = kNoSlot;
-    fu.busyUntil = 0;
-  }
-
-  arch_.Reset();
-  arch_.Write(isa::RegisterId{isa::RegisterKind::kInt, isa::kSpReg},
-              loaded_.initialSp);
-  arch_.Write(isa::RegisterId{isa::RegisterKind::kInt, isa::kRaReg},
-              loaded_.initialRa);
-  rename_.Reset();
-  predictor_.Reset();
-  log_.Clear();
-
-  if (memory_) {
-    memory_->Reset();
-    memory_->memory().RestoreState(cycleZeroMemory_);
-  }
-
-  stats_ = stats::SimulationStatistics{};
-  stats_.unitUsage.clear();
-  for (const FunctionalUnit& fu : fus_) {
-    stats_.unitUsage.push_back(stats::UnitUsage{fu.config.name, 0, 0});
-  }
-  for (const assembler::Instruction& inst : loaded_.program.instructions) {
-    ++stats_.staticMix[static_cast<std::size_t>(inst.def->type)];
-  }
-
-  // A fast-forwarded timeline's cycle 0 is the post-skip state: the seed's
-  // registers/PC on top of the (re-imaged) post-skip memory.
-  if (ffSeed_.has_value()) ApplyFastForwardSeed(*ffSeed_);
-}
-
-void Simulation::ApplyFastForwardSeed(const FastForwardSeed& seed) {
-  for (unsigned i = 0; i < 32; ++i) {
-    arch_.Write(isa::RegisterId{isa::RegisterKind::kInt,
-                                static_cast<std::uint8_t>(i)},
-                seed.x[i]);
-    arch_.Write(isa::RegisterId{isa::RegisterKind::kFp,
-                                static_cast<std::uint8_t>(i)},
-                seed.f[i]);
-  }
-  pc_ = seed.pc;
-  stats_.fastForwardedInstructions = seed.instructions;
-}
+void Simulation::Reset() { (void)SeekTo(checkpoints_.origin().cycle); }
 
 Status Simulation::FastForwardTo(std::uint64_t instructionCount) {
   if (cycle_ != 0 || status_ != SimStatus::kRunning) {
@@ -244,7 +173,16 @@ Status Simulation::FastForwardTo(std::uint64_t instructionCount) {
   seed.pc = end.pc;
   seed.instructions = iss.stats().executedInstructions;
   ffSeed_ = seed;
-  ApplyFastForwardSeed(seed);
+  for (unsigned i = 0; i < 32; ++i) {
+    arch_.Write(isa::RegisterId{isa::RegisterKind::kInt,
+                                static_cast<std::uint8_t>(i)},
+                seed.x[i]);
+    arch_.Write(isa::RegisterId{isa::RegisterKind::kFp,
+                                static_cast<std::uint8_t>(i)},
+                seed.f[i]);
+  }
+  pc_ = seed.pc;
+  stats_.fastForwardedInstructions = seed.instructions;
   span.SetDetail(StrFormat(
       "requested=%llu executed=%llu",
       static_cast<unsigned long long>(instructionCount),
@@ -273,14 +211,10 @@ Status Simulation::FastForwardTo(std::uint64_t instructionCount) {
       break;
   }
 
-  // Rebase the cycle-0 restore points onto the post-fast-forward state:
-  // the skipped prefix is not part of this timeline, so Reset/SeekTo must
-  // never rebuild the pre-skip state.
-  cycleZeroMemory_ = memory_->memory().SaveState();
-  if (checkpoints_.enabled()) {
-    checkpoints_.Clear();
-    CaptureCheckpointNow();
-  }
+  // The post-skip state is this timeline's origin: the skipped prefix is
+  // not part of it, so no rewind may restore the pre-skip cycle 0.
+  checkpoints_.Clear();
+  CaptureCheckpointNow();
   return Status::Ok();
 }
 
@@ -351,17 +285,11 @@ SimSnapshot Simulation::SaveState() const {
 }
 
 void Simulation::RestoreState(const SimSnapshot& snapshot) {
-  if (snapshot.ffSeed != ffSeed_) {
-    // The snapshot belongs to a differently-seeded timeline (an imported
-    // fast-forwarded session). Every restore point this process built so
-    // far — the Create-time base checkpoint, the pre-import ring, the
-    // initial memory image — describes the *pre*-fast-forward timeline and
-    // must never be replayed from again; the snapshot itself becomes the
-    // oldest reachable state.
-    ffSeed_ = snapshot.ffSeed;
-    checkpoints_.Clear();
-    earliestReachableCycle_ = snapshot.ffSeed.has_value() ? snapshot.cycle : 0;
-  }
+  // A snapshot of a differently-seeded timeline (an imported
+  // fast-forwarded session) makes every entry of the ring a state of
+  // another timeline; the snapshot itself becomes the origin.
+  const bool adopt = snapshot.ffSeed != ffSeed_;
+  ffSeed_ = snapshot.ffSeed;
   cycle_ = snapshot.cycle;
   nextSeq_ = snapshot.nextSeq;
   pc_ = snapshot.pc;
@@ -392,6 +320,11 @@ void Simulation::RestoreState(const SimSnapshot& snapshot) {
   memory_->RestoreState(snapshot.memory);
   stats_.RestoreState(snapshot.stats);
   log_.RestoreState(snapshot.log);
+  // Last: `snapshot` may be one the ring holds.
+  if (adopt) {
+    checkpoints_.Clear();
+    CaptureCheckpointNow();
+  }
 }
 
 void Simulation::CaptureCheckpointNow() {
@@ -1474,44 +1407,29 @@ Status Simulation::StepBack(std::uint64_t maxReplayCycles) {
   return SeekTo(cycle_ - 1, maxReplayCycles);
 }
 
-std::uint64_t Simulation::SeekReplayCost(std::uint64_t targetCycle) const {
-  if (targetCycle == cycle_) return 0;
-  // Mirror SeekTo's choice of replay start exactly — this function is
-  // the planning half of the same decision.
-  const CheckpointRing::Entry* from = checkpoints_.FindAtOrBefore(targetCycle);
-  const bool restore =
-      targetCycle < cycle_ || (from != nullptr && from->cycle > cycle_);
-  const std::uint64_t replayFrom =
-      restore ? (from != nullptr ? from->cycle : 0) : cycle_;
-  return targetCycle - replayFrom;
-}
-
 Status Simulation::SeekTo(std::uint64_t targetCycle,
                           std::uint64_t maxReplayCycles) {
   if (targetCycle == cycle_) {
     lastSeekReplayedCycles_ = 0;
     return Status::Ok();
   }
-  if (targetCycle < earliestReachableCycle_) {
+  // Pick the replay start: for backward seeks the newest checkpoint at or
+  // before the target; for forward seeks a checkpoint is only worth
+  // restoring when it skips ahead of the current position — checkpoints
+  // from a previous forward pass stay valid after seeking backward
+  // because the simulation is deterministic. The ring always holds the
+  // origin, so only a target before it has no checkpoint.
+  const CheckpointRing::Entry* from = checkpoints_.FindAtOrBefore(targetCycle);
+  if (from == nullptr) {
     return Status::Fail(
         ErrorKind::kInvalidArgument,
         StrFormat("cycle %llu predates this session's detailed window "
                   "(earliest reachable cycle is %llu)",
                   static_cast<unsigned long long>(targetCycle),
-                  static_cast<unsigned long long>(earliestReachableCycle_)));
+                  static_cast<unsigned long long>(earliestReachableCycle())));
   }
-
-  // Pick the replay start: for backward seeks the best checkpoint at or
-  // before the target (or a hard reset when checkpointing is disabled);
-  // for forward seeks a checkpoint is only worth restoring when it skips
-  // ahead of the current position — checkpoints from a previous forward
-  // pass stay valid after seeking backward because the simulation is
-  // deterministic.
-  const CheckpointRing::Entry* from = checkpoints_.FindAtOrBefore(targetCycle);
-  const bool restore =
-      targetCycle < cycle_ || (from != nullptr && from->cycle > cycle_);
-  const std::uint64_t replayFrom =
-      restore ? (from != nullptr ? from->cycle : 0) : cycle_;
+  const bool restore = targetCycle < cycle_ || from->cycle > cycle_;
+  const std::uint64_t replayFrom = restore ? from->cycle : cycle_;
   if (targetCycle - replayFrom > maxReplayCycles) {
     return Status::Fail(
         ErrorKind::kInvalidArgument,
@@ -1522,20 +1440,7 @@ Status Simulation::SeekTo(std::uint64_t targetCycle,
                   static_cast<unsigned long long>(maxReplayCycles)));
   }
 
-  if (restore) {
-    if (from != nullptr) {
-      RestoreState(*from->snapshot);
-    } else if (earliestReachableCycle_ > 0) {
-      // ResetHard would rebuild the pre-import timeline; without the
-      // import anchor (evicted from the ring) the target is unreachable.
-      return Status::Fail(
-          ErrorKind::kInvalidArgument,
-          "no checkpoint covers the target cycle and the session's origin "
-          "predates this process (fast-forwarded import)");
-    } else {
-      ResetHard();
-    }
-  }
+  if (restore) RestoreState(*from->snapshot);
   std::uint64_t replayed = 0;
   while (cycle_ < targetCycle && status_ == SimStatus::kRunning) {
     Step();

@@ -22,8 +22,11 @@
 // paper replays from reset (O(n) per backward step); this implementation
 // snapshots the complete simulation state into a CheckpointRing every K
 // cycles, so StepBack restores the nearest checkpoint at or before the
-// target and replays at most K cycles — O(K) per backward step, with
-// re-execution from reset kept only as the checkpoints-disabled fallback.
+// target and replays at most K cycles — O(K) per backward step. The ring
+// always holds the timeline's origin (cycle 0, or the oldest state an
+// imported fast-forwarded session can reach), so every rewind restores a
+// ring entry; with checkpoints disabled that entry is the origin, which
+// is the paper's re-execution from reset.
 #pragma once
 
 #include <array>
@@ -203,30 +206,20 @@ class Simulation {
   /// servers pass their per-request bound).
   Status StepBack(std::uint64_t maxReplayCycles = UINT64_MAX);
 
-  /// Seeks to an arbitrary cycle, backward or forward. Restores the best
-  /// checkpoint at or before `targetCycle` (or hard-resets when none
-  /// exists) and replays the remainder; replay stops early if the program
-  /// finishes. `maxReplayCycles` bounds the replay distance: a seek that
-  /// would need more returns an error without touching the state (servers
-  /// use this to keep requests bounded).
+  /// Seeks to an arbitrary cycle, backward or forward. Restores the
+  /// newest checkpoint at or before `targetCycle` (a forward seek keeps
+  /// the current state unless a checkpoint lies ahead of it) and replays
+  /// the remainder; replay stops early if the program finishes. Fails for
+  /// a target before the origin. `maxReplayCycles` bounds the replay
+  /// distance: a seek that would need more returns an error without
+  /// touching the state (servers pass their per-request bound).
   Status SeekTo(std::uint64_t targetCycle,
                 std::uint64_t maxReplayCycles = UINT64_MAX);
 
-  /// How many cycles SeekTo(targetCycle) would replay right now, from
-  /// the same start SeekTo would pick (best checkpoint at or before the
-  /// target, or the current position for a plain forward seek). Lets a
-  /// server split one deep seek into several bounded SeekTo hops instead
-  /// of rejecting it: seek to an intermediate cycle, let the checkpoint
-  /// ring capture along the way, re-ask, repeat. Pure query — no state
-  /// is touched, and a target SeekTo would reject (below the reachable
-  /// window) still reports its nominal distance.
-  std::uint64_t SeekReplayCost(std::uint64_t targetCycle) const;
-
-  /// Resets to the initial state (cycle 0): restores the base checkpoint,
-  /// or rebuilds from the initial memory image when checkpointing is off.
-  /// The checkpoint ring itself survives — determinism keeps it valid.
-  /// In an imported fast-forwarded session whose pre-import cycles are
-  /// unreachable, this seeks to the earliest reachable cycle instead.
+  /// Returns to the timeline's origin (SeekTo(earliestReachableCycle())):
+  /// cycle 0, the post-skip cycle 0 of a fast-forwarded session, or the
+  /// import point of an imported fast-forwarded one. The checkpoint ring
+  /// itself survives — determinism keeps it valid.
   void Reset();
 
   /// Skips the program's warm-up phase on the reference ISS: executes up
@@ -248,11 +241,12 @@ class Simulation {
     return ffSeed_;
   }
 
-  /// Cycles below this are not reachable by SeekTo/StepBack: non-zero only
-  /// in sessions imported from a fast-forwarded export, where the blob's
-  /// snapshot is the oldest state this process can reconstruct.
+  /// Cycles below this are not reachable by SeekTo/StepBack: the cycle of
+  /// the ring's origin. Non-zero only in sessions imported from a
+  /// fast-forwarded export, where the blob's snapshot is the oldest state
+  /// this process can reconstruct.
   std::uint64_t earliestReachableCycle() const {
-    return earliestReachableCycle_;
+    return checkpoints_.origin().cycle;
   }
 
   // --- explicit state -------------------------------------------------------
@@ -263,7 +257,10 @@ class Simulation {
   SimSnapshot SaveState() const;
 
   /// Restores a snapshot previously captured from an identical
-  /// (program, config) pair. The snapshot itself is not consumed.
+  /// (program, config) pair. The snapshot itself is not consumed. A
+  /// snapshot whose fast-forward seed differs from this timeline's (an
+  /// imported fast-forwarded session) starts a new timeline: the ring is
+  /// cleared and the restored state becomes its origin.
   void RestoreState(const SimSnapshot& snapshot);
 
   /// Deposits a checkpoint of the current state into the ring (the server's
@@ -337,11 +334,8 @@ class Simulation {
   }
 
  private:
+  /// Sets up cycle 0 but for the memory, which Create loads.
   Simulation(config::CpuConfig config, assembler::LoadedProgram loaded);
-
-  /// Rebuilds the cycle-0 state from scratch (memory re-imaged). The
-  /// checkpoints-disabled Reset path and the Create-time initializer.
-  void ResetHard();
 
   /// Deposits an automatic checkpoint when the ring wants one.
   void MaybeCheckpoint();
@@ -381,10 +375,6 @@ class Simulation {
   WindowKind WindowFor(isa::OpClass opClass) const;
   config::FunctionalUnitConfig::Kind FuKindFor(WindowKind kind) const;
 
-  /// Installs a fast-forward seed's registers, PC and stats annotation
-  /// into the current (freshly reset) state.
-  void ApplyFastForwardSeed(const FastForwardSeed& seed);
-
   /// Builds predecoded_ from the loaded program (Create-time only).
   void BuildPredecode();
   const PredecodedOp& Predecoded(const InFlight& inst) const {
@@ -396,9 +386,6 @@ class Simulation {
   assembler::LoadedProgram loaded_;                // snapshot: derived
   memory::MainMemory::State baseMemory_;           // snapshot: derived
   std::uint64_t memoryBaseEpoch_ = 0;              // snapshot: derived
-  /// Cycle 0's memory, which ResetHard restores: baseMemory_, or the
-  /// post-skip memory after a fast-forward.
-  memory::MainMemory::State cycleZeroMemory_;      // snapshot: derived
   /// Predecode cache, parallel to loaded_.program.instructions (pc = 4*i).
   /// Derived state: never snapshotted, never invalidated (program is
   /// immutable for the simulation's lifetime).
@@ -447,12 +434,8 @@ class Simulation {
   CheckpointRing checkpoints_;                 // snapshot: derived
   std::uint64_t lastSeekReplayedCycles_ = 0;   // snapshot: derived
 
-  // --- fast-forward bookkeeping --------------------------------------------
-  /// Seed the detailed window started from (see FastForwardTo); applied by
-  /// ResetHard so cycle 0 rebuilds the post-fast-forward state.
+  /// Seed the detailed window started from (see FastForwardTo).
   std::optional<FastForwardSeed> ffSeed_;
-  /// See earliestReachableCycle().
-  std::uint64_t earliestReachableCycle_ = 0;  // snapshot: derived
 };
 
 }  // namespace rvss::core

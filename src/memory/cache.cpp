@@ -9,19 +9,12 @@ Cache::Cache(const config::CacheConfig& config, std::uint32_t loadLatency,
     : config_(config),
       loadLatency_(loadLatency),
       storeLatency_(storeLatency),
-      seed_(randomSeed),
       rng_(randomSeed) {
   ways_ = config_.associativity;
   setCount_ = config_.lineCount / config_.associativity;
   offsetBits_ = Log2(config_.lineSizeBytes);
   indexBits_ = Log2(setCount_);
   lines_.assign(static_cast<std::size_t>(setCount_) * ways_, Line{});
-}
-
-void Cache::Reset() {
-  lines_.assign(lines_.size(), Line{});
-  rng_.Seed(seed_);
-  insertCounter_ = 0;
 }
 
 Cache::Line* Cache::Lookup(std::uint32_t set, std::uint32_t tag) {

@@ -59,10 +59,6 @@ class Cache {
   CacheAccessResult Access(std::uint32_t address, std::uint32_t sizeBytes,
                            bool isStore, std::uint64_t cycle);
 
-  /// Invalidates everything (simulation reset). Deterministic: also
-  /// reseeds the Random-policy generator.
-  void Reset();
-
   /// Flushes one line if resident: write-back cost is returned. Models the
   /// paper's "cache line flushing" transaction support.
   std::uint32_t FlushLine(std::uint32_t address);
@@ -100,7 +96,6 @@ class Cache {
   config::CacheConfig config_;       // snapshot: derived
   std::uint32_t loadLatency_;        // snapshot: derived
   std::uint32_t storeLatency_;       // snapshot: derived
-  std::uint64_t seed_;               // snapshot: derived
   std::uint32_t setCount_ = 1;       // snapshot: derived
   std::uint32_t ways_ = 1;           // snapshot: derived
   std::uint32_t offsetBits_ = 0;     // snapshot: derived

@@ -36,8 +36,4 @@ std::vector<std::uint8_t> MainMemory::Bytes() const {
   return bytes;
 }
 
-void MainMemory::Clear() {
-  state_.pages.assign(PageCountFor(state_.sizeBytes), std::make_shared<Page>());
-}
-
 }  // namespace rvss::memory

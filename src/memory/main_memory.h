@@ -44,8 +44,8 @@ class MainMemory {
   /// A zeroed memory: every page is one shared zero page, so a page that
   /// is never written costs nothing.
   explicit MainMemory(std::uint32_t sizeBytes) {
+    state_.pages.assign(PageCountFor(sizeBytes), std::make_shared<Page>());
     state_.sizeBytes = sizeBytes;
-    Clear();
   }
 
   std::uint32_t size() const { return state_.sizeBytes; }
@@ -96,9 +96,6 @@ class MainMemory {
   /// A copy of the whole contents, for dump export and the GUI memory
   /// pop-up.
   std::vector<std::uint8_t> Bytes() const;
-
-  /// Zeroes all contents (simulation reset).
-  void Clear();
 
   /// Restoring a State taken from a memory of a different capacity also
   /// restores that capacity (states always come from the same

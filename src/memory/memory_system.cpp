@@ -72,11 +72,4 @@ void MemorySystem::RestoreState(const State& state) {
   nextTransactionId_ = state.nextTransactionId;
 }
 
-void MemorySystem::Reset() {
-  memory_.Clear();
-  if (cache_) cache_->Reset();
-  stats_ = MemoryStats{};
-  nextTransactionId_ = 1;
-}
-
 }  // namespace rvss::memory

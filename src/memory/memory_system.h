@@ -54,9 +54,6 @@ class MemorySystem {
 
   const MemoryStats& stats() const { return stats_; }
 
-  /// Clears memory contents, cache state and statistics.
-  void Reset();
-
   /// Copyable snapshot of everything mutable behind the front door: memory
   /// contents, cache residency, statistics and the transaction counter.
   /// Everything but the memory is a value; the memory's pages are shared

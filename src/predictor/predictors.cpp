@@ -56,10 +56,8 @@ const char* BitPredictor::StateName() const {
 }
 
 PatternHistoryTable::PatternHistoryTable(const config::PredictorConfig& config)
-    : config_(config), mask_(config.phtSize - 1) {
-  entries_.assign(config.phtSize,
-                  BitPredictor(config.type, config.defaultState));
-}
+    : entries_(config.phtSize, BitPredictor(config.type, config.defaultState)),
+      mask_(config.phtSize - 1) {}
 
 bool PatternHistoryTable::Predict(std::uint32_t index) const {
   return entries_[index & mask_].Predict();
@@ -67,11 +65,6 @@ bool PatternHistoryTable::Predict(std::uint32_t index) const {
 
 void PatternHistoryTable::Update(std::uint32_t index, bool taken) {
   entries_[index & mask_].Update(taken);
-}
-
-void PatternHistoryTable::Reset() {
-  entries_.assign(entries_.size(),
-                  BitPredictor(config_.type, config_.defaultState));
 }
 
 BranchTargetBuffer::BranchTargetBuffer(std::uint32_t size)
@@ -89,8 +82,6 @@ void BranchTargetBuffer::Insert(std::uint32_t pc, std::uint32_t target) {
   entry.pc = pc;
   entry.target = target;
 }
-
-void BranchTargetBuffer::Reset() { entries_.assign(entries_.size(), Entry{}); }
 
 PredictorUnit::PredictorUnit(const config::PredictorConfig& config)
     : config_(config),
@@ -149,15 +140,6 @@ void PredictorUnit::Resolve(std::uint32_t pc, bool taken, std::uint32_t target,
   if (mispredicted && config_.historyBits != 0) {
     // Squash the wrong speculative history and re-apply the real outcome.
     SetHistoryFor(pc, (checkpoint << 1) | (taken ? 1u : 0u));
-  }
-}
-
-void PredictorUnit::Reset() {
-  pht_.Reset();
-  btb_.Reset();
-  globalHistory_ = 0;
-  if (!localHistories_.empty()) {
-    localHistories_.assign(localHistories_.size(), 0);
   }
 }
 

@@ -56,8 +56,6 @@ class PatternHistoryTable {
   }
   std::uint32_t size() const { return static_cast<std::uint32_t>(entries_.size()); }
 
-  void Reset();
-
   /// Copyable snapshot of every counter.
   struct State {
     std::vector<BitPredictor> entries;
@@ -66,7 +64,6 @@ class PatternHistoryTable {
   void RestoreState(const State& state) { entries_ = state.entries; }
 
  private:
-  config::PredictorConfig config_;  // snapshot: derived
   std::vector<BitPredictor> entries_;
   std::uint32_t mask_;  // snapshot: derived
 };
@@ -87,7 +84,6 @@ class BranchTargetBuffer {
   std::optional<std::uint32_t> Lookup(std::uint32_t pc) const;
 
   void Insert(std::uint32_t pc, std::uint32_t target);
-  void Reset();
 
   std::uint32_t size() const { return static_cast<std::uint32_t>(entries_.size()); }
 
@@ -135,8 +131,6 @@ class PredictorUnit {
   void TrainIndirect(std::uint32_t pc, std::uint32_t target) {
     btb_.Insert(pc, target);
   }
-
-  void Reset();
 
   /// Copyable snapshot of all trained state: PHT counters, BTB entries and
   /// the speculative history registers.

@@ -53,30 +53,6 @@ void RecordCommandMetrics(Command command, std::uint64_t startNs) {
   registry.GetHistogram("server.handleUs." + suffix).Record(elapsedUs);
 }
 
-/// One deep seek as a server-side loop of bounded SeekTo hops, instead of
-/// rejecting (or silently clamping) anything deeper than `chunk`: each
-/// hop replays at most `chunk` cycles, the checkpoint ring captures as
-/// the replay advances, and the next hop starts from what it captured.
-/// Honors the request's semantics — the loop ends at the target, when the
-/// program finishes short of it (exactly what a single unbounded SeekTo
-/// would do), or on the first real error. `chunk == 0` degenerates to the
-/// single-shot SeekTo error, preserving a zero maxStepsPerRequest limit.
-/// `*replayed` accumulates the cycles actually re-simulated.
-Status ChunkedSeek(core::Simulation& sim, std::uint64_t target,
-                   std::uint64_t chunk, std::uint64_t* replayed) {
-  *replayed = 0;
-  while (true) {
-    const std::uint64_t cost = sim.SeekReplayCost(target);
-    const std::uint64_t hop =
-        chunk > 0 && cost > chunk ? target - (cost - chunk) : target;
-    RVSS_RETURN_IF_ERROR(sim.SeekTo(hop, chunk));
-    *replayed += sim.lastSeekReplayedCycles();
-    // Short of the hop: the program finished mid-replay. Done — a
-    // single-shot seek stops at the same cycle.
-    if (sim.cycle() != hop || hop == target) return Status::Ok();
-  }
-}
-
 }  // namespace
 
 json::Json OkResponse() {
@@ -343,8 +319,10 @@ json::Json SimServer::Dispatch(Command command, const json::Json& request) {
         return MakeErrorResponse(Error{ErrorKind::kInvalidArgument,
                                        "'instructions' must be non-negative"});
       }
-      Status status =
-          sim->FastForwardTo(static_cast<std::uint64_t>(instructions));
+      // Clamped like run: a program that never ends would otherwise hold
+      // the worker for as long as the number asks.
+      Status status = sim->FastForwardTo(static_cast<std::uint64_t>(
+          std::min(instructions, limits_.maxRunCyclesPerRequest)));
       if (!status.ok()) return MakeErrorResponse(status.error());
       json::Json response = OkResponse();
       response.Set("fastForwardedInstructions",
@@ -355,23 +333,14 @@ json::Json SimServer::Dispatch(Command command, const json::Json& request) {
     }
 
     case Command::kStepBack: {
-      if (sim->cycle() == 0) {
-        return MakeErrorResponse(Error{ErrorKind::kInvalidArgument,
-                                       "already at cycle 0; cannot step back"});
-      }
-      // With checkpoints disabled (or evicted) a deep StepBack replays the
-      // whole prefix; maxStepsPerRequest used to clamp that by *failing*
-      // the request. Loop the replay server-side in bounded chunks instead
-      // — the request means "one cycle back", however much replay that
-      // costs, and each chunk keeps the dispatch loop's unit of work
-      // bounded.
-      std::uint64_t replayed = 0;
-      Status status = ChunkedSeek(
-          *sim, sim->cycle() - 1,
-          static_cast<std::uint64_t>(limits_.maxStepsPerRequest), &replayed);
+      // A replay longer than the run bound is refused, leaving the
+      // session where it was.
+      Status status = sim->StepBack(
+          static_cast<std::uint64_t>(limits_.maxRunCyclesPerRequest));
       if (!status.ok()) return MakeErrorResponse(status.error());
       json::Json response = OkResponse();
-      response.Set("replayedSteps", static_cast<std::int64_t>(replayed));
+      response.Set("replayedSteps",
+                   static_cast<std::int64_t>(sim->lastSeekReplayedCycles()));
       response.Set("state", RenderJson(*sim));
       return response;
     }
@@ -424,13 +393,12 @@ json::Json SimServer::Dispatch(Command command, const json::Json& request) {
             "'cycle' must be a non-negative integer"});
       }
       obs::ScopedSpan span("session", "restoreCheckpoint");
-      // Deep restores loop server-side in maxStepsPerRequest-sized hops
-      // (see ChunkedSeek) rather than failing past the per-request bound.
-      std::uint64_t replayed = 0;
-      Status status = ChunkedSeek(
-          *sim, static_cast<std::uint64_t>(cycle),
-          static_cast<std::uint64_t>(limits_.maxStepsPerRequest), &replayed);
+      // Bounded like stepBack.
+      Status status = sim->SeekTo(
+          static_cast<std::uint64_t>(cycle),
+          static_cast<std::uint64_t>(limits_.maxRunCyclesPerRequest));
       if (!status.ok()) return MakeErrorResponse(status.error());
+      const std::uint64_t replayed = sim->lastSeekReplayedCycles();
       span.SetDetail(StrFormat("cycle=%lld replayed=%llu",
                                static_cast<long long>(cycle),
                                static_cast<unsigned long long>(replayed)));

@@ -18,13 +18,15 @@
 // its sessions and importing them elsewhere.
 //
 // step rejects a negative count and clamps it to Limits::maxStepsPerRequest;
-// run clamps maxCycles likewise, so no single request can spin the dispatch
-// loop unboundedly. stepBack and restoreCheckpoint ride the simulation's
-// checkpoint ring (O(interval) instead of re-execution from reset);
-// restoreCheckpoint scrubs to an arbitrary cycle, backward or forward. A
-// scrub deeper than maxStepsPerRequest (checkpoints disabled or evicted)
-// is replayed server-side in bounded hops rather than rejected; both
-// commands report the cycles actually re-simulated as "replayedSteps".
+// run clamps maxCycles, and fastForward its instruction count, to
+// Limits::maxRunCyclesPerRequest, so no single request can spin the
+// dispatch loop unboundedly. stepBack and restoreCheckpoint ride the
+// simulation's checkpoint ring (O(interval) instead of re-execution from
+// reset); restoreCheckpoint scrubs to an arbitrary cycle, backward or
+// forward. A seek that would replay more than maxRunCyclesPerRequest
+// cycles (checkpoints disabled or evicted) is refused and leaves the
+// session untouched; both commands report the cycles actually
+// re-simulated as "replayedSteps".
 // Per-session checkpoint memory is capped by the session's
 // config.checkpoint.maxTotalBytes and reported in the "checkpoints" object
 // ({count, bytes, maxBytes, intervalCycles}).
@@ -110,6 +112,8 @@ class SimServer {
   /// monopolize the dispatch loop).
   struct Limits {
     std::int64_t maxStepsPerRequest = 1'000'000;
+    /// Bounds run's cycles, fastForward's instructions and the replay of
+    /// a stepBack or restoreCheckpoint.
     std::int64_t maxRunCyclesPerRequest = 1'000'000'000;
     /// Per-session checkpoint-ring byte budget ceiling. Session configs are
     /// client-supplied, so a shared server clamps them here instead of

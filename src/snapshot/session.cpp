@@ -150,9 +150,10 @@ Result<ImportedSession> ImportSessionBlob(
   RVSS_ASSIGN_OR_RETURN(core::SimSnapshot snapshot,
                         DecodeSnapshot(snapshotBlob, context));
   sim->RestoreState(snapshot);
-  // Anchor backward stepping at the imported position; without this the
-  // only checkpoint is the cycle-0 base and the first StepBack replays the
-  // whole prefix.
+  // Anchor backward stepping at the imported position. A fast-forwarded
+  // blob's snapshot is already the ring's origin; otherwise the origin is
+  // Create's cycle 0, and without the anchor the first StepBack would
+  // replay the whole prefix.
   sim->CaptureCheckpointNow();
 
   ImportedSession imported;

@@ -127,10 +127,9 @@ TEST(CheckpointRing, FindAtOrBeforePicksNewestNotAfter) {
   EXPECT_EQ(ring.FindAtOrBefore(31)->cycle, 0u);
   EXPECT_EQ(ring.FindAtOrBefore(32)->cycle, 32u);
   EXPECT_EQ(ring.FindAtOrBefore(1000)->cycle, 64u);
-  EXPECT_EQ(ring.base()->cycle, 0u);
+  EXPECT_EQ(ring.origin().cycle, 0u);
   CheckpointRing empty(32, 1u << 20);
   EXPECT_EQ(empty.FindAtOrBefore(1000), nullptr);
-  EXPECT_EQ(empty.base(), nullptr);
 }
 
 TEST(CheckpointRing, DuplicateCycleIsNoOp) {
@@ -141,7 +140,7 @@ TEST(CheckpointRing, DuplicateCycleIsNoOp) {
   EXPECT_EQ(ring.totalBytes(), 100u);
 }
 
-TEST(CheckpointRing, EvictsOldestButPinsBaseAndNewest) {
+TEST(CheckpointRing, EvictsOldestButPinsOriginAndNewest) {
   CheckpointRing ring(32, 250);
   ring.Add(0, 100, DummySnapshot());
   ring.Add(32, 100, DummySnapshot());
@@ -150,13 +149,24 @@ TEST(CheckpointRing, EvictsOldestButPinsBaseAndNewest) {
   EXPECT_EQ(ring.totalBytes(), 200u);
   EXPECT_EQ(ring.FindAtOrBefore(63)->cycle, 0u);
   EXPECT_EQ(ring.FindAtOrBefore(64)->cycle, 64u);
-  // Even a budget too small for two entries keeps base + newest.
+  // Even a budget too small for two entries keeps origin + newest.
   CheckpointRing tiny(32, 50);
   tiny.Add(0, 100, DummySnapshot());
   tiny.Add(32, 100, DummySnapshot());
   tiny.Add(64, 100, DummySnapshot());
   EXPECT_EQ(tiny.checkpointCount(), 2u);
-  EXPECT_EQ(tiny.base()->cycle, 0u);
+  EXPECT_EQ(tiny.origin().cycle, 0u);
+  // The origin need not sit at cycle 0: an imported fast-forwarded
+  // session's starts at the import point, and a budget that fits nothing
+  // still keeps it and the newest entry.
+  CheckpointRing imported(32, 0);
+  for (const std::uint64_t cycle : {150, 160, 192, 224}) {
+    imported.Add(cycle, 100, DummySnapshot());
+  }
+  ASSERT_EQ(imported.checkpointCount(), 2u);
+  EXPECT_EQ(imported.origin().cycle, 150u);
+  EXPECT_EQ(imported.FindAtOrBefore(223)->cycle, 150u);
+  EXPECT_EQ(imported.FindAtOrBefore(224)->cycle, 224u);
 }
 
 using Pages = std::vector<std::shared_ptr<const memory::MainMemory::Page>>;
@@ -500,7 +510,7 @@ TEST(CheckpointBudget, DisabledIntervalFallsBackToFullReplay) {
   auto sim = MustCreate(kBranchyMemory, config);
   ASSERT_NE(sim, nullptr);
   StepN(*sim, 100);
-  EXPECT_EQ(sim->checkpoints().checkpointCount(), 0u);
+  EXPECT_EQ(sim->checkpoints().checkpointCount(), 1u) << "the origin only";
   ASSERT_TRUE(sim->StepBack().ok());
   // The paper's path: re-execution of all 99 cycles from reset.
   EXPECT_EQ(sim->lastSeekReplayedCycles(), 99u);

@@ -17,6 +17,7 @@
 #include "core/simulation.h"
 #include "ref/interpreter.h"
 #include "ref/progen.h"
+#include "server/state_renderer.h"
 #include "snapshot/codec.h"
 #include "snapshot/session.h"
 
@@ -172,6 +173,45 @@ TEST(FastForward, StepBackAndResetStayInsideTheDetailedWindow) {
   EXPECT_EQ(s.ReadIntReg(5), seededX5)
       << "Reset of a fast-forwarded session must re-apply the ISS seed";
   EXPECT_EQ(s.statistics().fastForwardedInstructions, 1000u);
+}
+
+std::string Render(const core::Simulation& sim) {
+  return server::RenderJson(sim).Dump();
+}
+
+// Every rewind restores a checkpoint-ring entry, and the post-skip cycle 0
+// is the ring's origin whether or not automatic checkpoints are on: a
+// rewind renders what the forward run rendered, the ISS's log line and a
+// finished status included.
+TEST(FastForward, EveryRewindRestoresThePostSkipCycleZero) {
+  for (const std::uint64_t interval : {64, 0}) {
+    SCOPED_TRACE("intervalCycles " + std::to_string(interval));
+    config::CpuConfig config = config::DefaultConfig();
+    config.checkpoint.intervalCycles = interval;
+    auto sim = core::Simulation::Create(config, kLoop, {{}, "main"});
+    ASSERT_TRUE(sim.ok());
+    core::Simulation& s = *sim.value();
+    ASSERT_TRUE(s.FastForwardTo(1000).ok());
+    const std::string cycleZero = Render(s);
+    for (int i = 0; i < 20; ++i) s.Step();
+    const std::string cycle20 = Render(s);
+    s.Step();
+    ASSERT_TRUE(s.StepBack().ok());
+    EXPECT_EQ(Render(s), cycle20) << "stepBack to cycle 20";
+    s.Reset();
+    EXPECT_EQ(Render(s), cycleZero) << "Reset";
+
+    auto done = core::Simulation::Create(config, kLoop, {{}, "main"});
+    ASSERT_TRUE(done.ok());
+    core::Simulation& d = *done.value();
+    ASSERT_TRUE(d.FastForwardTo(100'000'000).ok());
+    ASSERT_EQ(d.status(), core::SimStatus::kFinished);
+    const std::string finished = Render(d);
+    d.Reset();
+    EXPECT_EQ(d.status(), core::SimStatus::kFinished)
+        << "Reset of a session the ISS ran to completion";
+    EXPECT_EQ(Render(d), finished);
+  }
 }
 
 // --- the export/import seam --------------------------------------------------

@@ -131,19 +131,6 @@ TEST(PredictorUnit, LocalHistoriesAreIndependent) {
   EXPECT_FALSE(unit.Predict(0x104).predictTaken);
 }
 
-TEST(PredictorUnit, ResetClearsEverything) {
-  PredictorUnit unit(TwoBitConfig(4, HistoryKind::kGlobal));
-  for (int i = 0; i < 8; ++i) {
-    auto p = unit.Predict(0x100);
-    unit.SpeculateOutcome(0x100, true);
-    unit.Resolve(0x100, true, 0x200, false, p.historyCheckpoint);
-  }
-  EXPECT_TRUE(unit.Predict(0x100).predictTaken);
-  unit.Reset();
-  EXPECT_FALSE(unit.Predict(0x100).predictTaken);
-  EXPECT_FALSE(unit.Predict(0x100).target.has_value());
-}
-
 TEST(PatternHistoryTable, DefaultStateIsConfigurable) {
   config::PredictorConfig config = TwoBitConfig();
   config.defaultState = 3;  // strongly taken

@@ -184,7 +184,7 @@ TEST(Api, StepRejectsNegativeAndClampsHugeCounts) {
   EXPECT_EQ(StateOf(response).GetInt("cycle", -1), 10);
 }
 
-TEST(Api, StepBackReplaysInBoundedHopsWhenCheckpointsDisabled) {
+TEST(Api, StepBackReplaysFromTheOriginWhenCheckpointsDisabled) {
   SimServer::Limits limits;
   limits.maxStepsPerRequest = 10;
   SimServer server(limits);
@@ -203,10 +203,9 @@ TEST(Api, StepBackReplaysInBoundedHopsWhenCheckpointsDisabled) {
     ASSERT_EQ(server.Handle(step).GetString("status", ""), "ok");
   }
 
-  // Without checkpoints, stepping back from cycle 30 means replaying 29
-  // cycles from reset — beyond this server's 10-cycle request budget. The
-  // server loops the replay in budget-sized hops instead of refusing (or,
-  // worse, clamping at the wrong cycle) and reports the total work done.
+  // Without checkpoints, stepping back from cycle 30 restores the origin
+  // (cycle 0) and replays 29 cycles. A replay is bounded by the run bound,
+  // not by the step bound, so it goes through, and the reply reports it.
   json::Json back = json::Json::MakeObject();
   back.Set("command", "stepBack");
   back.Set("sessionId", id);
@@ -214,6 +213,56 @@ TEST(Api, StepBackReplaysInBoundedHopsWhenCheckpointsDisabled) {
   ASSERT_EQ(response.GetString("status", ""), "ok");
   EXPECT_EQ(StateOf(response).GetInt("cycle", -1), 29);
   EXPECT_EQ(response.GetInt("replayedSteps", -1), 29);
+}
+
+TEST(Api, EverySimulatingRequestHasTheRunBound) {
+  SimServer::Limits limits;
+  limits.maxRunCyclesPerRequest = 1000;
+  SimServer server(limits);
+  const auto create = [&server] {
+    json::Json created = server.Handle(Parse(
+        R"({"command": "createSession", "code": "main:\n j main\n",
+            "entry": "main",
+            "config": {"checkpoint": {"intervalCycles": 0}}})"));
+    EXPECT_EQ(created.GetString("status", ""), "ok");
+    return created.GetInt("sessionId", -1);
+  };
+  const auto request = [&server](std::int64_t id, const char* command,
+                                 const char* key, std::int64_t value) {
+    json::Json r = json::Json::MakeObject();
+    r.Set("command", command);
+    r.Set("sessionId", id);
+    if (key != nullptr) r.Set(key, value);
+    return server.Handle(r);
+  };
+  const auto cycleOf = [&request](std::int64_t id) {
+    return StateOf(request(id, "state", nullptr, 0)).GetInt("cycle", -1);
+  };
+  const std::int64_t id = create();
+
+  json::Json ran = request(id, "run", "maxCycles", 5000);
+  ASSERT_EQ(ran.GetString("status", ""), "ok");
+  EXPECT_EQ(ran.GetInt("ranCycles", -1), 1000);
+
+  // A forward seek from 1,000 to 2,001 replays 1,001 cycles: refused, and
+  // the session stays where it was.
+  testutil::CheckErrorEnvelope(
+      request(id, "restoreCheckpoint", "cycle", 2001));
+  EXPECT_EQ(cycleOf(id), 1000);
+
+  json::Json restored = request(id, "restoreCheckpoint", "cycle", 2000);
+  ASSERT_EQ(restored.GetString("status", ""), "ok");
+  EXPECT_EQ(restored.GetInt("replayedSteps", -1), 1000);
+  EXPECT_EQ(StateOf(restored).GetInt("cycle", -1), 2000);
+
+  // Stepping back from 2,000 replays 1,999 cycles from the origin.
+  testutil::CheckErrorEnvelope(request(id, "stepBack", nullptr, 0));
+  EXPECT_EQ(cycleOf(id), 2000);
+
+  json::Json forwarded =
+      request(create(), "fastForward", "instructions", 5000);
+  ASSERT_EQ(forwarded.GetString("status", ""), "ok");
+  EXPECT_EQ(forwarded.GetInt("fastForwardedInstructions", -1), 1000);
 }
 
 TEST(Api, StepStopsEarlyWhenSimulationFinishes) {

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -403,32 +404,34 @@ void AddBlobs(std::vector<Blob>& blobs, const std::string& label,
   blobs.push_back({label + "/session", std::move(session)});
 }
 
+/// The golden table's five machine shapes. The Random replacement policy
+/// and local histories put the cache RNG and the history table on the
+/// wire.
+std::vector<std::pair<const char*, config::CpuConfig>> GoldenConfigs() {
+  config::CpuConfig localRandom = config::DefaultConfig();
+  localRandom.predictor.history = config::HistoryKind::kLocal;
+  localRandom.predictor.historyBits = 4;
+  localRandom.cache.replacement = config::ReplacementPolicy::kRandom;
+  return {{"default", config::DefaultConfig()},
+          {"scalar", config::ScalarConfig()},
+          {"wide", config::WideConfig()},
+          {"nocache", config::NoCacheConfig()},
+          {"localrandom", localRandom}};
+}
+
 /// Every blob the golden table pins, in table order: progen seeds 1-4 on
-/// five machine shapes (the Random replacement policy and local histories
-/// put the cache RNG and the history table on the wire), and the
-/// interactive benches' C programs mid-run, finished and fast-forwarded
-/// (the seed record).
+/// the five machine shapes, and the interactive benches' C programs
+/// mid-run, finished and fast-forwarded (the seed record).
 std::vector<Blob> GoldenBlobs() {
   const auto stepTo = [](core::Simulation& sim, std::uint64_t cycle) {
     while (sim.cycle() < cycle && sim.status() == core::SimStatus::kRunning) {
       sim.Step();
     }
   };
-  config::CpuConfig localRandom = config::DefaultConfig();
-  localRandom.predictor.history = config::HistoryKind::kLocal;
-  localRandom.predictor.historyBits = 4;
-  localRandom.cache.replacement = config::ReplacementPolicy::kRandom;
-  const std::pair<const char*, config::CpuConfig> configs[] = {
-      {"default", config::DefaultConfig()},
-      {"scalar", config::ScalarConfig()},
-      {"wide", config::WideConfig()},
-      {"nocache", config::NoCacheConfig()},
-      {"localrandom", localRandom}};
-
   std::vector<Blob> blobs;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const std::string source = ref::GenerateProgram(seed);
-    for (const auto& [name, config] : configs) {
+    for (const auto& [name, config] : GoldenConfigs()) {
       auto sim = MustCreate(source, config);
       auto base = MustCreate(source, config);
       if (sim == nullptr || base == nullptr) continue;
@@ -699,6 +702,20 @@ TEST(GoldenCodec, EncodedBytesMatchThePinnedTable) {
     }
   }
   if (differs) ADD_FAILURE() << "the table this build encodes:\n" << table;
+}
+
+// Every blob's header and every hello carry ConfigHash, so a change to the
+// config JSON must not move it: saved blobs would stop importing.
+TEST(GoldenCodec, ConfigHashesMatchThePinnedTable) {
+  const std::map<std::string, std::uint64_t> pinned = {
+      {"default", 0xa6d7329b284cbc0eull},
+      {"scalar", 0x89e33ce4adec83e1ull},
+      {"wide", 0x31a5da65cecfe1bfull},
+      {"nocache", 0x37f51e1973ed6a49ull},
+      {"localrandom", 0xa31081332522e22cull}};
+  for (const auto& [name, config] : GoldenConfigs()) {
+    EXPECT_EQ(ConfigHash(config), pinned.at(name)) << name;
+  }
 }
 
 // ---- doctored snapshots: one per decode check -------------------------------
