@@ -104,15 +104,6 @@ struct CheckpointConfig {
   /// Memory budget for the per-simulation checkpoint ring; the oldest
   /// checkpoints but the origin are evicted beyond this.
   std::uint64_t maxTotalBytes = 64ull * 1024 * 1024;
-  /// deltaPages and fullSnapshotEvery configured the page-delta
-  /// checkpoints that copy-on-write memory pages replaced; they have no
-  /// effect. They stay because ConfigHash hashes the config JSON with this
-  /// section at its defaults and every session blob embeds that JSON:
-  /// deleting either would change every config's hash and stop every
-  /// saved snapshot from importing. Remove both with the next change that
-  /// moves the config hash or the snapshot format.
-  bool deltaPages = true;
-  std::uint64_t fullSnapshotEvery = 16;  ///< validated to [1, 1024]
   /// Grow the effective checkpoint interval (doubling, up to 1024x) when
   /// observed bytes/checkpoint exceed the byte budget, instead of churning
   /// the ring through evictions.

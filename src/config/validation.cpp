@@ -120,8 +120,8 @@ std::vector<Error> Validate(const CpuConfig& config) {
   // are bounded: a dense interval turns every step into a snapshot copy,
   // and an unbounded budget defeats the per-session memory cap. A budget
   // too small for two snapshots is fine — the ring pins the timeline's
-  // origin and the newest entry and degrades to longer replays. The upper bounds
-  // also catch negative JSON values wrapping to huge unsigned ones.
+  // origin and the newest entry and degrades to longer replays. The upper
+  // bounds also catch negative JSON values wrapping to huge unsigned ones.
   const CheckpointConfig& k = config.checkpoint;
   if (k.intervalCycles > 0) {
     Check(errors, k.intervalCycles >= 16,
@@ -135,8 +135,6 @@ std::vector<Error> Validate(const CpuConfig& config) {
   // manual saveCheckpoint requests still deposit into the ring.
   Check(errors, k.maxTotalBytes <= (1ull << 30),
         "checkpoint maxTotalBytes above 1 GiB is not supported");
-  Check(errors, k.fullSnapshotEvery >= 1 && k.fullSnapshotEvery <= 1024,
-        "checkpoint fullSnapshotEvery must be in [1, 1024]");
 
   const PredictorConfig& p = config.predictor;
   Check(errors, IsPowerOfTwo(p.btbSize), "btbSize must be a power of two");

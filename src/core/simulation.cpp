@@ -799,9 +799,10 @@ void Simulation::FlushYoungerThan(std::uint64_t seq, std::uint32_t newPc) {
   ++stats_.robFlushes;
   const auto younger = [&](Slot slot) { return inFlight_[slot]->seq > seq; };
 
-  // LS buffers: everything younger goes.
-  std::size_t squashedCount = std::erase_if(loadBuffer_, younger) +
-                              std::erase_if(storeBuffer_, younger);
+  // LS buffers: everything younger goes. Each squashed instruction is
+  // counted once, below, where it leaves the fetch queue or the ROB.
+  std::erase_if(loadBuffer_, younger);
+  std::erase_if(storeBuffer_, younger);
 
   // Issue windows. Waiting-consumer reference counts are NOT released
   // here: every window entry also sits in the ROB, and the youngest-first
@@ -819,7 +820,8 @@ void Simulation::FlushYoungerThan(std::uint64_t seq, std::uint32_t newPc) {
 
   // Fetch queue, then ROB, youngest first, undoing renames (a fetched
   // instruction has no operands yet). Every squashed instruction sits in
-  // exactly one of the two, so this is where it is released.
+  // exactly one of the two, so this is where it is released and counted.
+  std::size_t squashedCount = 0;
   for (std::deque<Slot>* queue : {&fetchQueue_, &rob_}) {
     while (!queue->empty() && younger(queue->back())) {
       const Slot slot = queue->back();

@@ -602,10 +602,19 @@ std::uint64_t ConfigHash(const config::CpuConfig& config) {
   // Checkpoint settings and the display name tune ring behaviour and UI
   // labels, not simulation state, so they are normalized out: a server may
   // clamp a session's checkpoint budget on import without breaking blobs.
+  // The checkpoint section hashes as one fixed text, the section's
+  // defaults when hashes were first pinned, so checkpoint settings can
+  // come and go without moving any hash.
+  static const json::Json kHashedCheckpoint =
+      json::Parse(R"({"intervalCycles":1024,"maxTotalBytes":67108864,)"
+                  R"("deltaPages":true,"fullSnapshotEvery":16,)"
+                  R"("adaptiveInterval":false})")
+          .value();
   config::CpuConfig normalized = config;
-  normalized.checkpoint = config::CheckpointConfig{};
   normalized.name.clear();
-  return Fnv1a(config::ToJson(normalized).Dump());
+  json::Json hashed = config::ToJson(normalized);
+  hashed.Set("checkpoint", kHashedCheckpoint);
+  return Fnv1a(hashed.Dump());
 }
 
 std::uint64_t ProgramHash(const assembler::Program& program) {

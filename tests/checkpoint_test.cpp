@@ -315,6 +315,16 @@ TEST(SimState, CheckpointConfigJsonRoundTrip) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().checkpoint.intervalCycles, 512u);
   EXPECT_EQ(parsed.value().checkpoint.maxTotalBytes, 9u * 1024 * 1024);
+
+  // A config written while the section still had deltaPages and
+  // fullSnapshotEvery parses and validates: unknown keys are ignored.
+  auto old = json::Parse(R"({"checkpoint": {"intervalCycles": 512,
+      "deltaPages": false, "fullSnapshotEvery": 4096}})");
+  ASSERT_TRUE(old.ok());
+  auto oldParsed = config::CpuConfigFromJson(old.value());
+  ASSERT_TRUE(oldParsed.ok());
+  EXPECT_EQ(oldParsed.value().checkpoint.intervalCycles, 512u);
+  EXPECT_TRUE(config::Validate(oldParsed.value()).empty());
 }
 
 TEST(SimState, CheckpointConfigValidationBounds) {

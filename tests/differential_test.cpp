@@ -103,6 +103,30 @@ TEST_P(DifferentialFuzz, CoreMatchesIss) {
                            issMemory.size()));
 }
 
+// Every fetched instruction is committed, squashed, or still in the fetch
+// queue or the ROB: a flush counts each squashed instruction once, however
+// many containers it leaves.
+TEST_P(DifferentialFuzz, SquashedCountIsFetchedMinusCommittedMinusInFlight) {
+  const DiffCase& param = GetParam();
+  auto sim = core::Simulation::Create(ConfigByName(param.configName),
+                                      ref::GenerateProgram(param.seed),
+                                      {{}, "main"});
+  ASSERT_TRUE(sim.ok()) << sim.error().ToText();
+  core::Simulation& s = *sim.value();
+  const auto check = [&s] {
+    const stats::SimulationStatistics& st = s.statistics();
+    EXPECT_EQ(st.squashedInstructions,
+              st.fetchedInstructions - st.committedInstructions -
+                  s.fetchQueue().size() - s.rob().size())
+        << "cycle " << s.cycle();
+  };
+  while (s.status() == core::SimStatus::kRunning && s.cycle() < 20'000) {
+    s.Step();
+    if (s.cycle() % 50 == 0) check();
+  }
+  check();
+}
+
 /// Seed count, overridable for the nightly wide-fuzz profile.
 std::uint64_t SeedCount() {
   const char* env = std::getenv("RVSS_DIFF_SEEDS");

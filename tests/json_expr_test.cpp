@@ -736,7 +736,7 @@ constexpr GoldenPin kGoldenRenders[] = {
     {"float/cycle300", 36460, 0x05af97d7d2d633caull},
     {"float/end", 6025, 0xce0b3536da008568ull},
     {"float/ff/cycle25", 34971, 0x360b0d514182e2afull},
-    {"config/pretty", 2290, 0x8fb5426ed618fba6ull},
+    {"config/pretty", 2237, 0x8504e68bf77f9223ull},
     {"isa/pretty", 40319, 0xd708dcdffb995b33ull},
 };
 

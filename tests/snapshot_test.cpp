@@ -481,202 +481,202 @@ struct GoldenPin {
 constexpr GoldenPin kGoldenBlobs[] = {
     {"seed1/default/cycle0/full", 70617, 0xb0e76bd3d8a621b5ull},
     {"seed1/default/cycle0/delta", 5093, 0x0c51a5e0c94c07ecull},
-    {"seed1/default/cycle0/session", 16641, 0x881f1716a81e6b0eull},
-    {"seed1/default/cycle17/full", 75049, 0x9f1ca431e225572cull},
-    {"seed1/default/cycle17/delta", 9525, 0xc872fc433783cd1bull},
-    {"seed1/default/cycle17/session", 18121, 0x40115f970e902dc4ull},
-    {"seed1/default/cycle1000/full", 70826, 0xc3dfef776b4454f0ull},
-    {"seed1/default/cycle1000/delta", 9402, 0xc737233ce3ac351cull},
-    {"seed1/default/cycle1000/session", 17012, 0xf47dae9b1ac985d3ull},
+    {"seed1/default/cycle0/session", 16607, 0x1a34c75aae555fc4ull},
+    {"seed1/default/cycle17/full", 75049, 0x9ff5cc379cb32c58ull},
+    {"seed1/default/cycle17/delta", 9525, 0x08a1b5667ebb2e90ull},
+    {"seed1/default/cycle17/session", 18086, 0xb13d9f3b94a23102ull},
+    {"seed1/default/cycle1000/full", 70826, 0x4c419aec219f7741ull},
+    {"seed1/default/cycle1000/delta", 9402, 0xd8708c5b16164b3aull},
+    {"seed1/default/cycle1000/session", 16978, 0xda642572ae6021f0ull},
     {"seed1/scalar/cycle0/full", 68963, 0xb05836248de289a0ull},
     {"seed1/scalar/cycle0/delta", 3439, 0x708e81053d1cf6b0ull},
-    {"seed1/scalar/cycle0/session", 16132, 0x82024e95fd4a1de5ull},
+    {"seed1/scalar/cycle0/session", 16100, 0xef537e51ee5c1670ull},
     {"seed1/scalar/cycle17/full", 69487, 0xe3c6b8dca616065dull},
     {"seed1/scalar/cycle17/delta", 3963, 0xa66ea5b72f2f57a6ull},
-    {"seed1/scalar/cycle17/session", 16355, 0xd4847b74abf0fccbull},
-    {"seed1/scalar/cycle1000/full", 70298, 0x181930bc7c68538cull},
-    {"seed1/scalar/cycle1000/delta", 8874, 0x2e54b6b67f05f32eull},
-    {"seed1/scalar/cycle1000/session", 16811, 0xf59cf19124ccd096ull},
+    {"seed1/scalar/cycle17/session", 16325, 0xb04aca2a8b03792aull},
+    {"seed1/scalar/cycle1000/full", 70298, 0xa505caf320785239ull},
+    {"seed1/scalar/cycle1000/delta", 8874, 0xfbe6257a7102124cull},
+    {"seed1/scalar/cycle1000/session", 16781, 0x86e0192970c85121ull},
     {"seed1/wide/cycle0/full", 85448, 0xa3bba9d34b7e1df1ull},
     {"seed1/wide/cycle0/delta", 19924, 0x62d4142e116c70fcull},
-    {"seed1/wide/cycle0/session", 20128, 0xeb703f0ba34cf507ull},
-    {"seed1/wide/cycle17/full", 89476, 0xf86b9d87461c99a7ull},
-    {"seed1/wide/cycle17/delta", 23952, 0xe8e25719cef62934ull},
-    {"seed1/wide/cycle17/session", 21375, 0xe0b8b52e302377d6ull},
-    {"seed1/wide/cycle1000/full", 85657, 0xc768355c8b5bd9fcull},
-    {"seed1/wide/cycle1000/delta", 24233, 0x9f8d44cb3de597e0ull},
-    {"seed1/wide/cycle1000/session", 20637, 0x0971c083e0c64d6bull},
+    {"seed1/wide/cycle0/session", 20093, 0xc32d1ad4f618e55bull},
+    {"seed1/wide/cycle17/full", 89476, 0x60c333595033a110ull},
+    {"seed1/wide/cycle17/delta", 23952, 0xeada651a3d692c3dull},
+    {"seed1/wide/cycle17/session", 21344, 0x5f79f372c7751750ull},
+    {"seed1/wide/cycle1000/full", 85657, 0xe0348b79cd2f80e1ull},
+    {"seed1/wide/cycle1000/delta", 24233, 0x08cc26a756e6651aull},
+    {"seed1/wide/cycle1000/session", 20602, 0xd706ca9a4b584cfaull},
     {"seed1/nocache/cycle0/full", 69165, 0xe294287962443deeull},
     {"seed1/nocache/cycle0/delta", 3641, 0x9589ae23e246c80cull},
-    {"seed1/nocache/cycle0/session", 16326, 0x5672cbcd13f85a6bull},
-    {"seed1/nocache/cycle17/full", 73597, 0xd76eb279e69e7d0aull},
-    {"seed1/nocache/cycle17/delta", 8073, 0x5631946aff7a6860ull},
-    {"seed1/nocache/cycle17/session", 17807, 0x2f623fe20ebc80d5ull},
-    {"seed1/nocache/cycle1000/full", 79506, 0xbd4af012ec228595ull},
-    {"seed1/nocache/cycle1000/delta", 18082, 0x80c7562313fa81b8ull},
-    {"seed1/nocache/cycle1000/session", 19342, 0x1e8022b85726212cull},
+    {"seed1/nocache/cycle0/session", 16290, 0x58e335ff4244f324ull},
+    {"seed1/nocache/cycle17/full", 73597, 0xcb960a24bad365aeull},
+    {"seed1/nocache/cycle17/delta", 8073, 0x72169f54923484c0ull},
+    {"seed1/nocache/cycle17/session", 17771, 0x05d683785a87ffeeull},
+    {"seed1/nocache/cycle1000/full", 79506, 0x41c1ba875a9e4371ull},
+    {"seed1/nocache/cycle1000/delta", 18082, 0xa63403fec3d7115eull},
+    {"seed1/nocache/cycle1000/session", 19305, 0x3be0afe53401cb54ull},
     {"seed1/localrandom/cycle0/full", 70873, 0xa13dd5f763ccf49dull},
     {"seed1/localrandom/cycle0/delta", 5349, 0xeee5856686b40ad6ull},
-    {"seed1/localrandom/cycle0/session", 16690, 0x2cdb29a75631c16full},
-    {"seed1/localrandom/cycle17/full", 75305, 0xe828d2a306e3bb64ull},
-    {"seed1/localrandom/cycle17/delta", 9781, 0xd7ecc8ce795dc60aull},
-    {"seed1/localrandom/cycle17/session", 18172, 0x49c4168cfa457b72ull},
-    {"seed1/localrandom/cycle1000/full", 70927, 0x08e482e9589edd2dull},
-    {"seed1/localrandom/cycle1000/delta", 9503, 0xb62df87f2b7a9f4aull},
-    {"seed1/localrandom/cycle1000/session", 17019, 0xc8c6c855310c5380ull},
+    {"seed1/localrandom/cycle0/session", 16655, 0xa0fa662995202a04ull},
+    {"seed1/localrandom/cycle17/full", 75305, 0x5e746158c0f07e88ull},
+    {"seed1/localrandom/cycle17/delta", 9781, 0x8c6c3bb6b3549bd8ull},
+    {"seed1/localrandom/cycle17/session", 18137, 0xf50d5ebd8bcfc8b8ull},
+    {"seed1/localrandom/cycle1000/full", 70927, 0xdc9d5740efe535efull},
+    {"seed1/localrandom/cycle1000/delta", 9503, 0x6f9c1ce774a21d58ull},
+    {"seed1/localrandom/cycle1000/session", 16985, 0xa2df2abc8c2c7aa4ull},
     {"seed2/default/cycle0/full", 70617, 0x8d1256e99b708903ull},
     {"seed2/default/cycle0/delta", 5093, 0xe71086b133aa3529ull},
-    {"seed2/default/cycle0/session", 16623, 0x88d53e95b8c54e22ull},
+    {"seed2/default/cycle0/session", 16589, 0x0bbd2a18375e452bull},
     {"seed2/default/cycle17/full", 77710, 0x7cda1a3fc377d93full},
     {"seed2/default/cycle17/delta", 12186, 0x3efd3140eb896513ull},
-    {"seed2/default/cycle17/session", 18949, 0x2ecda80d5ae89c3eull},
-    {"seed2/default/cycle1000/full", 70671, 0xcc7fef918f49da8dull},
-    {"seed2/default/cycle1000/delta", 9247, 0x802f1eccb8f7a080ull},
-    {"seed2/default/cycle1000/session", 16881, 0x9f063d74484df304ull},
+    {"seed2/default/cycle17/session", 18915, 0x23c72a31761f2d84ull},
+    {"seed2/default/cycle1000/full", 70671, 0x7cc38c2ac23920a3ull},
+    {"seed2/default/cycle1000/delta", 9247, 0xab2f6f6bea2f37c9ull},
+    {"seed2/default/cycle1000/session", 16845, 0x45302c004a4cd613ull},
     {"seed2/scalar/cycle0/full", 68963, 0x27ea37c4c6ad2936ull},
     {"seed2/scalar/cycle0/delta", 3439, 0x81706190bf4b6dc7ull},
-    {"seed2/scalar/cycle0/session", 16121, 0xcf0bd6207fc8069dull},
+    {"seed2/scalar/cycle0/session", 16089, 0xb27fe5b3a9ce754cull},
     {"seed2/scalar/cycle17/full", 69487, 0xbccfd1d5b5fac646ull},
     {"seed2/scalar/cycle17/delta", 3963, 0x0b5fd3c9e196e4efull},
-    {"seed2/scalar/cycle17/session", 16319, 0xe4eedf09c1eea6aaull},
-    {"seed2/scalar/cycle1000/full", 69017, 0xfea2138831ff20c2ull},
-    {"seed2/scalar/cycle1000/delta", 7593, 0xbccf45c6ab5c6362ull},
-    {"seed2/scalar/cycle1000/session", 16340, 0x93cf7b5f84dacc4dull},
+    {"seed2/scalar/cycle17/session", 16290, 0xa6538ef33492ac8eull},
+    {"seed2/scalar/cycle1000/full", 69017, 0xe6e4ba8b5d75c16bull},
+    {"seed2/scalar/cycle1000/delta", 7593, 0x6ec450c4af022fb1ull},
+    {"seed2/scalar/cycle1000/session", 16309, 0xb5db0731ecc4fc6cull},
     {"seed2/wide/cycle0/full", 85448, 0x7a686914074a8fe9ull},
     {"seed2/wide/cycle0/delta", 19924, 0x892e3ca1fe4729dbull},
-    {"seed2/wide/cycle0/session", 20114, 0x07ce6136bfa6fd5aull},
-    {"seed2/wide/cycle17/full", 92580, 0x82e980de60f2f50bull},
-    {"seed2/wide/cycle17/delta", 27056, 0x8d2a59431b3ae7e7ull},
-    {"seed2/wide/cycle17/session", 22363, 0x7cbcdcc8e54359f6ull},
-    {"seed2/wide/cycle1000/full", 85502, 0xbbb60e779b4a2ec9ull},
-    {"seed2/wide/cycle1000/delta", 24078, 0x5e5dc993d4927bcaull},
-    {"seed2/wide/cycle1000/session", 20464, 0xe10ead292fa56f66ull},
+    {"seed2/wide/cycle0/session", 20080, 0x1a9d32eb11fbbb55ull},
+    {"seed2/wide/cycle17/full", 92580, 0x7de2a692bb53057aull},
+    {"seed2/wide/cycle17/delta", 27056, 0x2bc080d37a134ea3ull},
+    {"seed2/wide/cycle17/session", 22329, 0x0d52ceeb918652e8ull},
+    {"seed2/wide/cycle1000/full", 85502, 0xbdee95a1a189f508ull},
+    {"seed2/wide/cycle1000/delta", 24078, 0x3aca64098ca2fa2aull},
+    {"seed2/wide/cycle1000/session", 20431, 0x581e3fd370a7417cull},
     {"seed2/nocache/cycle0/full", 69165, 0x5f6a7d4c31e91f14ull},
     {"seed2/nocache/cycle0/delta", 3641, 0x9ba9ca3fbfe33893ull},
-    {"seed2/nocache/cycle0/session", 16308, 0x725f5b694215c166ull},
+    {"seed2/nocache/cycle0/session", 16272, 0xa5788fe4e0fbbfbdull},
     {"seed2/nocache/cycle17/full", 76258, 0xe12c704d6667e0bfull},
     {"seed2/nocache/cycle17/delta", 10734, 0x1c5c3d1d4301c651ull},
-    {"seed2/nocache/cycle17/session", 18627, 0x2bbf7d98a3006438ull},
-    {"seed2/nocache/cycle1000/full", 76197, 0x0f51943748976d3full},
-    {"seed2/nocache/cycle1000/delta", 14773, 0x95c0aa6adc22166dull},
-    {"seed2/nocache/cycle1000/session", 18658, 0xbcc371e5585ff7deull},
+    {"seed2/nocache/cycle17/session", 18591, 0x6a6411b4a6c1dee2ull},
+    {"seed2/nocache/cycle1000/full", 76197, 0x6ac22cbd68f1ffd4ull},
+    {"seed2/nocache/cycle1000/delta", 14773, 0xbc6db019567f9e3full},
+    {"seed2/nocache/cycle1000/session", 18622, 0x9159f6ca1178a696ull},
     {"seed2/localrandom/cycle0/full", 70873, 0xff986a9649bd6f79ull},
     {"seed2/localrandom/cycle0/delta", 5349, 0xeb0754602f0224feull},
-    {"seed2/localrandom/cycle0/session", 16672, 0xfbfbadc4061c6c20ull},
+    {"seed2/localrandom/cycle0/session", 16637, 0x3daabbac1349196bull},
     {"seed2/localrandom/cycle17/full", 77966, 0x5f7ba0e7edfa86beull},
     {"seed2/localrandom/cycle17/delta", 12442, 0xe54de97ffc68113dull},
-    {"seed2/localrandom/cycle17/session", 18998, 0x159e9563293fa50aull},
-    {"seed2/localrandom/cycle1000/full", 70927, 0x8989542fdd44746cull},
-    {"seed2/localrandom/cycle1000/delta", 9503, 0xb2aa27ab75addb89ull},
-    {"seed2/localrandom/cycle1000/session", 16948, 0x54f9bac03fa6342bull},
+    {"seed2/localrandom/cycle17/session", 18964, 0xf2ac879693052255ull},
+    {"seed2/localrandom/cycle1000/full", 70927, 0x4480819a1f3fde81ull},
+    {"seed2/localrandom/cycle1000/delta", 9503, 0x7d6d5b75671b1ad5ull},
+    {"seed2/localrandom/cycle1000/session", 16914, 0x8e69deccf3922a17ull},
     {"seed3/default/cycle0/full", 70617, 0x97b9c87630e1ac49ull},
     {"seed3/default/cycle0/delta", 5093, 0x06473b359d147ef6ull},
-    {"seed3/default/cycle0/session", 16606, 0xf80be6e16ca952bbull},
-    {"seed3/default/cycle17/full", 74735, 0xdf597743f55bae52ull},
-    {"seed3/default/cycle17/delta", 9211, 0x8a0ec5e3c075781aull},
-    {"seed3/default/cycle17/session", 18009, 0x619abd131318dce4ull},
-    {"seed3/default/cycle1000/full", 70826, 0x74f839fa5da5fe83ull},
-    {"seed3/default/cycle1000/delta", 9402, 0x2b7151976cf5692full},
-    {"seed3/default/cycle1000/session", 16904, 0x186405682340d926ull},
+    {"seed3/default/cycle0/session", 16571, 0xec08354c681762ffull},
+    {"seed3/default/cycle17/full", 74735, 0x3f8d31cb061fce0dull},
+    {"seed3/default/cycle17/delta", 9211, 0x5916e22e074422bdull},
+    {"seed3/default/cycle17/session", 17976, 0x15a2c6c11536af8aull},
+    {"seed3/default/cycle1000/full", 70826, 0x3733a3a4fde722acull},
+    {"seed3/default/cycle1000/delta", 9402, 0xa5687970d82e9360ull},
+    {"seed3/default/cycle1000/session", 16870, 0x1d7777d1cbbc8971ull},
     {"seed3/scalar/cycle0/full", 68963, 0xe4e2a4ddc60fedd2ull},
     {"seed3/scalar/cycle0/delta", 3439, 0x360223d2cd319bf1ull},
-    {"seed3/scalar/cycle0/session", 16096, 0x7278dee273b9d1d8ull},
+    {"seed3/scalar/cycle0/session", 16064, 0x0b608aa16c3c8502ull},
     {"seed3/scalar/cycle17/full", 69487, 0x8c13d31c348c1cc6ull},
     {"seed3/scalar/cycle17/delta", 3963, 0x58f859e191cd3e5full},
-    {"seed3/scalar/cycle17/session", 16314, 0x22ee21ac03372b36ull},
-    {"seed3/scalar/cycle1000/full", 69017, 0x31acb678ea7e4d9cull},
-    {"seed3/scalar/cycle1000/delta", 7593, 0x55902fc172b50166ull},
-    {"seed3/scalar/cycle1000/session", 16304, 0x6e1cbe3707d35f00ull},
+    {"seed3/scalar/cycle17/session", 16285, 0xa7f8fb33bcd06740ull},
+    {"seed3/scalar/cycle1000/full", 69017, 0x37eb75ad2e6ea239ull},
+    {"seed3/scalar/cycle1000/delta", 7593, 0x4155921ba6ed145bull},
+    {"seed3/scalar/cycle1000/session", 16273, 0x09cd3da8dc031589ull},
     {"seed3/wide/cycle0/full", 85448, 0xccf5d16e5ab908a0ull},
     {"seed3/wide/cycle0/delta", 19924, 0xfdc7421990d6f425ull},
-    {"seed3/wide/cycle0/session", 20095, 0xf804064082000d42ull},
-    {"seed3/wide/cycle17/full", 90211, 0x1f9df54be65b3a47ull},
-    {"seed3/wide/cycle17/delta", 24687, 0x64e6b84be315bcc1ull},
-    {"seed3/wide/cycle17/session", 21601, 0x19cfcc3a4bd020a9ull},
-    {"seed3/wide/cycle1000/full", 85657, 0x1e3f297bbbe3bddeull},
-    {"seed3/wide/cycle1000/delta", 24233, 0x3793a01a9e272e3eull},
-    {"seed3/wide/cycle1000/session", 20465, 0xd8de6f2b25e74784ull},
+    {"seed3/wide/cycle0/session", 20060, 0x3936fc334b42ae61ull},
+    {"seed3/wide/cycle17/full", 90211, 0x6abcfb9ffe0acda6ull},
+    {"seed3/wide/cycle17/delta", 24687, 0x712959ebadb42d6dull},
+    {"seed3/wide/cycle17/session", 21567, 0x7e0d9bcd8b7d5d6dull},
+    {"seed3/wide/cycle1000/full", 85657, 0x7f701d3bd885f506ull},
+    {"seed3/wide/cycle1000/delta", 24233, 0x7a4d068ca0bbb8d3ull},
+    {"seed3/wide/cycle1000/session", 20431, 0x40cc8595faf9dec7ull},
     {"seed3/nocache/cycle0/full", 69165, 0x3a2d74a65825e2b5ull},
     {"seed3/nocache/cycle0/delta", 3641, 0x721c9d495664c92full},
-    {"seed3/nocache/cycle0/session", 16292, 0xa49fb0ab1dd03af0ull},
-    {"seed3/nocache/cycle17/full", 73283, 0xf377081b1cfaf697ull},
-    {"seed3/nocache/cycle17/delta", 7759, 0xb458fce8f5d02063ull},
-    {"seed3/nocache/cycle17/session", 17687, 0xacab4c7bd4ee8528ull},
-    {"seed3/nocache/cycle1000/full", 69374, 0x6674e68398f45addull},
-    {"seed3/nocache/cycle1000/delta", 7950, 0xa1b19e80c0ae5424ull},
-    {"seed3/nocache/cycle1000/session", 16554, 0x9c2ca13c72f938dcull},
+    {"seed3/nocache/cycle0/session", 16256, 0x29a97b172bed8859ull},
+    {"seed3/nocache/cycle17/full", 73283, 0x01f91013a29419a1ull},
+    {"seed3/nocache/cycle17/delta", 7759, 0x600c77079e0c0c36ull},
+    {"seed3/nocache/cycle17/session", 17650, 0xa372b2f14a4f61fcull},
+    {"seed3/nocache/cycle1000/full", 69374, 0xe3e165ffe8a30c24ull},
+    {"seed3/nocache/cycle1000/delta", 7950, 0xd3904aa398293ee3ull},
+    {"seed3/nocache/cycle1000/session", 16517, 0xbb1bb3b77d5aca55ull},
     {"seed3/localrandom/cycle0/full", 70873, 0x3cc3886514c4b636ull},
     {"seed3/localrandom/cycle0/delta", 5349, 0x45d434a35b9cbfd1ull},
-    {"seed3/localrandom/cycle0/session", 16654, 0xd862b9169117e069ull},
-    {"seed3/localrandom/cycle17/full", 74991, 0x8067451921d71addull},
-    {"seed3/localrandom/cycle17/delta", 9467, 0x82e993fa7e160be6ull},
-    {"seed3/localrandom/cycle17/session", 18065, 0xc08f36472c34756cull},
-    {"seed3/localrandom/cycle1000/full", 71082, 0x4e18cffdec777ebaull},
-    {"seed3/localrandom/cycle1000/delta", 9658, 0x2e939840ededf571ull},
-    {"seed3/localrandom/cycle1000/session", 16946, 0x25586c8709b60728ull},
+    {"seed3/localrandom/cycle0/session", 16620, 0xe8ea8f1fba518a46ull},
+    {"seed3/localrandom/cycle17/full", 74991, 0x39b24e1ed896de89ull},
+    {"seed3/localrandom/cycle17/delta", 9467, 0xe055386e557c52e1ull},
+    {"seed3/localrandom/cycle17/session", 18032, 0x877c0792ca85e62eull},
+    {"seed3/localrandom/cycle1000/full", 71082, 0xbb6dd5a41a945cafull},
+    {"seed3/localrandom/cycle1000/delta", 9658, 0xab460d69f987c022ull},
+    {"seed3/localrandom/cycle1000/session", 16912, 0xadee4fd38d25fe4cull},
     {"seed4/default/cycle0/full", 70617, 0xfc235c900cd567acull},
     {"seed4/default/cycle0/delta", 5093, 0x70f1217aa75612e8ull},
-    {"seed4/default/cycle0/session", 16636, 0x2fa192942f8aedcfull},
+    {"seed4/default/cycle0/session", 16602, 0x69e79a93c8656783ull},
     {"seed4/default/cycle17/full", 77674, 0x391cd03ef63a45afull},
     {"seed4/default/cycle17/delta", 12150, 0xd18c5e16612e3378ull},
-    {"seed4/default/cycle17/session", 18965, 0xa4521418e147d523ull},
-    {"seed4/default/cycle1000/full", 70671, 0x64d71c6b3261c230ull},
-    {"seed4/default/cycle1000/delta", 9247, 0x3429f0f5ade0f4f6ull},
-    {"seed4/default/cycle1000/session", 16887, 0xf443b53008f6ec1full},
+    {"seed4/default/cycle17/session", 18930, 0x8c838ea51c1c2039ull},
+    {"seed4/default/cycle1000/full", 70671, 0x0d8998496d7234b9ull},
+    {"seed4/default/cycle1000/delta", 9247, 0x149d60583c8db106ull},
+    {"seed4/default/cycle1000/session", 16853, 0xc323f7183c4b92c5ull},
     {"seed4/scalar/cycle0/full", 68963, 0xb0f66d350377e896ull},
     {"seed4/scalar/cycle0/delta", 3439, 0x6255f743a2c73ac6ull},
-    {"seed4/scalar/cycle0/session", 16124, 0x0dede7583483a80aull},
+    {"seed4/scalar/cycle0/session", 16092, 0xf6844a242d04e819ull},
     {"seed4/scalar/cycle17/full", 69487, 0x92f7248b799377f0ull},
     {"seed4/scalar/cycle17/delta", 3963, 0x8504108548b5e7d6ull},
-    {"seed4/scalar/cycle17/session", 16335, 0x4afd62b194db2d8dull},
-    {"seed4/scalar/cycle1000/full", 70121, 0x4c3c7a066268cb4aull},
-    {"seed4/scalar/cycle1000/delta", 8697, 0x2ba90721bd386a6bull},
-    {"seed4/scalar/cycle1000/session", 16700, 0x64a4ea39a87f9770ull},
+    {"seed4/scalar/cycle17/session", 16305, 0xfd847812b0dac90eull},
+    {"seed4/scalar/cycle1000/full", 70121, 0xbef3e080d2fc2e99ull},
+    {"seed4/scalar/cycle1000/delta", 8697, 0xdda3be951a3e901eull},
+    {"seed4/scalar/cycle1000/session", 16669, 0xab8f03be7c7be2f0ull},
     {"seed4/wide/cycle0/full", 85448, 0x8ee862625847cb04ull},
     {"seed4/wide/cycle0/delta", 19924, 0x7ba5c21594edee98ull},
-    {"seed4/wide/cycle0/session", 20123, 0x7e41dc439498789eull},
-    {"seed4/wide/cycle17/full", 93921, 0x4588eb670ca40e1dull},
-    {"seed4/wide/cycle17/delta", 28397, 0x1db22a16fb129facull},
-    {"seed4/wide/cycle17/session", 22641, 0xba274e896cea522eull},
-    {"seed4/wide/cycle1000/full", 85502, 0x7acb1bd943b9c146ull},
-    {"seed4/wide/cycle1000/delta", 24078, 0xaef3317228458d19ull},
-    {"seed4/wide/cycle1000/session", 20418, 0x1872e9ea8f52e017ull},
+    {"seed4/wide/cycle0/session", 20088, 0x6168c74d2f1980b0ull},
+    {"seed4/wide/cycle17/full", 93921, 0xb614208e37597c8aull},
+    {"seed4/wide/cycle17/delta", 28397, 0x46f4990e80807112ull},
+    {"seed4/wide/cycle17/session", 22607, 0xa061ed7b9f3d8512ull},
+    {"seed4/wide/cycle1000/full", 85502, 0xbe83fd167e250000ull},
+    {"seed4/wide/cycle1000/delta", 24078, 0xe90d18dd563c3653ull},
+    {"seed4/wide/cycle1000/session", 20384, 0xbae9ebba7d8a8fe0ull},
     {"seed4/nocache/cycle0/full", 69165, 0x160cb05fc37f6475ull},
     {"seed4/nocache/cycle0/delta", 3641, 0x42f06f36b9468dd1ull},
-    {"seed4/nocache/cycle0/session", 16322, 0xbe6cdc83dd01deb7ull},
+    {"seed4/nocache/cycle0/session", 16285, 0x334facd120546638ull},
     {"seed4/nocache/cycle17/full", 76222, 0xbb3066da0a0f3027ull},
     {"seed4/nocache/cycle17/delta", 10698, 0xa845e5ea06f278fcull},
-    {"seed4/nocache/cycle17/session", 18642, 0x47fd25deb9ea6b09ull},
-    {"seed4/nocache/cycle1000/full", 77839, 0x5bc52ca7ba81e85aull},
-    {"seed4/nocache/cycle1000/delta", 16415, 0x7c6ce48b1b7b924full},
-    {"seed4/nocache/cycle1000/session", 19230, 0xab62aa9e24263829ull},
+    {"seed4/nocache/cycle17/session", 18605, 0x4c09067065620474ull},
+    {"seed4/nocache/cycle1000/full", 77839, 0xb27c833e2ed97e55ull},
+    {"seed4/nocache/cycle1000/delta", 16415, 0x083938516dae8dd2ull},
+    {"seed4/nocache/cycle1000/session", 19194, 0x5fd70748fe63ccc9ull},
     {"seed4/localrandom/cycle0/full", 70873, 0x44e6772b09a4e0fdull},
     {"seed4/localrandom/cycle0/delta", 5349, 0x4d61dfb1d1dac2d6ull},
-    {"seed4/localrandom/cycle0/session", 16685, 0x75aad732d8138a35ull},
+    {"seed4/localrandom/cycle0/session", 16650, 0x451f54c92ecdcb3full},
     {"seed4/localrandom/cycle17/full", 77930, 0xf037fc384a2fd844ull},
     {"seed4/localrandom/cycle17/delta", 12406, 0x6e9a53c653124e48ull},
-    {"seed4/localrandom/cycle17/session", 19014, 0xc058df762034f012ull},
-    {"seed4/localrandom/cycle1000/full", 70927, 0xc5884004d3b15a8full},
-    {"seed4/localrandom/cycle1000/delta", 9503, 0x9693ac2c4b267b53ull},
-    {"seed4/localrandom/cycle1000/session", 16935, 0xd010e28ad00ea25dull},
+    {"seed4/localrandom/cycle17/session", 18979, 0x874b86c718fd03b5ull},
+    {"seed4/localrandom/cycle1000/full", 70927, 0x2e2d06db780b84cfull},
+    {"seed4/localrandom/cycle1000/delta", 9503, 0xf5376e275b6cc81eull},
+    {"seed4/localrandom/cycle1000/session", 16900, 0x849ffe9e84e63c34ull},
     {"sort/cycle300/full", 81647, 0x6109083fc95f1c85ull},
     {"sort/cycle300/delta", 24323, 0x222ab88994bef4f8ull},
-    {"sort/cycle300/session", 19808, 0xb8f0fd3f50c417a0ull},
-    {"sort/end/full", 70671, 0x977070534d80191aull},
-    {"sort/end/delta", 13347, 0xa0718110a7c82a26ull},
-    {"sort/end/session", 16799, 0xd7797eb7a5ab0925ull},
+    {"sort/cycle300/session", 19774, 0xcbaaed211a8666d0ull},
+    {"sort/end/full", 70671, 0xfecb172b52f8d1c8ull},
+    {"sort/end/delta", 13347, 0xd0a3bbd7fc19dc28ull},
+    {"sort/end/session", 16764, 0x211412a2e56387abull},
     {"sort/ff/cycle25/full", 81541, 0x6d43edf0c5990ad4ull},
     {"sort/ff/cycle25/delta", 24217, 0x7f4671ab59cded3cull},
-    {"sort/ff/cycle25/session", 19696, 0x283ac2b67a1c55d4ull},
+    {"sort/ff/cycle25/session", 19661, 0xbb7d965b536f98f7ull},
     {"float/cycle300/full", 80891, 0x20bcd9b37cdf9d63ull},
     {"float/cycle300/delta", 23567, 0x4cfafb508e8b2281ull},
-    {"float/cycle300/session", 19341, 0xebc635cc0779d1a7ull},
-    {"float/end/full", 70671, 0x4068558b75b37a44ull},
-    {"float/end/delta", 13347, 0x9b904d7b53e6601cull},
-    {"float/end/session", 16567, 0x6a56f3dc5e5530f3ull},
+    {"float/cycle300/session", 19307, 0x929abe309559f6feull},
+    {"float/end/full", 70671, 0x7244143ea17ee802ull},
+    {"float/end/delta", 13347, 0x2963ccf0e010ff36ull},
+    {"float/end/session", 16533, 0x487c8e35e007322full},
     {"float/ff/cycle25/full", 81538, 0x305c0e9be0aff84full},
     {"float/ff/cycle25/delta", 24214, 0x0130ccdcaf76b60aull},
-    {"float/ff/cycle25/session", 19500, 0x179f30a375583135ull},
+    {"float/ff/cycle25/session", 19466, 0x655b70f07978fae0ull},
 };
 
 TEST(GoldenCodec, EncodedBytesMatchThePinnedTable) {
