@@ -33,6 +33,7 @@ class ArchRegisterFile {
       f_[reg.index] = cell;
     }
   }
+
   /// Copyable snapshot of both register banks.
   struct State {
     std::array<std::uint64_t, 32> x{};
