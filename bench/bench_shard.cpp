@@ -150,30 +150,25 @@ ParallelRunResult RunParallelBench(shard::ShardRouter& router) {
   constexpr std::int64_t kSliceCycles = 100'000;
   constexpr int kRounds = 6;
 
-  // One driven session per worker. Placement is consistent-hash, so
-  // create until every worker holds one (the response names the worker)
-  // and delete the overflow — the fleet must be evenly busy, not
-  // hash-lucky.
+  // One driven session per worker: on an empty fleet, sequential creates
+  // go to workers 0, 1, ... in turn (the response names the worker). The
+  // fleet must be evenly busy, so a session placed anywhere else fails
+  // the bench.
   std::vector<std::int64_t> perWorkerSession(kWorkers, -1);
-  int covered = 0;
-  for (int attempt = 0; attempt < 512 && covered < kWorkers; ++attempt) {
+  for (int worker = 0; worker < kWorkers; ++worker) {
     json::Json created = router.Handle(
         Cmd("createSession", {{"code", json::Json(kWorkload)},
                               {"entry", json::Json("main")}}));
     if (!Ok(created, "parallel createSession")) return result;
-    const std::int64_t worker = created.GetInt("worker", -1);
-    const std::int64_t id = created.GetInt("sessionId", -1);
-    if (worker >= 0 && worker < kWorkers && perWorkerSession[worker] < 0) {
-      perWorkerSession[worker] = id;
-      ++covered;
-    } else {
-      router.Handle(Cmd("deleteSession", {{"sessionId", json::Json(id)}}));
+    const std::int64_t placed = created.GetInt("worker", -1);
+    if (placed != worker) {
+      std::fprintf(stderr,
+                   "parallel bench: worker %d got no session (it went to "
+                   "worker %lld)\n",
+                   worker, static_cast<long long>(placed));
+      return result;
     }
-  }
-  if (covered < kWorkers) {
-    std::fprintf(stderr, "parallel bench: only %d/%d workers covered\n",
-                 covered, kWorkers);
-    return result;
+    perWorkerSession[worker] = created.GetInt("sessionId", -1);
   }
 
   // A failed run must fail the bench loudly: a silently short leg would

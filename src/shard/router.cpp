@@ -41,9 +41,7 @@ Result<std::shared_ptr<WorkerTransport>> ShardRouter::MakeTransport(
       std::make_shared<InProcessTransport>(limits));
 }
 
-ShardRouter::ShardRouter(const Options& options)
-    : options_(options),
-      ring_(std::max<std::size_t>(options.workerCount, 1)) {
+ShardRouter::ShardRouter(const Options& options) : options_(options) {
   const std::size_t count = std::max<std::size_t>(options.workerCount, 1);
   workers_.reserve(count);
   lanes_.reserve(count);
@@ -255,8 +253,14 @@ std::vector<bool> ShardRouter::Eligible() const {
   return eligible;
 }
 
-Result<std::size_t> ShardRouter::PlaceNew(std::int64_t globalId) {
-  auto worker = ring_.Pick(static_cast<std::uint64_t>(globalId), Eligible());
+Result<std::size_t> ShardRouter::PlaceNew() {
+  // Admissions in flight hold a placement already, so concurrent ones
+  // see each other and spread instead of piling onto one worker.
+  std::vector<std::uint64_t> sessions(workers_.size(), 0);
+  for (const auto& [globalId, placement] : placements_) {
+    ++sessions[placement.worker];
+  }
+  auto worker = LeastLoaded(sessions, Eligible());
   if (!worker.has_value()) {
     return Error{ErrorKind::kUnavailable,
                  "all workers are drained; no worker accepts new sessions"};
@@ -266,13 +270,15 @@ Result<std::size_t> ShardRouter::PlaceNew(std::int64_t globalId) {
 
 json::Json ShardRouter::AdmitSession(const json::Json& request) {
   // createSession and importSession admit identically: allocate a global
-  // id, place it on the ring, forward, and record where it landed. The
-  // worker round trip runs *unlocked*, and the placement is recorded
-  // before the ticket goes: a fleet operation taking the worker over
-  // joins behind this ticket, so by the time it reads the placement map
-  // this admission has either recorded its entry or failed. Admissions
-  // therefore overlap with traffic, with each other, and with drains of
-  // *other* workers.
+  // id, place it on the emptiest eligible worker, forward, and record
+  // where it landed. The placement is written, pending (localId -1), in
+  // the section that joins the lane, so the next admission counts it. The
+  // worker round trip runs *unlocked*, and the placement is completed or
+  // erased before the ticket goes: a fleet operation taking the worker
+  // over joins behind this ticket, so by the time it reads the placement
+  // map this admission has either recorded its entry or failed.
+  // Admissions therefore overlap with traffic, with each other, and with
+  // drains of *other* workers.
   std::int64_t globalId = 0;
   std::size_t worker = 0;
   WorkerLane::Ticket ticket;
@@ -280,22 +286,25 @@ json::Json ShardRouter::AdmitSession(const json::Json& request) {
     MutexLock lock(fleetMutex_);
     globalId = nextGlobalId_++;
     while (true) {
-      auto placed = PlaceNew(globalId);
+      auto placed = PlaceNew();
       if (!placed.ok()) return server::MakeErrorResponse(placed.error());
       worker = placed.value();
       if (!gated_[worker]) break;
-      // The ring picked a worker a fleet operation currently owns; wait
-      // for the gate and re-place (eligibility may have changed).
+      // A fleet operation owns the emptiest worker; wait for the gate and
+      // re-place (loads and eligibility may have changed).
       gateOpen_.Wait(fleetMutex_);
     }
+    placements_[globalId] = Placement{worker, -1};
     ticket = lanes_[worker]->Join();
   }
   json::Json response = ResponseOf(ticket.Call(request));
-  if (!IsOk(response)) return response;
   {
     MutexLock lock(fleetMutex_);
-    placements_[globalId] =
-        Placement{worker, response.GetInt("sessionId", -1)};
+    if (!IsOk(response)) {
+      placements_.erase(globalId);
+      return response;
+    }
+    placements_[globalId].localId = response.GetInt("sessionId", -1);
   }
   static obs::Counter& admissions =
       obs::Registry::Instance().GetCounter("shard.router.admissions");
@@ -314,7 +323,8 @@ json::Json ShardRouter::RouteSessionCommand(Command command,
     MutexLock lock(fleetMutex_);
     while (true) {
       auto it = placements_.find(globalId);
-      if (it == placements_.end()) {
+      // A pending admission's id is not a session yet.
+      if (it == placements_.end() || it->second.localId < 0) {
         return RouterError(ErrorKind::kInvalidArgument,
                            "unknown sessionId " + std::to_string(globalId));
       }
@@ -894,8 +904,8 @@ json::Json ShardRouter::AddWorker(const json::Json& request) {
   }
 
   // Probe before committing the slot: a bogus address or a worker that
-  // died during spawn must not claim an arc of the ring. The transport
-  // has no lane yet, so the call is direct.
+  // died during spawn must not take placements. The transport has no
+  // lane yet, so the call is direct.
   json::Json probe = server::MakeRequest(Command::kListSessions);
   auto probed = transport.value()->Call(probe);
   if (!probed.ok()) {
@@ -912,7 +922,6 @@ json::Json ShardRouter::AddWorker(const json::Json& request) {
         workers_.back(), options_.maxLaneQueueDepth));
     drained_.push_back(false);
     gated_.push_back(false);
-    ring_.AddWorker();
     describe = workers_[index]->Describe();
   }
   span.SetDetail(StrFormat("worker=%zu transport=%s", index,
@@ -989,7 +998,6 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
       placements_.erase(globalId);
       lost.Append(json::Json(globalId));
     }
-    ring_.RemoveWorker(index);
     // No ticket can have joined past the closed gate, so Stop() finds an
     // idle lane; it refuses whatever might still reach the dropped lane.
     lanes_[index]->Stop();

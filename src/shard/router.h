@@ -4,11 +4,12 @@
 //
 // The router speaks the exact same JSON command API as a single SimServer
 // (clients cannot tell the difference): it assigns globally unique session
-// ids, places each new session on a worker via a consistent-hash ring,
-// rewrites sessionId fields on the way in and out, and forwards everything
-// else verbatim. It routes each command by its class in the command table
-// (server/commands.h): fleet views are answered for the whole fleet, and
-// the fleet operations are served here alone (docs/api.md lists both).
+// ids, places each new session on the eligible worker holding the fewest
+// sessions, rewrites sessionId fields on the way in and out, and forwards
+// everything else verbatim. It routes each command by its class in the
+// command table (server/commands.h): fleet views are answered for the
+// whole fleet, and the fleet operations are served here alone (docs/api.md
+// lists both).
 //
 // Workers are reached through WorkerTransport (shard/transport.h): the
 // in-process default behaves exactly like PR 3; SocketTransport talks to
@@ -27,13 +28,15 @@
 //     concurrently *across* lanes, strictly in join order *within* one.
 //     Per-session ordering follows from session→worker affinity; N
 //     workers simulate in parallel.
-//   * Router state (placements_, ring_, workers_, drained_, gated_) is
+//   * Router state (placements_, workers_, drained_, gated_) is
 //     protected by one fleet mutex, held only for routing decisions and
 //     bookkeeping — never while a worker round trip is in flight.
 //   * A ticket keeps its lane's turn until it is destroyed. createSession
-//     / importSession record their placement, and deleteSession erases
-//     its own, under the fleet mutex *before* their ticket goes; every
-//     request drops its ticket as soon as that bookkeeping is done.
+//     / importSession write a pending placement (localId -1) in the
+//     fleet-mutex section that picks the worker and joins its lane, and
+//     fill in the local id or erase it before their ticket goes;
+//     deleteSession erases its own placement the same way. Every request
+//     drops its ticket as soon as that bookkeeping is done.
 //     Admissions therefore overlap with traffic and with each other, and
 //     the placement map never lags a request that already left a lane.
 //   * Fleet operations (drain/rebalance/add/remove/stats/list/metrics)
@@ -81,14 +84,13 @@
 //
 // removeWorker completes elastic scale-in: mark drained, take over, run
 // the drain loop, and only if every session moved off (or `force`
-// accepts the loss, each lost session listed in `lost[]`) remove the
-// worker's arc from the ring, shut the transport down and stop the lane
-// (pending requests are answered with errors, never dropped). The
-// Options::onWorkerShutdown hook then lets the process owner reap the
-// worker promptly (see shard/worker.h) instead of leaving a zombie.
-// addWorker is the matching scale-out: the ring grows by one arc —
-// consistent hashing moves only the keys that hash into it — and new
-// placements start landing there.
+// accepts the loss, each lost session listed in `lost[]`) shut the
+// transport down and stop the lane (pending requests are answered with
+// errors, never dropped). The Options::onWorkerShutdown hook then lets the
+// process owner reap the worker promptly (see shard/worker.h) instead of
+// leaving a zombie. addWorker is the matching scale-out: the new worker
+// holds no session, so new placements land there until it catches up;
+// existing sessions stay where they are.
 #pragma once
 
 #include <cstdint>
@@ -164,6 +166,7 @@ class ShardRouter {
   /// Fleet slots ever created (including removed ones; their entries stay
   /// so worker indices are stable).
   std::size_t workerCount() const EXCLUDES(fleetMutex_);
+  /// Sessions placed on the fleet, admissions still in flight included.
   std::size_t sessionCount() const EXCLUDES(fleetMutex_);
 
   /// The in-process SimServer behind worker `index`, or nullptr when the
@@ -176,7 +179,8 @@ class ShardRouter {
   server::SimServer* workerServer(std::size_t index) EXCLUDES(fleetMutex_);
 
  private:
-  /// Where one global session lives.
+  /// Where one global session lives. localId is -1 while its admission
+  /// is in flight.
   struct Placement {
     std::size_t worker = 0;
     std::int64_t localId = 0;
@@ -247,7 +251,8 @@ class ShardRouter {
   json::Json FanOutToProcesses(server::Command command,
                                std::string_view field)
       REQUIRES(fleetOpMutex_) EXCLUDES(fleetMutex_);
-  /// createSession / importSession: place on the ring and forward.
+  /// createSession / importSession: place on the emptiest eligible worker
+  /// and forward.
   json::Json AdmitSession(const json::Json& request) EXCLUDES(fleetMutex_);
   json::Json ListSessions() EXCLUDES(fleetOpMutex_, fleetMutex_);
   json::Json WorkerStats() EXCLUDES(fleetOpMutex_, fleetMutex_);
@@ -309,8 +314,10 @@ class ShardRouter {
   bool IsLive(std::size_t worker) const REQUIRES(fleetMutex_) {
     return worker < workers_.size() && workers_[worker] != nullptr;
   }
-  /// Placement for a new session id; error when every worker is drained.
-  Result<std::size_t> PlaceNew(std::int64_t globalId) REQUIRES(fleetMutex_);
+  /// The eligible worker holding the fewest placements, pending ones
+  /// included (ties to the lowest index); error when every worker is
+  /// drained.
+  Result<std::size_t> PlaceNew() REQUIRES(fleetMutex_);
   /// Builds the transport for slot `worker` from the factory/default.
   /// (No lock needed; touches only options_.)
   Result<std::shared_ptr<WorkerTransport>> MakeTransport(
@@ -327,11 +334,10 @@ class ShardRouter {
   /// the stats/list/metrics/trace snapshots) against each other without
   /// blocking routing. Lock order: always before fleetMutex_ (the
   /// ACQUIRED_BEFORE below), and every mutation of the fleet topology
-  /// (workers_/lanes_/ring_ growth or removal) happens with *both* held.
+  /// (workers_/lanes_ growth or removal) happens with *both* held.
   /// Its holder is the only thread that may wait for a second lane turn
   /// while it holds one.
   Mutex fleetOpMutex_ ACQUIRED_BEFORE(fleetMutex_);
-  HashRing ring_ GUARDED_BY(fleetMutex_);
   std::vector<std::shared_ptr<WorkerTransport>> workers_
       GUARDED_BY(fleetMutex_);
   /// Dispatch lane per slot, parallel to workers_ (nullptr when removed).

@@ -266,25 +266,20 @@ TEST(Gateway, RoutedStateRepliesAreByteIdenticalToABareServer) {
   ASSERT_NE(gw.gateway, nullptr);
   Client client(gw.address());
 
-  // One session on each worker, each with a twin on a bare server.
+  // One session on each worker (sequential creates on an empty fleet go
+  // to workers 0, 1, ... in turn), each with a twin on a bare server.
   const json::Json create = Cmd(
       "createSession",
       {{"code", json::Json(kSpinLoop)}, {"entry", json::Json("main")}});
   server::SimServer bare;
-  std::vector<std::pair<std::int64_t, std::int64_t>> sessions(2, {-1, -1});
-  for (int attempt = 0; attempt < 64; ++attempt) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> sessions;
+  for (std::int64_t worker = 0; worker < 2; ++worker) {
     json::Json created = client.Call(create);
     ASSERT_EQ(created.GetString("status", ""), "ok") << created.Dump();
-    const std::int64_t worker = created.GetInt("worker", -1);
-    ASSERT_TRUE(worker == 0 || worker == 1) << created.Dump();
-    auto& [routed, twin] = sessions[static_cast<std::size_t>(worker)];
-    if (routed >= 0) continue;
-    routed = created.GetInt("sessionId", -1);
-    twin = bare.Handle(create).GetInt("sessionId", -1);
-    if (sessions[0].first >= 0 && sessions[1].first >= 0) break;
+    ASSERT_EQ(created.GetInt("worker", -1), worker) << created.Dump();
+    sessions.emplace_back(created.GetInt("sessionId", -1),
+                          bare.Handle(create).GetInt("sessionId", -1));
   }
-  ASSERT_GE(sessions[0].first, 0);
-  ASSERT_GE(sessions[1].first, 0);
 
   const std::vector<json::Json> requests = {
       Cmd("fastForward", {{"instructions", json::Json(100)}}),
@@ -803,18 +798,14 @@ TEST(Gateway, CreateSessionDoesNotSerializeBehindAnUnrelatedDrain) {
       [&router](const json::Json& request) { return router.Handle(request); });
   ASSERT_NE(gw.gateway, nullptr);
 
-  // Seed at least one session onto worker 0 so the drain has a move to
-  // stall in.
+  // Seed one session onto worker 0, where the first session of an empty
+  // fleet lands, so the drain has a move to stall in.
   Client seeder(gw.address());
-  bool onZero = false;
-  for (int i = 0; i < 64 && !onZero; ++i) {
-    json::Json created = seeder.Call(
-        Cmd("createSession", {{"code", json::Json(kSpinLoop)},
-                              {"entry", json::Json("main")}}));
-    ASSERT_EQ(created.GetString("status", ""), "ok") << created.Dump();
-    onZero = created.GetInt("worker", -1) == 0;
-  }
-  ASSERT_TRUE(onZero) << "placement never chose worker 0";
+  json::Json seeded = seeder.Call(
+      Cmd("createSession", {{"code", json::Json(kSpinLoop)},
+                            {"entry", json::Json("main")}}));
+  ASSERT_EQ(seeded.GetString("status", ""), "ok") << seeded.Dump();
+  ASSERT_EQ(seeded.GetInt("worker", -1), 0) << seeded.Dump();
 
   std::thread drainer([&router] {
     json::Json drained =

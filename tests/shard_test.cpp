@@ -1,9 +1,10 @@
-// Shard router tests: consistent-hash placement, route-through parity with
+// Shard router tests: least-loaded placement, route-through parity with
 // a bare SimServer, drain (byte-identical migration, failure paths,
 // idempotence) and skew-triggered rebalance. The failure-path tests pin the
 // router's core invariant: a migration that fails at any step leaves the
 // session live on its source worker — errors are reported, sessions are
 // never lost.
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -87,50 +88,74 @@ std::map<std::int64_t, std::int64_t> SessionsPerWorker(ShardRouter& router) {
   return out;
 }
 
+/// Creates one session and checks the worker the router placed it on.
+std::int64_t MustCreateOn(ShardRouter& router, std::int64_t worker) {
+  json::Json created = Cmd(router, "createSession",
+                           {{"code", json::Json(kSpinLoop)},
+                            {"entry", json::Json("main")}});
+  EXPECT_EQ(created.GetString("status", ""), "ok") << created.Dump();
+  EXPECT_EQ(created.GetInt("worker", -1), worker) << created.Dump();
+  return created.GetInt("sessionId", -1);
+}
+
 // ---- placement --------------------------------------------------------------
-
-TEST(Placement, RingIsDeterministicAndCoversAllWorkers) {
-  HashRing ring(4);
-  const std::vector<bool> all(4, true);
-  std::map<std::size_t, int> hits;
-  for (std::uint64_t key = 0; key < 1000; ++key) {
-    auto a = ring.Pick(key, all);
-    auto b = ring.Pick(key, all);
-    ASSERT_TRUE(a.has_value());
-    EXPECT_EQ(*a, *b) << "placement must be deterministic, key " << key;
-    ++hits[*a];
-  }
-  ASSERT_EQ(hits.size(), 4u) << "every worker owns part of the keyspace";
-  for (const auto& [worker, count] : hits) {
-    EXPECT_GT(count, 50) << "worker " << worker
-                         << " owns an implausibly small arc";
-  }
-}
-
-TEST(Placement, PickSkipsIneligibleWorkersStably) {
-  HashRing ring(3);
-  std::vector<bool> eligible{true, false, true};
-  std::map<std::size_t, int> hits;
-  for (std::uint64_t key = 0; key < 300; ++key) {
-    auto picked = ring.Pick(key, eligible);
-    ASSERT_TRUE(picked.has_value());
-    EXPECT_NE(*picked, 1u);
-    ++hits[*picked];
-    // Keys owned by an eligible worker keep their owner when another
-    // worker is drained — only the drained worker's arc moves.
-    auto unrestricted = ring.Pick(key, {true, true, true});
-    if (*unrestricted != 1u) {
-      EXPECT_EQ(*picked, *unrestricted);
-    }
-  }
-  EXPECT_EQ(hits.size(), 2u);
-  EXPECT_FALSE(ring.Pick(7, {false, false, false}).has_value());
-}
 
 TEST(Placement, LeastLoadedBreaksTiesLow) {
   EXPECT_EQ(LeastLoaded({5, 3, 3, 9}, {true, true, true, true}), 1u);
   EXPECT_EQ(LeastLoaded({5, 3, 3, 9}, {true, false, true, true}), 2u);
   EXPECT_EQ(LeastLoaded({1, 2}, {false, false}), std::nullopt);
+}
+
+TEST(Placement, AdmissionFillsTheEmptiestEligibleWorker) {
+  ShardRouter::Options options;
+  options.workerCount = 3;
+  ShardRouter router(options);
+
+  // Sequential creates on an empty fleet deal round the workers.
+  std::vector<std::int64_t> onWorker1;
+  for (int i = 0; i < 6; ++i) {
+    const std::int64_t id = MustCreateOn(router, i % 3);
+    if (i % 3 == 1) onWorker1.push_back(id);
+  }
+  EXPECT_EQ(SessionsPerWorker(router),
+            (std::map<std::int64_t, std::int64_t>{{0, 2}, {1, 2}, {2, 2}}));
+
+  // Deletes make room: the emptied worker takes the next sessions.
+  for (const std::int64_t id : onWorker1) {
+    ASSERT_EQ(Cmd(router, "deleteSession", {{"sessionId", json::Json(id)}})
+                  .GetString("status", ""),
+              "ok");
+  }
+  MustCreateOn(router, 1);
+  MustCreateOn(router, 1);
+
+  // A drained worker takes none, however empty it is...
+  ASSERT_EQ(Cmd(router, "drainWorker", {{"worker", json::Json(2)}})
+                .GetString("status", ""),
+            "ok");
+  json::Json elsewhere = Cmd(router, "createSession",
+                             {{"code", json::Json(kSpinLoop)},
+                              {"entry", json::Json("main")}});
+  ASSERT_EQ(elsewhere.GetString("status", ""), "ok") << elsewhere.Dump();
+  EXPECT_NE(elsewhere.GetInt("worker", -1), 2) << elsewhere.Dump();
+
+  // ...until it is reopened, and a new worker starts empty.
+  ASSERT_EQ(Cmd(router, "openWorker", {{"worker", json::Json(2)}})
+                .GetString("status", ""),
+            "ok");
+  MustCreateOn(router, 2);
+  ASSERT_EQ(Cmd(router, "addWorker").GetInt("worker", -1), 3);
+  MustCreateOn(router, 3);
+
+  // Workers 2 and 3 now hold one session each. A failed admission leaves
+  // no placement behind, so the next one still breaks that tie low.
+  const std::size_t placed = router.sessionCount();
+  json::Json refused = Cmd(router, "createSession",
+                           {{"code", json::Json("main:\n    bogus x\n")},
+                            {"entry", json::Json("main")}});
+  testutil::CheckErrorEnvelope(refused);
+  EXPECT_EQ(router.sessionCount(), placed);
+  MustCreateOn(router, 2);
 }
 
 // ---- route-through ----------------------------------------------------------
@@ -194,11 +219,9 @@ TEST(RouteThrough, SessionsSpreadAcrossWorkers) {
   options.workerCount = 4;
   ShardRouter router(options);
   for (int i = 0; i < 24; ++i) MustCreateSession(router);
-  int populated = 0;
   for (const auto& [worker, sessions] : SessionsPerWorker(router)) {
-    if (sessions > 0) ++populated;
+    EXPECT_EQ(sessions, 6) << "worker " << worker;
   }
-  EXPECT_GE(populated, 2) << "consistent hashing left the fleet unbalanced";
   EXPECT_EQ(router.sessionCount(), 24u);
 }
 
@@ -286,6 +309,7 @@ TEST(Drain, DestinationBudgetRejectionKeepsSessionOnSource) {
   while (SessionsPerWorker(router)[0] < 2) {
     ids.push_back(MustCreateSession(router));
   }
+  const std::int64_t onWorker0Before = SessionsPerWorker(router)[0];
 
   json::Json drained = Cmd(router, "drainWorker", {{"worker", json::Json(0)}});
   testutil::CheckErrorEnvelope(drained);
@@ -298,11 +322,10 @@ TEST(Drain, DestinationBudgetRejectionKeepsSessionOnSource) {
             std::string::npos)
       << drained.Dump();
 
-  // Nothing was lost: every session still steps through the router, still
-  // on worker 0.
+  // Nothing was lost: every session still steps through the router, and
+  // worker 0 kept every session it had.
   EXPECT_EQ(router.sessionCount(), ids.size());
-  EXPECT_EQ(SessionsPerWorker(router)[0],
-            static_cast<std::int64_t>(ids.size()));
+  EXPECT_EQ(SessionsPerWorker(router)[0], onWorker0Before);
   for (const std::int64_t id : ids) {
     json::Json stepped = Cmd(router, "step", {{"sessionId", json::Json(id)},
                                               {"count", json::Json(10)}});
@@ -415,7 +438,7 @@ TEST(Drain, DeltaDrainMatchesFullDrainAndShipsFewerBytes) {
   auto deltaRouter = build(true);
   auto fullRouter = build(false);
 
-  // Identical creation order => identical placement (the ring is
+  // Identical creation order => identical placement (placement is
   // deterministic), so both fleets drain the same session set.
   std::vector<std::int64_t> ids;
   for (int i = 0; i < 6; ++i) {
@@ -525,7 +548,7 @@ TEST(Drain, DeltaImportFailureFallsBackToFullImage) {
 
 // ---- elastic scaling (in-process) ------------------------------------------
 
-TEST(Elastic, AddWorkerGrowsTheRingAndTakesPlacements) {
+TEST(Elastic, AddWorkerTakesPlacements) {
   ShardRouter::Options options;
   options.workerCount = 2;
   ShardRouter router(options);
@@ -536,12 +559,12 @@ TEST(Elastic, AddWorkerGrowsTheRingAndTakesPlacements) {
   EXPECT_EQ(added.GetInt("worker", -1), 2);
   EXPECT_EQ(router.workerCount(), 3u);
 
-  // Consistent hashing: existing sessions stay put (no placements_
-  // churn), and the new arc eventually receives new sessions.
+  // Existing sessions stay put, and the new worker, holding none, takes
+  // new sessions.
   EXPECT_EQ(router.sessionCount(), 8u);
   for (int i = 0; i < 40; ++i) MustCreateSession(router);
   EXPECT_GT(SessionsPerWorker(router)[2], 0)
-      << "the new worker owns no keyspace";
+      << "the new worker took no session";
 
   // The new worker is a first-class citizen: drain it back out.
   json::Json drained = Cmd(router, "drainWorker", {{"worker", json::Json(2)}});
@@ -549,7 +572,7 @@ TEST(Elastic, AddWorkerGrowsTheRingAndTakesPlacements) {
   EXPECT_EQ(SessionsPerWorker(router)[2], 0);
 }
 
-TEST(Elastic, RemoveWorkerDrainsThenShrinksTheRing) {
+TEST(Elastic, RemoveWorkerDrainsThenRetiresTheSlot) {
   ShardRouter::Options options;
   options.workerCount = 3;
   ShardRouter router(options);
@@ -768,18 +791,8 @@ TEST(Concurrency, DrainDuringInflightRunQuiescesThenMigrates) {
   options.workerCount = 2;
   ShardRouter router(options);
 
-  // A session on worker 0 (create until placement cooperates).
-  std::int64_t id = -1;
-  for (int attempt = 0; attempt < 64 && id < 0; ++attempt) {
-    json::Json created = Cmd(router, "createSession",
-                             {{"code", json::Json(kSpinLoop)},
-                              {"entry", json::Json("main")}});
-    ASSERT_EQ(created.GetString("status", ""), "ok");
-    if (created.GetInt("worker", -1) == 0) {
-      id = created.GetInt("sessionId", -1);
-    }
-  }
-  ASSERT_GE(id, 0) << "no session landed on worker 0";
+  // The first session of an empty fleet lands on worker 0.
+  const std::int64_t id = MustCreateOn(router, 0);
 
   constexpr std::int64_t kInflightCycles = 120'000;
   json::Json runReport;
@@ -939,21 +952,6 @@ ShardRouter::Options GatedFleet(std::shared_ptr<GatedTransport> gated,
   return options;
 }
 
-/// Creates sessions until one lands on worker 0 and returns its id (-1
-/// if none did); the ones placed elsewhere are deleted again.
-std::int64_t CreateOnWorkerZero(ShardRouter& router) {
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    json::Json created = Cmd(router, "createSession",
-                             {{"code", json::Json(kSpinLoop)},
-                              {"entry", json::Json("main")}});
-    EXPECT_EQ(created.GetString("status", ""), "ok") << created.Dump();
-    const std::int64_t id = created.GetInt("sessionId", -1);
-    if (created.GetInt("worker", -1) == 0) return id;
-    Cmd(router, "deleteSession", {{"sessionId", json::Json(id)}});
-  }
-  return -1;
-}
-
 void AwaitEntered(const GatedTransport& gated) {
   for (int i = 0; i < 5'000 && !gated.entered(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -1049,13 +1047,10 @@ TEST(Concurrency, DrainMovesAnAdmissionAlreadyInTheWorkersLine) {
 
   json::Json admitted;
   std::thread admitter([&router, &admitted] {
-    // Admit until one lands on worker 0, where its call parks.
-    for (int attempt = 0; attempt < 64; ++attempt) {
-      admitted = Cmd(router, "createSession",
-                     {{"code", json::Json(kSpinLoop)},
-                      {"entry", json::Json("main")}});
-      if (admitted.GetInt("worker", -1) == 0) return;
-    }
+    // The first admission of an empty fleet goes to worker 0 and parks.
+    admitted = Cmd(router, "createSession",
+                   {{"code", json::Json(kSpinLoop)},
+                    {"entry", json::Json("main")}});
   });
   AwaitEntered(*gated);
   json::Json drained;
@@ -1080,6 +1075,50 @@ TEST(Concurrency, DrainMovesAnAdmissionAlreadyInTheWorkersLine) {
   EXPECT_EQ(state.GetString("status", ""), "ok") << state.Dump();
 }
 
+TEST(Concurrency, AdmissionsInFlightSpreadAcrossWorkers) {
+  // Six admissions at once on two workers whose createSession calls park:
+  // each admission counts the ones still in flight, so they split 3/3
+  // instead of all picking the worker that was emptiest when they began.
+  std::array<std::shared_ptr<GatedTransport>, 2> gated;
+  for (auto& transport : gated) {
+    transport = std::make_shared<GatedTransport>(server::SimServer::Limits{},
+                                                 "createSession");
+  }
+  ShardRouter::Options options;
+  options.workerCount = 2;
+  options.transportFactory =
+      [&gated](std::size_t worker, const server::SimServer::Limits&)
+      -> Result<std::shared_ptr<WorkerTransport>> {
+    return std::static_pointer_cast<WorkerTransport>(gated[worker]);
+  };
+  ShardRouter router(options);
+
+  constexpr int kAdmissions = 6;
+  std::vector<json::Json> admitted(kAdmissions);
+  std::vector<std::thread> admitters;
+  admitters.reserve(kAdmissions);
+  for (int i = 0; i < kAdmissions; ++i) {
+    admitters.emplace_back([&router, &admitted, i] {
+      admitted[i] = Cmd(router, "createSession",
+                        {{"code", json::Json(kSpinLoop)},
+                         {"entry", json::Json("main")}});
+    });
+  }
+  AwaitEntered(*gated[0]);
+  AwaitEntered(*gated[1]);
+  for (auto& transport : gated) transport->Release();
+  for (std::thread& admitter : admitters) admitter.join();
+
+  std::map<std::int64_t, int> perWorker;
+  for (const json::Json& response : admitted) {
+    ASSERT_EQ(response.GetString("status", ""), "ok") << response.Dump();
+    ++perWorker[response.GetInt("worker", -1)];
+  }
+  EXPECT_EQ(perWorker, (std::map<std::int64_t, int>{{0, 3}, {1, 3}}));
+  EXPECT_EQ(SessionsPerWorker(router),
+            (std::map<std::int64_t, std::int64_t>{{0, 3}, {1, 3}}));
+}
+
 TEST(Concurrency, DeleteAlreadyInTheWorkersLineIsNeitherMovedNorFailed) {
   // A deleteSession already in worker 0's line when drainWorker(0)
   // arrives erases its placement before the drain reads the map: the
@@ -1087,8 +1126,7 @@ TEST(Concurrency, DeleteAlreadyInTheWorkersLineIsNeitherMovedNorFailed) {
   auto gated = std::make_shared<GatedTransport>(server::SimServer::Limits{},
                                                 "deleteSession");
   ShardRouter router(GatedFleet(gated));
-  const std::int64_t id = CreateOnWorkerZero(router);
-  ASSERT_GE(id, 0) << "no session landed on worker 0";
+  const std::int64_t id = MustCreateOn(router, 0);
 
   json::Json deleted;
   std::thread deleter([&router, &deleted, id] {
@@ -1119,8 +1157,7 @@ TEST(Concurrency, TakeoverAtTheDepthCapIsRefusedAndMovesNothing) {
   auto gated = std::make_shared<GatedTransport>(server::SimServer::Limits{},
                                                 "run");
   ShardRouter router(GatedFleet(gated, /*maxLaneQueueDepth=*/1));
-  const std::int64_t id = CreateOnWorkerZero(router);
-  ASSERT_GE(id, 0) << "no session landed on worker 0";
+  const std::int64_t id = MustCreateOn(router, 0);
 
   std::thread runner([&router, id] {
     json::Json ran = Cmd(router, "run", {{"sessionId", json::Json(id)},

@@ -921,25 +921,17 @@ TEST(SocketRouter, MetricsMergeFleetCountersEqualSumOfWorkers) {
   SpawnedFleet fleet;
   ShardRouter router(SpawningOptions(2, &fleet));
 
-  // One session pinned on each worker. Placement is consistent-hash, so
-  // create until both are covered and delete the overflow.
+  // One session on each worker: sequential creates on an empty fleet go
+  // to workers 0, 1, ... in turn.
   std::array<std::int64_t, 2> perWorkerSession{-1, -1};
-  int covered = 0;
-  for (int attempt = 0; attempt < 256 && covered < 2; ++attempt) {
+  for (std::int64_t worker = 0; worker < 2; ++worker) {
     json::Json created = router.Handle(
         Cmd("createSession", {{"code", json::Json(kSpinLoop)},
                               {"entry", json::Json("main")}}));
     ASSERT_EQ(created.GetString("status", ""), "ok") << created.Dump();
-    const std::int64_t worker = created.GetInt("worker", -1);
-    const std::int64_t id = created.GetInt("sessionId", -1);
-    if (worker >= 0 && worker < 2 && perWorkerSession[worker] < 0) {
-      perWorkerSession[worker] = id;
-      ++covered;
-    } else {
-      router.Handle(Cmd("deleteSession", {{"sessionId", json::Json(id)}}));
-    }
+    ASSERT_EQ(created.GetInt("worker", -1), worker) << created.Dump();
+    perWorkerSession[worker] = created.GetInt("sessionId", -1);
   }
-  ASSERT_EQ(covered, 2);
 
   // Baseline snapshot. The forked workers inherited this test binary's
   // registry at fork time, and earlier tests in this binary already
