@@ -7,9 +7,12 @@
 // prefix-skip rate; its ratio to detailed_mips (ff_speedup) is the whole
 // point of fast-forwarding and is pinned in bench/baselines.json.
 //
-// The ISS leg lasts only ~0.05 s, so one scheduling hiccup moves a single
-// ratio by 30%. The two legs therefore run as kPairs alternating pairs,
-// and each timed metric reports the median of the pairs, with its _min and
+// One fast-forward of the loop lasts only ~0.04 s against ~0.4 s for the
+// detailed run, so one scheduling hiccup would move a single ratio by 30%.
+// Each pair's ISS leg therefore fast-forwards kFastForwardsPerPair fresh
+// simulations and divides their summed instructions by their summed
+// FastForwardTo time. The two legs run as kPairs alternating pairs, and
+// each timed metric reports the median of the pairs, with its _min and
 // _max beside it.
 //
 // Three counts ride along, exact where the timings are not: heap
@@ -69,6 +72,10 @@ loop:
 /// shared 4-core host all stayed clear of the ff_speedup floor with 7.
 constexpr int kPairs = 7;
 
+/// Fresh simulations fast-forwarded per ISS leg: about as long as one
+/// detailed leg.
+constexpr int kFastForwardsPerPair = 10;
+
 /// The cycle SaveState/RestoreState are counted at: the loop is in steady
 /// state, with a full fetch queue and a busy ROB.
 constexpr std::uint64_t kMidRunCycle = 1000;
@@ -106,19 +113,23 @@ RunResult RunDetailed() {
   return result;
 }
 
+/// kFastForwardsPerPair fast-forwards, each of a fresh simulation; the
+/// time is theirs alone, without the simulations' creation.
 RunResult RunFastForward(std::uint64_t instructionBudget) {
   RunResult result;
-  auto sim = CreateLoop();
-  if (sim == nullptr) return result;
-  const auto start = std::chrono::steady_clock::now();
-  Status ff = sim->FastForwardTo(instructionBudget);
-  result.seconds = bench::SecondsSince(start);
-  if (!ff.ok()) {
-    std::fprintf(stderr, "fast-forward failed: %s\n",
-                 ff.error().ToText().c_str());
-    return result;
+  for (int i = 0; i < kFastForwardsPerPair; ++i) {
+    auto sim = CreateLoop();
+    if (sim == nullptr) return result;
+    const auto start = std::chrono::steady_clock::now();
+    Status ff = sim->FastForwardTo(instructionBudget);
+    result.seconds += bench::SecondsSince(start);
+    if (!ff.ok()) {
+      std::fprintf(stderr, "fast-forward failed: %s\n",
+                   ff.error().ToText().c_str());
+      return result;
+    }
+    result.instructions += sim->statistics().fastForwardedInstructions;
   }
-  result.instructions = sim->statistics().fastForwardedInstructions;
   result.ok = result.instructions > 0;
   return result;
 }
