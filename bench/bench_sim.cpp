@@ -7,7 +7,7 @@
 // prefix-skip rate; its ratio to detailed_mips (ff_speedup) is the whole
 // point of fast-forwarding and is pinned in bench/baselines.json.
 //
-// One fast-forward of the loop lasts only ~0.04 s against ~0.4 s for the
+// One fast-forward of the loop lasts only ~0.03 s against ~0.25 s for the
 // detailed run, so one scheduling hiccup would move a single ratio by 30%.
 // Each pair's ISS leg therefore fast-forwards kFastForwardsPerPair fresh
 // simulations and divides their summed instructions by their summed
@@ -68,12 +68,11 @@ loop:
     ret
 )";
 
-/// Alternating detailed/ISS pairs per run: ten runs of one tree on a
-/// shared 4-core host all stayed clear of the ff_speedup floor with 7.
+/// Alternating detailed/ISS pairs per run.
 constexpr int kPairs = 7;
 
-/// Fresh simulations fast-forwarded per ISS leg: about as long as one
-/// detailed leg.
+/// Fresh simulations fast-forwarded per ISS leg: ~0.3 s, about as long as
+/// one detailed leg.
 constexpr int kFastForwardsPerPair = 10;
 
 /// The cycle SaveState/RestoreState are counted at: the loop is in steady

@@ -8,6 +8,7 @@
 #include "common/strings.h"
 #include "obs/trace.h"
 #include "server/wire.h"
+#include "shard/placement.h"
 
 namespace rvss::shard {
 

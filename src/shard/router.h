@@ -106,7 +106,6 @@
 #include "json/json.h"
 #include "server/api.h"
 #include "shard/lane.h"
-#include "shard/placement.h"
 #include "shard/transport.h"
 
 namespace rvss::shard {
