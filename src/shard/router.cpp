@@ -254,19 +254,32 @@ std::vector<bool> ShardRouter::Eligible() const {
   return eligible;
 }
 
-Result<std::size_t> ShardRouter::PlaceNew() {
-  // Admissions in flight hold a placement already, so concurrent ones
-  // see each other and spread instead of piling onto one worker.
-  std::vector<std::uint64_t> sessions(workers_.size(), 0);
-  for (const auto& [globalId, placement] : placements_) {
-    ++sessions[placement.worker];
+Result<std::size_t> ShardRouter::PlaceNew(
+    const std::vector<std::size_t>& refused) {
+  while (true) {
+    // Admissions in flight hold a placement already, so concurrent ones
+    // see each other and spread instead of piling onto one worker.
+    std::vector<std::uint64_t> sessions(workers_.size(), 0);
+    for (const auto& [globalId, placement] : placements_) {
+      ++sessions[placement.worker];
+    }
+    std::vector<bool> eligible = Eligible();
+    for (const std::size_t worker : refused) eligible[worker] = false;
+    // A worker a fleet operation owns is passed over while another
+    // eligible worker is open; only when every one is gated does the
+    // admission wait for a gate and place again (loads and eligibility
+    // may have changed meanwhile).
+    std::vector<bool> open = eligible;
+    for (std::size_t i = 0; i < open.size(); ++i) {
+      open[i] = open[i] && !gated_[i];
+    }
+    if (auto worker = LeastLoaded(sessions, open)) return *worker;
+    if (!LeastLoaded(sessions, eligible).has_value()) {
+      return Error{ErrorKind::kUnavailable,
+                   "all workers are drained; no worker accepts new sessions"};
+    }
+    gateOpen_.Wait(fleetMutex_);
   }
-  auto worker = LeastLoaded(sessions, Eligible());
-  if (!worker.has_value()) {
-    return Error{ErrorKind::kUnavailable,
-                 "all workers are drained; no worker accepts new sessions"};
-  }
-  return *worker;
 }
 
 json::Json ShardRouter::AdmitSession(const json::Json& request) {
@@ -281,31 +294,48 @@ json::Json ShardRouter::AdmitSession(const json::Json& request) {
   // Admissions therefore overlap with traffic, with each other, and with
   // drains of *other* workers.
   std::int64_t globalId = 0;
-  std::size_t worker = 0;
-  WorkerLane::Ticket ticket;
   {
     MutexLock lock(fleetMutex_);
     globalId = nextGlobalId_++;
-    while (true) {
-      auto placed = PlaceNew();
-      if (!placed.ok()) return server::MakeErrorResponse(placed.error());
-      worker = placed.value();
-      if (!gated_[worker]) break;
-      // A fleet operation owns the emptiest worker; wait for the gate and
-      // re-place (loads and eligibility may have changed).
-      gateOpen_.Wait(fleetMutex_);
-    }
-    placements_[globalId] = Placement{worker, -1};
-    ticket = lanes_[worker]->Join();
   }
-  json::Json response = ResponseOf(ticket.Call(request));
-  {
-    MutexLock lock(fleetMutex_);
-    if (!IsOk(response)) {
-      placements_.erase(globalId);
-      return response;
+  // A call that fails kUnavailable never reached a worker: its lane shed
+  // or stopped the ticket, or its process is unreachable (a failed
+  // connect or send; a lost reply is kInternal). Such a worker gains no
+  // session, so it would stay the emptiest and take every later
+  // admission; this one tries the other eligible workers instead, as a
+  // stateless command does. Any other failure may have executed and is
+  // answered as it is.
+  std::vector<std::size_t> refused;
+  Error refusal;
+  json::Json response;
+  std::size_t worker = 0;
+  while (true) {
+    WorkerLane::Ticket ticket;
+    {
+      MutexLock lock(fleetMutex_);
+      auto placed = PlaceNew(refused);
+      if (!placed.ok()) {
+        return server::MakeErrorResponse(refused.empty() ? placed.error()
+                                                         : refusal);
+      }
+      worker = placed.value();
+      placements_[globalId] = Placement{worker, -1};
+      ticket = lanes_[worker]->Join();
     }
-    placements_[globalId].localId = response.GetInt("sessionId", -1);
+    Result<json::Json> answer = ticket.Call(request);
+    MutexLock lock(fleetMutex_);
+    if (answer.ok() && IsOk(answer.value())) {
+      response = std::move(answer).value();
+      placements_[globalId].localId = response.GetInt("sessionId", -1);
+      break;
+    }
+    placements_.erase(globalId);
+    if (answer.ok()) return std::move(answer).value();
+    if (answer.error().kind != ErrorKind::kUnavailable) {
+      return server::MakeErrorResponse(answer.error());
+    }
+    refused.push_back(worker);
+    refusal = answer.error();
   }
   static obs::Counter& admissions =
       obs::Registry::Instance().GetCounter("shard.router.admissions");
@@ -1090,7 +1120,8 @@ json::Json ShardRouter::Rebalance() {
     {
       // The source of this move is taken over before its sessions are
       // exported — the same takeover a drain makes, per iteration because
-      // `most` changes as loads even out. Only traffic for `most` waits.
+      // `most` changes as loads even out. Only traffic for `most`'s
+      // sessions waits; admissions pass a gated worker over.
       auto owner = TakeOver(most);
       if (!owner.ok()) {
         json::Json failure = json::Json::MakeObject();

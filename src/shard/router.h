@@ -16,7 +16,8 @@
 // real worker processes. Transport failures are fail-closed: a request
 // that got no response is reported as an error on that request — the
 // router never guesses, never retries a maybe-executed command, and
-// never silently drops a session.
+// never silently drops a session. An admission that never reached its
+// worker (a shed ticket, a dead process) is placed on another one.
 //
 // Concurrency model (see shard/lane.h and docs/sharding.md):
 //
@@ -52,7 +53,9 @@
 //     worker through that ticket, then drops it and reopens the gate.
 //     Commands for the gated worker's sessions block on the gate and
 //     re-resolve their placement when it opens (their sessions may have
-//     moved); everything aimed at other workers flows freely. An export
+//     moved); admissions pass a gated worker over while another eligible
+//     worker is open, and everything aimed at other workers flows
+//     freely. An export
 //     therefore always observes a session between requests, never
 //     inside one, with the stall confined to the worker being
 //     reorganized. At the lane's depth cap the takeover is refused like
@@ -251,7 +254,8 @@ class ShardRouter {
                                std::string_view field)
       REQUIRES(fleetOpMutex_) EXCLUDES(fleetMutex_);
   /// createSession / importSession: place on the emptiest eligible worker
-  /// and forward.
+  /// and forward; a worker whose call failed unavailable (never reached)
+  /// is left out and the admission placed again.
   json::Json AdmitSession(const json::Json& request) EXCLUDES(fleetMutex_);
   json::Json ListSessions() EXCLUDES(fleetOpMutex_, fleetMutex_);
   json::Json WorkerStats() EXCLUDES(fleetOpMutex_, fleetMutex_);
@@ -314,9 +318,11 @@ class ShardRouter {
     return worker < workers_.size() && workers_[worker] != nullptr;
   }
   /// The eligible worker holding the fewest placements, pending ones
-  /// included (ties to the lowest index); error when every worker is
-  /// drained.
-  Result<std::size_t> PlaceNew() REQUIRES(fleetMutex_);
+  /// included (ties to the lowest index), leaving out the workers in
+  /// `refused`. A gated worker is passed over; only when every candidate
+  /// is gated does it wait for a gate. Error when no candidate is left.
+  Result<std::size_t> PlaceNew(const std::vector<std::size_t>& refused)
+      REQUIRES(fleetMutex_);
   /// Builds the transport for slot `worker` from the factory/default.
   /// (No lock needed; touches only options_.)
   Result<std::shared_ptr<WorkerTransport>> MakeTransport(
@@ -347,7 +353,8 @@ class ShardRouter {
   std::vector<bool> drained_ GUARDED_BY(fleetMutex_);
   /// Per-worker placement gate: true while a fleet operation owns the
   /// worker (its ticket in the lane, sessions in motion). Requests aimed
-  /// at a gated worker wait on gateOpen_ and re-resolve their placement.
+  /// at a gated worker wait on gateOpen_ and re-resolve their placement;
+  /// an admission waits only when every eligible worker is gated.
   std::vector<bool> gated_ GUARDED_BY(fleetMutex_);
   CondVar gateOpen_;
   /// Construction errors of slots whose factory failed, by worker index.

@@ -158,6 +158,84 @@ TEST(Placement, AdmissionFillsTheEmptiestEligibleWorker) {
   MustCreateOn(router, 2);
 }
 
+namespace {
+
+/// Fails every createSession with `kind` before the worker sees it and
+/// passes everything else through. kUnavailable is the transport's and
+/// the lane's "never reached the worker" (a dead process, a shed
+/// ticket); kInternal a call that may have executed.
+class RefusingTransport : public WorkerTransport {
+ public:
+  RefusingTransport(const server::SimServer::Limits& limits, ErrorKind kind)
+      : inner_(limits), kind_(kind) {}
+
+  Result<json::Json> Call(const json::Json& request) override {
+    if (request.GetString("command", "") == "createSession") {
+      return Error{kind_, "simulated transport failure"};
+    }
+    return inner_.Call(request);
+  }
+  std::string Describe() const override { return inner_.Describe(); }
+  server::SimServer* LocalServer() override { return inner_.LocalServer(); }
+
+ private:
+  InProcessTransport inner_;
+  const ErrorKind kind_;
+};
+
+/// `workerCount` workers, the first `refusing` of them behind a
+/// RefusingTransport of `kind`.
+ShardRouter::Options RefusingFleet(std::size_t workerCount,
+                                   std::size_t refusing, ErrorKind kind) {
+  ShardRouter::Options options;
+  options.workerCount = workerCount;
+  options.transportFactory =
+      [refusing, kind](std::size_t worker,
+                       const server::SimServer::Limits& limits)
+      -> Result<std::shared_ptr<WorkerTransport>> {
+    if (worker < refusing) {
+      return std::shared_ptr<WorkerTransport>(
+          std::make_shared<RefusingTransport>(limits, kind));
+    }
+    return std::shared_ptr<WorkerTransport>(
+        std::make_shared<InProcessTransport>(limits));
+  };
+  return options;
+}
+
+}  // namespace
+
+TEST(Placement, AdmissionThatNeverReachedItsWorkerGoesToTheNext) {
+  // Worker 0 never gains a session, so every admission is placed there
+  // first; each moves on and the others fill as if it were not there.
+  ShardRouter router(RefusingFleet(3, 1, ErrorKind::kUnavailable));
+  for (int i = 0; i < 4; ++i) MustCreateOn(router, 1 + i % 2);
+  EXPECT_EQ(SessionsPerWorker(router),
+            (std::map<std::int64_t, std::int64_t>{{0, 0}, {1, 2}, {2, 2}}));
+
+  // When every worker refuses, the last refusal is the answer.
+  ShardRouter refusedEverywhere(RefusingFleet(2, 2, ErrorKind::kUnavailable));
+  json::Json shed = Cmd(refusedEverywhere, "createSession",
+                        {{"code", json::Json(kSpinLoop)},
+                         {"entry", json::Json("main")}});
+  testutil::CheckErrorEnvelope(shed);
+  EXPECT_EQ(testutil::ErrorField(shed, "kind"), "unavailable");
+  EXPECT_EQ(testutil::ErrorField(shed, "message"),
+            "simulated transport failure");
+  EXPECT_EQ(refusedEverywhere.sessionCount(), 0u);
+
+  // A call that may have executed is answered, never sent on to a
+  // second worker.
+  ShardRouter maybeExecuted(RefusingFleet(2, 1, ErrorKind::kInternal));
+  json::Json failed = Cmd(maybeExecuted, "createSession",
+                          {{"code", json::Json(kSpinLoop)},
+                           {"entry", json::Json("main")}});
+  testutil::CheckErrorEnvelope(failed);
+  EXPECT_EQ(testutil::ErrorField(failed, "kind"), "internal");
+  EXPECT_EQ(maybeExecuted.sessionCount(), 0u);
+  EXPECT_EQ(SessionsPerWorker(maybeExecuted)[1], 0);
+}
+
 // ---- route-through ----------------------------------------------------------
 
 TEST(RouteThrough, MatchesBareServerStepByStep) {
@@ -305,11 +383,10 @@ TEST(Drain, DestinationBudgetRejectionKeepsSessionOnSource) {
   };
   ShardRouter router(options);
 
+  // Sequential creates alternate between the workers: two of these
+  // three land on worker 0.
   std::vector<std::int64_t> ids;
-  while (SessionsPerWorker(router)[0] < 2) {
-    ids.push_back(MustCreateSession(router));
-  }
-  const std::int64_t onWorker0Before = SessionsPerWorker(router)[0];
+  for (int i = 0; i < 3; ++i) ids.push_back(MustCreateOn(router, i % 2));
 
   json::Json drained = Cmd(router, "drainWorker", {{"worker", json::Json(0)}});
   testutil::CheckErrorEnvelope(drained);
@@ -325,7 +402,7 @@ TEST(Drain, DestinationBudgetRejectionKeepsSessionOnSource) {
   // Nothing was lost: every session still steps through the router, and
   // worker 0 kept every session it had.
   EXPECT_EQ(router.sessionCount(), ids.size());
-  EXPECT_EQ(SessionsPerWorker(router)[0], onWorker0Before);
+  EXPECT_EQ(SessionsPerWorker(router)[0], 2);
   for (const std::int64_t id : ids) {
     json::Json stepped = Cmd(router, "step", {{"sessionId", json::Json(id)},
                                               {"count", json::Json(10)}});
@@ -338,11 +415,9 @@ TEST(Drain, SessionVanishingMidDrainFailsThatSessionOnly) {
   options.workerCount = 2;
   ShardRouter router(options);
 
+  // Three of these five land on worker 0.
   std::vector<std::int64_t> ids;
-  while (SessionsPerWorker(router)[0] < 3) {
-    ids.push_back(MustCreateSession(router));
-  }
-  const std::int64_t onWorker0Before = SessionsPerWorker(router)[0];
+  for (int i = 0; i < 5; ++i) ids.push_back(MustCreateOn(router, i % 2));
 
   // Delete one of worker 0's sessions *behind the router's back* — the
   // in-process stand-in for a worker losing a session mid-export.
@@ -357,8 +432,7 @@ TEST(Drain, SessionVanishingMidDrainFailsThatSessionOnly) {
 
   json::Json drained = Cmd(router, "drainWorker", {{"worker", json::Json(0)}});
   testutil::CheckErrorEnvelope(drained);
-  EXPECT_EQ(testutil::ErrorDetail(drained, "moved")->AsInt(),
-            onWorker0Before - 1)
+  EXPECT_EQ(testutil::ErrorDetail(drained, "moved")->AsInt(), 2)
       << "the surviving sessions must still migrate";
   const json::Array& failed =
       testutil::ErrorDetail(drained, "failed")->AsArray();
@@ -380,7 +454,7 @@ TEST(Drain, DoubleDrainIsIdempotentAndOpenWorkerReadmits) {
   ShardRouter::Options options;
   options.workerCount = 2;
   ShardRouter router(options);
-  while (SessionsPerWorker(router)[0] < 1) MustCreateSession(router);
+  MustCreateOn(router, 0);
   const std::size_t total = router.sessionCount();
 
   json::Json first = Cmd(router, "drainWorker", {{"worker", json::Json(0)}});
@@ -521,10 +595,7 @@ TEST(Drain, DeltaImportFailureFallsBackToFullImage) {
   };
   ShardRouter router(options);
 
-  std::vector<std::int64_t> ids;
-  while (SessionsPerWorker(router)[0] < 1) {
-    ids.push_back(MustCreateSession(router));
-  }
+  const std::vector<std::int64_t> ids = {MustCreateOn(router, 0)};
   std::map<std::int64_t, std::string> before;
   for (const std::int64_t id : ids) before[id] = ExportBlob(router, id);
 
@@ -560,11 +631,11 @@ TEST(Elastic, AddWorkerTakesPlacements) {
   EXPECT_EQ(router.workerCount(), 3u);
 
   // Existing sessions stay put, and the new worker, holding none, takes
-  // new sessions.
+  // the next four sessions.
   EXPECT_EQ(router.sessionCount(), 8u);
-  for (int i = 0; i < 40; ++i) MustCreateSession(router);
-  EXPECT_GT(SessionsPerWorker(router)[2], 0)
-      << "the new worker took no session";
+  for (int i = 0; i < 4; ++i) MustCreateOn(router, 2);
+  EXPECT_EQ(SessionsPerWorker(router),
+            (std::map<std::int64_t, std::int64_t>{{0, 4}, {1, 4}, {2, 4}}));
 
   // The new worker is a first-class citizen: drain it back out.
   json::Json drained = Cmd(router, "drainWorker", {{"worker", json::Json(2)}});
@@ -1117,6 +1188,55 @@ TEST(Concurrency, AdmissionsInFlightSpreadAcrossWorkers) {
   EXPECT_EQ(perWorker, (std::map<std::int64_t, int>{{0, 3}, {1, 3}}));
   EXPECT_EQ(SessionsPerWorker(router),
             (std::map<std::int64_t, std::int64_t>{{0, 3}, {1, 3}}));
+}
+
+TEST(Concurrency, AdmissionPassesOverAWorkerARebalanceOwns) {
+  // Worker 0 holds a large session and a small one, worker 1 three small
+  // ones, so a rebalance takes worker 0 over (the most bytes) to move its
+  // small session while worker 0 also holds the fewest sessions. With
+  // that move parked in the export, a createSession must land on worker 1
+  // at once rather than wait for worker 0's gate.
+  auto gated = std::make_shared<GatedTransport>(server::SimServer::Limits{},
+                                                "exportSession");
+  ShardRouter router(GatedFleet(gated));
+  json::Json large = Cmd(
+      router, "createSession",
+      {{"code", json::Json(kSpinLoop)},
+       {"entry", json::Json("main")},
+       {"config", json::Parse(R"({"memory": {"sizeBytes": 2097152}})")
+                      .value()}});
+  ASSERT_EQ(large.GetString("status", ""), "ok") << large.Dump();
+  ASSERT_EQ(large.GetInt("worker", -1), 0);
+  for (int i = 1; i < 4; ++i) MustCreateOn(router, i % 2);
+  const std::int64_t deleted = MustCreateOn(router, 0);
+  MustCreateOn(router, 1);
+  ASSERT_EQ(
+      Cmd(router, "deleteSession", {{"sessionId", json::Json(deleted)}})
+          .GetString("status", ""),
+      "ok");
+
+  json::Json rebalanced;
+  std::thread rebalancer([&router, &rebalanced] {
+    rebalanced = Cmd(router, "rebalance");
+  });
+  AwaitEntered(*gated);
+  auto admission = std::async(std::launch::async, [&router] {
+    return Cmd(router, "createSession", {{"code", json::Json(kSpinLoop)},
+                                         {"entry", json::Json("main")}});
+  });
+  const bool answeredDuringTheMove =
+      admission.wait_for(std::chrono::seconds(10)) ==
+      std::future_status::ready;
+  gated->Release();
+  rebalancer.join();
+  const json::Json admitted = admission.get();
+
+  EXPECT_TRUE(answeredDuringTheMove) << "the admission waited for the gate";
+  ASSERT_EQ(admitted.GetString("status", ""), "ok") << admitted.Dump();
+  EXPECT_EQ(admitted.GetInt("worker", -1), 1) << admitted.Dump();
+  ASSERT_EQ(rebalanced.GetString("status", ""), "ok") << rebalanced.Dump();
+  EXPECT_GT(rebalanced.GetInt("moved", 0), 0);
+  EXPECT_EQ(router.sessionCount(), 6u);
 }
 
 TEST(Concurrency, DeleteAlreadyInTheWorkersLineIsNeitherMovedNorFailed) {

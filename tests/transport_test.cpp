@@ -586,6 +586,16 @@ std::int64_t MustCreate(ShardRouter& router) {
   return created.GetInt("sessionId", -1);
 }
 
+/// Creates one session and checks the worker the router placed it on.
+std::int64_t MustCreateOn(ShardRouter& router, std::int64_t worker) {
+  json::Json created = router.Handle(
+      Cmd("createSession", {{"code", json::Json(kSpinLoop)},
+                            {"entry", json::Json("main")}}));
+  EXPECT_EQ(created.GetString("status", ""), "ok") << created.Dump();
+  EXPECT_EQ(created.GetInt("worker", -1), worker) << created.Dump();
+  return created.GetInt("sessionId", -1);
+}
+
 TEST(SocketRouter, DrainMovesSessionsBetweenProcessesByteIdentically) {
   SpawnedFleet fleet;
   ShardRouter router(SpawningOptions(2, &fleet));
@@ -625,20 +635,13 @@ TEST(SocketRouter, DestinationKilledMidDrainLeavesSourceIntact) {
   SpawnedFleet fleet;
   ShardRouter router(SpawningOptions(2, &fleet));
 
-  // Pin enough sessions onto worker 0 that the drain has real work.
+  // Sequential creates alternate between the workers: three of these
+  // five land on worker 0, so the drain has real work.
   std::vector<std::int64_t> onZero;
-  json::Json stats = router.Handle(Cmd("workerStats"));
-  for (int i = 0; static_cast<int>(onZero.size()) < 3 && i < 64; ++i) {
-    const std::int64_t id = MustCreate(router);
-    json::Json listed = router.Handle(Cmd("listSessions"));
-    for (const json::Json& session : listed.Find("sessions")->AsArray()) {
-      if (session.GetInt("sessionId", -1) == id &&
-          session.GetInt("worker", -1) == 0) {
-        onZero.push_back(id);
-      }
-    }
+  for (int i = 0; i < 5; ++i) {
+    const std::int64_t id = MustCreateOn(router, i % 2);
+    if (i % 2 == 0) onZero.push_back(id);
   }
-  ASSERT_GE(onZero.size(), 1u);
 
   // Kill the only possible destination, then drain: every move must fail
   // with a transport error and every session must stay live on worker 0.
@@ -710,6 +713,28 @@ TEST(SocketRouter, DeadSourceWorkerReportsEverySessionLostWithError) {
   ASSERT_NE(listed.Find("unreachableWorkers"), nullptr) << listed.Dump();
   ASSERT_EQ(listed.Find("unreachableWorkers")->AsArray().size(), 1u);
   EXPECT_EQ(listed.Find("unreachableWorkers")->AsArray()[0].AsInt(), 0);
+}
+
+TEST(SocketRouter, AdmissionPassesOverADeadWorker) {
+  SpawnedFleet fleet;
+  ShardRouter router(SpawningOptions(2, &fleet));
+  for (int i = 0; i < 6; ++i) MustCreateOn(router, i % 2);
+
+  // Worker 0 dies holding as many sessions as worker 1, so it stays the
+  // emptiest eligible worker (ties go low) and every admission is placed
+  // there first. Its transport refuses each one before any worker sees
+  // it, and the admission moves on to worker 1.
+  KillWorker(fleet.workers[0]);
+  ReapWorker(fleet.workers[0]);
+  const std::vector<std::int64_t> admitted = {MustCreateOn(router, 1),
+                                              MustCreateOn(router, 1)};
+  EXPECT_EQ(router.sessionCount(), 8u)
+      << "a refused admission left its placement behind";
+  for (const std::int64_t id : admitted) {
+    json::Json stepped = router.Handle(
+        Cmd("step", {{"sessionId", json::Json(id)}, {"count", json::Json(5)}}));
+    EXPECT_EQ(stepped.GetString("status", ""), "ok") << stepped.Dump();
+  }
 }
 
 TEST(SocketRouter, ShutdownWorkerIsNotReachableThroughTheRouter) {
@@ -925,12 +950,7 @@ TEST(SocketRouter, MetricsMergeFleetCountersEqualSumOfWorkers) {
   // to workers 0, 1, ... in turn.
   std::array<std::int64_t, 2> perWorkerSession{-1, -1};
   for (std::int64_t worker = 0; worker < 2; ++worker) {
-    json::Json created = router.Handle(
-        Cmd("createSession", {{"code", json::Json(kSpinLoop)},
-                              {"entry", json::Json("main")}}));
-    ASSERT_EQ(created.GetString("status", ""), "ok") << created.Dump();
-    ASSERT_EQ(created.GetInt("worker", -1), worker) << created.Dump();
-    perWorkerSession[worker] = created.GetInt("sessionId", -1);
+    perWorkerSession[worker] = MustCreateOn(router, worker);
   }
 
   // Baseline snapshot. The forked workers inherited this test binary's
