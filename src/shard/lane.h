@@ -27,8 +27,8 @@
 //   * a thread that holds a turn may take the router's fleet mutex;
 //   * the fleet mutex is never held while waiting for a turn;
 //   * only a fleet operation, serialized on the router's fleet-op mutex,
-//     waits for a second turn while it holds one (the destination import
-//     and the peer probes);
+//     waits for a second turn while it holds one: the destination
+//     import;
 //   * a fleet operation never joins the lane it owns.
 //
 // Stop() ends the lane for good (removeWorker): tickets still waiting,
@@ -72,9 +72,10 @@ class WorkerLane : public std::enable_shared_from_this<WorkerLane> {
   /// a stopped lane — or when the line is at its depth cap — the ticket
   /// is refused: its Wait and Call answer at once with a retryable
   /// kUnavailable Error (the latter is a load shed: try again later).
-  /// `pastCap` joins a full line anyway: a fleet operation's probes do,
-  /// so a busy worker is not taken for a dead one. They are serialized
-  /// on the router's fleet-op mutex, so at most one waits past the cap.
+  /// `pastCap` joins a full line anyway: a fan-out's per-worker calls
+  /// (listSessions, workerStats, metrics, traceDump) do, so a busy
+  /// worker is not taken for a dead one. They are serialized on the
+  /// router's fleet-op mutex, so at most one waits past the cap.
   Ticket Join(bool pastCap = false) EXCLUDES(mutex_);
 
   /// Refuses every waiting and every later ticket, and every later call

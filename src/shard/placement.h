@@ -1,11 +1,10 @@
 // Session placement policy for the shard router.
 //
-// One rule places every session: a new one (created or imported) goes to
-// the eligible worker holding the fewest sessions, and a drain or
-// rebalance moves a session to the eligible worker holding the fewest
-// probed bytes. Both are LeastLoaded over a different load vector, and
-// both are deterministic — the same loads pick the same worker, which
-// the shard tests rely on.
+// One rule places every session: a new one (created or imported), one a
+// drain moves and one a rebalance moves all go to the eligible worker
+// holding the fewest sessions — LeastLoaded over the router's session
+// counts (ShardRouter::PlaceNew). The rule is deterministic: the same
+// counts pick the same worker, which the shard tests rely on.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <future>
-#include <limits>
 #include <utility>
 
 #include "common/strings.h"
@@ -29,6 +28,40 @@ json::Json RouterError(ErrorKind kind, std::string message) {
 json::Json ResponseOf(Result<json::Json> result) {
   if (!result.ok()) return server::MakeErrorResponse(result.error());
   return std::move(result).value();
+}
+
+/// A call that failed kUnavailable never reached its worker: the lane
+/// shed or stopped the ticket, or the connect, the handshake or the send
+/// failed. A lost reply is kInternal: the call may have executed.
+bool NeverReached(const Result<json::Json>& answer) {
+  return !answer.ok() && answer.error().kind == ErrorKind::kUnavailable;
+}
+
+/// The error message of a failed call or of a worker's error answer.
+std::string MessageOf(const Result<json::Json>& answer) {
+  return answer.ok() ? server::ErrorMessage(answer.value(), "unknown error")
+                     : answer.error().message;
+}
+
+Error ExportFailure(std::int64_t globalId, std::size_t worker,
+                    const std::string& message) {
+  return Error{ErrorKind::kInternal,
+               "export of session " + std::to_string(globalId) +
+                   " from worker " + std::to_string(worker) +
+                   " failed: " + message};
+}
+
+/// localId -> session node of a worker's listSessions response; the
+/// pointers borrow from the response, which must outlive the index.
+std::map<std::int64_t, const json::Json*> IndexSessions(
+    const json::Json& listResponse) {
+  std::map<std::int64_t, const json::Json*> index;
+  const json::Json* sessions = listResponse.Find("sessions");
+  if (sessions == nullptr || !sessions->IsArray()) return index;
+  for (const json::Json& session : sessions->AsArray()) {
+    index[session.GetInt("sessionId", -1)] = &session;
+  }
+  return index;
 }
 
 }  // namespace
@@ -89,18 +122,18 @@ std::string ShardRouter::HandleRaw(std::string_view requestBytes,
       requestBytes, compress, timing);
 }
 
-json::Json ShardRouter::CallViaLane(std::size_t worker,
-                                    const json::Json& request) {
+Result<json::Json> ShardRouter::CallViaLane(std::size_t worker,
+                                            const json::Json& request) {
   WorkerLane::Ticket ticket;
   {
     MutexLock lock(fleetMutex_);
     if (!IsLive(worker)) {
-      return RouterError(ErrorKind::kUnavailable,
-                         "worker " + std::to_string(worker) + " was removed");
+      return Error{ErrorKind::kUnavailable,
+                   "worker " + std::to_string(worker) + " was removed"};
     }
     ticket = lanes_[worker]->Join();
   }
-  return ResponseOf(ticket.Call(request));
+  return ticket.Call(request);
 }
 
 std::vector<std::future<Result<json::Json>>> ShardRouter::CallEach(
@@ -254,15 +287,20 @@ std::vector<bool> ShardRouter::Eligible() const {
   return eligible;
 }
 
+std::vector<std::uint64_t> ShardRouter::SessionCounts() const {
+  // Admissions in flight hold a placement already, so concurrent ones
+  // see each other and spread instead of piling onto one worker.
+  std::vector<std::uint64_t> sessions(workers_.size(), 0);
+  for (const auto& [globalId, placement] : placements_) {
+    ++sessions[placement.worker];
+  }
+  return sessions;
+}
+
 Result<std::size_t> ShardRouter::PlaceNew(
     const std::vector<std::size_t>& refused) {
   while (true) {
-    // Admissions in flight hold a placement already, so concurrent ones
-    // see each other and spread instead of piling onto one worker.
-    std::vector<std::uint64_t> sessions(workers_.size(), 0);
-    for (const auto& [globalId, placement] : placements_) {
-      ++sessions[placement.worker];
-    }
+    const std::vector<std::uint64_t> sessions = SessionCounts();
     std::vector<bool> eligible = Eligible();
     for (const std::size_t worker : refused) eligible[worker] = false;
     // A worker a fleet operation owns is passed over while another
@@ -298,13 +336,10 @@ json::Json ShardRouter::AdmitSession(const json::Json& request) {
     MutexLock lock(fleetMutex_);
     globalId = nextGlobalId_++;
   }
-  // A call that fails kUnavailable never reached a worker: its lane shed
-  // or stopped the ticket, or its process is unreachable (a failed
-  // connect or send; a lost reply is kInternal). Such a worker gains no
-  // session, so it would stay the emptiest and take every later
-  // admission; this one tries the other eligible workers instead, as a
-  // stateless command does. Any other failure may have executed and is
-  // answered as it is.
+  // A worker that a call never reached (NeverReached) gains no session,
+  // so it would stay the emptiest and take every later admission; this
+  // one tries the other eligible workers instead, as a stateless command
+  // does. Any other failure may have executed and is answered as it is.
   std::vector<std::size_t> refused;
   Error refusal;
   json::Json response;
@@ -331,9 +366,7 @@ json::Json ShardRouter::AdmitSession(const json::Json& request) {
     }
     placements_.erase(globalId);
     if (answer.ok()) return std::move(answer).value();
-    if (answer.error().kind != ErrorKind::kUnavailable) {
-      return server::MakeErrorResponse(answer.error());
-    }
+    if (!NeverReached(answer)) return server::MakeErrorResponse(answer.error());
     refused.push_back(worker);
     refusal = answer.error();
   }
@@ -392,18 +425,6 @@ json::Json ShardRouter::RouteSessionCommand(Command command,
     placements_.erase(globalId);
   }
   return response;
-}
-
-/// localId -> session node, for O(log n) joins against the placement map.
-std::map<std::int64_t, const json::Json*> ShardRouter::IndexSessions(
-    const json::Json& listResponse) {
-  std::map<std::int64_t, const json::Json*> index;
-  const json::Json* sessions = listResponse.Find("sessions");
-  if (sessions == nullptr || !sessions->IsArray()) return index;
-  for (const json::Json& session : sessions->AsArray()) {
-    index[session.GetInt("sessionId", -1)] = &session;
-  }
-  return index;
 }
 
 json::Json ShardRouter::ListSessions() {
@@ -467,52 +488,12 @@ json::Json ShardRouter::ListSessions() {
   return response;
 }
 
-Result<ShardRouter::WorkerLoad> ShardRouter::ParseLoad(
-    Result<json::Json> response) {
-  if (!response.ok()) return response.error();
-  if (!IsOk(response.value())) {
-    return Error{ErrorKind::kInternal,
-                 server::ErrorMessage(response.value(), "listSessions failed")};
-  }
-  WorkerLoad load;
-  const json::Json* sessions = response.value().Find("sessions");
-  if (sessions != nullptr && sessions->IsArray()) {
-    load.sessions = sessions->AsArray().size();
-  }
-  load.approxBytes = static_cast<std::uint64_t>(
-      response.value().GetInt("totalApproxBytes", 0));
-  return load;
-}
-
-std::vector<WorkerLane::Ticket> ShardRouter::JoinLiveLanes(
-    std::size_t skip) {
+std::vector<WorkerLane::Ticket> ShardRouter::JoinLiveLanes() {
   std::vector<WorkerLane::Ticket> tickets(workers_.size());
   for (std::size_t i = 0; i < workers_.size(); ++i) {
-    if (i == skip || !IsLive(i)) continue;
-    tickets[i] = lanes_[i]->Join(/*pastCap=*/true);
+    if (IsLive(i)) tickets[i] = lanes_[i]->Join(/*pastCap=*/true);
   }
   return tickets;
-}
-
-ShardRouter::FleetLoads ShardRouter::ProbeLoads(std::size_t skip) {
-  FleetLoads loads;
-  std::vector<WorkerLane::Ticket> tickets;
-  {
-    MutexLock lock(fleetMutex_);
-    loads.bytes.assign(workers_.size(), 0);
-    loads.reachable.assign(workers_.size(), false);
-    tickets = JoinLiveLanes(skip);
-  }
-  std::vector<std::future<Result<json::Json>>> pending = CallEach(
-      std::move(tickets), server::MakeRequest(Command::kListSessions));
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (!pending[i].valid()) continue;
-    auto load = ParseLoad(pending[i].get());
-    if (!load.ok()) continue;
-    loads.bytes[i] = load.value().approxBytes;
-    loads.reachable[i] = true;
-  }
-  return loads;
 }
 
 json::Json ShardRouter::WorkerStats() {
@@ -573,16 +554,19 @@ json::Json ShardRouter::WorkerStats() {
               static_cast<std::int64_t>(slots[i].lane.queueDepth));
     entry.Set("inFlight", slots[i].lane.inFlight);
     entry.Set("lastDispatchMs", slots[i].lane.lastDispatchMs);
-    auto load = ParseLoad(pending[i].get());
-    if (load.ok()) {
-      entry.Set("sessions", static_cast<std::int64_t>(load.value().sessions));
-      entry.Set("approxBytes",
-                static_cast<std::int64_t>(load.value().approxBytes));
+    const json::Json listed = ResponseOf(pending[i].get());
+    if (IsOk(listed)) {
+      const json::Json* sessions = listed.Find("sessions");
+      entry.Set("sessions", static_cast<std::int64_t>(
+                                sessions != nullptr && sessions->IsArray()
+                                    ? sessions->AsArray().size()
+                                    : 0));
+      entry.Set("approxBytes", listed.GetInt("totalApproxBytes", 0));
     } else {
       // A dead worker process: the slot exists, the sessions placed there
       // are unreachable until it restarts — report, don't hide.
       entry.Set("unreachable", true);
-      entry.Set("error", load.error().message);
+      entry.Set("error", server::ErrorMessage(listed, "listSessions failed"));
     }
     list.Append(std::move(entry));
   }
@@ -673,29 +657,25 @@ json::Json ShardRouter::TraceDump() {
 Status ShardRouter::MoveSession(WorkerLane::Ticket& owner,
                                 std::int64_t globalId, const Placement& source,
                                 std::size_t destination,
-                                std::uint64_t* movedBytes) {
+                                std::uint64_t* movedBytes,
+                                Unreached* unreached) {
   // Every peer decodes delta blobs: the hello handshake pins this
   // build's snapshot format, and every v3 decoder reads base-referenced
   // deltas. Options::deltaBlobs alone picks the wire form.
   const bool deltaExport = options_.deltaBlobs;
 
   // Source-side calls go through the owner's ticket, which holds the
-  // source lane's turn behind its closed gate.
-  auto exportFrom = [&](bool delta) {
+  // source lane's turn behind its closed gate. A failed export (the
+  // session vanished behind the router's back, or the worker process is
+  // dead) moved nothing; it surfaces the worker's error.
+  auto exportFrom = [&](bool delta) -> Result<json::Json> {
     json::Json exportRequest = server::MakeRequest(Command::kExportSession);
     exportRequest.Set("sessionId", source.localId);
     if (delta) exportRequest.Set("encoding", "delta");
-    return ResponseOf(owner.Call(exportRequest));
-  };
-  auto exportFailed = [&](const json::Json& exported) {
-    // The session vanished from its worker (deleted behind the router's
-    // back, export failed, or the worker process is dead). Nothing
-    // moved; surface the worker's error.
-    return Status::Fail(
-        ErrorKind::kInternal,
-        "export of session " + std::to_string(globalId) + " from worker " +
-            std::to_string(source.worker) + " failed: " +
-            server::ErrorMessage(exported, "unknown error"));
+    Result<json::Json> exported = owner.Call(exportRequest);
+    if (exported.ok() && IsOk(exported.value())) return exported;
+    if (NeverReached(exported)) *unreached = Unreached::kSource;
+    return ExportFailure(globalId, source.worker, MessageOf(exported));
   };
   // Session blobs can be tens of MiB of base64; read by reference and
   // copy exactly once (into the import request). The import rides the
@@ -716,11 +696,10 @@ Status ShardRouter::MoveSession(WorkerLane::Ticket& owner,
     return CallViaLane(destination, importRequest);
   };
 
-  json::Json exported = exportFrom(deltaExport);
-  if (!IsOk(exported)) return exportFailed(exported);
+  RVSS_ASSIGN_OR_RETURN(json::Json exported, exportFrom(deltaExport));
   std::uint64_t wireBytes = blobSizeOf(exported);
-  json::Json imported = importFrom(exported);
-  if (!IsOk(imported) && deltaExport) {
+  Result<json::Json> imported = importFrom(exported);
+  if (deltaExport && !(imported.ok() && IsOk(imported.value()))) {
     // Fail closed, not lossy: ANY delta import failure — base-epoch
     // mismatch, decode error, a blob over the destination's budget —
     // retries exactly once with a full image before the move is declared
@@ -728,21 +707,21 @@ Status ShardRouter::MoveSession(WorkerLane::Ticket& owner,
     static obs::Counter& fallbacks = obs::Registry::Instance().GetCounter(
         "shard.router.deltaFallbacks");
     fallbacks.Increment();
-    exported = exportFrom(false);
-    if (!IsOk(exported)) return exportFailed(exported);
+    RVSS_ASSIGN_OR_RETURN(exported, exportFrom(false));
     wireBytes += blobSizeOf(exported);
     imported = importFrom(exported);
   }
-  if (!IsOk(imported)) {
+  if (!imported.ok() || !IsOk(imported.value())) {
     // Destination refused (blob budget, decode failure) or is
     // unreachable. The source copy was never deleted, so the session is
     // still live where it was — the move aborts, nothing is lost.
-    return Status::Fail(
-        ErrorKind::kInternal,
-        "worker " + std::to_string(destination) + " rejected session " +
-            std::to_string(globalId) + ": " +
-            server::ErrorMessage(imported, "unknown error"));
+    if (NeverReached(imported)) *unreached = Unreached::kDestination;
+    return Status::Fail(ErrorKind::kInternal,
+                        "worker " + std::to_string(destination) +
+                            " rejected session " + std::to_string(globalId) +
+                            ": " + MessageOf(imported));
   }
+  const std::int64_t importedId = imported.value().GetInt("sessionId", -1);
 
   // Only now is it safe to drop the source copy.
   json::Json deleteRequest = server::MakeRequest(Command::kDeleteSession);
@@ -752,8 +731,8 @@ Status ShardRouter::MoveSession(WorkerLane::Ticket& owner,
     // Failing to delete would leave two live copies; roll the import back
     // so the mapping stays unambiguous.
     json::Json rollback = server::MakeRequest(Command::kDeleteSession);
-    rollback.Set("sessionId", imported.GetInt("sessionId", -1));
-    CallViaLane(destination, rollback);
+    rollback.Set("sessionId", importedId);
+    (void)CallViaLane(destination, rollback);
     return Status::Fail(
         ErrorKind::kInternal,
         "could not delete session " + std::to_string(globalId) +
@@ -763,12 +742,11 @@ Status ShardRouter::MoveSession(WorkerLane::Ticket& owner,
 
   {
     MutexLock lock(fleetMutex_);
-    placements_[globalId] =
-        Placement{destination, imported.GetInt("sessionId", -1)};
+    placements_[globalId] = Placement{destination, importedId};
   }
   // wireBytes is what actually crossed the wire for this move — the
   // delta blob, plus the full image too when the fallback fired.
-  if (movedBytes != nullptr) *movedBytes += wireBytes;
+  *movedBytes += wireBytes;
   static obs::Counter& migrations =
       obs::Registry::Instance().GetCounter("shard.router.migrations");
   static obs::Counter& migrationBytes =
@@ -784,65 +762,58 @@ std::vector<std::int64_t> ShardRouter::DrainSessions(
   // Read while owning the worker, so the map is exact: every request
   // that joined the lane ahead of the owner has recorded its change.
   std::vector<std::pair<std::int64_t, Placement>> toMove;
-  std::vector<bool> eligible;
   {
     MutexLock lock(fleetMutex_);
     for (const auto& [globalId, placement] : placements_) {
       if (placement.worker == index) toMove.emplace_back(globalId, placement);
     }
-    eligible = Eligible();
   }
-
-  // Per-session byte estimates for the drained worker, and one fleet-wide
-  // load snapshot, both taken once: the loop below keeps the destination
-  // loads current incrementally instead of re-walking every worker's
-  // session table per move. The source is listed through the owner's
-  // ticket; the peers are probed through their own lanes.
-  std::map<std::int64_t, std::uint64_t> sessionBytes;
-  {
-    const json::Json listed = ResponseOf(
-        owner.Call(server::MakeRequest(Command::kListSessions)));
-    if (sourceReachable != nullptr) *sourceReachable = IsOk(listed);
-    const auto localIndex = IndexSessions(listed);
-    for (const auto& [globalId, placement] : toMove) {
-      auto found = localIndex.find(placement.localId);
-      if (found != localIndex.end()) {
-        sessionBytes[globalId] = static_cast<std::uint64_t>(
-            found->second->GetInt("approxBytes", 0));
-      }
-    }
+  // One listing through the owner's ticket says whether the source
+  // answers.
+  const Result<json::Json> listed =
+      owner.Call(server::MakeRequest(Command::kListSessions));
+  if (sourceReachable != nullptr) {
+    *sourceReachable = listed.ok() && IsOk(listed.value());
   }
-  FleetLoads fleet = ProbeLoads(/*skip=*/index);
-  for (std::size_t i = 0; i < eligible.size(); ++i) {
-    // Never pick an unreachable destination: the import would fail and
-    // burn an export round-trip per session.
-    eligible[i] = eligible[i] && fleet.reachable[i];
-  }
-  eligible[index] = false;
 
   std::int64_t moved = 0;
   std::uint64_t movedBytes = 0;
   std::vector<std::int64_t> failedIds;
   json::Json failed = json::Json::MakeArray();
+  // Destinations an import never reached, passed over for the rest of
+  // the drain. The source is drained and every other worker's gate is
+  // open (fleet operations are serialized), so PlaceNew never waits.
+  std::vector<std::size_t> refused;
   for (const auto& [globalId, placement] : toMove) {
-    auto destination = LeastLoaded(fleet.bytes, eligible);
-    Status status =
-        destination.has_value()
-            ? MoveSession(owner, globalId, placement, *destination,
-                          &movedBytes)
-            : Status::Fail(ErrorKind::kUnavailable,
-                           "no eligible destination worker for session " +
-                               std::to_string(globalId));
+    Status status = Status::Fail(
+        ErrorKind::kUnavailable,
+        "no eligible destination worker for session " +
+            std::to_string(globalId));
+    // A destination the import never reached is passed over for the
+    // next one; when none is left the last failure is the answer, as
+    // for an admission.
+    while (true) {
+      Result<std::size_t> destination = Error{};
+      {
+        MutexLock lock(fleetMutex_);
+        destination = PlaceNew(refused);
+      }
+      if (!destination.ok()) break;
+      Unreached unreached = Unreached::kNone;
+      status = MoveSession(owner, globalId, placement, destination.value(),
+                           &movedBytes, &unreached);
+      if (unreached != Unreached::kDestination) break;
+      refused.push_back(destination.value());
+    }
     if (status.ok()) {
       ++moved;
-      fleet.bytes[*destination] += sessionBytes[globalId];
-    } else {
-      failedIds.push_back(globalId);
-      json::Json failure = json::Json::MakeObject();
-      failure.Set("sessionId", globalId);
-      failure.Set("message", status.error().message);
-      failed.Append(std::move(failure));
+      continue;
     }
+    failedIds.push_back(globalId);
+    json::Json failure = json::Json::MakeObject();
+    failure.Set("sessionId", globalId);
+    failure.Set("message", status.error().message);
+    failed.Append(std::move(failure));
   }
 
   response.Set("moved", moved);
@@ -1051,74 +1022,77 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
   return response;
 }
 
+std::pair<double, std::optional<std::size_t>> ShardRouter::Skew(
+    const std::vector<std::size_t>& leftOut) const {
+  const std::vector<std::uint64_t> sessions = SessionCounts();
+  std::vector<bool> takingPart = Eligible();
+  for (const std::size_t worker : leftOut) takingPart[worker] = false;
+  std::uint64_t total = 0;
+  std::size_t members = 0;
+  std::optional<std::size_t> most;
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    if (!takingPart[i]) continue;
+    total += sessions[i];
+    ++members;
+    if (!most.has_value() || sessions[i] > sessions[*most]) most = i;
+  }
+  if (!most.has_value() || total == 0) return {1.0, most};
+  const double mean =
+      static_cast<double>(total) / static_cast<double>(members);
+  return {static_cast<double>(sessions[*most]) / mean, most};
+}
+
 json::Json ShardRouter::Rebalance() {
   MutexLock opLock(fleetOpMutex_);
   obs::ScopedSpan span("fleet", "rebalance");
-  FleetLoads fleet = ProbeLoads();
-  std::vector<bool> eligible;
+  // Workers an export or import never reached sit out the rest of the
+  // rebalance: they are neither measured nor picked.
+  std::vector<std::size_t> leftOut;
+  double skewBefore = 1.0;
   std::size_t maxMoves = 0;
   {
     MutexLock lock(fleetMutex_);
-    eligible = Eligible();
+    const auto [skew, most] = Skew(leftOut);
+    if (!most.has_value()) {
+      return RouterError(ErrorKind::kUnavailable,
+                         "all workers are drained; nothing to rebalance");
+    }
+    skewBefore = skew;
     maxMoves = placements_.size();
   }
-  for (std::size_t i = 0; i < eligible.size(); ++i) {
-    eligible[i] = eligible[i] && fleet.reachable[i];
-  }
-  const std::size_t eligibleCount =
-      static_cast<std::size_t>(
-          std::count(eligible.begin(), eligible.end(), true));
-  if (eligibleCount == 0) {
-    return RouterError(ErrorKind::kUnavailable,
-                       "all workers are drained; nothing to rebalance");
-  }
-
-  auto skewOf = [&](const std::vector<std::uint64_t>& loads) {
-    std::uint64_t total = 0;
-    std::uint64_t maxLoad = 0;
-    for (std::size_t i = 0; i < loads.size(); ++i) {
-      if (!eligible[i]) continue;
-      total += loads[i];
-      maxLoad = std::max(maxLoad, loads[i]);
-    }
-    const double mean =
-        static_cast<double>(total) / static_cast<double>(eligibleCount);
-    return mean > 0 ? static_cast<double>(maxLoad) / mean : 1.0;
-  };
-
-  const double skewBefore = skewOf(fleet.bytes);
   std::int64_t moved = 0;
   std::uint64_t movedBytes = 0;
   json::Json failed = json::Json::MakeArray();
   Status stop;  // why the loop stopped early, if it did
 
-  // Move the smallest session off the most loaded worker onto the least
-  // loaded one until the skew is within threshold. Bounded by the session
-  // count so a pathological load shape cannot loop forever. Loads are
-  // snapshotted once and maintained incrementally — a fleet-wide
-  // re-estimate per move would walk every worker's session table each
-  // iteration.
-  std::vector<std::uint64_t> loads = fleet.bytes;
+  // While the skew is over the threshold, move one session (the lowest
+  // global id) off the worker holding the most onto the one PlaceNew
+  // picks, as long as that lowers the peak: the source must hold at
+  // least two more sessions than the destination. Bounded by the session
+  // count so a pathological shape cannot loop forever.
   for (std::size_t iteration = 0; iteration < maxMoves; ++iteration) {
-    if (skewOf(loads) <= kRebalanceSkewThreshold) break;
     std::size_t most = 0;
-    std::uint64_t mostLoad = 0;
-    for (std::size_t i = 0; i < loads.size(); ++i) {
-      if (eligible[i] && loads[i] > mostLoad) {
-        most = i;
-        mostLoad = loads[i];
+    std::size_t destination = 0;
+    {
+      MutexLock lock(fleetMutex_);
+      const auto [skew, heaviest] = Skew(leftOut);
+      if (!heaviest.has_value() || skew <= kRebalanceSkewThreshold) break;
+      most = *heaviest;
+      std::vector<std::size_t> passedOver = leftOut;
+      passedOver.push_back(most);
+      // No gate is closed between moves, so PlaceNew never waits here.
+      const Result<std::size_t> placed = PlaceNew(passedOver);
+      const std::vector<std::uint64_t> sessions = SessionCounts();
+      if (!placed.ok() || sessions[most] < sessions[placed.value()] + 2) {
+        break;
       }
+      destination = placed.value();
     }
-    std::vector<bool> destinationEligible = eligible;
-    destinationEligible[most] = false;
-    auto least = LeastLoaded(loads, destinationEligible);
-    if (!least.has_value()) break;  // single eligible worker: nothing to do
-
     std::int64_t candidate = -1;
-    std::int64_t candidateBytes = std::numeric_limits<std::int64_t>::max();
+    Unreached unreached = Unreached::kNone;
     Status status;
     {
-      // The source of this move is taken over before its sessions are
+      // The source of this move is taken over before its session is
       // exported — the same takeover a drain makes, per iteration because
       // `most` changes as loads even out. Only traffic for `most`'s
       // sessions waits; admissions pass a gated worker over.
@@ -1131,42 +1105,27 @@ json::Json ShardRouter::Rebalance() {
         stop = owner.error();
         break;
       }
-      // Smallest session on the most loaded worker (ties -> lowest global
-      // id): smallest first avoids overshooting the mean.
-      const json::Json sessions = ResponseOf(
-          owner.value().Call(server::MakeRequest(Command::kListSessions)));
-      const auto localIndex = IndexSessions(sessions);
       Placement source;
       {
         MutexLock lock(fleetMutex_);
         for (const auto& [globalId, placement] : placements_) {
           if (placement.worker != most) continue;
-          auto found = localIndex.find(placement.localId);
-          if (found == localIndex.end()) continue;
-          const std::int64_t bytes = found->second->GetInt("approxBytes", 0);
-          if (bytes < candidateBytes) {
-            candidate = globalId;
-            candidateBytes = bytes;
-            source = placement;
-          }
+          candidate = globalId;
+          source = placement;
+          break;
         }
       }
-      // Converge, don't churn: the move must strictly lower the peak. When
-      // the skew is carried by one session bigger than the gap between the
-      // heaviest and lightest worker, relocating it only moves the peak —
-      // stop and report the honest skewAfter instead of shuffling blobs.
-      if (candidate >= 0 &&
-          loads[*least] + static_cast<std::uint64_t>(candidateBytes) >=
-              mostLoad) {
-        candidate = -1;
-      }
       if (candidate >= 0) {
-        status = MoveSession(owner.value(), candidate, source, *least,
-                             &movedBytes);
+        status = MoveSession(owner.value(), candidate, source, destination,
+                             &movedBytes, &unreached);
       }
     }  // the owner's ticket goes: the turn passes on
     OpenGate(most);
     if (candidate < 0) break;
+    if (unreached != Unreached::kNone) {
+      leftOut.push_back(unreached == Unreached::kSource ? most : destination);
+      continue;
+    }
     if (!status.ok()) {
       json::Json failure = json::Json::MakeObject();
       failure.Set("sessionId", candidate);
@@ -1177,12 +1136,13 @@ json::Json ShardRouter::Rebalance() {
       break;  // a stuck session would repeat forever; report and stop
     }
     ++moved;
-    const std::uint64_t bytes = static_cast<std::uint64_t>(candidateBytes);
-    loads[most] -= std::min(loads[most], bytes);
-    loads[*least] += bytes;
   }
 
-  const double skewAfter = skewOf(ProbeLoads().bytes);
+  double skewAfter = 1.0;
+  {
+    MutexLock lock(fleetMutex_);
+    skewAfter = Skew(leftOut).first;
+  }
   span.SetDetail(StrFormat("moved=%lld skewBefore=%.3f skewAfter=%.3f",
                            static_cast<long long>(moved), skewBefore,
                            skewAfter));

@@ -67,23 +67,24 @@
 //       - the fleet mutex is never held while waiting for a turn (nor
 //         while acquiring the fleet-op mutex or calling a transport);
 //       - only a fleet operation, serialized on fleetOpMutex_, waits for
-//         a second turn while it holds one (the destination import and
-//         the peer probes);
-//       - a fleet operation never joins the lane it owns: ProbeLoads(skip).
-//   * Fan-outs (listSessions, workerStats, metrics, traceDump and the
-//     drain/rebalance load probes) take every ticket in one fleet-mutex
-//     section, then run each on a short-lived thread, so dead workers'
-//     connect timeouts overlap; the threads end before the operation
-//     returns. Their tickets join past the lane's depth cap and wait for
-//     the turn: a busy worker is reported, never taken for a dead one.
+//         a second turn while it holds one: the destination import;
+//       - a fleet operation never joins the lane it owns: a drain's
+//         source is drained, and a rebalance passes its source over.
+//   * Fan-outs (listSessions, workerStats, metrics, traceDump) take
+//     every ticket in one fleet-mutex section, then run each on a
+//     short-lived thread, so dead workers' connect timeouts overlap; the
+//     threads end before the operation returns. Their tickets join past
+//     the lane's depth cap and wait for the turn: a busy worker is
+//     reported, never taken for a dead one.
 //
 // drainWorker exports every session on the (owned) worker and imports
-// each onto the least-loaded *reachable* non-drained peer, then deletes
-// the source copy — the delete happens only after the destination import
-// succeeded, so a failure at any point leaves the session live on its
-// source worker; an unreachable destination aborts the move with the
-// source intact, and a dead source worker makes every one of its
-// sessions a reported failure (lost-with-error), never a silent drop.
+// each onto the eligible peer holding the fewest sessions (PlaceNew, the
+// rule that places new sessions), then deletes the source copy — the
+// delete happens only after the destination import succeeded, so a
+// failure at any point leaves the session live on its source worker. A
+// destination the import never reached is passed over for the next one,
+// and a dead source worker makes every one of its sessions a reported
+// failure (lost-with-error), never a silent drop.
 //
 // removeWorker completes elastic scale-in: mark drained, take over, run
 // the drain loop, and only if every session moved off (or `force`
@@ -101,8 +102,10 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/sync.h"
@@ -121,7 +124,8 @@ class ShardRouter {
       std::function<Result<std::shared_ptr<WorkerTransport>>(
           std::size_t worker, const server::SimServer::Limits& limits)>;
 
-  /// rebalance moves sessions while max-load / mean-load > this.
+  /// rebalance moves sessions while the max / mean session count over
+  /// the workers taking part is above this.
   static constexpr double kRebalanceSkewThreshold = 1.5;
 
   struct Options {
@@ -134,8 +138,9 @@ class ShardRouter {
     /// of waiting without bound (see shard/lane.h).
     /// 0 = unbounded, the pre-gateway behavior. The cap applies to
     /// everything taking turns on the lane — including fleet-operation
-    /// takeovers and probes, so a saturated fleet sheds drains too
-    /// rather than deadlocking them.
+    /// takeovers and migration imports, so a saturated fleet sheds
+    /// drains too rather than deadlocking them. A fan-out's per-worker
+    /// call alone joins past it.
     std::size_t maxLaneQueueDepth = 0;
     /// Transport constructor; default builds InProcessTransport. A
     /// factory that spawns worker processes turns the router into a real
@@ -188,27 +193,18 @@ class ShardRouter {
     std::int64_t localId = 0;
   };
 
-  /// Per-worker load snapshot used by placement and stats.
-  struct WorkerLoad {
-    std::uint64_t sessions = 0;
-    std::uint64_t approxBytes = 0;
-  };
-
-  /// One probe pass over the fleet: byte loads plus reachability, so
-  /// drain/rebalance never pick a dead destination.
-  struct FleetLoads {
-    std::vector<std::uint64_t> bytes;  ///< 0 for removed/unreachable
-    std::vector<bool> reachable;      ///< false for removed/unreachable
-  };
+  /// The side of a failed move that its call never reached.
+  enum class Unreached { kNone, kSource, kDestination };
 
   // Unless a comment says otherwise the private methods below take their
   // own (brief) fleet mutex sections and must be called *without*
   // fleetMutex_ held.
 
   /// One request through worker's lane: join under a brief fleet mutex
-  /// section, wait for the turn unlocked. Transport failures become
-  /// error JSON.
-  json::Json CallViaLane(std::size_t worker, const json::Json& request)
+  /// section, wait for the turn unlocked. A removed worker answers
+  /// kUnavailable, as a stopped lane does.
+  Result<json::Json> CallViaLane(std::size_t worker,
+                                 const json::Json& request)
       EXCLUDES(fleetMutex_);
   /// Runs `request` on every valid ticket, each on its own short-lived
   /// thread, so the round trips overlap. One future per ticket (invalid
@@ -270,11 +266,12 @@ class ShardRouter {
   json::Json Rebalance() EXCLUDES(fleetOpMutex_, fleetMutex_);
 
   /// The drain loop shared by drainWorker and removeWorker: moves every
-  /// session off `index`, which `owner` has taken over, filling the
-  /// response fields. Returns the ids of sessions that could not be
-  /// moved. `sourceReachable` (optional) reports whether the drained
-  /// worker itself answered — false means a dead process, so callers
-  /// skip graceful-shutdown round trips that could only time out.
+  /// session off `index`, which `owner` has taken over, to the worker
+  /// PlaceNew picks, filling the response fields. Returns the ids of
+  /// sessions that could not be moved. `sourceReachable` (optional)
+  /// reports whether the drained worker itself answered — false means a
+  /// dead process, so callers skip graceful-shutdown round trips that
+  /// could only time out.
   std::vector<std::int64_t> DrainSessions(WorkerLane::Ticket& owner,
                                           std::size_t index,
                                           json::Json& response,
@@ -283,46 +280,43 @@ class ShardRouter {
 
   /// Moves one session from `source`, read from the placement map while
   /// `owner` holds the source worker's turn, to `destination` (export ->
-  /// import -> delete source). The source-side calls go through `owner`;
-  /// the import rides the destination's lane. On failure the session
-  /// remains on its source worker.
+  /// import -> delete source), adding the blob bytes shipped to
+  /// `movedBytes`. The source-side calls go through `owner`; the import
+  /// rides the destination's lane. On failure the session remains on its
+  /// source worker, and `unreached` names the side whose call never
+  /// reached its worker, if one did not.
   Status MoveSession(WorkerLane::Ticket& owner, std::int64_t globalId,
                      const Placement& source, std::size_t destination,
-                     std::uint64_t* movedBytes) EXCLUDES(fleetMutex_);
+                     std::uint64_t* movedBytes, Unreached* unreached)
+      EXCLUDES(fleetMutex_);
 
-  /// localId -> session node of a worker's listSessions response; the
-  /// pointers borrow from the response, which must outlive the index.
-  static std::map<std::int64_t, const json::Json*> IndexSessions(
-      const json::Json& listResponse);
-
-  /// Parses one worker's listSessions response into a load summary —
-  /// the single place that knows the response shape (ProbeLoads and
-  /// WorkerStats both feed through it).
-  static Result<WorkerLoad> ParseLoad(Result<json::Json> response);
-  /// A ticket on every live lane except `skip`, one per slot (invalid
-  /// where none was taken), for a fan-out to run with CallEach once the
-  /// caller has released fleetMutex_. The tickets join past the depth
-  /// cap (a busy worker is not a dead one); fleetOpMutex_ keeps it to
-  /// one probe per lane.
-  std::vector<WorkerLane::Ticket> JoinLiveLanes(
-      std::size_t skip = static_cast<std::size_t>(-1))
+  /// A ticket on every live lane, one per slot (invalid where none was
+  /// taken), for a fan-out to run with CallEach once the caller has
+  /// released fleetMutex_. The tickets join past the depth cap (a busy
+  /// worker is not a dead one); fleetOpMutex_ keeps it to one fan-out
+  /// per lane.
+  std::vector<WorkerLane::Ticket> JoinLiveLanes()
       REQUIRES(fleetOpMutex_, fleetMutex_);
-  /// `skip` (if valid) is reported unreachable without being probed —
-  /// drain uses it for the source worker it owns: joining the lane whose
-  /// turn it holds would wait for itself. Locks itself.
-  FleetLoads ProbeLoads(std::size_t skip = static_cast<std::size_t>(-1))
-      REQUIRES(fleetOpMutex_) EXCLUDES(fleetMutex_);
   /// Workers admitting new sessions (live and not drained).
   std::vector<bool> Eligible() const REQUIRES(fleetMutex_);
   bool IsLive(std::size_t worker) const REQUIRES(fleetMutex_) {
     return worker < workers_.size() && workers_[worker] != nullptr;
   }
+  /// Placements per worker slot, pending admissions included.
+  std::vector<std::uint64_t> SessionCounts() const REQUIRES(fleetMutex_);
   /// The eligible worker holding the fewest placements, pending ones
   /// included (ties to the lowest index), leaving out the workers in
-  /// `refused`. A gated worker is passed over; only when every candidate
-  /// is gated does it wait for a gate. Error when no candidate is left.
+  /// `refused`: every admission, drain and rebalance destination. A
+  /// gated worker is passed over; only when every candidate is gated
+  /// does it wait for a gate. Error when no candidate is left.
   Result<std::size_t> PlaceNew(const std::vector<std::size_t>& refused)
       REQUIRES(fleetMutex_);
+  /// Session counts over the workers taking part in a rebalance (the
+  /// eligible ones not in `leftOut`): max / mean, 1 while they hold
+  /// none, and the most loaded of them (ties low) unless none takes
+  /// part.
+  std::pair<double, std::optional<std::size_t>> Skew(
+      const std::vector<std::size_t>& leftOut) const REQUIRES(fleetMutex_);
   /// Builds the transport for slot `worker` from the factory/default.
   /// (No lock needed; touches only options_.)
   Result<std::shared_ptr<WorkerTransport>> MakeTransport(

@@ -98,6 +98,31 @@ std::int64_t MustCreateOn(ShardRouter& router, std::int64_t worker) {
   return created.GetInt("sessionId", -1);
 }
 
+/// Creates one session with a 2 MiB memory, 32 times the default's, and
+/// checks the worker the router placed it on.
+std::int64_t MustCreateLargeOn(ShardRouter& router, std::int64_t worker) {
+  json::Json created = Cmd(
+      router, "createSession",
+      {{"code", json::Json(kSpinLoop)},
+       {"entry", json::Json("main")},
+       {"config",
+        json::Parse(R"({"memory": {"sizeBytes": 2097152}})").value()}});
+  EXPECT_EQ(created.GetString("status", ""), "ok") << created.Dump();
+  EXPECT_EQ(created.GetInt("worker", -1), worker) << created.Dump();
+  return created.GetInt("sessionId", -1);
+}
+
+/// The worker listSessions reports session `id` on, or -1.
+std::int64_t WorkerOf(ShardRouter& router, std::int64_t id) {
+  json::Json listed = Cmd(router, "listSessions");
+  for (const json::Json& session : listed.Find("sessions")->AsArray()) {
+    if (session.GetInt("sessionId", -1) == id) {
+      return session.GetInt("worker", -1);
+    }
+  }
+  return -1;
+}
+
 // ---- placement --------------------------------------------------------------
 
 TEST(Placement, LeastLoadedBreaksTiesLow) {
@@ -615,6 +640,32 @@ TEST(Drain, DeltaImportFailureFallsBackToFullImage) {
   for (const std::int64_t id : ids) {
     EXPECT_EQ(before[id], ExportBlob(router, id)) << "session " << id;
   }
+}
+
+TEST(Drain, DestinationIsTheWorkerHoldingTheFewestSessions) {
+  // Worker 1 holds one session with a 2 MiB memory, worker 2 two default
+  // ones, far fewer bytes. A drain counts sessions, as an admission does:
+  // worker 0's first session goes to worker 1, and its second breaks the
+  // 2/2 tie low.
+  ShardRouter::Options options;
+  options.workerCount = 3;
+  ShardRouter router(options);
+  const std::int64_t first = MustCreateOn(router, 0);
+  MustCreateLargeOn(router, 1);
+  MustCreateOn(router, 2);
+  MustCreateOn(router, 0);
+  const std::int64_t deleted = MustCreateOn(router, 1);
+  MustCreateOn(router, 2);
+  ASSERT_EQ(
+      Cmd(router, "deleteSession", {{"sessionId", json::Json(deleted)}})
+          .GetString("status", ""),
+      "ok");
+
+  json::Json drained = Cmd(router, "drainWorker", {{"worker", json::Json(0)}});
+  ASSERT_EQ(drained.GetString("status", ""), "ok") << drained.Dump();
+  EXPECT_EQ(WorkerOf(router, first), 1);
+  EXPECT_EQ(SessionsPerWorker(router),
+            (std::map<std::int64_t, std::int64_t>{{0, 0}, {1, 3}, {2, 2}}));
 }
 
 // ---- elastic scaling (in-process) ------------------------------------------
@@ -1191,35 +1242,29 @@ TEST(Concurrency, AdmissionsInFlightSpreadAcrossWorkers) {
 }
 
 TEST(Concurrency, AdmissionPassesOverAWorkerARebalanceOwns) {
-  // Worker 0 holds a large session and a small one, worker 1 three small
-  // ones, so a rebalance takes worker 0 over (the most bytes) to move its
-  // small session while worker 0 also holds the fewest sessions. With
-  // that move parked in the export, a createSession must land on worker 1
-  // at once rather than wait for worker 0's gate.
+  // Worker 0 holds four sessions and worker 1 one, so a rebalance takes
+  // worker 0 over to move one of them. With that move parked in the
+  // export, three creates fill worker 1 to a tie; the fourth, whose
+  // emptiest worker is now the gated worker 0, must land on worker 1 at
+  // once rather than wait for worker 0's gate.
   auto gated = std::make_shared<GatedTransport>(server::SimServer::Limits{},
                                                 "exportSession");
   ShardRouter router(GatedFleet(gated));
-  json::Json large = Cmd(
-      router, "createSession",
-      {{"code", json::Json(kSpinLoop)},
-       {"entry", json::Json("main")},
-       {"config", json::Parse(R"({"memory": {"sizeBytes": 2097152}})")
-                      .value()}});
-  ASSERT_EQ(large.GetString("status", ""), "ok") << large.Dump();
-  ASSERT_EQ(large.GetInt("worker", -1), 0);
-  for (int i = 1; i < 4; ++i) MustCreateOn(router, i % 2);
-  const std::int64_t deleted = MustCreateOn(router, 0);
+  ASSERT_EQ(Cmd(router, "drainWorker", {{"worker", json::Json(1)}})
+                .GetString("status", ""),
+            "ok");
+  for (int i = 0; i < 4; ++i) MustCreateOn(router, 0);
+  ASSERT_EQ(Cmd(router, "openWorker", {{"worker", json::Json(1)}})
+                .GetString("status", ""),
+            "ok");
   MustCreateOn(router, 1);
-  ASSERT_EQ(
-      Cmd(router, "deleteSession", {{"sessionId", json::Json(deleted)}})
-          .GetString("status", ""),
-      "ok");
 
   json::Json rebalanced;
   std::thread rebalancer([&router, &rebalanced] {
     rebalanced = Cmd(router, "rebalance");
   });
   AwaitEntered(*gated);
+  for (int i = 0; i < 3; ++i) MustCreateOn(router, 1);
   auto admission = std::async(std::launch::async, [&router] {
     return Cmd(router, "createSession", {{"code", json::Json(kSpinLoop)},
                                          {"entry", json::Json("main")}});
@@ -1235,8 +1280,45 @@ TEST(Concurrency, AdmissionPassesOverAWorkerARebalanceOwns) {
   ASSERT_EQ(admitted.GetString("status", ""), "ok") << admitted.Dump();
   EXPECT_EQ(admitted.GetInt("worker", -1), 1) << admitted.Dump();
   ASSERT_EQ(rebalanced.GetString("status", ""), "ok") << rebalanced.Dump();
-  EXPECT_GT(rebalanced.GetInt("moved", 0), 0);
-  EXPECT_EQ(router.sessionCount(), 6u);
+  EXPECT_EQ(rebalanced.GetInt("moved", -1), 1);
+  EXPECT_EQ(router.sessionCount(), 9u);
+}
+
+TEST(Concurrency, DrainDoesNotWaitForABusyPeer) {
+  // Worker 0 holds the most sessions and a parked run. A drain of worker
+  // 2 sends both its sessions to worker 1, which holds the fewest, and
+  // never waits for worker 0's turn.
+  auto gated = std::make_shared<GatedTransport>(server::SimServer::Limits{},
+                                                "run");
+  ShardRouter::Options options = GatedFleet(gated);
+  options.workerCount = 3;
+  ShardRouter router(options);
+  std::vector<std::int64_t> ids;
+  for (int i = 0; i < 7; ++i) ids.push_back(MustCreateOn(router, i % 3));
+  ASSERT_EQ(Cmd(router, "deleteSession", {{"sessionId", json::Json(ids[1])}})
+                .GetString("status", ""),
+            "ok");
+
+  std::thread runner([&router, &ids] {
+    json::Json ran = Cmd(router, "run", {{"sessionId", json::Json(ids[0])},
+                                         {"maxCycles", json::Json(100)}});
+    EXPECT_EQ(ran.GetString("status", ""), "ok") << ran.Dump();
+  });
+  AwaitEntered(*gated);
+  auto drain = std::async(std::launch::async, [&router] {
+    return Cmd(router, "drainWorker", {{"worker", json::Json(2)}});
+  });
+  const bool answered =
+      drain.wait_for(std::chrono::seconds(3)) == std::future_status::ready;
+  gated->Release();
+  runner.join();
+  const json::Json drained = drain.get();
+
+  EXPECT_TRUE(answered) << "the drain waited for worker 0's run";
+  ASSERT_EQ(drained.GetString("status", ""), "ok") << drained.Dump();
+  EXPECT_EQ(drained.GetInt("moved", -1), 2);
+  EXPECT_EQ(SessionsPerWorker(router),
+            (std::map<std::int64_t, std::int64_t>{{0, 3}, {1, 3}, {2, 0}}));
 }
 
 TEST(Concurrency, DeleteAlreadyInTheWorkersLineIsNeitherMovedNorFailed) {
@@ -1592,6 +1674,33 @@ TEST(Rebalance, MovesSessionsOffTheLoadedWorkerUntilSkewIsBounded) {
   json::Json again = Cmd(router, "rebalance");
   ASSERT_EQ(again.GetString("status", ""), "ok");
   EXPECT_EQ(again.GetInt("moved", -1), 0);
+}
+
+TEST(Rebalance, MovesFromTheWorkerHoldingTheMostSessions) {
+  // Worker 0 holds one session with a 2 MiB memory, worker 1 four default
+  // ones: worker 0 holds more bytes, worker 1 more sessions. The skew is
+  // in sessions, 4 / 2.5 = 1.6, so one session moves off worker 1, and
+  // at 2/3 it is 1.2.
+  ShardRouter::Options options;
+  options.workerCount = 2;
+  ShardRouter router(options);
+  ASSERT_EQ(Cmd(router, "drainWorker", {{"worker", json::Json(0)}})
+                .GetString("status", ""),
+            "ok");
+  for (int i = 0; i < 4; ++i) MustCreateOn(router, 1);
+  ASSERT_EQ(Cmd(router, "openWorker", {{"worker", json::Json(0)}})
+                .GetString("status", ""),
+            "ok");
+  const std::int64_t large = MustCreateLargeOn(router, 0);
+
+  json::Json rebalanced = Cmd(router, "rebalance");
+  ASSERT_EQ(rebalanced.GetString("status", ""), "ok") << rebalanced.Dump();
+  EXPECT_EQ(rebalanced.GetInt("moved", -1), 1);
+  EXPECT_DOUBLE_EQ(rebalanced.Find("skewBefore")->AsDouble(), 1.6);
+  EXPECT_DOUBLE_EQ(rebalanced.Find("skewAfter")->AsDouble(), 1.2);
+  EXPECT_EQ(SessionsPerWorker(router),
+            (std::map<std::int64_t, std::int64_t>{{0, 2}, {1, 3}}));
+  EXPECT_EQ(WorkerOf(router, large), 0);
 }
 
 

@@ -737,6 +737,39 @@ TEST(SocketRouter, AdmissionPassesOverADeadWorker) {
   }
 }
 
+TEST(SocketRouter, DrainPassesOverADeadDestination) {
+  SpawnedFleet fleet;
+  ShardRouter router(SpawningOptions(3, &fleet));
+  std::vector<std::int64_t> onZero;
+  for (int i = 0; i < 5; ++i) {
+    const std::int64_t id = MustCreateOn(router, i % 3);
+    if (i % 3 == 0) onZero.push_back(id);
+  }
+
+  // Worker 2 dies holding the fewest sessions, so the drain places worker
+  // 0's first session there. That import never reaches it; worker 2 is
+  // passed over for the rest of the drain and worker 1 takes everything.
+  KillWorker(fleet.workers[2]);
+  ReapWorker(fleet.workers[2]);
+  json::Json drained =
+      router.Handle(Cmd("drainWorker", {{"worker", json::Json(0)}}));
+  ASSERT_EQ(drained.GetString("status", ""), "ok") << drained.Dump();
+  EXPECT_EQ(drained.GetInt("moved", -1), 2);
+
+  json::Json listed = router.Handle(Cmd("listSessions"));
+  for (const json::Json& session : listed.Find("sessions")->AsArray()) {
+    const std::int64_t id = session.GetInt("sessionId", -1);
+    if (id == onZero[0] || id == onZero[1]) {
+      EXPECT_EQ(session.GetInt("worker", -1), 1) << listed.Dump();
+    }
+  }
+  for (const std::int64_t id : onZero) {
+    json::Json stepped = router.Handle(
+        Cmd("step", {{"sessionId", json::Json(id)}, {"count", json::Json(5)}}));
+    EXPECT_EQ(stepped.GetString("status", ""), "ok") << stepped.Dump();
+  }
+}
+
 TEST(SocketRouter, ShutdownWorkerIsNotReachableThroughTheRouter) {
   SpawnedFleet fleet;
   ShardRouter router(SpawningOptions(2, &fleet));
