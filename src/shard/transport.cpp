@@ -52,9 +52,10 @@ Status SocketTransport::EnsureConnected() {
   // snapshot format version or config hash differs from ours. Catching
   // skew here — once per connection — beats discovering it per message
   // mid-migration, when a half-moved session would be on the line. A
-  // handshake failure is final for the call (like a failed connect); the
-  // next Call reconnects and retries the handshake, so a worker that is
-  // upgraded in place heals the slot.
+  // handshake failure is final for the call and, like a failed connect,
+  // kUnavailable: no command was sent, so the router places the request
+  // on another worker. The next Call reconnects and retries the
+  // handshake, so a worker that is upgraded in place heals the slot.
   Status sent =
       server::WriteMessage(connection_, server::MakeHelloRequest(), wire_);
   if (!sent.ok()) {
@@ -71,8 +72,9 @@ Status SocketTransport::EnsureConnected() {
                             answer.error().message);
   }
   Status compatible = server::CheckHelloResponse(answer.value(), address_);
-  if (!compatible.ok()) connection_.Close();
-  return compatible;
+  if (compatible.ok()) return compatible;
+  connection_.Close();
+  return Status::Fail(ErrorKind::kUnavailable, compatible.error().message);
 }
 
 Result<json::Json> SocketTransport::Call(const json::Json& request) {

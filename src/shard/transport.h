@@ -17,7 +17,8 @@
 //                       lazily, performs the hello handshake on every
 //                       fresh connection (refusing workers whose frame
 //                       version, snapshot format version or config hash
-//                       differ — see server/wire.h), reconnects after a
+//                       differ — see server/wire.h — with kUnavailable,
+//                       as a failed connect), reconnects after a
 //                       failure on the next Call (so a restarted worker
 //                       heals the slot), and fails closed: a request
 //                       whose response never arrived is reported as an

@@ -770,6 +770,57 @@ TEST(SocketRouter, DrainPassesOverADeadDestination) {
   }
 }
 
+/// Forks a fake worker on `address` that answers every hello with frame
+/// version 999, until no connection arrives for 10 s.
+SpawnedWorker ForkVersionSkewedWorker(const std::string& address) {
+  std::fflush(stdout);
+  std::fflush(stderr);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    auto listener = net::ListenOn(address);
+    while (listener.ok()) {
+      auto connection = net::AcceptOn(listener.value(), 10'000);
+      if (!connection.ok()) break;
+      server::WireOptions wire;
+      wire.ioTimeoutMs = 2'000;
+      (void)server::ReadMessage(connection.value(), wire);  // the hello
+      json::Json skewed = server::MakeHelloResponse();
+      skewed.Set("frameVersion", std::int64_t{999});
+      (void)server::WriteMessage(connection.value(), std::move(skewed), wire);
+    }
+    ::_exit(0);
+  }
+  EXPECT_GT(pid, 0) << "fork failed";
+  return SpawnedWorker{pid, address};
+}
+
+TEST(SocketRouter, AdmissionPassesOverAVersionSkewedWorker) {
+  // Worker 0 fails the hello handshake, so no command ever reaches it:
+  // like a dead worker it stays the emptiest, and each admission placed
+  // there goes on to worker 1.
+  SpawnedFleet fleet;
+  const std::string skewedAddress = MakeWorkerAddress("skewed");
+  fleet.workers.push_back(ForkVersionSkewedWorker(skewedAddress));
+  ShardRouter::Options options = SpawningOptions(2, &fleet);
+  options.transportFactory =
+      [spawn = options.transportFactory, skewedAddress](
+          std::size_t worker, const server::SimServer::Limits& limits)
+      -> Result<std::shared_ptr<WorkerTransport>> {
+    if (worker > 0) return spawn(worker, limits);
+    SocketTransportOptions socketOptions;
+    socketOptions.connectTimeoutMs = 500;
+    return std::shared_ptr<WorkerTransport>(
+        std::make_shared<SocketTransport>(skewedAddress, socketOptions));
+  };
+  ShardRouter router(options);
+  for (int i = 0; i < 2; ++i) {
+    const std::int64_t id = MustCreateOn(router, 1);
+    json::Json stepped = router.Handle(
+        Cmd("step", {{"sessionId", json::Json(id)}, {"count", json::Json(5)}}));
+    EXPECT_EQ(stepped.GetString("status", ""), "ok") << stepped.Dump();
+  }
+}
+
 TEST(SocketRouter, ShutdownWorkerIsNotReachableThroughTheRouter) {
   SpawnedFleet fleet;
   ShardRouter router(SpawningOptions(2, &fleet));
