@@ -769,7 +769,8 @@ std::vector<std::int64_t> ShardRouter::DrainSessions(
     }
   }
   // One listing through the owner's ticket says whether the source
-  // answers.
+  // answers. When the call never reached it, every session fails at
+  // once: each export would spend the transport's connect budget again.
   const Result<json::Json> listed =
       owner.Call(server::MakeRequest(Command::kListSessions));
   if (sourceReachable != nullptr) {
@@ -789,21 +790,25 @@ std::vector<std::int64_t> ShardRouter::DrainSessions(
         ErrorKind::kUnavailable,
         "no eligible destination worker for session " +
             std::to_string(globalId));
-    // A destination the import never reached is passed over for the
-    // next one; when none is left the last failure is the answer, as
-    // for an admission.
-    while (true) {
-      Result<std::size_t> destination = Error{};
-      {
-        MutexLock lock(fleetMutex_);
-        destination = PlaceNew(refused);
+    if (NeverReached(listed)) {
+      status = ExportFailure(globalId, index, listed.error().message);
+    } else {
+      // A destination the import never reached is passed over for the
+      // next one; when none is left the last failure is the answer, as
+      // for an admission.
+      while (true) {
+        Result<std::size_t> destination = Error{};
+        {
+          MutexLock lock(fleetMutex_);
+          destination = PlaceNew(refused);
+        }
+        if (!destination.ok()) break;
+        Unreached unreached = Unreached::kNone;
+        status = MoveSession(owner, globalId, placement, destination.value(),
+                             &movedBytes, &unreached);
+        if (unreached != Unreached::kDestination) break;
+        refused.push_back(destination.value());
       }
-      if (!destination.ok()) break;
-      Unreached unreached = Unreached::kNone;
-      status = MoveSession(owner, globalId, placement, destination.value(),
-                           &movedBytes, &unreached);
-      if (unreached != Unreached::kDestination) break;
-      refused.push_back(destination.value());
     }
     if (status.ok()) {
       ++moved;

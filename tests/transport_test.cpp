@@ -25,6 +25,7 @@
 #include "common/framing.h"
 #include "common/socket.h"
 #include "json/json.h"
+#include "obs/registry.h"
 #include "server/api.h"
 #include "server/frame_loop.h"
 #include "server/wire.h"
@@ -767,6 +768,37 @@ TEST(SocketRouter, DrainPassesOverADeadDestination) {
     json::Json stepped = router.Handle(
         Cmd("step", {{"sessionId", json::Json(id)}, {"count", json::Json(5)}}));
     EXPECT_EQ(stepped.GetString("status", ""), "ok") << stepped.Dump();
+  }
+}
+
+TEST(SocketRouter, DrainOfADeadWorkerSpendsOneConnectBudget) {
+  SpawnedFleet fleet;
+  ShardRouter router(SpawningOptions(2, &fleet));
+  std::size_t onZero = 0;
+  for (int i = 0; i < 8; ++i) {
+    MustCreateOn(router, i % 2);
+    if (i % 2 == 0) ++onZero;
+  }
+  KillWorker(fleet.workers[0]);
+  ReapWorker(fleet.workers[0]);
+
+  // The drain's listing of worker 0 is refused at connect, and every
+  // session fails with that error at once instead of spending the connect
+  // budget again on an export of its own.
+  obs::Counter& connects = obs::Registry::Instance().GetCounter(
+      "shard.transport.socket.connects");
+  const std::uint64_t connectsBefore = connects.value();
+  json::Json drained =
+      router.Handle(Cmd("drainWorker", {{"worker", json::Json(0)}}));
+  EXPECT_EQ(connects.value() - connectsBefore, 1u);
+  testutil::CheckErrorEnvelope(drained);
+  EXPECT_EQ(testutil::ErrorDetail(drained, "moved")->AsInt(), 0);
+  const json::Json* failed = testutil::ErrorDetail(drained, "failed");
+  ASSERT_EQ(failed->AsArray().size(), onZero) << drained.Dump();
+  for (const json::Json& failure : failed->AsArray()) {
+    EXPECT_NE(failure.GetString("message", "").find("export"),
+              std::string::npos)
+        << drained.Dump();
   }
 }
 
