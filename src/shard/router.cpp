@@ -699,11 +699,11 @@ Status ShardRouter::MoveSession(WorkerLane::Ticket& owner,
   RVSS_ASSIGN_OR_RETURN(json::Json exported, exportFrom(deltaExport));
   std::uint64_t wireBytes = blobSizeOf(exported);
   Result<json::Json> imported = importFrom(exported);
-  if (deltaExport && !(imported.ok() && IsOk(imported.value()))) {
-    // Fail closed, not lossy: ANY delta import failure — base-epoch
-    // mismatch, decode error, a blob over the destination's budget —
-    // retries exactly once with a full image before the move is declared
-    // failed. The source copy is still untouched either way.
+  if (deltaExport && imported.ok() && !IsOk(imported.value())) {
+    // Fail closed, not lossy: a destination that answered the delta
+    // import with an error (base-epoch mismatch, decode error, a blob
+    // over its budget) holds no copy, so the move retries exactly once
+    // with a full image before it is declared failed.
     static obs::Counter& fallbacks = obs::Registry::Instance().GetCounter(
         "shard.router.deltaFallbacks");
     fallbacks.Increment();
@@ -711,10 +711,22 @@ Status ShardRouter::MoveSession(WorkerLane::Ticket& owner,
     wireBytes += blobSizeOf(exported);
     imported = importFrom(exported);
   }
+  // The source copy was never deleted, so on every failure below the
+  // session is still live where it was — the move aborts, nothing is
+  // lost.
+  if (!imported.ok() && !NeverReached(imported)) {
+    // No reply: the import may have executed, and a second one could
+    // leave two copies on the destination. Report it instead.
+    return Status::Fail(
+        ErrorKind::kInternal,
+        "import of session " + std::to_string(globalId) + " into worker " +
+            std::to_string(destination) + " may have executed (" +
+            imported.error().message + "); worker " +
+            std::to_string(destination) +
+            " may hold an unrouted copy, the session stays on worker " +
+            std::to_string(source.worker));
+  }
   if (!imported.ok() || !IsOk(imported.value())) {
-    // Destination refused (blob budget, decode failure) or is
-    // unreachable. The source copy was never deleted, so the session is
-    // still live where it was — the move aborts, nothing is lost.
     if (NeverReached(imported)) *unreached = Unreached::kDestination;
     return Status::Fail(ErrorKind::kInternal,
                         "worker " + std::to_string(destination) +

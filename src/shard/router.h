@@ -149,9 +149,10 @@ class ShardRouter {
     TransportFactory transportFactory;
     /// Ship base-referenced delta session blobs (snapshot format v3) on
     /// drain/rebalance. Every peer decodes them: the hello handshake pins
-    /// the snapshot format. Any delta import failure retries once with a
-    /// full image — this flag is a wire-size optimization, never a
-    /// correctness risk; disabling it restores the PR 8 full-image wire.
+    /// the snapshot format. A delta import the destination answers with
+    /// an error retries once with a full image — this flag is a
+    /// wire-size optimization, never a correctness risk; disabling it
+    /// restores the PR 8 full-image wire.
     bool deltaBlobs = true;
     /// Called (with the transport's address) after removeWorker shut a
     /// socket worker down, so the process owner can reap it promptly —

@@ -580,28 +580,44 @@ TEST(Drain, DeltaDrainMatchesFullDrainAndShipsFewerBytes) {
 
 namespace {
 
-/// Fails the first importSession it sees — the in-process stand-in for a
-/// destination that cannot decode the delta blob it was sent. Everything
-/// else passes through.
+/// Fails the first importSession it sees and counts every one;
+/// everything else passes through. kRefused answers an error document, as
+/// a worker that cannot decode the delta blob it was sent does;
+/// kReplyLost runs the import, then reports the reply lost, as
+/// SocketTransport does when its read fails.
 class FirstImportFailsTransport : public WorkerTransport {
  public:
-  explicit FirstImportFailsTransport(const server::SimServer::Limits& limits)
-      : inner_(limits) {}
+  enum class Failure { kRefused, kReplyLost };
+
+  FirstImportFailsTransport(const server::SimServer::Limits& limits,
+                            Failure failure)
+      : inner_(limits), failure_(failure) {}
 
   Result<json::Json> Call(const json::Json& request) override {
-    if (request.GetString("command", "") == "importSession" &&
-        !failedOnce_.exchange(true)) {
-      return Error{ErrorKind::kInternal,
-                   "simulated delta decode failure (capability lie)"};
+    if (request.GetString("command", "") != "importSession") {
+      return inner_.Call(request);
     }
-    return inner_.Call(request);
+    imports_.fetch_add(1);
+    if (failedOnce_.exchange(true)) return inner_.Call(request);
+    if (failure_ == Failure::kRefused) {
+      return server::MakeErrorResponse(Error{
+          ErrorKind::kInvalidArgument, "simulated delta decode failure"});
+    }
+    (void)inner_.Call(request);
+    return Error{ErrorKind::kInternal,
+                 "simulated lost reply (request may or may not have "
+                 "executed)"};
   }
   std::string Describe() const override { return inner_.Describe(); }
   server::SimServer* LocalServer() override { return inner_.LocalServer(); }
 
+  int imports() const { return imports_.load(); }
+
  private:
   InProcessTransport inner_;
+  const Failure failure_;
   std::atomic<bool> failedOnce_{false};
+  std::atomic<int> imports_{0};
 };
 
 }  // namespace
@@ -616,7 +632,8 @@ TEST(Drain, DeltaImportFailureFallsBackToFullImage) {
                                 const server::SimServer::Limits& limits)
       -> Result<std::shared_ptr<WorkerTransport>> {
     return std::shared_ptr<WorkerTransport>(
-        std::make_shared<FirstImportFailsTransport>(limits));
+        std::make_shared<FirstImportFailsTransport>(
+            limits, FirstImportFailsTransport::Failure::kRefused));
   };
   ShardRouter router(options);
 
@@ -640,6 +657,40 @@ TEST(Drain, DeltaImportFailureFallsBackToFullImage) {
   for (const std::int64_t id : ids) {
     EXPECT_EQ(before[id], ExportBlob(router, id)) << "session " << id;
   }
+}
+
+TEST(Drain, ImportThatMayHaveExecutedIsNotSentAgain) {
+  // The destination runs the first import and its reply is lost. A
+  // second import could leave two copies there, so the move fails
+  // instead: the session stays on its source, and the failure says the
+  // destination may hold a copy.
+  std::vector<std::shared_ptr<FirstImportFailsTransport>> transports;
+  ShardRouter::Options options;
+  options.workerCount = 2;
+  options.transportFactory =
+      [&transports](std::size_t, const server::SimServer::Limits& limits)
+      -> Result<std::shared_ptr<WorkerTransport>> {
+    transports.push_back(std::make_shared<FirstImportFailsTransport>(
+        limits, FirstImportFailsTransport::Failure::kReplyLost));
+    return std::static_pointer_cast<WorkerTransport>(transports.back());
+  };
+  ShardRouter router(options);
+  const std::int64_t id = MustCreateOn(router, 0);
+
+  json::Json drained = Cmd(router, "drainWorker", {{"worker", json::Json(0)}});
+  testutil::CheckErrorEnvelope(drained);
+  EXPECT_EQ(transports[1]->imports(), 1) << "the import was sent again";
+  const json::Json* failed = testutil::ErrorDetail(drained, "failed");
+  ASSERT_NE(failed, nullptr) << drained.Dump();
+  ASSERT_EQ(failed->AsArray().size(), 1u) << drained.Dump();
+  EXPECT_NE(failed->AsArray()[0].GetString("message", "").find(
+                "may hold an unrouted copy"),
+            std::string::npos)
+      << drained.Dump();
+  EXPECT_EQ(WorkerOf(router, id), 0);
+  json::Json stepped = Cmd(router, "step", {{"sessionId", json::Json(id)},
+                                            {"count", json::Json(5)}});
+  EXPECT_EQ(stepped.GetString("status", ""), "ok") << stepped.Dump();
 }
 
 TEST(Drain, DestinationIsTheWorkerHoldingTheFewestSessions) {
