@@ -7,6 +7,20 @@
 namespace rvss::config {
 namespace {
 
+// The tables these bound are allocated in full when a session is created;
+// the config comes from the client on a shared server: an unbounded size
+// lets one request ask for gigabytes (a 2^30-entry PHT is 2^30 counters
+// plus 2^30 local histories), and nothing catches the failed allocation,
+// so the process dies with every session it holds.
+/// BTB entries, PHT entries and cache lines: 2^16 each, 64 times the
+/// largest preset table (the wide preset's 1,024-entry PHT).
+constexpr std::uint32_t kMaxTableEntries = 1u << 16;
+/// Like robSize: a rename register per in-flight result.
+constexpr std::uint32_t kMaxRenameRegisters = 4096;
+/// A `memory: true` render writes two hex digits per byte, so this is
+/// the largest power of two whose render fits the 256 MiB frame cap.
+constexpr std::uint32_t kMaxMemoryBytes = 64u << 20;
+
 void Check(std::vector<Error>& errors, bool ok, std::string message) {
   if (!ok) {
     errors.push_back(Error{ErrorKind::kConfig, std::move(message)});
@@ -90,6 +104,8 @@ std::vector<Error> Validate(const CpuConfig& config) {
     Check(errors, c.lineSizeBytes >= 4 && c.lineSizeBytes <= 4096,
           "cache lineSizeBytes must be in [4, 4096]");
     Check(errors, c.lineCount >= 1, "cache lineCount must be at least 1");
+    Check(errors, c.lineCount <= kMaxTableEntries,
+          "cache lineCount above 65536 is not supported");
     Check(errors, c.associativity >= 1,
           "cache associativity must be at least 1");
     Check(errors, c.associativity <= c.lineCount,
@@ -107,6 +123,8 @@ std::vector<Error> Validate(const CpuConfig& config) {
 
   const MemoryConfig& m = config.memory;
   Check(errors, m.sizeBytes >= 1024, "memory sizeBytes must be at least 1 KiB");
+  Check(errors, m.sizeBytes <= kMaxMemoryBytes,
+        "memory sizeBytes above 64 MiB is not supported");
   Check(errors, m.loadBufferSize >= 1, "loadBufferSize must be at least 1");
   Check(errors, m.storeBufferSize >= 1, "storeBufferSize must be at least 1");
   Check(errors, m.callStackBytes >= 64,
@@ -115,6 +133,8 @@ std::vector<Error> Validate(const CpuConfig& config) {
         "call stack must fit inside memory");
   Check(errors, m.renameRegisterCount >= config.buffers.fetchWidth,
         "renameRegisterCount must be at least fetchWidth");
+  Check(errors, m.renameRegisterCount <= kMaxRenameRegisters,
+        "renameRegisterCount above 4096 is not supported");
 
   // Checkpoint settings are client-supplied on shared servers, so both ends
   // are bounded: a dense interval turns every step into a snapshot copy,
@@ -139,6 +159,10 @@ std::vector<Error> Validate(const CpuConfig& config) {
   const PredictorConfig& p = config.predictor;
   Check(errors, IsPowerOfTwo(p.btbSize), "btbSize must be a power of two");
   Check(errors, IsPowerOfTwo(p.phtSize), "phtSize must be a power of two");
+  Check(errors, p.btbSize <= kMaxTableEntries,
+        "btbSize above 65536 is not supported");
+  Check(errors, p.phtSize <= kMaxTableEntries,
+        "phtSize above 65536 is not supported");
   const std::uint32_t stateLimit =
       p.type == PredictorType::kTwoBit ? 4u : 2u;
   Check(errors, p.defaultState < stateLimit,

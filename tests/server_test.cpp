@@ -368,6 +368,41 @@ TEST(Api, CheckConfigReportsAllProblems) {
   EXPECT_GE(response.Find("problems")->AsArray().size(), 2u);
 }
 
+TEST(Api, CheckConfigBoundsTheTablesACreateAllocates) {
+  // createSession allocates each of these tables in full, so each has a
+  // ceiling. Only checkConfig is sent here: it allocates nothing.
+  SimServer server;
+  auto problems = [&server](const std::string& config) {
+    json::Json response = server.Handle(
+        Parse(R"({"command": "checkConfig", "config": )" + config + "}"));
+    EXPECT_EQ(response.GetString("status", ""), "ok") << response.Dump();
+    std::vector<std::string> messages;
+    for (const json::Json& problem : response.Find("problems")->AsArray()) {
+      messages.push_back(problem.AsString());
+    }
+    return messages;
+  };
+  EXPECT_TRUE(problems(R"({"predictor": {"btbSize": 65536, "phtSize": 65536},
+      "cache": {"lineCount": 65536},
+      "memory": {"renameRegisterCount": 4096, "sizeBytes": 67108864}})")
+                  .empty());
+  const std::pair<const char*, const char*> oversized[] = {
+      {R"({"predictor": {"btbSize": 131072}})",
+       "btbSize above 65536 is not supported"},
+      {R"({"predictor": {"phtSize": 1073741824}})",
+       "phtSize above 65536 is not supported"},
+      {R"({"cache": {"lineCount": 131072}})",
+       "cache lineCount above 65536 is not supported"},
+      {R"({"memory": {"renameRegisterCount": 4097}})",
+       "renameRegisterCount above 4096 is not supported"},
+      {R"({"memory": {"sizeBytes": 134217728}})",
+       "memory sizeBytes above 64 MiB is not supported"},
+  };
+  for (const auto& [config, message] : oversized) {
+    EXPECT_EQ(problems(config), std::vector<std::string>{message}) << config;
+  }
+}
+
 TEST(Api, UnknownCommandAndUnknownSession) {
   SimServer server;
   json::Json unknown = server.Handle(Parse(R"({"command": "nope"})"));
