@@ -284,8 +284,8 @@ class ShardRouter {
   /// import -> delete source), adding the blob bytes shipped to
   /// `movedBytes`. The source-side calls go through `owner`; the import
   /// rides the destination's lane. On failure the session remains on its
-  /// source worker, and `unreached` names the side whose call never
-  /// reached its worker, if one did not.
+  /// source worker; when the failed call never reached its worker,
+  /// `unreached` names that side.
   Status MoveSession(WorkerLane::Ticket& owner, std::int64_t globalId,
                      const Placement& source, std::size_t destination,
                      std::uint64_t* movedBytes, Unreached* unreached)
