@@ -152,7 +152,7 @@ class ShardRouter {
     /// the snapshot format. A delta import the destination answers with
     /// an error retries once with a full image — this flag is a
     /// wire-size optimization, never a correctness risk; disabling it
-    /// restores the PR 8 full-image wire.
+    /// ships every session as a full image.
     bool deltaBlobs = true;
     /// Called (with the transport's address) after removeWorker shut a
     /// socket worker down, so the process owner can reap it promptly —
