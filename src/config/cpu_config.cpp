@@ -1,6 +1,6 @@
 #include "config/cpu_config.h"
 
-#include "common/enum_names.h"
+#include "json/fields.h"
 
 namespace rvss::config {
 
@@ -30,54 +30,84 @@ constexpr EnumName<FunctionalUnitConfig::Kind> kUnitKinds[] = {
     {"Branch", FunctionalUnitConfig::Kind::kBranch},
     {"Memory", FunctionalUnitConfig::Kind::kMemory}};
 
-json::Json ToJson(const FunctionalUnitConfig& fu) {
-  json::Json node = json::Json::MakeObject();
-  node.Set("kind", ToString(fu.kind));
-  if (!fu.name.empty()) node.Set("name", fu.name);
+// The field lists (json/fields.h), in the order the paper's settings
+// window shows its tabs.
+
+constexpr auto OperationFields = []<typename IO>(IO& io, auto& op) {
+  if constexpr (IO::kReading) {
+    // An operation has no class to default to.
+    std::string name;
+    io.Field("opClass", name);
+    if (name.empty()) return io.Fail("unknown opClass '' in functional unit");
+  }
+  io.Enum("opClass", op.opClass, isa::kOpClassNames,
+          "unknown opClass '{}' in functional unit");
+  io.Field("latency", op.latency);
+};
+
+/// FX and FP units list their operations; the others have one latency.
+constexpr auto UnitFields = []<typename IO>(IO& io, auto& fu) {
+  io.Enum("kind", fu.kind, kUnitKinds, "unknown functional-unit kind '{}'");
+  if (IO::kReading || !fu.name.empty()) io.Field("name", fu.name);
   if (fu.kind == FunctionalUnitConfig::Kind::kFx ||
       fu.kind == FunctionalUnitConfig::Kind::kFp) {
-    json::Json ops = json::Json::MakeArray();
-    for (const FunctionalUnitConfig::Operation& op : fu.operations) {
-      json::Json opNode = json::Json::MakeObject();
-      opNode.Set("opClass", isa::ToString(op.opClass));
-      opNode.Set("latency", static_cast<std::int64_t>(op.latency));
-      ops.Append(std::move(opNode));
-    }
-    node.Set("operations", std::move(ops));
+    io.Records("operations", fu.operations, OperationFields);
   } else {
-    node.Set("latency", static_cast<std::int64_t>(fu.latency));
+    io.Field("latency", fu.latency);
   }
-  return node;
-}
+};
 
-Result<FunctionalUnitConfig> UnitFromJson(const json::Json& node) {
-  FunctionalUnitConfig fu;
-  auto kind = ValueOf(kUnitKinds, node.GetString("kind", "FX"));
-  if (!kind) {
-    return Error{ErrorKind::kConfig,
-                 "unknown functional-unit kind '" +
-                     node.GetString("kind", "") + "'"};
-  }
-  fu.kind = *kind;
-  fu.name = node.GetString("name", "");
-  fu.latency = static_cast<std::uint32_t>(node.GetInt("latency", 1));
-  if (const json::Json* ops = node.Find("operations"); ops != nullptr) {
-    if (!ops->IsArray()) {
-      return Error{ErrorKind::kConfig, "'operations' must be an array"};
-    }
-    for (const json::Json& opNode : ops->AsArray()) {
-      auto opClass = isa::OpClassFromString(opNode.GetString("opClass", ""));
-      if (!opClass) {
-        return Error{ErrorKind::kConfig,
-                     "unknown opClass '" + opNode.GetString("opClass", "") +
-                         "' in functional unit"};
-      }
-      fu.operations.push_back(FunctionalUnitConfig::Operation{
-          *opClass, static_cast<std::uint32_t>(opNode.GetInt("latency", 1))});
-    }
-  }
-  return fu;
-}
+constexpr auto ConfigFields = [](auto& io, auto& config) {
+  io.Field("name", config.name);
+  io.Field("coreClockHz", config.coreClockHz);
+  io.Field("memClockHz", config.memClockHz);
+  io.Object("buffers", config.buffers, [](auto& section, auto& b) {
+    section.Field("robSize", b.robSize);
+    section.Field("fetchWidth", b.fetchWidth);
+    section.Field("commitWidth", b.commitWidth);
+    section.Field("flushPenalty", b.flushPenalty);
+    section.Field("fetchBranchFollowLimit", b.fetchBranchFollowLimit);
+    section.Field("issueWindowSize", b.issueWindowSize);
+  });
+  io.Records("functionalUnits", config.functionalUnits, UnitFields);
+  io.Object("cache", config.cache, [](auto& section, auto& c) {
+    section.Field("enabled", c.enabled);
+    section.Field("lineCount", c.lineCount);
+    section.Field("lineSizeBytes", c.lineSizeBytes);
+    section.Field("associativity", c.associativity);
+    section.Enum("replacement", c.replacement, kReplacementPolicies,
+                 "unknown cache replacement policy");
+    section.Enum("storePolicy", c.storePolicy, kStorePolicies,
+                 "unknown cache store policy");
+    section.Field("accessDelay", c.accessDelay);
+    section.Field("lineReplacementDelay", c.lineReplacementDelay);
+  });
+  io.Object("memory", config.memory, [](auto& section, auto& m) {
+    section.Field("sizeBytes", m.sizeBytes);
+    section.Field("loadBufferSize", m.loadBufferSize);
+    section.Field("storeBufferSize", m.storeBufferSize);
+    section.Field("loadLatency", m.loadLatency);
+    section.Field("storeLatency", m.storeLatency);
+    section.Field("callStackBytes", m.callStackBytes);
+    section.Field("renameRegisterCount", m.renameRegisterCount);
+  });
+  io.Object("predictor", config.predictor, [](auto& section, auto& p) {
+    section.Field("btbSize", p.btbSize);
+    section.Field("phtSize", p.phtSize);
+    section.Enum("type", p.type, kPredictorTypes, "unknown predictor type");
+    section.Field("defaultState", p.defaultState);
+    section.Enum("history", p.history, kHistoryKinds,
+                 "unknown predictor history kind");
+    section.Field("historyBits", p.historyBits);
+  });
+  io.Object("checkpoint", config.checkpoint, [](auto& section, auto& k) {
+    section.Field("intervalCycles", k.intervalCycles);
+    section.Field("maxTotalBytes", k.maxTotalBytes);
+    section.Field("adaptiveInterval", k.adaptiveInterval);
+  });
+  io.Field("trapOnDivZero", config.trapOnDivZero);
+  io.Field("randomSeed", config.randomSeed);
+};
 
 }  // namespace
 
@@ -107,82 +137,9 @@ std::uint32_t FunctionalUnitConfig::LatencyFor(isa::OpClass opClass) const {
 }
 
 json::Json ToJson(const CpuConfig& config) {
-  json::Json root = json::Json::MakeObject();
-  root.Set("name", config.name);
-  root.Set("coreClockHz", static_cast<std::int64_t>(config.coreClockHz));
-  root.Set("memClockHz", static_cast<std::int64_t>(config.memClockHz));
-
-  json::Json buffers = json::Json::MakeObject();
-  buffers.Set("robSize", static_cast<std::int64_t>(config.buffers.robSize));
-  buffers.Set("fetchWidth", static_cast<std::int64_t>(config.buffers.fetchWidth));
-  buffers.Set("commitWidth",
-              static_cast<std::int64_t>(config.buffers.commitWidth));
-  buffers.Set("flushPenalty",
-              static_cast<std::int64_t>(config.buffers.flushPenalty));
-  buffers.Set("fetchBranchFollowLimit",
-              static_cast<std::int64_t>(config.buffers.fetchBranchFollowLimit));
-  buffers.Set("issueWindowSize",
-              static_cast<std::int64_t>(config.buffers.issueWindowSize));
-  root.Set("buffers", std::move(buffers));
-
-  json::Json units = json::Json::MakeArray();
-  for (const FunctionalUnitConfig& fu : config.functionalUnits) {
-    units.Append(ToJson(fu));
-  }
-  root.Set("functionalUnits", std::move(units));
-
-  json::Json cache = json::Json::MakeObject();
-  cache.Set("enabled", config.cache.enabled);
-  cache.Set("lineCount", static_cast<std::int64_t>(config.cache.lineCount));
-  cache.Set("lineSizeBytes",
-            static_cast<std::int64_t>(config.cache.lineSizeBytes));
-  cache.Set("associativity",
-            static_cast<std::int64_t>(config.cache.associativity));
-  cache.Set("replacement", ToString(config.cache.replacement));
-  cache.Set("storePolicy", ToString(config.cache.storePolicy));
-  cache.Set("accessDelay", static_cast<std::int64_t>(config.cache.accessDelay));
-  cache.Set("lineReplacementDelay",
-            static_cast<std::int64_t>(config.cache.lineReplacementDelay));
-  root.Set("cache", std::move(cache));
-
-  json::Json memory = json::Json::MakeObject();
-  memory.Set("sizeBytes", static_cast<std::int64_t>(config.memory.sizeBytes));
-  memory.Set("loadBufferSize",
-             static_cast<std::int64_t>(config.memory.loadBufferSize));
-  memory.Set("storeBufferSize",
-             static_cast<std::int64_t>(config.memory.storeBufferSize));
-  memory.Set("loadLatency",
-             static_cast<std::int64_t>(config.memory.loadLatency));
-  memory.Set("storeLatency",
-             static_cast<std::int64_t>(config.memory.storeLatency));
-  memory.Set("callStackBytes",
-             static_cast<std::int64_t>(config.memory.callStackBytes));
-  memory.Set("renameRegisterCount",
-             static_cast<std::int64_t>(config.memory.renameRegisterCount));
-  root.Set("memory", std::move(memory));
-
-  json::Json predictor = json::Json::MakeObject();
-  predictor.Set("btbSize", static_cast<std::int64_t>(config.predictor.btbSize));
-  predictor.Set("phtSize", static_cast<std::int64_t>(config.predictor.phtSize));
-  predictor.Set("type", ToString(config.predictor.type));
-  predictor.Set("defaultState",
-                static_cast<std::int64_t>(config.predictor.defaultState));
-  predictor.Set("history", ToString(config.predictor.history));
-  predictor.Set("historyBits",
-                static_cast<std::int64_t>(config.predictor.historyBits));
-  root.Set("predictor", std::move(predictor));
-
-  json::Json checkpoint = json::Json::MakeObject();
-  checkpoint.Set("intervalCycles",
-                 static_cast<std::int64_t>(config.checkpoint.intervalCycles));
-  checkpoint.Set("maxTotalBytes",
-                 static_cast<std::int64_t>(config.checkpoint.maxTotalBytes));
-  checkpoint.Set("adaptiveInterval", config.checkpoint.adaptiveInterval);
-  root.Set("checkpoint", std::move(checkpoint));
-
-  root.Set("trapOnDivZero", config.trapOnDivZero);
-  root.Set("randomSeed", static_cast<std::int64_t>(config.randomSeed));
-  return root;
+  json::FieldWriter io;
+  ConfigFields(io, config);
+  return std::move(io).Finish();
 }
 
 Result<CpuConfig> CpuConfigFromJson(const json::Json& node) {
@@ -190,120 +147,10 @@ Result<CpuConfig> CpuConfigFromJson(const json::Json& node) {
     return Error{ErrorKind::kConfig, "configuration must be a JSON object"};
   }
   CpuConfig config;
-  config.name = node.GetString("name", config.name);
-  config.coreClockHz = static_cast<std::uint64_t>(
-      node.GetInt("coreClockHz", static_cast<std::int64_t>(config.coreClockHz)));
-  config.memClockHz = static_cast<std::uint64_t>(
-      node.GetInt("memClockHz", static_cast<std::int64_t>(config.memClockHz)));
-
-  if (const json::Json* buffers = node.Find("buffers"); buffers != nullptr) {
-    BufferConfig& b = config.buffers;
-    b.robSize = static_cast<std::uint32_t>(buffers->GetInt("robSize", b.robSize));
-    b.fetchWidth =
-        static_cast<std::uint32_t>(buffers->GetInt("fetchWidth", b.fetchWidth));
-    b.commitWidth = static_cast<std::uint32_t>(
-        buffers->GetInt("commitWidth", b.commitWidth));
-    b.flushPenalty = static_cast<std::uint32_t>(
-        buffers->GetInt("flushPenalty", b.flushPenalty));
-    b.fetchBranchFollowLimit = static_cast<std::uint32_t>(
-        buffers->GetInt("fetchBranchFollowLimit", b.fetchBranchFollowLimit));
-    b.issueWindowSize = static_cast<std::uint32_t>(
-        buffers->GetInt("issueWindowSize", b.issueWindowSize));
-  }
-
-  if (const json::Json* units = node.Find("functionalUnits"); units != nullptr) {
-    if (!units->IsArray()) {
-      return Error{ErrorKind::kConfig, "'functionalUnits' must be an array"};
-    }
-    for (const json::Json& unitNode : units->AsArray()) {
-      RVSS_ASSIGN_OR_RETURN(FunctionalUnitConfig fu, UnitFromJson(unitNode));
-      config.functionalUnits.push_back(std::move(fu));
-    }
-  } else {
-    config.functionalUnits = DefaultConfig().functionalUnits;
-  }
-
-  if (const json::Json* cache = node.Find("cache"); cache != nullptr) {
-    CacheConfig& c = config.cache;
-    c.enabled = cache->GetBool("enabled", c.enabled);
-    c.lineCount =
-        static_cast<std::uint32_t>(cache->GetInt("lineCount", c.lineCount));
-    c.lineSizeBytes = static_cast<std::uint32_t>(
-        cache->GetInt("lineSizeBytes", c.lineSizeBytes));
-    c.associativity = static_cast<std::uint32_t>(
-        cache->GetInt("associativity", c.associativity));
-    auto replacement =
-        ValueOf(kReplacementPolicies, cache->GetString("replacement", "LRU"));
-    if (!replacement) {
-      return Error{ErrorKind::kConfig, "unknown cache replacement policy"};
-    }
-    c.replacement = *replacement;
-    auto store =
-        ValueOf(kStorePolicies, cache->GetString("storePolicy", "write-back"));
-    if (!store) {
-      return Error{ErrorKind::kConfig, "unknown cache store policy"};
-    }
-    c.storePolicy = *store;
-    c.accessDelay =
-        static_cast<std::uint32_t>(cache->GetInt("accessDelay", c.accessDelay));
-    c.lineReplacementDelay = static_cast<std::uint32_t>(
-        cache->GetInt("lineReplacementDelay", c.lineReplacementDelay));
-  }
-
-  if (const json::Json* memory = node.Find("memory"); memory != nullptr) {
-    MemoryConfig& m = config.memory;
-    m.sizeBytes =
-        static_cast<std::uint32_t>(memory->GetInt("sizeBytes", m.sizeBytes));
-    m.loadBufferSize = static_cast<std::uint32_t>(
-        memory->GetInt("loadBufferSize", m.loadBufferSize));
-    m.storeBufferSize = static_cast<std::uint32_t>(
-        memory->GetInt("storeBufferSize", m.storeBufferSize));
-    m.loadLatency = static_cast<std::uint32_t>(
-        memory->GetInt("loadLatency", m.loadLatency));
-    m.storeLatency = static_cast<std::uint32_t>(
-        memory->GetInt("storeLatency", m.storeLatency));
-    m.callStackBytes = static_cast<std::uint32_t>(
-        memory->GetInt("callStackBytes", m.callStackBytes));
-    m.renameRegisterCount = static_cast<std::uint32_t>(
-        memory->GetInt("renameRegisterCount", m.renameRegisterCount));
-  }
-
-  if (const json::Json* predictor = node.Find("predictor"); predictor != nullptr) {
-    PredictorConfig& p = config.predictor;
-    p.btbSize =
-        static_cast<std::uint32_t>(predictor->GetInt("btbSize", p.btbSize));
-    p.phtSize =
-        static_cast<std::uint32_t>(predictor->GetInt("phtSize", p.phtSize));
-    auto type = ValueOf(kPredictorTypes, predictor->GetString("type", "two-bit"));
-    if (!type) {
-      return Error{ErrorKind::kConfig, "unknown predictor type"};
-    }
-    p.type = *type;
-    p.defaultState = static_cast<std::uint32_t>(
-        predictor->GetInt("defaultState", p.defaultState));
-    auto history = ValueOf(kHistoryKinds, predictor->GetString("history", "local"));
-    if (!history) {
-      return Error{ErrorKind::kConfig, "unknown predictor history kind"};
-    }
-    p.history = *history;
-    p.historyBits = static_cast<std::uint32_t>(
-        predictor->GetInt("historyBits", p.historyBits));
-  }
-
-  if (const json::Json* checkpoint = node.Find("checkpoint");
-      checkpoint != nullptr) {
-    CheckpointConfig& k = config.checkpoint;
-    k.intervalCycles = static_cast<std::uint64_t>(checkpoint->GetInt(
-        "intervalCycles", static_cast<std::int64_t>(k.intervalCycles)));
-    k.maxTotalBytes = static_cast<std::uint64_t>(checkpoint->GetInt(
-        "maxTotalBytes", static_cast<std::int64_t>(k.maxTotalBytes)));
-    k.adaptiveInterval =
-        checkpoint->GetBool("adaptiveInterval", k.adaptiveInterval);
-  }
-
-  config.trapOnDivZero = node.GetBool("trapOnDivZero", config.trapOnDivZero);
-  config.randomSeed = static_cast<std::uint64_t>(
-      node.GetInt("randomSeed", static_cast<std::int64_t>(config.randomSeed)));
+  config.functionalUnits = DefaultConfig().functionalUnits;
+  json::FieldReader io(node, ErrorKind::kConfig);
+  ConfigFields(io, config);
+  RVSS_RETURN_IF_ERROR(io.status());
   return config;
 }
 

@@ -14,7 +14,10 @@
 //      default state, local vs global history.
 //
 // Configurations import/export as JSON (the paper's shareable architecture
-// files); validation returns the full list of problems, not just the first.
+// files): one field list (cpu_config.cpp, over json/fields.h) writes and
+// reads every key, so an exported session blob, a config hash and a hello
+// fingerprint hold each field the reader knows. Validation returns the
+// full list of problems, not just the first.
 #pragma once
 
 #include <cstdint>
@@ -140,7 +143,10 @@ struct CpuConfig {
   std::uint64_t randomSeed = 1;
 };
 
-/// JSON round trip (architecture import/export).
+/// JSON round trip (architecture import/export). A key that is absent,
+/// or holds another JSON type, keeps its default; a config without
+/// `functionalUnits` gets the default preset's units. A unit reads the
+/// member its kind uses: `operations` for FX/FP, `latency` otherwise.
 json::Json ToJson(const CpuConfig& config);
 Result<CpuConfig> CpuConfigFromJson(const json::Json& node);
 

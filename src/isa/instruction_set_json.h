@@ -4,7 +4,9 @@
 //
 // This is what makes the instruction set *easily extensible* (the paper's
 // claim): a user can dump the built-in table, add an instruction, and load
-// the result back without recompiling.
+// the result back without recompiling. One field list
+// (instruction_set_json.cpp, over json/fields.h) writes and reads each
+// definition; the writer leaves out a key at its default.
 #pragma once
 
 #include "common/status.h"

@@ -9,9 +9,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
+
+#include "common/enum_names.h"
 
 namespace rvss::isa {
 
@@ -45,8 +45,14 @@ enum class OpClass : std::uint8_t {
   kMemAddr,  ///< address generation for loads/stores (LS issue window)
 };
 
-const char* ToString(OpClass opClass);
-std::optional<OpClass> OpClassFromString(std::string_view name);
+/// The names an architecture configuration and an instruction definition
+/// give each class.
+inline constexpr EnumName<OpClass> kOpClassNames[] = {
+    {"kIntAlu", OpClass::kIntAlu},   {"kIntMul", OpClass::kIntMul},
+    {"kIntDiv", OpClass::kIntDiv},   {"kFpAdd", OpClass::kFpAdd},
+    {"kFpMul", OpClass::kFpMul},     {"kFpDiv", OpClass::kFpDiv},
+    {"kFpFma", OpClass::kFpFma},     {"kFpOther", OpClass::kFpOther},
+    {"kBranch", OpClass::kBranch},   {"kMemAddr", OpClass::kMemAddr}};
 
 /// Argument value type, from the paper's JSON argument schema.
 enum class ArgType : std::uint8_t {
@@ -56,8 +62,6 @@ enum class ArgType : std::uint8_t {
   kDouble,  ///< double-precision FP register
   kBool,    ///< condition output
 };
-
-const char* ToString(ArgType type);
 
 /// Control-flow behaviour consumed by the fetch and branch units.
 enum class BranchKind : std::uint8_t {
