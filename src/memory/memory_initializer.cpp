@@ -95,13 +95,13 @@ Result<MemoryLayout> ComputeLayout(const std::vector<ArrayDefinition>& arrays,
                    "alignment of '" + def.name + "' must be a power of two"};
     }
     cursor = static_cast<std::uint32_t>(AlignUp(cursor, alignment));
-    const std::uint32_t byteSize = def.ByteSize();
+    const std::uint64_t byteSize = def.ByteSize();
     if (cursor > memorySize || byteSize > memorySize - cursor) {
       return Error{ErrorKind::kInvalidArgument,
                    "array '" + def.name + "' does not fit in memory"};
     }
     layout.symbols.emplace(def.name, cursor);
-    cursor += byteSize;
+    cursor += static_cast<std::uint32_t>(byteSize);
   }
   layout.dataEnd = cursor;
   return layout;

@@ -42,7 +42,11 @@ struct ArrayDefinition {
     return fill == Fill::kValues ? static_cast<std::uint32_t>(values.size())
                                  : count;
   }
-  std::uint32_t ByteSize() const { return ElementCount() * SizeOf(type); }
+  /// 64 bits wide, so a count times an element size cannot wrap to a
+  /// size that fits in memory.
+  std::uint64_t ByteSize() const {
+    return std::uint64_t{ElementCount()} * SizeOf(type);
+  }
 };
 
 /// Result of allocation: label -> start address, in definition order.

@@ -247,6 +247,19 @@ TEST(MemoryInitializer, RejectsDuplicatesAndOverflow) {
   EXPECT_FALSE(InitializeArrays(memory, {def}, 0).ok());
 }
 
+TEST(MemoryInitializer, RefusesAnArrayWhoseByteSizeWrapsIn32Bits) {
+  // 536,870,913 doubles are 2^32 + 8 bytes: 8 once wrapped to 32 bits.
+  ArrayDefinition def;
+  def.name = "a";
+  def.type = DataTypeKind::kDouble;
+  def.fill = ArrayDefinition::Fill::kConstant;
+  def.values = {0.0};
+  def.count = 536870913;
+  auto layout = ComputeLayout({def}, 4096, 64 * 1024);
+  ASSERT_FALSE(layout.ok());
+  EXPECT_EQ(layout.error().message, "array 'a' does not fit in memory");
+}
+
 TEST(MemoryInitializer, JsonRoundTrip) {
   ArrayDefinition def;
   def.name = "data";

@@ -403,6 +403,28 @@ TEST(Api, CheckConfigBoundsTheTablesACreateAllocates) {
   }
 }
 
+TEST(Api, CreateSessionRefusesAnArrayLargerThanMemory) {
+  // 536,870,913 doubles: a 32-bit byte size wraps to 8, which once let the
+  // fill write far past the end of memory and crash the process.
+  SimServer server;
+  json::Json refused = server.Handle(Parse(
+      R"({"command": "createSession", "code": "main:\n ret\n",
+          "entry": "main",
+          "arrays": [{"name": "a", "type": "double", "constant": 0,
+                      "count": 536870913}]})"));
+  testutil::CheckErrorEnvelope(refused);
+  EXPECT_EQ(testutil::ErrorField(refused, "message"),
+            "array 'a' does not fit in memory");
+  EXPECT_EQ(server.sessionCount(), 0u);
+
+  json::Json created = server.Handle(Parse(
+      R"({"command": "createSession", "code": "main:\n ret\n",
+          "entry": "main",
+          "arrays": [{"name": "a", "type": "double", "constant": 0,
+                      "count": 16}]})"));
+  EXPECT_EQ(created.GetString("status", ""), "ok") << created.Dump();
+}
+
 TEST(Api, UnknownCommandAndUnknownSession) {
   SimServer server;
   json::Json unknown = server.Handle(Parse(R"({"command": "nope"})"));
