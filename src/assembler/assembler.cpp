@@ -7,6 +7,7 @@
 #include "assembler/lexer.h"
 #include "common/bitops.h"
 #include "common/strings.h"
+#include "config/cpu_config.h"
 #include "isa/pseudo.h"
 
 namespace rvss::assembler {
@@ -283,6 +284,22 @@ Result<Program> Assembler::Assemble(std::string_view source,
     }
   };
 
+  // The image may not outgrow the largest memory a configuration admits.
+  // Padding is checked before it is allocated; other data grows with the
+  // source text, and is checked after each directive.
+  const auto tooLarge = [](const SourcePos& pos) {
+    return Error{ErrorKind::kParse,
+                 "data image larger than " +
+                     std::to_string(config::kMaxMemoryBytes >> 20) +
+                     " MiB, the largest memory",
+                 pos};
+  };
+  auto padTo = [&](std::uint64_t size, const SourcePos& pos) -> Status {
+    if (size > config::kMaxMemoryBytes) return tooLarge(pos);
+    if (size > dataImage.size()) dataImage.resize(size, 0);
+    return Status::Ok();
+  };
+
   for (const Line& line : lines) {
     RVSS_RETURN_IF_ERROR(defineLabels(line));
     if (line.mnemonic.empty()) continue;
@@ -345,8 +362,8 @@ Result<Program> Assembler::Assemble(std::string_view source,
           return Error{ErrorKind::kParse, "invalid alignment", pos};
         }
         if (section == Section::kData) {
-          const std::size_t alignment = std::size_t{1} << *power;
-          while (dataImage.size() % alignment != 0) dataImage.push_back(0);
+          RVSS_RETURN_IF_ERROR(padTo(
+              AlignUp(dataImage.size(), std::uint64_t{1} << *power), pos));
         }
       } else if (m == ".balign") {
         if (line.operands.size() != 1) {
@@ -357,9 +374,9 @@ Result<Program> Assembler::Assemble(std::string_view source,
           return Error{ErrorKind::kParse, "invalid .balign operand", pos};
         }
         if (section == Section::kData) {
-          while (dataImage.size() % static_cast<std::size_t>(*bytes) != 0) {
-            dataImage.push_back(0);
-          }
+          RVSS_RETURN_IF_ERROR(padTo(
+              AlignUp(dataImage.size(), static_cast<std::uint64_t>(*bytes)),
+              pos));
         }
       } else if (m == ".ascii" || m == ".asciiz" || m == ".string") {
         if (section != Section::kData) {
@@ -387,12 +404,14 @@ Result<Program> Assembler::Assemble(std::string_view source,
         if (!count || *count < 0 || *count > (1 << 24)) {
           return Error{ErrorKind::kParse, "invalid size for " + m, pos};
         }
-        dataImage.insert(dataImage.end(), static_cast<std::size_t>(*count), 0);
+        RVSS_RETURN_IF_ERROR(padTo(
+            dataImage.size() + static_cast<std::uint64_t>(*count), pos));
       } else if (IgnorableDirectives().contains(m)) {
         // Assembler metadata with no simulation meaning.
       } else {
         return Error{ErrorKind::kParse, "unknown directive '" + m + "'", pos};
       }
+      if (dataImage.size() > config::kMaxMemoryBytes) return tooLarge(pos);
       continue;
     }
 

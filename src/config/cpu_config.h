@@ -124,6 +124,12 @@ struct PredictorConfig {
                                    ///< history shift register into the index
 };
 
+/// The largest memory Validate admits, and so the largest data image a
+/// program may assemble: a `memory: true` render writes two hex digits per
+/// byte, so this is the largest power of two whose render fits the 256 MiB
+/// frame cap.
+inline constexpr std::uint32_t kMaxMemoryBytes = 64u << 20;
+
 /// Complete architecture description.
 struct CpuConfig {
   std::string name = "rvss-default";

@@ -17,9 +17,6 @@ namespace {
 constexpr std::uint32_t kMaxTableEntries = 1u << 16;
 /// Like robSize: a rename register per in-flight result.
 constexpr std::uint32_t kMaxRenameRegisters = 4096;
-/// A `memory: true` render writes two hex digits per byte, so this is
-/// the largest power of two whose render fits the 256 MiB frame cap.
-constexpr std::uint32_t kMaxMemoryBytes = 64u << 20;
 
 void Check(std::vector<Error>& errors, bool ok, std::string message) {
   if (!ok) {

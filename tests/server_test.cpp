@@ -110,6 +110,30 @@ TEST(Api, ParseAsmValidatesSource) {
   testutil::CheckErrorEnvelope(bad);
 }
 
+TEST(Api, ParseAsmRefusesADataImageLargerThanMemory) {
+  // Each .skip is within its 16 MiB cap; four fill the largest memory
+  // (64 MiB) and a fifth would build an 80 MiB image.
+  SimServer server;
+  const auto parse = [&server](const std::string& data) {
+    json::Json request = json::Json::MakeObject();
+    request.Set("command", "parseAsm");
+    request.Set("code", ".data\n" + data + ".text\nmain:\n ret\n");
+    return server.Handle(request);
+  };
+  const std::string skip = ".skip 16777216\n";
+  EXPECT_EQ(parse(skip + skip + skip + skip).GetString("status", ""), "ok");
+  // A padding directive is refused before it allocates.
+  for (const std::string& data :
+       {skip + skip + skip + skip + skip,
+        std::string(".byte 1\n.balign 134217728\n")}) {
+    json::Json refused = parse(data);
+    testutil::CheckErrorEnvelope(refused);
+    EXPECT_EQ(testutil::ErrorField(refused, "kind"), "parse");
+    EXPECT_EQ(testutil::ErrorField(refused, "message"),
+              "data image larger than 64 MiB, the largest memory");
+  }
+}
+
 TEST(Api, SessionLifecycleAndStepping) {
   SimServer server;
   json::Json created = server.Handle(Parse(
