@@ -152,7 +152,8 @@ struct CpuConfig {
 /// JSON round trip (architecture import/export). A key that is absent,
 /// or holds another JSON type, keeps its default; a config without
 /// `functionalUnits` gets the default preset's units. A unit reads the
-/// member its kind uses: `operations` for FX/FP, `latency` otherwise.
+/// member its kind uses: `operations` for FX/FP, `latency` otherwise. A
+/// number outside its field's range is refused, naming the key's path.
 json::Json ToJson(const CpuConfig& config);
 Result<CpuConfig> CpuConfigFromJson(const json::Json& node);
 

@@ -137,8 +137,9 @@ std::vector<Error> Validate(const CpuConfig& config) {
   // are bounded: a dense interval turns every step into a snapshot copy,
   // and an unbounded budget defeats the per-session memory cap. A budget
   // too small for two snapshots is fine — the ring pins the timeline's
-  // origin and the newest entry and degrades to longer replays. The upper
-  // bounds also catch negative JSON values wrapping to huge unsigned ones.
+  // origin and the newest entry and degrades to longer replays. A negative
+  // JSON value never gets here: the parse refuses a number outside its
+  // field's range (json/fields.h) instead of wrapping it.
   const CheckpointConfig& k = config.checkpoint;
   if (k.intervalCycles > 0) {
     Check(errors, k.intervalCycles >= 16,

@@ -19,16 +19,22 @@
 //
 // Reading keeps a field's current value when its key is absent or holds
 // another JSON type, so the record's defaults are the defaults of its
-// keys. It fails, and the first failure is the one reported, on an enum
-// name the table does not list (with the list's `why`, its "{}" replaced
-// by the name), on a Records key that is not an array, and on a check a
-// list makes with Fail. An Object key that is present is read even when
-// it is not an object: every field then keeps its value.
+// keys. It fails, and the first failure is the one reported, on a number
+// whose integer part the field's type cannot hold (naming the key's path,
+// e.g. `buffers.robSize`), on an enum name the table does not list (with
+// the list's `why`, its "{}" replaced by the name), on a Records key that
+// is not an array, and on a check a list makes with Fail. An Object key
+// that is present is read even when it is not an object: every field
+// then keeps its value.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -92,8 +98,10 @@ class FieldReader {
  public:
   static constexpr bool kReading = true;
 
-  /// Reads the members of `node`; a failure is an error of `kind`.
-  FieldReader(const Json& node, ErrorKind kind) : node_(node), kind_(kind) {}
+  /// Reads the members of `node`, whose keys are named below `path` in
+  /// messages; a failure is an error of `kind`.
+  FieldReader(const Json& node, ErrorKind kind, std::string path = "")
+      : node_(node), kind_(kind), path_(std::move(path)) {}
 
   void Field(std::string_view key, bool& value) {
     const Json* member = node_.Find(key);
@@ -103,11 +111,22 @@ class FieldReader {
     const Json* member = node_.Find(key);
     if (member != nullptr && member->IsString()) value = member->AsString();
   }
+  /// A number is refused, not narrowed, when its integer part is out of
+  /// the field's range. A document carries integers as int64, as the
+  /// writer writes them, so a 64-bit unsigned field reads up to 2^63 - 1.
   template <std::integral T>
   void Field(std::string_view key, T& value) {
     const Json* member = node_.Find(key);
-    if (member != nullptr && member->IsNumber()) {
-      value = static_cast<T>(member->AsInt());
+    if (member == nullptr || !member->IsNumber()) return;
+    using Limits = std::numeric_limits<T>;
+    constexpr auto lo = static_cast<std::int64_t>(Limits::min());
+    constexpr auto hi = static_cast<std::int64_t>(std::min<std::uint64_t>(
+        Limits::max(), std::numeric_limits<std::int64_t>::max()));
+    if (const std::optional<std::int64_t> number = IntegerIn(*member, lo, hi)) {
+      value = static_cast<T>(*number);
+    } else {
+      Fail(Path(key) + ": " + member->Dump() + " is out of range [" +
+           std::to_string(lo) + ", " + std::to_string(hi) + "]");
     }
   }
 
@@ -131,7 +150,7 @@ class FieldReader {
   void Object(std::string_view key, T& record, List list) {
     if (const Json* member = node_.Find(key);
         member != nullptr && status_.ok()) {
-      Run(*member, record, list);
+      Run(*member, record, list, Path(key));
     }
   }
 
@@ -147,7 +166,9 @@ class FieldReader {
     }
     records.clear();
     for (const Json& element : member->AsArray()) {
-      if (!Run(element, records.emplace_back(), list)) return;
+      const std::string path =
+          Path(key) + "[" + std::to_string(records.size()) + "]";
+      if (!Run(element, records.emplace_back(), list, path)) return;
     }
   }
 
@@ -159,10 +180,33 @@ class FieldReader {
   const Status& status() const { return status_; }
 
  private:
-  /// Reads `node` into `record` with `list`; false once the read failed.
+  /// The integer part of `number`, when it lies in [lo, hi].
+  static std::optional<std::int64_t> IntegerIn(const Json& number,
+                                               std::int64_t lo,
+                                               std::int64_t hi) {
+    if (number.IsInt()) {
+      const std::int64_t n = number.AsInt();
+      if (n >= lo && n <= hi) return n;
+      return std::nullopt;
+    }
+    // Compared as a double first: the cast is undefined out of range.
+    // hi + 1 is exact below 2^53, and rounds to 2^63 for hi = 2^63 - 1.
+    const double d = std::trunc(number.AsDouble());
+    if (d >= static_cast<double>(lo) && d < static_cast<double>(hi) + 1.0) {
+      return static_cast<std::int64_t>(d);
+    }
+    return std::nullopt;
+  }
+
+  std::string Path(std::string_view key) const {
+    return path_.empty() ? std::string(key) : path_ + "." + std::string(key);
+  }
+
+  /// Reads `node`, named `path`, into `record` with `list`; false once
+  /// the read failed.
   template <typename T, typename List>
-  bool Run(const Json& node, T& record, List list) {
-    FieldReader io(node, kind_);
+  bool Run(const Json& node, T& record, List list, std::string path) {
+    FieldReader io(node, kind_, std::move(path));
     list(io, record);
     if (!io.status_.ok()) status_ = std::move(io.status_);
     return status_.ok();
@@ -170,6 +214,7 @@ class FieldReader {
 
   const Json& node_;
   ErrorKind kind_;
+  std::string path_;  ///< "" for the document's top-level object
   Status status_;
 };
 

@@ -3,6 +3,7 @@
 #include "common/bitops.h"
 #include "common/enum_names.h"
 #include "common/rng.h"
+#include "json/fields.h"
 
 namespace rvss::memory {
 
@@ -177,7 +178,11 @@ Result<ArrayDefinition> ArrayDefinitionFromJson(const json::Json& node) {
                  "unknown data type in array '" + def.name + "'"};
   }
   def.type = *type;
-  def.alignment = static_cast<std::uint32_t>(node.GetInt("alignment", 0));
+  // The integers are read as a config's are (json/fields.h): out of their
+  // field's range, they are refused rather than narrowed.
+  json::FieldReader io(node, ErrorKind::kParse);
+  io.Field("alignment", def.alignment);
+  RVSS_RETURN_IF_ERROR(io.status());
 
   if (const json::Json* values = node.Find("values"); values != nullptr) {
     if (!values->IsArray()) {
@@ -193,17 +198,18 @@ Result<ArrayDefinition> ArrayDefinitionFromJson(const json::Json& node) {
     }
   } else if (node.GetBool("random", false)) {
     def.fill = ArrayDefinition::Fill::kRandom;
-    def.count = static_cast<std::uint32_t>(node.GetInt("count", 0));
-    def.randomSeed = static_cast<std::uint64_t>(node.GetInt("randomSeed", 1));
+    io.Field("count", def.count);
+    io.Field("randomSeed", def.randomSeed);
   } else if (node.Find("constant") != nullptr) {
     def.fill = ArrayDefinition::Fill::kConstant;
     def.values = {node.GetDouble("constant", 0.0)};
-    def.count = static_cast<std::uint32_t>(node.GetInt("count", 0));
+    io.Field("count", def.count);
   } else {
     return Error{ErrorKind::kParse,
                  "array '" + def.name +
                      "' needs one of 'values', 'constant' or 'random'"};
   }
+  RVSS_RETURN_IF_ERROR(io.status());
   return def;
 }
 

@@ -350,14 +350,14 @@ TEST(SimState, CheckpointConfigValidationBounds) {
   config.checkpoint.maxTotalBytes = 1ull << 40;  // defeats the session cap
   EXPECT_FALSE(config::Validate(config).empty());
 
-  // Negative JSON values wrap to huge unsigned ones; the upper bounds must
-  // catch them rather than silently changing behavior.
+  // Negative JSON values are refused by the parse; they do not wrap to
+  // huge unsigned ones that only the upper bounds would catch.
   auto wrappedJson = json::Parse(
       R"({"checkpoint": {"intervalCycles": -1, "maxTotalBytes": -1}})");
   ASSERT_TRUE(wrappedJson.ok());
   auto wrapped = config::CpuConfigFromJson(wrappedJson.value());
-  ASSERT_TRUE(wrapped.ok());
-  EXPECT_FALSE(config::Validate(wrapped.value()).empty());
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_EQ(wrapped.error().kind, ErrorKind::kConfig);
 
   // Large memories with the untouched default checkpoint settings stay
   // valid (the budget is soft: the ring pins base + newest beyond it).

@@ -1,6 +1,7 @@
 // Configuration round-trip / validation tests and CLI end-to-end tests.
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -81,6 +82,83 @@ TEST(Config, UnknownEnumValuesRejected) {
       R"({"cache": {"replacement": "MRU"}})");
   ASSERT_TRUE(parsed.ok());
   EXPECT_FALSE(config::CpuConfigFromJson(parsed.value()).ok());
+}
+
+TEST(Config, IntegerOutsideItsFieldIsRefused) {
+  // Each of these once narrowed silently (robSize read as 64, the load
+  // buffer as 1), and checkConfig reported no problem with either.
+  const std::pair<const char*, const char*> refused[] = {
+      {R"({"buffers": {"robSize": 4294967360}})",
+       "buffers.robSize: 4294967360 is out of range [0, 4294967295]"},
+      {R"({"memory": {"loadBufferSize": -4294967295}})",
+       "memory.loadBufferSize: -4294967295 is out of range [0, 4294967295]"},
+      {R"({"checkpoint": {"maxTotalBytes": -1}})",
+       "checkpoint.maxTotalBytes: -1 is out of range "
+       "[0, 9223372036854775807]"},
+      {R"({"functionalUnits": [{"kind": "LS", "latency": 1},
+           {"kind": "FX", "operations": [{"opClass": "kIntAlu",
+                                          "latency": 1e10}]}]})",
+       "functionalUnits[1].operations[0].latency: 1e+10 is out of range "
+       "[0, 4294967295]"},
+  };
+  for (const auto& [text, message] : refused) {
+    auto node = json::Parse(text);
+    ASSERT_TRUE(node.ok());
+    auto config = config::CpuConfigFromJson(node.value());
+    ASSERT_FALSE(config.ok()) << text;
+    EXPECT_EQ(config.error().kind, ErrorKind::kConfig);
+    EXPECT_EQ(config.error().message, message);
+  }
+}
+
+/// Sets the `n`th integer under `node`, in document order, to `value`;
+/// returns the key holding it, or "" when there are fewer integers.
+std::string SetNthInteger(json::Json& node, int& n, std::int64_t value) {
+  for (auto& [key, member] : node.AsObject()) {
+    if (member.IsInt() && n-- == 0) {
+      member = json::Json(value);
+      return key;
+    }
+    std::string found;
+    if (member.IsObject()) found = SetNthInteger(member, n, value);
+    for (json::Json& element : member.AsArray()) {
+      if (found.empty()) found = SetNthInteger(element, n, value);
+    }
+    if (!found.empty()) return found;
+  }
+  return "";
+}
+
+TEST(Config, EveryIntegerReadsUpToItsFieldsMaximum) {
+  // A config's integers are 32- or 64-bit unsigned fields: 2^32 - 1 fits
+  // each of them, 2^32 only the 64-bit ones, which read up to 2^63 - 1.
+  const std::set<std::string> wide = {"coreClockHz", "memClockHz",
+                                      "intervalCycles", "maxTotalBytes",
+                                      "randomSeed"};
+  const json::Json base = config::ToJson(config::DefaultConfig());
+  int integers = 0;
+  for (int i = 0;; ++i) {
+    for (const std::int64_t value :
+         {std::int64_t{4294967295}, std::int64_t{4294967296},
+          std::int64_t{9223372036854775807}}) {
+      json::Json doc = base;
+      int n = i;
+      const std::string key = SetNthInteger(doc, n, value);
+      if (key.empty()) {
+        EXPECT_GE(integers, 27);  // the scalar keys, then unit latencies
+        return;
+      }
+      auto config = config::CpuConfigFromJson(doc);
+      if (value == 4294967295 || wide.contains(key)) {
+        ASSERT_TRUE(config.ok()) << key << " = " << value;
+        EXPECT_EQ(config::ToJson(config.value()), doc) << key;
+      } else {
+        ASSERT_FALSE(config.ok()) << key << " = " << value;
+        EXPECT_NE(config.error().message.find(key), std::string::npos);
+      }
+    }
+    ++integers;
+  }
 }
 
 // ---- CLI ----------------------------------------------------------------------

@@ -292,6 +292,26 @@ TEST(InstructionSet, JsonRoundTripPreservesEveryDefinition) {
   }
 }
 
+TEST(InstructionSet, JsonByteOutsideItsFieldIsRefused) {
+  // sizeBytes and flops are one byte each: 260 once read as 4.
+  const auto read = [](const std::string& fields) {
+    return isa::InstructionFromJson(
+        json::Parse(R"({"name": "x", "interpretableAs": "",)" + fields + "}")
+            .value());
+  };
+  auto size = read(R"("memory": {"isLoad": true, "sizeBytes": 260})");
+  ASSERT_FALSE(size.ok());
+  EXPECT_EQ(size.error().kind, ErrorKind::kParse);
+  EXPECT_EQ(size.error().message,
+            "memory.sizeBytes: 260 is out of range [0, 255]");
+  auto flops = read(R"("flops": 260)");
+  ASSERT_FALSE(flops.ok());
+  EXPECT_EQ(flops.error().message, "flops: 260 is out of range [0, 255]");
+  auto widest = read(R"("flops": 255)");
+  ASSERT_TRUE(widest.ok()) << widest.error().ToText();
+  EXPECT_EQ(widest.value().flops, 255);
+}
+
 TEST(InstructionSet, CustomJsonInstructionExecutes) {
   // The paper's extensibility claim: define a new instruction in JSON and
   // run it. "addx3" computes rs1 + 3*rs2.

@@ -260,6 +260,32 @@ TEST(MemoryInitializer, RefusesAnArrayWhoseByteSizeWrapsIn32Bits) {
   EXPECT_EQ(layout.error().message, "array 'a' does not fit in memory");
 }
 
+TEST(MemoryInitializer, JsonIntegerOutsideItsFieldIsRefused) {
+  // A count of 4294967306 once read as 10.
+  const std::pair<const char*, const char*> refused[] = {
+      {R"({"name": "a", "constant": 0, "count": 4294967306})",
+       "count: 4294967306 is out of range [0, 4294967295]"},
+      {R"({"name": "a", "alignment": -8, "values": [1]})",
+       "alignment: -8 is out of range [0, 4294967295]"},
+      {R"({"name": "a", "random": true, "count": 4, "randomSeed": -1})",
+       "randomSeed: -1 is out of range [0, 9223372036854775807]"},
+  };
+  for (const auto& [text, message] : refused) {
+    auto def = ArrayDefinitionFromJson(json::Parse(text).value());
+    ASSERT_FALSE(def.ok()) << text;
+    EXPECT_EQ(def.error().message, message);
+  }
+  auto widest = ArrayDefinitionFromJson(
+      json::Parse(R"({"name": "a", "alignment": 4294967295, "random": true,
+                      "count": 4294967295,
+                      "randomSeed": 9223372036854775807})")
+          .value());
+  ASSERT_TRUE(widest.ok()) << widest.error().ToText();
+  EXPECT_EQ(widest.value().alignment, 4294967295u);
+  EXPECT_EQ(widest.value().count, 4294967295u);
+  EXPECT_EQ(widest.value().randomSeed, 9223372036854775807u);
+}
+
 TEST(MemoryInitializer, JsonRoundTrip) {
   ArrayDefinition def;
   def.name = "data";

@@ -427,6 +427,19 @@ TEST(Api, CheckConfigBoundsTheTablesACreateAllocates) {
   }
 }
 
+TEST(Api, CheckConfigRefusesAnIntegerOutsideItsField) {
+  // Parsed as 64 and 1 before, so checkConfig found no problem with either.
+  SimServer server;
+  for (const char* config : {R"({"buffers": {"robSize": 4294967360}})",
+                             R"({"memory": {"loadBufferSize": -4294967295}})"}) {
+    json::Json response = server.Handle(
+        Parse(R"({"command": "checkConfig", "config": )" +
+              std::string(config) + "}"));
+    testutil::CheckErrorEnvelope(response);
+    EXPECT_EQ(testutil::ErrorField(response, "kind"), "config") << config;
+  }
+}
+
 TEST(Api, CreateSessionRefusesAnArrayLargerThanMemory) {
   // 536,870,913 doubles: a 32-bit byte size wraps to 8, which once let the
   // fill write far past the end of memory and crash the process.
