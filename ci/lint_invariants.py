@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant linter: structural rules a compiler cannot check.
 
-Five rules, each encoding an invariant this codebase has been burned by
+Six rules, each encoding an invariant this codebase has been burned by
 (or nearly so). The linter is a tripwire, not a proof: it is regex- and
 token-based, deliberately simple, and errs toward false negatives over
 false positives so it can run with zero suppressions on a clean tree.
@@ -49,6 +49,18 @@ false positives so it can run with zero suppressions on a clean tree.
                       so a command added in one place cannot be routed
                       wrongly in another.
 
+  json-record-coverage
+                      Every data member of a JSON record struct (the
+                      architecture configuration and its sections, a
+                      functional unit and its operations, an instruction
+                      definition, its arguments and memory access) is
+                      named (`.member`) in the file holding the record's
+                      field list, which both writes and reads it
+                      (json/fields.h). A member left out is never
+                      written, read or hashed, so a record built in C++
+                      (a preset, a bench, an embedder) loses it on export
+                      without notice.
+
 Usage: python3 ci/lint_invariants.py [--root DIR] [--rule NAME]...
 Exits 0 when clean, 1 with one `path:line: [rule] message` per finding.
 """
@@ -65,13 +77,28 @@ METRIC_NAME_ALLOW = {"src/obs/registry.cpp"}
 RAW_MUTEX_ALLOW = {"src/common/sync.h"}
 COMMAND_TABLE_PATH = "src/server/commands.cpp"
 
+# JSON record structs, by the header defining them, and the file holding
+# the field list that writes and reads them.
+JSON_RECORDS = {
+    "src/config/cpu_config.h": (
+        "src/config/cpu_config.cpp",
+        ("CpuConfig", "BufferConfig", "CacheConfig", "MemoryConfig",
+         "CheckpointConfig", "PredictorConfig", "FunctionalUnitConfig",
+         "Operation")),
+    "src/isa/instruction_set.h": (
+        "src/isa/instruction_set_json.cpp", ("InstructionDescription",)),
+    "src/isa/isa_types.h": (
+        "src/isa/instruction_set_json.cpp",
+        ("ArgumentDescription", "MemAccess")),
+}
+
 # Standalone structs whose fields the codec must cover even though they
 # carry no SaveState themselves (they *are* the saved state).
 EXTRA_STATE_STRUCTS = {"SimSnapshot"}
 
 DERIVED_MARK = "snapshot: derived"
 ALL_RULES = ("snapshot-coverage", "error-envelope", "metric-naming",
-             "mutex-guard", "command-table")
+             "mutex-guard", "command-table", "json-record-coverage")
 
 
 class Finding:
@@ -383,12 +410,71 @@ def check_command_table(files, root, findings):
                     f"by server::Command or its CommandClass"))
 
 
+NESTED_TYPE_RE = re.compile(r"^\s*(?:enum|struct|class|union)\b")
+
+
+def blank_nested_blocks(body):
+    """The body with every brace block inside it (a nested type, an
+    enum, an inline method) blanked, newlines kept, so only the
+    struct's own members remain."""
+    out, depth = [], 0
+    for ch in body:
+        if ch == "{":
+            depth += 1
+        out.append(" " if depth and ch != "\n" else ch)
+        if ch == "}" and depth:
+            depth -= 1
+    return "".join(out)
+
+
+def check_json_record_coverage(files, root, findings):
+    by_rel = {rel: (text, masked) for rel, text, masked, _ in files}
+    for header, (list_path, records) in JSON_RECORDS.items():
+        if header not in by_rel or list_path not in by_rel:
+            missing = header if header not in by_rel else list_path
+            findings.append(Finding(
+                missing, 1, "json-record-coverage",
+                f"{missing} not found; update JSON_RECORDS in "
+                f"ci/lint_invariants.py"))
+            continue
+        text, masked = by_rel[header]
+        list_masked = by_rel[list_path][1]
+        found = set()
+        for name, start, end in iter_classes(masked):
+            if name not in records:
+                continue
+            found.add(name)
+            body = blank_nested_blocks(masked[start:end])
+            offset = start
+            for line in body.split("\n"):
+                if (line.strip() and not MEMBER_LINE_SKIP.search(line)
+                        and not NESTED_TYPE_RE.match(line)):
+                    for m in FIELD_NAME_RE.finditer(line):
+                        field = m.group(1)
+                        if re.search(r"\." + field + r"\b", list_masked):
+                            continue
+                        findings.append(Finding(
+                            header, line_of(text, offset + m.start(1)),
+                            "json-record-coverage",
+                            f"member '{field}' of JSON record '{name}' "
+                            f"is not in the field list in {list_path}: "
+                            f"it is never written, read or hashed, so a "
+                            f"record built in C++ loses it on export"))
+                offset += len(line) + 1
+        for name in sorted(set(records) - found):
+            findings.append(Finding(
+                header, 1, "json-record-coverage",
+                f"JSON record '{name}' not found in {header}; update "
+                f"JSON_RECORDS in ci/lint_invariants.py"))
+
+
 CHECKS = {
     "snapshot-coverage": check_snapshot_coverage,
     "error-envelope": check_error_envelope,
     "metric-naming": check_metric_naming,
     "mutex-guard": check_mutex_guard,
     "command-table": check_command_table,
+    "json-record-coverage": check_json_record_coverage,
 }
 
 

@@ -307,6 +307,71 @@ class CommandTableTest(unittest.TestCase):
         self.assertIn("command table not found", findings[0].message)
 
 
+class JsonRecordCoverageTest(unittest.TestCase):
+    RULE = ["json-record-coverage"]
+    RECORDS = {"src/config/cfg.h": ("src/config/cfg.cpp",
+                                    ("Buffers", "Unit"))}
+    HEADER = """
+        struct Buffers {
+          std::uint32_t robSize = 64;
+          std::uint32_t fetchWidth = 4;  ///< see b.other
+        };
+        struct Unit {
+          enum class Kind : std::uint8_t { kFx, kFp, kLs };
+          Kind kind = Kind::kFx;
+          struct Operation { int opClass = 0; };
+          std::vector<Operation> operations;
+          bool IsFx() const { return kind == Kind::kFx; }
+        };
+        """
+    LIST = """
+        constexpr auto UnitFields = [](auto& io, auto& u) {
+          io.Enum("kind", u.kind, kKinds, "unknown kind");
+          io.Records("operations", u.operations, OperationFields);
+        };
+        constexpr auto ConfigFields = [](auto& io, auto& c) {
+          io.Object("buffers", c.buffers, [](auto& section, auto& b) {
+            section.Field("robSize", b.robSize);
+            section.Field("fetchWidth", b.fetchWidth);
+          });
+        };
+        """
+
+    def setUp(self):
+        self.saved = lint_invariants.JSON_RECORDS
+        lint_invariants.JSON_RECORDS = self.RECORDS
+
+    def tearDown(self):
+        lint_invariants.JSON_RECORDS = self.saved
+
+    def test_listed_members_pass(self):
+        code, findings = run_lint({
+            "src/config/cfg.h": self.HEADER,
+            "src/config/cfg.cpp": self.LIST,
+        }, self.RULE)
+        self.assertEqual(code, 0, findings)
+
+    def test_member_named_only_as_a_key_fails(self):
+        code, findings = run_lint({
+            "src/config/cfg.h": self.HEADER,
+            "src/config/cfg.cpp": self.LIST.replace(
+                "b.fetchWidth", "b.robSize"),
+        }, self.RULE)
+        self.assertEqual(code, 1)
+        self.assertEqual(len(findings), 1, findings)
+        self.assertIn("'fetchWidth' of JSON record 'Buffers'",
+                      findings[0].message)
+
+    def test_missing_record_fails(self):
+        code, findings = run_lint({
+            "src/config/cfg.h": self.HEADER.replace("struct Unit",
+                                                    "struct Renamed"),
+            "src/config/cfg.cpp": self.LIST,
+        }, self.RULE)
+        self.assertEqual(code, 1)
+        self.assertIn("'Unit' not found", findings[0].message)
+
+
 class RealTreeTest(unittest.TestCase):
     """The linter must be clean on the repository it ships in."""
 
