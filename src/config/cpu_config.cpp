@@ -111,20 +111,6 @@ constexpr auto ConfigFields = [](auto& io, auto& config) {
 
 }  // namespace
 
-const char* ToString(ReplacementPolicy policy) {
-  return NameOf(kReplacementPolicies, policy);
-}
-
-const char* ToString(StorePolicy policy) {
-  return NameOf(kStorePolicies, policy);
-}
-
-const char* ToString(PredictorType type) {
-  return NameOf(kPredictorTypes, type);
-}
-
-const char* ToString(HistoryKind kind) { return NameOf(kHistoryKinds, kind); }
-
 const char* ToString(FunctionalUnitConfig::Kind kind) {
   return NameOf(kUnitKinds, kind);
 }

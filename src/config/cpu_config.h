@@ -35,11 +35,6 @@ enum class StorePolicy : std::uint8_t { kWriteBack, kWriteThrough };
 enum class PredictorType : std::uint8_t { kZeroBit, kOneBit, kTwoBit };
 enum class HistoryKind : std::uint8_t { kLocal, kGlobal };
 
-const char* ToString(ReplacementPolicy policy);
-const char* ToString(StorePolicy policy);
-const char* ToString(PredictorType type);
-const char* ToString(HistoryKind kind);
-
 /// One functional unit. FX/FP units list the operation classes they can
 /// execute with a latency per class; LS, branch and memory units have a
 /// single latency.
